@@ -27,9 +27,14 @@ type t = {
   mutable writes : int;
   mutable sequential_hits : int;
   mutable blocks_transferred : int;
-  mutable busy_time : float;
-  mutable total_wait : float;
+  (* Busy time and queueing delay, in one unboxed column: a mutable
+     float field in this mixed record would box on every update. *)
+  acct : float array;
 }
+
+let busy_i = 0
+
+let wait_i = 1
 
 let create engine ?bus ?rng ?(sched = Fcfs) params =
   {
@@ -48,8 +53,7 @@ let create engine ?bus ?rng ?(sched = Fcfs) params =
     writes = 0;
     sequential_hits = 0;
     blocks_transferred = 0;
-    busy_time = 0.0;
-    total_wait = 0.0;
+    acct = [| 0.0; 0.0 |];
   }
 
 let params t = t.params
@@ -70,8 +74,8 @@ let set_obs t obs =
     g "writes" (fun () -> float_of_int t.writes);
     g "sequential_hits" (fun () -> float_of_int t.sequential_hits);
     g "blocks_transferred" (fun () -> float_of_int t.blocks_transferred);
-    g "busy_s" (fun () -> t.busy_time);
-    g "wait_s" (fun () -> t.total_wait);
+    g "busy_s" (fun () -> t.acct.(busy_i));
+    g "wait_s" (fun () -> t.acct.(wait_i));
     g "queue_depth" (fun () -> float_of_int (queue_length t));
     t.obs <- Some { sink; h_service = h "service_s"; h_wait = h "wait_s_hist" }
 
@@ -126,7 +130,7 @@ let serve t kind ~addr ~blocks ~waited =
   | Read -> t.reads <- t.reads + 1
   | Write -> t.writes <- t.writes + 1);
   let service = Engine.now t.engine -. started in
-  t.busy_time <- t.busy_time +. service;
+  t.acct.(busy_i) <- t.acct.(busy_i) +. service;
   match t.obs with
   | None -> ()
   | Some { sink; h_service; h_wait } ->
@@ -145,6 +149,13 @@ let serve t kind ~addr ~blocks ~waited =
            wait = waited;
          })
 
+(* Pass the drive to the next waiter, which wakes holding it: [busy]
+   stays true across the handoff. *)
+let handoff t =
+  match pick_next t with
+  | Some w -> Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
+  | None -> t.busy <- false
+
 let io ?(blocks = 1) t kind ~addr =
   check_addr t addr;
   if blocks < 1 || addr + blocks > t.params.Params.capacity_blocks then
@@ -156,7 +167,7 @@ let io ?(blocks = 1) t kind ~addr =
           Sched_queue.add t.queue ~addr { enqueued_at; resume });
       (* Woken holding the drive: [busy] stayed true across the handoff. *)
       let waited = Engine.now t.engine -. enqueued_at in
-      t.total_wait <- t.total_wait +. waited;
+      t.acct.(wait_i) <- t.acct.(wait_i) +. waited;
       waited
     end
     else begin
@@ -164,16 +175,11 @@ let io ?(blocks = 1) t kind ~addr =
       0.0
     end
   in
-  let handoff () =
-    match pick_next t with
-    | Some w -> Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
-    | None -> t.busy <- false
-  in
-  (try serve t kind ~addr ~blocks ~waited
-   with e ->
-     handoff ();
-     raise e);
-  handoff ()
+  match serve t kind ~addr ~blocks ~waited with
+  | () -> handoff t
+  | exception e ->
+    handoff t;
+    raise e
 
 let reads t = t.reads
 
@@ -183,14 +189,14 @@ let sequential_hits t = t.sequential_hits
 
 let blocks_transferred t = t.blocks_transferred
 
-let busy_time t = t.busy_time
+let busy_time t = t.acct.(busy_i)
 
-let total_wait t = t.total_wait
+let total_wait t = t.acct.(wait_i)
 
 let reset_stats t =
   t.reads <- 0;
   t.writes <- 0;
   t.sequential_hits <- 0;
   t.blocks_transferred <- 0;
-  t.busy_time <- 0.0;
-  t.total_wait <- 0.0
+  t.acct.(busy_i) <- 0.0;
+  t.acct.(wait_i) <- 0.0

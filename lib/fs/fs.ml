@@ -1,14 +1,13 @@
 open Acfc_sim
 module Block = Acfc_core.Block
 module Cache = Acfc_core.Cache
+module Itbl = Acfc_core.Itbl
 module Pid = Acfc_core.Pid
 module Disk = Acfc_disk.Disk
 module Params = Acfc_disk.Params
 module Obs = Acfc_obs
 
 let block_bytes = Params.block_bytes
-
-type io_stats = { mutable disk_reads : int; mutable disk_writes : int }
 
 type t = {
   engine : Engine.t;
@@ -24,10 +23,17 @@ type t = {
   by_name : (string, File.id) Hashtbl.t;
   mutable next_id : int;
   mutable disk_cursors : (Disk.t * int ref) list;
-  in_flight : (Block.t, unit Ivar.t) Hashtbl.t;
+  (* Blocks whose disk read is outstanding, keyed by [Block.pack]: 0
+     while nobody waits for the read, 1 once a reader parks on its ivar
+     in [landing] — the only place an ivar is ever created. *)
+  in_flight : Itbl.t;
+  landing : (int, unit Ivar.t) Hashtbl.t;
   frames : (Block.t, Bytes.t) Hashtbl.t;  (* resident data, when track_data *)
   images : (File.id, Bytes.t) Hashtbl.t;  (* on-disk data, when track_data *)
-  pid_io : (Pid.t, io_stats) Hashtbl.t;
+  (* Block I/Os charged per pid, indexed by [Pid.to_int], grown on
+     demand. *)
+  mutable pid_reads : int array;
+  mutable pid_writes : int array;
   mutable current_pid : Pid.t;
   mutable obs : Obs.Sink.t option;
 }
@@ -49,39 +55,59 @@ let set_obs t obs =
     Obs.Metrics.gauge m "fs.files" (fun () -> float_of_int (Hashtbl.length t.files));
     Obs.Metrics.gauge m "fs.block_ios" (fun () ->
         float_of_int
-          (Hashtbl.fold (fun _ s acc -> acc + s.disk_reads + s.disk_writes) t.pid_io 0))
+          (Array.fold_left ( + ) 0 t.pid_reads + Array.fold_left ( + ) 0 t.pid_writes))
 
-let obs_syscall t ~pid op detail =
-  match t.obs with
-  | None -> ()
-  | Some sink -> Obs.Sink.emit sink (Obs.Trace.Syscall { pid; op; detail = detail () })
+(* Callers match on [t.obs] themselves and format [detail] only under
+   [Some], so a run without obs builds no string and no closure. *)
+let syscall sink ~pid op detail = Obs.Sink.emit sink (Obs.Trace.Syscall { pid; op; detail })
 
-let io_stats t pid =
-  match Hashtbl.find_opt t.pid_io pid with
-  | Some s -> s
-  | None ->
-    let s = { disk_reads = 0; disk_writes = 0 } in
-    Hashtbl.replace t.pid_io pid s;
-    s
+let charge t pid n ~writes =
+  let p = Pid.to_int pid in
+  if p >= Array.length t.pid_reads then begin
+    let grow a =
+      let b = Array.make (Stdlib.max (2 * Array.length a) (p + 1)) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.pid_reads <- grow t.pid_reads;
+    t.pid_writes <- grow t.pid_writes
+  end;
+  let a = if writes then t.pid_writes else t.pid_reads in
+  a.(p) <- a.(p) + n
+
+let counted a pid =
+  let p = Pid.to_int pid in
+  if p < Array.length a then a.(p) else 0
 
 let file_of_block t key =
-  match Hashtbl.find_opt t.files (Block.file key) with
-  | Some f -> f
-  | None -> invalid_arg "Fs: block of unknown file"
+  match Hashtbl.find t.files (Block.file key) with
+  | f -> f
+  | exception Not_found -> invalid_arg "Fs: block of unknown file"
 
 (* The backend: what BUF calls when it needs the device. *)
 
+(* The read has landed (or failed): wake whoever waits for it. *)
+let landed t p =
+  let waited = Itbl.find t.in_flight p > 0 in
+  Itbl.remove t.in_flight p;
+  if waited then begin
+    let iv = Hashtbl.find t.landing p in
+    Hashtbl.remove t.landing p;
+    Ivar.fill iv ()
+  end
+
 let backend_read t key =
   let file = file_of_block t key in
-  let iv = Ivar.create t.engine in
-  Hashtbl.replace t.in_flight key iv;
-  (io_stats t t.current_pid).disk_reads <- (io_stats t t.current_pid).disk_reads + 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.remove t.in_flight key;
-      Ivar.fill iv ())
-    (fun () ->
-      Disk.io file.File.disk Disk.Read ~addr:(File.disk_addr file ~index:(Block.index key)));
+  let p = Block.pack key in
+  Itbl.set t.in_flight p 0;
+  charge t t.current_pid 1 ~writes:false;
+  (match
+     Disk.io file.File.disk Disk.Read ~addr:(File.disk_addr file ~index:(Block.index key))
+   with
+  | () -> landed t p
+  | exception e ->
+    landed t p;
+    raise e);
   if t.track_data then begin
     let image = Hashtbl.find t.images (File.id file) in
     let frame = Bytes.make block_bytes '\000' in
@@ -105,8 +131,7 @@ let backend_write t key =
   in
   let cluster = key :: followers in
   let payer = Option.value file.File.owner ~default:t.current_pid in
-  (io_stats t payer).disk_writes <-
-    (io_stats t payer).disk_writes + List.length cluster;
+  charge t payer (List.length cluster) ~writes:true;
   if t.track_data then
     List.iter
       (fun k ->
@@ -145,10 +170,12 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
       by_name = Hashtbl.create 32;
       next_id = 0;
       disk_cursors = [];
-      in_flight = Hashtbl.create 8;
+      in_flight = Itbl.create 8;
+      landing = Hashtbl.create 8;
       frames = Hashtbl.create 1024;
       images = Hashtbl.create 8;
-      pid_io = Hashtbl.create 8;
+      pid_reads = Array.make 8 0;
+      pid_writes = Array.make 8 0;
       current_pid = Pid.make 0;
       obs = None;
     }
@@ -207,9 +234,13 @@ let create_file t ?owner ?reserve_bytes ~name ~disk ~size_bytes () =
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.files file.File.id file;
   Hashtbl.replace t.by_name name file.File.id;
-  obs_syscall t ~pid:(match owner with Some p -> Pid.to_int p | None -> kernel_pid)
-    "creat" (fun () ->
-      Printf.sprintf "file=%d name=%s size=%d" file.File.id name size_bytes);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    syscall sink
+      ~pid:(match owner with Some p -> Pid.to_int p | None -> kernel_pid)
+      "creat"
+      (Printf.sprintf "file=%d name=%s size=%d" file.File.id name size_bytes));
   if t.track_data then
     Hashtbl.replace t.images file.File.id (Bytes.make (reserve_blocks * block_bytes) '\000');
   file
@@ -221,8 +252,11 @@ let file_of_id t id = Hashtbl.find_opt t.files id
 
 let unlink t (file : File.t) =
   if not file.File.unlinked then begin
-    obs_syscall t ~pid:kernel_pid "unlink" (fun () ->
-        Printf.sprintf "file=%d name=%s" (File.id file) file.File.name);
+    (match t.obs with
+    | None -> ()
+    | Some sink ->
+      syscall sink ~pid:kernel_pid "unlink"
+        (Printf.sprintf "file=%d name=%s" (File.id file) file.File.name));
     file.File.unlinked <- true;
     ignore (Cache.invalidate_file t.cache ~file:(File.id file));
     Hashtbl.remove t.by_name file.File.name;
@@ -238,10 +272,18 @@ let cpu_charge t cost =
     | Some r -> Resource.use r ~service:cost
     | None -> Engine.delay t.engine cost
 
+(* A hit on a block whose read is still in flight waits for it to
+   land, on an ivar made by the first such waiter. *)
 let wait_ready t key =
-  match Hashtbl.find_opt t.in_flight key with
-  | Some iv -> Ivar.read iv
-  | None -> ()
+  let p = Block.pack key in
+  match Itbl.find t.in_flight p with
+  | -1 -> ()
+  | 0 ->
+    let iv = Ivar.create t.engine in
+    Hashtbl.replace t.landing p iv;
+    Itbl.set t.in_flight p 1;
+    Ivar.read iv
+  | _ -> Ivar.read (Hashtbl.find t.landing p)
 
 let check_range ~what ~off ~len =
   if off < 0 || len < 0 then invalid_arg (what ^ ": negative offset or length")
@@ -258,13 +300,14 @@ let maybe_readahead t ~pid (file : File.t) ~index ~sequential =
     && next < File.size_blocks file
     &&
     let key = File.block_key file ~index:next in
-    (not (Cache.contains t.cache key)) && not (Hashtbl.mem t.in_flight key)
+    (not (Cache.contains t.cache key)) && not (Itbl.mem t.in_flight (Block.pack key))
   then
     Engine.spawn t.engine ~name:"readahead" (fun () ->
         let key = File.block_key file ~index:next in
         (* Re-check: the block may have arrived while the fiber was
            waiting to start. *)
-        if (not (Cache.contains t.cache key)) && not (Hashtbl.mem t.in_flight key)
+        if
+          (not (Cache.contains t.cache key)) && not (Itbl.mem t.in_flight (Block.pack key))
         then begin
           t.current_pid <- pid;
           (* Read-ahead is best-effort: with every frame pinned by
@@ -274,6 +317,17 @@ let maybe_readahead t ~pid (file : File.t) ~index ~sequential =
           | `Hit -> ()
           | exception Cache.Cache_busy -> ()
         end)
+
+(* One block reference of a read, retried while every frame is pinned
+   by in-flight I/O (waiting for one to land). *)
+let rec read_block t ~pid key =
+  t.current_pid <- pid;
+  match Cache.read t.cache ~pid key with
+  | `Hit -> wait_ready t key
+  | `Miss -> cpu_charge t t.io_cpu_cost
+  | exception Cache.Cache_busy ->
+    Engine.delay t.engine 0.001;
+    read_block t ~pid key
 
 (* [out], when given, receives the bytes of [\[off, off+len)]; each
    block's frame is copied as soon as the block is resident — before any
@@ -286,18 +340,7 @@ let read_internal t ~pid (file : File.t) ~off ~len ~out =
     let first = off / block_bytes and last = (off + len - 1) / block_bytes in
     for index = first to last do
       let key = File.block_key file ~index in
-      let rec access () =
-        t.current_pid <- pid;
-        match Cache.read t.cache ~pid key with
-        | `Hit -> wait_ready t key
-        | `Miss -> cpu_charge t t.io_cpu_cost
-        | exception Cache.Cache_busy ->
-          (* Every frame is pinned by in-flight I/O: wait for one to
-             land and retry the reference. *)
-          Engine.delay t.engine 0.001;
-          access ()
-      in
-      access ();
+      read_block t ~pid key;
       (match out with
       | Some buffer ->
         let frame = Hashtbl.find t.frames key in
@@ -316,9 +359,22 @@ let read_internal t ~pid (file : File.t) ~off ~len ~out =
   end
 
 let read t ~pid file ~off ~len =
-  obs_syscall t ~pid:(Pid.to_int pid) "read" (fun () ->
-      Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    syscall sink ~pid:(Pid.to_int pid) "read"
+      (Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len));
   read_internal t ~pid file ~off ~len ~out:None
+
+(* One block reference of a write; see [read_block]. *)
+let rec write_block t ~pid key ~fetch =
+  t.current_pid <- pid;
+  match Cache.write t.cache ~pid key ~fetch with
+  | `Hit -> wait_ready t key
+  | `Miss -> ()
+  | exception Cache.Cache_busy ->
+    Engine.delay t.engine 0.001;
+    write_block t ~pid key ~fetch
 
 (* [data], when given, holds the payload for [\[off, off+len)]; it is
    copied into each block's frame immediately after the block becomes
@@ -339,16 +395,7 @@ let write_internal t ~pid (file : File.t) ~off ~len ~data =
       let covers_whole = off <= block_start && off + len >= block_stop in
       (* Read-modify-write only if the block holds data we must keep. *)
       let fetch = (not covers_whole) && block_start < old_size in
-      let rec access () =
-        t.current_pid <- pid;
-        match Cache.write t.cache ~pid key ~fetch with
-        | `Hit -> wait_ready t key
-        | `Miss -> ()
-        | exception Cache.Cache_busy ->
-          Engine.delay t.engine 0.001;
-          access ()
-      in
-      access ();
+      write_block t ~pid key ~fetch;
       if t.track_data then begin
         let frame =
           match Hashtbl.find_opt t.frames key with
@@ -371,8 +418,11 @@ let write_internal t ~pid (file : File.t) ~off ~len ~data =
   end
 
 let write t ~pid file ~off ~len =
-  obs_syscall t ~pid:(Pid.to_int pid) "write" (fun () ->
-      Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len);
+  (match t.obs with
+  | None -> ()
+  | Some sink ->
+    syscall sink ~pid:(Pid.to_int pid) "write"
+      (Printf.sprintf "file=%d off=%d len=%d" (File.id file) off len));
   write_internal t ~pid file ~off ~len ~data:None
 
 let pread t ~pid file ~off ~len =
@@ -386,12 +436,13 @@ let pwrite t ~pid file ~off data =
   write_internal t ~pid file ~off ~len:(Bytes.length data) ~data:(Some data)
 
 let sync t =
-  obs_syscall t ~pid:kernel_pid "sync" (fun () -> "");
+  (match t.obs with None -> () | Some sink -> syscall sink ~pid:kernel_pid "sync" "");
   Cache.sync t.cache ()
 
 let fsync t file =
-  obs_syscall t ~pid:kernel_pid "fsync" (fun () ->
-      Printf.sprintf "file=%d" (File.id file));
+  (match t.obs with
+  | None -> ()
+  | Some sink -> syscall sink ~pid:kernel_pid "fsync" (Printf.sprintf "file=%d" (File.id file)));
   Cache.sync t.cache ~file:(File.id file) ()
 
 let spawn_update_daemon t ?(interval = 30.0) () =
@@ -409,20 +460,22 @@ let spawn_update_daemon t ?(interval = 30.0) () =
 
 (* {2 Accounting} *)
 
-let pid_disk_reads t pid = (io_stats t pid).disk_reads
+let pid_disk_reads t pid = counted t.pid_reads pid
 
-let pid_disk_writes t pid = (io_stats t pid).disk_writes
+let pid_disk_writes t pid = counted t.pid_writes pid
 
-let pid_block_ios t pid =
-  let s = io_stats t pid in
-  s.disk_reads + s.disk_writes
+let pid_block_ios t pid = pid_disk_reads t pid + pid_disk_writes t pid
 
 let total_block_ios t =
-  Hashtbl.fold (fun _ s acc -> acc + s.disk_reads + s.disk_writes) t.pid_io 0
+  Array.fold_left ( + ) 0 t.pid_reads + Array.fold_left ( + ) 0 t.pid_writes
 
-let reset_accounting t = Hashtbl.reset t.pid_io
+let reset_accounting t =
+  Array.fill t.pid_reads 0 (Array.length t.pid_reads) 0;
+  Array.fill t.pid_writes 0 (Array.length t.pid_writes) 0
 
 (* {2 Test support} *)
+
+let reads_in_flight t = Itbl.length t.in_flight
 
 let disk_image t file =
   if not t.track_data then invalid_arg "Fs.disk_image: data tracking is off";

@@ -124,6 +124,12 @@ val total_block_ios : t -> int
 
 val reset_accounting : t -> unit
 
+(** {2 Test support} *)
+
+val reads_in_flight : t -> int
+(** Disk reads issued and not yet landed. Readers that hit a block
+    whose read is in flight wait for it to land. *)
+
 (** {2 Test support (track_data)} *)
 
 val disk_image : t -> File.t -> bytes

@@ -329,7 +329,7 @@ module Rand = struct
     rng : Acfc_sim.Rng.t;
     mutable arr : Block.t array;
     mutable n : int;
-    index : (Block.t, int) Hashtbl.t;  (* block -> slot in [arr] *)
+    index : Itbl.t;  (* Block.pack -> slot in [arr] *)
   }
 
   let name = "RAND"
@@ -345,7 +345,7 @@ module Rand = struct
       rng = Acfc_sim.Rng.create (capacity + 7);
       arr = [||];
       n = 0;
-      index = Hashtbl.create 1024;
+      index = Itbl.create 1024;
     }
 
   let inserted t block =
@@ -356,19 +356,20 @@ module Rand = struct
       t.arr <- arr
     end;
     t.arr.(t.n) <- block;
-    Hashtbl.replace t.index block t.n;
+    Itbl.set t.index (Block.pack block) t.n;
     t.n <- t.n + 1
 
   let removed t block =
-    match Hashtbl.find_opt t.index block with
-    | None -> ()
-    | Some i ->
+    let key = Block.pack block in
+    let i = Itbl.find t.index key in
+    if i >= 0 then begin
       let last = t.n - 1 in
       let moved = t.arr.(last) in
       t.arr.(i) <- moved;
-      Hashtbl.replace t.index moved i;
-      Hashtbl.remove t.index block;
+      Itbl.set t.index (Block.pack moved) i;
+      Itbl.remove t.index key;
       t.n <- last
+    end
 
   let on_event t = function
     | Reference _ | Hint _ -> ()

@@ -148,6 +148,28 @@ module Equeue = struct
     job
 end
 
+(* The engine's whole per-fiber state: one small record, linked into
+   the engine's blocked ring while the fiber waits in a {!waitq} or in
+   [suspend] (a sleeper is never linked: its wake event is queued, so it
+   cannot deadlock). Unlinked, a record points at itself. *)
+type fiber = {
+  fname : string;
+  mutable prev : fiber;
+  mutable next : fiber;
+  mutable serial : int; (* blockings so far; a [suspend] resume checks its own *)
+}
+
+(* FIFO of parked fibers, as a power-of-two ring over two parallel
+   columns: the [Cont k] job that wakes each one (built once at park and
+   handed to the run queue as is) and its record, to unlink at wake.
+   Empty until the first park. *)
+type waitq = {
+  mutable wjobs : Equeue.job array;
+  mutable wfibers : fiber array;
+  mutable whead : int;
+  mutable wlen : int;
+}
+
 type t = {
   (* Virtual time, in a 1-element float array so reads and writes stay
      unboxed (a mutable float field in this mixed record would box on
@@ -164,12 +186,23 @@ type t = {
   mutable rtail : int; (* rtail - rhead = occupancy; indices mod capacity *)
   mutable live : int; (* fibers spawned and not finished *)
   mutable waiting : int; (* fibers currently suspended (sleepers included) *)
-  blocked : (int, string) Hashtbl.t; (* fiber id -> name, while suspended *)
-  mutable next_fiber_id : int;
+  blocked : fiber; (* sentinel of the ring of parked/suspended fibers *)
+  (* True only while the running code is a fiber entered straight from
+     the run loop (its start or a [Cont] job), so that when it blocks,
+     control returns to the loop with nothing else left to run in this
+     job — the precondition for [delay]'s in-place resumption. *)
+  mutable direct : bool;
+  (* Latest time the current [run]/[run_until] may reach, unboxed. *)
+  horizon : float array;
   mutable processed : int;
   mutable obs : Obs.Sink.t option;
   sleep_dt : float array; (* argument slot for the Sleep effect *)
   mutable sleep_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  (* Argument slots for the Park effect: the queue, and the parking
+     fiber as named by its own handler. *)
+  mutable park_q : waitq;
+  mutable parker : fiber;
+  mutable park_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 exception Deadlock of string
@@ -181,6 +214,40 @@ type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
    suspending for a duration allocates no effect payload, no resume
    closure and no heap record — just the captured continuation. *)
 type _ Effect.t += Sleep : unit Effect.t
+
+(* Park on a wait queue, with the same argument-slot discipline. *)
+type _ Effect.t += Park : unit Effect.t
+
+let nobody =
+  let rec fb = { fname = ""; prev = fb; next = fb; serial = 0 } in
+  fb
+
+(* Not [let rec]: a recursive record is built twice (a dummy block, then
+   the real one copied into it), once per fiber. *)
+let unlinked name =
+  let fb = { fname = name; prev = nobody; next = nobody; serial = 0 } in
+  fb.prev <- fb;
+  fb.next <- fb;
+  fb
+
+let link t fb =
+  let s = t.blocked in
+  fb.prev <- s.prev;
+  fb.next <- s;
+  s.prev.next <- fb;
+  s.prev <- fb
+
+let unlink fb =
+  fb.prev.next <- fb.next;
+  fb.next.prev <- fb.prev;
+  fb.prev <- fb;
+  fb.next <- fb
+
+let blocked_names t =
+  let rec collect fb acc =
+    if fb == t.blocked then acc else collect fb.next (fb.fname :: acc)
+  in
+  List.sort compare (collect t.blocked.next [])
 
 let ring_length t = t.rtail - t.rhead
 
@@ -220,6 +287,29 @@ let sleep_push t k =
     Equeue.push_staged t.events ~seq:t.seq (Equeue.Cont k)
   end
 
+let waitq () = { wjobs = [||]; wfibers = [||]; whead = 0; wlen = 0 }
+
+let waiters q = q.wlen
+
+let waitq_push q job fb =
+  let cap = Array.length q.wjobs in
+  if q.wlen = cap then begin
+    let ncap = Stdlib.max 4 (2 * cap) in
+    let jobs = Array.make ncap Equeue.Nop and fibers = Array.make ncap fb in
+    for i = 0 to q.wlen - 1 do
+      let j = (q.whead + i) land (cap - 1) in
+      jobs.(i) <- q.wjobs.(j);
+      fibers.(i) <- q.wfibers.(j)
+    done;
+    q.wjobs <- jobs;
+    q.wfibers <- fibers;
+    q.whead <- 0
+  end;
+  let i = (q.whead + q.wlen) land (Array.length q.wjobs - 1) in
+  q.wjobs.(i) <- job;
+  q.wfibers.(i) <- fb;
+  q.wlen <- q.wlen + 1
+
 let create () =
   let t =
     {
@@ -231,23 +321,38 @@ let create () =
       rtail = 0;
       live = 0;
       waiting = 0;
-      blocked = Hashtbl.create 16;
-      next_fiber_id = 0;
+      blocked = unlinked "";
+      direct = false;
+      horizon = Array.make 1 Float.infinity;
       processed = 0;
       obs = None;
       sleep_dt = Array.make 1 0.0;
       sleep_some = None;
+      park_q = waitq ();
+      parker = nobody;
+      park_some = None;
     }
   in
   (* One handler closure per engine, shared by every fiber: performing
      Sleep finds it pre-allocated. A sleeping fiber counts as waiting
-     but is never registered in [blocked] — its wake event is in the
+     but is never linked into [blocked] — its wake event is in the
      queue, so it cannot deadlock. *)
   t.sleep_some <-
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         t.waiting <- t.waiting + 1;
         sleep_push t k);
+  (* Likewise for Park: the parking fiber's own handler has just put
+     its record in [parker], so this shared closure needs no per-fiber
+     copy. *)
+  t.park_some <-
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let fb = t.parker in
+        t.waiting <- t.waiting + 1;
+        fb.serial <- fb.serial + 1;
+        link t fb;
+        waitq_push t.park_q (Equeue.Cont k) fb);
   t
 
 let now t = t.clock.(0)
@@ -289,16 +394,45 @@ let schedule_job t ~at job =
 
 let schedule t ~at thunk = schedule_job t ~at (Equeue.Thunk thunk)
 
+(* [schedule_job] at the current instant, without boxing a float [at]
+   argument. *)
+let schedule_now t job =
+  if Equeue.is_empty t.events || t.events.Equeue.ts.(0) > t.clock.(0) then
+    ring_push t job
+  else begin
+    t.seq <- t.seq + 1;
+    Equeue.stage t.events t.clock.(0);
+    Equeue.push_staged t.events ~seq:t.seq job
+  end
+
+(* The generic suspension: a one-shot resume closure checked against
+   the fiber's blocking serial, so a second call, or a stale one after
+   the fiber blocked again, is rejected. The resumed fiber runs inside
+   whatever job calls [resume], so it is not [direct]. *)
+let suspend_fiber t fb register k =
+  t.waiting <- t.waiting + 1;
+  fb.serial <- fb.serial + 1;
+  let serial = fb.serial in
+  link t fb;
+  register (fun () ->
+      if fb.serial <> serial || fb.next == fb then
+        invalid_arg "Engine: fiber resumed twice";
+      t.waiting <- t.waiting - 1;
+      unlink fb;
+      let direct = t.direct in
+      t.direct <- false;
+      Effect.Deep.continue k ();
+      t.direct <- direct)
+
 (* Fiber-local knowledge of "who am I" is threaded through the effect
    handler: each fiber runs under its own handler closure that knows its
-   id and name, so suspend bookkeeping can name the stuck fiber. *)
+   record, so blocking bookkeeping can name the stuck fiber. *)
 let start_fiber t ~name f =
-  let id = t.next_fiber_id in
-  t.next_fiber_id <- id + 1;
   t.live <- t.live + 1;
   (match t.obs with
   | None -> ()
   | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name; op = "spawn" }));
+  let fb = unlinked name in
   let open Effect.Deep in
   let handler =
     {
@@ -313,44 +447,81 @@ let start_fiber t ~name f =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Sleep -> (t.sleep_some : ((a, unit) continuation -> unit) option)
+          | Park ->
+            t.parker <- fb;
+            (t.park_some : ((a, unit) continuation -> unit) option)
           | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                t.waiting <- t.waiting + 1;
-                Hashtbl.replace t.blocked id name;
-                let resumed = ref false in
-                let resume () =
-                  if !resumed then invalid_arg "Engine: fiber resumed twice";
-                  resumed := true;
-                  t.waiting <- t.waiting - 1;
-                  Hashtbl.remove t.blocked id;
-                  continue k ()
-                in
-                register resume)
+            Some (fun (k : (a, unit) continuation) -> suspend_fiber t fb register k)
           | _ -> None);
     }
   in
-  match_with f () handler
+  t.direct <- true;
+  match_with f () handler;
+  t.direct <- false
 
 let spawn t ?(name = "fiber") f =
-  schedule t ~at:t.clock.(0) (fun () -> start_fiber t ~name f)
+  schedule_now t (Equeue.Thunk (fun () -> start_fiber t ~name f))
 
 let suspend _t register = Effect.perform (Suspend register)
 
+(* In place: when the caller is [direct], nothing is in the ready ring,
+   the heap's earliest event is strictly later than the wake time and
+   the wake time is within the horizon, the sleeper's continuation would
+   be the very next job the run loop pops. So advance the clock and
+   count the event exactly as that pop would (a heap push would also
+   have taken a seq), and keep running — no effect, no continuation, no
+   queue traffic. *)
 let delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
   if dt = 0.0 then ()
   else begin
-    t.sleep_dt.(0) <- dt;
-    Effect.perform Sleep
+    let now = t.clock.(0) in
+    let at = now +. dt in
+    if
+      t.direct && t.rtail = t.rhead
+      && at <= t.horizon.(0)
+      && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
+    then begin
+      if at <> now then t.seq <- t.seq + 1;
+      t.clock.(0) <- at;
+      t.processed <- t.processed + 1
+    end
+    else begin
+      t.sleep_dt.(0) <- dt;
+      Effect.perform Sleep
+    end
   end
+
+let park t q =
+  t.park_q <- q;
+  Effect.perform Park
+
+let wake_one t q =
+  if q.wlen = 0 then false
+  else begin
+    let i = q.whead in
+    let job = q.wjobs.(i) in
+    q.wjobs.(i) <- Equeue.Nop;
+    q.whead <- (i + 1) land (Array.length q.wjobs - 1);
+    q.wlen <- q.wlen - 1;
+    unlink q.wfibers.(i);
+    schedule_now t job;
+    true
+  end
+
+let wake_all t q =
+  while wake_one t q do
+    ()
+  done
 
 let run_job t job =
   match job with
   | Equeue.Thunk f -> f ()
   | Equeue.Cont k ->
     t.waiting <- t.waiting - 1;
-    Effect.Deep.continue k ()
+    t.direct <- true;
+    Effect.Deep.continue k ();
+    t.direct <- false
   | Equeue.Nop -> ()
 
 let step t =
@@ -368,16 +539,27 @@ let step t =
     true
   end
 
-let run t =
+(* An exception escaping a fiber leaves the loop mid-job; clear
+   [direct] so a [delay] made outside any run still fails as it must. *)
+let guarded t loop =
+  match loop t with
+  | () -> ()
+  | exception e ->
+    t.direct <- false;
+    raise e
+
+let drain t =
   while step t do
     ()
-  done;
-  if t.waiting > 0 then begin
-    let names = Hashtbl.fold (fun _ name acc -> name :: acc) t.blocked [] in
-    raise (Deadlock (String.concat ", " (List.sort compare names)))
-  end
+  done
 
-let run_until t horizon =
+let run t =
+  t.horizon.(0) <- Float.infinity;
+  guarded t drain;
+  if t.waiting > 0 then raise (Deadlock (String.concat ", " (blocked_names t)))
+
+let drain_until t =
+  let horizon = t.horizon.(0) in
   let continue_ = ref true in
   while !continue_ do
     if t.rtail <> t.rhead then
@@ -389,6 +571,10 @@ let run_until t horizon =
     else continue_ := false
   done;
   if t.clock.(0) < horizon then t.clock.(0) <- horizon
+
+let run_until t horizon =
+  t.horizon.(0) <- horizon;
+  guarded t drain_until
 
 let fiber_count t = t.live
 

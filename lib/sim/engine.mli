@@ -78,14 +78,57 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
 val delay : t -> float -> unit
 (** [delay t dt] blocks the calling fiber for [dt] seconds of virtual
-    time. [dt] must be non-negative. Must be called from a fiber. *)
+    time. [dt] must be non-negative; [dt = 0] returns at once with no
+    event. Must be called from a fiber: from a {!schedule} callback it
+    raises [Effect.Unhandled].
+
+    When the wake-up would provably be the next event the run loop
+    executes, the fiber resumes in place: the clock advances to the wake
+    time and the event is counted, with no continuation captured and
+    nothing queued. That holds when the ready ring is empty, every
+    queued event is strictly later than the wake time, the wake time is
+    within the current {!run}/{!run_until} horizon, and the fiber was
+    entered straight from the run loop (its start, or a wake-up the
+    engine queued) rather than from inside a callback such as a
+    {!suspend} resume. Order, clock and {!events_processed} are exactly
+    those of the queued path. *)
 
 val suspend : t -> ((unit -> unit) -> unit) -> unit
 (** [suspend t register] blocks the calling fiber and hands a one-shot
     [resume] thunk to [register]. Invoking [resume] (typically from a
     scheduled event or another fiber) continues the fiber at the
-    then-current virtual time. This is the primitive from which ivars
-    and resources are built. *)
+    then-current virtual time, inside the caller's job; a second call
+    raises [Invalid_argument]. For a FIFO of waiters prefer a {!waitq},
+    which allocates no closure per wait. *)
+
+(** {2 Wait queues}
+
+    A FIFO of blocked fibers owned by the engine: the primitive under
+    {!Ivar} and {!Resource}. A parked fiber's continuation sits in the
+    queue as is; waking it moves it to the run queue at the current
+    instant (the ready ring when nothing queued is due sooner), where
+    the run loop resumes it directly. A parked fiber is linked into the
+    engine's blocked ring, so {!Deadlock} names it. *)
+
+type waitq
+
+val waitq : unit -> waitq
+(** A new, empty queue. Allocates its storage on the first {!park}. *)
+
+val park : t -> waitq -> unit
+(** Block the calling fiber at the back of the queue until a {!wake_one}
+    or {!wake_all} reaches it. Must be called from a fiber. *)
+
+val wake_one : t -> waitq -> bool
+(** Schedule the longest-parked fiber to resume at the current instant,
+    in FIFO order with other events due now. [false] if none is
+    parked. *)
+
+val wake_all : t -> waitq -> unit
+(** {!wake_one} until the queue is empty, in FIFO order. *)
+
+val waiters : waitq -> int
+(** Fibers currently parked on the queue. *)
 
 val run : t -> unit
 (** Run until no events remain. Raises {!Deadlock} if blocked fibers
@@ -94,13 +137,17 @@ val run : t -> unit
 
 val run_until : t -> float -> unit
 (** [run_until t horizon] processes events up to and including time
-    [horizon], then stops (without deadlock detection). *)
+    [horizon], then stops (without deadlock detection). A fiber whose
+    wake time is past [horizon] stays queued and resumes at its wake
+    time in a later call. *)
 
 val fiber_count : t -> int
 (** Number of fibers spawned and not yet finished. *)
 
 val events_processed : t -> int
-(** Total events executed so far (a cheap progress/cost metric). *)
+(** Total events executed so far (a cheap progress/cost metric),
+    in-place {!delay} resumptions included: the count is the same as if
+    every wake-up had gone through the queue. *)
 
 val next_event_time : t -> float option
 (** Time of the earliest pending event (ready-ring entries are due at

@@ -1,21 +1,21 @@
-type 'a state = Empty of (unit -> unit) Queue.t | Filled of 'a
+type 'a state = Empty of Engine.waitq | Filled of 'a
 
 type 'a t = { engine : Engine.t; mutable state : 'a state }
 
-let create engine = { engine; state = Empty (Queue.create ()) }
+let create engine = { engine; state = Empty (Engine.waitq ()) }
 
 let fill t v =
   match t.state with
   | Filled _ -> invalid_arg "Ivar.fill: already filled"
   | Empty waiters ->
     t.state <- Filled v;
-    Queue.iter (fun resume -> Engine.schedule t.engine ~at:(Engine.now t.engine) resume) waiters
+    Engine.wake_all t.engine waiters
 
 let read t =
   match t.state with
   | Filled v -> v
   | Empty waiters ->
-    Engine.suspend t.engine (fun resume -> Queue.push resume waiters);
+    Engine.park t.engine waiters;
     (match t.state with
     | Filled v -> v
     | Empty _ -> assert false)

@@ -1,16 +1,19 @@
-type waiter = { enqueued_at : float; resume : unit -> unit }
+(* Float statistics live in one unboxed column; a mutable float field
+   in this mixed record would box on every update. *)
+let total_wait_i = 0
+
+let busy_integral_i = 1
+
+let last_change_i = 2
 
 type t = {
   engine : Engine.t;
   name : string;
   servers : int;
   mutable held : int;
-  waiters : waiter Queue.t;
+  waiters : Engine.waitq;
   mutable served : int;
-  mutable total_wait : float;
-  (* busy-time integral bookkeeping *)
-  mutable busy_integral : float;
-  mutable last_change : float;
+  acct : float array; (* total wait, busy-time integral, its last update *)
 }
 
 let create engine ?(name = "resource") ~servers () =
@@ -20,45 +23,43 @@ let create engine ?(name = "resource") ~servers () =
     name;
     servers;
     held = 0;
-    waiters = Queue.create ();
+    waiters = Engine.waitq ();
     served = 0;
-    total_wait = 0.0;
-    busy_integral = 0.0;
-    last_change = Engine.now engine;
+    acct = [| 0.0; 0.0; Engine.now engine |];
   }
 
 let name t = t.name
 
 let advance_integral t =
   let now = Engine.now t.engine in
-  t.busy_integral <- t.busy_integral +. (float_of_int t.held *. (now -. t.last_change));
-  t.last_change <- now
+  let a = t.acct in
+  a.(busy_integral_i) <-
+    a.(busy_integral_i) +. (float_of_int t.held *. (now -. a.(last_change_i)));
+  a.(last_change_i) <- now
 
 let acquire t =
-  if t.held < t.servers && Queue.is_empty t.waiters then begin
+  if t.held < t.servers && Engine.waiters t.waiters = 0 then begin
     advance_integral t;
     t.held <- t.held + 1;
     t.served <- t.served + 1
   end
   else begin
     let enqueued_at = Engine.now t.engine in
-    Engine.suspend t.engine (fun resume ->
-        Queue.push { enqueued_at; resume } t.waiters);
+    Engine.park t.engine t.waiters;
     (* Woken by [release]: the server was handed to us directly. *)
-    t.total_wait <- t.total_wait +. (Engine.now t.engine -. enqueued_at);
+    t.acct.(total_wait_i) <-
+      t.acct.(total_wait_i) +. (Engine.now t.engine -. enqueued_at);
     t.served <- t.served + 1
   end
 
 let release t =
   if t.held <= 0 then invalid_arg "Resource.release: not held";
-  match Queue.take_opt t.waiters with
-  | Some w ->
-    (* Hand over without decrementing [held]: the server stays busy.
-       Wake at the current instant so FIFO order is preserved. *)
-    Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
-  | None ->
+  (* Hand over without decrementing [held]: the server stays busy. The
+     waiter wakes at the current instant, so FIFO order is preserved. *)
+  if not (Engine.wake_one t.engine t.waiters) then begin
     advance_integral t;
     t.held <- t.held - 1
+  end
 
 let use t ~service =
   acquire t;
@@ -71,12 +72,12 @@ let use t ~service =
 
 let in_use t = t.held
 
-let queue_length t = Queue.length t.waiters
+let queue_length t = Engine.waiters t.waiters
 
 let served t = t.served
 
 let busy_time t =
   advance_integral t;
-  t.busy_integral
+  t.acct.(busy_integral_i)
 
-let total_wait t = t.total_wait
+let total_wait t = t.acct.(total_wait_i)

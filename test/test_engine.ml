@@ -152,6 +152,268 @@ let many_fibers () =
   Engine.run e;
   chk_int "all finished" 1000 !done_count
 
+let stale_resume_rejected () =
+  let e = Engine.create () in
+  let cells = ref [] in
+  Engine.spawn e (fun () ->
+      Engine.suspend e (fun r -> cells := r :: !cells);
+      Engine.suspend e (fun r -> cells := r :: !cells));
+  Engine.schedule e ~at:1.0 (fun () ->
+      let first = List.hd !cells in
+      first ();
+      (* The fiber is suspended again; the first thunk is spent. *)
+      match first () with
+      | () -> Alcotest.fail "stale resume allowed"
+      | exception Invalid_argument _ -> List.hd !cells ());
+  Engine.run e;
+  chk_int "finished" 0 (Engine.fiber_count e)
+
+(* {2 In-place delays} *)
+
+let log_entry e log name = log := (name, Engine.now e) :: !log
+
+let in_place_keeps_fifo_ties () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.schedule e ~at:1.0 (fun () -> log_entry e log "event");
+  Engine.spawn e (fun () ->
+      (* Nothing else is due before 0.5: resumes in place. *)
+      Engine.delay e 0.5;
+      log_entry e log "half";
+      (* Wakes at 1.0, tied with the event scheduled first. *)
+      Engine.delay e 0.5;
+      log_entry e log "fiber");
+  Engine.run e;
+  chk_bool "the earlier-scheduled event runs first" true
+    (List.rev !log = [ ("half", 0.5); ("event", 1.0); ("fiber", 1.0) ]);
+  (* spawn + event + two wake-ups, whichever path they took *)
+  chk_int "events" 4 (Engine.events_processed e)
+
+let run_until_holds_back_late_wakeups () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      Engine.delay e 1.0;
+      log_entry e log "first";
+      Engine.delay e 2.0;
+      log_entry e log "second");
+  Engine.run_until e 2.0;
+  chk_bool "stopped before the late wake-up" true (!log = [ ("first", 1.0) ]);
+  chk_float "clock at horizon" 2.0 (Engine.now e);
+  Engine.run_until e 2.5;
+  chk_bool "still waiting" true (!log = [ ("first", 1.0) ]);
+  Engine.run_until e 10.0;
+  chk_bool "resumed at its wake time" true
+    (List.rev !log = [ ("first", 1.0); ("second", 3.0) ]);
+  chk_float "clock at the later horizon" 10.0 (Engine.now e);
+  chk_int "events" 3 (Engine.events_processed e)
+
+let delay_outside_fiber_fails () =
+  let e = Engine.create () in
+  (* The fiber fails right after resuming in place. *)
+  Engine.spawn e (fun () ->
+      Engine.delay e 0.5;
+      failwith "boom");
+  Alcotest.check_raises "fiber failure escapes" (Failure "boom") (fun () -> Engine.run e);
+  (match Engine.delay e 1.0 with
+  | () -> Alcotest.fail "delay outside any run succeeded"
+  | exception Effect.Unhandled _ -> ());
+  Engine.schedule e ~at:1.0 (fun () -> Engine.delay e 1.0);
+  (match Engine.run e with
+  | () -> Alcotest.fail "delay from a callback succeeded"
+  | exception Effect.Unhandled _ -> ());
+  chk_float "clock untouched" 1.0 (Engine.now e)
+
+let deadlock_names_parked_fibers () =
+  let e = Engine.create () in
+  let r = Resource.create e ~servers:1 () in
+  let iv = Ivar.create e in
+  Engine.spawn e ~name:"holder" (fun () ->
+      Resource.acquire r;
+      Ivar.read iv);
+  Engine.spawn e ~name:"b-queued" (fun () -> Resource.acquire r);
+  Engine.spawn e ~name:"sleeper" (fun () -> Engine.delay e 5.0);
+  Engine.spawn e ~name:"a-queued" (fun () -> Resource.acquire r);
+  Engine.spawn e ~name:"c-reader" (fun () -> Ivar.read iv);
+  Engine.spawn e ~name:"d-suspended" (fun () -> Engine.suspend e ignore);
+  match Engine.run e with
+  | () -> Alcotest.fail "no deadlock raised"
+  | exception Engine.Deadlock names ->
+    check Alcotest.string "sorted names of every blocked fiber"
+      "a-queued, b-queued, c-reader, d-suspended, holder" names
+
+(* {2 Against a list-based reference scheduler}
+
+   The same semantics with none of the engine's machinery: one sorted
+   list of (time, seq, callback), every wake-up queued, resources and
+   ivars as plain FIFOs of resume closures. *)
+
+module Ref_sched = struct
+  type t = {
+    mutable now : float;
+    mutable seq : int;
+    mutable queue : (float * int * (unit -> unit)) list;
+    mutable processed : int;
+  }
+
+  type _ Effect.t += Block : ((unit -> unit) -> unit) -> unit Effect.t
+
+  let create () = { now = 0.0; seq = 0; queue = []; processed = 0 }
+
+  let schedule t at f =
+    t.seq <- t.seq + 1;
+    let ev = (at, t.seq, f) in
+    let rec insert = function
+      | ((at', _, _) as x) :: rest when at' <= at -> x :: insert rest
+      | l -> ev :: l
+    in
+    t.queue <- insert t.queue
+
+  let spawn t f =
+    schedule t t.now (fun () ->
+        Effect.Deep.match_with f ()
+          {
+            retc = Fun.id;
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Block register ->
+                  Some
+                    (fun (k : (a, unit) Effect.Deep.continuation) ->
+                      register (fun () -> Effect.Deep.continue k ()))
+                | _ -> None);
+          })
+
+  let block register = Effect.perform (Block register)
+
+  let delay t dt = if dt > 0.0 then block (fun resume -> schedule t (t.now +. dt) resume)
+
+  let rec run t =
+    match t.queue with
+    | [] -> ()
+    | (at, _, f) :: rest ->
+      t.queue <- rest;
+      t.now <- at;
+      t.processed <- t.processed + 1;
+      f ();
+      run t
+
+  type res = { servers : int; mutable held : int; waiters : (unit -> unit) Queue.t }
+
+  let use t r service =
+    if r.held < r.servers && Queue.is_empty r.waiters then r.held <- r.held + 1
+    else block (fun resume -> Queue.push resume r.waiters);
+    delay t service;
+    match Queue.take_opt r.waiters with
+    | Some w -> schedule t t.now w
+    | None -> r.held <- r.held - 1
+
+  type ivar = { mutable filled : bool; mutable readers : (unit -> unit) list }
+
+  let fill t iv =
+    if not iv.filled then begin
+      iv.filled <- true;
+      List.iter (fun w -> schedule t t.now w) (List.rev iv.readers);
+      iv.readers <- []
+    end
+
+  let read iv = if not iv.filled then block (fun resume -> iv.readers <- resume :: iv.readers)
+end
+
+type script_op = Sleep of int | Use of int * int | Fill of int | Read of int
+
+(* Quarter-second quanta keep float times exact and ties frequent. *)
+let quanta k = 0.25 *. float_of_int k
+
+let script_gen =
+  let open QCheck2.Gen in
+  let op =
+    oneof
+      [
+        map (fun k -> Sleep k) (int_range 0 4);
+        map2 (fun r k -> Use (r, k)) (int_range 0 1) (int_range 0 3);
+        map (fun i -> Fill i) (int_range 0 1);
+        map (fun i -> Read i) (int_range 0 1);
+      ]
+  in
+  pair
+    (pair (int_range 1 2) (int_range 1 2))
+    (list_size (int_range 1 5) (list_size (int_range 0 8) op))
+
+(* A closing fiber fills any ivar nobody filled, so every run ends. *)
+let closing_time = 50.0
+
+let run_engine ~stepped ((s0, s1), scripts) =
+  let e = Engine.create () in
+  let res = [| Resource.create e ~servers:s0 (); Resource.create e ~servers:s1 () |] in
+  let ivs = [| Ivar.create e; Ivar.create e |] in
+  let fill i = if not (Ivar.is_filled ivs.(i)) then Ivar.fill ivs.(i) () in
+  let log = ref [] in
+  List.iteri
+    (fun f script ->
+      Engine.spawn e (fun () ->
+          List.iteri
+            (fun j op ->
+              (match op with
+              | Sleep k -> Engine.delay e (quanta k)
+              | Use (r, k) -> Resource.use res.(r) ~service:(quanta k)
+              | Fill i -> fill i
+              | Read i -> Ivar.read ivs.(i));
+              log := (f, j, Engine.now e) :: !log)
+            script))
+    scripts;
+  Engine.spawn e (fun () ->
+      Engine.delay e closing_time;
+      fill 0;
+      fill 1);
+  if stepped then begin
+    let horizon = ref 0.0 in
+    while Engine.next_event_time e <> None do
+      horizon := !horizon +. 0.3;
+      Engine.run_until e !horizon
+    done
+  end
+  else Engine.run e;
+  (List.rev !log, Engine.events_processed e)
+
+let run_reference ((s0, s1), scripts) =
+  let module R = Ref_sched in
+  let t = R.create () in
+  let res =
+    [|
+      { R.servers = s0; held = 0; waiters = Queue.create () };
+      { R.servers = s1; held = 0; waiters = Queue.create () };
+    |]
+  in
+  let ivs = [| { R.filled = false; readers = [] }; { R.filled = false; readers = [] } |] in
+  let log = ref [] in
+  List.iteri
+    (fun f script ->
+      R.spawn t (fun () ->
+          List.iteri
+            (fun j op ->
+              (match op with
+              | Sleep k -> R.delay t (quanta k)
+              | Use (r, k) -> R.use t res.(r) (quanta k)
+              | Fill i -> R.fill t ivs.(i)
+              | Read i -> R.read ivs.(i));
+              log := (f, j, t.R.now) :: !log)
+            script))
+    scripts;
+  R.spawn t (fun () ->
+      R.delay t closing_time;
+      R.fill t ivs.(0);
+      R.fill t ivs.(1));
+  R.run t;
+  (List.rev !log, t.R.processed)
+
+let matches_reference =
+  qcheck "fibers, resources and ivars match a list-based scheduler" ~count:300
+    script_gen (fun case ->
+      let expected = run_reference case in
+      run_engine ~stepped:false case = expected && run_engine ~stepped:true case = expected)
+
 let suites =
   [
     ( "engine",
@@ -172,5 +434,11 @@ let suites =
         case "exception propagation" exceptions_propagate;
         case "event counting" events_counted;
         case "1000 fibers" many_fibers;
+        case "stale resume rejected" stale_resume_rejected;
+        case "in-place delay keeps FIFO ties" in_place_keeps_fifo_ties;
+        case "run_until holds back late wake-ups" run_until_holds_back_late_wakeups;
+        case "delay outside a fiber fails" delay_outside_fiber_fails;
+        case "deadlock names parked fibers" deadlock_names_parked_fibers;
+        matches_reference;
       ] );
   ]

@@ -257,6 +257,42 @@ let clustered_data_integrity () =
       chk_bool "image holds the clustered data" true
         (Bytes.equal (Bytes.sub (Fs.disk_image fs f) 0 (4 * bb)) payload))
 
+(* One fiber misses block 2; [waiters] more hit it, 1 ms apart, while
+   its disk read is still in flight. With no CPU costs and no
+   read-ahead, every reader's [Fs.read] returns exactly when the block
+   lands: the issuer first, then the waiters in arrival order. *)
+let in_flight_waiters waiters () =
+  let e = Engine.create () in
+  let disk = Disk.create e Params.rz56 in
+  let fs =
+    Fs.create e ~config:(config 64) ~hit_cost:0.0 ~io_cpu_cost:0.0 ~readahead:false ()
+  in
+  let f = Fs.create_file fs ~name:"a" ~disk ~size_bytes:(4 * bb) () in
+  let log = ref [] in
+  let seen_in_flight = ref [] in
+  for i = 0 to waiters do
+    Engine.spawn e (fun () ->
+        Engine.delay e (0.001 *. float_of_int i);
+        seen_in_flight := Fs.reads_in_flight fs :: !seen_in_flight;
+        Fs.read fs ~pid:p0 f ~off:(2 * bb) ~len:1;
+        log := (i, Engine.now e) :: !log)
+  done;
+  Engine.run e;
+  let landed = Disk.busy_time disk in
+  chk_bool "the read outlasts the arrivals" true (landed > 0.001 *. float_of_int waiters);
+  check
+    Alcotest.(list int)
+    "the issuer saw nothing in flight, each waiter the one read"
+    (0 :: List.init waiters (fun _ -> 1))
+    (List.rev !seen_in_flight);
+  check
+    Alcotest.(list (pair int (float 1e-12)))
+    "issuer, then waiters in FIFO order, all at the landing time"
+    (List.init (waiters + 1) (fun i -> (i, landed)))
+    (List.rev !log);
+  chk_int "one disk read" 1 (Fs.pid_disk_reads fs p0);
+  chk_int "nothing in flight afterwards" 0 (Fs.reads_in_flight fs)
+
 (* Model-based data integrity: random reads, writes, syncs and cache
    pressure against a plain Bytes reference model. Every pread must
    return exactly what the model says, whatever the cache and
@@ -344,6 +380,8 @@ let suites =
         case "clustered write-back" clustered_writeback;
         case "clustered data integrity" clustered_data_integrity;
         case "file helpers" file_helpers;
+        case "one waiter on an in-flight read" (in_flight_waiters 1);
+        case "three waiters on an in-flight read" (in_flight_waiters 3);
         data_model_prop;
       ] );
   ]
