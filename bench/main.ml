@@ -433,7 +433,10 @@ let bench_disk_queues () =
 
 (* One op = one trace reference against a full cache of 4096 resident
    blocks (every reference past the fill is a likely miss), comparing
-   the indexed policies against the linear-scan references. *)
+   the indexed policies against the linear-scan references. The AWRP
+   and PERCEPTRON rows have no twin here (their full-scan oracles live
+   in test/); their alloc budgets pin an allocation-free victim
+   choice. *)
 let policy_miss_trace =
   let rng = Acfc_sim.Rng.create 9 in
   let fill = Array.init 4096 (fun i -> Acfc_core.Block.make ~file:0 ~index:i) in
@@ -452,6 +455,8 @@ let bench_policy_miss () =
       ("policy-miss/opt", (module Policies.Opt));
       ("policy-miss/opt-naive", (module Reference.Opt));
       ("policy-miss/rand", (module Policies.Rand));
+      ("policy-miss/awrp", (module Policies.Awrp));
+      ("policy-miss/perceptron", (module Policies.Perceptron));
     ]
 
 (* One op = one simulator event (a timer fire through the engine's

@@ -34,10 +34,24 @@ let create n =
 
 let length t = t.size
 
-(* Fibonacci multiplicative hash: spreads consecutive packed block ids
-   (same file, increasing index) across the table. The multiplier is
-   2^62 / phi, odd; [land mask] keeps it in range on 63-bit ints. *)
-let hash t key = (key * 0x2545F4914F6CDD1D) land t.mask
+(* Fibonacci multiplicative hash, masked to the table. A packed block
+   id keeps its file id above bit 32, and the low bits of a product
+   depend only on the low bits of its factors: masking [key * C] alone
+   would give (f, i) and (f', i) one home slot in every table below
+   2^32 slots. So the file id is first added into the low bits, scaled
+   by an odd constant (2^60 / phi), which offsets each file's keys by
+   an unrelated amount. Within a file, consecutive indices keep the
+   even spacing of the plain product, and file 0 is offset by zero, so
+   its keys keep their home slots exactly. (An xor-fold after the
+   multiply would move them too.) [C] is 2^62 / phi, odd. The product
+   [(key + f * M) * C] is computed distributed, as
+   [key * C + f * (M * C)], so the two multiplies do not wait on each
+   other; [M * C] folds to a constant. The hash must stay inlined into
+   the probe loops: a call costs more than the hash itself. *)
+let file_mult = 0x9E3779B97F4A7C1 * 0x2545F4914F6CDD1D
+
+let[@inline] hash t key =
+  ((key * 0x2545F4914F6CDD1D) + ((key lsr 32) * file_mult)) land t.mask
 
 let find t key =
   let mask = t.mask in
@@ -144,3 +158,14 @@ let clear t =
 (* Order is probe-layout order — callers must not depend on it. *)
 let iter f t =
   Array.iteri (fun i k -> if k >= 0 then f k t.vals.(i)) t.keys
+
+(* Slots [find] visits to reach [key] from its home slot, counting
+   both ends. *)
+let probe_length t key =
+  let rec go i n = if t.keys.(i) = key then n else go ((i + 1) land t.mask) (n + 1) in
+  go (hash t key) 1
+
+let max_probe t =
+  let m = ref 0 in
+  Array.iter (fun k -> if k >= 0 then m := max !m (probe_length t k)) t.keys;
+  !m

@@ -32,3 +32,9 @@ val clear : t -> unit
 val iter : (int -> int -> unit) -> t -> unit
 (** [iter f t] calls [f key value] in probe-layout order (meaningless —
     tests and invariant checks only). *)
+
+val max_probe : t -> int
+(** The longest probe sequence of any live key: the number of slots
+    {!find} visits to reach it, counting its home slot and its own. 1
+    means every key sits in its home slot. For tests of the hash's
+    spread. *)

@@ -14,41 +14,53 @@ module Ilist = Acfc_core.Ilist
 module Itbl = Acfc_core.Itbl
 open Policy_core
 
-(* One recency list of blocks on columnar storage: free-listed slots
-   over an {!Ilist} store with an {!Itbl} index keyed by {!Block.pack}.
-   Every operation is O(1) and allocation-free at steady state. *)
-module Islab = struct
+let dummy = Block.make ~file:0 ~index:0
+
+(* [a] grown to at least [cap] cells, the new ones set to [fill]. *)
+let grow_column a cap fill =
+  let old = Array.length a in
+  if old >= cap then a
+  else begin
+    let b = Array.make (Stdlib.max cap (2 * old)) fill in
+    Array.blit a 0 b 0 old;
+    b
+  end
+
+(* Free-listed slots for a set of blocks: an {!Itbl} index keyed by
+   {!Block.pack} plus slot -> block and slot -> packed-key columns.
+   Cores keep their own per-slot columns beside these, grown to
+   {!capacity} after each {!add}. Allocation-free at steady state. *)
+module Slots = struct
   type t = {
-    store : Ilist.store;
-    list : Ilist.t;
     tbl : Itbl.t; (* Block.pack -> slot *)
-    mutable blocks : Block.t array; (* slot -> block *)
+    mutable blocks : Block.t array;
+    mutable keys : int array; (* Block.pack, ordered like Block.compare *)
     mutable free : int array; (* stack of free slots *)
     mutable nfree : int;
-    mutable len : int;
   }
-
-  let dummy = Block.make ~file:0 ~index:0
 
   let create n =
     let n = Stdlib.max 16 n in
     {
-      store = Ilist.make_store n;
-      list = Ilist.create ();
       tbl = Itbl.create n;
       blocks = Array.make n dummy;
+      keys = Array.make n 0;
       free = Array.init n (fun i -> n - 1 - i);
       nfree = n;
-      len = 0;
     }
 
+  let capacity t = Array.length t.blocks
+
+  let length t = Itbl.length t.tbl
+
+  (* The slot of [block], or [-1]. *)
+  let find t block = Itbl.find t.tbl (Block.pack block)
+
   let grow t =
-    let old = Array.length t.blocks in
+    let old = capacity t in
     let cap = 2 * old in
-    Ilist.grow_store t.store cap;
-    let blocks = Array.make cap dummy in
-    Array.blit t.blocks 0 blocks 0 old;
-    t.blocks <- blocks;
+    t.blocks <- grow_column t.blocks cap dummy;
+    t.keys <- grow_column t.keys cap 0;
     let free = Array.make cap 0 in
     Array.blit t.free 0 free 0 t.nfree;
     for i = 0 to old - 1 do
@@ -57,42 +69,210 @@ module Islab = struct
     t.free <- free;
     t.nfree <- t.nfree + old
 
-  let mem t block = Itbl.find t.tbl (Block.pack block) >= 0
+  (* Bind [block], which must not be a member, to a free slot. *)
+  let add t block =
+    if t.nfree = 0 then grow t;
+    let s = t.free.(t.nfree - 1) in
+    t.nfree <- t.nfree - 1;
+    let key = Block.pack block in
+    t.blocks.(s) <- block;
+    t.keys.(s) <- key;
+    Itbl.set t.tbl key s;
+    s
+
+  let release t s =
+    Itbl.remove t.tbl t.keys.(s);
+    t.free.(t.nfree) <- s;
+    t.nfree <- t.nfree + 1
+end
+
+(* One recency list of blocks: {!Slots} linked through an {!Ilist}
+   store. Every operation is O(1) and allocation-free at steady
+   state. *)
+module Islab = struct
+  type t = { slots : Slots.t; store : Ilist.store; list : Ilist.t }
+
+  let create n =
+    let slots = Slots.create n in
+    { slots; store = Ilist.make_store (Slots.capacity slots); list = Ilist.create () }
+
+  let capacity t = Slots.capacity t.slots
+
+  let find t block = Slots.find t.slots block
+
+  let mem t block = find t block >= 0
 
   let slot t block =
-    let s = Itbl.find t.tbl (Block.pack block) in
+    let s = find t block in
     if s < 0 then failwith "Islab: block not resident";
     s
 
   let push_front t block =
-    if t.nfree = 0 then grow t;
-    let s = t.free.(t.nfree - 1) in
-    t.nfree <- t.nfree - 1;
-    t.blocks.(s) <- block;
-    Itbl.set t.tbl (Block.pack block) s;
-    Ilist.push_front t.store t.list s;
-    t.len <- t.len + 1
+    let s = Slots.add t.slots block in
+    Ilist.grow_store t.store (Slots.capacity t.slots);
+    Ilist.push_front t.store t.list s
 
   let move_front t block = Ilist.move_front t.store t.list (slot t block)
 
   let remove t block =
-    let key = Block.pack block in
-    let s = Itbl.find t.tbl key in
+    let s = find t block in
     if s >= 0 then begin
       Ilist.remove t.store t.list s;
-      Itbl.remove t.tbl key;
-      t.free.(t.nfree) <- s;
-      t.nfree <- t.nfree + 1;
-      t.len <- t.len - 1
+      Slots.release t.slots s
     end
 
   let is_empty t = Ilist.is_empty t.list
 
-  let length t = t.len
+  let length t = Ilist.length t.list
 
-  let front t = t.blocks.(Ilist.front t.list)
+  let front t = t.slots.Slots.blocks.(Ilist.front t.list)
 
-  let back t = t.blocks.(Ilist.back t.list)
+  let back t = t.slots.Slots.blocks.(Ilist.back t.list)
+end
+
+(* A dense set of blocks: the members fill indices [0, n) of a block
+   column and a packed-key column, with an {!Itbl} index keyed by
+   {!Block.pack}; removal moves the last member into the hole. Cores
+   keep parallel columns and mirror that move. *)
+module Dense = struct
+  type t = {
+    index : Itbl.t; (* Block.pack -> index *)
+    mutable blocks : Block.t array;
+    mutable keys : int array;
+    mutable n : int;
+  }
+
+  let create () = { index = Itbl.create 1024; blocks = [||]; keys = [||]; n = 0 }
+
+  (* The index of [block], or [-1]. *)
+  let find t block = Itbl.find t.index (Block.pack block)
+
+  (* Append [block] and return its index. *)
+  let add t block =
+    if t.n = Array.length t.blocks then begin
+      let cap = Stdlib.max 16 (2 * t.n) in
+      t.blocks <- grow_column t.blocks cap block;
+      t.keys <- grow_column t.keys cap 0
+    end;
+    let i = t.n in
+    let key = Block.pack block in
+    t.blocks.(i) <- block;
+    t.keys.(i) <- key;
+    Itbl.set t.index key i;
+    t.n <- i + 1;
+    i
+
+  (* Remove [block] and return the index it held, now holding the
+     member that was last (at the new [n]); [-1] if absent. *)
+  let remove t block =
+    let key = Block.pack block in
+    let i = Itbl.find t.index key in
+    if i >= 0 then begin
+      let last = t.n - 1 in
+      t.blocks.(i) <- t.blocks.(last);
+      t.keys.(i) <- t.keys.(last);
+      Itbl.set t.index t.keys.(i) i;
+      Itbl.remove t.index key;
+      t.n <- last
+    end;
+    i
+end
+
+(* An indexed binary min-heap of slots, ordered by two int keys per
+   slot compared lexicographically. [hpos] maps a slot to its heap
+   index, so re-keying or removing a slot is O(log n) and allocates
+   nothing. Slots are small non-negative ints; the columns grow to the
+   largest slot seen. *)
+module Iheap = struct
+  type t = {
+    mutable k1 : int array; (* slot -> primary key *)
+    mutable k2 : int array; (* slot -> secondary key *)
+    mutable hpos : int array; (* slot -> heap index, -1 when absent *)
+    mutable heap : int array; (* heap index -> slot *)
+    mutable size : int;
+  }
+
+  let create n =
+    let n = Stdlib.max 16 n in
+    {
+      k1 = Array.make n 0;
+      k2 = Array.make n 0;
+      hpos = Array.make n (-1);
+      heap = Array.make n 0;
+      size = 0;
+    }
+
+  let length t = t.size
+
+  let mem t s = s >= 0 && s < Array.length t.hpos && t.hpos.(s) >= 0
+
+  let key2 t s = t.k2.(s)
+
+  (* The minimum slot, or [-1] when empty. *)
+  let top t = if t.size = 0 then -1 else t.heap.(0)
+
+  let[@inline always] less t a b =
+    let x = t.k1.(a) and y = t.k1.(b) in
+    x < y || (x = y && t.k2.(a) < t.k2.(b))
+
+  let[@inline always] place t i s =
+    t.heap.(i) <- s;
+    t.hpos.(s) <- i
+
+  let rec sift_up t i s =
+    if i = 0 then place t i s
+    else
+      let p = (i - 1) / 2 in
+      let ps = t.heap.(p) in
+      if less t s ps then begin
+        place t i ps;
+        sift_up t p s
+      end
+      else place t i s
+
+  let rec sift_down t i s =
+    let l = (2 * i) + 1 in
+    if l >= t.size then place t i s
+    else
+      let c = if l + 1 < t.size && less t t.heap.(l + 1) t.heap.(l) then l + 1 else l in
+      let cs = t.heap.(c) in
+      if less t cs s then begin
+        place t i cs;
+        sift_down t c s
+      end
+      else place t i s
+
+  (* Move [s], whose keys just changed, from heap index [i] to its
+     place. *)
+  let settle t i s =
+    if i > 0 && less t s t.heap.((i - 1) / 2) then sift_up t i s else sift_down t i s
+
+  (* Insert [s] with keys [(a, b)], or re-key it if present. *)
+  let set t s a b =
+    if s >= Array.length t.hpos then begin
+      let cap = s + 1 in
+      t.k1 <- grow_column t.k1 cap 0;
+      t.k2 <- grow_column t.k2 cap 0;
+      t.hpos <- grow_column t.hpos cap (-1);
+      t.heap <- grow_column t.heap cap 0
+    end;
+    t.k1.(s) <- a;
+    t.k2.(s) <- b;
+    let i = t.hpos.(s) in
+    if i >= 0 then settle t i s
+    else begin
+      t.size <- t.size + 1;
+      sift_up t (t.size - 1) s
+    end
+
+  let remove t s =
+    if mem t s then begin
+      let i = t.hpos.(s) in
+      t.hpos.(s) <- -1;
+      let last = t.size - 1 in
+      t.size <- last;
+      if i < last then settle t i t.heap.(last)
+    end
 end
 
 (* FIFO-ordered queue of blocks that survives out-of-order removals: a
@@ -257,27 +437,14 @@ module Clock = struct
   let stats t = [ ("resident", float_of_int (Squeue.length t.ring)) ]
 end
 
-(* Victim orderings for the indexed LRU-2 and OPT below. Both keys are
-   total orders: last-reference positions are unique across resident
-   blocks (each stream position references exactly one block), and the
-   OPT key carries the block identity for the never-used-again tier. *)
-module Pair_map = Map.Make (struct
-  type t = int * int
-
-  let compare (a1, b1) (a2, b2) =
-    match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
-end)
-
 module Lru_2 = struct
-  (* history: positions of the last two references, most recent first;
-     victims: the same entries keyed by (penultimate, last) so the
-     eviction choice — oldest penultimate reference, ties broken by the
-     older last reference — is the map's minimum binding instead of a
-     full-table scan per miss. *)
-  type t = {
-    history : (Block.t, int * int) Hashtbl.t;
-    mutable victims : Block.t Pair_map.t;
-  }
+  (* Resident blocks in slots, indexed by a heap keyed (penultimate,
+     last) reference position, so the eviction choice — oldest
+     penultimate reference, ties broken by the older last reference —
+     is the heap top instead of a full-table scan per miss. The key is
+     a total order: each stream position references one block, so last
+     positions are unique across resident blocks. *)
+  type t = { slots : Slots.t; heap : Iheap.t }
 
   let name = "LRU-2"
 
@@ -289,23 +456,20 @@ module Lru_2 = struct
 
   let never = -1
 
-  let create ~capacity:_ ~future:_ =
-    { history = Hashtbl.create 1024; victims = Pair_map.empty }
+  let create ~capacity ~future:_ =
+    { slots = Slots.create capacity; heap = Iheap.create capacity }
 
   let record t ~pos block =
-    let last, penultimate =
-      Option.value (Hashtbl.find_opt t.history block) ~default:(never, never)
-    in
-    if last <> never then t.victims <- Pair_map.remove (penultimate, last) t.victims;
-    Hashtbl.replace t.history block (pos, last);
-    t.victims <- Pair_map.add (last, pos) block t.victims
+    let s = Slots.find t.slots block in
+    if s >= 0 then Iheap.set t.heap s (Iheap.key2 t.heap s) pos
+    else Iheap.set t.heap (Slots.add t.slots block) never pos
 
   let forget t block =
-    match Hashtbl.find_opt t.history block with
-    | Some (last, penultimate) ->
-      t.victims <- Pair_map.remove (penultimate, last) t.victims;
-      Hashtbl.remove t.history block
-    | None -> ()
+    let s = Slots.find t.slots block in
+    if s >= 0 then begin
+      Iheap.remove t.heap s;
+      Slots.release t.slots s
+    end
 
   let on_event t = function
     | Reference { pos; block } | Admit { pos; block } -> record t ~pos block
@@ -313,24 +477,19 @@ module Lru_2 = struct
     | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
-    match Pair_map.min_binding_opt t.victims with
-    | Some (_, block) -> block
-    | None -> failwith "LRU-2: empty"
+    let s = Iheap.top t.heap in
+    if s < 0 then failwith "LRU-2: empty";
+    t.slots.Slots.blocks.(s)
 
-  let stats t = [ ("resident", float_of_int (Hashtbl.length t.history)) ]
+  let stats t = [ ("resident", float_of_int (Slots.length t.slots)) ]
 end
 
 module Rand = struct
-  (* Swap-with-last dynamic array: uniform choice and eviction are both
+  (* Swap-with-last dense set: uniform choice and eviction are both
      O(1). The RNG is seeded from the capacity, so the draw sequence —
      and therefore the victim sequence — is a pure function of
      (capacity, demand stream). *)
-  type t = {
-    rng : Acfc_sim.Rng.t;
-    mutable arr : Block.t array;
-    mutable n : int;
-    index : Itbl.t;  (* Block.pack -> slot in [arr] *)
-  }
+  type t = { rng : Acfc_sim.Rng.t; set : Dense.t }
 
   let name = "RAND"
 
@@ -341,67 +500,36 @@ module Rand = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
-    {
-      rng = Acfc_sim.Rng.create (capacity + 7);
-      arr = [||];
-      n = 0;
-      index = Itbl.create 1024;
-    }
-
-  let inserted t block =
-    if t.n = Array.length t.arr then begin
-      let cap = Stdlib.max 16 (2 * t.n) in
-      let arr = Array.make cap block in
-      Array.blit t.arr 0 arr 0 t.n;
-      t.arr <- arr
-    end;
-    t.arr.(t.n) <- block;
-    Itbl.set t.index (Block.pack block) t.n;
-    t.n <- t.n + 1
-
-  let removed t block =
-    let key = Block.pack block in
-    let i = Itbl.find t.index key in
-    if i >= 0 then begin
-      let last = t.n - 1 in
-      let moved = t.arr.(last) in
-      t.arr.(i) <- moved;
-      Itbl.set t.index (Block.pack moved) i;
-      Itbl.remove t.index key;
-      t.n <- last
-    end
+    { rng = Acfc_sim.Rng.create (capacity + 7); set = Dense.create () }
 
   let on_event t = function
     | Reference _ | Hint _ -> ()
-    | Admit { block; _ } -> inserted t block
-    | Evict { block } | Invalidate { block } -> removed t block
+    | Admit { block; _ } -> ignore (Dense.add t.set block)
+    | Evict { block } | Invalidate { block } -> ignore (Dense.remove t.set block)
 
   let victim t ~pos:_ ~missing:_ =
-    if t.n = 0 then failwith "RAND: empty";
-    t.arr.(Acfc_sim.Rng.int t.rng t.n)
+    if t.set.Dense.n = 0 then failwith "RAND: empty";
+    t.set.Dense.blocks.(Acfc_sim.Rng.int t.rng t.set.Dense.n)
 
-  let stats t = [ ("resident", float_of_int t.n) ]
+  let stats t = [ ("resident", float_of_int t.set.Dense.n) ]
 end
 
-module Opt_victims = Set.Make (struct
-  type t = int * Block.t  (* (next use, block) *)
-
-  let compare (u1, b1) (u2, b2) =
-    match Int.compare u1 u2 with 0 -> Block.compare b1 b2 | c -> c
-end)
-
 module Opt = struct
+  (* Every distinct block of the stream gets a dense id. The stream's
+     reference positions of each block are chained through [next], and
+     [cursor] points at the block's first unconsumed one, which is its
+     next use. Resident ids sit in a heap keyed (-next use, -packed
+     block), so the farthest-future victim is the heap top. Next uses
+     are unique positions except for never-used-again blocks (max_int);
+     the packed key breaks that tie deterministically — by the largest
+     [Block.compare] — and any choice among them yields the same miss
+     count, since none is referenced again. *)
   type t = {
-    (* For each block, the stream positions where it is referenced, in
-       order, with the already-consumed prefix removed. *)
-    future : (Block.t, int list ref) Hashtbl.t;
-    resident : (Block.t, int) Hashtbl.t;  (* block -> its key in [victims] *)
-    (* Resident blocks keyed by next use, so the farthest-future victim
-       is the maximum element instead of a full-table scan per miss.
-       Never-used-again blocks sit at max_int, tied; the block identity
-       in the key makes the choice deterministic, and any choice among
-       them yields the same miss count (none is referenced again). *)
-    mutable victims : Opt_victims.t;
+    ids : Itbl.t;  (* Block.pack -> id *)
+    blocks : Block.t array;  (* id -> block *)
+    next : int array;  (* position -> next position of its block, or max_int *)
+    cursor : int array;  (* id -> next unconsumed position, or max_int *)
+    heap : Iheap.t;  (* resident ids *)
   }
 
   let name = "OPT"
@@ -413,58 +541,56 @@ module Opt = struct
   let needs_future = true
 
   let create ~capacity:_ ~future:trace =
-    let future = Hashtbl.create 1024 in
-    Array.iteri
-      (fun pos block ->
-        match Hashtbl.find_opt future block with
-        | Some l -> l := pos :: !l
-        | None -> Hashtbl.replace future block (ref [ pos ]))
-      trace;
-    Hashtbl.iter (fun _ l -> l := List.rev !l) future;
-    { future; resident = Hashtbl.create 1024; victims = Opt_victims.empty }
+    let n = Array.length trace in
+    let ids = Itbl.create 1024 in
+    let blocks = Array.make n dummy and cursor = Array.make n max_int in
+    let next = Array.make n max_int in
+    let distinct = ref 0 in
+    for pos = n - 1 downto 0 do
+      let block = trace.(pos) in
+      let key = Block.pack block in
+      let id =
+        match Itbl.find ids key with
+        | -1 ->
+          let id = !distinct in
+          incr distinct;
+          Itbl.set ids key id;
+          blocks.(id) <- block;
+          id
+        | id -> id
+      in
+      next.(pos) <- cursor.(id);
+      cursor.(id) <- pos
+    done;
+    { ids; blocks; next; cursor; heap = Iheap.create !distinct }
 
+  (* Consume [pos] as [block]'s next reference and re-key the block at
+     its following use; the block becomes (or stays) resident. *)
   let consume t ~pos block =
-    let l = Hashtbl.find t.future block in
-    match !l with
-    | p :: rest when p = pos -> l := rest
-    | _ -> failwith "OPT: stream position mismatch"
-
-  let next_use t block =
-    match !(Hashtbl.find t.future block) with [] -> max_int | p :: _ -> p
-
-  let reindex t block use =
-    Hashtbl.replace t.resident block use;
-    t.victims <- Opt_victims.add (use, block) t.victims
-
-  let drop t block =
-    match Hashtbl.find_opt t.resident block with
-    | Some use ->
-      t.victims <- Opt_victims.remove (use, block) t.victims;
-      Hashtbl.remove t.resident block
-    | None -> ()
+    let id = Itbl.find t.ids (Block.pack block) in
+    if id < 0 || pos >= Array.length t.next || t.cursor.(id) <> pos then
+      failwith "OPT: stream position mismatch";
+    let use = t.next.(pos) in
+    t.cursor.(id) <- use;
+    Iheap.set t.heap id (-use) (-Block.pack block)
 
   let on_event t = function
     | Reference { pos; block } ->
-      (* The stored key is the block's next use, which is this
-         reference: drop it, consume the position, and re-key at the
-         new next use. *)
-      (match Hashtbl.find_opt t.resident block with
-      | Some use -> t.victims <- Opt_victims.remove (use, block) t.victims
-      | None -> failwith "OPT: hit on non-resident block");
-      consume t ~pos block;
-      reindex t block (next_use t block)
-    | Admit { pos; block } ->
-      consume t ~pos block;
-      reindex t block (next_use t block)
-    | Evict { block } | Invalidate { block } -> drop t block
+      if not (Iheap.mem t.heap (Itbl.find t.ids (Block.pack block))) then
+        failwith "OPT: hit on non-resident block";
+      consume t ~pos block
+    | Admit { pos; block } -> consume t ~pos block
+    | Evict { block } | Invalidate { block } ->
+      let id = Itbl.find t.ids (Block.pack block) in
+      if id >= 0 then Iheap.remove t.heap id
     | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
-    match Opt_victims.max_elt_opt t.victims with
-    | Some (_, block) -> block
-    | None -> failwith "OPT: empty"
+    let id = Iheap.top t.heap in
+    if id < 0 then failwith "OPT: empty";
+    t.blocks.(id)
 
-  let stats t = [ ("resident", float_of_int (Hashtbl.length t.resident)) ]
+  let stats t = [ ("resident", float_of_int (Iheap.length t.heap)) ]
 end
 
 module Two_q = struct
@@ -686,15 +812,24 @@ module Awrp = struct
      recently evicted blocks with their reference counts — when an
      evicted block returns, the mix is nudged toward the term that would
      have kept it (frequency if it was referenced repeatedly, recency
-     otherwise). All arithmetic is RNG-free and the victim scan uses an
-     order-independent minimum, so a fixed stream replays
-     bit-identically. *)
-  type info = { mutable cnt : int; mutable last : int }
+     otherwise). All arithmetic is RNG-free and the victim is the
+     minimum of (rank, block), so a fixed stream replays
+     bit-identically.
+
+     Resident blocks sit in one recency list per frequency class
+     ([min cnt 16]): within a class the frequency term is constant and
+     the rank is non-decreasing in the last-reference position (see
+     [victim]), so a class's minimum is at its LRU end. *)
+  let classes = 16
 
   type t = {
-    resident : (Block.t, info) Hashtbl.t;
+    slots : Slots.t;  (* resident blocks *)
+    store : Ilist.store;
+    lists : Ilist.t array;  (* class c = min cnt 16 - 1, MRU at front *)
+    mutable cnt : int array;  (* slot -> references since admission *)
+    mutable last : int array;  (* slot -> position of the last one *)
     ghost : Islab.t;  (* recent evictions, MRU at front, <= cap *)
-    ghost_cnt : (Block.t, int) Hashtbl.t;
+    ghost_cnt : Itbl.t;  (* Block.pack -> count at eviction *)
     cap : int;
     mutable w : float;  (* frequency weight, 0.05 .. 0.95 *)
     mutable nudges : int;
@@ -715,80 +850,141 @@ module Awrp = struct
   let w_max = 0.95
 
   let create ~capacity ~future:_ =
+    let slots = Slots.create capacity in
+    let n = Slots.capacity slots in
     {
-      resident = Hashtbl.create (4 * capacity);
+      slots;
+      store = Ilist.make_store n;
+      lists = Array.init classes (fun _ -> Ilist.create ());
+      cnt = Array.make n 0;
+      last = Array.make n 0;
       ghost = Islab.create capacity;
-      ghost_cnt = Hashtbl.create (4 * capacity);
+      ghost_cnt = Itbl.create capacity;
       cap = Stdlib.max 1 capacity;
       w = 0.5;
       nudges = 0;
     }
 
-  let touch t ~pos block =
-    match Hashtbl.find_opt t.resident block with
-    | Some i ->
-      i.cnt <- i.cnt + 1;
-      i.last <- pos
-    | None -> failwith "AWRP: reference to non-resident block"
+  let[@inline always] class_of cnt = (if cnt < classes then cnt else classes) - 1
+
+  (* w * saturating-frequency + (1-w) * recency. *)
+  let[@inline always] rank w ~pos cnt last =
+    let f = float_of_int cnt /. 16.0 in
+    let freq = if 1.0 <= f then 1.0 else f in
+    let recency = 1.0 /. float_of_int (1 + pos - last) in
+    (w *. freq) +. ((1.0 -. w) *. recency)
 
   let forget_ghost t block =
     Islab.remove t.ghost block;
-    Hashtbl.remove t.ghost_cnt block
+    Itbl.remove t.ghost_cnt (Block.pack block)
+
+  let drop t s =
+    Ilist.remove t.store t.lists.(class_of t.cnt.(s)) s;
+    Slots.release t.slots s
+
+  let admit t ~pos block =
+    let s = Slots.find t.slots block in
+    let s =
+      if s >= 0 then begin
+        Ilist.remove t.store t.lists.(class_of t.cnt.(s)) s;
+        s
+      end
+      else begin
+        let s = Slots.add t.slots block in
+        let n = Slots.capacity t.slots in
+        if Array.length t.cnt < n then begin
+          Ilist.grow_store t.store n;
+          t.cnt <- grow_column t.cnt n 0;
+          t.last <- grow_column t.last n 0
+        end;
+        s
+      end
+    in
+    t.cnt.(s) <- 1;
+    t.last.(s) <- pos;
+    Ilist.push_front t.store t.lists.(0) s
 
   let on_event t = function
-    | Reference { pos; block } -> touch t ~pos block
+    | Reference { pos; block } ->
+      let s = Slots.find t.slots block in
+      if s < 0 then failwith "AWRP: reference to non-resident block";
+      let from = class_of t.cnt.(s) in
+      t.cnt.(s) <- t.cnt.(s) + 1;
+      t.last.(s) <- pos;
+      let into = class_of t.cnt.(s) in
+      if from = into then Ilist.move_front t.store t.lists.(into) s
+      else begin
+        Ilist.remove t.store t.lists.(from) s;
+        Ilist.push_front t.store t.lists.(into) s
+      end
     | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_cnt block with
-      | Some cnt ->
+      let cnt = Itbl.find t.ghost_cnt (Block.pack block) in
+      if cnt >= 0 then begin
         (* The stream disagreed with an eviction: favour the term that
            would have retained this block. *)
         if cnt >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
         else t.w <- Stdlib.max w_min (t.w -. step);
         t.nudges <- t.nudges + 1;
         forget_ghost t block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos }
+      end;
+      admit t ~pos block
     | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
+      let s = Slots.find t.slots block in
+      if s >= 0 then begin
         Islab.push_front t.ghost block;
-        Hashtbl.replace t.ghost_cnt block i.cnt;
+        Itbl.set t.ghost_cnt (Block.pack block) t.cnt.(s);
         while Islab.length t.ghost > t.cap do
-          let b = Islab.back t.ghost in
-          forget_ghost t b
-        done
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+          forget_ghost t (Islab.back t.ghost)
+        done;
+        drop t s
+      end
+    | Invalidate { block } ->
+      let s = Slots.find t.slots block in
+      if s >= 0 then drop t s
     | Hint _ -> ()
 
-  (* Rank = w * saturating-frequency + (1-w) * recency; evict the
-     minimum. The fold computes an explicit (value, block) minimum with
-     a [Block.compare] tie-break, so the choice is independent of table
-     iteration order. *)
+  (* The minimum of (rank, Block.compare) over all resident blocks.
+     Within a class the count term is one constant [A = w * freq] and
+     the rank is [A + (1-w) * 1/(1 + pos - last)] with [1-w > 0]. IEEE
+     division, multiplication by a positive constant and addition of a
+     constant are each monotone under round-to-nearest, so the rank is
+     non-decreasing in [last], which grows from the back of the list to
+     the front. The class minimum is therefore its back block's rank,
+     shared by the run of blocks next to it that round to the same
+     value; the smallest packed key in that run is the class's
+     candidate (Block.pack orders like Block.compare). The victim is
+     the least of at most 16 candidates: the block a full scan picks.
+     No closure, tuple, option or boxed float is built. *)
   let victim t ~pos ~missing:_ =
-    let best = ref None in
-    Hashtbl.iter
-      (fun block i ->
-        let freq = Stdlib.min 1.0 (float_of_int i.cnt /. 16.0) in
-        let recency = 1.0 /. float_of_int (1 + pos - i.last) in
-        let value = (t.w *. freq) +. ((1.0 -. t.w) *. recency) in
-        match !best with
-        | None -> best := Some (value, block)
-        | Some (bv, bb) ->
-          if value < bv || (value = bv && Block.compare block bb < 0) then
-            best := Some (value, block))
-      t.resident;
-    match !best with
-    | Some (_, block) -> block
-    | None -> failwith "AWRP: empty"
+    let w = t.w and store = t.store and cnt = t.cnt and last = t.last in
+    let keys = t.slots.Slots.keys in
+    let best = ref (-1) and best_rank = ref 0.0 and best_key = ref 0 in
+    for c = 0 to classes - 1 do
+      let s = ref (Ilist.back t.lists.(c)) in
+      if !s <> Ilist.nil then begin
+        let r = rank w ~pos cnt.(!s) last.(!s) in
+        let run = ref true in
+        while !run do
+          let k = keys.(!s) in
+          if !best < 0 || r < !best_rank || (r = !best_rank && k < !best_key) then begin
+            best := !s;
+            best_rank := r;
+            best_key := k
+          end;
+          s := Ilist.next_toward_front store !s;
+          run := !s <> Ilist.nil && rank w ~pos cnt.(!s) last.(!s) = r
+        done
+      end
+    done;
+    if !best < 0 then failwith "AWRP: empty";
+    t.slots.Slots.blocks.(!best)
 
   let stats t =
     [
       ("w", t.w);
       ("nudges", float_of_int t.nudges);
       ("ghost", float_of_int (Islab.length t.ghost));
-      ("resident", float_of_int (Hashtbl.length t.resident));
+      ("resident", float_of_int (Slots.length t.slots));
     ]
 end
 
@@ -800,24 +996,29 @@ module Perceptron = struct
      ghost-driven: evicting a block that promptly returns was a mistake
      (weights move toward its features); a ghost expiring un-referenced
      confirms the eviction (weights move away). Weights are clamped, so
-     they stay finite on any stream — asserted by qcheck. *)
+     they stay finite on any stream — asserted by qcheck.
+
+     The resident set is a {!Dense} set with per-block columns; the
+     frequency feature is cached when the count changes and the
+     file-hash feature at admission, so the victim scan is one
+     allocation-free loop over the columns. *)
   let n_features = 5
 
   let lr = 0.0625
 
   let w_clamp = 4.0
 
-  type info = {
-    mutable cnt : int;
-    mutable last : int;
-    mutable level : int;  (* from Hint events; 0 = unhinted *)
-  }
-
   type t = {
     cap : int;
-    resident : (Block.t, info) Hashtbl.t;
+    set : Dense.t;  (* resident blocks *)
+    mutable cnt : int array;
+    mutable last : int array;
+    mutable level : int array;  (* from Hint events; 0 = unhinted *)
+    mutable freq : float array;  (* frequency feature of [cnt] *)
+    mutable file_hash : float array;  (* file-hash feature *)
     ghost : Islab.t;
-    ghost_x : (Block.t, float array) Hashtbl.t;  (* eviction-time features *)
+    mutable ghost_x : float array;
+        (* ghost slot s -> eviction-time features, at [n_features * s] *)
     w : float array;
     mutable updates : int;
   }
@@ -831,101 +1032,152 @@ module Perceptron = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
+    let ghost = Islab.create capacity in
     {
       cap = Stdlib.max 1 capacity;
-      resident = Hashtbl.create (4 * capacity);
-      ghost = Islab.create capacity;
-      ghost_x = Hashtbl.create (4 * capacity);
+      set = Dense.create ();
+      cnt = [||];
+      last = [||];
+      level = [||];
+      freq = [||];
+      file_hash = [||];
+      ghost;
+      ghost_x = Array.make (n_features * Islab.capacity ghost) 0.0;
       w = Array.make n_features 0.0;
       updates = 0;
     }
 
-  let features t ~pos block i =
-    let age = float_of_int (pos - i.last) /. float_of_int t.cap in
-    let freq = Stdlib.min 1.0 (log (1.0 +. float_of_int i.cnt) /. log 256.0) in
-    let level = float_of_int i.level /. 8.0 in
-    let file_hash =
-      float_of_int (Block.file block * 2654435761 land 255) /. 255.0
-    in
-    [| 1.0; age; freq; level; file_hash |]
+  (* One function per feature, shared by [victim] and the ghost
+     vectors. *)
+  let[@inline always] age_x t ~pos last =
+    float_of_int (pos - last) /. float_of_int t.cap
 
-  let score t x =
-    let s = ref 0.0 in
-    for k = 0 to n_features - 1 do
-      s := !s +. (t.w.(k) *. x.(k))
-    done;
-    !s
+  let[@inline always] freq_x cnt =
+    let f = log (1.0 +. float_of_int cnt) /. log 256.0 in
+    if 1.0 <= f then 1.0 else f
+
+  let[@inline always] level_x level = float_of_int level /. 8.0
+
+  let[@inline always] file_hash_x block =
+    float_of_int (Block.file block * 2654435761 land 255) /. 255.0
 
   let clamp v =
     if v > w_clamp then w_clamp else if v < -.w_clamp then -.w_clamp else v
 
-  let learn t x ~sign =
+  (* Learn from the features of ghost slot [g]. *)
+  let learn t g ~sign =
     for k = 0 to n_features - 1 do
-      t.w.(k) <- clamp (t.w.(k) +. (sign *. lr *. x.(k)))
+      t.w.(k) <- clamp (t.w.(k) +. (sign *. lr *. t.ghost_x.((n_features * g) + k)))
     done;
     t.updates <- t.updates + 1
 
-  let forget_ghost t block =
-    Islab.remove t.ghost block;
-    Hashtbl.remove t.ghost_x block
+  let admit t ~pos block =
+    let i = Dense.find t.set block in
+    let i =
+      if i >= 0 then i
+      else begin
+        let i = Dense.add t.set block in
+        let n = Array.length t.set.Dense.blocks in
+        if Array.length t.cnt < n then begin
+          t.cnt <- grow_column t.cnt n 0;
+          t.last <- grow_column t.last n 0;
+          t.level <- grow_column t.level n 0;
+          t.freq <- grow_column t.freq n 0.0;
+          t.file_hash <- grow_column t.file_hash n 0.0
+        end;
+        i
+      end
+    in
+    t.cnt.(i) <- 1;
+    t.last.(i) <- pos;
+    t.level.(i) <- 0;
+    t.freq.(i) <- freq_x 1;
+    t.file_hash.(i) <- file_hash_x block
+
+  let remove t block =
+    let i = Dense.remove t.set block in
+    if i >= 0 then begin
+      let n = t.set.Dense.n in
+      t.cnt.(i) <- t.cnt.(n);
+      t.last.(i) <- t.last.(n);
+      t.level.(i) <- t.level.(n);
+      t.freq.(i) <- t.freq.(n);
+      t.file_hash.(i) <- t.file_hash.(n)
+    end
 
   let on_event t = function
     | Reference { pos; block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        i.cnt <- i.cnt + 1;
-        i.last <- pos
-      | None -> failwith "PERCEPTRON: reference to non-resident block")
+      let i = Dense.find t.set block in
+      if i < 0 then failwith "PERCEPTRON: reference to non-resident block";
+      t.cnt.(i) <- t.cnt.(i) + 1;
+      t.last.(i) <- pos;
+      t.freq.(i) <- freq_x t.cnt.(i)
     | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_x block with
-      | Some x ->
+      let g = Islab.find t.ghost block in
+      if g >= 0 then begin
         (* Mistake: the stream wanted this block back. Blocks that look
            like it should score higher (be kept). *)
-        learn t x ~sign:1.0;
-        forget_ghost t block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos; level = 0 }
+        learn t g ~sign:1.0;
+        Islab.remove t.ghost block
+      end;
+      admit t ~pos block
     | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
+      let i = Dense.find t.set block in
+      if i >= 0 then begin
         (* Remember the eviction-time features; score at [last] so the
            stored vector does not depend on when the kernel applied the
            decision. *)
-        let x = features t ~pos:i.last block i in
         Islab.push_front t.ghost block;
-        Hashtbl.replace t.ghost_x block x;
+        let g = Islab.slot t.ghost block in
+        t.ghost_x <- grow_column t.ghost_x (n_features * Islab.capacity t.ghost) 0.0;
+        let x = t.ghost_x and o = n_features * g in
+        x.(o) <- 1.0;
+        x.(o + 1) <- age_x t ~pos:t.last.(i) t.last.(i);
+        x.(o + 2) <- t.freq.(i);
+        x.(o + 3) <- level_x t.level.(i);
+        x.(o + 4) <- t.file_hash.(i);
         while Islab.length t.ghost > t.cap do
           let b = Islab.back t.ghost in
           (* Expired un-referenced: the eviction was right. *)
-          (match Hashtbl.find_opt t.ghost_x b with
-          | Some gx -> learn t gx ~sign:(-1.0)
-          | None -> ());
-          forget_ghost t b
-        done
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+          learn t (Islab.slot t.ghost b) ~sign:(-1.0);
+          Islab.remove t.ghost b
+        done;
+        remove t block
+      end
+    | Invalidate { block } -> remove t block
     | Hint { block; level } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i -> i.level <- level
-      | None -> ())
+      let i = Dense.find t.set block in
+      if i >= 0 then t.level.(i) <- level
 
-  (* Lowest dot-product score loses; explicit minimum with a
-     [Block.compare] tie-break keeps the scan order-independent. *)
+  (* Lowest dot-product score loses; ties go to the smaller packed key
+     (Block.pack orders like Block.compare), so the choice does not
+     depend on the column order. The score sums the terms from 0.0 in
+     feature order, as a dot product with a feature array does, so each
+     score is bit-identical to that dot product. No closure, tuple,
+     option or boxed float is built per block. *)
   let victim t ~pos ~missing:_ =
-    let best = ref None in
-    Hashtbl.iter
-      (fun block i ->
-        let value = score t (features t ~pos block i) in
-        match !best with
-        | None -> best := Some (value, block)
-        | Some (bv, bb) ->
-          if value < bv || (value = bv && Block.compare block bb < 0) then
-            best := Some (value, block))
-      t.resident;
-    match !best with
-    | Some (_, block) -> block
-    | None -> failwith "PERCEPTRON: empty"
+    let set = t.set in
+    let n = set.Dense.n in
+    if n = 0 then failwith "PERCEPTRON: empty";
+    let w = t.w in
+    let w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) and w4 = w.(4) in
+    let keys = set.Dense.keys and last = t.last and level = t.level in
+    let freq = t.freq and file_hash = t.file_hash in
+    let best = ref 0 and best_score = ref 0.0 and best_key = ref 0 in
+    for i = 0 to n - 1 do
+      let s = 0.0 +. (w0 *. 1.0) in
+      let s = s +. (w1 *. age_x t ~pos last.(i)) in
+      let s = s +. (w2 *. freq.(i)) in
+      let s = s +. (w3 *. level_x level.(i)) in
+      let s = s +. (w4 *. file_hash.(i)) in
+      let k = keys.(i) in
+      if i = 0 || s < !best_score || (s = !best_score && k < !best_key) then begin
+        best := i;
+        best_score := s;
+        best_key := k
+      end
+    done;
+    set.Dense.blocks.(!best)
 
   let stats t =
     List.concat
@@ -934,7 +1186,7 @@ module Perceptron = struct
         [
           ("updates", float_of_int t.updates);
           ("ghost", float_of_int (Islab.length t.ghost));
-          ("resident", float_of_int (Hashtbl.length t.resident));
+          ("resident", float_of_int t.set.Dense.n);
         ];
       ]
 end

@@ -1,4 +1,5 @@
 module Block = Acfc_core.Block
+module Itbl = Acfc_core.Itbl
 
 module type POLICY = sig
   type t
@@ -27,26 +28,28 @@ type result = {
 let run (module P : POLICY) ~capacity trace =
   if capacity <= 0 then invalid_arg "Policy_sim.run: capacity must be positive";
   let state = P.init ~capacity trace in
-  let resident = Hashtbl.create (2 * capacity) in
+  let resident = Itbl.create capacity in (* Block.pack -> 0 *)
   let hits = ref 0 and misses = ref 0 in
   Array.iteri
     (fun pos block ->
-      if Hashtbl.mem resident block then begin
+      let key = Block.pack block in
+      if Itbl.mem resident key then begin
         incr hits;
         P.hit state ~pos block
       end
       else begin
         incr misses;
-        if Hashtbl.length resident >= capacity then begin
+        if Itbl.length resident >= capacity then begin
           let victim = P.choose_victim state ~pos ~missing:block in
-          if not (Hashtbl.mem resident victim) then
+          let vkey = Block.pack victim in
+          if not (Itbl.mem resident vkey) then
             failwith
               (Format.asprintf "policy %s evicted non-resident %a" P.name Block.pp
                  victim);
-          Hashtbl.remove resident victim;
+          Itbl.remove resident vkey;
           P.evicted state victim
         end;
-        Hashtbl.replace resident block ();
+        Itbl.set resident key 0;
         P.inserted state ~pos block
       end)
     trace;

@@ -138,6 +138,20 @@ let itbl_churn_no_tombstone_growth () =
     chk_int "recent keys live" i (Itbl.find t i)
   done
 
+(* The hash must see the file id of a packed block: with the index
+   alone, block i of every file shares one home slot and 64 files probe
+   chains up to ~64 long. *)
+let itbl_multi_file_spread () =
+  let t = Itbl.create 4096 in
+  for file = 0 to 63 do
+    for index = 0 to 63 do
+      Itbl.set t (Block.pack (blk ~file index)) index
+    done
+  done;
+  chk_int "all bound" 4096 (Itbl.length t);
+  let longest = Itbl.max_probe t in
+  if longest > 8 then Alcotest.failf "longest probe %d > 8" longest
+
 (* {2 Ctab: slot lifecycle, free-list reuse, growth} *)
 
 let ctab_lifecycle () =
@@ -272,6 +286,7 @@ let suites =
         case "itbl vs hashtbl, sparse keys"
           (itbl_model_test ~seed:4 ~ops:6_000 ~keyspace:100_000);
         case "itbl churn stays tombstone-free" itbl_churn_no_tombstone_growth;
+        case "itbl spreads packed multi-file keys" itbl_multi_file_spread;
         case "ctab slot lifecycle and free-list reuse" ctab_lifecycle;
         case "ctab growth preserves columns" ctab_growth;
         case "equeue vs heap, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);

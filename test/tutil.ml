@@ -20,8 +20,9 @@ let in_sim f =
 
 let case name f = Alcotest.test_case name `Quick f
 
-let qcheck ?count name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ~name gen prop)
+(* [long_factor] multiplies [count] when QCHECK_LONG=1 is set. *)
+let qcheck ?count ?long_factor name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?count ?long_factor ~name gen prop)
 
 (* A block of file 0 with the given index. *)
 let blk ?(file = 0) index = Acfc_core.Block.make ~file ~index
