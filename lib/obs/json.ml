@@ -144,7 +144,8 @@ let parse_exn s =
       advance ()
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some x -> x
+    | Some x when Float.is_finite x -> x
+    | Some _ -> error "number out of range"
     | None -> error "bad number"
   in
   let rec parse_value () =
@@ -220,8 +221,10 @@ let member name = function
 
 let to_num = function Num x -> Some x | _ -> None
 
+(* Within 2^53 every integer is exactly representable, so it survives
+   the [Num] round trip; beyond it [int_of_float] wraps or rounds. *)
 let to_int = function
-  | Num x when Float.is_integer x -> Some (int_of_float x)
+  | Num x when Float.is_integer x && Float.abs x <= 0x1p53 -> Some (int_of_float x)
   | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

@@ -22,7 +22,9 @@ val pp : Format.formatter -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse one JSON value (surrounding whitespace allowed). The error
-    string names the offending byte offset. *)
+    string names the offending byte offset. Number literals that
+    overflow a float (e.g. [1e999]) are rejected, so every parsed value
+    prints back as JSON. *)
 
 val equal : t -> t -> bool
 (** Structural equality; object member {e order} is significant (this
@@ -36,7 +38,8 @@ val member : string -> t -> t option
 val to_num : t -> float option
 
 val to_int : t -> int option
-(** [Num] fields that hold an exact integer. *)
+(** [Num] fields that hold an exact integer of magnitude at most
+    2{^53}. *)
 
 val to_str : t -> string option
 

@@ -53,124 +53,102 @@ let pid = function
 
 (* {2 JSON} *)
 
-let int n = Json.Num (float_of_int n)
-
-let blk prefix { file; index } =
-  [ (prefix ^ "file", int file); (prefix ^ "index", int index) ]
-
-let to_json { time; ev } =
-  let fields =
-    match ev with
-    | Cache_hit { pid; block } -> (("pid", int pid) :: blk "" block)
-    | Cache_miss { pid; block; prefetch } ->
-      (("pid", int pid) :: blk "" block) @ [ ("prefetch", Json.Bool prefetch) ]
-    | Evict { victim; owner; candidate; policy; reason } ->
-      blk "victim_" victim
-      @ [ ("owner", int owner) ]
-      @ blk "cand_" candidate
-      @ [ ("policy", Json.Str policy); ("reason", Json.Str reason) ]
-    | Writeback { block } -> blk "" block
-    | Swap { kept; victim } -> blk "kept_" kept @ blk "victim_" victim
-    | Placeholder_created { replaced; target; chooser } ->
-      blk "replaced_" replaced @ blk "target_" target @ [ ("chooser", int chooser) ]
-    | Placeholder_hit { missing; target; chooser } ->
-      blk "missing_" missing @ blk "target_" target @ [ ("chooser", int chooser) ]
-    | Manager_revoked { pid } -> [ ("pid", int pid) ]
-    | Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait } ->
-      [
-        ("disk", Json.Str disk);
-        ("kind", Json.Str kind);
-        ("addr", int addr);
-        ("blocks", int blocks);
-        ("seek", Json.Num seek);
-        ("rot", Json.Num rot);
-        ("xfer", Json.Num xfer);
-        ("wait", Json.Num wait);
-      ]
-    | Syscall { pid; op; detail } ->
-      [ ("pid", int pid); ("op", Json.Str op); ("detail", Json.Str detail) ]
-    | Fiber { name; op } -> [ ("name", Json.Str name); ("op", Json.Str op) ]
-  in
-  Json.Obj ((("t", Json.Num time) :: ("ev", Json.Str (kind ev)) :: fields))
-
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let field name conv =
-    match Option.bind (Json.member name json) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "trace record: missing or bad field %S" name)
-  in
-  let num name = field name Json.to_num in
-  let i name = field name Json.to_int in
-  let str name = field name Json.to_str in
-  let b name = field name Json.to_bool in
+let codec =
+  let open Codec in
   let block prefix =
-    let* file = i (prefix ^ "file") in
-    let* index = i (prefix ^ "index") in
-    Ok { file; index }
+    obj (fun file index -> { file; index })
+    |> req (prefix ^ "file") (fun b -> b.file) int
+    |> req (prefix ^ "index") (fun b -> b.index) int
   in
-  let* time = num "t" in
-  let* tag = str "ev" in
-  let* ev =
-    match tag with
-    | "cache_hit" ->
-      let* pid = i "pid" in
-      let* block = block "" in
-      Ok (Cache_hit { pid; block })
-    | "cache_miss" ->
-      let* pid = i "pid" in
-      let* block = block "" in
-      let* prefetch = b "prefetch" in
-      Ok (Cache_miss { pid; block; prefetch })
-    | "evict" ->
-      let* victim = block "victim_" in
-      let* owner = i "owner" in
-      let* candidate = block "cand_" in
-      let* policy = str "policy" in
-      let* reason = str "reason" in
-      Ok (Evict { victim; owner; candidate; policy; reason })
-    | "writeback" ->
-      let* block = block "" in
-      Ok (Writeback { block })
-    | "swap" ->
-      let* kept = block "kept_" in
-      let* victim = block "victim_" in
-      Ok (Swap { kept; victim })
-    | "placeholder_created" ->
-      let* replaced = block "replaced_" in
-      let* target = block "target_" in
-      let* chooser = i "chooser" in
-      Ok (Placeholder_created { replaced; target; chooser })
-    | "placeholder_hit" ->
-      let* missing = block "missing_" in
-      let* target = block "target_" in
-      let* chooser = i "chooser" in
-      Ok (Placeholder_hit { missing; target; chooser })
-    | "manager_revoked" ->
-      let* pid = i "pid" in
-      Ok (Manager_revoked { pid })
-    | "disk_io" ->
-      let* disk = str "disk" in
-      let* kind = str "kind" in
-      let* addr = i "addr" in
-      let* blocks = i "blocks" in
-      let* seek = num "seek" in
-      let* rot = num "rot" in
-      let* xfer = num "xfer" in
-      let* wait = num "wait" in
-      Ok (Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait })
-    | "syscall" ->
-      let* pid = i "pid" in
-      let* op = str "op" in
-      let* detail = str "detail" in
-      Ok (Syscall { pid; op; detail })
-    | "fiber" ->
-      let* name = str "name" in
-      let* op = str "op" in
-      Ok (Fiber { name; op })
-    | tag -> Error (Printf.sprintf "trace record: unknown event %S" tag)
+  let placeholder tag first proj ctor =
+    case tag proj
+      (obj ctor
+      |> flat (fun (b, _, _) -> b) (block first)
+      |> flat (fun (_, t, _) -> t) (block "target_")
+      |> req "chooser" (fun (_, _, c) -> c) int)
   in
-  Ok { time; ev }
+  let event =
+    variant ~tag:"ev" ~what:"event"
+      [
+        case "cache_hit"
+          (function Cache_hit { pid; block } -> Some (pid, block) | _ -> None)
+          (obj (fun pid block -> Cache_hit { pid; block })
+          |> req "pid" fst int |> flat snd (block ""));
+        case "cache_miss"
+          (function
+            | Cache_miss { pid; block; prefetch } -> Some (pid, block, prefetch) | _ -> None)
+          (obj (fun pid block prefetch -> Cache_miss { pid; block; prefetch })
+          |> req "pid" (fun (p, _, _) -> p) int
+          |> flat (fun (_, b, _) -> b) (block "")
+          |> req "prefetch" (fun (_, _, f) -> f) bool);
+        case "evict"
+          (function
+            | Evict { victim; owner; candidate; policy; reason } ->
+              Some (victim, owner, candidate, policy, reason)
+            | _ -> None)
+          (obj (fun victim owner candidate policy reason ->
+               Evict { victim; owner; candidate; policy; reason })
+          |> flat (fun (v, _, _, _, _) -> v) (block "victim_")
+          |> req "owner" (fun (_, o, _, _, _) -> o) int
+          |> flat (fun (_, _, c, _, _) -> c) (block "cand_")
+          |> req "policy" (fun (_, _, _, p, _) -> p) string
+          |> req "reason" (fun (_, _, _, _, r) -> r) string);
+        case "writeback"
+          (function Writeback { block } -> Some block | _ -> None)
+          (obj (fun block -> Writeback { block }) |> flat Fun.id (block ""));
+        case "swap"
+          (function Swap { kept; victim } -> Some (kept, victim) | _ -> None)
+          (obj (fun kept victim -> Swap { kept; victim })
+          |> flat fst (block "kept_") |> flat snd (block "victim_"));
+        placeholder "placeholder_created" "replaced_"
+          (function
+            | Placeholder_created { replaced; target; chooser } ->
+              Some (replaced, target, chooser)
+            | _ -> None)
+          (fun replaced target chooser -> Placeholder_created { replaced; target; chooser });
+        placeholder "placeholder_hit" "missing_"
+          (function
+            | Placeholder_hit { missing; target; chooser } -> Some (missing, target, chooser)
+            | _ -> None)
+          (fun missing target chooser -> Placeholder_hit { missing; target; chooser });
+        case "manager_revoked"
+          (function Manager_revoked { pid } -> Some pid | _ -> None)
+          (obj (fun pid -> Manager_revoked { pid }) |> req "pid" Fun.id int);
+        case "disk_io"
+          (function
+            | Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait } ->
+              Some ((disk, kind, addr, blocks), (seek, rot, xfer, wait))
+            | _ -> None)
+          (obj (fun disk kind addr blocks seek rot xfer wait ->
+               Disk_io { disk; kind; addr; blocks; seek; rot; xfer; wait })
+          |> req "disk" (fun ((d, _, _, _), _) -> d) string
+          |> req "kind" (fun ((_, k, _, _), _) -> k) string
+          |> req "addr" (fun ((_, _, a, _), _) -> a) int
+          |> req "blocks" (fun ((_, _, _, b), _) -> b) int
+          |> req "seek" (fun (_, (s, _, _, _)) -> s) float
+          |> req "rot" (fun (_, (_, r, _, _)) -> r) float
+          |> req "xfer" (fun (_, (_, _, x, _)) -> x) float
+          |> req "wait" (fun (_, (_, _, _, w)) -> w) float);
+        case "syscall"
+          (function Syscall { pid; op; detail } -> Some (pid, op, detail) | _ -> None)
+          (obj (fun pid op detail -> Syscall { pid; op; detail })
+          |> req "pid" (fun (p, _, _) -> p) int
+          |> req "op" (fun (_, o, _) -> o) string
+          |> req "detail" (fun (_, _, d) -> d) string);
+        case "fiber"
+          (function Fiber { name; op } -> Some (name, op) | _ -> None)
+          (obj (fun name op -> Fiber { name; op })
+          |> req "name" fst string |> req "op" snd string);
+      ]
+  in
+  seal
+    (obj (fun time ev -> { time; ev })
+    |> req "t" (fun r -> r.time) float
+    |> flat (fun r -> r.ev) event)
+
+let to_json r = Codec.encode codec r
+
+let of_json j = Codec.decode ~label:"trace record" codec j
 
 (* {2 CSV} *)
 

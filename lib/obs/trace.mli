@@ -59,7 +59,9 @@ val to_json : record -> Json.t
 (** Flat object: [{"t": …, "ev": "…", …fields}]. *)
 
 val of_json : Json.t -> (record, string) result
-(** Inverse of {!to_json}: [of_json (to_json r) = Ok r]. *)
+(** Strict inverse of {!to_json} ([of_json (to_json r) = Ok r]): both
+    come from one {!Codec} description, and unknown or missing members
+    are errors with their [$.path]. *)
 
 val csv_header : string
 (** Column names for {!to_csv}, comma-separated. *)

@@ -10,7 +10,7 @@ module App = Acfc_workload.App
 module Env = Acfc_workload.Env
 module Runner = Acfc_workload.Runner
 module Spec = Runner.Spec
-module Json = Acfc_obs.Json
+module Codec = Acfc_obs.Codec
 module Wir = Acfc_wir.Wir
 
 type disk = { params : Params.t; sched : Disk.sched }
@@ -65,46 +65,62 @@ let no_obs = { trace_path = None; metrics_path = None }
 
 let blocks_of_mb = Runner.blocks_of_mb
 
-(* Shared by the constructors (invalid_arg) and the JSON parser
-   ($.path error): a manager must name a registered policy that can run
-   without the future stream. *)
-let check_manager = function
-  | None -> Ok ()
-  | Some name ->
-    (match Acfc_policy.Registry.find name with
-    | Error msg -> Error msg
-    | Ok entry ->
+let ( let* ) = Result.bind
+
+(* Shared by the constructors (invalid_arg) and the JSON parser ($.path
+   error, hence the sub-paths): a workload names a catalog application
+   or carries an inline program, never both; [smart] and [disk] default
+   to the catalog's choices; a manager must name a registered policy
+   that can run without the future stream, and the registry's own
+   message (valid names, near-match suggestion) is kept verbatim. *)
+let resolve_workload app program smart disk manager file_blocks =
+  let* app, smart_default, disk_default =
+    match (app, program) with
+    | Some _, Some _ -> Error ("", {|pass "app" or "program", not both|})
+    | None, None -> Error ("", {|missing required field "app" or "program"|})
+    | Some name, None ->
+      (match Catalog.resolve ?file_blocks name with
+      | Ok e -> Ok (Named name, e.Catalog.smart_default, e.Catalog.disk)
+      | Error msg -> Error (".app", msg))
+    | None, Some p ->
+      if file_blocks = None then Ok (Inline p, true, 0)
+      else Error (".program", "an inline program does not take file_blocks")
+  in
+  let* () =
+    match Option.map Acfc_policy.Registry.find manager with
+    | None -> Ok ()
+    | Some (Error msg) -> Error (".manager", msg)
+    | Some (Ok entry) ->
       if Acfc_policy.Registry.needs_future entry then
         Error
-          (Printf.sprintf
-             "policy %S needs the future reference stream and cannot run as a live \
-              manager"
-             (Acfc_policy.Registry.name entry))
-      else Ok ())
-
-let workload ?smart ?disk ?file_blocks ?manager app =
-  (match check_manager manager with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Scenario.workload: " ^ msg));
-  match Catalog.resolve ?file_blocks app with
-  | Error msg -> invalid_arg ("Scenario.workload: " ^ msg)
-  | Ok entry ->
+          ( ".manager",
+            Printf.sprintf
+              "policy %S needs the future reference stream and cannot run as a live \
+               manager"
+              (Acfc_policy.Registry.name entry) )
+      else Ok ()
+  in
+  Ok
     {
-      app = Named app;
-      smart = Option.value smart ~default:entry.Catalog.smart_default;
-      disk = Option.value disk ~default:entry.Catalog.disk;
+      app;
+      smart = Option.value smart ~default:smart_default;
+      disk = Option.value disk ~default:disk_default;
       file_blocks;
       manager;
     }
 
+let workload ?smart ?disk ?file_blocks ?manager app =
+  match resolve_workload (Some app) None smart disk manager file_blocks with
+  | Ok w -> w
+  | Error (_, msg) -> invalid_arg ("Scenario.workload: " ^ msg)
+
 let inline_workload ?(smart = true) ?(disk = 0) ?manager program =
-  (match check_manager manager with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Scenario.inline_workload: " ^ msg));
   (match Wir.validate program with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Scenario.inline_workload: " ^ msg));
-  { app = Inline program; smart; disk; file_blocks = None; manager }
+  match resolve_workload None (Some program) (Some smart) (Some disk) manager None with
+  | Ok w -> w
+  | Error (_, msg) -> invalid_arg ("Scenario.inline_workload: " ^ msg)
 
 (* {2 Fleet} *)
 
@@ -124,48 +140,97 @@ let fleet_lookahead_ms f =
   | Some la -> la
   | None -> 2.0 *. fleet_min_latency_ms f
 
-(* Semantic checks shared by [make] and the JSON parser. [Error (sub,
-   msg)] carries the field sub-path relative to the fleet object, so
-   the parser can turn it into a [$.fleet…] diagnostic. *)
+(* Semantic checks shared by the constructors and the JSON parser.
+   [Error (sub, msg)] carries the field sub-path relative to the value
+   checked, so the parser can turn it into a [$.path] diagnostic. *)
+let ensure sub ok msg = if ok then Ok () else Error (sub, msg)
+
+let within sub = Result.map_error (fun (s, msg) -> (sub ^ s, msg))
+
+let all_indexed f l =
+  let rec go i = function
+    | [] -> Ok ()
+    | x :: rest -> Result.bind (f i x) (fun () -> go (i + 1) rest)
+  in
+  go 0 l
+
+(* Drive parameters a run can use: a capacity or a transfer rate that
+   is not positive, or a negative or non-finite time, would make the
+   disk model raise mid-run; an infinite rate has no JSON form. *)
+let drive_check (p : Params.t) =
+  let* () = ensure ".capacity_blocks" (p.capacity_blocks >= 1) "capacity_blocks must be >= 1" in
+  let* () =
+    ensure ".transfer_mb_per_s"
+      (Float.is_finite p.transfer_mb_per_s && p.transfer_mb_per_s > 0.0)
+      "transfer_mb_per_s must be finite and > 0"
+  in
+  all_indexed
+    (fun _ (name, x) ->
+      ensure ("." ^ name) (Float.is_finite x && x >= 0.0) (name ^ " must be finite and >= 0"))
+    [
+      ("min_seek_ms", p.min_seek_ms); ("avg_seek_ms", p.avg_seek_ms);
+      ("max_seek_ms", p.max_seek_ms); ("avg_rot_ms", p.avg_rot_ms);
+      ("overhead_ms", p.overhead_ms); ("seq_rot_factor", p.seq_rot_factor);
+    ]
+
+(* The machine knobs outside the cache config, at their document
+   sub-paths. A zero update interval never lets a run finish; the other
+   values would raise mid-run or be silently ignored. *)
+let machine_check ~update_interval ~hit_cost ~io_cpu_cost ~write_cluster drives =
+  let cost name x =
+    ensure (".cpu." ^ name)
+      (Option.fold ~none:true ~some:(fun x -> Float.is_finite x && x >= 0.0) x)
+      (name ^ " must be finite and >= 0")
+  in
+  let* () = cost "hit_cost" hit_cost in
+  let* () = cost "io_cpu_cost" io_cpu_cost in
+  let* () =
+    ensure ".fs.write_cluster"
+      (Option.fold ~none:true ~some:(fun n -> n >= 1) write_cluster)
+      "write_cluster must be >= 1"
+  in
+  let* () =
+    ensure ".fs.update_interval_s"
+      (Float.is_finite update_interval && update_interval > 0.0)
+      "update_interval_s must be finite and > 0"
+  in
+  all_indexed (fun i p -> within (Printf.sprintf ".disks[%d].drive" i) (drive_check p)) drives
+
 let check_link_values sub l =
-  if not (Float.is_finite l.latency_ms && l.latency_ms > 0.0) then
-    Error (sub ^ ".latency_ms", "latency_ms must be > 0")
-  else if not (Float.is_finite l.bandwidth_mb_per_s && l.bandwidth_mb_per_s > 0.0) then
-    Error (sub ^ ".bandwidth_mb_per_s", "bandwidth_mb_per_s must be > 0")
-  else Ok ()
+  let* () =
+    ensure (sub ^ ".latency_ms")
+      (Float.is_finite l.latency_ms && l.latency_ms > 0.0)
+      "latency_ms must be > 0"
+  in
+  ensure (sub ^ ".bandwidth_mb_per_s")
+    (Float.is_finite l.bandwidth_mb_per_s && l.bandwidth_mb_per_s > 0.0)
+    "bandwidth_mb_per_s must be > 0"
 
 let fleet_check f =
-  let ( let* ) = Result.bind in
-  let* () = if f.clients >= 1 then Ok () else Error (".clients", "clients must be >= 1") in
+  let* () = ensure ".clients" (f.clients >= 1) "clients must be >= 1" in
+  let* () = ensure ".shared_files" (f.shared_files >= 0) "shared_files must be >= 0" in
   let* () =
-    if f.shared_files >= 0 then Ok ()
-    else Error (".shared_files", "shared_files must be >= 0")
+    ensure ".server.cache_blocks" (f.server.server_cache_blocks >= 1)
+      "cache_blocks must be >= 1"
   in
-  let* () =
-    if f.server.server_cache_blocks >= 1 then Ok ()
-    else Error (".server.cache_blocks", "cache_blocks must be >= 1")
-  in
+  let* () = within ".server.drive" (drive_check f.server.server_drive) in
   let* () = check_link_values ".network" f.net in
   let* () =
-    List.fold_left
-      (fun acc (i, (c, l)) ->
-        let* () = acc in
+    all_indexed
+      (fun i (c, l) ->
         let sub = Printf.sprintf ".links[%d]" i in
         let* () =
-          if c >= 0 && c < f.clients then Ok ()
-          else
-            Error
-              ( sub ^ ".client",
-                Printf.sprintf "client index %d out of range (%d client%s)" c f.clients
-                  (if f.clients = 1 then "" else "s") )
+          ensure (sub ^ ".client") (c >= 0 && c < f.clients)
+            (Printf.sprintf "client index %d out of range (%d client%s)" c f.clients
+               (if f.clients = 1 then "" else "s"))
         in
         let* () =
-          if List.length (List.filter (fun (c', _) -> c' = c) f.links) = 1 then Ok ()
-          else Error (sub ^ ".client", Printf.sprintf "duplicate link for client %d" c)
+          ensure (sub ^ ".client")
+            (List.length (List.filter (fun (c', _) -> c' = c) f.links) = 1)
+            (Printf.sprintf "duplicate link for client %d" c)
         in
         check_link_values sub l)
-      (Ok ())
-      (List.mapi (fun i x -> (i, x)) f.links)
+      f.links
   in
   match f.lookahead_ms with
   | None -> Ok ()
@@ -181,6 +246,35 @@ let fleet_check f =
              link latency)"
             la bound )
     else Ok ()
+
+(* Everything [make] and the parser both reject, at document
+   sub-paths. *)
+let check t =
+  let* () =
+    ensure ".seed"
+      (t.seed >= -Codec.int_limit && t.seed <= Codec.int_limit)
+      "seed must be between -2^53 and 2^53"
+  in
+  let n_disks = List.length t.disks in
+  let* () = ensure ".disks" (n_disks > 0) "disks must be non-empty" in
+  let* () = ensure ".workloads" (t.workloads <> []) "workloads must be non-empty" in
+  let* () =
+    all_indexed
+      (fun i w ->
+        if w.disk >= 0 && w.disk < n_disks then Ok ()
+        else
+          Error
+            ( Printf.sprintf ".workloads[%d].disk" i,
+              Printf.sprintf "disk index %d out of range (%d disk%s)" w.disk n_disks
+                (if n_disks = 1 then "" else "s") ))
+      t.workloads
+  in
+  let* () =
+    machine_check ~update_interval:t.update_interval ~hit_cost:t.hit_cost
+      ~io_cpu_cost:t.io_cpu_cost ~write_cluster:t.write_cluster
+      (List.map (fun d -> d.params) t.disks)
+  in
+  match t.fleet with None -> Ok () | Some f -> within ".fleet" (fleet_check f)
 
 let fleet ?(shared_files = 0) ?(links = []) ?lookahead_ms ?(server_drive = Params.rz56)
     ~clients ~server_cache_blocks ~latency_ms ~bandwidth_mb_per_s () =
@@ -219,34 +313,25 @@ let make ?(seed = 0) ?(disks = default_disks) ?disk_sched ?(update_interval = 30
     | None -> disks
     | Some sched -> List.map (fun d -> { d with sched }) disks
   in
-  if disks = [] then invalid_arg "Scenario.make: no disks";
-  if workloads = [] then invalid_arg "Scenario.make: no workloads";
-  List.iter
-    (fun w ->
-      if w.disk < 0 || w.disk >= List.length disks then
-        invalid_arg "Scenario.make: disk index out of range")
-    workloads;
-  (match fleet with
-  | None -> ()
-  | Some f ->
-    (match fleet_check f with
-    | Ok () -> ()
-    | Error (sub, msg) ->
-      invalid_arg (Printf.sprintf "Scenario.make: fleet%s: %s" sub msg)));
-  {
-    seed;
-    config;
-    update_interval;
-    hit_cost;
-    io_cpu_cost;
-    write_cluster;
-    readahead;
-    scattered_layout;
-    disks;
-    workloads;
-    fleet;
-    obs;
-  }
+  let t =
+    {
+      seed;
+      config;
+      update_interval;
+      hit_cost;
+      io_cpu_cost;
+      write_cluster;
+      readahead;
+      scattered_layout;
+      disks;
+      workloads;
+      fleet;
+      obs;
+    }
+  in
+  match check t with
+  | Ok () -> t
+  | Error (sub, msg) -> invalid_arg (Printf.sprintf "Scenario.make: %s at $%s" msg sub)
 
 (* {2 Machine assembly}
 
@@ -453,6 +538,12 @@ let run_specs ?(seed = 0) ?disks ?disk_sched ?(update_interval = 30.0) ?hit_cost
     | None -> disks
     | Some sched -> List.map (fun d -> { d with sched }) disks
   in
+  (match
+     machine_check ~update_interval ~hit_cost ~io_cpu_cost ~write_cluster
+       (List.map (fun d -> d.params) disks)
+   with
+  | Ok () -> ()
+  | Error (sub, msg) -> invalid_arg (Printf.sprintf "Scenario.run_specs: %s at $%s" msg sub));
   let config =
     Config.make ~alloc_policy ?revocation ?shared_files ~capacity_blocks:cache_blocks ()
   in
@@ -522,614 +613,186 @@ let run ?tracer ?obs ?monitor t =
 
 (* {2 Serialisation} *)
 
-let schema = "acfc-scenario/1"
+let drive =
+  let open Codec in
+  named ~what:"drive" ~expected:"rz56, rz26 or a parameter object"
+    [ ("rz56", Params.rz56); ("rz26", Params.rz26) ]
+    (seal ~expected:"a drive name or parameter object"
+       (obj
+          (fun name capacity_blocks min_seek_ms avg_seek_ms max_seek_ms avg_rot_ms
+               transfer_mb_per_s overhead_ms seq_rot_factor ->
+            {
+              Params.name;
+              capacity_blocks;
+              min_seek_ms;
+              avg_seek_ms;
+              max_seek_ms;
+              avg_rot_ms;
+              transfer_mb_per_s;
+              overhead_ms;
+              seq_rot_factor;
+            })
+       |> req "name" (fun p -> p.Params.name) string
+       |> req "capacity_blocks" (fun p -> p.Params.capacity_blocks) int
+       |> req "min_seek_ms" (fun p -> p.Params.min_seek_ms) float
+       |> req "avg_seek_ms" (fun p -> p.Params.avg_seek_ms) float
+       |> req "max_seek_ms" (fun p -> p.Params.max_seek_ms) float
+       |> req "avg_rot_ms" (fun p -> p.Params.avg_rot_ms) float
+       |> req "transfer_mb_per_s" (fun p -> p.Params.transfer_mb_per_s) float
+       |> req "overhead_ms" (fun p -> p.Params.overhead_ms) float
+       |> req "seq_rot_factor" (fun p -> p.Params.seq_rot_factor) float))
 
-let sched_to_string = function Disk.Fcfs -> "fcfs" | Disk.Scan -> "scan"
+(* Config.make's own defaults are omitted, except [alloc_policy], which
+   is always written. *)
+let cache =
+  let open Codec in
+  seal_result
+    (obj
+       (fun capacity_blocks alloc_policy max_managers max_levels max_file_records
+            max_placeholders revocation shared_files ->
+         match
+           Config.make ?alloc_policy ~max_managers ~max_levels ~max_file_records
+             ?max_placeholders ?revocation ~shared_files ~capacity_blocks ()
+         with
+         | c -> Ok c
+         | exception Invalid_argument msg -> Error ("", msg))
+    |> req "capacity_blocks" (fun c -> c.Config.capacity_blocks) int
+    |> opt "alloc_policy"
+         (fun c -> Some c.Config.alloc_policy)
+         (enum ~what:"allocation policy"
+            ~expected:"global-lru, alloc-lru, lru-s, lru-sp or clock-sp"
+            Config.alloc_policy_to_string Config.alloc_policy_of_string)
+    |> dflt "max_managers" ~default:64 (fun c -> c.Config.max_managers) int
+    |> dflt "max_levels" ~default:32 (fun c -> c.Config.max_levels) int
+    |> dflt "max_file_records" ~default:1024 (fun c -> c.Config.max_file_records) int
+    |> opt "max_placeholders"
+         (fun c ->
+           if c.Config.max_placeholders = c.Config.capacity_blocks then None
+           else Some c.Config.max_placeholders)
+         int
+    |> opt "revocation"
+         (fun c -> c.Config.revocation)
+         (seal
+            (obj (fun min_decisions mistake_ratio -> { Config.min_decisions; mistake_ratio })
+            |> req "min_decisions" (fun r -> r.Config.min_decisions) int
+            |> req "mistake_ratio" (fun r -> r.Config.mistake_ratio) float))
+    |> dflt "shared_files" ~default:Config.Transfer
+         (fun c -> c.Config.shared_files)
+         (table ~what:"shared_files mode"
+            [ ("transfer", Config.Transfer); ("sticky", Config.Sticky) ]))
 
-let sched_of_string = function
-  | "fcfs" -> Some Disk.Fcfs
-  | "scan" -> Some Disk.Scan
-  | _ -> None
+(* [smart] and [disk] are always written. *)
+let workload_codec =
+  let open Codec in
+  seal_result
+    (obj resolve_workload
+    |> opt "app" (fun w -> match w.app with Named n -> Some n | Inline _ -> None) string
+    |> opt "program"
+         (fun w -> match w.app with Inline p -> Some p | Named _ -> None)
+         (check Wir.check Wir.codec)
+    |> opt "smart" (fun w -> Some w.smart) bool
+    |> opt "disk" (fun w -> Some w.disk) int
+    |> opt "manager" (fun w -> w.manager) string
+    |> opt "file_blocks" (fun w -> w.file_blocks) int)
 
-let shared_files_to_string = function
-  | Config.Transfer -> "transfer"
-  | Config.Sticky -> "sticky"
-
-let shared_files_of_string = function
-  | "transfer" -> Some Config.Transfer
-  | "sticky" -> Some Config.Sticky
-  | _ -> None
-
-let named_drives = [ ("rz56", Params.rz56); ("rz26", Params.rz26) ]
-
-let num_i n = Json.Num (float_of_int n)
-
-let drive_to_json (p : Params.t) =
-  match List.find_opt (fun (_, q) -> q = p) named_drives with
-  | Some (name, _) -> Json.Str name
-  | None ->
-    Json.Obj
-      [
-        ("name", Json.Str p.Params.name);
-        ("capacity_blocks", num_i p.Params.capacity_blocks);
-        ("min_seek_ms", Json.Num p.Params.min_seek_ms);
-        ("avg_seek_ms", Json.Num p.Params.avg_seek_ms);
-        ("max_seek_ms", Json.Num p.Params.max_seek_ms);
-        ("avg_rot_ms", Json.Num p.Params.avg_rot_ms);
-        ("transfer_mb_per_s", Json.Num p.Params.transfer_mb_per_s);
-        ("overhead_ms", Json.Num p.Params.overhead_ms);
-        ("seq_rot_factor", Json.Num p.Params.seq_rot_factor);
-      ]
-
-let to_json t =
-  let c = t.config in
-  let cache =
-    [
-      ("capacity_blocks", num_i c.Config.capacity_blocks);
-      ("alloc_policy", Json.Str (Config.alloc_policy_to_string c.Config.alloc_policy));
-    ]
-    @ (if c.Config.max_managers <> 64 then
-         [ ("max_managers", num_i c.Config.max_managers) ]
-       else [])
-    @ (if c.Config.max_levels <> 32 then [ ("max_levels", num_i c.Config.max_levels) ]
-       else [])
-    @ (if c.Config.max_file_records <> 1024 then
-         [ ("max_file_records", num_i c.Config.max_file_records) ]
-       else [])
-    @ (if c.Config.max_placeholders <> c.Config.capacity_blocks then
-         [ ("max_placeholders", num_i c.Config.max_placeholders) ]
-       else [])
-    @ (match c.Config.revocation with
-      | None -> []
-      | Some r ->
-        [
-          ( "revocation",
-            Json.Obj
-              [
-                ("min_decisions", num_i r.Config.min_decisions);
-                ("mistake_ratio", Json.Num r.Config.mistake_ratio);
-              ] );
-        ])
-    @
-    match c.Config.shared_files with
-    | Config.Transfer -> []
-    | sf -> [ ("shared_files", Json.Str (shared_files_to_string sf)) ]
+let fleet_codec =
+  let open Codec in
+  let link =
+    obj (fun latency_ms bandwidth_mb_per_s -> { latency_ms; bandwidth_mb_per_s })
+    |> req "latency_ms" (fun l -> l.latency_ms) float
+    |> req "bandwidth_mb_per_s" (fun l -> l.bandwidth_mb_per_s) float
   in
-  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
-  let cpu =
-    opt "hit_cost" (fun v -> Json.Num v) t.hit_cost
-    @ opt "io_cpu_cost" (fun v -> Json.Num v) t.io_cpu_cost
-  in
-  let fs =
-    opt "readahead" (fun v -> Json.Bool v) t.readahead
-    @ opt "write_cluster" num_i t.write_cluster
-    @ (if t.scattered_layout then [ ("scattered_layout", Json.Bool true) ] else [])
-    @
-    if t.update_interval <> 30.0 then
-      [ ("update_interval_s", Json.Num t.update_interval) ]
-    else []
-  in
-  let disks =
-    List.map
-      (fun d ->
-        Json.Obj
-          [ ("drive", drive_to_json d.params); ("sched", Json.Str (sched_to_string d.sched)) ])
-      t.disks
-  in
-  let workloads =
-    List.map
-      (fun w ->
-        Json.Obj
-          ((match w.app with
-           | Named name -> [ ("app", Json.Str name) ]
-           | Inline program -> [ ("program", Wir.to_json program) ])
-          @ [ ("smart", Json.Bool w.smart); ("disk", num_i w.disk) ]
-          @ opt "manager" (fun m -> Json.Str m) w.manager
-          @ opt "file_blocks" num_i w.file_blocks))
-      t.workloads
-  in
-  let link_fields l =
-    [
-      ("latency_ms", Json.Num l.latency_ms);
-      ("bandwidth_mb_per_s", Json.Num l.bandwidth_mb_per_s);
-    ]
-  in
-  let fleet =
-    match t.fleet with
-    | None -> []
-    | Some f ->
-      let links =
-        (* Canonical order: ascending client index (parse accepts any). *)
-        match List.sort (fun (a, _) (b, _) -> compare a b) f.links with
-        | [] -> []
-        | ls ->
-          [
-            ( "links",
-              Json.List
-                (List.map
-                   (fun (c, l) -> Json.Obj (("client", num_i c) :: link_fields l))
-                   ls) );
-          ]
-      in
-      [
-        ( "fleet",
-          Json.Obj
-            ([ ("clients", num_i f.clients) ]
-            @ (if f.shared_files <> 0 then [ ("shared_files", num_i f.shared_files) ]
-               else [])
-            @ [
-                ( "server",
-                  Json.Obj
-                    [
-                      ("cache_blocks", num_i f.server.server_cache_blocks);
-                      ("drive", drive_to_json f.server.server_drive);
-                    ] );
-                ("network", Json.Obj (link_fields f.net));
-              ]
-            @ links
-            @ opt "lookahead_ms" (fun v -> Json.Num v) f.lookahead_ms) );
-      ]
-  in
-  let obs =
-    opt "trace" (fun p -> Json.Str p) t.obs.trace_path
-    @ opt "metrics" (fun p -> Json.Str p) t.obs.metrics_path
-  in
-  Json.Obj
-    ([ ("schema", Json.Str schema); ("seed", num_i t.seed); ("cache", Json.Obj cache) ]
-    @ (if cpu <> [] then [ ("cpu", Json.Obj cpu) ] else [])
-    @ (if fs <> [] then [ ("fs", Json.Obj fs) ] else [])
-    @ [ ("disks", Json.List disks); ("workloads", Json.List workloads) ]
-    @ fleet
-    @ if obs <> [] then [ ("obs", Json.Obj obs) ] else [])
+  seal
+    (obj (fun clients shared_files server net links lookahead_ms ->
+         { clients; shared_files; server; net; links; lookahead_ms })
+    |> req "clients" (fun f -> f.clients) int
+    |> dflt "shared_files" ~default:0 (fun f -> f.shared_files) int
+    |> req "server"
+         (fun f -> f.server)
+         (seal
+            (obj (fun server_cache_blocks server_drive ->
+                 { server_cache_blocks; server_drive })
+            |> req "cache_blocks" (fun s -> s.server_cache_blocks) int
+            |> req "drive" (fun s -> s.server_drive) drive))
+    |> req "network" (fun f -> f.net) (seal link)
+    (* Canonical order: ascending client index (decode accepts any). *)
+    |> dflt "links" ~default:[]
+         (fun f -> List.sort (fun (a, _) (b, _) -> compare a b) f.links)
+         (list
+            (seal
+               (obj (fun client l -> (client, l))
+               |> req "client" fst int |> flat snd link)))
+    |> opt "lookahead_ms" (fun f -> f.lookahead_ms) float)
 
-(* {3 Parsing} *)
+let codec =
+  Codec.check check
+    Codec.(seal
+       (obj
+          (fun seed config (hit_cost, io_cpu_cost)
+               (readahead, write_cluster, scattered_layout, update_interval) disks
+               workloads fleet obs ->
+            {
+              seed = Option.value seed ~default:0;
+              config;
+              update_interval;
+              hit_cost;
+              io_cpu_cost;
+              write_cluster;
+              readahead;
+              scattered_layout;
+              disks = Option.value disks ~default:default_disks;
+              workloads;
+              fleet;
+              obs;
+            })
+       |> schema "acfc-scenario/1"
+       |> opt "seed" (fun t -> Some t.seed) int
+       |> req "cache" (fun t -> t.config) cache
+       |> dflt "cpu" ~default:(None, None)
+            (fun t -> (t.hit_cost, t.io_cpu_cost))
+            (seal
+               (obj (fun h i -> (h, i))
+               |> opt "hit_cost" fst float |> opt "io_cpu_cost" snd float))
+       |> dflt "fs" ~default:(None, None, false, 30.0)
+            (fun t -> (t.readahead, t.write_cluster, t.scattered_layout, t.update_interval))
+            (seal
+               (obj (fun r w s u -> (r, w, s, u))
+               |> opt "readahead" (fun (r, _, _, _) -> r) bool
+               |> opt "write_cluster" (fun (_, w, _, _) -> w) int
+               |> dflt "scattered_layout" ~default:false (fun (_, _, s, _) -> s) bool
+               |> dflt "update_interval_s" ~default:30.0 (fun (_, _, _, u) -> u) float))
+       |> opt "disks"
+            (fun t -> Some t.disks)
+            (list
+               (seal
+                  (obj (fun params sched ->
+                       { params; sched = Option.value sched ~default:Disk.Fcfs })
+                  |> req "drive" (fun d -> d.params) drive
+                  |> opt "sched"
+                       (fun d -> Some d.sched)
+                       (table ~what:"disk scheduler" [ ("fcfs", Disk.Fcfs); ("scan", Disk.Scan) ]))))
+       |> req "workloads" (fun t -> t.workloads) (list workload_codec)
+       |> opt "fleet" (fun t -> t.fleet) fleet_codec
+       |> dflt "obs" ~default:no_obs
+            (fun t -> t.obs)
+            (seal
+               (obj (fun trace_path metrics_path -> { trace_path; metrics_path })
+               |> opt "trace" (fun o -> o.trace_path) string
+               |> opt "metrics" (fun o -> o.metrics_path) string))))
 
-let ( let* ) = Result.bind
+let label = "scenario"
 
-let err path msg = Error (Printf.sprintf "scenario: %s at %s" msg path)
+let to_json t = Codec.encode codec t
 
-let fields ~path ~known j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      List.fold_left
-        (fun acc (k, _) ->
-          let* () = acc in
-          if List.mem k known then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        (Ok ()) members
-    in
-    Ok members
-  | _ -> err path "expected an object"
+let of_json j = Codec.decode ~label codec j
 
-let field name members = List.assoc_opt name members
+let to_string t = Codec.to_string codec t
 
-let require ~path name members =
-  match field name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
+let of_string s = Codec.of_string ~label codec s
 
-let as_int ~path = function
-  | Json.Num _ as v ->
-    (match Json.to_int v with
-    | Some n -> Ok n
-    | None -> err path "expected an integer")
-  | _ -> err path "expected an integer"
+let save t path = Codec.save codec t path
 
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_bool ~path = function
-  | Json.Bool b -> Ok b
-  | _ -> err path "expected a boolean"
-
-let as_list ~path = function
-  | Json.List l -> Ok l
-  | _ -> err path "expected a list"
-
-let opt_field ~path name conv members =
-  match field name members with
-  | None -> Ok None
-  | Some v ->
-    let* v = conv ~path:(path ^ "." ^ name) v in
-    Ok (Some v)
-
-(* Fold a parser over list elements with indexed paths. *)
-let mapi_result ~path f l =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f ~path:(Printf.sprintf "%s[%d]" path i) x in
-      go (i + 1) (v :: acc) rest
-  in
-  go 0 [] l
-
-let parse_revocation ~path j =
-  let* members = fields ~path ~known:[ "min_decisions"; "mistake_ratio" ] j in
-  let* md = require ~path "min_decisions" members in
-  let* min_decisions = as_int ~path:(path ^ ".min_decisions") md in
-  let* mr = require ~path "mistake_ratio" members in
-  let* mistake_ratio = as_num ~path:(path ^ ".mistake_ratio") mr in
-  Ok { Config.min_decisions; mistake_ratio }
-
-let parse_cache ~path j =
-  let* members =
-    fields ~path
-      ~known:
-        [
-          "capacity_blocks";
-          "alloc_policy";
-          "max_managers";
-          "max_levels";
-          "max_file_records";
-          "max_placeholders";
-          "revocation";
-          "shared_files";
-        ]
-      j
-  in
-  let* cb = require ~path "capacity_blocks" members in
-  let* capacity_blocks = as_int ~path:(path ^ ".capacity_blocks") cb in
-  let* alloc_policy =
-    match field "alloc_policy" members with
-    | None -> Ok Config.Lru_sp
-    | Some v ->
-      let path = path ^ ".alloc_policy" in
-      let* s = as_str ~path v in
-      (match Config.alloc_policy_of_string s with
-      | Some p -> Ok p
-      | None ->
-        err path
-          (Printf.sprintf
-             "unknown allocation policy %S (expected global-lru, alloc-lru, lru-s, \
-              lru-sp or clock-sp)"
-             s))
-  in
-  let* max_managers = opt_field ~path "max_managers" as_int members in
-  let* max_levels = opt_field ~path "max_levels" as_int members in
-  let* max_file_records = opt_field ~path "max_file_records" as_int members in
-  let* max_placeholders = opt_field ~path "max_placeholders" as_int members in
-  let* revocation = opt_field ~path "revocation" parse_revocation members in
-  let* shared_files =
-    match field "shared_files" members with
-    | None -> Ok None
-    | Some v ->
-      let path = path ^ ".shared_files" in
-      let* s = as_str ~path v in
-      (match shared_files_of_string s with
-      | Some sf -> Ok (Some sf)
-      | None ->
-        err path (Printf.sprintf "unknown shared_files mode %S (expected transfer or sticky)" s))
-  in
-  try
-    Ok
-      (Config.make ~alloc_policy ?max_managers ?max_levels ?max_file_records
-         ?max_placeholders ?revocation ?shared_files ~capacity_blocks ())
-  with Invalid_argument m -> err path m
-
-let parse_drive ~path j =
-  match j with
-  | Json.Str name ->
-    (match List.assoc_opt name named_drives with
-    | Some p -> Ok p
-    | None ->
-      err path
-        (Printf.sprintf "unknown drive %S (expected rz56, rz26 or a parameter object)"
-           name))
-  | Json.Obj _ ->
-    let* members =
-      fields ~path
-        ~known:
-          [
-            "name";
-            "capacity_blocks";
-            "min_seek_ms";
-            "avg_seek_ms";
-            "max_seek_ms";
-            "avg_rot_ms";
-            "transfer_mb_per_s";
-            "overhead_ms";
-            "seq_rot_factor";
-          ]
-        j
-    in
-    let str name =
-      let* v = require ~path name members in
-      as_str ~path:(path ^ "." ^ name) v
-    in
-    let int name =
-      let* v = require ~path name members in
-      as_int ~path:(path ^ "." ^ name) v
-    in
-    let num name =
-      let* v = require ~path name members in
-      as_num ~path:(path ^ "." ^ name) v
-    in
-    let* name = str "name" in
-    let* capacity_blocks = int "capacity_blocks" in
-    let* min_seek_ms = num "min_seek_ms" in
-    let* avg_seek_ms = num "avg_seek_ms" in
-    let* max_seek_ms = num "max_seek_ms" in
-    let* avg_rot_ms = num "avg_rot_ms" in
-    let* transfer_mb_per_s = num "transfer_mb_per_s" in
-    let* overhead_ms = num "overhead_ms" in
-    let* seq_rot_factor = num "seq_rot_factor" in
-    Ok
-      {
-        Params.name;
-        capacity_blocks;
-        min_seek_ms;
-        avg_seek_ms;
-        max_seek_ms;
-        avg_rot_ms;
-        transfer_mb_per_s;
-        overhead_ms;
-        seq_rot_factor;
-      }
-  | _ -> err path "expected a drive name or parameter object"
-
-let parse_disk ~path j =
-  let* members = fields ~path ~known:[ "drive"; "sched" ] j in
-  let* d = require ~path "drive" members in
-  let* params = parse_drive ~path:(path ^ ".drive") d in
-  let* sched =
-    match field "sched" members with
-    | None -> Ok Disk.Fcfs
-    | Some v ->
-      let path = path ^ ".sched" in
-      let* s = as_str ~path v in
-      (match sched_of_string s with
-      | Some sched -> Ok sched
-      | None ->
-        err path (Printf.sprintf "unknown disk scheduler %S (expected fcfs or scan)" s))
-  in
-  Ok { params; sched }
-
-let parse_workload ~n_disks ~path j =
-  let* members =
-    fields ~path ~known:[ "app"; "program"; "smart"; "disk"; "manager"; "file_blocks" ] j
-  in
-  let* file_blocks = opt_field ~path "file_blocks" as_int members in
-  (* A workload is either a catalog name ("app") or an inline workload
-     IR program ("program"), never both. *)
-  let* app, smart_default, disk_default =
-    match (field "app" members, field "program" members) with
-    | Some _, Some _ -> err path {|pass "app" or "program", not both|}
-    | None, None -> err path {|missing required field "app" or "program"|}
-    | Some a, None ->
-      let* name = as_str ~path:(path ^ ".app") a in
-      let* entry =
-        match Catalog.resolve ?file_blocks name with
-        | Ok e -> Ok e
-        | Error msg -> err (path ^ ".app") msg
-      in
-      Ok (Named name, entry.Catalog.smart_default, entry.Catalog.disk)
-    | None, Some p ->
-      let path = path ^ ".program" in
-      let* () =
-        if file_blocks = None then Ok ()
-        else err path "an inline program does not take file_blocks"
-      in
-      let* program = Wir.of_json_at ~label:"scenario" ~path p in
-      let* () = Wir.validate_at ~label:"scenario" ~path program in
-      Ok (Inline program, true, 0)
-  in
-  let* smart =
-    match field "smart" members with
-    | None -> Ok smart_default
-    | Some v -> as_bool ~path:(path ^ ".smart") v
-  in
-  let* disk =
-    match field "disk" members with
-    | None -> Ok disk_default
-    | Some v -> as_int ~path:(path ^ ".disk") v
-  in
-  let* manager = opt_field ~path "manager" as_str members in
-  (* The registry's own message (valid names, near-match suggestion)
-     is surfaced verbatim under this workload's manager path. *)
-  let* () =
-    match check_manager manager with
-    | Ok () -> Ok ()
-    | Error msg -> err (path ^ ".manager") msg
-  in
-  if disk < 0 || disk >= n_disks then
-    err (path ^ ".disk")
-      (Printf.sprintf "disk index %d out of range (%d disk%s)" disk n_disks
-         (if n_disks = 1 then "" else "s"))
-  else Ok { app; smart; disk; file_blocks; manager }
-
-let parse_obs ~path j =
-  let* members = fields ~path ~known:[ "trace"; "metrics" ] j in
-  let* trace_path = opt_field ~path "trace" as_str members in
-  let* metrics_path = opt_field ~path "metrics" as_str members in
-  Ok { trace_path; metrics_path }
-
-let parse_link_fields ~path members =
-  let* v = require ~path "latency_ms" members in
-  let* latency_ms = as_num ~path:(path ^ ".latency_ms") v in
-  let* v = require ~path "bandwidth_mb_per_s" members in
-  let* bandwidth_mb_per_s = as_num ~path:(path ^ ".bandwidth_mb_per_s") v in
-  Ok { latency_ms; bandwidth_mb_per_s }
-
-let parse_fleet ~path j =
-  let* members =
-    fields ~path
-      ~known:
-        [ "clients"; "shared_files"; "server"; "network"; "links"; "lookahead_ms" ]
-      j
-  in
-  let* v = require ~path "clients" members in
-  let* clients = as_int ~path:(path ^ ".clients") v in
-  let* shared_files =
-    match field "shared_files" members with
-    | None -> Ok 0
-    | Some v -> as_int ~path:(path ^ ".shared_files") v
-  in
-  let* s = require ~path "server" members in
-  let* server =
-    let path = path ^ ".server" in
-    let* members = fields ~path ~known:[ "cache_blocks"; "drive" ] s in
-    let* v = require ~path "cache_blocks" members in
-    let* server_cache_blocks = as_int ~path:(path ^ ".cache_blocks") v in
-    let* v = require ~path "drive" members in
-    let* server_drive = parse_drive ~path:(path ^ ".drive") v in
-    Ok { server_cache_blocks; server_drive }
-  in
-  let* n = require ~path "network" members in
-  let* net =
-    let path = path ^ ".network" in
-    let* members = fields ~path ~known:[ "latency_ms"; "bandwidth_mb_per_s" ] n in
-    parse_link_fields ~path members
-  in
-  let* links =
-    match field "links" members with
-    | None -> Ok []
-    | Some v ->
-      let path = path ^ ".links" in
-      let* l = as_list ~path v in
-      mapi_result ~path
-        (fun ~path j ->
-          let* members =
-            fields ~path ~known:[ "client"; "latency_ms"; "bandwidth_mb_per_s" ] j
-          in
-          let* v = require ~path "client" members in
-          let* client = as_int ~path:(path ^ ".client") v in
-          let* link = parse_link_fields ~path members in
-          Ok (client, link))
-        l
-  in
-  let* lookahead_ms = opt_field ~path "lookahead_ms" as_num members in
-  let f =
-    { clients; shared_files; server; net; links; lookahead_ms }
-  in
-  match fleet_check f with
-  | Ok () -> Ok f
-  | Error (sub, msg) -> err (path ^ sub) msg
-
-let of_json j =
-  let path = "$" in
-  let* members =
-    fields ~path
-      ~known:
-        [ "schema"; "seed"; "cache"; "cpu"; "fs"; "disks"; "workloads"; "fleet"; "obs" ]
-      j
-  in
-  let* s = require ~path "schema" members in
-  let* schema_str = as_str ~path:"$.schema" s in
-  let* () =
-    if schema_str = schema then Ok ()
-    else
-      err "$.schema"
-        (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-  in
-  let* seed =
-    match field "seed" members with
-    | None -> Ok 0
-    | Some v -> as_int ~path:"$.seed" v
-  in
-  let* c = require ~path "cache" members in
-  let* config = parse_cache ~path:"$.cache" c in
-  let* hit_cost, io_cpu_cost =
-    match field "cpu" members with
-    | None -> Ok (None, None)
-    | Some v ->
-      let path = "$.cpu" in
-      let* members = fields ~path ~known:[ "hit_cost"; "io_cpu_cost" ] v in
-      let* hit_cost = opt_field ~path "hit_cost" as_num members in
-      let* io_cpu_cost = opt_field ~path "io_cpu_cost" as_num members in
-      Ok (hit_cost, io_cpu_cost)
-  in
-  let* readahead, write_cluster, scattered_layout, update_interval =
-    match field "fs" members with
-    | None -> Ok (None, None, false, 30.0)
-    | Some v ->
-      let path = "$.fs" in
-      let* members =
-        fields ~path
-          ~known:[ "readahead"; "write_cluster"; "scattered_layout"; "update_interval_s" ]
-          v
-      in
-      let* readahead = opt_field ~path "readahead" as_bool members in
-      let* write_cluster = opt_field ~path "write_cluster" as_int members in
-      let* scattered = opt_field ~path "scattered_layout" as_bool members in
-      let* interval = opt_field ~path "update_interval_s" as_num members in
-      Ok
-        ( readahead,
-          write_cluster,
-          Option.value scattered ~default:false,
-          Option.value interval ~default:30.0 )
-  in
-  let* disks =
-    match field "disks" members with
-    | None -> Ok default_disks
-    | Some v ->
-      let* l = as_list ~path:"$.disks" v in
-      if l = [] then err "$.disks" "disks must be non-empty"
-      else mapi_result ~path:"$.disks" parse_disk l
-  in
-  let* w = require ~path "workloads" members in
-  let* wl = as_list ~path:"$.workloads" w in
-  let* () = if wl = [] then err "$.workloads" "workloads must be non-empty" else Ok () in
-  let* workloads =
-    mapi_result ~path:"$.workloads" (parse_workload ~n_disks:(List.length disks)) wl
-  in
-  let* fleet =
-    match field "fleet" members with
-    | None -> Ok None
-    | Some v ->
-      let* f = parse_fleet ~path:"$.fleet" v in
-      Ok (Some f)
-  in
-  let* obs =
-    match field "obs" members with
-    | None -> Ok no_obs
-    | Some v -> parse_obs ~path:"$.obs" v
-  in
-  Ok
-    {
-      seed;
-      config;
-      update_interval;
-      hit_cost;
-      io_cpu_cost;
-      write_cluster;
-      readahead;
-      scattered_layout;
-      disks;
-      workloads;
-      fleet;
-      obs;
-    }
-
-let to_string t = Json.to_string (to_json t)
-
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("scenario: invalid JSON: " ^ e)
-  | Ok j -> of_json j
-
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
-
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("scenario: " ^ e)
-  | contents -> of_string contents
+let load path = Codec.load ~label codec path
 
 let hash t = Digest.to_hex (Digest.string (to_string t))
 

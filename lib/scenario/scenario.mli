@@ -161,9 +161,15 @@ val make :
     the optional [revocation] / [shared_files] knobs. [disk_sched]
     overrides the discipline of every disk in [disks] (which default to
     {!default_disks}); [update_interval] defaults to 30 s. Raises
-    [Invalid_argument] on an empty workload list, an out-of-range disk
-    index, conflicting [config] + cache knobs, or an invalid [fleet]
-    (bad link index, non-positive latency, lookahead above the bound). *)
+    [Invalid_argument] on a [seed] beyond ±2{^53} (the canonical JSON
+    form could not hold it), an empty workload list, an out-of-range disk
+    index, conflicting [config] + cache knobs, an invalid [fleet] (bad
+    link index, non-positive latency, lookahead above the bound), or a
+    machine number that would hang or break a run: [update_interval]
+    not finite and > 0, [write_cluster] below 1, a negative or
+    non-finite [hit_cost] / [io_cpu_cost], or drive parameters with a
+    capacity below 1 block, a transfer rate not finite and > 0, or a
+    negative or non-finite time. {!of_json} applies the same checks. *)
 
 (** {2 Fleet helpers} *)
 
@@ -263,23 +269,21 @@ val run_specs :
   Acfc_workload.Runner.t
 (** Escape hatch for programmatically-constructed {!Acfc_workload.App.t}
     values that have no catalog name (custom workloads in tests and
-    examples). Same machine assembly and defaults as {!run}; anything
-    expressible by name should use a scenario instead, so it can be
-    saved and replayed. *)
+    examples). Same machine assembly, defaults and machine-number checks
+    as {!run} and {!make}; anything expressible by name should use a
+    scenario instead, so it can be saved and replayed. *)
 
 (** {2 Serialisation (acfc-scenario/1)} *)
 
-val schema : string
-(** ["acfc-scenario/1"]. *)
-
 val to_json : t -> Acfc_obs.Json.t
-(** Canonical JSON form: stable field order, defaults omitted.
-    [of_json (to_json t)] re-reads every scenario exactly. *)
+(** Canonical JSON form: stable member order, defaults omitted. *)
 
 val of_json : Acfc_obs.Json.t -> (t, string) result
 (** Errors are prefixed ["scenario:"] and name the offending path,
-    e.g. [scenario: unknown field "polcy" at $.cache]. Unknown fields,
-    bad enum values and out-of-range disk indices are all rejected. *)
+    e.g. [scenario: unknown field "polcy" at $.cache]. Unknown and
+    duplicate members, bad enum values, out-of-range disk indices and
+    out-of-range machine numbers are all rejected, with the same checks
+    as {!make}. *)
 
 val to_string : t -> string
 (** Single-line canonical JSON. *)

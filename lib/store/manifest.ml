@@ -1,4 +1,4 @@
-module Json = Acfc_obs.Json
+module Codec = Acfc_obs.Codec
 
 type entry = {
   seq : int;
@@ -10,8 +10,6 @@ type entry = {
 
 type t = { next_seq : int; entries : entry list }
 (* [entries] is kept in ascending [seq] order. *)
-
-let schema = "acfc-store/1"
 
 let empty = { next_seq = 0; entries = [] }
 
@@ -62,183 +60,65 @@ let add t ~kind ~digest ~bytes ~label =
       let e = { seq = t.next_seq; kind; digest; bytes; label } in
       Ok ({ next_seq = t.next_seq + 1; entries = t.entries @ [ e ] }, e))
 
-(* Codec — same strict discipline as the scenario/wir/wirgen formats. *)
-
-let entry_to_json e =
-  Json.Obj
-    (List.concat
-       [
-         [
-           ("seq", Json.Num (float_of_int e.seq));
-           ("kind", Json.Str (Kind.to_string e.kind));
-           ("digest", Json.Str e.digest);
-           ("bytes", Json.Num (float_of_int e.bytes));
-         ];
-         (match e.label with
-         | None -> []
-         | Some l -> [ ("label", Json.Str l) ]);
-       ])
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("next_seq", Json.Num (float_of_int t.next_seq));
-      ("entries", Json.List (List.map entry_to_json t.entries));
-    ]
-
-let ( let* ) = Result.bind
-
-let err path msg = Error (Printf.sprintf "store: %s at %s" msg path)
-
-let require ~path name members =
-  match List.assoc_opt name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_int ~path v =
-  match Json.to_int v with
-  | Some n -> Ok n
-  | None -> err path "expected an integer"
+(* {2 Codec} *)
 
 let is_hex_digest s =
   String.length s = 32
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
-       s
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
 
-let entry_fields = [ "seq"; "kind"; "digest"; "bytes"; "label" ]
+let entry =
+  let open Codec in
+  let valid ok msg = check (fun v -> if ok v then Ok () else Error ("", msg)) in
+  seal ~expected:"an entry object"
+    (obj (fun seq kind digest bytes label -> { seq; kind; digest; bytes; label })
+    |> req "seq" (fun e -> e.seq) (valid (fun n -> n >= 0) "sequence must be non-negative" int)
+    |> req "kind" (fun e -> e.kind) (enum ~what:"artifact kind" Kind.to_string Kind.of_string)
+    |> req "digest"
+         (fun e -> e.digest)
+         (valid is_hex_digest "expected 32 lowercase hex characters" string)
+    |> req "bytes" (fun e -> e.bytes) (valid (fun n -> n >= 0) "size must be non-negative" int)
+    |> opt "label"
+         (fun e -> e.label)
+         (valid (fun l -> l <> "") "label must be non-empty" string))
 
-let entry_of_json ~path = function
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k entry_fields then check rest
-          else err path (Printf.sprintf "unknown field %S" k)
-      in
-      check members
-    in
-    let* seq =
-      let* v = require ~path "seq" members in
-      as_int ~path:(path ^ ".seq") v
-    in
-    let* () =
-      if seq >= 0 then Ok () else err (path ^ ".seq") "sequence must be non-negative"
-    in
-    let* kind =
-      let* v = require ~path "kind" members in
-      let* s = as_str ~path:(path ^ ".kind") v in
-      match Kind.of_string s with
-      | Some k -> Ok k
-      | None -> err (path ^ ".kind") (Printf.sprintf "unknown artifact kind %S" s)
-    in
-    let* digest =
-      let* v = require ~path "digest" members in
-      let* s = as_str ~path:(path ^ ".digest") v in
-      if is_hex_digest s then Ok s
-      else err (path ^ ".digest") "expected 32 lowercase hex characters"
-    in
-    let* bytes =
-      let* v = require ~path "bytes" members in
-      as_int ~path:(path ^ ".bytes") v
-    in
-    let* () =
-      if bytes >= 0 then Ok () else err (path ^ ".bytes") "size must be non-negative"
-    in
-    let* label =
-      match List.assoc_opt "label" members with
-      | None -> Ok None
-      | Some v ->
-        let* s = as_str ~path:(path ^ ".label") v in
-        if s = "" then err (path ^ ".label") "label must be non-empty"
-        else Ok (Some s)
-    in
-    Ok { seq; kind; digest; bytes; label }
-  | _ -> err path "expected an entry object"
+(* Sequence numbers strictly increase below [next_seq], and a label
+   names one artifact. *)
+let invariants t =
+  let rec increasing prev = function
+    | [] -> Ok ()
+    | e :: rest ->
+      if e.seq <= prev then Error (".entries", "sequence numbers must be strictly increasing")
+      else if e.seq >= t.next_seq then Error (".entries", "sequence number exceeds next_seq")
+      else increasing e.seq rest
+  in
+  let seen = Hashtbl.create 16 in
+  let rec labels = function
+    | [] -> Ok ()
+    | { label = Some l; digest; kind; _ } :: rest ->
+      (match Hashtbl.find_opt seen l with
+      | Some (k', d') when k' <> kind || not (String.equal d' digest) ->
+        Error (".entries", Printf.sprintf "label %S bound to two digests" l)
+      | _ ->
+        Hashtbl.replace seen l (kind, digest);
+        labels rest)
+    | _ :: rest -> labels rest
+  in
+  Result.bind (increasing (-1) t.entries) (fun () -> labels t.entries)
 
-let known_fields = [ "schema"; "next_seq"; "entries" ]
+let codec =
+  let open Codec in
+  check invariants
+    (seal ~expected:"a manifest object"
+       (obj (fun next_seq entries -> { next_seq; entries })
+       |> schema "acfc-store/1"
+       |> req "next_seq" (fun t -> t.next_seq) int
+       |> req "entries" (fun t -> t.entries) (list ~expected:"a list of entries" entry)))
 
-let of_json = function
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k known_fields then check rest
-          else err "$" (Printf.sprintf "unknown field %S" k)
-      in
-      check members
-    in
-    let* s = require ~path:"$" "schema" members in
-    let* schema_str = as_str ~path:"$.schema" s in
-    let* () =
-      if schema_str = schema then Ok ()
-      else
-        err "$.schema"
-          (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-    in
-    let* next_seq =
-      let* v = require ~path:"$" "next_seq" members in
-      as_int ~path:"$.next_seq" v
-    in
-    let* raw =
-      let* v = require ~path:"$" "entries" members in
-      match v with
-      | Json.List l -> Ok l
-      | _ -> err "$.entries" "expected a list of entries"
-    in
-    let* entries =
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc)
-        | e :: rest ->
-          let path = Printf.sprintf "$.entries[%d]" i in
-          let* e = entry_of_json ~path e in
-          go (i + 1) (e :: acc) rest
-      in
-      go 0 [] raw
-    in
-    let* () =
-      let rec check prev = function
-        | [] -> Ok ()
-        | e :: rest ->
-          if e.seq <= prev then
-            err "$.entries" "sequence numbers must be strictly increasing"
-          else if e.seq >= next_seq then
-            err "$.entries" "sequence number exceeds next_seq"
-          else check e.seq rest
-      in
-      check (-1) entries
-    in
-    let* () =
-      let seen = Hashtbl.create 16 in
-      let rec check = function
-        | [] -> Ok ()
-        | { label = Some l; digest; kind; _ } :: rest ->
-          (match Hashtbl.find_opt seen l with
-          | Some (k', d') when k' <> kind || not (String.equal d' digest) ->
-            err "$.entries" (Printf.sprintf "label %S bound to two digests" l)
-          | _ ->
-            Hashtbl.replace seen l (kind, digest);
-            check rest)
-        | _ :: rest -> check rest
-      in
-      check entries
-    in
-    Ok { next_seq; entries }
-  | _ -> err "$" "expected a manifest object"
+let label = "store"
 
-let to_string t = Json.to_string (to_json t)
+let to_string t = Codec.to_string codec t
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("store: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string s = Codec.of_string ~label codec s
 
 let save t path =
   let dir = Filename.dirname path in
@@ -255,12 +135,4 @@ let save t path =
      raise e);
   Sys.rename tmp path
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("store: " ^ e)
-  | contents -> of_string contents
+let load path = Codec.load ~label codec path

@@ -15,8 +15,9 @@
     digest (enforced by {!add}).
 
     The codec follows the same discipline as the scenario / wir /
-    wirgen formats: a [schema] field pinned to {!schema}, unknown
-    fields rejected, and every error naming its [$.path]. *)
+    wirgen formats: a [schema] member pinned to ["acfc-store/1"],
+    unknown and duplicate members rejected, and every error naming its
+    [$.path]. *)
 
 type entry = {
   seq : int;  (** ingestion order, unique across the whole store *)
@@ -27,9 +28,6 @@ type entry = {
 }
 
 type t
-
-val schema : string
-(** ["acfc-store/1"]. *)
 
 val empty : t
 
@@ -56,8 +54,6 @@ val remove : t -> kind:Kind.t -> digest:string -> t
 
 (** {2 Codec} *)
 
-val to_json : t -> Acfc_obs.Json.t
-val of_json : Acfc_obs.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

@@ -1,7 +1,7 @@
 module Policy = Acfc_core.Policy
 module Block = Acfc_core.Block
 module Rng = Acfc_sim.Rng
-module Json = Acfc_obs.Json
+module Codec = Acfc_obs.Codec
 
 let block_bytes = Acfc_disk.Params.block_bytes
 
@@ -86,24 +86,15 @@ let file_count t = List.fold_left count_opens 0 t.ops
 
 (* {2 Static checking}
 
-   Internal errors are (path, message) pairs; the boundary functions
-   stamp on the label ("wir:" or the embedding document's), so a
-   program nested in a scenario reports scenario-rooted paths. *)
+   Errors are (sub-path, message) pairs; [validate] and the embedding
+   document's codec stamp on the root path and label, so a program
+   nested in a scenario reports scenario-rooted paths. *)
 
 let ( let* ) = Result.bind
 
-let fmt ~label = Result.map_error (fun (path, msg) -> Printf.sprintf "%s: %s at %s" label msg path)
-
 type slot = { reserve : int; file_name : string; mutable live : bool }
 
-let iter_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* () = acc in
-      f x)
-    (Ok ()) l
-
-let check ~path t =
+let check t =
   let slots : slot array ref = ref [||] in
   let n_slots = ref 0 in
   let push s =
@@ -216,21 +207,21 @@ let check ~path t =
     r
   in
   let* () =
-    if t.name = "" then Error (path ^ ".name", "program name must be non-empty") else Ok ()
+    if t.name = "" then Error (".name", "program name must be non-empty") else Ok ()
   in
   let _, r =
     List.fold_left
       (fun (i, acc) op ->
         ( i + 1,
           let* () = acc in
-          check_op ~static:true ~path:(Printf.sprintf "%s.ops[%d]" path i) op ))
+          check_op ~static:true ~path:(Printf.sprintf ".ops[%d]" i) op ))
       (0, Ok ()) t.ops
   in
   r
 
-let validate_at ~label ~path t = fmt ~label (check ~path t)
+let label = "wir"
 
-let validate t = validate_at ~label:"wir" ~path:"$" t
+let validate t = Result.map_error (fun (sub, msg) -> Codec.error ~label ("$" ^ sub, msg)) (check t)
 
 (* {2 Execution} *)
 
@@ -334,351 +325,138 @@ let references ?rng t =
 
 (* {2 Serialisation} *)
 
-let schema = "acfc-wir/1"
-
-let num_i n = Json.Num (float_of_int n)
-
-let advice_to_json = function
-  | Priority { file; prio } ->
-    [ ("kind", Json.Str "priority"); ("file", num_i file); ("prio", num_i prio) ]
-  | Policy { prio; policy } ->
+let advice =
+  let open Codec in
+  variant ~tag:"kind" ~what:"advice kind"
     [
-      ("kind", Json.Str "policy");
-      ("prio", num_i prio);
-      ("policy", Json.Str (Policy.to_string policy));
-    ]
-  | Temppri { file; first; last; prio } ->
-    [
-      ("kind", Json.Str "temppri");
-      ("file", num_i file);
-      ("first", num_i first);
-      ("last", num_i last);
-      ("prio", num_i prio);
-    ]
-  | Done_with { file; index } ->
-    [ ("kind", Json.Str "done_with"); ("file", num_i file); ("index", num_i index) ]
-
-let rec op_to_json op =
-  let rw tag file first count cpu done_with =
-    [ ("op", Json.Str tag); ("file", num_i file); ("first", num_i first); ("count", num_i count) ]
-    @ (if cpu <> 0.0 then [ ("cpu", Json.Num cpu) ] else [])
-    @ if done_with then [ ("done_with", Json.Bool true) ] else []
-  in
-  Json.Obj
-    (match op with
-    | Open { name; size_blocks; reserve_blocks } ->
-      [ ("op", Json.Str "open"); ("name", Json.Str name); ("size_blocks", num_i size_blocks) ]
-      @
-      if reserve_blocks <> Stdlib.max 1 size_blocks then
-        [ ("reserve_blocks", num_i reserve_blocks) ]
-      else []
-    | Read { file; first; count; cpu; done_with } -> rw "read" file first count cpu done_with
-    | Write { file; first; count; cpu; done_with } ->
-      rw "write" file first count cpu done_with
-    | Rand_read { file; base; range; cpu } ->
-      [
-        ("op", Json.Str "rand_read");
-        ("file", num_i file);
-        ("base", num_i base);
-        ("range", num_i range);
-      ]
-      @ (if cpu <> 0.0 then [ ("cpu", Json.Num cpu) ] else [])
-    | Compute seconds -> [ ("op", Json.Str "compute"); ("seconds", Json.Num seconds) ]
-    | Advise advice -> ("op", Json.Str "advise") :: advice_to_json advice
-    | Unlink { file } -> [ ("op", Json.Str "unlink"); ("file", num_i file) ]
-    | Seq body -> [ ("op", Json.Str "seq"); ("body", Json.List (List.map op_to_json body)) ]
-    | Loop { times; body } ->
-      [
-        ("op", Json.Str "loop");
-        ("times", num_i times);
-        ("body", Json.List (List.map op_to_json body));
-      ]
-    | Choice { prob; if_true; if_false } ->
-      [
-        ("op", Json.Str "choice");
-        ("prob", Json.Num prob);
-        ("then", Json.List (List.map op_to_json if_true));
-      ]
-      @
-      if if_false <> [] then [ ("else", Json.List (List.map op_to_json if_false)) ]
-      else [])
-
-let to_json t =
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("name", Json.Str t.name);
-      ("category", Json.Str t.category);
-      ("ops", Json.List (List.map op_to_json t.ops));
+      case "priority"
+        (function Priority { file; prio } -> Some (file, prio) | _ -> None)
+        (obj (fun file prio -> Priority { file; prio })
+        |> req "file" fst int |> req "prio" snd int);
+      case "policy"
+        (function Policy { prio; policy } -> Some (prio, policy) | _ -> None)
+        (obj (fun prio policy -> Policy { prio; policy })
+        |> req "prio" fst int
+        |> req "policy" snd
+             (enum ~what:"policy" ~expected:"lru or mru" Policy.to_string Policy.of_string));
+      case "temppri"
+        (function
+          | Temppri { file; first; last; prio } -> Some (file, first, last, prio) | _ -> None)
+        (obj (fun file first last prio -> Temppri { file; first; last; prio })
+        |> req "file" (fun (f, _, _, _) -> f) int
+        |> req "first" (fun (_, f, _, _) -> f) int
+        |> req "last" (fun (_, _, l, _) -> l) int
+        |> req "prio" (fun (_, _, _, p) -> p) int);
+      case "done_with"
+        (function Done_with { file; index } -> Some (file, index) | _ -> None)
+        (obj (fun file index -> Done_with { file; index })
+        |> req "file" fst int |> req "index" snd int);
     ]
 
-(* {3 Parsing} *)
-
-let err path msg = Error (path, msg)
-
-let fields ~path ~known j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      iter_result
-        (fun (k, _) ->
-          if List.mem k known then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        members
-    in
-    Ok members
-  | _ -> err path "expected an object"
-
-let field name members = List.assoc_opt name members
-
-let require ~path name members =
-  match field name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_int ~path = function
-  | Json.Num _ as v ->
-    (match Json.to_int v with
-    | Some n -> Ok n
-    | None -> err path "expected an integer")
-  | _ -> err path "expected an integer"
-
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_bool ~path = function
-  | Json.Bool b -> Ok b
-  | _ -> err path "expected a boolean"
-
-let as_list ~path = function
-  | Json.List l -> Ok l
-  | _ -> err path "expected a list"
-
-let req_int ~path name members =
-  let* v = require ~path name members in
-  as_int ~path:(path ^ "." ^ name) v
-
-let req_num ~path name members =
-  let* v = require ~path name members in
-  as_num ~path:(path ^ "." ^ name) v
-
-let opt_num ~path ~default name members =
-  match field name members with
-  | None -> Ok default
-  | Some v -> as_num ~path:(path ^ "." ^ name) v
-
-let opt_bool ~path ~default name members =
-  match field name members with
-  | None -> Ok default
-  | Some v -> as_bool ~path:(path ^ "." ^ name) v
-
-let mapi_result ~path f l =
-  let rec go i acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest ->
-      let* v = f ~path:(Printf.sprintf "%s[%d]" path i) x in
-      go (i + 1) (v :: acc) rest
-  in
-  go 0 [] l
-
-let parse_advice ~path members =
-  let* kind =
-    let* v = require ~path "kind" members in
-    as_str ~path:(path ^ ".kind") v
-  in
-  let known extra = [ "op"; "kind" ] @ extra in
-  let strict extra =
-    iter_result
-      (fun (k, _) ->
-        if List.mem k (known extra) then Ok ()
-        else err path (Printf.sprintf "unknown field %S" k))
-      members
-  in
-  match kind with
-  | "priority" ->
-    let* () = strict [ "file"; "prio" ] in
-    let* file = req_int ~path "file" members in
-    let* prio = req_int ~path "prio" members in
-    Ok (Priority { file; prio })
-  | "policy" ->
-    let* () = strict [ "prio"; "policy" ] in
-    let* prio = req_int ~path "prio" members in
-    let* p =
-      let* v = require ~path "policy" members in
-      as_str ~path:(path ^ ".policy") v
-    in
-    (match Policy.of_string p with
-    | Some policy -> Ok (Policy { prio; policy })
-    | None ->
-      err (path ^ ".policy") (Printf.sprintf "unknown policy %S (expected lru or mru)" p))
-  | "temppri" ->
-    let* () = strict [ "file"; "first"; "last"; "prio" ] in
-    let* file = req_int ~path "file" members in
-    let* first = req_int ~path "first" members in
-    let* last = req_int ~path "last" members in
-    let* prio = req_int ~path "prio" members in
-    Ok (Temppri { file; first; last; prio })
-  | "done_with" ->
-    let* () = strict [ "file"; "index" ] in
-    let* file = req_int ~path "file" members in
-    let* index = req_int ~path "index" members in
-    Ok (Done_with { file; index })
-  | k ->
-    err (path ^ ".kind")
-      (Printf.sprintf "unknown advice kind %S (expected priority, policy, temppri or done_with)"
-         k)
-
-let rec parse_op ~path j =
-  match j with
-  | Json.Obj members ->
-    let* tag =
-      let* v = require ~path "op" members in
-      as_str ~path:(path ^ ".op") v
-    in
-    let strict known =
-      iter_result
-        (fun (k, _) ->
-          if List.mem k ("op" :: known) then Ok ()
-          else err path (Printf.sprintf "unknown field %S" k))
-        members
-    in
-    let rw make =
-      let* () = strict [ "file"; "first"; "count"; "cpu"; "done_with" ] in
-      let* file = req_int ~path "file" members in
-      let* first = req_int ~path "first" members in
-      let* count = req_int ~path "count" members in
-      let* cpu = opt_num ~path ~default:0.0 "cpu" members in
-      let* done_with = opt_bool ~path ~default:false "done_with" members in
-      Ok (make ~file ~first ~count ~cpu ~done_with)
-    in
-    let body name =
-      let* v = require ~path name members in
-      let* l = as_list ~path:(path ^ "." ^ name) v in
-      mapi_result ~path:(path ^ "." ^ name) parse_op l
-    in
-    (match tag with
-    | "open" ->
-      let* () = strict [ "name"; "size_blocks"; "reserve_blocks" ] in
-      let* name =
-        let* v = require ~path "name" members in
-        as_str ~path:(path ^ ".name") v
+(* Defaults are omitted: [cpu] 0, [done_with] false, [reserve_blocks]
+   = max 1 [size_blocks], an empty [else]. *)
+let op =
+  Codec.fix (fun op ->
+      let open Codec in
+      let body = list op in
+      let rw tag proj ctor =
+        case tag proj
+          (obj ctor
+          |> req "file" (fun (f, _, _, _, _) -> f) int
+          |> req "first" (fun (_, f, _, _, _) -> f) int
+          |> req "count" (fun (_, _, c, _, _) -> c) int
+          |> dflt "cpu" ~default:0.0 (fun (_, _, _, c, _) -> c) float
+          |> dflt "done_with" ~default:false (fun (_, _, _, _, d) -> d) bool)
       in
-      let* size_blocks = req_int ~path "size_blocks" members in
-      let* reserve_blocks =
-        match field "reserve_blocks" members with
-        | None -> Ok (Stdlib.max 1 size_blocks)
-        | Some v -> as_int ~path:(path ^ ".reserve_blocks") v
-      in
-      Ok (Open { name; size_blocks; reserve_blocks })
-    | "read" ->
-      rw (fun ~file ~first ~count ~cpu ~done_with ->
-          Read { file; first; count; cpu; done_with })
-    | "write" ->
-      rw (fun ~file ~first ~count ~cpu ~done_with ->
-          Write { file; first; count; cpu; done_with })
-    | "rand_read" ->
-      let* () = strict [ "file"; "base"; "range"; "cpu" ] in
-      let* file = req_int ~path "file" members in
-      let* base = req_int ~path "base" members in
-      let* range = req_int ~path "range" members in
-      let* cpu = opt_num ~path ~default:0.0 "cpu" members in
-      Ok (Rand_read { file; base; range; cpu })
-    | "compute" ->
-      let* () = strict [ "seconds" ] in
-      let* seconds = req_num ~path "seconds" members in
-      Ok (Compute seconds)
-    | "advise" ->
-      let* advice = parse_advice ~path members in
-      Ok (Advise advice)
-    | "unlink" ->
-      let* () = strict [ "file" ] in
-      let* file = req_int ~path "file" members in
-      Ok (Unlink { file })
-    | "seq" ->
-      let* () = strict [ "body" ] in
-      let* ops = body "body" in
-      Ok (Seq ops)
-    | "loop" ->
-      let* () = strict [ "times"; "body" ] in
-      let* times = req_int ~path "times" members in
-      let* ops = body "body" in
-      Ok (Loop { times; body = ops })
-    | "choice" ->
-      let* () = strict [ "prob"; "then"; "else" ] in
-      let* prob = req_num ~path "prob" members in
-      let* if_true = body "then" in
-      let* if_false =
-        match field "else" members with
-        | None -> Ok []
-        | Some v ->
-          let* l = as_list ~path:(path ^ ".else") v in
-          mapi_result ~path:(path ^ ".else") parse_op l
-      in
-      Ok (Choice { prob; if_true; if_false })
-    | tag ->
-      err (path ^ ".op")
-        (Printf.sprintf
-           "unknown op %S (expected open, read, write, rand_read, compute, advise, \
-            unlink, seq, loop or choice)"
-           tag))
-  | _ -> err path "expected an op object"
+      seal ~expected:"an op object"
+        (variant ~tag:"op" ~what:"op"
+           [
+             case "open"
+               (function
+                 | Open { name; size_blocks; reserve_blocks } ->
+                   Some
+                     ( name,
+                       size_blocks,
+                       if reserve_blocks = Stdlib.max 1 size_blocks then None
+                       else Some reserve_blocks )
+                 | _ -> None)
+               (obj (fun name size_blocks reserve ->
+                    let reserve_blocks =
+                      Option.value reserve ~default:(Stdlib.max 1 size_blocks)
+                    in
+                    Open { name; size_blocks; reserve_blocks })
+               |> req "name" (fun (n, _, _) -> n) string
+               |> req "size_blocks" (fun (_, s, _) -> s) int
+               |> opt "reserve_blocks" (fun (_, _, r) -> r) int);
+             rw "read"
+               (function
+                 | Read { file; first; count; cpu; done_with } ->
+                   Some (file, first, count, cpu, done_with)
+                 | _ -> None)
+               (fun file first count cpu done_with ->
+                 Read { file; first; count; cpu; done_with });
+             rw "write"
+               (function
+                 | Write { file; first; count; cpu; done_with } ->
+                   Some (file, first, count, cpu, done_with)
+                 | _ -> None)
+               (fun file first count cpu done_with ->
+                 Write { file; first; count; cpu; done_with });
+             case "rand_read"
+               (function
+                 | Rand_read { file; base; range; cpu } -> Some (file, base, range, cpu)
+                 | _ -> None)
+               (obj (fun file base range cpu -> Rand_read { file; base; range; cpu })
+               |> req "file" (fun (f, _, _, _) -> f) int
+               |> req "base" (fun (_, b, _, _) -> b) int
+               |> req "range" (fun (_, _, r, _) -> r) int
+               |> dflt "cpu" ~default:0.0 (fun (_, _, _, c) -> c) float);
+             case "compute"
+               (function Compute seconds -> Some seconds | _ -> None)
+               (obj (fun seconds -> Compute seconds) |> req "seconds" Fun.id float);
+             case "advise"
+               (function Advise a -> Some a | _ -> None)
+               (obj (fun a -> Advise a) |> flat Fun.id advice);
+             case "unlink"
+               (function Unlink { file } -> Some file | _ -> None)
+               (obj (fun file -> Unlink { file }) |> req "file" Fun.id int);
+             case "seq"
+               (function Seq ops -> Some ops | _ -> None)
+               (obj (fun ops -> Seq ops) |> req "body" Fun.id body);
+             case "loop"
+               (function Loop { times; body } -> Some (times, body) | _ -> None)
+               (obj (fun times body -> Loop { times; body })
+               |> req "times" fst int |> req "body" snd body);
+             case "choice"
+               (function
+                 | Choice { prob; if_true; if_false } -> Some (prob, if_true, if_false)
+                 | _ -> None)
+               (obj (fun prob if_true if_false -> Choice { prob; if_true; if_false })
+               |> req "prob" (fun (p, _, _) -> p) float
+               |> req "then" (fun (_, t, _) -> t) body
+               |> dflt "else" ~default:[] (fun (_, _, e) -> e) body);
+           ]))
 
-let parse ~path j =
-  let* members = fields ~path ~known:[ "schema"; "name"; "category"; "ops" ] j in
-  let* s = require ~path "schema" members in
-  let* schema_str = as_str ~path:(path ^ ".schema") s in
-  let* () =
-    if schema_str = schema then Ok ()
-    else
-      err (path ^ ".schema")
-        (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-  in
-  let* name =
-    let* v = require ~path "name" members in
-    as_str ~path:(path ^ ".name") v
-  in
-  let* category =
-    match field "category" members with
-    | None -> Ok "custom"
-    | Some v -> as_str ~path:(path ^ ".category") v
-  in
-  let* o = require ~path "ops" members in
-  let* l = as_list ~path:(path ^ ".ops") o in
-  let* ops = mapi_result ~path:(path ^ ".ops") parse_op l in
-  Ok { name; category; ops }
+let codec =
+  let open Codec in
+  seal
+    (obj (fun name category ops ->
+         { name; category = Option.value category ~default:"custom"; ops })
+    |> schema "acfc-wir/1"
+    |> req "name" (fun t -> t.name) string
+    |> opt "category" (fun t -> Some t.category) string
+    |> req "ops" (fun t -> t.ops) (list op))
 
-let of_json_at ~label ~path j = fmt ~label (parse ~path j)
+let to_json t = Codec.encode codec t
 
-let of_json j = of_json_at ~label:"wir" ~path:"$" j
+let of_json j = Codec.decode ~label codec j
 
-let to_string t = Json.to_string (to_json t)
+let to_string t = Codec.to_string codec t
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("wir: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let of_string s = Codec.of_string ~label codec s
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+let save t path = Codec.save codec t path
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("wir: " ^ e)
-  | contents -> of_string contents
+let load path = Codec.load ~label codec path
 
 let hash t = Digest.to_hex (Digest.string (to_string t))

@@ -1,6 +1,6 @@
 module Wir = Acfc_wir.Wir
 module Rng = Acfc_sim.Rng
-module Json = Acfc_obs.Json
+module Codec = Acfc_obs.Codec
 module Config = Acfc_core.Config
 module Scenario = Acfc_scenario.Scenario
 module Policy = Acfc_core.Policy
@@ -58,36 +58,43 @@ let weight spec p = match List.assoc_opt p spec.mix with Some w -> w | None -> 0
 
 (* {2 Validation} *)
 
-let validate spec =
-  let err path msg = Error (Printf.sprintf "wirgen: %s at %s" msg path) in
-  let range path what (lo, hi) =
-    if lo < 1 then err path (what ^ " minimum must be at least 1")
-    else if hi < lo then err path (what ^ " maximum must be at least its minimum")
+(* Errors are (sub-path, message), the form the spec codec's
+   post-decode check takes. *)
+let check spec =
+  let err sub msg = Error (sub, msg) in
+  let range sub what (lo, hi) =
+    if lo < 1 then err sub (what ^ " minimum must be at least 1")
+    else if hi < lo then err sub (what ^ " maximum must be at least its minimum")
     else Ok ()
   in
   let ( let* ) = Result.bind in
-  let* () = if spec.name = "" then err "$.name" "corpus name must be non-empty" else Ok () in
+  let* () = if spec.name = "" then err ".name" "corpus name must be non-empty" else Ok () in
   let* () =
     if
       List.exists
         (fun (_, w) -> Float.is_nan w || w < 0.0 || w = Float.infinity)
         spec.mix
-    then err "$.mix" "pattern weights must be finite and non-negative"
+    then err ".mix" "pattern weights must be finite and non-negative"
     else if not (List.exists (fun p -> weight spec p > 0.0) patterns) then
-      err "$.mix" "at least one pattern weight must be positive"
+      err ".mix" "at least one pattern weight must be positive"
     else Ok ()
   in
-  let* () = range "$.files" "file count" spec.files in
-  let* () = range "$.file_blocks" "file size" spec.file_blocks in
-  let* () = range "$.passes" "pass count" spec.passes in
+  let* () = range ".files" "file count" spec.files in
+  let* () = range ".file_blocks" "file size" spec.file_blocks in
+  let* () = range ".passes" "pass count" spec.passes in
   let* () =
     if Float.is_nan spec.locality || spec.locality <= 0.0 || spec.locality > 1.0 then
-      err "$.locality" "locality must be in (0, 1]"
+      err ".locality" "locality must be in (0, 1]"
     else Ok ()
   in
   if Float.is_nan spec.advise || spec.advise < 0.0 || spec.advise > 1.0 then
-    err "$.advise" "advise density must be in [0, 1]"
+    err ".advise" "advise density must be in [0, 1]"
   else Ok ()
+
+let label = "wirgen"
+
+let validate spec =
+  Result.map_error (fun (sub, msg) -> Codec.error ~label ("$" ^ sub, msg)) (check spec)
 
 (* {2 Generation}
 
@@ -257,146 +264,58 @@ let scenario ?(cache_blocks = 819) ?(alloc_policy = Config.Lru_sp) spec ~seed ~c
 
 (* {2 Serialisation (acfc-wirgen/1)} *)
 
-let schema = "acfc-wirgen/1"
-
-let to_json spec =
-  let pair (lo, hi) = Json.List [ Json.Num (float_of_int lo); Json.Num (float_of_int hi) ] in
-  Json.Obj
-    [
-      ("schema", Json.Str schema);
-      ("name", Json.Str spec.name);
-      ( "mix",
-        Json.Obj
-          (List.filter_map
-             (fun p ->
-               let w = weight spec p in
-               if w > 0.0 then Some (pattern_to_string p, Json.Num w) else None)
-             patterns) );
-      ("files", pair spec.files);
-      ("file_blocks", pair spec.file_blocks);
-      ("passes", pair spec.passes);
-      ("locality", Json.Num spec.locality);
-      ("advise", Json.Num spec.advise);
-    ]
-
-let ( let* ) = Result.bind
-
-let err path msg = Error (Printf.sprintf "wirgen: %s at %s" msg path)
-
-let known_fields =
-  [ "schema"; "name"; "mix"; "files"; "file_blocks"; "passes"; "locality"; "advise" ]
-
-let require ~path name members =
-  match List.assoc_opt name members with
-  | Some v -> Ok v
-  | None -> err path (Printf.sprintf "missing required field %S" name)
-
-let as_num ~path = function
-  | Json.Num x -> Ok x
-  | _ -> err path "expected a number"
-
-let as_str ~path = function
-  | Json.Str s -> Ok s
-  | _ -> err path "expected a string"
-
-let as_range ~path = function
-  | Json.List [ (Json.Num _ as a); (Json.Num _ as b) ] ->
-    (match (Json.to_int a, Json.to_int b) with
-    | Some lo, Some hi -> Ok (lo, hi)
-    | _ -> err path "expected a [min, max] pair of integers")
-  | _ -> err path "expected a [min, max] pair of integers"
-
-let req_range ~path name members =
-  let* v = require ~path name members in
-  as_range ~path:(path ^ "." ^ name) v
-
-let req_num ~path name members =
-  let* v = require ~path name members in
-  as_num ~path:(path ^ "." ^ name) v
-
-let parse_mix ~path = function
-  | Json.Obj members ->
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | (k, v) :: rest ->
-        (match pattern_of_string k with
-        | None ->
-          err path
-            (Printf.sprintf
-               "unknown pattern %S (expected sequential, cyclic, hot_cold, random or \
-                access_once)"
-               k)
-        | Some p ->
-          if List.mem_assoc p acc then err path (Printf.sprintf "duplicate pattern %S" k)
-          else
-            let* w = as_num ~path:(path ^ "." ^ k) v in
-            go ((p, w) :: acc) rest)
-    in
-    go [] members
-  | _ -> err path "expected an object of pattern weights"
-
-let of_json j =
-  match j with
-  | Json.Obj members ->
-    let* () =
-      let rec check = function
-        | [] -> Ok ()
-        | (k, _) :: rest ->
-          if List.mem k known_fields then check rest
-          else err "$" (Printf.sprintf "unknown field %S" k)
+(* Canonical mix: pattern order, zero weights dropped; decoding keeps
+   the document's order and refuses a repeated pattern. *)
+let mix =
+  let pattern =
+    Codec.enum ~what:"pattern"
+      ~expected:"sequential, cyclic, hot_cold, random or access_once" pattern_to_string
+      pattern_of_string
+  in
+  Codec.conv
+    (fun mix ->
+      List.filter_map
+        (fun p ->
+          match List.assoc_opt p mix with Some w when w > 0.0 -> Some (p, w) | _ -> None)
+        patterns)
+    (fun mix ->
+      let rec distinct = function
+        | [] -> Ok mix
+        | (p, _) :: rest ->
+          if List.mem_assoc p rest then
+            Error ("", Printf.sprintf "duplicate pattern %S" (pattern_to_string p))
+          else distinct rest
       in
-      check members
-    in
-    let* s = require ~path:"$" "schema" members in
-    let* schema_str = as_str ~path:"$.schema" s in
-    let* () =
-      if schema_str = schema then Ok ()
-      else
-        err "$.schema"
-          (Printf.sprintf "unsupported schema %S (expected %s)" schema_str schema)
-    in
-    let* name =
-      let* v = require ~path:"$" "name" members in
-      as_str ~path:"$.name" v
-    in
-    let* mix =
-      let* v = require ~path:"$" "mix" members in
-      parse_mix ~path:"$.mix" v
-    in
-    let* files = req_range ~path:"$" "files" members in
-    let* file_blocks = req_range ~path:"$" "file_blocks" members in
-    let* passes = req_range ~path:"$" "passes" members in
-    let* locality = req_num ~path:"$" "locality" members in
-    let* advise = req_num ~path:"$" "advise" members in
-    let spec = { name; mix; files; file_blocks; passes; locality; advise } in
-    let* () = validate spec in
-    Ok spec
-  | _ -> err "$" "expected a spec object"
+      distinct mix)
+    (Codec.dict ~expected:"an object of pattern weights" pattern Codec.float)
 
-let to_string spec = Json.to_string (to_json spec)
+let range =
+  Codec.expect "a [min, max] pair of integers"
+    (Codec.conv
+       (fun (lo, hi) -> [ lo; hi ])
+       (function [ lo; hi ] -> Ok (lo, hi) | _ -> Error ("", "not a pair"))
+       (Codec.list Codec.int))
 
-let of_string s =
-  match Json.of_string s with
-  | Error e -> Error ("wirgen: invalid JSON: " ^ e)
-  | Ok j -> of_json j
+let codec =
+  Codec.check check
+    Codec.(
+      seal ~expected:"a spec object"
+        (obj (fun name mix files file_blocks passes locality advise ->
+             { name; mix; files; file_blocks; passes; locality; advise })
+        |> schema "acfc-wirgen/1"
+        |> req "name" (fun s -> s.name) string
+        |> req "mix" (fun s -> s.mix) mix
+        |> req "files" (fun s -> s.files) range
+        |> req "file_blocks" (fun s -> s.file_blocks) range
+        |> req "passes" (fun s -> s.passes) range
+        |> req "locality" (fun s -> s.locality) float
+        |> req "advise" (fun s -> s.advise) float))
 
-let save spec path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string spec);
-      output_char oc '\n')
+let to_string spec = Codec.to_string codec spec
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e -> Error ("wirgen: " ^ e)
-  | contents -> of_string contents
+let of_string s = Codec.of_string ~label codec s
+
+let load path = Codec.load ~label codec path
 
 let hash spec = Digest.to_hex (Digest.string (to_string spec))
 

@@ -96,24 +96,15 @@ val scenario :
 
 (** {2 Serialisation (acfc-wirgen/1)} *)
 
-val schema : string
-(** ["acfc-wirgen/1"]. *)
+val to_string : spec -> string
+(** Canonical form: stable member order, zero-weight mix entries
+    omitted. *)
 
-val to_json : spec -> Acfc_obs.Json.t
-(** Canonical form: stable field order, zero-weight mix entries
-    omitted. [of_json (to_json s)] re-reads every spec exactly. *)
-
-val of_json : Acfc_obs.Json.t -> (spec, string) result
+val of_string : string -> (spec, string) result
 (** Strict parse: unknown fields, unknown pattern names and non-numeric
     budgets are rejected with their path, e.g.
     [wirgen: unknown pattern "ziggurat" at $.mix]. Parsing also
     {!validate}s, so an [Ok] spec is always generable. *)
-
-val to_string : spec -> string
-
-val of_string : string -> (spec, string) result
-
-val save : spec -> string -> unit
 
 val load : string -> (spec, string) result
 

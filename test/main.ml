@@ -41,4 +41,5 @@ let () =
          Test_monitor.suites;
          Test_listings.suites;
          Test_golden.suites;
+         Test_canonical.suites;
        ])

@@ -44,6 +44,39 @@ let json_accessors () =
   chk_bool "to_int non-integer" true (Json.to_int (Json.Num 7.5) = None);
   chk_bool "to_str" true (Json.to_str (Json.Str "s") = Some "s")
 
+(* Beyond 2^53 a [Num] no longer holds every integer, so [to_int]
+   refuses it rather than wrap or round. *)
+let json_integer_range () =
+  chk_bool "2^53" true (Json.to_int (Json.Num 0x1p53) = Some (1 lsl 53));
+  chk_bool "-2^53" true (Json.to_int (Json.Num (-0x1p53)) = Some (-(1 lsl 53)));
+  chk_bool "2^62 refused" true (Json.to_int (Json.Num 0x1p62) = None);
+  chk_bool "1e300 refused" true (Json.to_int (Json.Num 1e300) = None)
+
+(* The codec's encoders refuse what its decoders would reject. *)
+let codec_number_range () =
+  let module Codec = Acfc_obs.Codec in
+  chk_str "2^53 encodes" "9007199254740992" (Codec.to_string Codec.int (1 lsl 53));
+  chk_bool "and decodes" true
+    (Codec.of_string ~label:"t" Codec.int "-9007199254740992" = Ok (-(1 lsl 53)));
+  Alcotest.check_raises "2^60 refused"
+    (Invalid_argument "Codec.int: 1152921504606846976 is beyond 2^53 and would not read back")
+    (fun () -> ignore (Codec.to_string Codec.int (1 lsl 60)));
+  Alcotest.check_raises "infinity refused"
+    (Invalid_argument "Codec.float: infinity has no JSON form")
+    (fun () -> ignore (Codec.to_string Codec.float Float.infinity))
+
+(* A literal that overflows would print back as bare [inf]. *)
+let json_rejects_overflow () =
+  List.iter
+    (fun (s, msg) ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error e -> chk_str s msg e)
+    [
+      ("1e999", "JSON parse error at byte 5: number out of range");
+      ({|{"a":-1e999}|}, "JSON parse error at byte 11: number out of range");
+    ]
+
 let json_rejects_garbage () =
   let bad = [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2" ] in
   List.iter
@@ -292,6 +325,9 @@ let suites =
         case "integer rendering" json_integers_compact;
         case "accessors" json_accessors;
         case "rejects garbage" json_rejects_garbage;
+        case "integer range" json_integer_range;
+        case "rejects overflowing numbers" json_rejects_overflow;
+        case "codec number range" codec_number_range;
         json_float_round_trip;
       ] );
     ( "obs/trace",

@@ -104,6 +104,16 @@ let replace ~sub ~by s =
   Buffer.add_string b (String.sub s !i (String.length s - !i));
   Buffer.contents b
 
+(* [minimal] with one more top-level member. *)
+let with_member m = replace ~sub:{|"workloads"|} ~by:(m ^ {|,"workloads"|}) minimal
+
+(* [minimal] on one explicit RZ26-like drive with one field replaced. *)
+let with_drive ~field ~by =
+  let drive =
+    {|{"name":"x","capacity_blocks":5000,"min_seek_ms":1,"avg_seek_ms":10.5,"max_seek_ms":20,"avg_rot_ms":5.54,"transfer_mb_per_s":3.3,"overhead_ms":1,"seq_rot_factor":0.5}|}
+  in
+  with_member (Printf.sprintf {|"disks":[{"drive":%s}]|} (replace ~sub:field ~by drive))
+
 let errors () =
   List.iter
     (fun (json, msg) -> expect_error msg (Scenario.of_string json))
@@ -131,7 +141,69 @@ let errors () =
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"din","file_blocks":64}|} minimal,
         "scenario: application \"din\" does not take file_blocks (readN only) at \
          $.workloads[0].app" );
+      ( replace ~sub:{|"cache"|} ~by:{|"seed":1,"seed":2,"cache"|} minimal,
+        {|scenario: duplicate field "seed" at $|} );
+      ( replace ~sub:{|"cache"|} ~by:{|"seed":1e300,"cache"|} minimal,
+        "scenario: expected an integer at $.seed" );
+      ( replace ~sub:{|"cache"|} ~by:{|"seed":4611686018427387904,"cache"|} minimal,
+        "scenario: expected an integer at $.seed" );
+      ( with_member {|"fs":{"update_interval_s":0}|},
+        "scenario: update_interval_s must be finite and > 0 at $.fs.update_interval_s" );
+      ( with_member {|"fs":{"update_interval_s":-5}|},
+        "scenario: update_interval_s must be finite and > 0 at $.fs.update_interval_s" );
+      ( with_member {|"fs":{"write_cluster":0}|},
+        "scenario: write_cluster must be >= 1 at $.fs.write_cluster" );
+      ( with_member {|"cpu":{"hit_cost":-1}|},
+        "scenario: hit_cost must be finite and >= 0 at $.cpu.hit_cost" );
+      ( with_member {|"cpu":{"io_cpu_cost":-0.5}|},
+        "scenario: io_cpu_cost must be finite and >= 0 at $.cpu.io_cpu_cost" );
+      ( with_drive ~field:{|"capacity_blocks":5000|} ~by:{|"capacity_blocks":-3|},
+        "scenario: capacity_blocks must be >= 1 at $.disks[0].drive.capacity_blocks" );
+      ( with_drive ~field:{|"transfer_mb_per_s":3.3|} ~by:{|"transfer_mb_per_s":0|},
+        "scenario: transfer_mb_per_s must be finite and > 0 at \
+         $.disks[0].drive.transfer_mb_per_s" );
+      ( with_drive ~field:{|"avg_seek_ms":10.5|} ~by:{|"avg_seek_ms":-1|},
+        "scenario: avg_seek_ms must be finite and >= 0 at $.disks[0].drive.avg_seek_ms" );
+      ( with_drive ~field:{|"min_seek_ms":1|} ~by:{|"min_seek_ms":-2|},
+        "scenario: min_seek_ms must be finite and >= 0 at $.disks[0].drive.min_seek_ms" );
+      ( with_drive ~field:{|"max_seek_ms":20|} ~by:{|"max_seek_ms":-2|},
+        "scenario: max_seek_ms must be finite and >= 0 at $.disks[0].drive.max_seek_ms" );
+      ( with_drive ~field:{|"avg_rot_ms":5.54|} ~by:{|"avg_rot_ms":-2|},
+        "scenario: avg_rot_ms must be finite and >= 0 at $.disks[0].drive.avg_rot_ms" );
+      ( with_drive ~field:{|"overhead_ms":1|} ~by:{|"overhead_ms":-2|},
+        "scenario: overhead_ms must be finite and >= 0 at $.disks[0].drive.overhead_ms" );
+      ( with_drive ~field:{|"seq_rot_factor":0.5|} ~by:{|"seq_rot_factor":-2|},
+        "scenario: seq_rot_factor must be finite and >= 0 at \
+         $.disks[0].drive.seq_rot_factor" );
+      ( with_member {|"disks":[{"drive":"rz56","sched":"elevator"}]|},
+        "scenario: unknown disk scheduler \"elevator\" (expected fcfs or scan) at \
+         $.disks[0].sched" );
     ]
+
+(* The machine-number ranges are shared with the constructors. *)
+let constructor_ranges () =
+  Alcotest.check_raises "make refuses a zero update interval"
+    (Invalid_argument
+       "Scenario.make: update_interval_s must be finite and > 0 at $.fs.update_interval_s")
+    (fun () ->
+      ignore
+        (Scenario.make ~update_interval:0.0 ~cache_blocks:64 [ Scenario.workload "read60" ]));
+  (* A seed the canonical form could not hold would dump a scenario that
+     no longer loads. *)
+  Alcotest.check_raises "make refuses a seed beyond 2^53"
+    (Invalid_argument "Scenario.make: seed must be between -2^53 and 2^53 at $.seed")
+    (fun () ->
+      ignore (Scenario.make ~seed:(1 lsl 60) ~cache_blocks:64 [ Scenario.workload "read60" ]));
+  let edge = Scenario.make ~seed:(1 lsl 53) ~cache_blocks:64 [ Scenario.workload "read60" ] in
+  chk_bool "a 2^53 seed round-trips" true
+    (match Scenario.of_string (Scenario.to_string edge) with
+    | Ok s -> s.Scenario.seed = 1 lsl 53
+    | Error _ -> false);
+  Alcotest.check_raises "run_specs refuses a zero write cluster"
+    (Invalid_argument "Scenario.run_specs: write_cluster must be >= 1 at $.fs.write_cluster")
+    (fun () ->
+      ignore
+        (Scenario.run_specs ~write_cluster:0 ~cache_blocks:64 ~alloc_policy:Config.Lru_sp []))
 
 let catalog () =
   chk_bool "read300! is foolish and smart by default" true
@@ -165,6 +237,7 @@ let suites =
         case "load error on missing file" load_missing;
         case "catalog defaults fill in" defaults_fill_in;
         case "precise parse errors" errors;
+        case "constructors share the ranges" constructor_ranges;
         case "catalog resolution" catalog;
         case "hashes distinguish" hash_distinguishes;
       ] );

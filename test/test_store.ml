@@ -99,6 +99,9 @@ let test_manifest_rejects () =
   reject "unknown top-level field"
     {|{"schema":"acfc-store/1","next_seq":0,"entries":[],"bogus":1}|}
     {|unknown field "bogus" at $|};
+  reject "duplicate field"
+    {|{"schema":"acfc-store/1","next_seq":0,"next_seq":1,"entries":[]}|}
+    {|duplicate field "next_seq" at $|};
   reject "unknown entry field"
     (Printf.sprintf
        {|{"schema":"acfc-store/1","next_seq":1,"entries":[{"seq":0,"kind":"refstream","digest":"%s","bytes":1,"extra":true}]}|}

@@ -601,13 +601,7 @@ let validate_errors () =
         "wir: prob must be between 0 and 1 at $.ops[0]" );
       ( p [ f; Wir.open_file ~name:"f" ~size_blocks:1 () ],
         {|wir: duplicate file name "f" at $.ops[1]|} );
-    ];
-  (* The embedding form used by the scenario parser. *)
-  expect_error
-    "scenario: file 0 is not open (0 files opened so far) at \
-     $.workloads[0].program.ops[0]"
-    (Wir.validate_at ~label:"scenario" ~path:"$.workloads[0].program"
-       (p [ Wir.read ~file:0 ~first:0 ~count:1 () ]))
+    ]
 
 (* {2 Refstream: the one reference-stream representation} *)
 

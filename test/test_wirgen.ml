@@ -101,6 +101,12 @@ let test_spec_parse_errors () =
         {|wirgen: missing required field "files" at $|} );
       ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":"many"|},
         {|wirgen: expected a [min, max] pair of integers at $.files|} );
+      ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":[1.5,2]|},
+        {|wirgen: expected a [min, max] pair of integers at $.files|} );
+      ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":[1,"x"]|},
+        {|wirgen: expected a [min, max] pair of integers at $.files|} );
+      ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":[1,2,3]|},
+        {|wirgen: expected a [min, max] pair of integers at $.files|} );
       ( replace ~old:{|"locality":0.25|} ~new_:{|"locality":"low"|},
         {|wirgen: expected a number at $.locality|} );
       ( replace ~old:{|"files":[1,2]|} ~new_:{|"files":[0,2]|},
