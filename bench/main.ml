@@ -263,8 +263,8 @@ let micro_tests =
     ilist_test;
     heap_test;
     engine_event_test;
-    policy_sim_test ~name:"policy-sim/lru-cyclic" (module Acfc_replacement.Policies.Lru);
-    policy_sim_test ~name:"policy-sim/opt-cyclic" (module Acfc_replacement.Policies.Opt);
+    policy_sim_test ~name:"policy-sim/lru-cyclic" (module Acfc_policy.Cores.Lru);
+    policy_sim_test ~name:"policy-sim/opt-cyclic" (module Acfc_policy.Cores.Opt);
   ]
 
 (* Runs each test, prints the human-readable line, and returns
@@ -327,8 +327,9 @@ let run_micro () =
 module Sq = Acfc_disk.Sched_queue
 module Rt = Acfc_replacement.Trace
 module Policy_sim = Acfc_replacement.Policy_sim
-module Policies = Acfc_replacement.Policies
 module Reference = Acfc_replacement.Reference
+module Cores = Acfc_policy.Cores
+module Registry = Acfc_policy.Registry
 
 type perf_row = {
   p_name : string;
@@ -450,13 +451,13 @@ let bench_policy_miss () =
       measure_perf ~name ~warmup:1 ~iters:1 ~batch (fun () ->
           ignore (Policy_sim.run policy ~capacity:4096 policy_miss_trace)))
     [
-      ("policy-miss/lru2", (module Policies.Lru_2 : Policy_sim.POLICY));
+      ("policy-miss/lru2", (module Cores.Lru_2 : Acfc_policy.Policy_core.CORE));
       ("policy-miss/lru2-naive", (module Reference.Lru_2));
-      ("policy-miss/opt", (module Policies.Opt));
+      ("policy-miss/opt", (module Cores.Opt));
       ("policy-miss/opt-naive", (module Reference.Opt));
-      ("policy-miss/rand", (module Policies.Rand));
-      ("policy-miss/awrp", (module Policies.Awrp));
-      ("policy-miss/perceptron", (module Policies.Perceptron));
+      ("policy-miss/rand", (module Cores.Rand));
+      ("policy-miss/awrp", (module Cores.Awrp));
+      ("policy-miss/perceptron", (module Cores.Perceptron));
     ]
 
 (* One op = one simulator event (a timer fire through the engine's
@@ -874,10 +875,13 @@ let recorded_stream () =
       (Acfc_scenario.Scenario.run ~obs:sink
          ~tracer:(Acfc_replacement.Recorder.tracer recorder)
          scenario);
-    (match Acfc_replacement.Recorder.ingest ~label recorder st with
+    let stream = Acfc_replacement.Recorder.stream recorder in
+    (match
+       Store.add st ~kind:Kind.Refstream ~label (Acfc_replacement.Refstream.render stream)
+     with
     | Ok _ -> ()
     | Error e -> failwith ("bench: " ^ e));
-    Acfc_replacement.Recorder.stream recorder
+    stream
 
 let recorded_trace () = Acfc_replacement.Refstream.demand (recorded_stream ())
 
@@ -891,19 +895,20 @@ let check_policies () =
       ("synthetic/cyclic", Rt.cyclic ~file:0 ~blocks:300 ~passes:10);
     ]
   in
-  (* Every adapter-ported stock policy against its retained record twin:
-     the core extraction must not move a single victim. *)
+  (* Every stock core against its retained record twin, the two run as
+     one pair through Policy_sim.run: the core extraction must not move
+     a single victim. *)
   let pairs =
     [
-      ("lru", (module Policies.Lru : Policy_sim.POLICY),
-        (module Reference.Lru : Policy_sim.POLICY));
-      ("mru", (module Policies.Mru), (module Reference.Mru));
-      ("fifo", (module Policies.Fifo), (module Reference.Fifo));
-      ("clock", (module Policies.Clock), (module Reference.Clock));
-      ("lru2", (module Policies.Lru_2), (module Reference.Lru_2));
-      ("2q", (module Policies.Two_q), (module Reference.Two_q));
-      ("rand", (module Policies.Rand), (module Reference.Rand));
-      ("opt", (module Policies.Opt), (module Reference.Opt));
+      ("lru", (module Cores.Lru : Acfc_policy.Policy_core.CORE),
+        (module Reference.Lru : Acfc_policy.Policy_core.CORE));
+      ("mru", (module Cores.Mru), (module Reference.Mru));
+      ("fifo", (module Cores.Fifo), (module Reference.Fifo));
+      ("clock", (module Cores.Clock), (module Reference.Clock));
+      ("lru2", (module Cores.Lru_2), (module Reference.Lru_2));
+      ("2q", (module Cores.Two_q), (module Reference.Two_q));
+      ("rand", (module Cores.Rand), (module Reference.Rand));
+      ("opt", (module Cores.Opt), (module Reference.Opt));
     ]
   in
   List.iter
@@ -1272,7 +1277,7 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
   let capacity = Stdlib.max 64 (Rt.working_set_size trace / 3) in
   Pool.map ?jobs
     (fun policy -> Policy_sim.run policy ~capacity trace)
-    Policies.all
+    Registry.all
   |> List.iter (fun result -> Format.printf "  %a@." Policy_sim.pp_result result);
   let result = Acfc_scenario.Scenario.run scenario in
   Format.printf
@@ -1351,7 +1356,7 @@ let run_tournament ~corpus_seed ~jobs =
         let results =
           Pool.map ?jobs
             (fun policy -> Policy_sim.run policy ~capacity trace)
-            Policies.all
+            Registry.all
         in
         let opt_misses =
           match

@@ -464,7 +464,7 @@ let workload_replay_cmd =
     Format.printf "trace: %a@." Acfc_replacement.Trace.pp_summary trace;
     Acfc_par.Pool.map ?jobs
       (fun policy -> Acfc_replacement.Policy_sim.run policy ~capacity trace)
-      Acfc_replacement.Policies.all
+      Acfc_policy.Registry.all
     |> List.iter (fun result ->
            Format.printf "%a@." Acfc_replacement.Policy_sim.pp_result result)
   in
@@ -789,13 +789,12 @@ let record_cmd =
     let result =
       Scenario.run ~tracer:(Acfc_replacement.Recorder.tracer recorder) scenario
     in
+    let stream = Acfc_replacement.Recorder.stream recorder in
     let oc = open_out out in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-        Acfc_replacement.Recorder.save recorder oc);
+        Acfc_replacement.Refstream.save stream oc);
     Format.printf "%a" Runner.pp result;
-    Format.printf "recorded %d references to %s@."
-      (Acfc_replacement.Recorder.length recorder)
-      out;
+    Format.printf "recorded %d references to %s@." (Array.length stream) out;
     (* --store: ingest the trace under the recorded scenario's hash so
        consumers (bench, policies --trace-file) can resolve it by label. *)
     match open_store_opt store with
@@ -803,9 +802,9 @@ let record_cmd =
     | Some s ->
       ingest_scenario s scenario;
       ingest_or_die "refstream"
-        (Acfc_replacement.Recorder.ingest
+        (Store.add s ~kind:Kind.Refstream
            ~label:("refstream:" ^ Scenario.hash scenario)
-           recorder s)
+           (Acfc_replacement.Refstream.render stream))
   in
   let term =
     Term.(
@@ -881,7 +880,7 @@ let policies_cmd =
       | Some path ->
         let ic = open_in path in
         Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-            Acfc_replacement.Recorder.to_trace (Acfc_replacement.Recorder.load ic))
+            Acfc_replacement.Refstream.(demand (load ic)))
       | None ->
       match pattern with
       | "cyclic" -> Trace.cyclic ~file:0 ~blocks ~passes:5
@@ -898,7 +897,7 @@ let policies_cmd =
        them on the pool and print in the usual order. *)
     Acfc_par.Pool.map ?jobs
       (fun policy -> Acfc_replacement.Policy_sim.run policy ~capacity trace)
-      Acfc_replacement.Policies.all
+      Acfc_policy.Registry.all
     |> List.iter (fun result ->
            Format.printf "%a@." Acfc_replacement.Policy_sim.pp_result result)
   in

@@ -14,8 +14,10 @@ module Config = Acfc_core.Config
 module Runner = Acfc_workload.Runner
 module Scenario = Acfc_scenario.Scenario
 module Recorder = Acfc_replacement.Recorder
+module Refstream = Acfc_replacement.Refstream
 module Policy_sim = Acfc_replacement.Policy_sim
-module Policies = Acfc_replacement.Policies
+module Registry = Acfc_policy.Registry
+module Cores = Acfc_policy.Cores
 
 let () =
   (* Record din's reference stream from a live LRU-SP run. *)
@@ -27,7 +29,7 @@ let () =
          [ Scenario.workload ~smart:true "din" ])
   in
   let live = (List.hd result.Runner.apps).Runner.block_ios in
-  let trace = Recorder.to_trace recorder in
+  let trace = Refstream.demand (Recorder.stream recorder) in
   Format.printf "recorded %d demand references (%d with read-ahead)@."
     (Array.length trace) (Recorder.length recorder);
   Format.printf "live din under LRU-SP with its MRU strategy: %d misses@.@." live;
@@ -36,8 +38,8 @@ let () =
     (fun policy ->
       let r = Policy_sim.run policy ~capacity:819 trace in
       Format.printf "  %a@." Policy_sim.pp_result r)
-    Policies.all;
-  let opt = Policy_sim.run (module Policies.Opt) ~capacity:819 trace in
+    Registry.all;
+  let opt = Policy_sim.run (module Cores.Opt) ~capacity:819 trace in
   Format.printf "@.application policy vs offline optimum: %d vs %d misses%s@." live
     opt.Policy_sim.misses
     (if live = opt.Policy_sim.misses then " — the MRU strategy IS optimal here"

@@ -500,6 +500,23 @@ let set_plugin t pid plugin =
       if mgr.revoked then Error Error.Revoked
       else begin
         mgr.plugin <- plugin;
+        (* A plug-in installed on a manager that already owns blocks
+           learns them as admissions, oldest first: level by level,
+           each list from its LRU end. *)
+        (match plugin with
+        | None -> ()
+        | Some p ->
+          let lvl_links = t.tab.Ctab.lvl in
+          List.iter
+            (fun lvl ->
+              let rec admit s =
+                if s <> Ilist.nil then begin
+                  p.on_admit (Ctab.block t.tab s);
+                  admit (Ilist.next_toward_front lvl_links s)
+                end
+              in
+              admit (Ilist.back lvl.list))
+            mgr.sorted_levels);
         Ok ()
       end)
 

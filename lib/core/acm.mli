@@ -34,8 +34,8 @@ type plugin = {
           (non-resident, pinned) answer falls back to the upcall
           chooser / priority-pool decision. *)
 }
-(** An event-driven replacement plug-in (the live adapter of the
-    unified policy core, {!Acfc_policy.Live}). Expressed as plain
+(** An event-driven replacement plug-in (how a unified policy core
+    runs live, built by {!Acfc_policy.Live.plugin}). Expressed as plain
     callbacks so the core library carries no dependency on the policy
     library. Installed per manager via {!set_plugin}; consulted by
     {!replace_block} before the upcall chooser. *)
@@ -145,7 +145,10 @@ val set_plugin : t -> Pid.t -> plugin option -> (unit, Error.t) result
 (** Install (or clear) an event-driven replacement {!plugin} for a
     manager. The plug-in receives every membership change of the
     manager's block set and is consulted first on every replacement;
-    an invalid answer falls back to the chooser / pool decision. *)
+    an invalid answer falls back to the chooser / pool decision. Blocks
+    the manager already owns are announced to a new plug-in as
+    [on_admit] calls, oldest first: level by level in ascending
+    priority, each level from its LRU end. *)
 
 (** {2 Statistics} *)
 

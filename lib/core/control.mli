@@ -36,8 +36,9 @@ val set_chooser :
     policies; see {!Acm.set_chooser}. *)
 
 val set_plugin : t -> Acm.plugin option -> (unit, Error.t) result
-(** Install an event-driven replacement plug-in for this manager (the
-    live adapter of the unified policy core); see {!Acm.set_plugin}. *)
+(** Install an event-driven replacement plug-in for this manager (a
+    unified policy core, built by [Acfc_policy.Live.plugin]); see
+    {!Acm.set_plugin}. *)
 
 val revoked : t -> bool
 (** Has the kernel revoked this manager's control privilege? *)

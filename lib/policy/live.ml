@@ -1,49 +1,18 @@
-module Block = Acfc_core.Block
 module Acm = Acfc_core.Acm
-module Control = Acfc_core.Control
 
-type t = {
-  name : string;
-  feed : Policy_core.event -> unit;
-  pick : pos:int -> missing:Block.t -> Block.t;
-  stats_fn : unit -> (string * float) list;
-  mutable next_pos : int;
-}
-
-let make (module C : Policy_core.CORE) ~capacity ?(future = [||]) () =
-  let st = C.create ~capacity ~future in
+let plugin (type a) (module C : Policy_core.CORE with type t = a) (core : a) =
+  let pos = ref 0 in
+  let step event =
+    C.on_event core event;
+    incr pos
+  in
   {
-    name = C.name;
-    feed = C.on_event st;
-    pick = C.victim st;
-    stats_fn = (fun () -> C.stats st);
-    next_pos = 0;
-  }
-
-let name t = t.name
-
-let stats t = t.stats_fn ()
-
-(* Position discipline: [choose] reads the current position without
-   consuming it; the admit that follows the eviction consumes it — the
-   same (pos-to-choose, pos-to-admit) pairing the offline replay
-   produces for a miss. References consume one position each. *)
-let plugin t =
-  {
-    Acm.on_admit =
-      (fun block ->
-        t.feed (Policy_core.Admit { pos = t.next_pos; block });
-        t.next_pos <- t.next_pos + 1);
-    on_reference =
-      (fun block ->
-        t.feed (Policy_core.Reference { pos = t.next_pos; block });
-        t.next_pos <- t.next_pos + 1);
+    Acm.on_admit = (fun block -> step (Policy_core.Admit { pos = !pos; block }));
+    on_reference = (fun block -> step (Policy_core.Reference { pos = !pos; block }));
     on_remove =
       (fun block ~invalidated ->
-        t.feed
+        C.on_event core
           (if invalidated then Policy_core.Invalidate { block }
            else Policy_core.Evict { block }));
-    choose = (fun ~missing -> Some (t.pick ~pos:t.next_pos ~missing));
+    choose = (fun ~missing -> Some (C.victim core ~pos:!pos ~missing));
   }
-
-let install t control = Control.set_plugin control (Some (plugin t))

@@ -1,31 +1,15 @@
-(** The live adapter: runs any registered core as an [fbehavior]
-    manager, issuing Advise decisions through {!Acfc_core.Control} /
-    {!Acfc_core.Acm}.
+(** The live path: any core running as an [fbehavior] manager,
+    issuing Advise decisions through {!Acfc_core.Control} /
+    {!Acfc_core.Acm}. *)
 
-    The adapter numbers references exactly the way the offline replay
-    does — each admit and each reference consumes one position — so a
-    core driven by both adapters over the same demand stream sees the
-    identical event sequence and produces the identical victim
-    sequence. *)
-
-module Block = Acfc_core.Block
-
-type t
-
-val make : Registry.entry -> capacity:int -> ?future:Block.t array -> unit -> t
-(** Instantiate the core. [future] (default [[||]]) is only meaningful
-    for clairvoyant cores; {!Registry.needs_future} cores without a
-    future stream will fail at their first decision, so scenario
-    validation rejects them up front. *)
-
-val name : t -> string
-
-val stats : t -> (string * float) list
-
-val plugin : t -> Acfc_core.Acm.plugin
-(** The raw callback record, for installing via {!Acfc_core.Acm} in
-    kernel-level tests. *)
-
-val install : t -> Acfc_core.Control.t -> (unit, Acfc_core.Error.t) result
-(** Install the adapter as the replacement plug-in of the manager
-    behind [control]. *)
+val plugin : (module Policy_core.CORE with type t = 'a) -> 'a -> Acfc_core.Acm.plugin
+(** [plugin (module C) core] is the {!Acfc_core.Acm.plugin} that feeds
+    the manager's events to [core] and asks it for victims; install it
+    with [Control.set_plugin]. References are numbered the way the
+    offline replay numbers them — each admit and each reference
+    consumes one position, and a victim query reads the position the
+    admit that follows it takes — so a core driven both ways over the
+    same demand stream sees the identical event sequence and names the
+    identical victims. Create [core] with [~future:[||]] unless it
+    {!Policy_core.CORE.needs_future}; scenario validation rejects such
+    cores as managers. *)

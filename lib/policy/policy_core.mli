@@ -2,15 +2,15 @@
 
     One replacement policy = one state machine over typed cache events.
     The same state answers victim queries for the offline trace-replay
-    lab ({!Acfc_replacement.Policy_sim}) and for the live two-level
-    kernel (installed as an [fbehavior] manager plug-in through
-    {!Live} / [Control.set_plugin]) — by construction the two adapters
-    feed the machine the identical event sequence for the same demand
+    lab ([Acfc_replacement.Policy_sim.run], the one loop that drives a
+    core over a trace) and for the live two-level kernel (installed as
+    an [fbehavior] manager plug-in built by {!Live.plugin}). Both feed
+    the machine the identical event sequence for the same demand
     stream, so both produce the identical victim sequence. That
     determinism contract is asserted in [test/test_policy_core.ml].
 
     Events carry the reference position [pos]: the index of the current
-    reference in the demand stream. Both adapters number references the
+    reference in the demand stream. Both paths number references the
     same way (hits and miss-admissions each consume one position), which
     is what lets position-keyed policies (LRU-2, OPT) replay
     identically at both levels. *)
@@ -53,7 +53,7 @@ module type CORE = sig
 
   val create : capacity:int -> future:Block.t array -> t
   (** [future] is the demand stream for clairvoyant policies; online
-      policies ignore it (the live adapter passes [[||]]). *)
+      policies ignore it (live managers pass [[||]]). *)
 
   val on_event : t -> event -> unit
 
@@ -68,37 +68,3 @@ module type CORE = sig
   (** Introspection for tests and reports (adaptation targets, ghost
       sizes, learned weights). *)
 end
-
-(** Structural twin of [Acfc_replacement.Policy_sim.POLICY]; declared
-    here so this library does not depend on the replacement lab.
-    [Acfc_replacement.Policies] repacks these modules at type [POLICY]
-    (the match is structural: [Trace.t] is transparently
-    [Block.t array]). *)
-module type SIM = sig
-  type t
-
-  val name : string
-  val init : capacity:int -> Block.t array -> t
-  val hit : t -> pos:int -> Block.t -> unit
-  val choose_victim : t -> pos:int -> missing:Block.t -> Block.t
-  val inserted : t -> pos:int -> Block.t -> unit
-  val evicted : t -> Block.t -> unit
-end
-
-module Offline (C : CORE) : SIM with type t = C.t
-(** The offline adapter: [init] creates the core with the trace as
-    future, [hit]/[inserted]/[evicted] feed
-    {!Reference}/{!Admit}/{!Evict}, [choose_victim] asks {!CORE.victim}. *)
-
-type replay = {
-  hits : int;
-  misses : int;
-  victims : Block.t list;  (** in eviction order *)
-}
-
-val replay : (module CORE) -> capacity:int -> Block.t array -> replay
-(** Drive a core over a demand stream with the standard full-cache
-    eviction discipline (the same one [Policy_sim.run] and the live
-    kernel use) and record the victim sequence. Raises [Invalid_argument]
-    on non-positive capacity and [Failure] if the core names a
-    non-resident victim. *)

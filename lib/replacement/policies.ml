@@ -1,34 +1,3 @@
-(* Offline faces of the unified policy cores.
-
-   Every policy lives in {!Acfc_policy.Cores} as an event-driven
-   decision core; this module is the thin adapter that lets the
-   trace-replay lab keep its {!Policy_sim.POLICY} view of them. The
-   per-policy bookkeeping that used to be duplicated here (and diverged
-   from the live manager path by construction) now exists exactly once —
-   the live adapter over the same cores is {!Acfc_policy.Live}, and
-   [test/test_policy_core.ml] asserts both adapters produce identical
-   victim sequences from the same demand stream. *)
-
-module Core = Acfc_policy.Policy_core
-module Cores = Acfc_policy.Cores
-module Registry = Acfc_policy.Registry
-
-module Lru = Core.Offline (Cores.Lru)
-module Mru = Core.Offline (Cores.Mru)
-module Fifo = Core.Offline (Cores.Fifo)
-module Clock = Core.Offline (Cores.Clock)
-module Lru_2 = Core.Offline (Cores.Lru_2)
-module Two_q = Core.Offline (Cores.Two_q)
-module Rand = Core.Offline (Cores.Rand)
-module Opt = Core.Offline (Cores.Opt)
-module Arc = Core.Offline (Cores.Arc)
-module Awrp = Core.Offline (Cores.Awrp)
-module Perceptron = Core.Offline (Cores.Perceptron)
-
-let of_core (module C : Core.CORE) : (module Policy_sim.POLICY) =
-  let module S = Core.Offline (C) in
-  (module S)
-
-let all : (module Policy_sim.POLICY) list = List.map of_core Registry.all
-
-let by_name name = Result.map of_core (Registry.find name)
+(* The policy registry under its former name, kept for [perfbench/].
+   Everything else uses {!Acfc_policy.Registry} and {!Acfc_policy.Cores}. *)
+let all = Acfc_policy.Registry.all

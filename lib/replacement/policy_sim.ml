@@ -1,21 +1,6 @@
 module Block = Acfc_core.Block
 module Itbl = Acfc_core.Itbl
-
-module type POLICY = sig
-  type t
-
-  val name : string
-
-  val init : capacity:int -> Trace.t -> t
-
-  val hit : t -> pos:int -> Block.t -> unit
-
-  val choose_victim : t -> pos:int -> missing:Block.t -> Block.t
-
-  val inserted : t -> pos:int -> Block.t -> unit
-
-  val evicted : t -> Block.t -> unit
-end
+module Core = Acfc_policy.Policy_core
 
 type result = {
   policy : string;
@@ -25,9 +10,9 @@ type result = {
   misses : int;
 }
 
-let run (module P : POLICY) ~capacity trace =
+let run (module P : Core.CORE) ~capacity trace =
   if capacity <= 0 then invalid_arg "Policy_sim.run: capacity must be positive";
-  let state = P.init ~capacity trace in
+  let state = P.create ~capacity ~future:trace in
   let resident = Itbl.create capacity in (* Block.pack -> 0 *)
   let hits = ref 0 and misses = ref 0 in
   Array.iteri
@@ -35,22 +20,22 @@ let run (module P : POLICY) ~capacity trace =
       let key = Block.pack block in
       if Itbl.mem resident key then begin
         incr hits;
-        P.hit state ~pos block
+        P.on_event state (Core.Reference { pos; block })
       end
       else begin
         incr misses;
         if Itbl.length resident >= capacity then begin
-          let victim = P.choose_victim state ~pos ~missing:block in
+          let victim = P.victim state ~pos ~missing:block in
           let vkey = Block.pack victim in
           if not (Itbl.mem resident vkey) then
             failwith
               (Format.asprintf "policy %s evicted non-resident %a" P.name Block.pp
                  victim);
           Itbl.remove resident vkey;
-          P.evicted state victim
+          P.on_event state (Core.Evict { block = victim })
         end;
         Itbl.set resident key 0;
-        P.inserted state ~pos block
+        P.on_event state (Core.Admit { pos; block })
       end)
     trace;
   {
@@ -67,3 +52,5 @@ let miss_ratio r =
 let pp_result ppf r =
   Format.fprintf ppf "%-8s cap=%-6d refs=%-8d misses=%-8d (%.1f%%)" r.policy r.capacity
     r.references r.misses (100.0 *. miss_ratio r)
+
+module type POLICY = Core.CORE

@@ -2,29 +2,12 @@
 
     A pluggable framework in the style of the companion paper's
     simulation study: the framework maintains the resident set; a
-    policy observes accesses and chooses victims. Policies may inspect
-    the whole trace (OPT does); online policies ignore it. *)
-
-module type POLICY = sig
-  type t
-
-  val name : string
-
-  val init : capacity:int -> Trace.t -> t
-  (** Fresh policy state for a run over the given trace. *)
-
-  val hit : t -> pos:int -> Acfc_core.Block.t -> unit
-  (** The block at trace position [pos] was resident. *)
-
-  val choose_victim : t -> pos:int -> missing:Acfc_core.Block.t -> Acfc_core.Block.t
-  (** The cache is full and [missing] is wanted: return a resident
-      block to evict. Called exactly when an eviction is needed. *)
-
-  val inserted : t -> pos:int -> Acfc_core.Block.t -> unit
-  (** [missing] was installed (after any eviction). *)
-
-  val evicted : t -> Acfc_core.Block.t -> unit
-end
+    policy core ({!Acfc_policy.Policy_core.CORE}) observes accesses and
+    chooses victims. Cores may inspect the whole trace (OPT does);
+    online cores ignore it. {!run} is the one loop that drives a core
+    over a trace: the CLI, the bench tournament, the record-twin
+    lockstep ({!Reference.lockstep}) and the offline-vs-live identity
+    test all replay through it. *)
 
 type result = {
   policy : string;
@@ -34,11 +17,16 @@ type result = {
   misses : int;
 }
 
-val run : (module POLICY) -> capacity:int -> Trace.t -> result
-(** Simulate the policy over the trace with [capacity] frames. Raises
-    [Invalid_argument] if [capacity] is not positive, or [Failure] if
-    the policy returns a non-resident victim. *)
+val run : (module Acfc_policy.Policy_core.CORE) -> capacity:int -> Trace.t -> result
+(** Simulate the core over the trace with [capacity] frames: a hit is a
+    [Reference] event; a miss in a full cache asks for a victim
+    and reports it as [Evict], then every miss is an [Admit]. Positions
+    are trace indices. Raises [Invalid_argument] if [capacity] is not
+    positive, or [Failure] if the core names a non-resident victim. *)
 
 val miss_ratio : result -> float
 
 val pp_result : Format.formatter -> result -> unit
+
+module type POLICY = Acfc_policy.Policy_core.CORE
+(** The core signature under its former name, kept for [perfbench/]. *)

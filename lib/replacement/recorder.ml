@@ -1,13 +1,6 @@
 module Event = Acfc_core.Event
 
-type entry = Refstream.entry = {
-  pid : Acfc_core.Pid.t;
-  block : Acfc_core.Block.t;
-  hit : bool;
-  prefetch : bool;
-}
-
-type t = { mutable entries : entry list (* reversed *); mutable length : int }
+type t = { mutable entries : Refstream.entry list (* reversed *); mutable length : int }
 
 let create () = { entries = []; length = 0 }
 
@@ -16,29 +9,14 @@ let record t e =
   t.length <- t.length + 1
 
 let tracer t = function
-  | Event.Hit { pid; block } -> record t { pid; block; hit = true; prefetch = false }
-  | Event.Miss { pid; block; prefetch } -> record t { pid; block; hit = false; prefetch }
+  | Event.Hit { pid; block } ->
+    record t { Refstream.pid; block; hit = true; prefetch = false }
+  | Event.Miss { pid; block; prefetch } ->
+    record t { Refstream.pid; block; hit = false; prefetch }
   | Event.Evict _ | Event.Writeback _ | Event.Placeholder_created _
   | Event.Placeholder_used _ | Event.Manager_revoked _ ->
     ()
 
 let length t = t.length
 
-let entries t = Array.of_list (List.rev t.entries)
-
-let stream = entries
-
-let to_trace ?pid ?include_prefetch t = Refstream.demand ?pid ?include_prefetch (entries t)
-
-let save t oc = Refstream.save (entries t) oc
-
-let ingest ?label t store =
-  Acfc_store.Store.add store ~kind:Acfc_store.Kind.Refstream ?label
-    (Refstream.render (entries t))
-
-let of_stream entries =
-  { entries = List.rev (Array.to_list entries); length = Array.length entries }
-
-let load ic =
-  let entries = Refstream.load ic in
-  { entries = List.rev (Array.to_list entries); length = Array.length entries }
+let stream t = Array.of_list (List.rev t.entries)

@@ -1,28 +1,15 @@
-(** Reference-trace recording and replay.
+(** Reference-trace recording.
 
     The companion paper's methodology is trace-driven simulation; this
     module closes the loop with the live system: install {!tracer} on a
     running cache (or pass it to the workload runner), collect the
-    demand reference stream, then replay it through {!Policy_sim} —
-    or save it in a simple text format for later runs.
-
-    Read-ahead misses are recorded but flagged, and excluded from
-    {!to_trace} by default: a replacement study wants the demand
-    references, not the prefetcher's.
-
-    The recorder is an accumulating front-end over {!Refstream}, the
-    canonical reference-stream representation: {!stream} snapshots the
-    recording as a [Refstream.t], and {!save}/{!load} are Refstream's
-    text codec. *)
+    reference stream, and take it as a {!Refstream.t} with {!stream}.
+    {!Refstream} does the rest: {!Refstream.demand} projects the trace
+    to replay through {!Policy_sim} (read-ahead misses are recorded but
+    flagged, and left out by default), and {!Refstream.save} /
+    {!Refstream.render} write the text format. *)
 
 type t
-
-type entry = Refstream.entry = {
-  pid : Acfc_core.Pid.t;
-  block : Acfc_core.Block.t;
-  hit : bool;
-  prefetch : bool;
-}
 
 val create : unit -> t
 
@@ -32,35 +19,5 @@ val tracer : t -> Acfc_core.Event.t -> unit
 
 val length : t -> int
 
-val entries : t -> entry array
-(** In reference order. *)
-
 val stream : t -> Refstream.t
-(** Synonym for {!entries}: the recording as the canonical
-    reference-stream type. *)
-
-val to_trace :
-  ?pid:Acfc_core.Pid.t -> ?include_prefetch:bool -> t -> Trace.t
-(** The recorded reference stream, optionally restricted to one process.
-    [include_prefetch] defaults to false. *)
-
-val save : t -> out_channel -> unit
-(** One line per reference: ["<pid> <file> <index> <h|m> <d|p>"],
-    preceded by a header line. *)
-
-val ingest :
-  ?label:string ->
-  t ->
-  Acfc_store.Store.t ->
-  (Acfc_store.Store.outcome, string) result
-(** Ingest the recording into a content-addressed store — the bytes
-    are exactly what {!save} writes, so the stored digest identifies
-    the trace. [label] registers a resolution key (conventionally
-    ["refstream:<scenario-hash>"]) for digest-free lookup. *)
-
-val of_stream : Refstream.t -> t
-(** A recorder pre-filled with an existing stream (e.g. one read back
-    from a store), for code paths that expect a recording. *)
-
-val load : in_channel -> t
-(** Raises [Failure] on a malformed trace file. *)
+(** The recording so far, in reference order. *)

@@ -67,6 +67,11 @@ let blocks_of_mb = Runner.blocks_of_mb
 
 let ( let* ) = Result.bind
 
+(* Semantic checks shared by the constructors and the JSON parser.
+   [Error (sub, msg)] carries the field sub-path relative to the value
+   checked, so the parser can turn it into a [$.path] diagnostic. *)
+let ensure sub ok msg = if ok then Ok () else Error (sub, msg)
+
 (* Shared by the constructors (invalid_arg) and the JSON parser ($.path
    error, hence the sub-paths): a workload names a catalog application
    or carries an inline program, never both; [smart] and [disk] default
@@ -74,6 +79,11 @@ let ( let* ) = Result.bind
    that can run without the future stream, and the registry's own
    message (valid names, near-match suggestion) is kept verbatim. *)
 let resolve_workload app program smart disk manager file_blocks =
+  let* () =
+    ensure ".file_blocks"
+      (Option.fold ~none:true ~some:(fun n -> n >= 1) file_blocks)
+      "file_blocks must be >= 1"
+  in
   let* app, smart_default, disk_default =
     match (app, program) with
     | Some _, Some _ -> Error ("", {|pass "app" or "program", not both|})
@@ -139,11 +149,6 @@ let fleet_lookahead_ms f =
   match f.lookahead_ms with
   | Some la -> la
   | None -> 2.0 *. fleet_min_latency_ms f
-
-(* Semantic checks shared by the constructors and the JSON parser.
-   [Error (sub, msg)] carries the field sub-path relative to the value
-   checked, so the parser can turn it into a [$.path] diagnostic. *)
-let ensure sub ok msg = if ok then Ok () else Error (sub, msg)
 
 let within sub = Result.map_error (fun (s, msg) -> (sub ^ s, msg))
 
@@ -420,21 +425,22 @@ let run_assembled ?monitor machine ~update_interval specs =
                 ("Scenario: manager registration failed: " ^ Acfc_core.Error.to_string e)
           else None
         in
-        (* A named manager installs the unified policy core's live
-           adapter as this pid's replacement plug-in; the app itself
-           only sees a Control handle when it is smart. *)
+        (* A named manager installs the unified policy core as this
+           pid's replacement plug-in; the app itself only sees a
+           Control handle when it is smart. *)
         (match spec.Spec.manager with
         | None -> ()
         | Some pname ->
-          let entry =
+          let (module C : Acfc_policy.Policy_core.CORE) =
             match Acfc_policy.Registry.find pname with
             | Ok e -> e
             | Error msg -> failwith ("Scenario: " ^ msg)
           in
-          let adapter =
-            Acfc_policy.Live.make entry ~capacity:(Cache.capacity cache) ()
+          let plugin =
+            Acfc_policy.Live.plugin (module C)
+              (C.create ~capacity:(Cache.capacity cache) ~future:[||])
           in
-          (match Acfc_policy.Live.install adapter (Option.get control) with
+          (match Control.set_plugin (Option.get control) (Some plugin) with
           | Ok () -> ()
           | Error e ->
             failwith

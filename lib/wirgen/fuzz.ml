@@ -59,7 +59,7 @@ let check_exec_and_references p ~seed =
     let (_ : Acfc_workload.Runner.t) =
       Scenario.run ~tracer:(Recorder.tracer recorder) sc
     in
-    Recorder.to_trace recorder
+    Acfc_replacement.Refstream.demand (Recorder.stream recorder)
   with
   | exception e -> Error ("valid-exec", "exec raised: " ^ Printexc.to_string e)
   | recorded -> (

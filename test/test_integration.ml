@@ -125,9 +125,10 @@ let mix_with_recorder () =
         Runner.Spec.make ~smart:false ~disk:0 (Readn.app ~n:300 ~mode:`Oblivious ());
       ]
   in
-  let din_trace = Acfc_replacement.Recorder.to_trace ~pid:(pid 0) recorder in
+  let stream = Acfc_replacement.Recorder.stream recorder in
+  let din_trace = Acfc_replacement.Refstream.demand ~pid:(pid 0) stream in
   chk_int "din's demand references" 9216 (Array.length din_trace);
-  let readn_trace = Acfc_replacement.Recorder.to_trace ~pid:(pid 1) recorder in
+  let readn_trace = Acfc_replacement.Refstream.demand ~pid:(pid 1) stream in
   chk_int "readn's demand references" 6000 (Array.length readn_trace);
   chk_bool "run completed" true (r.Runner.makespan > 0.0)
 

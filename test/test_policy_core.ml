@@ -1,4 +1,4 @@
-(* The unified policy core: registry lookup, offline/live adapter
+(* The unified policy core: registry lookup, offline-vs-live
    equivalence (the determinism contract of DESIGN.md section 9), and
    property suites for the adaptive cores. *)
 
@@ -6,6 +6,7 @@ open Tutil
 module Core = Acfc_core
 module P = Acfc_policy
 module Pc = Acfc_policy.Policy_core
+module Policy_sim = Acfc_replacement.Policy_sim
 
 let render_victims vs =
   String.concat ", " (List.map (fun b -> Fmt.str "%a" Core.Block.pp b) vs)
@@ -30,17 +31,34 @@ let streams () =
   in
   [ ("cyclic", 16, cyclic); ("skewed", 24, skewed); ("two-file", 12, two_file) ]
 
-(* {2 Live harness} *)
+(* {2 Offline and live harnesses} *)
+
+type replay = { hits : int; misses : int; victims : Core.Block.t list }
+
+(* Run a core offline through [Policy_sim.run], the loop the CLI, the
+   tournament and the benchmark replay with, recording the victims it
+   is told to evict. *)
+let replay (module C : Pc.CORE) ~capacity trace =
+  let victims = ref [] in
+  let module Recorded = struct
+    include C
+
+    let on_event t event =
+      (match event with Pc.Evict { block } -> victims := block :: !victims | _ -> ());
+      C.on_event t event
+  end in
+  let r = Policy_sim.run (module Recorded) ~capacity trace in
+  { hits = r.Policy_sim.hits; misses = r.Policy_sim.misses; victims = List.rev !victims }
 
 (* Run a core as a live [fbehavior] manager: a real cache, one attached
    manager, the plug-in installed through [Control], victims recorded
    from [Evict] tracer events. *)
-let live_replay entry ~capacity trace =
+let live_replay (module C : Pc.CORE) ~capacity trace =
   let cache = Core.Cache.create (config capacity) in
   let p0 = pid 0 in
   let control = ok_exn (Core.Control.attach cache p0) in
-  let adapter = P.Live.make entry ~capacity ~future:trace () in
-  ok_exn (P.Live.install adapter control);
+  let core = C.create ~capacity ~future:trace in
+  ok_exn (Core.Control.set_plugin control (Some (P.Live.plugin (module C) core)));
   let victims = ref [] in
   Core.Cache.set_tracer cache
     (Some
@@ -54,9 +72,9 @@ let live_replay entry ~capacity trace =
       | `Hit -> incr hits
       | `Miss -> incr misses)
     trace;
-  { Pc.hits = !hits; misses = !misses; victims = List.rev !victims }
+  { hits = !hits; misses = !misses; victims = List.rev !victims }
 
-(* The tentpole assertion: for every registered policy, the offline
+(* The determinism contract: for every registered policy, the offline
    replay and the live manager path produce the identical victim
    sequence and hit/miss counts from the same demand stream. *)
 let offline_live_identity () =
@@ -65,7 +83,7 @@ let offline_live_identity () =
       let name = P.Registry.name entry in
       List.iter
         (fun (stream, capacity, trace) ->
-          let off = Pc.replay entry ~capacity trace in
+          let off = replay entry ~capacity trace in
           let live = live_replay entry ~capacity trace in
           let tag what = Fmt.str "%s/%s %s" name stream what in
           check Alcotest.string (tag "victims")
@@ -114,26 +132,19 @@ let registry_errors () =
 
 (* {2 Adaptive-core properties} *)
 
-(* Drive a core by hand with the standard full-cache discipline, calling
-   [check] on its stats after every event. *)
+(* Replay a core through [Policy_sim.run], calling [check] on its stats
+   after each reference's last event (its [Reference] or [Admit]). *)
 let drive (module C : Pc.CORE) ~capacity trace ~check:check_stats =
-  let t = C.create ~capacity ~future:trace in
-  let resident = Hashtbl.create 64 in
-  Array.iteri
-    (fun pos b ->
-      (if Hashtbl.mem resident b then
-         C.on_event t (Pc.Reference { pos; block = b })
-       else begin
-         if Hashtbl.length resident >= capacity then begin
-           let v = C.victim t ~pos ~missing:b in
-           Hashtbl.remove resident v;
-           C.on_event t (Pc.Evict { block = v })
-         end;
-         Hashtbl.add resident b ();
-         C.on_event t (Pc.Admit { pos; block = b })
-       end);
-      check_stats (C.stats t))
-    trace
+  let module Checked = struct
+    include C
+
+    let on_event t event =
+      C.on_event t event;
+      match event with
+      | Pc.Reference _ | Pc.Admit _ -> check_stats (C.stats t)
+      | Pc.Evict _ | Pc.Invalidate _ | Pc.Hint _ -> ()
+  end in
+  ignore (Policy_sim.run (module Checked) ~capacity trace)
 
 let trace_gen =
   QCheck2.Gen.(
@@ -157,8 +168,8 @@ let arc_ghost_bound =
 let awrp_deterministic =
   qcheck ~count:100 "AWRP replays bit-identically" trace_gen (fun (cap, refs) ->
       let trace = Array.of_list (List.map blk refs) in
-      let a = Pc.replay (module P.Cores.Awrp) ~capacity:cap trace in
-      let b = Pc.replay (module P.Cores.Awrp) ~capacity:cap trace in
+      let a = replay (module P.Cores.Awrp) ~capacity:cap trace in
+      let b = replay (module P.Cores.Awrp) ~capacity:cap trace in
       a.victims = b.victims && a.hits = b.hits)
 
 let awrp_weight_clamped =
@@ -188,8 +199,8 @@ let perceptron_finite_and_deterministic =
                 if not (Float.is_finite v) || Float.abs v > 4.0 +. 1e-12 then
                   ok := false)
             stats);
-      let a = Pc.replay (module P.Cores.Perceptron) ~capacity:cap trace in
-      let b = Pc.replay (module P.Cores.Perceptron) ~capacity:cap trace in
+      let a = replay (module P.Cores.Perceptron) ~capacity:cap trace in
+      let b = replay (module P.Cores.Perceptron) ~capacity:cap trace in
       !ok && a.victims = b.victims)
 
 (* {2 Victim identity against the full-scan oracles}
@@ -228,9 +239,9 @@ let oracle_offline =
       let trace = multi_file_trace (files, refs) in
       List.for_all
         (fun (oracle, core) ->
-          let a = Pc.replay oracle ~capacity:cap trace in
-          let b = Pc.replay core ~capacity:cap trace in
-          a.Pc.victims = b.Pc.victims && a.hits = b.hits)
+          let a = replay oracle ~capacity:cap trace in
+          let b = replay core ~capacity:cap trace in
+          a.victims = b.victims && a.hits = b.hits)
         oracle_pairs)
 
 (* One side of a kernel model: how it feeds a policy and asks it for a
@@ -244,11 +255,10 @@ type port = {
   stats : unit -> (string * float) list;
 }
 
-(* Through the live adapter's plug-in record, which numbers positions
-   itself. *)
-let live_port entry ~capacity =
-  let adapter = P.Live.make entry ~capacity () in
-  let p = P.Live.plugin adapter in
+(* Through the live plug-in record, which numbers positions itself. *)
+let live_port (module C : Pc.CORE) ~capacity =
+  let core = C.create ~capacity ~future:[||] in
+  let p = P.Live.plugin (module C) core in
   {
     reference = (fun ~pos:_ b -> p.Core.Acm.on_reference b);
     admit = (fun ~pos:_ b -> p.Core.Acm.on_admit b);
@@ -259,7 +269,7 @@ let live_port entry ~capacity =
         | Some v -> v
         | None -> Alcotest.fail "the plug-in named no victim");
     hint = None;
-    stats = (fun () -> P.Live.stats adapter);
+    stats = (fun () -> C.stats core);
   }
 
 (* Straight into the core, at the positions the model picks. *)
@@ -368,13 +378,35 @@ let awrp_equal_rank_run () =
       check Alcotest.string "smaller key wins the tie" "f0[3]" (Fmt.str "%a" Core.Block.pp v))
     [ (module Policy_oracles.Awrp : Pc.CORE); (module P.Cores.Awrp) ]
 
-(* {2 Live adapter odds and ends} *)
+(* {2 Installing on a manager that already owns blocks} *)
 
-let live_surface () =
-  let entry = ok_exn' (P.Registry.find "arc") in
-  let adapter = P.Live.make entry ~capacity:8 () in
-  check Alcotest.string "adapter name" "ARC" (P.Live.name adapter);
-  chk_bool "stats exposed" true (P.Live.stats adapter <> [])
+(* A two-block cache: pid 0's manager reads blocks 0 and 1, then gets
+   [core] as its plug-in, then reads [reads]. Returns the victims
+   evicted after the install. *)
+let install_after_reads (module C : Pc.CORE) reads =
+  let cache = Core.Cache.create (config 2) in
+  let p0 = pid 0 in
+  let control = ok_exn (Core.Control.attach cache p0) in
+  ignore (Core.Cache.read cache ~pid:p0 (blk 0));
+  ignore (Core.Cache.read cache ~pid:p0 (blk 1));
+  let core = C.create ~capacity:2 ~future:[||] in
+  ok_exn (Core.Control.set_plugin control (Some (P.Live.plugin (module C) core)));
+  let victims = ref [] in
+  Core.Cache.set_tracer cache
+    (Some (function Core.Event.Evict e -> victims := e.victim :: !victims | _ -> ()));
+  List.iter (fun i -> ignore (Core.Cache.read cache ~pid:p0 (blk i))) reads;
+  render_victims (List.rev !victims)
+
+(* The install announces the owned blocks to the core as admissions,
+   oldest first. Without that, the hit on block 0 fails inside the
+   core, which never saw it arrive. *)
+let install_on_owned_blocks () =
+  check Alcotest.string "LRU: 0 hits, then 2 evicts 1" "f0[1]"
+    (install_after_reads (module P.Cores.Lru) [ 0; 2 ]);
+  (* MRU's newest admission is 1, so it overrules the kernel's
+     global-LRU candidate 0. *)
+  check Alcotest.string "MRU: 2 evicts the newest admission" "f0[1]"
+    (install_after_reads (module P.Cores.Mru) [ 2 ])
 
 let suites =
   [
@@ -383,7 +415,7 @@ let suites =
         case "offline and live adapters agree" offline_live_identity;
         case "registry contents" registry_contents;
         case "registry errors" registry_errors;
-        case "live adapter surface" live_surface;
+        case "plug-in installed on owned blocks learns them" install_on_owned_blocks;
         arc_ghost_bound;
         awrp_deterministic;
         awrp_weight_clamped;

@@ -18,32 +18,31 @@ let record_run () =
 let records_hits_and_misses () =
   let r = record_run () in
   chk_int "three references" 3 (Recorder.length r);
-  let e = Recorder.entries r in
+  let e = Recorder.stream r in
   chk_bool "miss then hit then miss" true
-    ((not e.(0).Recorder.hit) && e.(1).Recorder.hit && not e.(2).Recorder.hit);
+    ((not e.(0).Refstream.hit) && e.(1).Refstream.hit && not e.(2).Refstream.hit);
   chk_bool "pids recorded" true
-    (Pid.equal e.(0).Recorder.pid p0 && Pid.equal e.(2).Recorder.pid p1)
+    (Pid.equal e.(0).Refstream.pid p0 && Pid.equal e.(2).Refstream.pid p1)
 
-let to_trace_filters () =
-  let r = record_run () in
-  chk_int "all refs" 3 (Array.length (Recorder.to_trace r));
-  chk_int "p1 only" 1 (Array.length (Recorder.to_trace ~pid:p1 r));
-  chk_bool "trace content" true
-    (Recorder.to_trace ~pid:p1 r = [| blk 1 |])
+let demand_filters () =
+  let s = Recorder.stream (record_run ()) in
+  chk_int "all refs" 3 (Array.length (Refstream.demand s));
+  chk_int "p1 only" 1 (Array.length (Refstream.demand ~pid:p1 s));
+  chk_bool "trace content" true (Refstream.demand ~pid:p1 s = [| blk 1 |])
 
 let save_load_roundtrip () =
-  let r = record_run () in
+  let s = Recorder.stream (record_run ()) in
   let path = Filename.temp_file "acfc" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      Recorder.save r oc;
+      Refstream.save s oc;
       close_out oc;
       let ic = open_in path in
-      let r' = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Recorder.load ic) in
-      chk_int "same length" (Recorder.length r) (Recorder.length r');
-      chk_bool "same entries" true (Recorder.entries r = Recorder.entries r'))
+      let s' = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Refstream.load ic) in
+      chk_int "same length" (Array.length s) (Array.length s');
+      chk_bool "same entries" true (s = s'))
 
 let load_rejects_garbage () =
   let path = Filename.temp_file "acfc" ".trace" in
@@ -57,7 +56,7 @@ let load_rejects_garbage () =
       Fun.protect
         ~finally:(fun () -> close_in ic)
         (fun () ->
-          match Recorder.load ic with
+          match Refstream.load ic with
           | _ -> Alcotest.fail "garbage accepted"
           | exception Failure _ -> ()))
 
@@ -77,8 +76,8 @@ let live_mru_equals_opt_on_own_trace () =
     done
   done;
   let live_misses = Cache.misses c in
-  let trace = Recorder.to_trace recorder in
-  let opt = Policy_sim.run (module Policies.Opt) ~capacity:50 trace in
+  let trace = Refstream.demand (Recorder.stream recorder) in
+  let opt = Policy_sim.run (module Acfc_policy.Cores.Opt) ~capacity:50 trace in
   chk_int "live MRU = OPT" opt.Policy_sim.misses live_misses
 
 let prefetch_excluded_by_default () =
@@ -93,8 +92,9 @@ let prefetch_excluded_by_default () =
         Acfc_fs.Fs.create_file fs ~name:"f" ~disk ~size_bytes:(16 * 8192) ()
       in
       Acfc_fs.Fs.read fs ~pid:p0 file ~off:0 ~len:(16 * 8192);
-      let demand = Recorder.to_trace recorder in
-      let all = Recorder.to_trace ~include_prefetch:true recorder in
+      let stream = Recorder.stream recorder in
+      let demand = Refstream.demand stream in
+      let all = Refstream.demand ~include_prefetch:true stream in
       chk_int "demand = app references" 16 (Array.length demand);
       chk_bool "prefetches recorded but flagged" true (Array.length all > 16))
 
@@ -103,7 +103,7 @@ let suites =
     ( "trace recorder",
       [
         case "records hits and misses" records_hits_and_misses;
-        case "to_trace filters by pid" to_trace_filters;
+        case "demand trace filters by pid" demand_filters;
         case "save/load round-trip" save_load_roundtrip;
         case "rejects garbage" load_rejects_garbage;
         case "live MRU equals OPT on its own trace" live_mru_equals_opt_on_own_trace;

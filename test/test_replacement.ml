@@ -1,6 +1,9 @@
 open Acfc_core
 open Acfc_replacement
 open Tutil
+module Policy_core = Acfc_policy.Policy_core
+module Cores = Acfc_policy.Cores
+module Registry = Acfc_policy.Registry
 
 (* {2 Trace generators} *)
 
@@ -65,27 +68,27 @@ let run_policy policy ~capacity trace = Policy_sim.run policy ~capacity trace
 
 let lru_thrashes_on_cycles () =
   let t = Trace.cyclic ~file:0 ~blocks:10 ~passes:5 in
-  let r = run_policy (module Policies.Lru) ~capacity:9 t in
+  let r = run_policy (module Cores.Lru) ~capacity:9 t in
   chk_int "every access misses" 50 r.Policy_sim.misses
 
 let mru_wins_on_cycles () =
   let t = Trace.cyclic ~file:0 ~blocks:10 ~passes:5 in
-  let r = run_policy (module Policies.Mru) ~capacity:9 t in
+  let r = run_policy (module Cores.Mru) ~capacity:9 t in
   (* Pass 1 misses everything; later passes miss only around the one
      sacrificial frame. *)
   chk_bool "far fewer misses" true (r.Policy_sim.misses <= 10 + (4 * 2));
-  let opt = run_policy (module Policies.Opt) ~capacity:9 t in
+  let opt = run_policy (module Cores.Opt) ~capacity:9 t in
   chk_int "MRU is optimal on cycles" opt.Policy_sim.misses r.Policy_sim.misses
 
 let clock_second_chance () =
   (* 0 is re-referenced, so CLOCK passes over it and evicts 1. *)
   let t = [| blk 0; blk 1; blk 0; blk 2 |] in
-  let r = run_policy (module Policies.Clock) ~capacity:2 t in
+  let r = run_policy (module Cores.Clock) ~capacity:2 t in
   chk_int "misses" 3 r.Policy_sim.misses;
   (* FIFO evicts 0 despite the re-reference. *)
   let t2 = [| blk 0; blk 1; blk 0; blk 2; blk 0 |] in
-  let fifo = run_policy (module Policies.Fifo) ~capacity:2 t2 in
-  let clock = run_policy (module Policies.Clock) ~capacity:2 t2 in
+  let fifo = run_policy (module Cores.Fifo) ~capacity:2 t2 in
+  let clock = run_policy (module Cores.Clock) ~capacity:2 t2 in
   chk_bool "clock beats fifo here" true (clock.Policy_sim.misses < fifo.Policy_sim.misses)
 
 let lru2_resists_scan_pollution () =
@@ -99,8 +102,8 @@ let lru2_resists_scan_pollution () =
       [ hot; hot; scan 0; hot; scan 1; hot; scan 2; hot; scan 3; hot ]
   in
   let t = Array.of_list refs in
-  let lru2 = run_policy (module Policies.Lru_2) ~capacity:3 t in
-  let lru = run_policy (module Policies.Lru) ~capacity:3 t in
+  let lru2 = run_policy (module Cores.Lru_2) ~capacity:3 t in
+  let lru = run_policy (module Cores.Lru) ~capacity:3 t in
   chk_bool "LRU-2 beats LRU under scans" true
     (lru2.Policy_sim.misses < lru.Policy_sim.misses)
 
@@ -114,18 +117,18 @@ let fits_in_cache_only_compulsory =
         (fun policy ->
           let r = run_policy policy ~capacity:8 t in
           r.Policy_sim.misses = ws)
-        Policies.all)
+        Registry.all)
 
 let opt_is_lower_bound =
   qcheck "OPT lower-bounds every policy" ~count:150
     QCheck2.Gen.(pair (int_range 1 6) (list_size (int_range 1 300) (int_range 0 20)))
     (fun (capacity, refs) ->
       let t = Array.of_list (List.map blk refs) in
-      let opt = run_policy (module Policies.Opt) ~capacity t in
+      let opt = run_policy (module Cores.Opt) ~capacity t in
       List.for_all
         (fun policy ->
           (run_policy policy ~capacity t).Policy_sim.misses >= opt.Policy_sim.misses)
-        Policies.all)
+        Registry.all)
 
 (* Exhaustive optimal miss count for tiny instances, to verify OPT. *)
 let brute_force_min_misses ~capacity trace =
@@ -152,7 +155,7 @@ let opt_matches_brute_force =
     QCheck2.Gen.(list_size (int_range 1 11) (int_range 0 4))
     (fun refs ->
       let t = Array.of_list (List.map blk refs) in
-      let opt = run_policy (module Policies.Opt) ~capacity:2 t in
+      let opt = run_policy (module Cores.Opt) ~capacity:2 t in
       opt.Policy_sim.misses = brute_force_min_misses ~capacity:2 t)
 
 let two_q_scan_resistance () =
@@ -167,24 +170,23 @@ let two_q_scan_resistance () =
         scan 3; [ blk 0 ] ]
   in
   let t = Array.of_list refs in
-  let two_q = run_policy (module Policies.Two_q) ~capacity:4 t in
-  let lru = run_policy (module Policies.Lru) ~capacity:4 t in
+  let two_q = run_policy (module Cores.Two_q) ~capacity:4 t in
+  let lru = run_policy (module Cores.Lru) ~capacity:4 t in
   chk_bool "LRU misses everything" true (lru.Policy_sim.misses = Array.length t);
   chk_bool "2Q protects the promoted hot block" true
     (two_q.Policy_sim.misses < lru.Policy_sim.misses);
   (* And on a plain loop that fits, it still takes only compulsory
      misses. *)
   let loop = Trace.cyclic ~file:0 ~blocks:3 ~passes:6 in
-  let r = run_policy (module Policies.Two_q) ~capacity:8 loop in
+  let r = run_policy (module Cores.Two_q) ~capacity:8 loop in
   chk_int "compulsory only when fitting" 3 r.Policy_sim.misses
 
 (* {2 Indexed vs reference policies}
 
-   The indexed LRU-2 and OPT must choose the exact victim the naive
-   linear-scan reference chooses, decision by decision, on randomised
-   traces (Reference.lockstep reports the first divergence). RAND is
-   excluded by design: its swap-with-last array changes the victim for a
-   given draw, see docs/PERF.md. *)
+   Every stock core must choose the exact victim its naive list/scan
+   record twin chooses, decision by decision, on randomised traces
+   (Reference.lockstep runs the two as one pair through Policy_sim.run
+   and reports the first divergence). *)
 
 let lockstep_trace_gen =
   QCheck2.Gen.(
@@ -198,9 +200,19 @@ let lockstep_agrees name indexed reference =
       let t = Array.of_list (List.map blk refs) in
       Reference.lockstep indexed reference ~capacity t = None)
 
-let lru2_lockstep = lockstep_agrees "LRU-2" (module Policies.Lru_2) (module Reference.Lru_2)
-
-let opt_lockstep = lockstep_agrees "OPT" (module Policies.Opt) (module Reference.Opt)
+let lockstep_cases =
+  List.map
+    (fun (name, indexed, reference) -> lockstep_agrees name indexed reference)
+    [
+      ("LRU-2", (module Cores.Lru_2 : Policy_core.CORE), (module Reference.Lru_2 : Policy_core.CORE));
+      ("OPT", (module Cores.Opt), (module Reference.Opt));
+      ("LRU", (module Cores.Lru), (module Reference.Lru));
+      ("MRU", (module Cores.Mru), (module Reference.Mru));
+      ("FIFO", (module Cores.Fifo), (module Reference.Fifo));
+      ("CLOCK", (module Cores.Clock), (module Reference.Clock));
+      ("2Q", (module Cores.Two_q), (module Reference.Two_q));
+      ("RAND", (module Cores.Rand), (module Reference.Rand));
+    ]
 
 let reference_results_match =
   (* Same hit/miss accounting end to end, not just the same victims. *)
@@ -212,8 +224,8 @@ let reference_results_match =
           (run_policy indexed ~capacity t).Policy_sim.misses
           = (run_policy reference ~capacity t).Policy_sim.misses)
         [
-          ((module Policies.Lru_2 : Policy_sim.POLICY), (module Reference.Lru_2 : Policy_sim.POLICY));
-          ((module Policies.Opt), (module Reference.Opt));
+          ((module Cores.Lru_2 : Policy_core.CORE), (module Reference.Lru_2 : Policy_core.CORE));
+          ((module Cores.Opt), (module Reference.Opt));
         ])
 
 let rand_uniform_and_resident =
@@ -224,29 +236,33 @@ let rand_uniform_and_resident =
     QCheck2.Gen.(pair (int_range 1 8) (list_size (int_range 1 300) (int_range 0 15)))
     (fun (capacity, refs) ->
       let t = Array.of_list (List.map blk refs) in
-      let r = run_policy (module Policies.Rand) ~capacity t in
+      let r = run_policy (module Cores.Rand) ~capacity t in
       let ws = Trace.working_set_size t in
       r.Policy_sim.misses >= ws && r.Policy_sim.misses <= Array.length t)
 
 let framework_validation () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Policy_sim.run: capacity must be positive") (fun () ->
-      ignore (run_policy (module Policies.Lru) ~capacity:0 [| blk 0 |]));
+      ignore (run_policy (module Cores.Lru) ~capacity:0 [| blk 0 |]));
   (* A policy that evicts a non-resident block is caught. *)
   let module Bad = struct
     type t = unit
 
     let name = "BAD"
 
-    let init ~capacity:_ _ = ()
+    let summary = "names a block that is not resident"
 
-    let hit _ ~pos:_ _ = ()
+    let adaptive = false
 
-    let choose_victim _ ~pos:_ ~missing:_ = blk 999
+    let needs_future = false
 
-    let inserted _ ~pos:_ _ = ()
+    let create ~capacity:_ ~future:_ = ()
 
-    let evicted _ _ = ()
+    let on_event () _ = ()
+
+    let victim () ~pos:_ ~missing:_ = blk 999
+
+    let stats () = []
   end in
   match run_policy (module Bad) ~capacity:1 [| blk 0; blk 1 |] with
   | _ -> Alcotest.fail "bad policy accepted"
@@ -254,25 +270,25 @@ let framework_validation () =
 
 let contains = contains_sub
 
-let by_name_lookup () =
-  chk_bool "finds OPT" true (Result.is_ok (Policies.by_name "opt"));
-  chk_bool "finds LRU" true (Result.is_ok (Policies.by_name "LRU"));
-  chk_bool "finds 2Q" true (Result.is_ok (Policies.by_name "2q"));
-  chk_bool "finds ARC" true (Result.is_ok (Policies.by_name "arc"));
-  (match Policies.by_name "nope" with
+let registry_lookup () =
+  chk_bool "finds OPT" true (Result.is_ok (Registry.find "opt"));
+  chk_bool "finds LRU" true (Result.is_ok (Registry.find "LRU"));
+  chk_bool "finds 2Q" true (Result.is_ok (Registry.find "2q"));
+  chk_bool "finds ARC" true (Result.is_ok (Registry.find "arc"));
+  (match Registry.find "nope" with
   | Ok _ -> Alcotest.fail "unknown name accepted"
   | Error msg ->
     chk_bool "error lists names" true
       (contains ~sub:"LRU" msg && contains ~sub:"PERCEPTRON" msg));
-  (match Policies.by_name "lru3" with
+  (match Registry.find "lru3" with
   | Ok _ -> Alcotest.fail "near-miss accepted"
   | Error msg ->
     chk_bool "suggests near match" true (contains ~sub:"did you mean" msg));
-  chk_int "eleven policies" 11 (List.length Policies.all)
+  chk_int "eleven policies" 11 (List.length Registry.all)
 
 let miss_ratio () =
   let t = Trace.cyclic ~file:0 ~blocks:4 ~passes:2 in
-  let r = run_policy (module Policies.Lru) ~capacity:8 t in
+  let r = run_policy (module Cores.Lru) ~capacity:8 t in
   chk_float "ratio" 0.5 (Policy_sim.miss_ratio r)
 
 let suites =
@@ -294,17 +310,12 @@ let suites =
         case "LRU-2 resists scans" lru2_resists_scan_pollution;
         case "2Q resists scans" two_q_scan_resistance;
         case "framework validation" framework_validation;
-        case "policy lookup" by_name_lookup;
+        case "policy lookup" registry_lookup;
         case "miss ratio" miss_ratio;
         fits_in_cache_only_compulsory;
         opt_is_lower_bound;
         opt_matches_brute_force;
       ] );
     ( "replacement: indexed vs reference",
-      [
-        lru2_lockstep;
-        opt_lockstep;
-        reference_results_match;
-        rand_uniform_and_resident;
-      ] );
+      lockstep_cases @ [ reference_results_match; rand_uniform_and_resident ] );
   ]

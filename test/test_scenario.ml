@@ -141,6 +141,10 @@ let errors () =
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"din","file_blocks":64}|} minimal,
         "scenario: application \"din\" does not take file_blocks (readN only) at \
          $.workloads[0].app" );
+      ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"read100","file_blocks":-5}|} minimal,
+        "scenario: file_blocks must be >= 1 at $.workloads[0].file_blocks" );
+      ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"read100","file_blocks":0}|} minimal,
+        "scenario: file_blocks must be >= 1 at $.workloads[0].file_blocks" );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1,"seed":2,"cache"|} minimal,
         {|scenario: duplicate field "seed" at $|} );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1e300,"cache"|} minimal,
@@ -199,6 +203,9 @@ let constructor_ranges () =
     (match Scenario.of_string (Scenario.to_string edge) with
     | Ok s -> s.Scenario.seed = 1 lsl 53
     | Error _ -> false);
+  Alcotest.check_raises "workload refuses a zero file size"
+    (Invalid_argument "Scenario.workload: file_blocks must be >= 1") (fun () ->
+      ignore (Scenario.workload ~file_blocks:0 "read100"));
   Alcotest.check_raises "run_specs refuses a zero write cluster"
     (Invalid_argument "Scenario.run_specs: write_cluster must be >= 1 at $.fs.write_cluster")
     (fun () ->

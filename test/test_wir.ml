@@ -470,7 +470,7 @@ let references_match_live () =
     (Scenario.run_specs ~seed:3 ~tracer:(Recorder.tracer recorder) ~cache_blocks:819
        ~alloc_policy:Config.Lru_sp
        [ Runner.Spec.make ~smart:true ~disk:0 (ok (Catalog.resolve "din")).Catalog.app ]);
-  let live = Recorder.to_trace recorder in
+  let live = Refstream.demand (Recorder.stream recorder) in
   let fast = Wir.references (program_of "din") in
   chk_int "same length" (Array.length live) (Array.length fast);
   chk_bool "same stream" true (live = fast)
