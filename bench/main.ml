@@ -645,6 +645,24 @@ let bench_cache_churn () =
       ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
       incr next)
 
+(* The same miss storm with pid 0 registered as a manager that runs MRU
+   at priority 0, so every miss also takes the managed path: ACM's
+   [new_block], the manager's choice, the swap and its placeholder. *)
+let bench_cache_churn_managed () =
+  let cache = Cache.create (Config.make ~alloc_policy:Config.Lru_sp ~capacity_blocks:1024 ()) in
+  (match Cache.register_manager cache pid0 with Ok () -> () | Error _ -> assert false);
+  (match Cache.set_policy cache pid0 ~prio:0 Policy.Mru with
+  | Ok () -> ()
+  | Error _ -> assert false);
+  for i = 0 to 1023 do
+    ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:i))
+  done;
+  let next = ref 1024 in
+  measure_perf ~name:"cache-churn/managed" ~warmup:10_000 ~iters:300_000 ~batch:1
+    (fun () ->
+      ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
+      incr next)
+
 (* The identical miss storm through the retained record-based cache
    ({!Cache_ref}): the columnar/record ratio is the speedup the flat
    layout buys, gated like the other naive-twin pairs. *)
@@ -789,7 +807,12 @@ let run_perf () =
   let rows =
     (bench_engine_events () :: (bench_engine_steady () @ bench_engine_batch ()))
     @ bench_disk_queues () @ bench_policy_miss ()
-    @ [ bench_cache_churn (); bench_cache_churn_ref (); bench_wir_corpus () ]
+    @ [
+        bench_cache_churn ();
+        bench_cache_churn_managed ();
+        bench_cache_churn_ref ();
+        bench_wir_corpus ();
+      ]
     @ bench_fleet ()
   in
   List.iter

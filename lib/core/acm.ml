@@ -6,13 +6,21 @@
    lockstep replay in [Lockstep] / `bench check` proves the two
    trace-identical.
 
-   Order-sensitive state keeps its exact predecessor representation:
-   [mgr.blocks] stays a stdlib [Hashtbl] (now mapping to slots) because
-   [set_priority] and the upcall resident set observably iterate it,
-   and stdlib bucket order depends only on the keys and the
-   insert/remove sequence — both unchanged. *)
+   No per-access lookup hashes polymorphically or allocates. A manager
+   has few levels, so a level is found by priority with a scan of its
+   ascending [sorted_levels]; a file's long-term level is an {!Itbl}
+   lookup from the file id to the level's index in [levels].
 
-type level = { prio : int; mutable policy : Policy.t; list : Ilist.t }
+   [mgr.blocks] iterates in an order that is observable:
+   [set_priority] relinks resident blocks in fold order, and the upcall
+   chooser receives the fold as the resident set. That order must stay
+   the one of the predecessor's [(Block.t, int) Hashtbl.t], so the
+   table stays a stdlib hash table — stdlib bucket order depends only
+   on the keys and the insert/remove sequence, both unchanged — keyed
+   by [Block.pack] through {!Btbl}, whose hash is [Hashtbl.hash] of the
+   record the key packs. No record is built to link or unlink a block. *)
+
+type level = { prio : int; idx : int; mutable policy : Policy.t; list : Ilist.t }
 
 type chooser = candidate:Block.t -> resident:Block.t list -> Block.t option
 
@@ -30,11 +38,11 @@ type plugin = {
 
 type manager = {
   pid : Pid.t;
-  levels : (int, level) Hashtbl.t;
+  mutable levels : level array;  (* [idx] -> level; [levels.(0)] is priority 0 *)
   mutable sorted_levels : level list;  (* ascending priority *)
-  mutable n_levels : int;  (* cached |levels| = |sorted_levels|, kept on insert *)
-  file_prio : (Block.file, int) Hashtbl.t;  (* only non-zero priorities stored *)
-  blocks : (Block.t, int) Hashtbl.t;  (* every slot this manager holds *)
+  mutable n_levels : int;  (* levels created = |sorted_levels|; never removed *)
+  file_level : Itbl.t;  (* file -> [idx] of a non-zero long-term priority *)
+  blocks : int Btbl.t;  (* Block.pack -> every slot this manager holds *)
   mutable chooser : chooser option;  (* upcall replacement handler *)
   mutable plugin : plugin option;  (* event-driven decision plug-in *)
   mutable decisions : int;
@@ -73,27 +81,53 @@ let find_manager t pid =
   let i = Pid.to_int pid in
   if i < Array.length t.managers then t.managers.(i) else None
 
+(* The answer of [find_level] for a priority with no level. *)
+let no_level = { prio = 0; idx = -1; policy = Policy.default; list = Ilist.create () }
+
+let rec scan_levels prio = function
+  | [] -> no_level
+  | l :: rest -> if l.prio = prio then l else if l.prio > prio then no_level else scan_levels prio rest
+
+let find_level mgr prio = scan_levels prio mgr.sorted_levels
+
+(* The level a slot's [Ctab.level] names; it exists while the slot is
+   linked. *)
+let level_of t mgr s =
+  let lvl = find_level mgr t.tab.Ctab.level.(s) in
+  if lvl == no_level then invalid_arg "Acm: entry linked to a missing level";
+  lvl
+
 (* Create the level record for [prio] if missing, respecting the
    per-manager level limit. *)
 let ensure_level t mgr prio =
-  match Hashtbl.find_opt mgr.levels prio with
-  | Some lvl -> Ok lvl
-  | None ->
-    if mgr.n_levels >= t.config.Config.max_levels then Error Error.Too_many_levels
-    else begin
-      let lvl = { prio; policy = Policy.default; list = Ilist.create () } in
-      Hashtbl.replace mgr.levels prio lvl;
-      let rec insert = function
-        | [] -> [ lvl ]
-        | l :: rest as all -> if l.prio > prio then lvl :: all else l :: insert rest
-      in
-      mgr.sorted_levels <- insert mgr.sorted_levels;
-      (* Levels are never removed; a removal path must decrement this. *)
-      mgr.n_levels <- mgr.n_levels + 1;
-      Ok lvl
-    end
+  let lvl = find_level mgr prio in
+  if lvl != no_level then Ok lvl
+  else if mgr.n_levels >= t.config.Config.max_levels then Error Error.Too_many_levels
+  else begin
+    let lvl = { prio; idx = mgr.n_levels; policy = Policy.default; list = Ilist.create () } in
+    if lvl.idx = Array.length mgr.levels then begin
+      let grown = Array.make (2 * lvl.idx) lvl in
+      Array.blit mgr.levels 0 grown 0 lvl.idx;
+      mgr.levels <- grown
+    end;
+    mgr.levels.(lvl.idx) <- lvl;
+    let rec insert = function
+      | [] -> [ lvl ]
+      | l :: rest as all -> if l.prio > prio then lvl :: all else l :: insert rest
+    in
+    mgr.sorted_levels <- insert mgr.sorted_levels;
+    (* Levels are never removed; a removal path must renumber [idx]. *)
+    mgr.n_levels <- mgr.n_levels + 1;
+    Ok lvl
+  end
 
-let long_term_prio mgr file = Option.value (Hashtbl.find_opt mgr.file_prio file) ~default:0
+(* The level of [file]'s long-term priority. Negative file ids name no
+   block, so they never carry a record. *)
+let long_term_level mgr file =
+  let i = if file < 0 then -1 else Itbl.find mgr.file_level file in
+  mgr.levels.(if i < 0 then 0 else i)
+
+let long_term_prio mgr file = (long_term_level mgr file).prio
 
 (* Link slot [s] into [lvl] at the MRU (recency) end: used for blocks
    that enter because they were just loaded or referenced. *)
@@ -102,7 +136,7 @@ let link_recent t mgr lvl s =
   Ilist.push_front tab.Ctab.lvl lvl.list s;
   tab.Ctab.level.(s) <- lvl.prio;
   tab.Ctab.managed.(s) <- Pid.to_int mgr.pid;
-  Hashtbl.replace mgr.blocks (Ctab.block tab s) s
+  Btbl.replace mgr.blocks tab.Ctab.key.(s) s
 
 (* Link [s] into [lvl] at the end that causes it to be replaced later
    (paper Sec. 4): the MRU end under LRU, the LRU end under MRU. Used
@@ -114,18 +148,14 @@ let link_replaced_later t mgr lvl s =
   | Policy.Mru -> Ilist.push_back tab.Ctab.lvl lvl.list s);
   tab.Ctab.level.(s) <- lvl.prio;
   tab.Ctab.managed.(s) <- Pid.to_int mgr.pid;
-  Hashtbl.replace mgr.blocks (Ctab.block tab s) s
+  Btbl.replace mgr.blocks tab.Ctab.key.(s) s
 
 let unlink t mgr s =
   let tab = t.tab in
-  if tab.Ctab.managed.(s) >= 0 then begin
-    match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-    | Some lvl -> Ilist.remove tab.Ctab.lvl lvl.list s
-    | None -> invalid_arg "Acm: entry linked to a missing level"
-  end;
+  if tab.Ctab.managed.(s) >= 0 then Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
   tab.Ctab.managed.(s) <- -1;
   tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit;
-  Hashtbl.remove mgr.blocks (Ctab.block tab s)
+  Btbl.remove mgr.blocks tab.Ctab.key.(s)
 
 let register t pid =
   let i = Pid.to_int pid in
@@ -141,11 +171,11 @@ let register t pid =
     let mgr =
       {
         pid;
-        levels = Hashtbl.create 8;
+        levels = [| no_level; no_level |];
         sorted_levels = [];
         n_levels = 0;
-        file_prio = Hashtbl.create 8;
-        blocks = Hashtbl.create 256;
+        file_level = Itbl.create 8;
+        blocks = Btbl.create 256;
         chooser = None;
         plugin = None;
         decisions = 0;
@@ -166,7 +196,7 @@ let unregister t pid =
   match find_manager t pid with
   | None -> ()
   | Some mgr ->
-    let slots = Hashtbl.fold (fun _ s acc -> s :: acc) mgr.blocks [] in
+    let slots = Btbl.fold (fun _ s acc -> s :: acc) mgr.blocks [] in
     List.iter
       (fun s ->
         unlink t mgr s;
@@ -206,15 +236,7 @@ let new_block t ~pid ~prefetched s =
   match find_manager t pid with
   | None -> ()
   | Some mgr ->
-    let prio = long_term_prio mgr tab.Ctab.file.(s) in
-    let lvl =
-      match Hashtbl.find_opt mgr.levels prio with
-      | Some lvl -> lvl
-      | None ->
-        (* [set_priority] creates levels eagerly, so a missing level can
-           only mean the file still has default priority 0. *)
-        assert false
-    in
+    let lvl = long_term_level mgr tab.Ctab.file.(s) in
     (* A demand-fetched block was just used: it takes the MRU position.
        A read-ahead block has not been referenced yet, so it must not
        become an MRU policy's first victim; it enters at the end that is
@@ -263,87 +285,80 @@ let block_accessed t ~pid s =
   match target with
   | None -> ()
   | Some mgr ->
-    let lt_prio = long_term_prio mgr tab.Ctab.file.(s) in
     if tab.Ctab.managed.(s) < 0 then begin
       (* Newly transferred to this manager. *)
-      let lvl = match Hashtbl.find_opt mgr.levels lt_prio with Some l -> l | None -> assert false in
-      link_recent t mgr lvl s;
+      link_recent t mgr (long_term_level mgr tab.Ctab.file.(s)) s;
       notify_admit t mgr s
     end
     else if tab.Ctab.flags.(s) land Ctab.temp_bit <> 0 then begin
       (* A reference ends the temporary priority (paper Sec. 3). *)
-      (match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-      | Some lvl -> Ilist.remove tab.Ctab.lvl lvl.list s
-      | None -> assert false);
+      Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
       tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit;
-      let lvl = match Hashtbl.find_opt mgr.levels lt_prio with Some l -> l | None -> assert false in
+      let lvl = long_term_level mgr tab.Ctab.file.(s) in
       Ilist.push_front tab.Ctab.lvl lvl.list s;
       tab.Ctab.level.(s) <- lvl.prio;
       notify_reference t mgr s
     end
     else begin
-      (match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-      | Some lvl -> Ilist.move_front tab.Ctab.lvl lvl.list s
-      | None -> assert false);
+      Ilist.move_front tab.Ctab.lvl (level_of t mgr s).list s;
       notify_reference t mgr s
     end
 
 (* Pick the victim the manager prefers: lowest-priority non-empty level,
    scanning from the end its policy replaces first and skipping pinned
    blocks. Not-yet-referenced read-ahead blocks are passed over while a
-   referenced block exists anywhere (they are about to be used); they
-   are remembered as a fallback. Slots throughout; [-1] = none. *)
-let manager_choice t mgr =
-  let tab = t.tab in
-  let fallback = ref (-1) in
-  let rec scan_level = function
-    | [] -> !fallback
-    | lvl :: rest ->
-      let start, step =
-        match lvl.policy with
-        | Policy.Lru -> (Ilist.back lvl.list, Ilist.next_toward_front)
-        | Policy.Mru -> (Ilist.front lvl.list, Ilist.next_toward_back)
-      in
-      let rec walk s =
-        if s < 0 then scan_level rest
-        else if tab.Ctab.pinned.(s) > 0 then walk (step tab.Ctab.lvl s)
-        else if tab.Ctab.flags.(s) land Ctab.referenced_bit = 0 then begin
-          if !fallback < 0 then fallback := s;
-          walk (step tab.Ctab.lvl s)
-        end
-        else s
-      in
-      walk start
-  in
-  scan_level mgr.sorted_levels
+   referenced block exists anywhere (they are about to be used); the
+   first one seen is the fallback. Slots throughout; [-1] = none. The
+   walk is top-level recursion with no closure, so a choice allocates
+   nothing. *)
+let rec choose_in tab fallback = function
+  | [] -> fallback
+  | lvl :: rest ->
+    let start = match lvl.policy with Policy.Lru -> Ilist.back lvl.list | Policy.Mru -> Ilist.front lvl.list in
+    walk_level tab fallback lvl rest start
+
+and walk_level tab fallback lvl rest s =
+  if s < 0 then choose_in tab fallback rest
+  else begin
+    let next =
+      match lvl.policy with
+      | Policy.Lru -> Ilist.next_toward_front tab.Ctab.lvl s
+      | Policy.Mru -> Ilist.next_toward_back tab.Ctab.lvl s
+    in
+    if tab.Ctab.pinned.(s) > 0 then walk_level tab fallback lvl rest next
+    else if tab.Ctab.flags.(s) land Ctab.referenced_bit = 0 then
+      walk_level tab (if fallback < 0 then s else fallback) lvl rest next
+    else s
+  end
+
+let manager_choice t mgr = choose_in t.tab (-1) mgr.sorted_levels
 
 let slot_manager t s =
   let m = t.tab.Ctab.managed.(s) in
   if m < 0 then None else find_manager t (Pid.make m)
+
+(* The unpinned slot of a manager's answer [b], or [-1] when [b] is not
+   one of its residents or is pinned. *)
+let resident_slot t mgr b =
+  match Btbl.find_opt mgr.blocks (Block.pack_ids ~file:b.Block.file ~index:b.Block.index) with
+  | Some s when t.tab.Ctab.pinned.(s) = 0 -> s
+  | Some _ | None -> -1
 
 (* Consult an upcall handler: materialise the manager's resident set
    (this is the generality-vs-overhead trade the paper discusses), call
    the handler, and validate its answer — an unknown or pinned block
    falls back to the kernel's candidate, like an uncooperative manager. *)
 let upcall_choice t mgr chooser ~candidate =
-  let resident = Hashtbl.fold (fun key _ acc -> key :: acc) mgr.blocks [] in
+  let resident = Btbl.fold (fun key _ acc -> Block.unpack key :: acc) mgr.blocks [] in
   match chooser ~candidate:(Ctab.block t.tab candidate) ~resident with
   | None -> -1
-  | Some key ->
-    (match Hashtbl.find_opt mgr.blocks key with
-    | Some s when t.tab.Ctab.pinned.(s) = 0 -> s
-    | Some _ | None -> -1)
+  | Some b -> resident_slot t mgr b
 
 (* Consult the event-driven plug-in. Cheaper than the upcall path — no
    resident list is materialised — and validated the same way: an
    unknown or pinned answer falls back to the next decision source. *)
 let plugin_choice t mgr plugin ~missing =
-  match plugin.choose ~missing with
-  | None -> -1
-  | Some key ->
-    (match Hashtbl.find_opt mgr.blocks key with
-    | Some s when t.tab.Ctab.pinned.(s) = 0 -> s
-    | Some _ | None -> -1)
+  match plugin.choose ~missing with None -> -1 | Some b -> resident_slot t mgr b
 
 let replace_block t ~candidate ~missing =
   match slot_manager t candidate with
@@ -405,29 +420,28 @@ let set_priority t pid ~file ~prio =
   with_manager t pid (fun mgr ->
       if mgr.revoked then Error Error.Revoked
       else begin
+        if file < 0 then invalid_arg "Acm.set_priority: negative file id";
         let old = long_term_prio mgr file in
-        let need_record = prio <> 0 && not (Hashtbl.mem mgr.file_prio file) in
-        if need_record && Hashtbl.length mgr.file_prio >= t.config.Config.max_file_records
+        let need_record = prio <> 0 && not (Itbl.mem mgr.file_level file) in
+        if need_record && Itbl.length mgr.file_level >= t.config.Config.max_file_records
         then Error Error.Too_many_file_records
         else
           match ensure_level t mgr prio with
           | Error _ as e -> e
           | Ok lvl ->
-            if prio = 0 then Hashtbl.remove mgr.file_prio file
-            else Hashtbl.replace mgr.file_prio file prio;
+            if prio = 0 then Itbl.remove mgr.file_level file
+            else Itbl.set mgr.file_level file lvl.idx;
             if old <> prio then begin
               let tab = t.tab in
               (* Move cached, non-temporary blocks of this file now. *)
-              Hashtbl.iter
+              Btbl.iter
                 (fun key s ->
                   if
-                    Block.file key = file
+                    key lsr 32 = file
                     && tab.Ctab.flags.(s) land Ctab.temp_bit = 0
                     && tab.Ctab.level.(s) <> prio
                   then begin
-                    (match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-                    | Some l -> Ilist.remove tab.Ctab.lvl l.list s
-                    | None -> assert false);
+                    Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
                     link_replaced_later t mgr lvl s
                   end)
                 mgr.blocks
@@ -451,9 +465,7 @@ let set_policy t pid ~prio policy =
 
 let get_policy t pid ~prio =
   with_manager t pid (fun mgr ->
-      match Hashtbl.find_opt mgr.levels prio with
-      | Some lvl -> Ok lvl.policy
-      | None -> Ok Policy.default)
+      Ok (find_level mgr prio).policy)
 
 let set_temppri t pid ~file ~first ~last ~prio =
   obs_call t pid "set_temppri" (fun () ->
@@ -461,6 +473,7 @@ let set_temppri t pid ~file ~first ~last ~prio =
   with_manager t pid (fun mgr ->
       if mgr.revoked then Error Error.Revoked
       else if first < 0 || last < first then Error Error.Invalid_range
+      else if file < 0 then invalid_arg "Acm.set_temppri: negative file id"
       else
         match ensure_level t mgr prio with
         | Error _ as e -> e
@@ -468,13 +481,11 @@ let set_temppri t pid ~file ~first ~last ~prio =
           let tab = t.tab in
           let lt = long_term_prio mgr file in
           for index = first to last do
-            match Hashtbl.find_opt mgr.blocks (Block.make ~file ~index) with
-            | None -> ()  (* only blocks presently in the cache are affected *)
-            | Some s ->
+            match Btbl.find mgr.blocks (Block.pack_ids ~file ~index) with
+            | exception Not_found -> ()  (* only blocks presently in the cache are affected *)
+            | s ->
               if tab.Ctab.level.(s) <> prio then begin
-                (match Hashtbl.find_opt mgr.levels tab.Ctab.level.(s) with
-                | Some l -> Ilist.remove tab.Ctab.lvl l.list s
-                | None -> assert false);
+                Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
                 link_replaced_later t mgr lvl s
               end;
               if prio <> lt then
@@ -542,13 +553,16 @@ let check_invariants t =
       | None -> ()
       | Some mgr ->
         if Pid.to_int mgr.pid <> i then failwith "Acm: manager key/pid mismatch";
-        (* sorted_levels and the cached count mirror the level table. *)
-        if mgr.n_levels <> Hashtbl.length mgr.levels then
-          failwith "Acm: cached level count out of sync";
+        (* sorted_levels and the level array hold the same levels. *)
         let n_sorted =
           List.fold_left (fun n _ -> n + 1) 0 mgr.sorted_levels
         in
         if n_sorted <> mgr.n_levels then failwith "Acm: sorted_levels out of sync";
+        List.iter
+          (fun lvl ->
+            if lvl.idx < 0 || lvl.idx >= mgr.n_levels || mgr.levels.(lvl.idx) != lvl then
+              failwith "Acm: level array out of sync")
+          mgr.sorted_levels;
         let rec ascending = function
           | a :: (b :: _ as rest) ->
             if a.prio >= b.prio then failwith "Acm: sorted_levels not ascending";
@@ -568,12 +582,12 @@ let check_invariants t =
                   failwith "Acm: entry level mismatch";
                 if tab.Ctab.managed.(s) <> i then
                   failwith "Acm: entry managed_by mismatch";
-                match Hashtbl.find_opt mgr.blocks (Ctab.block tab s) with
+                match Btbl.find_opt mgr.blocks tab.Ctab.key.(s) with
                 | Some s' when s' = s -> ()
                 | Some _ | None -> failwith "Acm: entry missing from manager index")
               tab.Ctab.lvl lvl.list)
           mgr.sorted_levels;
-        if !counted <> Hashtbl.length mgr.blocks then
+        if !counted <> Btbl.length mgr.blocks then
           failwith "Acm: manager index size mismatch")
     t.managers
 
@@ -581,7 +595,5 @@ let level_blocks t pid ~prio =
   match find_manager t pid with
   | None -> []
   | Some mgr ->
-    (match Hashtbl.find_opt mgr.levels prio with
-    | None -> []
-    | Some lvl ->
-      List.map (fun s -> Ctab.block t.tab s) (Ilist.to_list t.tab.Ctab.lvl lvl.list))
+    List.map (fun s -> Ctab.block t.tab s)
+      (Ilist.to_list t.tab.Ctab.lvl (find_level mgr prio).list)

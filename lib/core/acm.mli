@@ -110,7 +110,8 @@ val placeholder_used : t -> chooser:Pid.t -> unit
 val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
 (** Set the long-term cache priority of a file. Cached, non-temporary
     blocks of the file move to the new level immediately, entering at
-    the end that causes them to be replaced later. *)
+    the end that causes them to be replaced later. Raises
+    [Invalid_argument] on a negative file id, which no block carries. *)
 
 val get_priority : t -> Pid.t -> file:Block.file -> (int, Error.t) result
 
@@ -124,7 +125,8 @@ val set_temppri :
   (unit, Error.t) result
 (** Temporarily move the cached blocks [first..last] of [file] to level
     [prio]; each block reverts to its long-term priority at its next
-    reference or replacement. *)
+    reference or replacement. Raises [Invalid_argument] on a negative
+    file id. *)
 
 val set_chooser :
   t ->

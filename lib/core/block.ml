@@ -30,6 +30,10 @@ let pack t =
     invalid_arg "Block.pack: id out of packable range";
   (t.file lsl 32) lor t.index
 
+let pack_ids ~file ~index =
+  if file < 0 || index < 0 || index > max_packed_index || file > max_packed_file then -1
+  else (file lsl 32) lor index
+
 let unpack p = { file = p lsr 32; index = p land max_packed_index }
 
 let pp ppf t = Format.fprintf ppf "f%d[%d]" t.file t.index

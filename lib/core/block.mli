@@ -27,6 +27,11 @@ val pack : t -> int
     index), for the columnar core's int-keyed tables. Raises
     [Invalid_argument] beyond 2^30 files or 2^32 blocks per file. *)
 
+val pack_ids : file:file -> index:int -> int
+(** [pack (make ~file ~index)] without building the record, for
+    lookups: [-1], which no packed key equals, where {!make} or {!pack}
+    would raise. *)
+
 val unpack : int -> t
 (** Inverse of {!pack}. *)
 

@@ -1,5 +1,6 @@
 open Acfc_sim
 module Block = Acfc_core.Block
+module Btbl = Acfc_core.Btbl
 module Cache = Acfc_core.Cache
 module Itbl = Acfc_core.Itbl
 module Pid = Acfc_core.Pid
@@ -19,7 +20,9 @@ type t = {
   readahead : bool;
   layout : [ `Packed | `Scattered of Rng.t ];
   track_data : bool;
-  files : (File.id, File.t) Hashtbl.t;
+  (* Linked files by id: ids are issued in sequence from [next_id], and
+     an unlinked file's cell goes back to [None]. *)
+  mutable files : File.t option array;
   by_name : (string, File.id) Hashtbl.t;
   mutable next_id : int;
   mutable disk_cursors : (Disk.t * int ref) list;
@@ -27,9 +30,10 @@ type t = {
      while nobody waits for the read, 1 once a reader parks on its ivar
      in [landing] — the only place an ivar is ever created. *)
   in_flight : Itbl.t;
-  landing : (int, unit Ivar.t) Hashtbl.t;
-  frames : (Block.t, Bytes.t) Hashtbl.t;  (* resident data, when track_data *)
-  images : (File.id, Bytes.t) Hashtbl.t;  (* on-disk data, when track_data *)
+  landing : unit Ivar.t Btbl.t;
+  (* Touched only when [track_data] is set. *)
+  frames : (Block.t, Bytes.t) Hashtbl.t;  (* resident data *)
+  images : (File.id, Bytes.t) Hashtbl.t;  (* on-disk data *)
   (* Block I/Os charged per pid, indexed by [Pid.to_int], grown on
      demand. *)
   mutable pid_reads : int array;
@@ -52,7 +56,9 @@ let set_obs t obs =
   | None -> ()
   | Some sink ->
     let m = Obs.Sink.metrics sink in
-    Obs.Metrics.gauge m "fs.files" (fun () -> float_of_int (Hashtbl.length t.files));
+    Obs.Metrics.gauge m "fs.files" (fun () ->
+        float_of_int
+          (Array.fold_left (fun n f -> if Option.is_some f then n + 1 else n) 0 t.files));
     Obs.Metrics.gauge m "fs.block_ios" (fun () ->
         float_of_int
           (Array.fold_left ( + ) 0 t.pid_reads + Array.fold_left ( + ) 0 t.pid_writes))
@@ -79,10 +85,12 @@ let counted a pid =
   let p = Pid.to_int pid in
   if p < Array.length a then a.(p) else 0
 
+let file_of_id t id = if id >= 0 && id < t.next_id then t.files.(id) else None
+
 let file_of_block t key =
-  match Hashtbl.find t.files (Block.file key) with
-  | f -> f
-  | exception Not_found -> invalid_arg "Fs: block of unknown file"
+  match file_of_id t (Block.file key) with
+  | Some f -> f
+  | None -> invalid_arg "Fs: block of unknown file"
 
 (* The backend: what BUF calls when it needs the device. *)
 
@@ -91,8 +99,8 @@ let landed t p =
   let waited = Itbl.find t.in_flight p > 0 in
   Itbl.remove t.in_flight p;
   if waited then begin
-    let iv = Hashtbl.find t.landing p in
-    Hashtbl.remove t.landing p;
+    let iv = Btbl.find t.landing p in
+    Btbl.remove t.landing p;
     Ivar.fill iv ()
   end
 
@@ -147,7 +155,7 @@ let backend_write t key =
   Engine.spawn t.engine ~name:"writeback" (fun () ->
       Disk.io ~blocks disk Disk.Write ~addr)
 
-let backend_evicted t key = Hashtbl.remove t.frames key
+let backend_evicted t key = if t.track_data then Hashtbl.remove t.frames key
 
 let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
     ?(write_cluster = 1) ?(readahead = true) ?(layout = `Packed)
@@ -166,12 +174,12 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
       readahead;
       layout;
       track_data;
-      files = Hashtbl.create 32;
+      files = Array.make 32 None;
       by_name = Hashtbl.create 32;
       next_id = 0;
       disk_cursors = [];
       in_flight = Itbl.create 8;
-      landing = Hashtbl.create 8;
+      landing = Btbl.create 8;
       frames = Hashtbl.create 1024;
       images = Hashtbl.create 8;
       pid_reads = Array.make 8 0;
@@ -231,8 +239,13 @@ let create_file t ?owner ?reserve_bytes ~name ~disk ~size_bytes () =
     }
   in
   c := !c + reserve_blocks;
+  if file.File.id = Array.length t.files then begin
+    let grown = Array.make (2 * file.File.id) None in
+    Array.blit t.files 0 grown 0 file.File.id;
+    t.files <- grown
+  end;
+  t.files.(file.File.id) <- Some file;
   t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.files file.File.id file;
   Hashtbl.replace t.by_name name file.File.id;
   (match t.obs with
   | None -> ()
@@ -245,10 +258,7 @@ let create_file t ?owner ?reserve_bytes ~name ~disk ~size_bytes () =
     Hashtbl.replace t.images file.File.id (Bytes.make (reserve_blocks * block_bytes) '\000');
   file
 
-let lookup t name =
-  Option.bind (Hashtbl.find_opt t.by_name name) (Hashtbl.find_opt t.files)
-
-let file_of_id t id = Hashtbl.find_opt t.files id
+let lookup t name = Option.bind (Hashtbl.find_opt t.by_name name) (file_of_id t)
 
 let unlink t (file : File.t) =
   if not file.File.unlinked then begin
@@ -260,8 +270,8 @@ let unlink t (file : File.t) =
     file.File.unlinked <- true;
     ignore (Cache.invalidate_file t.cache ~file:(File.id file));
     Hashtbl.remove t.by_name file.File.name;
-    Hashtbl.remove t.files (File.id file);
-    Hashtbl.remove t.images (File.id file)
+    t.files.(File.id file) <- None;
+    if t.track_data then Hashtbl.remove t.images (File.id file)
   end
 
 (* {2 Data path} *)
@@ -280,10 +290,10 @@ let wait_ready t key =
   | -1 -> ()
   | 0 ->
     let iv = Ivar.create t.engine in
-    Hashtbl.replace t.landing p iv;
+    Btbl.replace t.landing p iv;
     Itbl.set t.in_flight p 1;
     Ivar.read iv
-  | _ -> Ivar.read (Hashtbl.find t.landing p)
+  | _ -> Ivar.read (Btbl.find t.landing p)
 
 let check_range ~what ~off ~len =
   if off < 0 || len < 0 then invalid_arg (what ^ ": negative offset or length")

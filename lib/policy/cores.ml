@@ -276,64 +276,100 @@ module Iheap = struct
     end
 end
 
-(* FIFO-ordered queue of blocks that survives out-of-order removals: a
-   stdlib [Queue] of stamped entries plus a block -> live-stamp table.
-   Removal just drops the table entry; stale queue entries are skipped
-   when the front is inspected. The old destructive pop-at-choice
-   behaviour is recovered by [drop_front] at eviction time. *)
-module Squeue = struct
+(* FIFO ring of (stamp, packed block) entries in two parallel int
+   columns, over a power-of-two array. *)
+module Ring = struct
   type t = {
-    q : (int * Block.t) Queue.t;
-    live : (Block.t, int) Hashtbl.t;
-    mutable stamp : int;
+    mutable stamps : int array;
+    mutable keys : int array;
+    mutable head : int;
+    mutable len : int;
   }
 
-  let create () = { q = Queue.create (); live = Hashtbl.create 1024; stamp = 0 }
+  let create () = { stamps = Array.make 16 0; keys = Array.make 16 0; head = 0; len = 0 }
 
-  let length t = Hashtbl.length t.live
+  let length t = t.len
 
-  let push t block =
+  let push t stamp key =
+    let cap = Array.length t.keys in
+    if t.len = cap then begin
+      let stamps = Array.make (2 * cap) 0 and keys = Array.make (2 * cap) 0 in
+      for i = 0 to t.len - 1 do
+        let j = (t.head + i) land (cap - 1) in
+        stamps.(i) <- t.stamps.(j);
+        keys.(i) <- t.keys.(j)
+      done;
+      t.stamps <- stamps;
+      t.keys <- keys;
+      t.head <- 0
+    end;
+    let i = (t.head + t.len) land (Array.length t.keys - 1) in
+    t.stamps.(i) <- stamp;
+    t.keys.(i) <- key;
+    t.len <- t.len + 1
+
+  (* The front entry; the ring must not be empty. *)
+  let front_stamp t = t.stamps.(t.head)
+
+  let front_key t = t.keys.(t.head)
+
+  let pop t =
+    t.head <- (t.head + 1) land (Array.length t.keys - 1);
+    t.len <- t.len - 1
+end
+
+(* FIFO-ordered queue of blocks that survives out-of-order removals: a
+   {!Ring} of stamped entries plus a packed block -> live-stamp {!Itbl}.
+   Removal just drops the table entry; stale ring entries are skipped
+   when the front is inspected. The old destructive pop-at-choice
+   behaviour is recovered by [drop] at eviction time. Blocks are packed
+   keys throughout; only a victim is unpacked. *)
+module Squeue = struct
+  type t = { ring : Ring.t; live : Itbl.t; mutable stamp : int }
+
+  let create () = { ring = Ring.create (); live = Itbl.create 1024; stamp = 0 }
+
+  let length t = Itbl.length t.live
+
+  let push t key =
     t.stamp <- t.stamp + 1;
-    Hashtbl.replace t.live block t.stamp;
-    Queue.push (t.stamp, block) t.q
+    Itbl.set t.live key t.stamp;
+    Ring.push t.ring t.stamp key
 
-  (* Discard stale entries so the physical front is a live member. *)
+  (* Discard stale entries so the physical front is a live member.
+     Stamps start at 1, so an absent key ([-1]) never matches. *)
   let rec settle t =
-    match Queue.peek_opt t.q with
-    | None -> ()
-    | Some (stamp, block) ->
-      (match Hashtbl.find_opt t.live block with
-      | Some live when live = stamp -> ()
-      | Some _ | None ->
-        ignore (Queue.pop t.q);
-        settle t)
+    let r = t.ring in
+    if Ring.length r > 0 && Itbl.find t.live (Ring.front_key r) <> Ring.front_stamp r then begin
+      Ring.pop r;
+      settle t
+    end
 
-  let front t =
+  let front_key t =
     settle t;
-    match Queue.peek_opt t.q with
-    | Some (_, block) -> block
-    | None -> failwith "Squeue: empty"
+    if Ring.length t.ring = 0 then failwith "Squeue: empty";
+    Ring.front_key t.ring
 
-  (* Remove [block]; additionally pop it when it is the physical front,
+  let front t = Block.unpack (front_key t)
+
+  (* Remove [key]; additionally pop it when it is the physical front,
      matching the destructive choice of the pre-core queue policies. *)
-  let drop t block =
+  let drop t key =
     settle t;
-    (match Queue.peek_opt t.q with
-    | Some (stamp, b)
-      when Block.equal b block
-           && (match Hashtbl.find_opt t.live block with
-              | Some live -> live = stamp
-              | None -> false) ->
-      ignore (Queue.pop t.q)
-    | Some _ | None -> ());
-    Hashtbl.remove t.live block
+    let r = t.ring in
+    if
+      Ring.length r > 0
+      && Ring.front_key r = key
+      && Itbl.find t.live key = Ring.front_stamp r
+    then Ring.pop r;
+    Itbl.remove t.live key
 
   (* Rotate the live front entry to the tail (CLOCK second chance). *)
   let rotate t =
-    settle t;
-    let stamp, block = Queue.pop t.q in
-    Queue.push (stamp, block) t.q;
-    block
+    let key = front_key t in
+    let stamp = Ring.front_stamp t.ring in
+    Ring.pop t.ring;
+    Ring.push t.ring stamp key
 end
 
 (* Shared recency-list state for LRU and MRU. *)
@@ -395,8 +431,8 @@ module Fifo = struct
 
   let on_event t = function
     | Reference _ | Hint _ -> ()
-    | Admit { block; _ } -> Squeue.push t block
-    | Evict { block } | Invalidate { block } -> Squeue.drop t block
+    | Admit { block; _ } -> Squeue.push t (Block.pack block)
+    | Evict { block } | Invalidate { block } -> Squeue.drop t (Block.pack block)
 
   let victim t ~pos:_ ~missing:_ = Squeue.front t
 
@@ -404,7 +440,7 @@ module Fifo = struct
 end
 
 module Clock = struct
-  type t = { ring : Squeue.t; referenced : (Block.t, unit) Hashtbl.t }
+  type t = { ring : Squeue.t; referenced : Itbl.t (* packed block -> 0 *) }
 
   let name = "CLOCK"
 
@@ -415,25 +451,26 @@ module Clock = struct
   let needs_future = false
 
   let create ~capacity:_ ~future:_ =
-    { ring = Squeue.create (); referenced = Hashtbl.create 1024 }
+    { ring = Squeue.create (); referenced = Itbl.create 1024 }
 
   let on_event t = function
-    | Reference { block; _ } -> Hashtbl.replace t.referenced block ()
-    | Admit { block; _ } -> Squeue.push t.ring block
+    | Reference { block; _ } -> Itbl.set t.referenced (Block.pack block) 0
+    | Admit { block; _ } -> Squeue.push t.ring (Block.pack block)
     | Evict { block } | Invalidate { block } ->
-      Squeue.drop t.ring block;
-      Hashtbl.remove t.referenced block
+      let key = Block.pack block in
+      Squeue.drop t.ring key;
+      Itbl.remove t.referenced key
     | Hint _ -> ()
 
   let rec victim t ~pos ~missing =
-    let block = Squeue.front t.ring in
-    if Hashtbl.mem t.referenced block then begin
+    let key = Squeue.front_key t.ring in
+    if Itbl.mem t.referenced key then begin
       (* Second chance: clear the bit and move the hand on. *)
-      Hashtbl.remove t.referenced block;
-      ignore (Squeue.rotate t.ring);
+      Itbl.remove t.referenced key;
+      Squeue.rotate t.ring;
       victim t ~pos ~missing
     end
-    else block
+    else Block.unpack key
 
   let stats t = [ ("resident", float_of_int (Squeue.length t.ring)) ]
 end
@@ -599,16 +636,19 @@ module Two_q = struct
      with the paper): new pages enter the FIFO probation queue A1in;
      pages re-referenced after leaving it (tracked by the ghost queue
      A1out) are promoted to the protected LRU queue Am. *)
-  type queue = A1in | Am
+  (* The queue a resident page is in, as [where] stores it. *)
+  let in_a1in = 0
+
+  let in_am = 1
 
   type t = {
     kin : int;  (* A1in capacity *)
     kout : int;  (* A1out ghost capacity *)
     a1in : Squeue.t;
     am : Islab.t;
-    where : (Block.t, queue) Hashtbl.t;  (* resident pages only *)
-    a1out : Block.t Queue.t;  (* ghosts: identities only *)
-    ghost : (Block.t, unit) Hashtbl.t;
+    where : Itbl.t;  (* resident pages only: packed block -> [in_a1in] or [in_am] *)
+    a1out : Ring.t;  (* ghosts: packed identities only, stamps unused *)
+    ghost : Itbl.t;  (* packed block -> 0 *)
   }
 
   let name = "2Q"
@@ -625,51 +665,54 @@ module Two_q = struct
       kout = Stdlib.max 1 (capacity / 2);
       a1in = Squeue.create ();
       am = Islab.create capacity;
-      where = Hashtbl.create 1024;
-      a1out = Queue.create ();
-      ghost = Hashtbl.create 1024;
+      where = Itbl.create 1024;
+      a1out = Ring.create ();
+      ghost = Itbl.create 1024;
     }
 
-  let remember_ghost t block =
-    Queue.push block t.a1out;
-    Hashtbl.replace t.ghost block ();
-    while Queue.length t.a1out > t.kout do
-      Hashtbl.remove t.ghost (Queue.pop t.a1out)
+  let remember_ghost t key =
+    Ring.push t.a1out 0 key;
+    Itbl.set t.ghost key 0;
+    while Ring.length t.a1out > t.kout do
+      Itbl.remove t.ghost (Ring.front_key t.a1out);
+      Ring.pop t.a1out
     done
 
   let on_event t = function
     | Reference { block; _ } ->
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.move_front t.am block
-      | Some A1in -> ()  (* classic 2Q: probation hits do not promote *)
-      | None -> assert false)
+      let q = Itbl.find t.where (Block.pack block) in
+      if q = in_am then Islab.move_front t.am block
+      else if q = in_a1in then ()  (* classic 2Q: probation hits do not promote *)
+      else assert false
     | Admit { block; _ } ->
-      if Hashtbl.mem t.ghost block then begin
+      let key = Block.pack block in
+      if Itbl.mem t.ghost key then begin
         (* Seen recently: promote straight to the protected queue. *)
-        Hashtbl.replace t.where block Am;
+        Itbl.set t.where key in_am;
         Islab.push_front t.am block
       end
       else begin
-        Hashtbl.replace t.where block A1in;
-        Squeue.push t.a1in block
+        Itbl.set t.where key in_a1in;
+        Squeue.push t.a1in key
       end
     | Evict { block } ->
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.remove t.am block
-      | Some A1in ->
+      let key = Block.pack block in
+      let q = Itbl.find t.where key in
+      if q = in_am then Islab.remove t.am block
+      else if q = in_a1in then begin
         (* A replaced probation page is remembered so a prompt
            re-reference proves it deserves the protected queue. *)
-        Squeue.drop t.a1in block;
-        remember_ghost t block
-      | None -> ());
-      Hashtbl.remove t.where block
+        Squeue.drop t.a1in key;
+        remember_ghost t key
+      end;
+      Itbl.remove t.where key
     | Invalidate { block } ->
       (* Invalidation is not a replacement decision: no ghost entry. *)
-      (match Hashtbl.find_opt t.where block with
-      | Some Am -> Islab.remove t.am block
-      | Some A1in -> Squeue.drop t.a1in block
-      | None -> ());
-      Hashtbl.remove t.where block
+      let key = Block.pack block in
+      let q = Itbl.find t.where key in
+      if q = in_am then Islab.remove t.am block
+      else if q = in_a1in then Squeue.drop t.a1in key;
+      Itbl.remove t.where key
     | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
@@ -680,7 +723,7 @@ module Two_q = struct
     [
       ("a1in", float_of_int (Squeue.length t.a1in));
       ("am", float_of_int (Islab.length t.am));
-      ("ghost", float_of_int (Hashtbl.length t.ghost));
+      ("ghost", float_of_int (Itbl.length t.ghost));
     ]
 end
 

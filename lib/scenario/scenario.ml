@@ -252,6 +252,23 @@ let fleet_check f =
             la bound )
     else Ok ()
 
+(* The file slots the workloads' programs open, which a fleet lays out
+   side by side; [shared_files] names a prefix of them. A workload that
+   is not an IR program opens none here (a fleet cannot run it). *)
+let file_slots workloads =
+  List.fold_left
+    (fun n w ->
+      let program =
+        match w.app with
+        | Inline p -> Some p
+        | Named name ->
+          (match Catalog.resolve ?file_blocks:w.file_blocks name with
+          | Ok e -> App.program e.Catalog.app
+          | Error _ -> None)
+      in
+      n + Option.fold ~none:0 ~some:Wir.file_count program)
+    0 workloads
+
 (* Everything [make] and the parser both reject, at document
    sub-paths. *)
 let check t =
@@ -279,7 +296,14 @@ let check t =
       ~io_cpu_cost:t.io_cpu_cost ~write_cluster:t.write_cluster
       (List.map (fun d -> d.params) t.disks)
   in
-  match t.fleet with None -> Ok () | Some f -> within ".fleet" (fleet_check f)
+  match t.fleet with
+  | None -> Ok ()
+  | Some f ->
+    let* () = within ".fleet" (fleet_check f) in
+    let slots = file_slots t.workloads in
+    ensure ".fleet.shared_files" (f.shared_files <= slots)
+      (Printf.sprintf "shared_files %d exceeds the %d workload file slots" f.shared_files
+         slots)
 
 let fleet ?(shared_files = 0) ?(links = []) ?lookahead_ms ?(server_drive = Params.rz56)
     ~clients ~server_cache_blocks ~latency_ms ~bandwidth_mb_per_s () =

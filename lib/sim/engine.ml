@@ -148,24 +148,13 @@ module Equeue = struct
     job
 end
 
-(* The engine's whole per-fiber state: one small record, linked into
-   the engine's blocked ring while the fiber waits in a {!waitq} or in
-   [suspend] (a sleeper is never linked: its wake event is queued, so it
-   cannot deadlock). Unlinked, a record points at itself. *)
-type fiber = {
-  fname : string;
-  mutable prev : fiber;
-  mutable next : fiber;
-  mutable serial : int; (* blockings so far; a [suspend] resume checks its own *)
-}
-
 (* FIFO of parked fibers, as a power-of-two ring over two parallel
    columns: the [Cont k] job that wakes each one (built once at park and
-   handed to the run queue as is) and its record, to unlink at wake.
-   Empty until the first park. *)
+   handed to the run queue as is) and its fiber id, whose flag is
+   cleared at wake. Empty until the first park. *)
 type waitq = {
   mutable wjobs : Equeue.job array;
-  mutable wfibers : fiber array;
+  mutable wids : int array;
   mutable whead : int;
   mutable wlen : int;
 }
@@ -186,7 +175,20 @@ type t = {
   mutable rtail : int; (* rtail - rhead = occupancy; indices mod capacity *)
   mutable live : int; (* fibers spawned and not finished *)
   mutable waiting : int; (* fibers currently suspended (sleepers included) *)
-  blocked : fiber; (* sentinel of the ring of parked/suspended fibers *)
+  (* The fiber registry: a fiber is an id, issued at spawn from a stack
+     of free ids and returned when it finishes, with a name and a state
+     cell. A state is [2 * serial + blocked]: the serial counts the
+     blockings of the id so far and is never reset, so a [suspend]
+     resume holding its own state is stale once the id blocks again,
+     under any owner; the blocked bit is set while the fiber waits in a
+     {!waitq} or in [suspend] (never while it sleeps: its wake event is
+     queued, so it cannot deadlock). Parking and waking only store ints,
+     with no write barrier; the registry is scanned for blocked fibers
+     only when {!Deadlock} is raised. Empty until the first spawn. *)
+  mutable fnames : string array;
+  mutable fstate : int array;
+  mutable free_ids : int array;
+  mutable nfree : int;
   (* True only while the running code is a fiber entered straight from
      the run loop (its start or a [Cont] job), so that when it blocks,
      control returns to the loop with nothing else left to run in this
@@ -198,10 +200,10 @@ type t = {
   mutable obs : Obs.Sink.t option;
   sleep_dt : float array; (* argument slot for the Sleep effect *)
   mutable sleep_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  (* Argument slots for the Park effect: the queue, and the parking
-     fiber as named by its own handler. *)
+  (* Argument slots for the Park effect: the queue, and the id of the
+     parking fiber as named by its own handler. *)
   mutable park_q : waitq;
-  mutable parker : fiber;
+  mutable parker : int;
   mutable park_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
@@ -218,36 +220,49 @@ type _ Effect.t += Sleep : unit Effect.t
 (* Park on a wait queue, with the same argument-slot discipline. *)
 type _ Effect.t += Park : unit Effect.t
 
-let nobody =
-  let rec fb = { fname = ""; prev = fb; next = fb; serial = 0 } in
-  fb
+(* Enter a new fiber into the registry under a free id, growing the
+   columns when none is left. *)
+let register_fiber t name =
+  if t.nfree = 0 then begin
+    let old = Array.length t.fnames in
+    let cap = Stdlib.max 4 (2 * old) in
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 old;
+      b
+    in
+    t.fnames <- grow t.fnames "";
+    t.fstate <- grow t.fstate 0;
+    (* Every old id is in use: the free ids are the new ones. *)
+    t.free_ids <- Array.make cap 0;
+    for i = 0 to cap - old - 1 do
+      t.free_ids.(i) <- cap - 1 - i
+    done;
+    t.nfree <- cap - old
+  end;
+  t.nfree <- t.nfree - 1;
+  let id = t.free_ids.(t.nfree) in
+  t.fnames.(id) <- name;
+  id
 
-(* Not [let rec]: a recursive record is built twice (a dummy block, then
-   the real one copied into it), once per fiber. *)
-let unlinked name =
-  let fb = { fname = name; prev = nobody; next = nobody; serial = 0 } in
-  fb.prev <- fb;
-  fb.next <- fb;
-  fb
+(* A finished fiber is never blocked, so its bit is already clear. *)
+let release_fiber t id =
+  t.free_ids.(t.nfree) <- id;
+  t.nfree <- t.nfree + 1
 
-let link t fb =
-  let s = t.blocked in
-  fb.prev <- s.prev;
-  fb.next <- s;
-  s.prev.next <- fb;
-  s.prev <- fb
+(* Mark a running fiber blocked under a new serial; the state it
+   returns stays current until the fiber is woken. *)
+let[@inline] block t id =
+  let st = t.fstate.(id) + 3 in
+  t.fstate.(id) <- st;
+  st
 
-let unlink fb =
-  fb.prev.next <- fb.next;
-  fb.next.prev <- fb.prev;
-  fb.prev <- fb;
-  fb.next <- fb
+let[@inline] unblock t id = t.fstate.(id) <- t.fstate.(id) - 1
 
 let blocked_names t =
-  let rec collect fb acc =
-    if fb == t.blocked then acc else collect fb.next (fb.fname :: acc)
-  in
-  List.sort compare (collect t.blocked.next [])
+  let names = ref [] in
+  Array.iteri (fun id st -> if st land 1 = 1 then names := t.fnames.(id) :: !names) t.fstate;
+  List.sort compare !names
 
 let ring_length t = t.rtail - t.rhead
 
@@ -287,27 +302,27 @@ let sleep_push t k =
     Equeue.push_staged t.events ~seq:t.seq (Equeue.Cont k)
   end
 
-let waitq () = { wjobs = [||]; wfibers = [||]; whead = 0; wlen = 0 }
+let waitq () = { wjobs = [||]; wids = [||]; whead = 0; wlen = 0 }
 
 let waiters q = q.wlen
 
-let waitq_push q job fb =
+let waitq_push q job id =
   let cap = Array.length q.wjobs in
   if q.wlen = cap then begin
     let ncap = Stdlib.max 4 (2 * cap) in
-    let jobs = Array.make ncap Equeue.Nop and fibers = Array.make ncap fb in
+    let jobs = Array.make ncap Equeue.Nop and ids = Array.make ncap 0 in
     for i = 0 to q.wlen - 1 do
       let j = (q.whead + i) land (cap - 1) in
       jobs.(i) <- q.wjobs.(j);
-      fibers.(i) <- q.wfibers.(j)
+      ids.(i) <- q.wids.(j)
     done;
     q.wjobs <- jobs;
-    q.wfibers <- fibers;
+    q.wids <- ids;
     q.whead <- 0
   end;
   let i = (q.whead + q.wlen) land (Array.length q.wjobs - 1) in
   q.wjobs.(i) <- job;
-  q.wfibers.(i) <- fb;
+  q.wids.(i) <- id;
   q.wlen <- q.wlen + 1
 
 let create () =
@@ -321,7 +336,10 @@ let create () =
       rtail = 0;
       live = 0;
       waiting = 0;
-      blocked = unlinked "";
+      fnames = [||];
+      fstate = [||];
+      free_ids = [||];
+      nfree = 0;
       direct = false;
       horizon = Array.make 1 Float.infinity;
       processed = 0;
@@ -329,30 +347,29 @@ let create () =
       sleep_dt = Array.make 1 0.0;
       sleep_some = None;
       park_q = waitq ();
-      parker = nobody;
+      parker = -1;
       park_some = None;
     }
   in
   (* One handler closure per engine, shared by every fiber: performing
      Sleep finds it pre-allocated. A sleeping fiber counts as waiting
-     but is never linked into [blocked] — its wake event is in the
-     queue, so it cannot deadlock. *)
+     but is never flagged [blocked] — its wake event is in the queue, so
+     it cannot deadlock. *)
   t.sleep_some <-
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         t.waiting <- t.waiting + 1;
         sleep_push t k);
   (* Likewise for Park: the parking fiber's own handler has just put
-     its record in [parker], so this shared closure needs no per-fiber
+     its id in [parker], so this shared closure needs no per-fiber
      copy. *)
   t.park_some <-
     Some
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
-        let fb = t.parker in
+        let id = t.parker in
         t.waiting <- t.waiting + 1;
-        fb.serial <- fb.serial + 1;
-        link t fb;
-        waitq_push t.park_q (Equeue.Cont k) fb);
+        ignore (block t id);
+        waitq_push t.park_q (Equeue.Cont k) id);
   t
 
 let now t = t.clock.(0)
@@ -409,54 +426,49 @@ let schedule_now t job =
    the fiber's blocking serial, so a second call, or a stale one after
    the fiber blocked again, is rejected. The resumed fiber runs inside
    whatever job calls [resume], so it is not [direct]. *)
-let suspend_fiber t fb register k =
+let suspend_fiber t id register k =
   t.waiting <- t.waiting + 1;
-  fb.serial <- fb.serial + 1;
-  let serial = fb.serial in
-  link t fb;
+  let st = block t id in
   register (fun () ->
-      if fb.serial <> serial || fb.next == fb then
-        invalid_arg "Engine: fiber resumed twice";
+      if t.fstate.(id) <> st then invalid_arg "Engine: fiber resumed twice";
       t.waiting <- t.waiting - 1;
-      unlink fb;
+      unblock t id;
       let direct = t.direct in
       t.direct <- false;
       Effect.Deep.continue k ();
       t.direct <- direct)
 
 (* Fiber-local knowledge of "who am I" is threaded through the effect
-   handler: each fiber runs under its own handler closure that knows its
-   record, so blocking bookkeeping can name the stuck fiber. *)
+   handler: each fiber runs under its own handler that knows its id, so
+   blocking bookkeeping can name the stuck fiber. The three handler
+   functions are one [let rec], so they share one closure block: the id
+   release in [exnc] costs no closure of its own. *)
 let start_fiber t ~name f =
   t.live <- t.live + 1;
   (match t.obs with
   | None -> ()
   | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name; op = "spawn" }));
-  let fb = unlinked name in
+  let id = register_fiber t name in
   let open Effect.Deep in
-  let handler =
-    {
-      retc =
-        (fun () ->
-          t.live <- t.live - 1;
-          match t.obs with
-          | None -> ()
-          | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name; op = "finish" }));
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Sleep -> (t.sleep_some : ((a, unit) continuation -> unit) option)
-          | Park ->
-            t.parker <- fb;
-            (t.park_some : ((a, unit) continuation -> unit) option)
-          | Suspend register ->
-            Some (fun (k : (a, unit) continuation) -> suspend_fiber t fb register k)
-          | _ -> None);
-    }
+  let[@warning "-39"] rec retc () =
+    t.live <- t.live - 1;
+    (match t.obs with
+    | None -> ()
+    | Some sink -> Obs.Sink.emit sink (Obs.Trace.Fiber { name = t.fnames.(id); op = "finish" }));
+    release_fiber t id
+  and exnc e =
+    release_fiber t id;
+    raise e
+  and effc : type a. a Effect.t -> ((a, unit) continuation -> unit) option = function
+    | Sleep -> t.sleep_some
+    | Park ->
+      t.parker <- id;
+      t.park_some
+    | Suspend register -> Some (fun k -> suspend_fiber t id register k)
+    | _ -> None
   in
   t.direct <- true;
-  match_with f () handler;
+  match_with f () { retc; exnc; effc };
   t.direct <- false
 
 let spawn t ?(name = "fiber") f =
@@ -504,7 +516,7 @@ let wake_one t q =
     q.wjobs.(i) <- Equeue.Nop;
     q.whead <- (i + 1) land (Array.length q.wjobs - 1);
     q.wlen <- q.wlen - 1;
-    unlink q.wfibers.(i);
+    unblock t q.wids.(i);
     schedule_now t job;
     true
   end

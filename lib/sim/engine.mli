@@ -107,8 +107,8 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     {!Ivar} and {!Resource}. A parked fiber's continuation sits in the
     queue as is; waking it moves it to the run queue at the current
     instant (the ready ring when nothing queued is due sooner), where
-    the run loop resumes it directly. A parked fiber is linked into the
-    engine's blocked ring, so {!Deadlock} names it. *)
+    the run loop resumes it directly. A parked fiber is flagged blocked
+    in the engine's fiber registry, so {!Deadlock} names it. *)
 
 type waitq
 

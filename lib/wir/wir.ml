@@ -88,11 +88,25 @@ let file_count t = List.fold_left count_opens 0 t.ops
 
    Errors are (sub-path, message) pairs; [validate] and the embedding
    document's codec stamp on the root path and label, so a program
-   nested in a scenario reports scenario-rooted paths. *)
+   nested in a scenario reports scenario-rooted paths.
 
-let ( let* ) = Result.bind
+   [exec] checks every program it runs, so the walk allocates nothing
+   per op on success: an op is named by its index in a [body], a chain
+   of frames built once per nested list, and its path is rendered only
+   when the op is rejected. *)
 
 type slot = { reserve : int; file_name : string; mutable live : bool }
+
+(* A list of ops: the top-level [ops], or the [field] list of the op at
+   index [i] of [up]. *)
+type body = Ops | Nested of body * int * string
+
+let rec render body i =
+  match body with
+  | Ops -> Printf.sprintf ".ops[%d]" i
+  | Nested (up, j, field) -> Printf.sprintf "%s.%s[%d]" (render up j) field i
+
+exception Rejected of string * string
 
 let check t =
   let slots : slot array ref = ref [||] in
@@ -106,118 +120,90 @@ let check t =
     !slots.(!n_slots) <- s;
     incr n_slots
   in
-  let err path msg = Error (path, msg) in
-  let slot path file =
+  let err body i msg = raise (Rejected (render body i, msg)) in
+  let slot body i file =
     if file < 0 || file >= !n_slots then
-      err path (Printf.sprintf "file %d is not open (%d file%s opened so far)" file !n_slots
+      err body i
+        (Printf.sprintf "file %d is not open (%d file%s opened so far)" file !n_slots
            (if !n_slots = 1 then "" else "s"))
-    else if not !slots.(file).live then
-      err path (Printf.sprintf "file %d was unlinked" file)
-    else Ok !slots.(file)
+    else if not !slots.(file).live then err body i (Printf.sprintf "file %d was unlinked" file)
+    else !slots.(file)
   in
-  let finite_nonneg path what v =
+  let finite_nonneg body i what v =
     if Float.is_nan v || v < 0.0 || v = Float.infinity then
-      err path (Printf.sprintf "%s must be a finite non-negative number" what)
-    else Ok ()
+      err body i (Printf.sprintf "%s must be a finite non-negative number" what)
   in
-  let check_range path verb file ~first ~count =
-    let* s = slot path file in
-    if first < 0 then err path (Printf.sprintf "%s starts at negative block %d" verb first)
-    else if count < 1 then err path (Printf.sprintf "%s count must be at least 1" verb)
+  let check_range body i verb file ~first ~count =
+    let s = slot body i file in
+    if first < 0 then err body i (Printf.sprintf "%s starts at negative block %d" verb first)
+    else if count < 1 then err body i (Printf.sprintf "%s count must be at least 1" verb)
     else if first + count > s.reserve then
-      err path
+      err body i
         (Printf.sprintf "%s of blocks [%d, %d) exceeds file %d's %d-block extent" verb
            first (first + count) file s.reserve)
-    else Ok ()
   in
-  let rec check_op ~static ~path = function
+  let rec check_op ~static body i = function
     | Open { name; size_blocks; reserve_blocks } ->
-      if not static then err path "open is not allowed inside loop or choice"
-      else if name = "" then err path "file name must be non-empty"
-      else if size_blocks < 0 then err path "size_blocks must be non-negative"
+      if not static then err body i "open is not allowed inside loop or choice"
+      else if name = "" then err body i "file name must be non-empty"
+      else if size_blocks < 0 then err body i "size_blocks must be non-negative"
       else if reserve_blocks < Stdlib.max 1 size_blocks then
-        err path "reserve_blocks must be at least max(1, size_blocks)"
+        err body i "reserve_blocks must be at least max(1, size_blocks)"
       else if
         Array.exists (fun s -> s.live && s.file_name = name)
           (Array.sub !slots 0 !n_slots)
-      then err path (Printf.sprintf "duplicate file name %S" name)
-      else Ok (push { reserve = reserve_blocks; file_name = name; live = true })
+      then err body i (Printf.sprintf "duplicate file name %S" name)
+      else push { reserve = reserve_blocks; file_name = name; live = true }
     | Read { file; first; count; cpu; _ } ->
-      let* () = check_range path "read" file ~first ~count in
-      finite_nonneg path "cpu" cpu
+      check_range body i "read" file ~first ~count;
+      finite_nonneg body i "cpu" cpu
     | Write { file; first; count; cpu; _ } ->
-      let* () = check_range path "write" file ~first ~count in
-      finite_nonneg path "cpu" cpu
+      check_range body i "write" file ~first ~count;
+      finite_nonneg body i "cpu" cpu
     | Rand_read { file; base; range; cpu } ->
-      let* s = slot path file in
-      let* () =
-        if base < 0 then err path (Printf.sprintf "read starts at negative block %d" base)
-        else if range < 1 then err path "range must be at least 1"
-        else if base + range > s.reserve then
-          err path
-            (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent"
-               base (base + range) file s.reserve)
-        else Ok ()
-      in
-      finite_nonneg path "cpu" cpu
-    | Compute seconds -> finite_nonneg path "seconds" seconds
-    | Advise (Priority { file; _ }) ->
-      let* _ = slot path file in
-      Ok ()
-    | Advise (Policy _) -> Ok ()
+      let s = slot body i file in
+      if base < 0 then err body i (Printf.sprintf "read starts at negative block %d" base)
+      else if range < 1 then err body i "range must be at least 1"
+      else if base + range > s.reserve then
+        err body i
+          (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent" base
+             (base + range) file s.reserve);
+      finite_nonneg body i "cpu" cpu
+    | Compute seconds -> finite_nonneg body i "seconds" seconds
+    | Advise (Priority { file; _ }) -> ignore (slot body i file)
+    | Advise (Policy _) -> ()
     | Advise (Temppri { file; first; last; _ }) ->
-      let* s = slot path file in
+      let s = slot body i file in
       if first < 0 || last < first || last >= s.reserve then
-        err path
-          (Printf.sprintf "temppri range [%d, %d] outside file %d's %d-block extent"
-             first last file s.reserve)
-      else Ok ()
+        err body i
+          (Printf.sprintf "temppri range [%d, %d] outside file %d's %d-block extent" first
+             last file s.reserve)
     | Advise (Done_with { file; index }) ->
-      let* s = slot path file in
+      let s = slot body i file in
       if index < 0 || index >= s.reserve then
-        err path
-          (Printf.sprintf "done_with block %d outside file %d's %d-block extent" index
-             file s.reserve)
-      else Ok ()
+        err body i
+          (Printf.sprintf "done_with block %d outside file %d's %d-block extent" index file
+             s.reserve)
     | Unlink { file } ->
-      if not static then err path "unlink is not allowed inside loop or choice"
-      else
-        let* s = slot path file in
-        s.live <- false;
-        Ok ()
-    | Seq body -> check_body ~static ~path ~field:"body" body
-    | Loop { times; body } ->
-      if times < 0 then err path "times must be non-negative"
-      else check_body ~static:false ~path ~field:"body" body
+      if not static then err body i "unlink is not allowed inside loop or choice"
+      else (slot body i file).live <- false
+    | Seq ops -> check_body ~static (Nested (body, i, "body")) ops
+    | Loop { times; body = ops } ->
+      if times < 0 then err body i "times must be non-negative"
+      else check_body ~static:false (Nested (body, i, "body")) ops
     | Choice { prob; if_true; if_false } ->
       if Float.is_nan prob || prob < 0.0 || prob > 1.0 then
-        err path "prob must be between 0 and 1"
-      else
-        let* () = check_body ~static:false ~path ~field:"then" if_true in
-        check_body ~static:false ~path ~field:"else" if_false
-  and check_body ~static ~path ~field body =
-    let _, r =
-      List.fold_left
-        (fun (i, acc) op ->
-          ( i + 1,
-            let* () = acc in
-            check_op ~static ~path:(Printf.sprintf "%s.%s[%d]" path field i) op ))
-        (0, Ok ()) body
-    in
-    r
-  in
-  let* () =
-    if t.name = "" then Error (".name", "program name must be non-empty") else Ok ()
-  in
-  let _, r =
-    List.fold_left
-      (fun (i, acc) op ->
-        ( i + 1,
-          let* () = acc in
-          check_op ~static:true ~path:(Printf.sprintf ".ops[%d]" i) op ))
-      (0, Ok ()) t.ops
-  in
-  r
+        err body i "prob must be between 0 and 1"
+      else begin
+        check_body ~static:false (Nested (body, i, "then")) if_true;
+        check_body ~static:false (Nested (body, i, "else")) if_false
+      end
+  and check_body ~static body ops = List.iteri (check_op ~static body) ops in
+  if t.name = "" then Error (".name", "program name must be non-empty")
+  else
+    match check_body ~static:true Ops t.ops with
+    | () -> Ok ()
+    | exception Rejected (path, msg) -> Error (path, msg)
 
 let label = "wir"
 

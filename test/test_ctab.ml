@@ -1,5 +1,6 @@
 (* Property tests for the columnar substrates: {!Ilist} against {!Dll},
-   {!Itbl} against a stdlib [Hashtbl] model, {!Ctab} slot lifecycle
+   {!Itbl} against a stdlib [Hashtbl] model, {!Btbl} against the
+   [(Block.t, int) Hashtbl.t] whose order it keeps, {!Ctab} slot lifecycle
    (free-list reuse, growth), {!Engine.Equeue} ordering against the
    generic {!Heap}, and the full-cache {!Lockstep} random-op property.
    All randomness comes from seeded {!Rng}, so failures replay. *)
@@ -275,6 +276,104 @@ let lockstep_random ~seed ~alloc_policy () =
   | Ok n -> chk_int "all ops replayed" (Array.length ops) n
   | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d)
 
+(* {2 Btbl vs (Block.t, int) Hashtbl: same bindings, same fold order}
+
+   The ACM's resident sets iterate observably, so {!Btbl} over packed
+   keys must hold the buckets of a polymorphic table over the records.
+   Keys span several files, with file ids and indices up to the packable
+   limits. Each case first inserts 100 distinct keys into tables created
+   at 16 buckets, which forces the resizes at 32 and 64 bindings, then
+   replays random replace/remove/find calls, comparing folds after every
+   call. The model is the runtime's own [Hashtbl.hash], so a change to
+   it in a new compiler fails here. *)
+
+type btbl_op = Replace of int * int | Remove of int | Find of int
+
+(* The largest file id and block index {!Block.pack} accepts. *)
+let max_file = (1 lsl 30) - 1
+
+let max_index = (1 lsl 32) - 1
+
+let btbl_gen =
+  let open QCheck2.Gen in
+  let id bound = oneof [ int_range 0 40; int_range 0 bound ] in
+  (* Key [i] keeps [i] in its index's low byte, so keys are distinct
+     however the ids shrink. *)
+  let* pool =
+    let* files = list_size (int_range 2 6) (id max_file) in
+    let files = Array.of_list files in
+    let* n = int_range 100 160 in
+    flatten_l
+      (List.init n (fun i ->
+           map2
+             (fun f index ->
+               Block.make ~file:files.(f mod Array.length files)
+                 ~index:(index land lnot 255 lor i))
+             (int_range 0 5) (id max_index)))
+  in
+  let n = List.length pool in
+  let op =
+    frequency
+      [
+        (5, map2 (fun k v -> Replace (k, v)) (int_range 0 (n - 1)) (int_range 0 1000));
+        (3, map (fun k -> Remove k) (int_range 0 (n - 1)));
+        (2, map (fun k -> Find k) (int_range 0 (n - 1)));
+      ]
+  in
+  pair (pure pool) (list_size (int_range 50 300) op)
+
+let btbl_matches_hashtbl =
+  qcheck "btbl folds like (Block.t, int) Hashtbl" ~count:200 btbl_gen (fun (pool, ops) ->
+      let keys = Array.of_list pool in
+      let t = Btbl.create 16 and model = Hashtbl.create 16 in
+      let same () =
+        Btbl.length t = Hashtbl.length model
+        && Btbl.fold (fun k v acc -> (k, v) :: acc) t []
+           = Hashtbl.fold (fun b v acc -> (Block.pack b, v) :: acc) model []
+      in
+      let apply = function
+        | Replace (k, v) ->
+          Btbl.replace t (Block.pack keys.(k)) v;
+          Hashtbl.replace model keys.(k) v
+        | Remove k ->
+          Btbl.remove t (Block.pack keys.(k));
+          Hashtbl.remove model keys.(k)
+        | Find _ -> ()
+      in
+      let found = function
+        | Find k -> Btbl.find_opt t (Block.pack keys.(k)) = Hashtbl.find_opt model keys.(k)
+        | Replace _ | Remove _ -> true
+      in
+      let filled =
+        List.for_all
+          (fun i ->
+            apply (Replace (i, i));
+            same ())
+          (List.init 100 Fun.id)
+      in
+      filled
+      && (Btbl.stats t).Hashtbl.num_buckets >= 4 * 16
+      && List.for_all
+           (fun op ->
+             apply op;
+             found op && same ())
+           ops)
+
+let btbl_hash_is_hashtbl_hash () =
+  List.iter
+    (fun (file, index) ->
+      let b = Block.make ~file ~index in
+      chk_int (Format.asprintf "%a" Block.pp b) (Hashtbl.hash b) (Btbl.hash (Block.pack b)))
+    [
+      (0, 0);
+      (1, 0);
+      (0, 1);
+      (3, 12_345);
+      (max_file, max_index);
+      (7, (1 lsl 31) - 1);
+      (7, 1 lsl 31);
+    ]
+
 let suites =
   [
     ( "ctab",
@@ -287,6 +386,8 @@ let suites =
           (itbl_model_test ~seed:4 ~ops:6_000 ~keyspace:100_000);
         case "itbl churn stays tombstone-free" itbl_churn_no_tombstone_growth;
         case "itbl spreads packed multi-file keys" itbl_multi_file_spread;
+        case "btbl hash is Hashtbl.hash of the record" btbl_hash_is_hashtbl_hash;
+        btbl_matches_hashtbl;
         case "ctab slot lifecycle and free-list reuse" ctab_lifecycle;
         case "ctab growth preserves columns" ctab_growth;
         case "equeue vs heap, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);

@@ -242,6 +242,80 @@ let deadlock_names_parked_fibers () =
     check Alcotest.string "sorted names of every blocked fiber"
       "a-queued, b-queued, c-reader, d-suspended, holder" names
 
+(* {2 Blocked-fiber bookkeeping}
+
+   Fibers start at random times, park on several wait queues, suspend
+   and sleep; a controller wakes every live queue and resumes every
+   pending suspension once per round. A random subset ends parked on a
+   queue nobody wakes, or suspended with its resume dropped: the
+   {!Engine.Deadlock} payload must be exactly their sorted names. Ids
+   are reused as early fibers finish, and every resume thunk used once
+   must afterwards be rejected as stale. *)
+
+type block_step = Park_on of int | Suspend_once | Nap
+
+type ending = Finishes | Stuck_parked of int | Stuck_suspended
+
+let blocking_gen =
+  let open QCheck2.Gen in
+  let step =
+    oneof [ map (fun q -> Park_on q) (int_range 0 2); pure Suspend_once; pure Nap ]
+  in
+  let ending =
+    oneof [ pure Finishes; map (fun q -> Stuck_parked q) (int_range 0 1); pure Stuck_suspended ]
+  in
+  list_size (int_range 1 12) (triple (int_range 0 3) (list_size (int_range 0 4) step) ending)
+
+let deadlock_names_match_model =
+  qcheck "deadlock names exactly the fibers left blocked" ~count:300 blocking_gen
+    (fun specs ->
+      let e = Engine.create () in
+      let live = Array.init 3 (fun _ -> Engine.waitq ()) in
+      let never = Array.init 2 (fun _ -> Engine.waitq ()) in
+      let pending = ref [] and spent = ref [] in
+      let name i = Printf.sprintf "f%02d" i in
+      List.iteri
+        (fun i (start, steps, ending) ->
+          Engine.schedule e ~at:(float_of_int start) (fun () ->
+              Engine.spawn e ~name:(name i) (fun () ->
+                  List.iter
+                    (function
+                      | Park_on q -> Engine.park e live.(q)
+                      | Suspend_once -> Engine.suspend e (fun r -> pending := r :: !pending)
+                      | Nap -> Engine.delay e 0.5)
+                    steps;
+                  match ending with
+                  | Finishes -> ()
+                  | Stuck_parked q -> Engine.park e never.(q)
+                  | Stuck_suspended -> Engine.suspend e ignore)))
+        specs;
+      for round = 0 to 12 do
+        Engine.schedule e ~at:(float_of_int round +. 0.75) (fun () ->
+            Array.iter (Engine.wake_all e) live;
+            let due = List.rev !pending in
+            pending := [];
+            List.iter
+              (fun r ->
+                r ();
+                spent := r :: !spent)
+              due)
+      done;
+      let expected =
+        List.concat
+          (List.mapi (fun i (_, _, ending) -> if ending = Finishes then [] else [ name i ]) specs)
+      in
+      let reported =
+        match Engine.run e with
+        | () -> []
+        | exception Engine.Deadlock names -> String.split_on_char ',' names |> List.map String.trim
+      in
+      let stale_rejected r =
+        match r () with
+        | () -> false
+        | exception Invalid_argument msg -> msg = "Engine: fiber resumed twice"
+      in
+      reported = List.sort compare expected && List.for_all stale_rejected !spent)
+
 (* {2 Against a list-based reference scheduler}
 
    The same semantics with none of the engine's machinery: one sorted
@@ -439,6 +513,7 @@ let suites =
         case "run_until holds back late wake-ups" run_until_holds_back_late_wakeups;
         case "delay outside a fiber fails" delay_outside_fiber_fails;
         case "deadlock names parked fibers" deadlock_names_parked_fibers;
+        deadlock_names_match_model;
         matches_reference;
       ] );
   ]

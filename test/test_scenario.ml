@@ -124,6 +124,9 @@ let errors () =
           ~by:{|"capacity_blocks":819,"alloc_policy":"lru-xp"|} minimal,
         "scenario: unknown allocation policy \"lru-xp\" (expected global-lru, \
          alloc-lru, lru-s, lru-sp or clock-sp) at $.cache.alloc_policy" );
+      ( with_member
+          {|"fleet":{"clients":2,"shared_files":2,"server":{"cache_blocks":64,"drive":"rz56"},"network":{"latency_ms":2,"bandwidth_mb_per_s":20}}|},
+        "scenario: shared_files 2 exceeds the 1 workload file slots at $.fleet.shared_files" );
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"din","disk":5}|} minimal,
         "scenario: disk index 5 out of range (2 disks) at $.workloads[0].disk" );
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"dinx"}|} minimal,
