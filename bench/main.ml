@@ -18,9 +18,10 @@
      main.exe fig4 table1     selected artifacts only
      main.exe micro           micro-benchmarks only
      main.exe perf            hot-path microbench family (engine-events,
-                              disk-queue, policy-miss, cache-churn):
-                              ops/sec and minor-heap words per op, into
-                              the JSON "perf" section (see docs/PERF.md)
+                              disk-queue, policy-miss, cache-churn,
+                              fleet-events): ops/sec, minor-heap words per
+                              op and in-run growth t(16n)/t(n), into the
+                              JSON "perf" section (see docs/PERF.md)
      main.exe check           equivalence replay: recorded + synthetic
                               reference traces through the naive and the
                               indexed disk-queue pickers and replacement
@@ -29,7 +30,6 @@
                               (stock + adaptive) over every wirgen corpus
                               family, scored as miss-count regret vs OPT;
                               rows land in the JSON "tournament" section
-                              and --tournament-baseline gates them
      main.exe wirgen          generated-corpus family: draw a corpus from
                               the default wirgen spec at --corpus-seed,
                               replay its combined demand stream through
@@ -46,12 +46,12 @@
      main.exe --json FILE     also write machine-readable results
                               (the acfc-bench/1 schema; CI uploads this
                               as the BENCH_results.json artifact)
-     main.exe --baseline FILE with perf: check ratio (indexed/naive
-                              speedup), abs (ops/sec floor) and alloc
-                              (minor words per op budget) gate rows
-                              against the committed baseline; exits
-                              non-zero on any violation and reports
-                              measured rows no gate covers
+     main.exe --gate FILE     check the perf and tournament families that
+                              ran against the committed gate file
+                              (bench/gates.txt: alloc budgets, growth
+                              bounds, the scaling floor, regret
+                              ceilings); exits 1 on any violation and 2
+                              when none of the file's families ran
 *)
 
 module Config = Acfc_core.Config
@@ -62,7 +62,6 @@ module Ilist = Acfc_core.Ilist
 module Pool = Acfc_par.Pool
 module Fleet = Acfc_fleet.Fleet
 module Scenario = Acfc_scenario.Scenario
-module Cache_ref = Acfc_core.Cache_ref
 module Wir = Acfc_wir.Wir
 module Wirgen = Acfc_wirgen.Wirgen
 module Store = Acfc_store.Store
@@ -133,6 +132,20 @@ let stored_corpus spec ~seed ~count =
   match Wirgen.stored_corpus (store ()) spec ~seed ~count with
   | Ok (programs, _) -> programs
   | Error e -> failwith ("bench: " ^ e)
+
+(* One multi-program trace: each program's demand stream in corpus
+   order, with file ids shifted so that no two programs share a file. *)
+let combined_trace corpus streams =
+  let next_file = ref 0 in
+  Array.concat
+    (List.map2
+       (fun program stream ->
+         let offset = !next_file in
+         next_file := offset + Wir.file_count program;
+         Array.map
+           (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
+           stream)
+       corpus streams)
 
 (* {2 Micro-benchmarks} *)
 
@@ -316,395 +329,314 @@ let run_micro () =
 
 (* {2 Perf microbench family}
 
-   Hand-rolled steady-state loops (not bechamel): each benchmark reports
-   throughput (ops/sec) and minor-heap allocation per op, the two
-   quantities the hot-path re-indexing work (Sched_queue, indexed
-   LRU-2/OPT/RAND) is meant to improve. The *-naive rows run the
-   reference implementations on the identical op sequence, so the
-   indexed/naive ratio is a machine-independent speedup — that ratio is
-   what the --baseline gate checks. See docs/PERF.md. *)
+   Hand-rolled steady-state loops (not bechamel). Each row reports
+   throughput (ops/sec) and minor-heap words per op at its base size n.
+   A row with a growth check also times the same loop at 16n in the
+   same run and reports t(16n)/t(n) per op: an O(1) or O(log n) path
+   reads about 1-2x, an accidental O(n) walk about 16x, and a host that
+   runs the whole bench slower moves both sizes alike. Only counts and
+   growth are gated (bench/gates.txt); ops/sec is reported for reading,
+   and throughput claims belong to perfbench/. See docs/PERF.md. *)
 
 module Sq = Acfc_disk.Sched_queue
 module Rt = Acfc_replacement.Trace
 module Policy_sim = Acfc_replacement.Policy_sim
 module Reference = Acfc_replacement.Reference
 module Cores = Acfc_policy.Cores
+module Core = Acfc_policy.Policy_core
 module Registry = Acfc_policy.Registry
+module Engine = Acfc_sim.Engine
+module Itbl = Acfc_core.Itbl
 
 type perf_row = {
   p_name : string;
   ops_per_sec : float;
-  alloc_words_per_op : float;
-  p_ops : int;  (* total ops measured *)
+  alloc_words_per_op : float;  (* nan where this domain's words are not the row's *)
+  p_ops : int;  (* ops per timed pass at the base size *)
+  growth : float option;  (* t(16n)/t(n) per op *)
 }
 
-(* Indexed benchmark vs its naive-reference twin: the ratio of their
-   ops/sec is the speedup the re-indexing buys, and what --baseline
-   gates on. *)
-let speedup_pairs =
-  [
-    ("disk-queue/fcfs", "disk-queue/fcfs-naive");
-    ("disk-queue/scan", "disk-queue/scan-naive");
-    ("policy-miss/lru2", "policy-miss/lru2-naive");
-    ("policy-miss/opt", "policy-miss/opt-naive");
-    ("engine-events/steady", "engine-events/steady-naive");
-    ("engine-events/batch", "engine-events/batch-naive");
-    ("cache-churn", "cache-churn/ref");
-    (* Not an indexed/naive pair but a scaling pair: the same fleet on 4
-       domains vs 1. The ratio gate on it is the multi-core scaling
-       floor (meaningful on the >= 4-vCPU CI runners; a 1-core box
-       measures ~1x and must not run the ratio gate). *)
-    ("fleet-events/jobs4", "fleet-events/jobs1");
-  ]
+(* A timed loop over fresh state: [run] performs [ops] operations and
+   [stop] releases what the state holds (sleeping fibers). *)
+type loop = { ops : int; run : unit -> unit; stop : unit -> unit }
 
-(* Best wall time of three timed passes: scheduler and frequency
-   jitter only ever slow a pass down, so the minimum is the least
-   noisy estimate. Allocation is deterministic, so one pass's words
-   suffice. *)
-let measure_perf ~name ~warmup ~iters ~batch f =
-  for _ = 1 to warmup do
-    f ()
-  done;
-  let ops = iters * batch in
-  let fops = float_of_int ops in
-  let best_wall = ref Float.infinity and words = ref 0.0 in
+let loop ops run = { ops; run; stop = ignore }
+
+(* Best seconds per op of [prepare size]'s loop over three passes, each
+   on fresh state, with the sizes interleaved pass by pass so that host
+   drift hits them alike. Scheduler and frequency jitter only ever slow
+   a pass down, so the minimum is the least noisy estimate. Allocation
+   is deterministic, so the first pass's words per op suffice. *)
+let time_sizes sizes prepare =
+  let best = Array.map (fun _ -> Float.infinity) sizes in
+  let words = ref 0.0 and ops = ref 0 in
   for pass = 1 to 3 do
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    if pass = 1 then words := Gc.minor_words () -. w0;
-    if wall < !best_wall then best_wall := wall
+    Array.iteri
+      (fun i size ->
+        let l = prepare size in
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        l.run ();
+        let wall = Unix.gettimeofday () -. t0 in
+        if pass = 1 && i = 0 then begin
+          words := (Gc.minor_words () -. w0) /. float_of_int l.ops;
+          ops := l.ops
+        end;
+        l.stop ();
+        (* Clamped, so a pass inside the timer's resolution cannot
+           report an infinite rate. *)
+        best.(i) <- Float.min best.(i) (Float.max wall 1e-9 /. float_of_int l.ops))
+      sizes
   done;
+  (best, !words, !ops)
+
+(* The row at base size [n]; with [~grow:true] also timed at 16n. *)
+let measure_perf ?(grow = false) ~name n prepare =
+  let best, words, ops = time_sizes (if grow then [| n; 16 * n |] else [| n |]) prepare in
   {
     p_name = name;
-    (* Clamp the denominator: a pass fast enough to land inside the
-       timer's resolution must not report an infinite (or
-       divide-by-zero) rate, which would poison ratios and the JSON. *)
-    ops_per_sec = fops /. Float.max !best_wall 1e-9;
-    alloc_words_per_op = !words /. fops;
+    ops_per_sec = 1.0 /. best.(0);
+    alloc_words_per_op = words;
     p_ops = ops;
+    growth = (if grow then Some (best.(1) /. best.(0)) else None);
   }
 
 (* One op = one dispatch (pick) plus one arrival (add) at a steady
-   queue depth of 64, over a fixed pseudo-random address sequence. *)
-let disk_queue_depth = 64
-
+   queue depth of 256 (and 4,096), over a fixed pseudo-random address
+   sequence. The head follows the served request, as in the real
+   drive. At a depth of 64 an op's fixed cost hides a linear walk: a
+   scan of both SCAN heaps per pick read only 3.8x from 64 to 1,024. *)
 let disk_queue_addrs =
   let rng = Acfc_sim.Rng.create 42 in
   Array.init 4096 (fun _ -> Acfc_sim.Rng.int rng 100_000)
 
-let bench_disk_queue ~name ~add ~pick =
-  let n = Array.length disk_queue_addrs in
-  for i = 0 to disk_queue_depth - 1 do
-    add ~addr:disk_queue_addrs.(i) disk_queue_addrs.(i)
-  done;
-  let pos = ref disk_queue_depth in
-  (* The head follows the served request, as in the real drive. Both
-     implementations pick the same requests (see [check]), so they see
-     identical head sequences. *)
-  let head = ref 0 in
-  measure_perf ~name ~warmup:20_000 ~iters:200_000 ~batch:1 (fun () ->
-      (match pick ~head:!head with Some a -> head := a | None -> ());
-      let addr = disk_queue_addrs.(!pos land (n - 1)) in
-      add ~addr addr;
-      incr pos)
-
-let bench_disk_queues () =
-  List.concat_map
-    (fun (label, discipline) ->
-      let indexed =
-        let q = Sq.create discipline in
-        bench_disk_queue
-          ~name:(Printf.sprintf "disk-queue/%s" label)
-          ~add:(fun ~addr v -> Sq.add q ~addr v)
-          ~pick:(fun ~head -> Sq.pick q ~head)
+let bench_disk_queue (label, discipline) =
+  measure_perf ~grow:true ~name:("disk-queue/" ^ label) 256 (fun depth ->
+      let q = Sq.create discipline in
+      let n = Array.length disk_queue_addrs in
+      for i = 0 to depth - 1 do
+        let addr = disk_queue_addrs.(i land (n - 1)) in
+        Sq.add q ~addr addr
+      done;
+      let pos = ref depth and head = ref 0 in
+      let step () =
+        (match Sq.pick q ~head:!head with Some a -> head := a | None -> ());
+        let addr = disk_queue_addrs.(!pos land (n - 1)) in
+        Sq.add q ~addr addr;
+        incr pos
       in
-      let naive =
-        let q = Sq.Naive.create discipline in
-        bench_disk_queue
-          ~name:(Printf.sprintf "disk-queue/%s-naive" label)
-          ~add:(fun ~addr v -> Sq.Naive.add q ~addr v)
-          ~pick:(fun ~head -> Sq.Naive.pick q ~head)
-      in
-      [ indexed; naive ])
-    [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
+      for _ = 1 to 20_000 do
+        step ()
+      done;
+      loop 200_000 (fun () ->
+          for _ = 1 to 200_000 do
+            step ()
+          done))
 
-(* One op = one trace reference against a full cache of 4096 resident
-   blocks (every reference past the fill is a likely miss), comparing
-   the indexed policies against the linear-scan references. The AWRP
-   and PERCEPTRON rows have no twin here (their full-scan oracles live
-   in test/); their alloc budgets pin an allocation-free victim
-   choice. *)
+(* One op = one trace reference through Policy_sim.run against a full
+   cache of 4,096 resident blocks: the fill, then 6,000 random
+   references over 8,192 blocks. *)
 let policy_miss_trace =
   let rng = Acfc_sim.Rng.create 9 in
-  let fill = Array.init 4096 (fun i -> Acfc_core.Block.make ~file:0 ~index:i) in
+  let fill = Array.init 4096 (fun i -> Block.make ~file:0 ~index:i) in
   let tail = Rt.random ~rng ~file:0 ~blocks:8192 ~length:6_000 in
   Array.append fill tail
 
+(* The growth loop of a policy row: the core driven the way
+   Policy_sim.run drives it, with only the 100,000 random references
+   over twice the capacity that follow the fill timed. *)
+let policy_tail (module P : Core.CORE) capacity =
+  let rng = Acfc_sim.Rng.create 9 in
+  let trace =
+    Array.append
+      (Array.init capacity (fun i -> Block.make ~file:0 ~index:i))
+      (Rt.random ~rng ~file:0 ~blocks:(2 * capacity) ~length:100_000)
+  in
+  let st = P.create ~capacity ~future:trace in
+  let resident = Itbl.create capacity in
+  let step pos =
+    let block = trace.(pos) in
+    let key = Block.pack block in
+    if Itbl.mem resident key then P.on_event st (Core.Reference { pos; block })
+    else begin
+      if Itbl.length resident >= capacity then begin
+        let victim = P.victim st ~pos ~missing:block in
+        Itbl.remove resident (Block.pack victim);
+        P.on_event st (Core.Evict { block = victim })
+      end;
+      Itbl.set resident key 0;
+      P.on_event st (Core.Admit { pos; block })
+    end
+  in
+  for pos = 0 to capacity - 1 do
+    step pos
+  done;
+  loop 100_000 (fun () ->
+      for pos = capacity to Array.length trace - 1 do
+        step pos
+      done)
+
+(* PERCEPTRON has no growth check: its victim choice is one pass over
+   the resident set. Its alloc budget holds that pass allocation-free. *)
 let bench_policy_miss () =
   List.map
-    (fun (name, policy) ->
-      let batch = Array.length policy_miss_trace in
-      measure_perf ~name ~warmup:1 ~iters:1 ~batch (fun () ->
-          ignore (Policy_sim.run policy ~capacity:4096 policy_miss_trace)))
+    (fun (name, core, grow) ->
+      let row =
+        measure_perf ~name 4096 (fun capacity ->
+            loop (Array.length policy_miss_trace) (fun () ->
+                ignore (Policy_sim.run core ~capacity policy_miss_trace)))
+      in
+      if grow then
+        { row with growth = (measure_perf ~grow:true ~name 1024 (policy_tail core)).growth }
+      else row)
     [
-      ("policy-miss/lru2", (module Cores.Lru_2 : Acfc_policy.Policy_core.CORE));
-      ("policy-miss/lru2-naive", (module Reference.Lru_2));
-      ("policy-miss/opt", (module Cores.Opt));
-      ("policy-miss/opt-naive", (module Reference.Opt));
-      ("policy-miss/rand", (module Cores.Rand));
-      ("policy-miss/awrp", (module Cores.Awrp));
-      ("policy-miss/perceptron", (module Cores.Perceptron));
+      ("policy-miss/lru2", (module Cores.Lru_2 : Core.CORE), true);
+      ("policy-miss/opt", (module Cores.Opt), true);
+      ("policy-miss/rand", (module Cores.Rand), true);
+      ("policy-miss/awrp", (module Cores.Awrp), true);
+      ("policy-miss/perceptron", (module Cores.Perceptron), false);
     ]
 
 (* One op = one simulator event (a timer fire through the engine's
-   event heap and effect handler). This row includes engine creation and
-   fiber spawn/teardown in the measured loop, so it is dominated by
-   OCaml's per-fiber stack allocation; the /steady row below isolates
-   the per-event cost. *)
+   event heap and effect handler), with engine creation and fiber
+   spawn/teardown inside the loop, so it is dominated by OCaml's
+   per-fiber stack allocation; the /steady row isolates the per-event
+   cost. *)
 let bench_engine_events () =
-  let fibers = 32 and delays = 8 in
-  measure_perf ~name:"engine-events" ~warmup:20 ~iters:400 ~batch:(fibers * delays)
-    (fun () ->
-      let e = Acfc_sim.Engine.create () in
+  let delays = 8 in
+  measure_perf ~name:"engine-events" 32 (fun fibers ->
+      let once () =
+        let e = Engine.create () in
+        for _ = 1 to fibers do
+          Engine.spawn e (fun () ->
+              for _ = 1 to delays do
+                Engine.delay e 1.0
+              done)
+        done;
+        Engine.run e
+      in
+      for _ = 1 to 20 do
+        once ()
+      done;
+      loop (400 * fibers * delays) (fun () ->
+          for _ = 1 to 400 do
+            once ()
+          done))
+
+(* Steady-state timer stream: a long-lived engine whose 256 (and
+   4,096) sleepers never finish, driven through [run_until]. One op =
+   one timer event, the engine's per-event floor: a heap pop and push.
+   With 32 sleepers a linear walk of the event heap per pop read only
+   4.2-4.8x from 32 to 512. *)
+let bench_engine_steady () =
+  measure_perf ~grow:true ~name:"engine-events/steady" 256 (fun fibers ->
+      let e = Engine.create () in
+      let go = ref true in
       for _ = 1 to fibers do
-        Acfc_sim.Engine.spawn e (fun () ->
-            for _ = 1 to delays do
-              Acfc_sim.Engine.delay e 1.0
+        Engine.spawn e (fun () ->
+            while !go do
+              Engine.delay e 1.0
             done)
       done;
-      Acfc_sim.Engine.run e)
-
-(* A faithful re-creation of the seed engine's hot path — a closure
-   heap of boxed event records, and a [Suspend]-style delay that
-   allocates a register closure, a one-shot resume closure and a
-   blocked-table entry per sleep. Kept as the naive reference twin for
-   the engine-events/steady ratio row, the same way [Sq.Naive] anchors
-   the disk-queue rows. *)
-module Naive_engine = struct
-  type event = { time : float; seq : int; thunk : unit -> unit }
-
-  type t = {
-    mutable clock : float;
-    mutable seq : int;
-    events : event Acfc_sim.Heap.t;
-    blocked : (int, string) Hashtbl.t;
-    mutable next_id : int;
-  }
-
-  type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-  let event_leq a b = a.time < b.time || (a.time = b.time && a.seq <= b.seq)
-
-  let create () =
-    {
-      clock = 0.0;
-      seq = 0;
-      events = Acfc_sim.Heap.create ~leq:event_leq ();
-      blocked = Hashtbl.create 16;
-      next_id = 0;
-    }
-
-  let schedule t ~at thunk =
-    t.seq <- t.seq + 1;
-    Acfc_sim.Heap.push t.events { time = at; seq = t.seq; thunk }
-
-  let spawn t f =
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    schedule t ~at:t.clock (fun () ->
-        let open Effect.Deep in
-        match_with f ()
-          {
-            retc = (fun () -> ());
-            exnc = raise;
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Suspend register ->
-                  Some
-                    (fun (k : (a, unit) continuation) ->
-                      Hashtbl.replace t.blocked id "fiber";
-                      let resumed = ref false in
-                      let resume () =
-                        if !resumed then invalid_arg "naive: resumed twice";
-                        resumed := true;
-                        Hashtbl.remove t.blocked id;
-                        continue k ()
-                      in
-                      register resume)
-                | _ -> None);
-          })
-
-  let delay t dt =
-    Effect.perform (Suspend (fun resume -> schedule t ~at:(t.clock +. dt) resume))
-
-  let run_until t horizon =
-    let continue_ = ref true in
-    while !continue_ do
-      match Acfc_sim.Heap.peek t.events with
-      | Some ev when ev.time <= horizon ->
-        ignore (Acfc_sim.Heap.pop_exn t.events);
-        t.clock <- ev.time;
-        ev.thunk ()
-      | _ -> continue_ := false
-    done;
-    if t.clock < horizon then t.clock <- horizon
-end
-
-(* Steady-state timer stream: a long-lived engine whose sleepers never
-   finish, driven through [run_until] with no setup inside the measured
-   loop. One op = one timer event — the engine's per-event floor —
-   against the seed-style record/closure twin above. *)
-let bench_engine_steady () =
-  let fibers = 32 in
-  let columnar =
-    let e = Acfc_sim.Engine.create () in
-    let go = ref true in
-    for _ = 1 to fibers do
-      Acfc_sim.Engine.spawn e (fun () ->
-          while !go do
-            Acfc_sim.Engine.delay e 1.0
-          done)
-    done;
-    let horizon = ref 0.0 in
-    let row =
-      measure_perf ~name:"engine-events/steady" ~warmup:100 ~iters:60_000
-        ~batch:fibers (fun () ->
-          horizon := !horizon +. 1.0;
-          Acfc_sim.Engine.run_until e !horizon)
-    in
-    (* Let the sleepers observe the flag and finish, releasing their
-       fiber stacks. *)
-    go := false;
-    Acfc_sim.Engine.run_until e (!horizon +. 1.0);
-    row
-  in
-  let naive =
-    let e = Naive_engine.create () in
-    let go = ref true in
-    for _ = 1 to fibers do
-      Naive_engine.spawn e (fun () ->
-          while !go do
-            Naive_engine.delay e 1.0
-          done)
-    done;
-    let horizon = ref 0.0 in
-    let row =
-      measure_perf ~name:"engine-events/steady-naive" ~warmup:100 ~iters:15_000
-        ~batch:fibers (fun () ->
-          horizon := !horizon +. 1.0;
-          Naive_engine.run_until e !horizon)
-    in
-    go := false;
-    Naive_engine.run_until e (!horizon +. 1.0);
-    row
-  in
-  [ columnar; naive ]
+      let horizon = ref 0.0 in
+      let tick () =
+        horizon := !horizon +. 1.0;
+        Engine.run_until e !horizon
+      in
+      for _ = 1 to 100 do
+        tick ()
+      done;
+      let ticks = 524_288 / fibers in
+      {
+        ops = ticks * fibers;
+        run =
+          (fun () ->
+            for _ = 1 to ticks do
+              tick ()
+            done);
+        (* Let the sleepers see the flag and finish, releasing their
+           fiber stacks. *)
+        stop =
+          (fun () ->
+            go := false;
+            Engine.run_until e (!horizon +. 1.0));
+      })
 
 (* Batched same-instant completion delivery: each tick schedules a
-   burst of jobs due exactly now — the shape of a disk batch completing
-   or an ivar broadcast — which the columnar engine routes through the
-   ready ring (O(1) push/pop, no heap sift, no event record); the naive
-   twin pays a record allocation and a full heap push/pop per job. One
-   op = one delivered completion. *)
+   burst of 256 (and 4,096) jobs due exactly now, the shape of a disk
+   batch completing or an ivar broadcast, which the engine routes
+   through the ready ring (O(1) push/pop, no heap sift, no event
+   record). One op = one delivered completion. *)
 let bench_engine_batch () =
-  let burst = 256 in
   let nop () = () in
-  let columnar =
-    let e = Acfc_sim.Engine.create () in
-    measure_perf ~name:"engine-events/batch" ~warmup:200 ~iters:40_000
-      ~batch:burst (fun () ->
+  measure_perf ~grow:true ~name:"engine-events/batch" 256 (fun burst ->
+      let e = Engine.create () in
+      let tick () =
         for _ = 1 to burst do
-          Acfc_sim.Engine.schedule e ~at:0.0 nop
+          Engine.schedule e ~at:0.0 nop
         done;
-        Acfc_sim.Engine.run_until e 0.0)
-  in
-  let naive =
-    let e = Naive_engine.create () in
-    measure_perf ~name:"engine-events/batch-naive" ~warmup:200 ~iters:8_000
-      ~batch:burst (fun () ->
-        for _ = 1 to burst do
-          Naive_engine.schedule e ~at:0.0 nop
-        done;
-        Naive_engine.run_until e 0.0)
-  in
-  [ columnar; naive ]
+        Engine.run_until e 0.0
+      in
+      for _ = 1 to 4 do
+        tick ()
+      done;
+      let bursts = 1_048_576 / burst in
+      loop (bursts * burst) (fun () ->
+          for _ = 1 to bursts do
+            tick ()
+          done))
 
-(* One op = one miss-plus-eviction through the full BUF/ACM cache. *)
-let bench_cache_churn () =
-  let cache = Cache.create (Config.make ~capacity_blocks:1024 ()) in
-  for i = 0 to 1023 do
-    ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:i))
-  done;
-  let next = ref 1024 in
-  measure_perf ~name:"cache-churn" ~warmup:10_000 ~iters:300_000 ~batch:1 (fun () ->
-      ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
-      incr next)
-
-(* The same miss storm with pid 0 registered as a manager that runs MRU
-   at priority 0, so every miss also takes the managed path: ACM's
-   [new_block], the manager's choice, the swap and its placeholder. *)
-let bench_cache_churn_managed () =
-  let cache = Cache.create (Config.make ~alloc_policy:Config.Lru_sp ~capacity_blocks:1024 ()) in
-  (match Cache.register_manager cache pid0 with Ok () -> () | Error _ -> assert false);
-  (match Cache.set_policy cache pid0 ~prio:0 Policy.Mru with
-  | Ok () -> ()
-  | Error _ -> assert false);
-  for i = 0 to 1023 do
-    ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:i))
-  done;
-  let next = ref 1024 in
-  measure_perf ~name:"cache-churn/managed" ~warmup:10_000 ~iters:300_000 ~batch:1
-    (fun () ->
-      ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
-      incr next)
-
-(* The identical miss storm through the retained record-based cache
-   ({!Cache_ref}): the columnar/record ratio is the speedup the flat
-   layout buys, gated like the other naive-twin pairs. *)
-let bench_cache_churn_ref () =
-  let cache = Cache_ref.create (Config.make ~capacity_blocks:1024 ()) in
-  for i = 0 to 1023 do
-    ignore (Cache_ref.read cache ~pid:pid0 (Block.make ~file:0 ~index:i))
-  done;
-  let next = ref 1024 in
-  measure_perf ~name:"cache-churn/ref" ~warmup:10_000 ~iters:100_000 ~batch:1
-    (fun () ->
-      ignore (Cache_ref.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
-      incr next)
+(* One op = one miss-plus-eviction through the full BUF/ACM cache of
+   1,024 (and 16,384) blocks. With [managed], pid 0 is a manager that
+   runs MRU at priority 0, so every miss also takes the managed path:
+   ACM's [new_block], the manager's choice, the swap and its
+   placeholder. *)
+let bench_cache_churn ~name ~managed =
+  measure_perf ~grow:true ~name 1024 (fun blocks ->
+      let cache = Cache.create (Config.make ~capacity_blocks:blocks ()) in
+      if managed then begin
+        (match Cache.register_manager cache pid0 with Ok () -> () | Error _ -> assert false);
+        match Cache.set_policy cache pid0 ~prio:0 Policy.Mru with
+        | Ok () -> ()
+        | Error _ -> assert false
+      end;
+      let next = ref 0 in
+      let miss () =
+        ignore (Cache.read cache ~pid:pid0 (Block.make ~file:0 ~index:!next));
+        incr next
+      in
+      for _ = 1 to blocks + 10_000 do
+        miss ()
+      done;
+      loop 200_000 (fun () ->
+          for _ = 1 to 200_000 do
+            miss ()
+          done))
 
 (* Macro row: a wirgen-corpus demand stream through the full columnar
-   cache — generated workloads with real hit/miss mixture and file
-   locality, complementing cache-churn's all-miss storm. One op = one
-   block reference; the corpus is a pure function of (default spec,
-   seed 1), so the row is comparable across runs. *)
+   cache, generated workloads with a real hit/miss mixture and file
+   locality, beside cache-churn's all-miss storm. One op = one block
+   reference; the corpus is a pure function of (default spec, seed 1),
+   so the row is comparable across runs. *)
 let bench_wir_corpus () =
   let corpus = stored_corpus Wirgen.default ~seed:1 ~count:4 in
-  let trace =
-    let next_file = ref 0 in
-    Array.concat
-      (List.map
-         (fun program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b ->
-               Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             (Wir.references program))
-         corpus)
-  in
-  let cache = Cache.create (Config.make ~capacity_blocks:1024 ()) in
+  let trace = combined_trace corpus (List.map (fun p -> Wir.references p) corpus) in
   let n = Array.length trace in
-  let pos = ref 0 in
-  measure_perf ~name:"cache-wir-corpus" ~warmup:(min n 50_000) ~iters:400_000
-    ~batch:1 (fun () ->
-      ignore (Cache.read cache ~pid:pid0 trace.(!pos));
-      incr pos;
-      if !pos = n then pos := 0)
+  measure_perf ~name:"cache-wir-corpus" 1024 (fun blocks ->
+      let cache = Cache.create (Config.make ~capacity_blocks:blocks ()) in
+      let pos = ref 0 in
+      let step () =
+        ignore (Cache.read cache ~pid:pid0 trace.(!pos));
+        incr pos;
+        if !pos = n then pos := 0
+      in
+      for _ = 1 to min n 50_000 do
+        step ()
+      done;
+      loop 400_000 (fun () ->
+          for _ = 1 to 400_000 do
+            step ()
+          done))
 
 (* {2 Fleet perf family (fleet-events)}
 
@@ -714,7 +646,7 @@ let bench_wir_corpus () =
    and 4. One op = one engine event aggregated over every client, so
    ops/sec is the fleet's events-per-second throughput. The reports
    must be byte-identical across the jobs values (the conservative-
-   lookahead determinism contract); the jobs4/jobs1 ratio row is the
+   lookahead determinism contract); the jobs4/jobs1 ratio is the
    multi-core scaling gate. See docs/PERF.md. *)
 
 (* Every client runs this three-workload machine: a cyclic scan of the
@@ -770,9 +702,6 @@ let bench_fleet () =
         let r = Fleet.run ~jobs scn in
         let wall = Unix.gettimeofday () -. t0 in
         if pass = 1 then begin
-          (* Minor words are domain-local, so only the jobs1 row (whose
-             Team runs everything on this domain) measures the whole
-             fleet's allocation; that is the row the alloc gate covers. *)
           words := Gc.minor_words () -. w0;
           events := r.Fleet.events;
           outputs := (name, Fleet.to_string r) :: !outputs
@@ -783,8 +712,12 @@ let bench_fleet () =
         {
           p_name = name;
           ops_per_sec = float_of_int !events /. Float.max !best 1e-9;
-          alloc_words_per_op = !words /. float_of_int (max !events 1);
+          (* Minor words are domain-local, so only at jobs 1 (whose Team
+             runs everything on this domain) are they the fleet's. *)
+          alloc_words_per_op =
+            (if jobs = 1 then !words /. float_of_int (max !events 1) else Float.nan);
           p_ops = !events;
+          growth = None;
         }
         :: !rows)
     fleet_jobs;
@@ -803,35 +736,42 @@ let bench_fleet () =
 
 let run_perf () =
   Format.printf "@.%s@." (String.make 74 '=');
-  Format.printf "Hot-path microbenchmarks: ops/sec and minor words per op@.";
+  Format.printf "Hot-path microbenchmarks: ops/sec, minor words per op, growth t(16n)/t(n)@.";
   let rows =
-    (bench_engine_events () :: (bench_engine_steady () @ bench_engine_batch ()))
-    @ bench_disk_queues () @ bench_policy_miss ()
+    [ bench_engine_events (); bench_engine_steady (); bench_engine_batch () ]
+    @ List.map bench_disk_queue [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
+    @ bench_policy_miss ()
     @ [
-        bench_cache_churn ();
-        bench_cache_churn_managed ();
-        bench_cache_churn_ref ();
+        bench_cache_churn ~name:"cache-churn" ~managed:false;
+        bench_cache_churn ~name:"cache-churn/managed" ~managed:true;
         bench_wir_corpus ();
       ]
     @ bench_fleet ()
   in
   List.iter
     (fun r ->
-      Format.printf "  %-28s %12.0f ops/s   %8.1f w/op@." r.p_name r.ops_per_sec
-        r.alloc_words_per_op)
+      Format.printf "  %-28s %12.0f ops/s   %8.2f w/op%s@." r.p_name r.ops_per_sec
+        r.alloc_words_per_op
+        (match r.growth with Some g -> Printf.sprintf "   growth %5.2fx" g | None -> ""))
     rows;
-  (* Print the indexed/naive speedups next to the raw rates. *)
+  rows
+
+(* The perf family's gate measurements: each row's words per op and
+   growth, and the fleet's jobs4/jobs1 scaling ratio. *)
+let perf_measurements rows =
   let rate name =
     List.find_map (fun r -> if r.p_name = name then Some r.ops_per_sec else None) rows
   in
-  List.iter
-    (fun (fast, slow) ->
-      match (rate fast, rate slow) with
-      | Some f, Some s when s > 0.0 ->
-        Format.printf "  %-28s %12.2fx vs %s@." fast (f /. s) slow
-      | _ -> ())
-    speedup_pairs;
-  rows
+  List.concat_map
+    (fun r ->
+      (if Float.is_nan r.alloc_words_per_op then []
+       else [ (Gate.Alloc, r.p_name, r.alloc_words_per_op) ])
+      @ Option.to_list (Option.map (fun g -> (Gate.Growth, r.p_name, g)) r.growth))
+    rows
+  @
+  match (rate "fleet-events/jobs4", rate "fleet-events/jobs1") with
+  | Some f, Some s -> [ (Gate.Scaling, "fleet-events/jobs4", f /. s) ]
+  | _ -> []
 
 (* {2 Equivalence replay (check)}
 
@@ -993,19 +933,7 @@ let lockstep_recorded () =
 
 let lockstep_wirgen () =
   let corpus = stored_corpus Wirgen.default ~seed:3 ~count:16 in
-  let next_file = ref 0 in
-  let trace =
-    Array.concat
-      (List.map
-         (fun program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b ->
-               Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             (Wir.references program))
-         corpus)
-  in
+  let trace = combined_trace corpus (List.map (fun p -> Wir.references p) corpus) in
   (* Capacity far below the corpus working set, so the replay churns
      through real evictions, not just cold misses. *)
   lockstep_report "wirgen-corpus"
@@ -1112,125 +1040,6 @@ let run_check () =
   check_fleet ();
   Format.printf "  check: all implementations agree@."
 
-(* {2 Baseline regression gate (--baseline)}
-
-   Three kinds of committed gate rows, one per line ('#' comments):
-
-     ratio <name> <speedup>    indexed/naive speedup at commit time; the
-                               gate fails below 70% of it. Machine-
-                               independent — the primary gate.
-     abs <name> <ops_per_sec>  absolute throughput floor; set far below
-                               dev-machine measurements so only a
-                               catastrophic slowdown (an accidental
-                               O(n) walk, a debug build) trips it.
-     alloc <name> <words>      minor-heap budget per op; allocation is
-                               deterministic and machine-independent,
-                               so this is exact — fails above budget.
-
-   A bare "<name> <speedup>" line is a legacy ratio row. The gate also
-   reports every measured row that no committed row covers, so new
-   benchmarks cannot silently fly ungated. *)
-
-type gate = Ratio of float | Abs of float | Alloc of float
-
-let read_baseline path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ "ratio"; name; v ] -> rows := (name, Ratio (float_of_string v)) :: !rows
-         | [ "abs"; name; v ] -> rows := (name, Abs (float_of_string v)) :: !rows
-         | [ "alloc"; name; v ] -> rows := (name, Alloc (float_of_string v)) :: !rows
-         | [ name; speedup ] -> rows := (name, Ratio (float_of_string speedup)) :: !rows
-         | _ -> failwith (Printf.sprintf "baseline: bad line %S" line)
-     done
-   with End_of_file -> ());
-  List.rev !rows
-
-(* Ratio rows whose pair compares worker counts, not implementations:
-   their measured value depends on the core count, so the gate only
-   applies on machines with at least 4 cores (the CI runners). The
-   indexed/naive ratios stay machine-independent and always gate. *)
-let scaling_rows = [ "fleet-events/jobs4" ]
-
-let check_baseline ~path perf_rows =
-  let find name = List.find_opt (fun r -> r.p_name = name) perf_rows in
-  let baseline = read_baseline path in
-  let failures = ref 0 in
-  let skip name = Format.printf "  baseline %-26s missing measurement, skipped@." name in
-  List.iter
-    (fun (name, gate) ->
-      match gate with
-      | Ratio _ when List.mem name scaling_rows && Pool.auto_jobs () < 4 ->
-        Format.printf
-          "  baseline %-26s scaling ratio needs >= 4 cores (have %d), skipped@."
-          name (Pool.auto_jobs ())
-      | Ratio expected -> (
-        match List.assoc_opt name speedup_pairs with
-        | None ->
-          incr failures;
-          Format.printf "  baseline %-26s ratio row has no naive-twin pair@." name
-        | Some slow -> (
-          match (find name, find slow) with
-          | Some f, Some s when s.ops_per_sec > 0.0 ->
-            let measured = f.ops_per_sec /. s.ops_per_sec in
-            let floor = 0.7 *. expected in
-            let ok = measured >= floor in
-            if not ok then incr failures;
-            Format.printf
-              "  baseline %-26s %10.2fx      ratio floor %8.2fx  %s@." name
-              measured floor
-              (if ok then "ok" else "REGRESSION")
-          | _ -> skip name))
-      | Abs floor -> (
-        match find name with
-        | Some r ->
-          let ok = r.ops_per_sec >= floor in
-          if not ok then incr failures;
-          Format.printf "  baseline %-26s %10.0f op/s   abs floor %9.0f  %s@." name
-            r.ops_per_sec floor
-            (if ok then "ok" else "REGRESSION")
-        | None -> skip name)
-      | Alloc budget -> (
-        match find name with
-        | Some r ->
-          let ok = r.alloc_words_per_op <= budget +. 1e-6 in
-          if not ok then incr failures;
-          Format.printf "  baseline %-26s %10.2f w/op   alloc budget %6.2f  %s@." name
-            r.alloc_words_per_op budget
-            (if ok then "ok" else "OVER BUDGET")
-        | None -> skip name))
-    baseline;
-  (* A naive twin is covered through its pair's ratio row; anything else
-     not named in the file is flying without a gate. *)
-  let gated name =
-    List.exists (fun (n, _) -> n = name) baseline
-    || List.exists
-         (fun (fast, slow) ->
-           slow = name && List.exists (fun (n, _) -> n = fast) baseline)
-         speedup_pairs
-  in
-  (match List.filter (fun r -> not (gated r.p_name)) perf_rows with
-  | [] -> ()
-  | ungated ->
-    let names = String.concat ", " (List.map (fun r -> r.p_name) ungated) in
-    Format.printf "  ungated rows (measured, no baseline entry): %s@." names;
-    (* Surface the same one-liner as a GitHub Actions annotation, so a
-       new benchmark flying without a gate shows up on the PR itself. *)
-    if Sys.getenv_opt "GITHUB_ACTIONS" = Some "true" then
-      Format.printf
-        "::warning title=ungated perf rows::measured but not gated by %s: %s@."
-        path names);
-  if !failures > 0 then begin
-    Format.printf "[baseline check FAILED: %d gate(s) violated]@." !failures;
-    exit 1
-  end
-  else Format.printf "[baseline check passed: %s]@." path
-
 (* {2 Generated-corpus artifact family (wirgen)}
 
    Benchmarks the simulator on synthetic workloads drawn from the
@@ -1278,18 +1087,7 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
       (fun (program, rng) -> Wir.references ~rng program)
       (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario))
   in
-  let trace =
-    let next_file = ref 0 in
-    Array.concat
-      (List.map2
-         (fun stream program ->
-           let offset = !next_file in
-           next_file := offset + Wir.file_count program;
-           Array.map
-             (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-             stream)
-         streams corpus)
-  in
+  let trace = combined_trace corpus streams in
   List.iter2
     (fun program stream ->
       Format.printf "  %-28s %s  %5d refs@." program.Wir.name (Wir.hash program)
@@ -1315,9 +1113,9 @@ let run_wirgen ~quick ~corpus_seed ~jobs =
    is a wirgen spec: the committed default ("mixed") plus one
    single-pattern variant per taxonomy entry. Traces are pure functions
    of (spec, --corpus-seed), so regret is deterministic and the
-   committed ceilings in bench/tournament_baseline.txt are exact.
-   Rows land in the JSON report's "tournament" section (acfc-bench/1);
-   --tournament-baseline gates them in CI. See docs/PERF.md. *)
+   committed regret ceilings in bench/gates.txt are exact. Rows land
+   in the JSON report's "tournament" section (acfc-bench/1); --gate
+   checks them in CI. See docs/PERF.md. *)
 
 type tournament_row = {
   t_family : string;
@@ -1348,21 +1146,10 @@ let tournament_families =
 let tournament_trace spec ~seed ~count =
   let corpus = stored_corpus spec ~seed ~count in
   let scenario = Wirgen.scenario spec ~seed ~count in
-  let streams =
-    List.map
-      (fun (program, rng) -> Wir.references ~rng program)
-      (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario))
-  in
-  let next_file = ref 0 in
-  Array.concat
-    (List.map2
-       (fun stream program ->
-         let offset = !next_file in
-         next_file := offset + Wir.file_count program;
-         Array.map
-           (fun b -> Block.make ~file:(offset + Block.file b) ~index:(Block.index b))
-           stream)
-       streams corpus)
+  combined_trace corpus
+    (List.map
+       (fun (program, rng) -> Wir.references ~rng program)
+       (List.combine corpus (Acfc_scenario.Scenario.workload_rngs scenario)))
 
 let run_tournament ~corpus_seed ~jobs =
   Format.printf "@.%s@." (String.make 74 '=');
@@ -1415,61 +1202,10 @@ let run_tournament ~corpus_seed ~jobs =
   in
   tournament_rows := !tournament_rows @ rows
 
-(* Gate file: one "<family> <policy> <max_regret>" line per row ('#'
-   comments). Regret is deterministic at the committed seed, so the
-   ceilings are exact measured values; any increase is a behaviour
-   change and fails. A ceiling with no measured row (renamed policy or
-   family) fails too, so the file cannot go stale silently. *)
-let read_tournament_baseline path =
-  let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-         | [ family; policy; ceiling ] ->
-           rows := ((family, policy), int_of_string ceiling) :: !rows
-         | _ -> failwith (Printf.sprintf "tournament baseline: bad line %S" line)
-     done
-   with End_of_file -> ());
-  List.rev !rows
-
-let check_tournament_baseline ~path rows =
-  let baseline = read_tournament_baseline path in
-  let failures = ref 0 in
-  List.iter
-    (fun row ->
-      match List.assoc_opt (row.t_family, row.t_policy) baseline with
-      | None ->
-        Format.printf "  tournament %-16s %-12s regret %5d   (no ceiling)@."
-          row.t_family row.t_policy row.t_regret
-      | Some ceiling ->
-        let ok = row.t_regret <= ceiling in
-        if not ok then incr failures;
-        Format.printf "  tournament %-16s %-12s regret %5d   ceiling %5d  %s@."
-          row.t_family row.t_policy row.t_regret ceiling
-          (if ok then "ok" else "REGRESSION"))
-    rows;
-  List.iter
-    (fun ((family, policy), _) ->
-      if
-        not
-          (List.exists
-             (fun r -> r.t_family = family && r.t_policy = policy)
-             rows)
-      then begin
-        incr failures;
-        Format.printf "  tournament %-16s %-12s ceiling has no measured row@."
-          family policy
-      end)
-    baseline;
-  if !failures > 0 then begin
-    Format.printf "[tournament gate FAILED: %d violation(s)]@." !failures;
-    exit 1
-  end
-  else Format.printf "[tournament gate passed: %s]@." path
+let tournament_measurements rows =
+  List.map
+    (fun r -> (Gate.Regret, r.t_family ^ " " ^ r.t_policy, float_of_int r.t_regret))
+    rows
 
 (* {2 Machine-readable report (--json)} *)
 
@@ -1556,6 +1292,7 @@ let write_json ~path ~quick ~runs ~jobs ~opts ~artifacts ~micro ~perf ~total_wal
                      ("ops_per_sec", num r.ops_per_sec);
                      ("alloc_words_per_op", num r.alloc_words_per_op);
                      ("ops", J.Num (float_of_int r.p_ops));
+                     ("growth", Option.fold ~none:J.Null ~some:num r.growth);
                    ])
                perf) );
         ( "tournament",
@@ -1582,9 +1319,8 @@ let write_json ~path ~quick ~runs ~jobs ~opts ~artifacts ~micro ~perf ~total_wal
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents);
   (* Every emitted report is also ingested (exact file bytes, so
-     [store add FILE] on the artifact reproduces the digest); the
-     stored history is what [bench timeline] scans. No label: a
-     report's identity is its content, and each run's bytes differ. *)
+     [store add FILE] on the artifact reproduces the digest). No label:
+     a report's identity is its content, and each run's bytes differ. *)
   (match Store.add (store ()) ~kind:Kind.Bench_report contents with
   | Ok outcome ->
     let digest =
@@ -1593,30 +1329,6 @@ let write_json ~path ~quick ~runs ~jobs ~opts ~artifacts ~micro ~perf ~total_wal
     in
     Format.printf "[bench results -> %s (stored as %s)]@." path digest
   | Error e -> failwith ("bench: " ^ e))
-
-(* {2 Regression timeline (timeline)}
-
-   Scans the store's bench-report history and prints each perf row's
-   ops/sec and words/op across stored runs, flagging >30% consecutive
-   ops/sec drops; [--gate] turns flagged rows into a nonzero exit.
-   History only accumulates in a persistent store (--store/ACFC_STORE);
-   an ephemeral run sees just the reports it ingested itself. *)
-
-let timeline_failures = ref 0
-
-let run_timeline () =
-  Format.printf "@.%s@." (String.make 74 '=');
-  Format.printf "Bench regression timeline over stored acfc-bench/1 reports@.";
-  match Acfc_store.Timeline.scan (store ()) with
-  | Error e -> failwith ("bench: " ^ e)
-  | Ok rows ->
-    Acfc_store.Timeline.render Format.std_formatter rows;
-    let flagged = Acfc_store.Timeline.regressions rows in
-    timeline_failures := List.length flagged;
-    if flagged <> [] then
-      Format.printf "[timeline: %d row(s) regressed >%.0f%%]@."
-        (List.length flagged)
-        (Acfc_store.Timeline.default_threshold *. 100.0)
 
 (* {2 Sequential vs parallel (fig5-par)} *)
 
@@ -1651,10 +1363,8 @@ let () =
   let runs = ref 3 in
   let jobs = ref None in
   let json_out = ref None in
-  let baseline = ref None in
-  let tournament_baseline = ref None in
+  let gate = ref None in
   let corpus_seed = ref 0 in
-  let gate = ref false in
   let selected = ref [] in
   let spec =
     [
@@ -1663,9 +1373,6 @@ let () =
         Arg.String (fun d -> store_dir := Some d),
         "DIR persistent content-addressed artifact store (default ACFC_STORE, \
          else an ephemeral per-run store)" );
-      ( "--gate",
-        Arg.Set gate,
-        "with timeline: exit non-zero on any row with a >30% ops/sec drop" );
       ("--runs", Arg.Set_int runs, "N cold-start runs per data point (default 3)");
       ( "--corpus-seed",
         Arg.Set_int corpus_seed,
@@ -1677,21 +1384,30 @@ let () =
       ( "--json",
         Arg.String (fun f -> json_out := Some f),
         "FILE write machine-readable results (acfc-bench/1 schema)" );
-      ( "--baseline",
-        Arg.String (fun f -> baseline := Some f),
-        "FILE with perf: fail on a >30% speedup regression vs this baseline" );
-      ( "--tournament-baseline",
-        Arg.String (fun f -> tournament_baseline := Some f),
-        "FILE with tournament: fail on any policy whose regret vs OPT exceeds \
-         the committed per-family ceiling" );
+      ( "--gate",
+        Arg.String (fun f -> gate := Some f),
+        "FILE check the perf and tournament families that ran against this gate \
+         file (bench/gates.txt); exits 1 on a violation, 2 when none of its \
+         families ran" );
     ]
   in
   let usage =
-    "main.exe [--quick] [--runs N] [--jobs N] [--json FILE] [--baseline FILE] \
-     [--tournament-baseline FILE] [--corpus-seed N] [--store DIR] [--gate] \
-     [all|micro|perf|check|wirgen|tournament|timeline|ablations|criteria|fig5-par|fig4|fig5|fig6|table1..table6]*"
+    "main.exe [--quick] [--runs N] [--jobs N] [--json FILE] [--gate FILE] \
+     [--corpus-seed N] [--store DIR] \
+     [all|micro|perf|check|wirgen|tournament|ablations|criteria|fig5-par|fig4|fig5|fig6|table1..table6]*"
   in
   Arg.parse spec (fun a -> selected := a :: !selected) usage;
+  (* A malformed gate file fails before any family runs. *)
+  let gate =
+    Option.map
+      (fun path ->
+        match Gate.load path with
+        | Ok rows -> (path, rows)
+        | Error e ->
+          prerr_endline ("bench: " ^ e);
+          exit 2)
+      !gate
+  in
   let selected = if !selected = [] then [ "all"; "micro" ] else List.rev !selected in
   let opts =
     if !quick then Report.quick else { Report.default with runs = !runs }
@@ -1713,7 +1429,6 @@ let () =
         run_wirgen ~quick:!quick ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
       | "tournament" ->
         run_tournament ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
-      | "timeline" -> run_timeline ()
       | "ablations" ->
         Format.printf "@.%s@.@." (String.make 74 '=');
         Ablations.print_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs
@@ -1749,26 +1464,15 @@ let () =
     write_json ~path ~quick:!quick ~runs:opts.Report.runs ~jobs:eff_jobs ~opts
       ~artifacts:(List.rev !artifact_walls) ~micro:!micro_rows ~perf:!perf_rows
       ~total_wall_s);
-  (* The gates run last so the JSON artifact is written even on failure. *)
-  (match !tournament_baseline with
+  (* The gate runs last so the JSON artifact is written even on failure. *)
+  match gate with
   | None -> ()
-  | Some path ->
-    if !tournament_rows = [] then begin
-      Format.printf
-        "[--tournament-baseline requires the tournament family to have run]@.";
-      exit 2
-    end;
-    check_tournament_baseline ~path !tournament_rows);
-  (match !baseline with
-  | None -> ()
-  | Some path ->
-    if !perf_rows = [] then begin
-      Format.printf "[--baseline requires the perf family to have run]@.";
-      exit 2
-    end;
-    check_baseline ~path !perf_rows);
-  if !gate && !timeline_failures > 0 then begin
-    Format.printf "[timeline gate FAILED: %d row(s) regressed]@."
-      !timeline_failures;
-    exit 1
-  end
+  | Some (file, rows) ->
+    Format.printf "@.Gate %s:@." file;
+    let code =
+      Gate.check Format.std_formatter ~file ~cores:(Pool.auto_jobs ())
+        ~ran:(List.filter (fun f -> List.mem f selected) [ "perf"; "tournament" ])
+        ~measured:(perf_measurements !perf_rows @ tournament_measurements !tournament_rows)
+        rows
+    in
+    if code <> 0 then exit code

@@ -177,49 +177,56 @@ let metrics_out =
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
-(* Build the sink for the scenario's trace/metrics outputs; returns the
-   sink and a [finish] closure that writes the metrics file and closes
-   channels. *)
+(* Every file a command writes is opened before its simulation starts,
+   so an unwritable path costs no run: one line on stderr and exit 1,
+   not cmdliner's 125 for an uncaught exception. *)
+let writing f =
+  try f ()
+  with Sys_error msg ->
+    prerr_endline ("acfc-run: cannot write " ^ msg);
+    exit 1
+
+let open_output path = writing (fun () -> open_out path)
+
+(* Build the sink for the scenario's trace/metrics outputs, opening
+   both files now; returns the sink and a [finish] closure that writes
+   the metrics snapshot and closes the channels. *)
 let make_obs (spec : Scenario.obs_spec) =
   match (spec.trace_path, spec.metrics_path) with
   | None, None -> (None, fun () -> ())
   | trace_out, metrics_out ->
-    let channel = ref None in
+    let trace = Option.map (fun path -> (path, open_output path)) trace_out in
+    let metrics = Option.map (fun path -> (path, open_output path)) metrics_out in
     let backend =
-      match trace_out with
+      match trace with
       | None -> Obs.Sink.Null
-      | Some path ->
-        let oc = open_out path in
-        channel := Some oc;
-        if Filename.check_suffix path ".csv" then Obs.Sink.Csv oc
-        else Obs.Sink.Jsonl oc
+      | Some (path, oc) ->
+        if Filename.check_suffix path ".csv" then Obs.Sink.Csv oc else Obs.Sink.Jsonl oc
     in
     let sink = Obs.Sink.create ~backend () in
     let finish () =
-      (match metrics_out with
+      (match metrics with
       | None -> ()
-      | Some path ->
+      | Some (path, oc) ->
         let snapshot =
           Obs.Metrics.snapshot (Obs.Sink.metrics sink) ~now:(Obs.Sink.now sink)
         in
-        let oc = open_out path in
         Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
             output_string oc (Obs.Json.to_string snapshot);
             output_char oc '\n');
         Format.printf "metrics: snapshot -> %s@." path);
-      (match !channel with
-      | Some oc ->
+      (match trace with
+      | Some (path, oc) ->
         Obs.Sink.flush sink;
         close_out oc;
-        Format.printf "trace: %d events -> %s@." (Obs.Sink.emitted sink)
-          (Option.get trace_out)
+        Format.printf "trace: %d events -> %s@." (Obs.Sink.emitted sink) path
       | None -> ())
     in
     (Some sink, finish)
 
 let maybe_dump scenario = function
   | None -> ()
-  | Some path -> Scenario.save scenario path
+  | Some path -> writing (fun () -> Scenario.save scenario path)
 
 (* Monitoring needs a live metrics registry: keep the scenario's own
    sink when it has one, otherwise conjure a Null-backend sink that
@@ -233,9 +240,10 @@ let wire_monitor scenario obs = function
       | None -> Some (Obs.Sink.create ~backend:Obs.Sink.Null ())
     in
     let producer =
-      Obs.Monitor.producer ~path
-        ~info:[ ("scenario", Obs.Json.Str (Scenario.hash scenario)) ]
-        ()
+      writing (fun () ->
+          Obs.Monitor.producer ~path
+            ~info:[ ("scenario", Obs.Json.Str (Scenario.hash scenario)) ]
+            ())
     in
     Format.eprintf "monitor: streaming snapshots -> %s@." path;
     (obs, Some (producer, every))
@@ -786,11 +794,11 @@ let record_cmd =
         (cli_workloads ~oblivious names)
     in
     maybe_dump scenario dump;
+    let oc = open_output out in
     let result =
       Scenario.run ~tracer:(Acfc_replacement.Recorder.tracer recorder) scenario
     in
     let stream = Acfc_replacement.Recorder.stream recorder in
-    let oc = open_out out in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
         Acfc_replacement.Refstream.save stream oc);
     Format.printf "%a" Runner.pp result;

@@ -4,7 +4,7 @@
     {!Kind.t}, content digest (MD5 hex of the stored bytes), size, an
     optional resolution label, and a monotonically increasing ingestion
     sequence number ([seq]) that gives artifacts of the same kind a
-    stable chronological order (used by [bench timeline]).
+    stable chronological order (printed by [acfc-run store list]).
 
     Labels are the store's name→digest resolution mechanism: content
     digests are not known before an artifact is generated, so producers

@@ -93,13 +93,25 @@ let file_count t = List.fold_left count_opens 0 t.ops
    [exec] checks every program it runs, so the walk allocates nothing
    per op on success: an op is named by its index in a [body], a chain
    of frames built once per nested list, and its path is rendered only
-   when the op is rejected. *)
+   when the op is rejected.
 
-type slot = { reserve : int; file_name : string; mutable live : bool }
+   [Fs] reads only below a file's size, which starts at [size_blocks]
+   and grows with each write's end. So [written] is the size a file
+   certainly has when an op runs: raised only by writes that must have
+   run before it, at top level or in a loop body that runs at least
+   once, never in a choice branch. It is -1 once the file is unlinked,
+   which keeps a slot at three fields. *)
+
+type slot = { reserve : int; file_name : string; mutable written : int }
 
 (* A list of ops: the top-level [ops], or the [field] list of the op at
    index [i] of [up]. *)
 type body = Ops | Nested of body * int * string
+
+(* Where a list of ops sits: at top level, in a loop body that runs at
+   least once, or where it may not run at all (a choice branch, a loop
+   of zero times). *)
+type place = Top | Repeated | Maybe
 
 let rec render body i =
   match body with
@@ -107,6 +119,16 @@ let rec render body i =
   | Nested (up, j, field) -> Printf.sprintf "%s.%s[%d]" (render up j) field i
 
 exception Rejected of string * string
+
+let check_written body i file s ~first ~count =
+  if first + count > s.written then
+    raise
+      (Rejected
+         ( render body i,
+           Printf.sprintf
+             "read of blocks [%d, %d) is past the end of file %d (%d block%s written here)"
+             first (first + count) file s.written
+             (if s.written = 1 then "" else "s") ))
 
 let check t =
   let slots : slot array ref = ref [||] in
@@ -126,7 +148,7 @@ let check t =
       err body i
         (Printf.sprintf "file %d is not open (%d file%s opened so far)" file !n_slots
            (if !n_slots = 1 then "" else "s"))
-    else if not !slots.(file).live then err body i (Printf.sprintf "file %d was unlinked" file)
+    else if !slots.(file).written < 0 then err body i (Printf.sprintf "file %d was unlinked" file)
     else !slots.(file)
   in
   let finite_nonneg body i what v =
@@ -142,24 +164,27 @@ let check t =
         (Printf.sprintf "%s of blocks [%d, %d) exceeds file %d's %d-block extent" verb
            first (first + count) file s.reserve)
   in
-  let rec check_op ~static body i = function
+  let rec check_op place body i = function
     | Open { name; size_blocks; reserve_blocks } ->
-      if not static then err body i "open is not allowed inside loop or choice"
+      if place <> Top then err body i "open is not allowed inside loop or choice"
       else if name = "" then err body i "file name must be non-empty"
       else if size_blocks < 0 then err body i "size_blocks must be non-negative"
       else if reserve_blocks < Stdlib.max 1 size_blocks then
         err body i "reserve_blocks must be at least max(1, size_blocks)"
       else if
-        Array.exists (fun s -> s.live && s.file_name = name)
+        Array.exists (fun s -> s.written >= 0 && s.file_name = name)
           (Array.sub !slots 0 !n_slots)
       then err body i (Printf.sprintf "duplicate file name %S" name)
-      else push { reserve = reserve_blocks; file_name = name; live = true }
+      else push { reserve = reserve_blocks; file_name = name; written = size_blocks }
     | Read { file; first; count; cpu; _ } ->
       check_range body i "read" file ~first ~count;
+      check_written body i file !slots.(file) ~first ~count;
       finite_nonneg body i "cpu" cpu
     | Write { file; first; count; cpu; _ } ->
       check_range body i "write" file ~first ~count;
-      finite_nonneg body i "cpu" cpu
+      finite_nonneg body i "cpu" cpu;
+      let s = !slots.(file) in
+      if place <> Maybe && first + count > s.written then s.written <- first + count
     | Rand_read { file; base; range; cpu } ->
       let s = slot body i file in
       if base < 0 then err body i (Printf.sprintf "read starts at negative block %d" base)
@@ -168,6 +193,7 @@ let check t =
         err body i
           (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent" base
              (base + range) file s.reserve);
+      check_written body i file s ~first:base ~count:range;
       finite_nonneg body i "cpu" cpu
     | Compute seconds -> finite_nonneg body i "seconds" seconds
     | Advise (Priority { file; _ }) -> ignore (slot body i file)
@@ -185,23 +211,26 @@ let check t =
           (Printf.sprintf "done_with block %d outside file %d's %d-block extent" index file
              s.reserve)
     | Unlink { file } ->
-      if not static then err body i "unlink is not allowed inside loop or choice"
-      else (slot body i file).live <- false
-    | Seq ops -> check_body ~static (Nested (body, i, "body")) ops
+      if place <> Top then err body i "unlink is not allowed inside loop or choice"
+      else (slot body i file).written <- -1
+    | Seq ops -> check_body place (Nested (body, i, "body")) ops
     | Loop { times; body = ops } ->
       if times < 0 then err body i "times must be non-negative"
-      else check_body ~static:false (Nested (body, i, "body")) ops
+      else
+        check_body
+          (if times = 0 || place = Maybe then Maybe else Repeated)
+          (Nested (body, i, "body")) ops
     | Choice { prob; if_true; if_false } ->
       if Float.is_nan prob || prob < 0.0 || prob > 1.0 then
         err body i "prob must be between 0 and 1"
       else begin
-        check_body ~static:false (Nested (body, i, "then")) if_true;
-        check_body ~static:false (Nested (body, i, "else")) if_false
+        check_body Maybe (Nested (body, i, "then")) if_true;
+        check_body Maybe (Nested (body, i, "else")) if_false
       end
-  and check_body ~static body ops = List.iteri (check_op ~static body) ops in
+  and check_body place body ops = List.iteri (check_op place body) ops in
   if t.name = "" then Error (".name", "program name must be non-empty")
   else
-    match check_body ~static:true Ops t.ops with
+    match check_body Top Ops t.ops with
     | () -> Ok ()
     | exception Rejected (path, msg) -> Error (path, msg)
 

@@ -38,6 +38,7 @@ let () =
          Test_fleet.suites;
          Test_sched_queue.suites;
          Test_store.suites;
+         Test_gate.suites;
          Test_monitor.suites;
          Test_listings.suites;
          Test_golden.suites;

@@ -148,6 +148,14 @@ let errors () =
         "scenario: file_blocks must be >= 1 at $.workloads[0].file_blocks" );
       ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"read100","file_blocks":0}|} minimal,
         "scenario: file_blocks must be >= 1 at $.workloads[0].file_blocks" );
+      (* examples/scenarios/inline_workload.json with its random reads
+         pointed at the reserved but unwritten output file. *)
+      ( replace ~sub:{|{"app":"din"}|}
+          ~by:
+            {|{"program":{"schema":"acfc-wir/1","name":"t","ops":[{"op":"open","name":"out.dat","size_blocks":0,"reserve_blocks":128},{"op":"loop","times":2000,"body":[{"op":"rand_read","file":0,"base":0,"range":64}]}]}}|}
+          minimal,
+        "scenario: read of blocks [0, 64) is past the end of file 0 (0 blocks written \
+         here) at $.workloads[0].program.ops[1].body[0]" );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1,"seed":2,"cache"|} minimal,
         {|scenario: duplicate field "seed" at $|} );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1e300,"cache"|} minimal,

@@ -1,14 +1,13 @@
 (* The content-addressed artifact store (acfc.store): the strict
    acfc-store/1 manifest codec, verify-then-rename ingestion, label
    resolution, the same-digest ingestion race (exactly one writer
-   observes Created), corrupted-entry detection, GC of unreferenced
-   files, and the bench regression timeline over stored reports. *)
+   observes Created), corrupted-entry detection and GC of unreferenced
+   files. *)
 
 open Tutil
 module Store = Acfc_store.Store
 module Kind = Acfc_store.Kind
 module Manifest = Acfc_store.Manifest
-module Timeline = Acfc_store.Timeline
 
 let ok_str = function
   | Ok v -> v
@@ -274,61 +273,6 @@ let test_gc_removes_unreferenced () =
         (Store.contains s ~kind:Kind.Scenario ~digest);
       chk_int "verify passes after gc" 1 (verify_ok s))
 
-(* {2 Timeline over stored bench reports} *)
-
-let report rows =
-  let row (name, ops) =
-    Printf.sprintf {|{"name":"%s","ops_per_sec":%f,"alloc_words_per_op":8.0,"ops":64}|}
-      name ops
-  in
-  Printf.sprintf {|{"schema":"acfc-bench/1","perf":[%s]}|}
-    (String.concat "," (List.map row rows))
-  ^ "\n"
-
-let test_timeline_scan_and_gate () =
-  with_store (fun s ->
-      (* Three runs: "steady" wobbles 2%%, "regressed" halves in run 3. *)
-      List.iter
-        (fun doc -> ignore (ok_str (Store.add s ~kind:Kind.Bench_report doc)))
-        [
-          report [ ("steady", 1000.0); ("regressed", 2000.0) ];
-          report [ ("steady", 980.0); ("regressed", 1900.0) ];
-          report [ ("steady", 1005.0); ("regressed", 900.0) ];
-        ];
-      let rows = ok_str (Timeline.scan s) in
-      check Alcotest.(list string) "rows sorted by name"
-        [ "regressed"; "steady" ]
-        (List.map (fun r -> r.Timeline.name) rows);
-      List.iter
-        (fun r -> chk_int (r.Timeline.name ^ " has three points") 3
-            (List.length r.Timeline.points))
-        rows;
-      (match Timeline.regressions rows with
-      | [ (row, drop, _) ] ->
-        check Alcotest.string "only the halved row is flagged" "regressed"
-          row.Timeline.name;
-        chk_bool "drop above the 30% threshold" true (drop > Timeline.default_threshold)
-      | l -> Alcotest.fail (Printf.sprintf "expected one regression, got %d" (List.length l)));
-      chk_int "a permissive threshold flags nothing" 0
-        (List.length (Timeline.regressions ~threshold:0.9 rows));
-      let rendered = Format.asprintf "%a" (Timeline.render ?threshold:None) rows in
-      chk_bool "render flags the regression" true
-        (contains_sub ~sub:"! regression" rendered);
-      chk_bool "render names the row" true (contains_sub ~sub:"regressed" rendered))
-
-let test_timeline_skips_null_and_rejects_garbage () =
-  with_store (fun s ->
-      ignore
-        (ok_str
-           (Store.add s ~kind:Kind.Bench_report
-              ({|{"schema":"acfc-bench/1","perf":[{"name":"nulled","ops_per_sec":null,"alloc_words_per_op":null,"ops":0}]}|}
-              ^ "\n")));
-      chk_int "null estimates contribute no rows" 0
-        (List.length (ok_str (Timeline.scan s)));
-      ignore (ok_str (Store.add s ~kind:Kind.Bench_report "{\"schema\":\"nope/9\"}\n"));
-      chk_bool "foreign schema is an error" true
-        (contains_sub ~sub:"unsupported schema" (err_str (Timeline.scan s))))
-
 let suites =
   [
     ( "store.manifest",
@@ -345,10 +289,5 @@ let suites =
         case "same-digest race, two processes" test_same_digest_race_processes;
         case "corrupted entry detected" test_corruption_detected;
         case "gc removes only unreferenced files" test_gc_removes_unreferenced;
-      ] );
-    ( "store.timeline",
-      [
-        case "scan, regressions and render" test_timeline_scan_and_gate;
-        case "null estimates and foreign schemas" test_timeline_skips_null_and_rejects_garbage;
       ] );
   ]

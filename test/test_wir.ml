@@ -584,6 +584,7 @@ let parse_errors () =
 let validate_errors () =
   let p ops = Wir.make ~name:"t" ~category:"custom" ops in
   let f = Wir.open_file ~name:"f" ~size_blocks:10 () in
+  let out = Wir.open_file ~name:"out" ~size_blocks:0 ~reserve_blocks:8 () in
   List.iter
     (fun (program, msg) -> expect_error msg (Wir.validate program))
     [
@@ -601,6 +602,43 @@ let validate_errors () =
         "wir: prob must be between 0 and 1 at $.ops[0]" );
       ( p [ f; Wir.open_file ~name:"f" ~size_blocks:1 () ],
         {|wir: duplicate file name "f" at $.ops[1]|} );
+      (* A read must stay below the blocks certainly written by then:
+         size_blocks, raised only by writes that must have run. *)
+      ( p [ out; Wir.read ~file:0 ~first:0 ~count:1 () ],
+        "wir: read of blocks [0, 1) is past the end of file 0 (0 blocks written here) \
+         at $.ops[1]" );
+      ( p [ out; Wir.write ~file:0 ~first:0 ~count:2 (); Wir.read ~file:0 ~first:0 ~count:3 () ],
+        "wir: read of blocks [0, 3) is past the end of file 0 (2 blocks written here) \
+         at $.ops[2]" );
+      ( p
+          [
+            out;
+            Wir.choice ~prob:0.5 [ Wir.write ~file:0 ~first:0 ~count:4 () ] [];
+            Wir.rand_read ~file:0 ~base:0 ~range:4 ();
+          ],
+        "wir: read of blocks [0, 4) is past the end of file 0 (0 blocks written here) \
+         at $.ops[2]" );
+      ( p
+          [
+            out;
+            Wir.loop 0 [ Wir.write ~file:0 ~first:0 ~count:4 () ];
+            Wir.loop 3 [ Wir.read ~file:0 ~first:3 ~count:1 () ];
+          ],
+        "wir: read of blocks [3, 4) is past the end of file 0 (0 blocks written here) \
+         at $.ops[2].body[0]" );
+    ];
+  List.iter
+    (fun (what, ops) -> chk_bool what true (Wir.validate (p ops) = Ok ()))
+    [
+      ("reads below size_blocks", [ f; Wir.rand_read ~file:0 ~base:0 ~range:10 () ]);
+      ( "reads after a top-level write",
+        [ out; Wir.write ~file:0 ~first:4 ~count:4 (); Wir.read ~file:0 ~first:0 ~count:8 () ] );
+      ( "reads after a write in a loop that runs",
+        [
+          out;
+          Wir.loop 2 [ Wir.write ~file:0 ~first:0 ~count:8 (); Wir.read ~file:0 ~first:7 ~count:1 () ];
+          Wir.rand_read ~file:0 ~base:0 ~range:8 ();
+        ] );
     ]
 
 (* {2 Refstream: the one reference-stream representation} *)
