@@ -476,25 +476,21 @@ let policy_tail (module P : Core.CORE) capacity =
         step pos
       done)
 
-(* PERCEPTRON has no growth check: its victim choice is one pass over
-   the resident set. Its alloc budget holds that pass allocation-free. *)
 let bench_policy_miss () =
   List.map
-    (fun (name, core, grow) ->
+    (fun (name, core) ->
       let row =
         measure_perf ~name 4096 (fun capacity ->
             loop (Array.length policy_miss_trace) (fun () ->
                 ignore (Policy_sim.run core ~capacity policy_miss_trace)))
       in
-      if grow then
-        { row with growth = (measure_perf ~grow:true ~name 1024 (policy_tail core)).growth }
-      else row)
+      { row with growth = (measure_perf ~grow:true ~name 1024 (policy_tail core)).growth })
     [
-      ("policy-miss/lru2", (module Cores.Lru_2 : Core.CORE), true);
-      ("policy-miss/opt", (module Cores.Opt), true);
-      ("policy-miss/rand", (module Cores.Rand), true);
-      ("policy-miss/awrp", (module Cores.Awrp), true);
-      ("policy-miss/perceptron", (module Cores.Perceptron), false);
+      ("policy-miss/lru2", (module Cores.Lru_2 : Core.CORE));
+      ("policy-miss/opt", (module Cores.Opt));
+      ("policy-miss/rand", (module Cores.Rand));
+      ("policy-miss/awrp", (module Cores.Awrp));
+      ("policy-miss/perceptron", (module Cores.Perceptron));
     ]
 
 (* One op = one simulator event (a timer fire through the engine's

@@ -133,8 +133,7 @@ end
 
 (* A dense set of blocks: the members fill indices [0, n) of a block
    column and a packed-key column, with an {!Itbl} index keyed by
-   {!Block.pack}; removal moves the last member into the hole. Cores
-   keep parallel columns and mirror that move. *)
+   {!Block.pack}; removal moves the last member into the hole. *)
 module Dense = struct
   type t = {
     index : Itbl.t; (* Block.pack -> index *)
@@ -145,10 +144,6 @@ module Dense = struct
 
   let create () = { index = Itbl.create 1024; blocks = [||]; keys = [||]; n = 0 }
 
-  (* The index of [block], or [-1]. *)
-  let find t block = Itbl.find t.index (Block.pack block)
-
-  (* Append [block] and return its index. *)
   let add t block =
     if t.n = Array.length t.blocks then begin
       let cap = Stdlib.max 16 (2 * t.n) in
@@ -160,11 +155,9 @@ module Dense = struct
     t.blocks.(i) <- block;
     t.keys.(i) <- key;
     Itbl.set t.index key i;
-    t.n <- i + 1;
-    i
+    t.n <- i + 1
 
-  (* Remove [block] and return the index it held, now holding the
-     member that was last (at the new [n]); [-1] if absent. *)
+  (* No-op if [block] is absent. *)
   let remove t block =
     let key = Block.pack block in
     let i = Itbl.find t.index key in
@@ -175,8 +168,7 @@ module Dense = struct
       Itbl.set t.index t.keys.(i) i;
       Itbl.remove t.index key;
       t.n <- last
-    end;
-    i
+    end
 end
 
 (* An indexed binary min-heap of slots, ordered by two int keys per
@@ -273,6 +265,102 @@ module Iheap = struct
       let last = t.size - 1 in
       t.size <- last;
       if i < last then settle t i t.heap.(last)
+    end
+end
+
+(* Min-heaps of the slots of one {!Slots}, one heap per class, each
+   ordered by packed key (distinct, so the order is total): the
+   smallest slot of a non-empty class [c] is [heaps.(c).(0)]. A slot
+   sits in at most one heap and [hpos] maps it to its index there, so
+   adding and removing a slot are O(log n); [live] lists the non-empty
+   classes densely. Classes are small non-negative ints; the columns
+   grow to the largest class and slot seen, so nothing is allocated at
+   steady state. *)
+module Class_heaps = struct
+  type t = {
+    slots : Slots.t;
+    mutable heaps : int array array;  (* class -> heap index -> slot *)
+    mutable sizes : int array;  (* class -> members *)
+    mutable hpos : int array;  (* slot -> index in its class's heap *)
+    mutable live : int array;  (* the non-empty classes, at [0, nlive) *)
+    mutable live_at : int array;  (* non-empty class -> index in [live] *)
+    mutable nlive : int;
+  }
+
+  let create slots =
+    {
+      slots;
+      heaps = [||];
+      sizes = [||];
+      hpos = Array.make (Slots.capacity slots) 0;
+      live = [||];
+      live_at = [||];
+      nlive = 0;
+    }
+
+  let[@inline always] place heap hpos i s =
+    heap.(i) <- s;
+    hpos.(s) <- i
+
+  let rec sift_up keys heap hpos i s =
+    if i = 0 then place heap hpos i s
+    else
+      let p = (i - 1) / 2 in
+      let ps = heap.(p) in
+      if keys.(s) < keys.(ps) then begin
+        place heap hpos i ps;
+        sift_up keys heap hpos p s
+      end
+      else place heap hpos i s
+
+  let rec sift_down keys heap hpos n i s =
+    let l = (2 * i) + 1 in
+    if l >= n then place heap hpos i s
+    else
+      let c = if l + 1 < n && keys.(heap.(l + 1)) < keys.(heap.(l)) then l + 1 else l in
+      let cs = heap.(c) in
+      if keys.(cs) < keys.(s) then begin
+        place heap hpos i cs;
+        sift_down keys heap hpos n c s
+      end
+      else place heap hpos i s
+
+  (* Add slot [s], in no heap, to class [c]. *)
+  let add t c s =
+    if c >= Array.length t.sizes then begin
+      t.heaps <- grow_column t.heaps (c + 1) [||];
+      t.sizes <- grow_column t.sizes (c + 1) 0;
+      t.live <- grow_column t.live (c + 1) 0;
+      t.live_at <- grow_column t.live_at (c + 1) 0
+    end;
+    if s >= Array.length t.hpos then
+      t.hpos <- grow_column t.hpos (Slots.capacity t.slots) 0;
+    let n = t.sizes.(c) in
+    if n = 0 then begin
+      t.live.(t.nlive) <- c;
+      t.live_at.(c) <- t.nlive;
+      t.nlive <- t.nlive + 1
+    end;
+    if n = Array.length t.heaps.(c) then
+      t.heaps.(c) <- grow_column t.heaps.(c) (Stdlib.max 8 (n + 1)) 0;
+    t.sizes.(c) <- n + 1;
+    sift_up t.slots.Slots.keys t.heaps.(c) t.hpos n s
+
+  (* Remove slot [s] from class [c], which holds it. *)
+  let remove t c s =
+    let keys = t.slots.Slots.keys and heap = t.heaps.(c) and hpos = t.hpos in
+    let i = hpos.(s) and last = t.sizes.(c) - 1 in
+    t.sizes.(c) <- last;
+    if i < last then begin
+      let m = heap.(last) in
+      if i > 0 && keys.(m) < keys.(heap.((i - 1) / 2)) then sift_up keys heap hpos i m
+      else sift_down keys heap hpos last i m
+    end;
+    if last = 0 then begin
+      let j = t.live_at.(c) and moved = t.live.(t.nlive - 1) in
+      t.live.(j) <- moved;
+      t.live_at.(moved) <- j;
+      t.nlive <- t.nlive - 1
     end
 end
 
@@ -386,7 +474,6 @@ module Recency = struct
     | Reference { block; _ } -> Islab.move_front t block
     | Admit { block; _ } -> Islab.push_front t block
     | Evict { block } | Invalidate { block } -> Islab.remove t block
-    | Hint _ -> ()
 
   let end_victim t ~front =
     if Islab.is_empty t then failwith "Recency: empty list"
@@ -430,7 +517,7 @@ module Fifo = struct
   let create ~capacity:_ ~future:_ = Squeue.create ()
 
   let on_event t = function
-    | Reference _ | Hint _ -> ()
+    | Reference _ -> ()
     | Admit { block; _ } -> Squeue.push t (Block.pack block)
     | Evict { block } | Invalidate { block } -> Squeue.drop t (Block.pack block)
 
@@ -460,7 +547,6 @@ module Clock = struct
       let key = Block.pack block in
       Squeue.drop t.ring key;
       Itbl.remove t.referenced key
-    | Hint _ -> ()
 
   let rec victim t ~pos ~missing =
     let key = Squeue.front_key t.ring in
@@ -512,7 +598,6 @@ module Lru_2 = struct
   let on_event t = function
     | Reference { pos; block } | Admit { pos; block } -> record t ~pos block
     | Evict { block } | Invalidate { block } -> forget t block
-    | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
     let s = Iheap.top t.heap in
@@ -541,9 +626,9 @@ module Rand = struct
     { rng = Acfc_sim.Rng.create (capacity + 7); set = Dense.create () }
 
   let on_event t = function
-    | Reference _ | Hint _ -> ()
-    | Admit { block; _ } -> ignore (Dense.add t.set block)
-    | Evict { block } | Invalidate { block } -> ignore (Dense.remove t.set block)
+    | Reference _ -> ()
+    | Admit { block; _ } -> Dense.add t.set block
+    | Evict { block } | Invalidate { block } -> Dense.remove t.set block
 
   let victim t ~pos:_ ~missing:_ =
     if t.set.Dense.n = 0 then failwith "RAND: empty";
@@ -621,7 +706,6 @@ module Opt = struct
     | Evict { block } | Invalidate { block } ->
       let id = Itbl.find t.ids (Block.pack block) in
       if id >= 0 then Iheap.remove t.heap id
-    | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
     let id = Iheap.top t.heap in
@@ -713,7 +797,6 @@ module Two_q = struct
       if q = in_am then Islab.remove t.am block
       else if q = in_a1in then Squeue.drop t.a1in key;
       Itbl.remove t.where key
-    | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
     if Squeue.length t.a1in > t.kin || Islab.is_empty t.am then Squeue.front t.a1in
@@ -826,7 +909,6 @@ module Arc = struct
       (* Dead contents teach nothing: drop without a ghost entry. *)
       Islab.remove t.t1 block;
       Islab.remove t.t2 block
-    | Hint _ -> ()
 
   (* Classic REPLACE: shrink T1 when it exceeds its target (or exactly
      meets it and the missing block is a B2 ghost, about to grow T2). *)
@@ -985,7 +1067,6 @@ module Awrp = struct
     | Invalidate { block } ->
       let s = Slots.find t.slots block in
       if s >= 0 then drop t s
-    | Hint _ -> ()
 
   (* The minimum of (rank, Block.compare) over all resident blocks.
      Within a class the count term is one constant [A = w * freq] and
@@ -1035,202 +1116,220 @@ end
 module Perceptron = struct
   (* LearnedCache-style perceptron eviction: each resident block is
      scored by a dot product of learned weights with a feature vector
-     (bias, recency rank, saturating log reference count, priority-level
-     hint, file-id hash); the lowest score is evicted. Learning is
-     ghost-driven: evicting a block that promptly returns was a mistake
-     (weights move toward its features); a ghost expiring un-referenced
-     confirms the eviction (weights move away). Weights are clamped, so
-     they stay finite on any stream — asserted by qcheck.
+     (bias, saturating log reference count, file-id hash); the lowest
+     score is evicted. Learning is ghost-driven: evicting a block that
+     promptly returns was a mistake (weights move toward its features);
+     a ghost expiring un-referenced confirms the eviction (weights move
+     away). Weights are clamped, so they stay finite on any stream —
+     asserted by qcheck.
 
-     The resident set is a {!Dense} set with per-block columns; the
-     frequency feature is cached when the count changes and the
-     file-hash feature at admission, so the victim scan is one
-     allocation-free loop over the columns. *)
-  let n_features = 5
+     A block's features are those of its class: its reference count,
+     capped at 255 where the frequency feature saturates, and its
+     file-hash byte. All blocks of a class share one score, bit for
+     bit, so the victim is the least (class score, smallest packed key)
+     over the non-empty classes, kept in {!Class_heaps}. Classes are
+     made on first use and kept, so a ghost names its block's class,
+     and each class knows the class one reference further on.
 
+     LearnedCache's age and level features are left out. A ghost's
+     age, taken at its own last reference, is always 0.0 and no event
+     carries a level, so their weights would stay +0.0 and their terms
+     would add nothing to any score (docs/PERF.md has the argument; the
+     five-feature fold in test/policy_oracles.ml checks it). *)
   let lr = 0.0625
 
   let w_clamp = 4.0
 
+  let max_cnt = 255
+
   type t = {
     cap : int;
-    set : Dense.t;  (* resident blocks *)
-    mutable cnt : int array;
-    mutable last : int array;
-    mutable level : int array;  (* from Hint events; 0 = unhinted *)
-    mutable freq : float array;  (* frequency feature of [cnt] *)
-    mutable file_hash : float array;  (* file-hash feature *)
+    slots : Slots.t;  (* resident blocks *)
+    mutable cls : int array;  (* slot -> class *)
+    members : Class_heaps.t;  (* class -> its resident slots *)
+    first : int array;  (* file-hash byte -> class of count 1, or -1 *)
+    mutable cnt : int array;  (* class -> reference count, <= [max_cnt] *)
+    mutable next : int array;  (* class -> class of count + 1, or -1 *)
+    mutable freq : float array;  (* class -> frequency feature *)
+    mutable file_hash : float array;  (* class -> file-hash feature *)
+    mutable classes : int;
     ghost : Islab.t;
-    mutable ghost_x : float array;
-        (* ghost slot s -> eviction-time features, at [n_features * s] *)
-    w : float array;
+    mutable ghost_cls : int array;  (* ghost slot -> class at eviction *)
+    w : float array;  (* bias, frequency and file-hash weights *)
     mutable updates : int;
   }
 
   let name = "PERCEPTRON"
 
-  let summary = "online perceptron over recency/frequency/level/file features"
+  let summary = "online perceptron over frequency and file-hash features, per class"
 
   let adaptive = true
 
   let needs_future = false
 
   let create ~capacity ~future:_ =
-    let ghost = Islab.create capacity in
+    let slots = Slots.create capacity and ghost = Islab.create capacity in
     {
       cap = Stdlib.max 1 capacity;
-      set = Dense.create ();
+      slots;
+      cls = Array.make (Slots.capacity slots) 0;
+      members = Class_heaps.create slots;
+      first = Array.make 256 (-1);
       cnt = [||];
-      last = [||];
-      level = [||];
+      next = [||];
       freq = [||];
       file_hash = [||];
+      classes = 0;
       ghost;
-      ghost_x = Array.make (n_features * Islab.capacity ghost) 0.0;
-      w = Array.make n_features 0.0;
+      ghost_cls = Array.make (Islab.capacity ghost) 0;
+      w = Array.make 3 0.0;
       updates = 0;
     }
-
-  (* One function per feature, shared by [victim] and the ghost
-     vectors. *)
-  let[@inline always] age_x t ~pos last =
-    float_of_int (pos - last) /. float_of_int t.cap
 
   let[@inline always] freq_x cnt =
     let f = log (1.0 +. float_of_int cnt) /. log 256.0 in
     if 1.0 <= f then 1.0 else f
 
-  let[@inline always] level_x level = float_of_int level /. 8.0
+  let[@inline always] file_byte block = Block.file block * 2654435761 land 255
 
-  let[@inline always] file_hash_x block =
-    float_of_int (Block.file block * 2654435761 land 255) /. 255.0
+  let[@inline always] file_hash_x byte = float_of_int byte /. 255.0
 
-  let clamp v =
+  let[@inline always] clamp v =
     if v > w_clamp then w_clamp else if v < -.w_clamp then -.w_clamp else v
 
-  (* Learn from the features of ghost slot [g]. *)
-  let learn t g ~sign =
-    for k = 0 to n_features - 1 do
-      t.w.(k) <- clamp (t.w.(k) +. (sign *. lr *. t.ghost_x.((n_features * g) + k)))
-    done;
+  (* Learn from the features of class [c]. *)
+  let learn t c ~sign =
+    let w = t.w in
+    w.(0) <- clamp (w.(0) +. (sign *. lr *. 1.0));
+    w.(1) <- clamp (w.(1) +. (sign *. lr *. t.freq.(c)));
+    w.(2) <- clamp (w.(2) +. (sign *. lr *. t.file_hash.(c)));
     t.updates <- t.updates + 1
 
-  let admit t ~pos block =
-    let i = Dense.find t.set block in
-    let i =
-      if i >= 0 then i
+  (* A new class of count [cnt] and file-hash feature [fh]. *)
+  let new_class t cnt fh =
+    let c = t.classes in
+    if c = Array.length t.cnt then begin
+      t.cnt <- grow_column t.cnt (c + 1) 0;
+      t.next <- grow_column t.next (c + 1) 0;
+      t.freq <- grow_column t.freq (c + 1) 0.0;
+      t.file_hash <- grow_column t.file_hash (c + 1) 0.0
+    end;
+    t.cnt.(c) <- cnt;
+    t.next.(c) <- (if cnt = max_cnt then c else -1);
+    t.freq.(c) <- freq_x cnt;
+    t.file_hash.(c) <- fh;
+    t.classes <- c + 1;
+    c
+
+  (* The class one reference on from [c], made on first use. *)
+  let succ t c =
+    if t.next.(c) < 0 then begin
+      let n = new_class t (t.cnt.(c) + 1) t.file_hash.(c) in
+      t.next.(c) <- n
+    end;
+    t.next.(c)
+
+  let admit t block =
+    let s = Slots.find t.slots block in
+    let s =
+      if s >= 0 then begin
+        Class_heaps.remove t.members t.cls.(s) s;
+        s
+      end
       else begin
-        let i = Dense.add t.set block in
-        let n = Array.length t.set.Dense.blocks in
-        if Array.length t.cnt < n then begin
-          t.cnt <- grow_column t.cnt n 0;
-          t.last <- grow_column t.last n 0;
-          t.level <- grow_column t.level n 0;
-          t.freq <- grow_column t.freq n 0.0;
-          t.file_hash <- grow_column t.file_hash n 0.0
-        end;
-        i
+        let s = Slots.add t.slots block in
+        t.cls <- grow_column t.cls (Slots.capacity t.slots) 0;
+        s
       end
     in
-    t.cnt.(i) <- 1;
-    t.last.(i) <- pos;
-    t.level.(i) <- 0;
-    t.freq.(i) <- freq_x 1;
-    t.file_hash.(i) <- file_hash_x block
+    let byte = file_byte block in
+    if t.first.(byte) < 0 then begin
+      let c = new_class t 1 (file_hash_x byte) in
+      t.first.(byte) <- c
+    end;
+    t.cls.(s) <- t.first.(byte);
+    Class_heaps.add t.members t.cls.(s) s
 
-  let remove t block =
-    let i = Dense.remove t.set block in
-    if i >= 0 then begin
-      let n = t.set.Dense.n in
-      t.cnt.(i) <- t.cnt.(n);
-      t.last.(i) <- t.last.(n);
-      t.level.(i) <- t.level.(n);
-      t.freq.(i) <- t.freq.(n);
-      t.file_hash.(i) <- t.file_hash.(n)
-    end
+  let remove t s =
+    Class_heaps.remove t.members t.cls.(s) s;
+    Slots.release t.slots s
 
   let on_event t = function
-    | Reference { pos; block } ->
-      let i = Dense.find t.set block in
-      if i < 0 then failwith "PERCEPTRON: reference to non-resident block";
-      t.cnt.(i) <- t.cnt.(i) + 1;
-      t.last.(i) <- pos;
-      t.freq.(i) <- freq_x t.cnt.(i)
-    | Admit { pos; block } ->
+    | Reference { block; _ } ->
+      let s = Slots.find t.slots block in
+      if s < 0 then failwith "PERCEPTRON: reference to non-resident block";
+      let c = t.cls.(s) in
+      let c' = succ t c in
+      if c' <> c then begin
+        Class_heaps.remove t.members c s;
+        t.cls.(s) <- c';
+        Class_heaps.add t.members c' s
+      end
+    | Admit { block; _ } ->
       let g = Islab.find t.ghost block in
       if g >= 0 then begin
         (* Mistake: the stream wanted this block back. Blocks that look
            like it should score higher (be kept). *)
-        learn t g ~sign:1.0;
+        learn t t.ghost_cls.(g) ~sign:1.0;
         Islab.remove t.ghost block
       end;
-      admit t ~pos block
+      admit t block
     | Evict { block } ->
-      let i = Dense.find t.set block in
-      if i >= 0 then begin
-        (* Remember the eviction-time features; score at [last] so the
-           stored vector does not depend on when the kernel applied the
-           decision. *)
+      let s = Slots.find t.slots block in
+      if s >= 0 then begin
+        (* Remember the evicted block's class, whose features never
+           change. *)
         Islab.push_front t.ghost block;
-        let g = Islab.slot t.ghost block in
-        t.ghost_x <- grow_column t.ghost_x (n_features * Islab.capacity t.ghost) 0.0;
-        let x = t.ghost_x and o = n_features * g in
-        x.(o) <- 1.0;
-        x.(o + 1) <- age_x t ~pos:t.last.(i) t.last.(i);
-        x.(o + 2) <- t.freq.(i);
-        x.(o + 3) <- level_x t.level.(i);
-        x.(o + 4) <- t.file_hash.(i);
+        t.ghost_cls <- grow_column t.ghost_cls (Islab.capacity t.ghost) 0;
+        t.ghost_cls.(Islab.slot t.ghost block) <- t.cls.(s);
         while Islab.length t.ghost > t.cap do
           let b = Islab.back t.ghost in
           (* Expired un-referenced: the eviction was right. *)
-          learn t (Islab.slot t.ghost b) ~sign:(-1.0);
+          learn t t.ghost_cls.(Islab.slot t.ghost b) ~sign:(-1.0);
           Islab.remove t.ghost b
         done;
-        remove t block
+        remove t s
       end
-    | Invalidate { block } -> remove t block
-    | Hint { block; level } ->
-      let i = Dense.find t.set block in
-      if i >= 0 then t.level.(i) <- level
+    | Invalidate { block } ->
+      let s = Slots.find t.slots block in
+      if s >= 0 then remove t s
 
-  (* Lowest dot-product score loses; ties go to the smaller packed key
-     (Block.pack orders like Block.compare), so the choice does not
-     depend on the column order. The score sums the terms from 0.0 in
-     feature order, as a dot product with a feature array does, so each
-     score is bit-identical to that dot product. No closure, tuple,
-     option or boxed float is built per block. *)
-  let victim t ~pos ~missing:_ =
-    let set = t.set in
-    let n = set.Dense.n in
-    if n = 0 then failwith "PERCEPTRON: empty";
-    let w = t.w in
-    let w0 = w.(0) and w1 = w.(1) and w2 = w.(2) and w3 = w.(3) and w4 = w.(4) in
-    let keys = set.Dense.keys and last = t.last and level = t.level in
-    let freq = t.freq and file_hash = t.file_hash in
+  (* Lowest score loses; ties go to the smaller packed key (Block.pack
+     orders like Block.compare), the smallest of its class. The score
+     sums the terms from 0.0 in feature order, as a dot product with a
+     feature array does, so it is bit-identical to the full fold in
+     test/policy_oracles.ml. No closure, tuple, option or boxed float
+     is built per class. *)
+  let victim t ~pos:_ ~missing:_ =
+    let m = t.members in
+    if m.Class_heaps.nlive = 0 then failwith "PERCEPTRON: empty";
+    let bias = 0.0 +. (t.w.(0) *. 1.0) and wf = t.w.(1) and wh = t.w.(2) in
+    let freq = t.freq and file_hash = t.file_hash and heaps = m.Class_heaps.heaps in
+    let keys = t.slots.Slots.keys and live = m.Class_heaps.live in
     let best = ref 0 and best_score = ref 0.0 and best_key = ref 0 in
-    for i = 0 to n - 1 do
-      let s = 0.0 +. (w0 *. 1.0) in
-      let s = s +. (w1 *. age_x t ~pos last.(i)) in
-      let s = s +. (w2 *. freq.(i)) in
-      let s = s +. (w3 *. level_x level.(i)) in
-      let s = s +. (w4 *. file_hash.(i)) in
-      let k = keys.(i) in
-      if i = 0 || s < !best_score || (s = !best_score && k < !best_key) then begin
-        best := i;
-        best_score := s;
+    for j = 0 to m.Class_heaps.nlive - 1 do
+      let c = live.(j) in
+      let score = bias +. (wf *. freq.(c)) +. (wh *. file_hash.(c)) in
+      let s = heaps.(c).(0) in
+      let k = keys.(s) in
+      if j = 0 || score < !best_score || (score = !best_score && k < !best_key) then begin
+        best := s;
+        best_score := score;
         best_key := k
       end
     done;
-    set.Dense.blocks.(!best)
+    t.slots.Slots.blocks.(!best)
 
+  (* The weights keep the numbers of the five-feature vector (bias,
+     age, frequency, level, file hash) the oracle in
+     test/policy_oracles.ml still folds. *)
   let stats t =
-    List.concat
-      [
-        Array.to_list (Array.mapi (fun k v -> (Printf.sprintf "w%d" k, v)) t.w);
-        [
-          ("updates", float_of_int t.updates);
-          ("ghost", float_of_int (Islab.length t.ghost));
-          ("resident", float_of_int t.set.Dense.n);
-        ];
-      ]
+    [
+      ("w0", t.w.(0));
+      ("w2", t.w.(1));
+      ("w4", t.w.(2));
+      ("updates", float_of_int t.updates);
+      ("ghost", float_of_int (Islab.length t.ghost));
+      ("resident", float_of_int (Slots.length t.slots));
+    ]
 end

@@ -5,7 +5,6 @@ type event =
   | Admit of { pos : int; block : Block.t }
   | Evict of { block : Block.t }
   | Invalidate of { block : Block.t }
-  | Hint of { block : Block.t; level : int }
 
 module type CORE = sig
   type t

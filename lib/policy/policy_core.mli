@@ -9,11 +9,13 @@
     stream, so both produce the identical victim sequence. That
     determinism contract is asserted in [test/test_policy_core.ml].
 
-    Events carry the reference position [pos]: the index of the current
-    reference in the demand stream. Both paths number references the
-    same way (hits and miss-admissions each consume one position), which
-    is what lets position-keyed policies (LRU-2, OPT) replay
-    identically at both levels. *)
+    The four events are the ones both paths can report: a block is
+    referenced, admitted, evicted or invalidated. [Reference] and
+    [Admit] carry the reference position [pos]: the index of the
+    current reference in the demand stream. Both paths number
+    references the same way (hits and miss-admissions each consume one
+    position), which is what lets position-keyed policies (LRU-2, OPT)
+    replay identically at both levels. *)
 
 module Block = Acfc_core.Block
 
@@ -30,10 +32,6 @@ type event =
       (** [block] left the cache because its contents died (file
           invalidation) — not a replacement decision, so adaptive cores
           must not learn from it (no ghost entry). *)
-  | Hint of { block : Block.t; level : int }
-      (** Advisory priority-level hint for [block]; cores may fold it
-          into their ranking (the perceptron uses it as a feature) or
-          ignore it. *)
 
 module type CORE = sig
   type t

@@ -41,7 +41,6 @@ module Recency_ref = struct
     | Reference { block; _ } -> t.order <- block :: without block t.order
     | Admit { block; _ } -> t.order <- block :: t.order
     | Evict { block } | Invalidate { block } -> t.order <- without block t.order
-    | Hint _ -> ()
 end
 
 module Lru = struct
@@ -74,7 +73,7 @@ module Fifo = struct
   let create ~capacity:_ ~future:_ = { order = [] }
 
   let on_event t = function
-    | Reference _ | Hint _ -> ()
+    | Reference _ -> ()
     | Admit { block; _ } -> t.order <- t.order @ [ block ]
     | Evict { block } | Invalidate { block } -> t.order <- without block t.order
 
@@ -100,7 +99,6 @@ module Clock = struct
     | Evict { block } | Invalidate { block } ->
       t.ring <- without block t.ring;
       Hashtbl.remove t.referenced block
-    | Hint _ -> ()
 
   let rec victim t ~pos ~missing =
     match t.ring with
@@ -137,7 +135,7 @@ module Rand = struct
     end
 
   let on_event t = function
-    | Reference _ | Hint _ -> ()
+    | Reference _ -> ()
     | Admit { block; _ } -> t.slots <- t.slots @ [ block ]
     | Evict { block } | Invalidate { block } -> remove t block
 
@@ -189,7 +187,6 @@ module Two_q = struct
       (* Not a replacement decision: no ghost entry. *)
       t.a1in <- without block t.a1in;
       t.am <- without block t.am
-    | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
     if List.length t.a1in > t.kin || t.am = [] then
@@ -218,7 +215,6 @@ module Lru_2 = struct
       in
       Hashtbl.replace t.history block (pos, last)
     | Evict { block } | Invalidate { block } -> Hashtbl.remove t.history block
-    | Hint _ -> ()
 
   let victim t ~pos:_ ~missing:_ =
     let best = ref None in
@@ -271,7 +267,6 @@ module Opt = struct
       consume t ~pos block;
       Hashtbl.replace t.resident block ()
     | Evict { block } | Invalidate { block } -> Hashtbl.remove t.resident block
-    | Hint _ -> ()
 
   let next_use t block =
     match !(Hashtbl.find t.future block) with [] -> max_int | p :: _ -> p

@@ -252,22 +252,55 @@ let fleet_check f =
             la bound )
     else Ok ()
 
+(* A workload's IR program; [None] for an application that is not one,
+   whose files are not known here. *)
+let program w =
+  match w.app with
+  | Inline p -> Some p
+  | Named name ->
+    (match Catalog.resolve ?file_blocks:w.file_blocks name with
+    | Ok e -> App.program e.Catalog.app
+    | Error _ -> None)
+
 (* The file slots the workloads' programs open, which a fleet lays out
    side by side; [shared_files] names a prefix of them. A workload that
    is not an IR program opens none here (a fleet cannot run it). *)
 let file_slots workloads =
   List.fold_left
-    (fun n w ->
-      let program =
-        match w.app with
-        | Inline p -> Some p
-        | Named name ->
-          (match Catalog.resolve ?file_blocks:w.file_blocks name with
-          | Ok e -> App.program e.Catalog.app
-          | Error _ -> None)
-      in
-      n + Option.fold ~none:0 ~some:Wir.file_count program)
+    (fun n w -> n + Option.fold ~none:0 ~some:Wir.file_count (program w))
     0 workloads
+
+(* Every file a workload opens takes its reserve on the workload's disk,
+   and a scattered layout first skips a random gap of up to
+   capacity/100 - 1 blocks ([Fs.create_file]), which needs a drive of
+   at least 100 blocks. The worst case must fit each drive, or the run
+   dies with "disk full" mid-way. The sums saturate, so no reserve
+   wraps them. Errors name the workload whose files first overflow. *)
+let disk_space_check ~scattered_layout disks workloads =
+  let capacity =
+    Array.of_list (List.map (fun d -> d.params.Params.capacity_blocks) disks)
+  in
+  let used = Array.make (Array.length capacity) 0 in
+  all_indexed
+    (fun i w ->
+      let cap = capacity.(w.disk) and sub = Printf.sprintf ".workloads[%d]" i in
+      let reserves = Option.fold ~none:[] ~some:Wir.reserves (program w) in
+      let* () =
+        ensure sub
+          ((not scattered_layout) || reserves = [] || cap >= 100)
+          (Printf.sprintf
+             "scattered_layout needs at least 100 blocks on disk %d, which holds %d" w.disk
+             cap)
+      in
+      let gap = if scattered_layout then (cap / 100) - 1 else 0 in
+      let add a b = if a > max_int - b then max_int else a + b in
+      List.iter (fun r -> used.(w.disk) <- add (add used.(w.disk) gap) r) reserves;
+      ensure sub (used.(w.disk) <= cap)
+        (Printf.sprintf "the files opened on disk %d need %d blocks%s, more than its %d"
+           w.disk used.(w.disk)
+           (if scattered_layout then " with worst-case scattered gaps" else "")
+           cap))
+    workloads
 
 (* Everything [make] and the parser both reject, at document
    sub-paths. *)
@@ -297,7 +330,7 @@ let check t =
       (List.map (fun d -> d.params) t.disks)
   in
   match t.fleet with
-  | None -> Ok ()
+  | None -> disk_space_check ~scattered_layout:t.scattered_layout t.disks t.workloads
   | Some f ->
     let* () = within ".fleet" (fleet_check f) in
     let slots = file_slots t.workloads in

@@ -72,17 +72,25 @@ let rec count_ops acc = function
 
 let op_count t = List.fold_left count_ops 0 t.ops
 
-let rec count_opens acc = function
-  | Open _ -> acc + 1
-  | Seq body -> List.fold_left count_opens acc body
-  (* Opens are illegal inside Loop/Choice, but count what is there so
-     the statistic stays truthful on unvalidated programs. *)
-  | Loop { body; _ } -> List.fold_left count_opens acc body
-  | Choice { if_true; if_false; _ } ->
-    List.fold_left count_opens (List.fold_left count_opens acc if_true) if_false
-  | Read _ | Write _ | Rand_read _ | Compute _ | Advise _ | Unlink _ -> acc
+(* [f] over the [reserve_blocks] of each [Open], in program order. *)
+let rec fold_opens f acc = function
+  | [] -> acc
+  | op :: ops ->
+    let acc =
+      match op with
+      | Open { reserve_blocks; _ } -> f acc reserve_blocks
+      (* Opens are illegal inside Loop/Choice, but count what is there
+         so the statistics stay truthful on unvalidated programs. *)
+      | Seq body | Loop { body; _ } -> fold_opens f acc body
+      | Choice { if_true; if_false; _ } ->
+        fold_opens f (fold_opens f acc if_true) if_false
+      | Read _ | Write _ | Rand_read _ | Compute _ | Advise _ | Unlink _ -> acc
+    in
+    fold_opens f acc ops
 
-let file_count t = List.fold_left count_opens 0 t.ops
+let file_count t = fold_opens (fun n _ -> n + 1) 0 t.ops
+
+let reserves t = List.rev (fold_opens (fun l r -> r :: l) [] t.ops)
 
 (* {2 Static checking}
 

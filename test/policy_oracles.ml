@@ -5,10 +5,13 @@
    each block's rank or score from scratch and keeps the minimum of
    (value, Block.compare). They are the plain reading of each policy.
    The cores in {!Acfc_policy.Cores} keep indexes instead — frequency
-   classes for AWRP, cached feature columns for the perceptron — and
-   [test_policy_core.ml] checks that both name the same victims. Ghost
-   lists are plain block lists, most recent first. O(n) per miss; test
-   use only. *)
+   classes for AWRP, score classes for the perceptron — and
+   [test_policy_core.ml] checks that both name the same victims. The
+   perceptron fold still scores all five features of the original
+   vector (bias, age, frequency, level, file hash); the core dropped
+   age and level, whose weights must never leave 0.0. Ghost lists are
+   plain block lists, most recent first. O(n) per miss; test use
+   only. *)
 
 module Block = Acfc_core.Block
 open Acfc_policy.Policy_core
@@ -78,7 +81,6 @@ module Awrp = struct
       | None -> ());
       Hashtbl.remove t.resident block
     | Invalidate { block } -> Hashtbl.remove t.resident block
-    | Hint _ -> ()
 
   let victim t ~pos ~missing:_ =
     let best = ref None in
@@ -184,10 +186,6 @@ module Perceptron = struct
       | None -> ());
       Hashtbl.remove t.resident block
     | Invalidate { block } -> Hashtbl.remove t.resident block
-    | Hint { block; level } -> (
-      match Hashtbl.find_opt t.resident block with
-      | Some i -> i.level <- level
-      | None -> ())
 
   let victim t ~pos ~missing:_ =
     let best = ref None in

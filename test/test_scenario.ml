@@ -114,6 +114,14 @@ let with_drive ~field ~by =
   in
   with_member (Printf.sprintf {|"disks":[{"drive":%s}]|} (replace ~sub:field ~by drive))
 
+(* An inline workload opening the three files of
+   examples/scenarios/inline_workload.json, the first of [table]
+   blocks. *)
+let three_files table =
+  Printf.sprintf
+    {|{"program":{"schema":"acfc-wir/1","name":"t","ops":[{"op":"open","name":"table.dat","size_blocks":%d},{"op":"open","name":"index.dat","size_blocks":64},{"op":"open","name":"out.dat","size_blocks":0,"reserve_blocks":128}]}}|}
+    table
+
 let errors () =
   List.iter
     (fun (json, msg) -> expect_error msg (Scenario.of_string json))
@@ -156,6 +164,29 @@ let errors () =
           minimal,
         "scenario: read of blocks [0, 64) is past the end of file 0 (0 blocks written \
          here) at $.workloads[0].program.ops[1].body[0]" );
+      (* examples/scenarios/inline_workload.json with table.dat grown
+         to 85,000 blocks: it fits the RZ56's 85,120 alone, but the
+         other two files overflow the disk. *)
+      ( replace ~sub:{|{"app":"din"}|} ~by:(three_files 85_000) minimal,
+        "scenario: the files opened on disk 0 need 85192 blocks, more than its 85120 at \
+         $.workloads[0]" );
+      ( replace ~sub:{|{"app":"din"}|} ~by:(three_files (1 lsl 40)) minimal,
+        "scenario: the files opened on disk 0 need 1099511627968 blocks, more than its \
+         85120 at $.workloads[0]" );
+      (* 84,900 blocks fit packed, not after three gaps of up to 850. *)
+      ( replace ~sub:{|"workloads"|} ~by:{|"fs":{"scattered_layout":true},"workloads"|}
+          (replace ~sub:{|{"app":"din"}|} ~by:(three_files 84_900) minimal),
+        "scenario: the files opened on disk 0 need 87642 blocks with worst-case \
+         scattered gaps, more than its 85120 at $.workloads[0]" );
+      (* Catalog programs count too: din's trace file takes 1,024. *)
+      ( replace ~sub:{|{"app":"din"}|} ~by:{|{"app":"din"},{"app":"read100","file_blocks":4000}|}
+          (with_drive ~field:{|"capacity_blocks":5000|} ~by:{|"capacity_blocks":5000|}),
+        "scenario: the files opened on disk 0 need 5024 blocks, more than its 5000 at \
+         $.workloads[1]" );
+      ( replace ~sub:{|"workloads"|} ~by:{|"fs":{"scattered_layout":true},"workloads"|}
+          (with_drive ~field:{|"capacity_blocks":5000|} ~by:{|"capacity_blocks":99|}),
+        "scenario: scattered_layout needs at least 100 blocks on disk 0, which holds 99 \
+         at $.workloads[0]" );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1,"seed":2,"cache"|} minimal,
         {|scenario: duplicate field "seed" at $|} );
       ( replace ~sub:{|"cache"|} ~by:{|"seed":1e300,"cache"|} minimal,
