@@ -18,6 +18,10 @@ let compare a b =
 
 let hash t = (t.file * 1000003) + t.index
 
+(* A constant record literal at top level is static data, never in the
+   minor heap. *)
+let filler = { file = 0; index = 0 }
+
 (* Packed form for the columnar core: one non-negative int, ordered the
    same way as [compare]. 32 bits of index bound files at 2^32 blocks
    (32 TB at 8 KB) and file ids at 2^30 — far beyond any simulation. *)
@@ -35,5 +39,7 @@ let pack_ids ~file ~index =
   else (file lsl 32) lor index
 
 let unpack p = { file = p lsr 32; index = p land max_packed_index }
+
+let packed_file p = p lsr 32
 
 let pp ppf t = Format.fprintf ppf "f%d[%d]" t.file t.index

@@ -22,6 +22,13 @@ val compare : t -> t -> int
 
 val hash : t -> int
 
+val filler : t
+(** Block 0 of file 0, statically allocated: the initial value for an
+    array of blocks that is filled afterwards. [Array.make n b] of more
+    than 256 elements first runs a minor collection when [b] is young,
+    so that the major-heap array holds no young pointer; from [filler]
+    it does not. *)
+
 val pack : t -> int
 (** One non-negative int per block, ordered like {!compare} (file then
     index), for the columnar core's int-keyed tables. Raises
@@ -34,5 +41,11 @@ val pack_ids : file:file -> index:int -> int
 
 val unpack : int -> t
 (** Inverse of {!pack}. *)
+
+val packed_file : int -> file
+(** [file (unpack p)] without building the record. *)
+
+val max_packed_index : int
+(** The largest block index {!pack} accepts, 2{^32} - 1. *)
 
 val pp : Format.formatter -> t -> unit

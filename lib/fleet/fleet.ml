@@ -37,7 +37,7 @@ type client = {
   hit_cost : float;
   shared_files : int;
   outbox : Batch.t; (* the owning domain's SPSC buffer *)
-  pending : (unit -> unit) array; (* per workload: resume of the in-flight request *)
+  waits : Engine.waitq array; (* per workload: its fiber, parked on a remote request *)
   mutable seq : int;
   mutable remote_requests : int;
   mutable local_disk_reads : int;
@@ -88,8 +88,6 @@ type report = {
   server_wait_s : float;
 }
 
-let nop () = ()
-
 (* Local disks are modelled analytically (constant FCFS service time
    from the drive parameters) rather than with the full bus/seek
    model: the fleet's object of study is cache interaction and server
@@ -99,23 +97,28 @@ let disk_service_s (p : Params.t) =
   ((p.Params.overhead_ms +. p.Params.avg_seek_ms +. p.Params.avg_rot_ms) /. 1000.0)
   +. Params.transfer_time_s p
 
+(* A workload replays its stream of packed keys. A block record is
+   built only for [Cache.read] and dies young; a remote miss parks the
+   fiber on the workload's wait queue until [serve] hands it the
+   response time. A workload has at most one request in flight, so its
+   queue holds at most one fiber and FIFO order is trivially exact. *)
 let spawn_workload cl w stream =
   let eng = cl.engine in
   let pid = Pid.make w in
+  let wait = cl.waits.(w) in
   Engine.spawn eng ~name:(Printf.sprintf "client%d.workload%d" cl.id w) (fun () ->
       let n = Array.length stream in
       for i = 0 to n - 1 do
-        let b = stream.(i) in
-        match Cache.read cl.cache ~pid b with
+        let p = stream.(i) in
+        match Cache.read cl.cache ~pid (Block.unpack p) with
         | `Hit -> Engine.delay eng cl.hit_cost
         | `Miss ->
-          if Block.file b < cl.shared_files then begin
+          if Block.packed_file p < cl.shared_files then begin
             let seq = cl.seq in
             cl.seq <- seq + 1;
             cl.remote_requests <- cl.remote_requests + 1;
-            Batch.push cl.outbox ~ts:(Engine.now eng) ~client:cl.id ~seq ~wld:w
-              ~blk:(Block.pack b);
-            Engine.suspend eng (fun resume -> cl.pending.(w) <- resume)
+            Batch.push cl.outbox ~ts:(Engine.now eng) ~client:cl.id ~seq ~wld:w ~blk:p;
+            Engine.park eng wait
           end
           else begin
             cl.local_disk_reads <- cl.local_disk_reads + 1;
@@ -144,7 +147,7 @@ let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~off
       hit_cost;
       shared_files;
       outbox;
-      pending = Array.make nwld nop;
+      waits = Array.init nwld (fun _ -> Engine.waitq ());
       seq = 0;
       remote_requests = 0;
       local_disk_reads = 0;
@@ -153,14 +156,8 @@ let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~off
     }
   in
   for w = 0 to nwld - 1 do
-    let stream = Wir.references ~rng:rngs.(w) programs.(w) in
-    let off = offsets.(w) in
-    if off > 0 then
-      Array.iteri
-        (fun i b ->
-          stream.(i) <- Block.make ~file:(off + Block.file b) ~index:(Block.index b))
-        stream;
-    spawn_workload cl w stream
+    spawn_workload cl w
+      (Wir.packed_references ~rng:rngs.(w) ~file_offset:offsets.(w) programs.(w))
   done;
   cl
 
@@ -271,9 +268,10 @@ let sort_order s n =
    request arrival = send time + link latency; a server miss queues
    FCFS on the server drive; the response lands back at the client
    after another latency plus the block's transmission time. The
-   response is injected by [Engine.schedule] on the client's engine —
-   safe here because no worker is running between barriers, and always
-   in that client's future (see the lookahead argument above). *)
+   response wakes the requesting workload's parked fiber at that time
+   ([Engine.wake_at], one event) — safe here because no worker is
+   running between barriers, and always in that client's future (see
+   the lookahead argument above). *)
 let serve s clients lat xfer =
   let n = s.m_len in
   for i = 0 to n - 1 do
@@ -302,7 +300,7 @@ let serve s clients lat xfer =
     in
     let back = done_at +. lat.(c) +. xfer.(c) in
     let cl = clients.(c) in
-    Engine.schedule cl.engine ~at:back cl.pending.(s.m_wld.(i))
+    Engine.wake_at cl.engine cl.waits.(s.m_wld.(i)) ~at:back
   done;
   s.m_len <- 0
 
@@ -452,10 +450,15 @@ let run ?jobs ?obs ?monitor scn =
   let epochs = ref 0 in
   while finished () < total do
     let h = Epoch.horizon ep !k in
+    (* An engine with nothing due by [h] is not run: [run_until] would
+       process no event, and its clock, left behind the horizon, stays
+       before every response [serve] can schedule on it, which lands
+       past [h] by the lookahead argument above. *)
     Team.run team (fun wid ->
         let c = ref wid in
         while !c < nclients do
-          Engine.run_until clients.(!c).engine h;
+          let e = clients.(!c).engine in
+          if Engine.next_event_time e <= h then Engine.run_until e h;
           c := !c + workers
         done);
     incr epochs;
@@ -466,12 +469,10 @@ let run ?jobs ?obs ?monitor scn =
       (* Jump over epochs in which no engine has work (all responses
          are scheduled by now, so the minimum is exact). *)
       let next = ref Float.infinity in
-      Array.iter
-        (fun cl ->
-          match Engine.next_event_time cl.engine with
-          | Some t -> if t < !next then next := t
-          | None -> ())
-        clients;
+      for c = 0 to nclients - 1 do
+        let t = Engine.next_event_time clients.(c).engine in
+        if t < !next then next := t
+      done;
       if !next = Float.infinity then
         failwith
           "Fleet.run: fleet stalled — workloads unfinished but no engine has a \

@@ -26,11 +26,13 @@
     request, so conservative epoch execution is exact. Consequently
     {!run}'s report (and {!pp}'s rendering of it) is byte-identical at
     every [jobs] value; the sequential [jobs = 1] path runs the same
-    code on the calling domain.
+    code on the calling domain. An engine with no event due by an
+    epoch's horizon is not run in that epoch, and epochs in which no
+    engine has work are skipped.
 
     Manager strategies ([smart] workloads) do not apply inside a fleet:
     clients replay each workload's demand stream
-    ({!Acfc_wir.Wir.references}) against plain two-level caches. *)
+    ({!Acfc_wir.Wir.packed_references}) against plain two-level caches. *)
 
 type client_stats = {
   local_hits : int;

@@ -72,6 +72,9 @@ let ( let* ) = Result.bind
    checked, so the parser can turn it into a [$.path] diagnostic. *)
 let ensure sub ok msg = if ok then Ok () else Error (sub, msg)
 
+(* Saturating sum of block counts, so no capacity or reserve wraps it. *)
+let add_blocks a b = if a > max_int - b then max_int else a + b
+
 (* Shared by the constructors (invalid_arg) and the JSON parser ($.path
    error, hence the sub-paths): a workload names a catalog application
    or carries an inline program, never both; [smart] and [disk] default
@@ -219,6 +222,12 @@ let fleet_check f =
       "cache_blocks must be >= 1"
   in
   let* () = within ".server.drive" (drive_check f.server.server_drive) in
+  let* () =
+    let drive = f.server.server_drive.Params.capacity_blocks in
+    ensure ".server.cache_blocks" (f.server.server_cache_blocks <= drive)
+      (Printf.sprintf "cache_blocks %d exceeds the server drive's %d blocks"
+         f.server.server_cache_blocks drive)
+  in
   let* () = check_link_values ".network" f.net in
   let* () =
     all_indexed
@@ -274,8 +283,8 @@ let file_slots workloads =
    and a scattered layout first skips a random gap of up to
    capacity/100 - 1 blocks ([Fs.create_file]), which needs a drive of
    at least 100 blocks. The worst case must fit each drive, or the run
-   dies with "disk full" mid-way. The sums saturate, so no reserve
-   wraps them. Errors name the workload whose files first overflow. *)
+   dies with "disk full" mid-way. Errors name the workload whose files
+   first overflow. *)
 let disk_space_check ~scattered_layout disks workloads =
   let capacity =
     Array.of_list (List.map (fun d -> d.params.Params.capacity_blocks) disks)
@@ -293,14 +302,36 @@ let disk_space_check ~scattered_layout disks workloads =
              cap)
       in
       let gap = if scattered_layout then (cap / 100) - 1 else 0 in
-      let add a b = if a > max_int - b then max_int else a + b in
-      List.iter (fun r -> used.(w.disk) <- add (add used.(w.disk) gap) r) reserves;
+      List.iter
+        (fun r -> used.(w.disk) <- add_blocks (add_blocks used.(w.disk) gap) r)
+        reserves;
       ensure sub (used.(w.disk) <= cap)
         (Printf.sprintf "the files opened on disk %d need %d blocks%s, more than its %d"
            w.disk used.(w.disk)
            (if scattered_layout then " with worst-case scattered gaps" else "")
            cap))
     workloads
+
+(* Every cache pre-sizes its tables to its capacity, so one larger
+   than the drives it fronts holds nothing more, and a huge one runs
+   out of memory before the first reference. A machine's cache, and
+   each fleet client's, fronts the scenario's drives plus, in a fleet,
+   the server's; the server cache ([fleet_check]) fronts the server
+   drive. *)
+let cache_size_check t =
+  let drives =
+    List.fold_left (fun n d -> add_blocks n d.params.Params.capacity_blocks) 0 t.disks
+  in
+  let drives, which =
+    match t.fleet with
+    | None -> (drives, "the scenario's drives")
+    | Some f ->
+      ( add_blocks drives f.server.server_drive.Params.capacity_blocks,
+        "the scenario's drives and the server drive" )
+  in
+  let cap = t.config.Config.capacity_blocks in
+  ensure ".cache.capacity_blocks" (cap <= drives)
+    (Printf.sprintf "capacity_blocks %d exceeds the %d blocks of %s" cap drives which)
 
 (* Everything [make] and the parser both reject, at document
    sub-paths. *)
@@ -330,9 +361,12 @@ let check t =
       (List.map (fun d -> d.params) t.disks)
   in
   match t.fleet with
-  | None -> disk_space_check ~scattered_layout:t.scattered_layout t.disks t.workloads
+  | None ->
+    let* () = disk_space_check ~scattered_layout:t.scattered_layout t.disks t.workloads in
+    cache_size_check t
   | Some f ->
     let* () = within ".fleet" (fleet_check f) in
+    let* () = cache_size_check t in
     let slots = file_slots t.workloads in
     ensure ".fleet.shared_files" (f.shared_files <= slots)
       (Printf.sprintf "shared_files %d exceeds the %d workload file slots" f.shared_files

@@ -169,7 +169,9 @@ val make :
     not finite and > 0, [write_cluster] below 1, a negative or
     non-finite [hit_cost] / [io_cpu_cost], or drive parameters with a
     capacity below 1 block, a transfer rate not finite and > 0, or a
-    negative or non-finite time. {!of_json} applies the same checks. *)
+    negative or non-finite time; or a cache larger than the drives it
+    fronts (every disk, plus the server drive in a fleet; the server
+    cache, its drive). {!of_json} applies the same checks. *)
 
 (** {2 Fleet helpers} *)
 

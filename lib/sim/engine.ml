@@ -508,18 +508,30 @@ let park t q =
   t.park_q <- q;
   Effect.perform Park
 
+(* Take the longest-parked fiber's wake-up job off a non-empty queue,
+   clearing its blocked flag. *)
+let take t q =
+  let i = q.whead in
+  let job = q.wjobs.(i) in
+  q.wjobs.(i) <- Equeue.Nop;
+  q.whead <- (i + 1) land (Array.length q.wjobs - 1);
+  q.wlen <- q.wlen - 1;
+  unblock t q.wids.(i);
+  job
+
 let wake_one t q =
   if q.wlen = 0 then false
   else begin
-    let i = q.whead in
-    let job = q.wjobs.(i) in
-    q.wjobs.(i) <- Equeue.Nop;
-    q.whead <- (i + 1) land (Array.length q.wjobs - 1);
-    q.wlen <- q.wlen - 1;
-    unblock t q.wids.(i);
-    schedule_now t job;
+    schedule_now t (take t q);
     true
   end
+
+let wake_at t q ~at =
+  if q.wlen = 0 then invalid_arg "Engine.wake_at: no fiber is parked";
+  if at < t.clock.(0) then
+    invalid_arg
+      (Printf.sprintf "Engine.wake_at: time %g is in the past (now %g)" at t.clock.(0));
+  schedule_job t ~at (take t q)
 
 let wake_all t q =
   while wake_one t q do
@@ -592,7 +604,9 @@ let fiber_count t = t.live
 
 let events_processed t = t.processed
 
-let next_event_time t =
-  if t.rtail <> t.rhead then Some t.clock.(0)
-  else if Equeue.is_empty t.events then None
-  else Some t.events.Equeue.ts.(0)
+(* Inlined, so a caller comparing or accumulating the result keeps it
+   unboxed. *)
+let[@inline] next_event_time t =
+  if t.rtail <> t.rhead then t.clock.(0)
+  else if Equeue.is_empty t.events then Float.infinity
+  else t.events.Equeue.ts.(0)

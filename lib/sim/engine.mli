@@ -99,7 +99,8 @@ val suspend : t -> ((unit -> unit) -> unit) -> unit
     scheduled event or another fiber) continues the fiber at the
     then-current virtual time, inside the caller's job; a second call
     raises [Invalid_argument]. For a FIFO of waiters prefer a {!waitq},
-    which allocates no closure per wait. *)
+    which allocates no closure per wait: {!wake_one} resumes a waiter
+    now, {!wake_at} at a given time. *)
 
 (** {2 Wait queues}
 
@@ -127,6 +128,14 @@ val wake_one : t -> waitq -> bool
 val wake_all : t -> waitq -> unit
 (** {!wake_one} until the queue is empty, in FIFO order. *)
 
+val wake_at : t -> waitq -> at:float -> unit
+(** Schedule the longest-parked fiber to resume at virtual time [at],
+    routed like {!schedule}: one event, after every event already
+    scheduled for [at]. Lets a coordinator hand a parked fiber its
+    response time from outside the engine's run, with no closure per
+    wait. Raises [Invalid_argument] if no fiber is parked or [at] is in
+    the past. *)
+
 val waiters : waitq -> int
 (** Fibers currently parked on the queue. *)
 
@@ -149,9 +158,9 @@ val events_processed : t -> int
     in-place {!delay} resumptions included: the count is the same as if
     every wake-up had gone through the queue. *)
 
-val next_event_time : t -> float option
+val next_event_time : t -> float
 (** Time of the earliest pending event (ready-ring entries are due at
-    the current instant), or [None] when nothing is pending. Lets a
-    coordinator running several engines under {!run_until} skip epochs
-    in which no engine has work. Boxes its result — a barrier-rate
-    operation, not for the per-event path. *)
+    the current instant), or [infinity] when nothing is pending. Lets a
+    coordinator running several engines under {!run_until} skip the
+    engines, and the epochs, with no work due. Inlined, so the result
+    stays unboxed at the call site. *)

@@ -138,6 +138,10 @@ let check_written body i file s ~first ~count =
              first (first + count) file s.written
              (if s.written = 1 then "" else "s") ))
 
+(* Block indices [Block.pack] can hold: a larger extent would alias
+   the next file's keys. *)
+let max_file_blocks = Block.max_packed_index + 1
+
 let check t =
   let slots : slot array ref = ref [||] in
   let n_slots = ref 0 in
@@ -179,6 +183,10 @@ let check t =
       else if size_blocks < 0 then err body i "size_blocks must be non-negative"
       else if reserve_blocks < Stdlib.max 1 size_blocks then
         err body i "reserve_blocks must be at least max(1, size_blocks)"
+      else if reserve_blocks > max_file_blocks then
+        err body i
+          (Printf.sprintf "extent of %d blocks exceeds the 2^32 blocks a file can hold"
+             reserve_blocks)
       else if
         Array.exists (fun s -> s.written >= 0 && s.file_name = name)
           (Array.sub !slots 0 !n_slots)
@@ -310,31 +318,36 @@ let exec t env ~disk =
   in
   List.iter run t.ops
 
-let references ?rng t =
+(* The one reference walk: every block a [Read], [Write] or
+   [Rand_read] touches, in program order, as a packed key, drawing from
+   [rng] exactly as [exec] does. Returns the buffer and the length used.
+   The buffer holds ints, so growing it never forces a minor
+   collection, and a fleet's streams live for a whole run without a
+   boxed block per reference. *)
+let walk ?rng ~file_offset t =
   (match validate t with Ok () -> () | Error e -> failwith e);
   let rng = match rng with Some r -> r | None -> Rng.create 0 in
-  let out = ref [||] in
+  let out = ref (Array.make 256 0) in
   let n = ref 0 in
-  let push b =
+  let push file index =
+    let p = Block.pack_ids ~file:(file_offset + file) ~index in
+    if p < 0 then invalid_arg "Wir.packed_references: block out of packable range";
     if !n = Array.length !out then begin
-      let grown = Array.make (Stdlib.max 1024 (2 * !n)) b in
+      let grown = Array.make (2 * !n) 0 in
       Array.blit !out 0 grown 0 !n;
       out := grown
     end;
-    !out.(!n) <- b;
+    !out.(!n) <- p;
     incr n
   in
-  let next_slot = ref 0 in
   let rec run op =
     match op with
-    | Open _ -> incr next_slot
     | Read { file; first; count; _ } | Write { file; first; count; _ } ->
       for b = first to first + count - 1 do
-        push (Block.make ~file ~index:b)
+        push file b
       done
-    | Rand_read { file; base; range; _ } ->
-      push (Block.make ~file ~index:(base + Rng.int rng range))
-    | Compute _ | Advise _ | Unlink _ -> ()
+    | Rand_read { file; base; range; _ } -> push file (base + Rng.int rng range)
+    | Open _ | Compute _ | Advise _ | Unlink _ -> ()
     | Seq body -> List.iter run body
     | Loop { times; body } ->
       for _ = 1 to times do
@@ -344,7 +357,21 @@ let references ?rng t =
       if Rng.float rng 1.0 < prob then List.iter run if_true else List.iter run if_false
   in
   List.iter run t.ops;
-  Array.sub !out 0 !n
+  (!out, !n)
+
+let packed_references ?rng ?(file_offset = 0) t =
+  let keys, n = walk ?rng ~file_offset t in
+  Array.sub keys 0 n
+
+(* Filled over a static block, so making the array never forces a
+   minor collection. *)
+let references ?rng t =
+  let keys, n = walk ?rng ~file_offset:0 t in
+  let out = Array.make n Block.filler in
+  for i = 0 to n - 1 do
+    out.(i) <- Block.unpack keys.(i)
+  done;
+  out
 
 (* {2 Serialisation} *)
 

@@ -242,6 +242,74 @@ let deadlock_names_parked_fibers () =
     check Alcotest.string "sorted names of every blocked fiber"
       "a-queued, b-queued, c-reader, d-suspended, holder" names
 
+(* {2 Timed wake-ups and the next event time} *)
+
+let wake_at_order () =
+  let e = Engine.create () in
+  let q = Engine.waitq () in
+  let log = ref [] in
+  Engine.spawn e ~name:"a" (fun () ->
+      Engine.park e q;
+      log_entry e log "a");
+  Engine.spawn e ~name:"b" (fun () ->
+      Engine.park e q;
+      log_entry e log "b");
+  Engine.schedule e ~at:2.0 (fun () -> log_entry e log "older");
+  Engine.schedule e ~at:1.0 (fun () ->
+      chk_int "both parked" 2 (Engine.waiters q);
+      Engine.wake_at e q ~at:2.0;
+      chk_int "the oldest left the queue" 1 (Engine.waiters q);
+      Engine.schedule e ~at:2.0 (fun () -> log_entry e log "younger");
+      Engine.wake_at e q ~at:3.0);
+  Engine.run e;
+  chk_bool "oldest first, FIFO among same-time events" true
+    (List.rev !log = [ ("older", 2.0); ("a", 2.0); ("younger", 2.0); ("b", 3.0) ]);
+  (* two spawns, three callbacks, two wake-ups *)
+  chk_int "one event per wake-up" 7 (Engine.events_processed e)
+
+let wake_at_rejects () =
+  let e = Engine.create () in
+  let q = Engine.waitq () in
+  Alcotest.check_raises "empty queue"
+    (Invalid_argument "Engine.wake_at: no fiber is parked") (fun () ->
+      Engine.wake_at e q ~at:1.0);
+  Engine.spawn e ~name:"parked" (fun () -> Engine.park e q);
+  Engine.schedule e ~at:5.0 (fun () ->
+      Alcotest.check_raises "time in the past"
+        (Invalid_argument "Engine.wake_at: time 1 is in the past (now 5)") (fun () ->
+          Engine.wake_at e q ~at:1.0);
+      chk_int "a refused wake-up leaves the fiber parked" 1 (Engine.waiters q);
+      Engine.wake_at e q ~at:5.0);
+  Engine.run e;
+  chk_int "woken at the present" 0 (Engine.fiber_count e)
+
+let deadlock_names_unwoken_parker () =
+  let e = Engine.create () in
+  let q = Engine.waitq () in
+  Engine.spawn e ~name:"woken" (fun () -> Engine.park e q);
+  Engine.spawn e ~name:"orphan" (fun () -> Engine.park e q);
+  Engine.schedule e ~at:1.0 (fun () -> Engine.wake_at e q ~at:2.0);
+  match Engine.run e with
+  | () -> Alcotest.fail "no deadlock raised"
+  | exception Engine.Deadlock names ->
+    check Alcotest.string "only the fiber nobody wakes" "orphan" names
+
+let next_event_time_reads () =
+  let e = Engine.create () in
+  let next () = Engine.next_event_time e in
+  chk_bool "infinity when idle" true (next () = Float.infinity);
+  Engine.schedule e ~at:2.0 ignore;
+  chk_float "the heap top" 2.0 (next ());
+  (* Due now with nothing earlier queued: a ready-ring entry. *)
+  Engine.schedule e ~at:0.0 ignore;
+  chk_float "now, for a ring entry" 0.0 (next ());
+  Engine.run_until e 1.0;
+  chk_float "the heap top again" 2.0 (next ());
+  Engine.schedule e ~at:1.0 ignore;
+  chk_float "now, for a ring entry past the last event" 1.0 (next ());
+  Engine.run e;
+  chk_bool "infinity when drained" true (next () = Float.infinity)
+
 (* {2 Blocked-fiber bookkeeping}
 
    Fibers start at random times, park on several wait queues, suspend
@@ -319,8 +387,10 @@ let deadlock_names_match_model =
 (* {2 Against a list-based reference scheduler}
 
    The same semantics with none of the engine's machinery: one sorted
-   list of (time, seq, callback), every wake-up queued, resources and
-   ivars as plain FIFOs of resume closures. *)
+   list of (time, seq, callback), every wake-up queued, resources,
+   ivars and wait queues as plain FIFOs of resume closures. A timed
+   wake-up ([wake_at]) schedules the oldest resume closure at its
+   time. *)
 
 module Ref_sched = struct
   type t = {
@@ -393,9 +463,19 @@ module Ref_sched = struct
     end
 
   let read iv = if not iv.filled then block (fun resume -> iv.readers <- resume :: iv.readers)
+
+  let park q = block (fun resume -> Queue.push resume q)
+
+  let wake_at t q at = Option.iter (fun w -> schedule t at w) (Queue.take_opt q)
 end
 
-type script_op = Sleep of int | Use of int * int | Fill of int | Read of int
+type script_op =
+  | Sleep of int
+  | Use of int * int
+  | Fill of int
+  | Read of int
+  | Park of int
+  | Wake_at of int * int
 
 (* Quarter-second quanta keep float times exact and ties frequent. *)
 let quanta k = 0.25 *. float_of_int k
@@ -409,19 +489,24 @@ let script_gen =
         map2 (fun r k -> Use (r, k)) (int_range 0 1) (int_range 0 3);
         map (fun i -> Fill i) (int_range 0 1);
         map (fun i -> Read i) (int_range 0 1);
+        map (fun q -> Park q) (int_range 0 1);
+        map2 (fun q k -> Wake_at (q, k)) (int_range 0 1) (int_range 0 4);
       ]
   in
   pair
     (pair (int_range 1 2) (int_range 1 2))
     (list_size (int_range 1 5) (list_size (int_range 0 8) op))
 
-(* A closing fiber fills any ivar nobody filled, so every run ends. *)
+(* A closing fiber fills any ivar nobody filled and wakes every parked
+   fiber, after which parking is a no-op, so every run ends. *)
 let closing_time = 50.0
 
 let run_engine ~stepped ((s0, s1), scripts) =
   let e = Engine.create () in
   let res = [| Resource.create e ~servers:s0 (); Resource.create e ~servers:s1 () |] in
   let ivs = [| Ivar.create e; Ivar.create e |] in
+  let qs = [| Engine.waitq (); Engine.waitq () |] in
+  let closed = ref false in
   let fill i = if not (Ivar.is_filled ivs.(i)) then Ivar.fill ivs.(i) () in
   let log = ref [] in
   List.iteri
@@ -433,17 +518,23 @@ let run_engine ~stepped ((s0, s1), scripts) =
               | Sleep k -> Engine.delay e (quanta k)
               | Use (r, k) -> Resource.use res.(r) ~service:(quanta k)
               | Fill i -> fill i
-              | Read i -> Ivar.read ivs.(i));
+              | Read i -> Ivar.read ivs.(i)
+              | Park q -> if not !closed then Engine.park e qs.(q)
+              | Wake_at (q, k) ->
+                if Engine.waiters qs.(q) > 0 then
+                  Engine.wake_at e qs.(q) ~at:(Engine.now e +. quanta k));
               log := (f, j, Engine.now e) :: !log)
             script))
     scripts;
   Engine.spawn e (fun () ->
       Engine.delay e closing_time;
       fill 0;
-      fill 1);
+      fill 1;
+      closed := true;
+      Array.iter (Engine.wake_all e) qs);
   if stepped then begin
     let horizon = ref 0.0 in
-    while Engine.next_event_time e <> None do
+    while Engine.next_event_time e < Float.infinity do
       horizon := !horizon +. 0.3;
       Engine.run_until e !horizon
     done
@@ -461,6 +552,8 @@ let run_reference ((s0, s1), scripts) =
     |]
   in
   let ivs = [| { R.filled = false; readers = [] }; { R.filled = false; readers = [] } |] in
+  let qs = [| Queue.create (); Queue.create () |] in
+  let closed = ref false in
   let log = ref [] in
   List.iteri
     (fun f script ->
@@ -471,14 +564,18 @@ let run_reference ((s0, s1), scripts) =
               | Sleep k -> R.delay t (quanta k)
               | Use (r, k) -> R.use t res.(r) (quanta k)
               | Fill i -> R.fill t ivs.(i)
-              | Read i -> R.read ivs.(i));
+              | Read i -> R.read ivs.(i)
+              | Park q -> if not !closed then R.park qs.(q)
+              | Wake_at (q, k) -> R.wake_at t qs.(q) (t.R.now +. quanta k));
               log := (f, j, t.R.now) :: !log)
             script))
     scripts;
   R.spawn t (fun () ->
       R.delay t closing_time;
       R.fill t ivs.(0);
-      R.fill t ivs.(1));
+      R.fill t ivs.(1);
+      closed := true;
+      Array.iter (fun q -> Queue.iter (fun w -> R.schedule t t.R.now w) q; Queue.clear q) qs);
   R.run t;
   (List.rev !log, t.R.processed)
 
@@ -513,6 +610,10 @@ let suites =
         case "run_until holds back late wake-ups" run_until_holds_back_late_wakeups;
         case "delay outside a fiber fails" delay_outside_fiber_fails;
         case "deadlock names parked fibers" deadlock_names_parked_fibers;
+        case "wake_at: oldest first, after same-time events" wake_at_order;
+        case "wake_at rejects an empty queue and the past" wake_at_rejects;
+        case "deadlock names a parker nobody wakes" deadlock_names_unwoken_parker;
+        case "next_event_time: infinity, ring, heap top" next_event_time_reads;
         deadlock_names_match_model;
         matches_reference;
       ] );

@@ -1,8 +1,9 @@
 (* The domain-parallel fleet engine (acfc.fleet): the SPSC batch
    buffer, the deterministic barrier merge, the epoch clock, the
    determinism contract (byte-identical reports at every worker count
-   and under a finer epoch partition), the per-client observability
-   gauges, and the $.fleet scenario section's strict parsing. *)
+   and under a finer epoch partition, on fleet_small and on generated
+   fleets), the per-client observability gauges, and the $.fleet
+   scenario section's strict parsing. *)
 
 open Tutil
 module Batch = Acfc_fleet.Batch
@@ -11,6 +12,8 @@ module Epoch = Acfc_sim.Epoch
 module Scenario = Acfc_scenario.Scenario
 module Metrics = Acfc_obs.Metrics
 module Obs = Acfc_obs
+module Wir = Acfc_wir.Wir
+module Wirgen = Acfc_wirgen.Wirgen
 
 (* {2 Batch: no lost, duplicated or reordered requests} *)
 
@@ -140,6 +143,55 @@ let test_halved_lookahead () =
     (strip fine);
   chk_bool "finer partition takes at least as many epochs" true
     (fine.Fleet.epochs >= base.Fleet.epochs)
+
+(* Generated fleets: 1-6 clients, some on their own links, running
+   generated programs of unequal length. A client on a slow link, or one
+   whose workloads finished early, has nothing due for many epochs, so
+   the epoch loop skips its engine; the reports must still be identical
+   at every worker count and, but for the epoch count, at half the
+   lookahead. *)
+let fleet_spec =
+  { Wirgen.default with Wirgen.name = "fleet"; file_blocks = (4, 48); passes = (1, 5) }
+
+let fleet_gen =
+  let open QCheck2.Gen in
+  let link =
+    map2
+      (fun latency_ms bandwidth_mb_per_s -> { Scenario.latency_ms; bandwidth_mb_per_s })
+      (oneofl [ 1.0; 2.0; 5.0; 20.0; 50.0 ])
+      (oneofl [ 5.0; 20.0; 100.0 ])
+  in
+  let* clients = int_range 1 6 in
+  let* links = list_size (int_range 0 clients) (pair (int_range 0 (clients - 1)) link) in
+  let* net = link in
+  let* nwld = int_range 1 3 in
+  let* corpus_seed = int_bound 10_000 in
+  let* seed = int_bound 10_000 in
+  let* shared = int_range 0 3 in
+  let* cache_blocks = int_range 8 64 in
+  let+ server_cache_blocks = int_range 4 64 in
+  let programs = Wirgen.corpus fleet_spec ~seed:corpus_seed ~count:nwld in
+  let slots = List.fold_left (fun n p -> n + Wir.file_count p) 0 programs in
+  Scenario.make ~seed ~cache_blocks
+    ~fleet:
+      (Scenario.fleet ~shared_files:(min shared slots)
+         ~links:(List.sort_uniq (fun (a, _) (b, _) -> compare a b) links)
+         ~clients ~server_cache_blocks ~latency_ms:net.Scenario.latency_ms
+         ~bandwidth_mb_per_s:net.Scenario.bandwidth_mb_per_s ())
+    (List.map (Scenario.inline_workload ~smart:false) programs)
+
+let qcheck_generated_fleets =
+  qcheck ~count:40 "generated fleets: identical at jobs 1/2/3 and at half lookahead"
+    fleet_gen (fun scn ->
+      let base = Fleet.run ~jobs:1 scn in
+      let same jobs = Fleet.to_string (Fleet.run ~jobs scn) = Fleet.to_string base in
+      let fl = Option.get scn.Scenario.fleet in
+      let halved =
+        { fl with Scenario.lookahead_ms = Some (Scenario.fleet_lookahead_ms fl /. 2.0) }
+      in
+      let strip r = Fleet.to_string { r with Fleet.epochs = 0; lookahead_s = 0.0 } in
+      same 2 && same 3
+      && strip (Fleet.run ~jobs:1 { scn with Scenario.fleet = Some halved }) = strip base)
 
 let test_report_sanity () =
   let r = Fleet.run ~jobs:2 (small_fleet ()) in
@@ -285,6 +337,7 @@ let suites =
       [
         case "byte-identical at jobs 1/2/3/4" test_jobs_byte_identical;
         case "halved lookahead reproduces all statistics" test_halved_lookahead;
+        qcheck_generated_fleets;
         case "report sanity" test_report_sanity;
         case "no fleet section rejected" test_no_fleet_rejected;
         case "shared_files beyond file slots rejected" test_shared_files_bound;

@@ -122,6 +122,16 @@ let three_files table =
     {|{"program":{"schema":"acfc-wir/1","name":"t","ops":[{"op":"open","name":"table.dat","size_blocks":%d},{"op":"open","name":"index.dat","size_blocks":64},{"op":"open","name":"out.dat","size_blocks":0,"reserve_blocks":128}]}}|}
     table
 
+(* A two-client fleet section for [minimal]: din's one file is shared. *)
+let small_fleet =
+  {|"fleet":{"clients":2,"shared_files":1,"server":{"cache_blocks":64,"drive":"rz56"},"network":{"latency_ms":2,"bandwidth_mb_per_s":20}}|}
+
+(* A fleet whose one workload opens a 2^33-block file and reads near
+   block 2^32. *)
+let big_fleet =
+  {|{"schema":"acfc-scenario/1","cache":{"capacity_blocks":64},"disks":[{"drive":"rz56"}],"workloads":[{"program":{"schema":"acfc-wir/1","name":"big","ops":[{"op":"open","name":"big.dat","size_blocks":8589934592},{"op":"loop","times":20,"body":[{"op":"rand_read","file":0,"base":4294967290,"range":10}]}]}}],|}
+  ^ small_fleet ^ "}"
+
 let errors () =
   List.iter
     (fun (json, msg) -> expect_error msg (Scenario.of_string json))
@@ -170,9 +180,28 @@ let errors () =
       ( replace ~sub:{|{"app":"din"}|} ~by:(three_files 85_000) minimal,
         "scenario: the files opened on disk 0 need 85192 blocks, more than its 85120 at \
          $.workloads[0]" );
-      ( replace ~sub:{|{"app":"din"}|} ~by:(three_files (1 lsl 40)) minimal,
-        "scenario: the files opened on disk 0 need 1099511627968 blocks, more than its \
+      (* The largest extent a file can have. *)
+      ( replace ~sub:{|{"app":"din"}|} ~by:(three_files (1 lsl 32)) minimal,
+        "scenario: the files opened on disk 0 need 4294967488 blocks, more than its \
          85120 at $.workloads[0]" );
+      (* A fleet skips the disk-space sum, so the program check must
+         refuse an extent whose block indices Block.pack cannot hold. *)
+      ( big_fleet,
+        "scenario: extent of 8589934592 blocks exceeds the 2^32 blocks a file can hold \
+         at $.workloads[0].program.ops[0]" );
+      (* Caches pre-size their tables: none may outgrow its drives. *)
+      ( replace ~sub:{|"capacity_blocks":819|} ~by:{|"capacity_blocks":2147483648|} minimal,
+        "scenario: capacity_blocks 2147483648 exceeds the 219520 blocks of the \
+         scenario's drives at $.cache.capacity_blocks" );
+      ( replace ~sub:{|"capacity_blocks":819|} ~by:{|"capacity_blocks":2147483648|}
+          (with_member small_fleet),
+        "scenario: capacity_blocks 2147483648 exceeds the 304640 blocks of the \
+         scenario's drives and the server drive at $.cache.capacity_blocks" );
+      ( with_member
+          (replace ~sub:{|"cache_blocks":64|} ~by:{|"cache_blocks":1099511627776|}
+             small_fleet),
+        "scenario: cache_blocks 1099511627776 exceeds the server drive's 85120 blocks at \
+         $.fleet.server.cache_blocks" );
       (* 84,900 blocks fit packed, not after three gaps of up to 850. *)
       ( replace ~sub:{|"workloads"|} ~by:{|"fs":{"scattered_layout":true},"workloads"|}
           (replace ~sub:{|{"app":"din"}|} ~by:(three_files 84_900) minimal),
@@ -224,6 +253,14 @@ let errors () =
       ( with_member {|"disks":[{"drive":"rz56","sched":"elevator"}]|},
         "scenario: unknown disk scheduler \"elevator\" (expected fcfs or scan) at \
          $.disks[0].sched" );
+    ];
+  (* The cache bounds are inclusive. *)
+  List.iter
+    (fun json -> ignore (ok (Scenario.of_string json)))
+    [
+      replace ~sub:{|"capacity_blocks":819|} ~by:{|"capacity_blocks":219520|} minimal;
+      with_member
+        (replace ~sub:{|"cache_blocks":64|} ~by:{|"cache_blocks":85120|} small_fleet);
     ]
 
 (* The machine-number ranges are shared with the constructors. *)

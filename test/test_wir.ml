@@ -17,6 +17,8 @@
 
 open Acfc_scenario
 module Wir = Acfc_wir.Wir
+module Wirgen = Acfc_wirgen.Wirgen
+module Block = Acfc_core.Block
 module App = Acfc_workload.App
 module Env = Acfc_workload.Env
 module Runner = Acfc_workload.Runner
@@ -493,6 +495,49 @@ let references_reproducible () =
   chk_bool "same seed, same stream" true (a = b);
   chk_bool "different seed, different stream" false (a = c)
 
+(* The one walk, packed: at file offset [k] it is [Block.pack] of each
+   [references] block with [k] added to its file id, over generated
+   programs that branch ([choice]) and draw ([rand_read]), and it leaves
+   the RNG where [references] does. *)
+let packed_walk_matches_references =
+  let spec =
+    {
+      Wirgen.default with
+      Wirgen.name = "packed";
+      mix = [ (Wirgen.Hot_cold, 1.0); (Wirgen.Random, 1.0); (Wirgen.Access_once, 1.0) ];
+    }
+  in
+  qcheck "packed walk = Block.pack of references, at any file offset" ~count:60
+    QCheck2.Gen.(
+      triple (int_range 0 10_000) (int_range 0 10_000)
+        (oneof [ int_range 0 64; int_range 0 ((1 lsl 30) - 64) ]))
+    (fun (corpus_seed, rng_seed, k) ->
+      List.for_all
+        (fun p ->
+          let r1 = Rng.create rng_seed and r2 = Rng.create rng_seed in
+          let packed = Wir.packed_references ~rng:r1 ~file_offset:k p in
+          let blocks = Wir.references ~rng:r2 p in
+          let shifted b =
+            Block.pack (Block.make ~file:(k + Block.file b) ~index:(Block.index b))
+          in
+          packed = Array.map shifted blocks && Rng.bits64 r1 = Rng.bits64 r2)
+        (Wirgen.corpus spec ~seed:corpus_seed ~count:4))
+
+let packed_walk_range () =
+  let p =
+    Wir.make ~name:"t" ~category:"custom"
+      [
+        Wir.open_file ~name:"a" ~size_blocks:4 ();
+        Wir.open_file ~name:"b" ~size_blocks:4 ();
+        Wir.read ~file:1 ~first:0 ~count:4 ();
+      ]
+  in
+  chk_int "last packable file id" 4
+    (Array.length (Wir.packed_references ~file_offset:((1 lsl 30) - 2) p));
+  Alcotest.check_raises "file id past the packable range"
+    (Invalid_argument "Wir.packed_references: block out of packable range") (fun () ->
+      ignore (Wir.packed_references ~file_offset:((1 lsl 30) - 1) p))
+
 (* {2 acfc-wir/1 codec} *)
 
 let roundtrip_catalog () =
@@ -626,6 +671,14 @@ let validate_errors () =
           ],
         "wir: read of blocks [3, 4) is past the end of file 0 (0 blocks written here) \
          at $.ops[2].body[0]" );
+      (* Block indices past 2^32 - 1 would alias the next file's packed
+         keys. *)
+      ( p [ f; Wir.open_file ~name:"big.dat" ~size_blocks:(1 lsl 33) () ],
+        "wir: extent of 8589934592 blocks exceeds the 2^32 blocks a file can hold at \
+         $.ops[1]" );
+      ( p [ Wir.open_file ~name:"out" ~size_blocks:0 ~reserve_blocks:((1 lsl 32) + 1) () ],
+        "wir: extent of 4294967297 blocks exceeds the 2^32 blocks a file can hold at \
+         $.ops[0]" );
     ];
   List.iter
     (fun (what, ops) -> chk_bool what true (Wir.validate (p ops) = Ok ()))
@@ -638,6 +691,11 @@ let validate_errors () =
           out;
           Wir.loop 2 [ Wir.write ~file:0 ~first:0 ~count:8 (); Wir.read ~file:0 ~first:7 ~count:1 () ];
           Wir.rand_read ~file:0 ~base:0 ~range:8 ();
+        ] );
+      ( "a 2^32-block file",
+        [
+          Wir.open_file ~name:"big.dat" ~size_blocks:(1 lsl 32) ();
+          Wir.rand_read ~file:0 ~base:((1 lsl 32) - 10) ~range:10 ();
         ] );
     ]
 
@@ -775,6 +833,8 @@ let suites =
         case "references match a live recording" references_match_live;
         case "reference counts and stats" reference_counts;
         case "stochastic streams reproducible" references_reproducible;
+        packed_walk_matches_references;
+        case "packed walk refuses unpackable file ids" packed_walk_range;
         case "catalog programs round-trip" roundtrip_catalog;
         case "kitchen-sink structural round-trip" roundtrip_structural;
         case "precise parse errors" parse_errors;
