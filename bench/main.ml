@@ -240,28 +240,24 @@ let policy_sim_test ~name policy =
 
 (* One Test.make per paper artifact: a single-cell scaled version. *)
 let artifact_tests =
-  let quick f = Bechamel.Staged.stage @@ fun () -> ignore (f ()) in
+  let quick grid = Bechamel.Staged.stage @@ fun () -> ignore (Measure.run ~runs:1 (grid ())) in
   [
     Bechamel.Test.make ~name:"fig4/din-6.4MB"
-      (quick (fun () -> Single.run ~runs:1 ~sizes:[ 6.4 ] ~apps:[ "din" ] ()));
+      (quick (Single.grid ~sizes:[ 6.4 ] ~apps:[ "din" ]));
     Bechamel.Test.make ~name:"table5/cs1-6.4MB"
-      (quick (fun () -> Single.run ~runs:1 ~sizes:[ 6.4 ] ~apps:[ "cs1" ] ()));
+      (quick (Single.grid ~sizes:[ 6.4 ] ~apps:[ "cs1" ]));
     Bechamel.Test.make ~name:"table6/ldk-6.4MB"
-      (quick (fun () -> Single.run ~runs:1 ~sizes:[ 6.4 ] ~apps:[ "ldk" ] ()));
+      (quick (Single.grid ~sizes:[ 6.4 ] ~apps:[ "ldk" ]));
     Bechamel.Test.make ~name:"fig5/cs3+ldk-6.4MB"
-      (quick (fun () ->
-           Multi.run ~runs:1 ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ()));
+      (quick (Multi.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ]));
     Bechamel.Test.make ~name:"fig6/cs2+gli-6.4MB"
-      (quick (fun () ->
-           Alloc_lru.run ~runs:1 ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ] ()));
-    Bechamel.Test.make ~name:"table1/read500"
-      (quick (fun () -> Placeholders.run ~runs:1 ~ns:[ 500 ] ()));
-    Bechamel.Test.make ~name:"table2/din"
-      (quick (fun () -> Foolish.run ~runs:1 ~apps:[ "din" ] ()));
+      (quick (Alloc_lru.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ]));
+    Bechamel.Test.make ~name:"table1/read500" (quick (Placeholders.grid ~ns:[ 500 ]));
+    Bechamel.Test.make ~name:"table2/din" (quick (Foolish.grid ~apps:[ "din" ]));
     Bechamel.Test.make ~name:"table3/din"
-      (quick (fun () -> Smart_oblivious.run ~runs:1 ~apps:[ "din" ] ~two_disks:false ()));
+      (quick (Smart_oblivious.grid ~apps:[ "din" ] ~two_disks:false));
     Bechamel.Test.make ~name:"table4/din"
-      (quick (fun () -> Smart_oblivious.run ~runs:1 ~apps:[ "din" ] ~two_disks:true ()));
+      (quick (Smart_oblivious.grid ~apps:[ "din" ] ~two_disks:true));
   ]
 
 let micro_tests =
@@ -1205,26 +1201,23 @@ let tournament_measurements rows =
 
 (* {2 Machine-readable report (--json)} *)
 
-(* The fingerprint of the exact scenario grid behind an artifact row
-   (fig5-par rows fingerprint the fig5 grid they time); null for rows
-   with no scenario grid (micro, perf, check). *)
+(* Every artifact of the experiment table; bench's [all] runs them all. *)
+let experiment_names = List.map (fun a -> a.Report.name) Report.artifacts
+
+(* The fingerprint of the scenarios behind an artifact row, read from
+   the experiment table the run itself executed (fig5-par rows
+   fingerprint the fig5 grid they time); null for rows with no grid
+   (micro, perf, check). *)
 let scenario_hash opts name =
   let base =
     match String.index_opt name '/' with
     | Some i -> String.sub name 0 i
     | None -> name
   in
-  let scenarios =
-    match base with
-    | "all" ->
-      List.concat_map
-        (Report.artifact_scenarios opts)
-        (Report.artifacts @ [ "ablations"; "criteria" ])
-    | _ -> Report.artifact_scenarios opts base
-  in
-  match scenarios with
-  | [] -> None
-  | grid -> Some (Acfc_scenario.Scenario.hash_list grid)
+  let hash names = Some (Acfc_scenario.Scenario.hash_list (Report.scenarios opts names)) in
+  if base = "all" then hash experiment_names
+  else if List.mem base experiment_names then hash [ base ]
+  else None
 
 (* The acfc-bench/1 schema: a stable shape CI can diff across runs.
    NaN (no OLS estimate) becomes null, since JSON has no NaN. *)
@@ -1339,7 +1332,7 @@ let run_fig5_par opts ~jobs =
   in
   let render jobs () =
     Format.asprintf "%a" Multi.print
-      (Multi.run ~jobs ~runs:opts.Report.runs ~sizes:opts.Report.sizes ())
+      (Measure.run ~jobs ~runs:opts.Report.runs (Multi.grid ~sizes:opts.Report.sizes ()))
   in
   Format.printf "@.%s@.@." (String.make 74 '=');
   Format.printf "fig5 grid: sequential vs %d domains@." jobs;
@@ -1387,10 +1380,13 @@ let () =
          families ran" );
     ]
   in
+  (* bench's own families; every other name is an experiment artifact. *)
+  let families = [ "all"; "micro"; "perf"; "check"; "wirgen"; "tournament"; "fig5-par" ] in
+  let names = families @ experiment_names in
   let usage =
     "main.exe [--quick] [--runs N] [--jobs N] [--json FILE] [--gate FILE] \
-     [--corpus-seed N] [--store DIR] \
-     [all|micro|perf|check|wirgen|tournament|ablations|criteria|fig5-par|fig4|fig5|fig6|table1..table6]*"
+     [--corpus-seed N] [--store DIR] ["
+    ^ String.concat "|" names ^ "]*"
   in
   Arg.parse spec (fun a -> selected := a :: !selected) usage;
   (* A malformed gate file fails before any family runs. *)
@@ -1405,6 +1401,13 @@ let () =
       !gate
   in
   let selected = if !selected = [] then [ "all"; "micro" ] else List.rev !selected in
+  (* So does an unknown name. *)
+  (match List.find_opt (fun name -> not (List.mem name names)) selected with
+  | Some name ->
+    prerr_endline
+      ("bench: unknown family " ^ name ^ " (expected one of " ^ String.concat ", " names ^ ")");
+    exit 2
+  | None -> ());
   let opts =
     if !quick then Report.quick else { Report.default with runs = !runs }
   in
@@ -1425,14 +1428,6 @@ let () =
         run_wirgen ~quick:!quick ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
       | "tournament" ->
         run_tournament ~corpus_seed:!corpus_seed ~jobs:opts.Report.jobs
-      | "ablations" ->
-        Format.printf "@.%s@.@." (String.make 74 '=');
-        Ablations.print_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs
-          Format.std_formatter ()
-      | "criteria" ->
-        Format.printf "@.%s@.@." (String.make 74 '=');
-        Criteria.print Format.std_formatter
-          (Criteria.run_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs ())
       | "fig5-par" ->
         (* On the CI runners auto picks the vCPU count; locally the flag
            wins, and a 1-CPU box still exercises the domain machinery. *)
@@ -1440,15 +1435,14 @@ let () =
         List.iter
           (fun row -> artifact_walls := row :: !artifact_walls)
           (run_fig5_par opts ~jobs:par_jobs)
-      | "all" ->
-        Report.run_all opts Format.std_formatter;
-        Format.printf "@.%s@.@." (String.make 74 '=');
-        Ablations.print_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs
-          Format.std_formatter ();
-        Format.printf "@.%s@.@." (String.make 74 '=');
-        Criteria.print Format.std_formatter
-          (Criteria.run_all ?jobs:opts.Report.jobs ~runs:opts.Report.runs ())
-      | name -> Report.run_artifact opts Format.std_formatter name);
+      | "all" -> Report.run opts Format.std_formatter experiment_names
+      | name ->
+        (* Every artifact in bench's log opens with a rule, which
+           [Report.run] leaves off an ablations or criteria table
+           printed alone. *)
+        if not (List.exists (fun a -> a.Report.name = name && a.paper) Report.artifacts)
+        then Format.printf "@.%s@.@." (String.make 74 '=');
+        Report.run opts Format.std_formatter [ name ]);
       if artifact <> "fig5-par" then
         artifact_walls := (artifact, Unix.gettimeofday () -. t) :: !artifact_walls)
     selected;

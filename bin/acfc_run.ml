@@ -21,7 +21,7 @@ module Catalog = Acfc_scenario.Catalog
 module Wir = Acfc_wir.Wir
 module Wirgen = Acfc_wirgen.Wirgen
 module Fuzz = Acfc_wirgen.Fuzz
-module Experiments = Acfc_experiments
+module Report = Acfc_experiments.Report
 module Obs = Acfc_obs
 module Store = Acfc_store.Store
 module Kind = Acfc_store.Kind
@@ -149,10 +149,9 @@ let monitor_every =
 (* {2 run} *)
 
 let app_names =
-  let all = List.map (fun (n, _, _) -> n) Experiments.Registry.apps in
   let doc =
     "Applications to run concurrently. Available: "
-    ^ String.concat ", " all
+    ^ String.concat ", " Catalog.app_names
     ^ ", plus readN and readN! (oblivious / foolish-MRU ReadN, e.g. read300!)."
   in
   Arg.(non_empty & pos_all string [] & info [] ~docv:"APP" ~doc)
@@ -733,13 +732,22 @@ let wirgen_cmd =
 
 (* {2 report} *)
 
+(* The names the experiment table lists, each selecting itself, and
+   'all' selecting the paper's nine artifacts. *)
 let artifact =
+  let names = List.map (fun a -> a.Report.name) Report.artifacts in
+  let paper =
+    List.filter_map
+      (fun a -> if a.Report.paper then Some a.name else None)
+      Report.artifacts
+  in
   let doc =
     "Artifact to regenerate: "
-    ^ String.concat ", " Experiments.Registry.experiment_names
-    ^ ", or 'all'. See $(b,--list) for descriptions."
+    ^ String.concat ", " names
+    ^ ", or 'all' (the paper's nine). See $(b,--list) for descriptions."
   in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"ARTIFACT" ~doc)
+  let choices = ("all", paper) :: List.map (fun n -> (n, [ n ])) names in
+  Arg.(value & pos 0 (enum choices) paper & info [] ~docv:"ARTIFACT" ~doc)
 
 let quick =
   let doc = "Single run, two cache sizes (fast smoke mode)." in
@@ -750,28 +758,19 @@ let list_experiments =
   Arg.(value & flag & info [ "list" ] ~doc)
 
 let report_cmd =
-  let go runs quick jobs list artifact =
+  let go runs quick jobs list artifacts =
     if list then
       List.iter
-        (fun (name, doc) -> Format.printf "%-10s %s@." name doc)
+        (fun a -> Format.printf "%-10s %s@." a.Report.name a.doc)
         (List.sort
-           (fun (a, _) (b, _) -> String.compare a b)
-           Experiments.Registry.experiments)
+           (fun a b -> String.compare a.Report.name b.name)
+           Report.artifacts)
     else begin
       let opts =
-        if quick then Experiments.Report.quick
-        else { Experiments.Report.default with runs }
+        if quick then Report.quick
+        else { Report.default with runs }
       in
-      let opts = { opts with Experiments.Report.jobs } in
-      (match artifact with
-      | "all" -> Experiments.Report.run_all opts Format.std_formatter
-      | "ablations" ->
-        Experiments.Ablations.print_all ?jobs ~runs:opts.Experiments.Report.runs
-          Format.std_formatter ()
-      | "criteria" ->
-        Experiments.Criteria.print Format.std_formatter
-          (Experiments.Criteria.run_all ?jobs ~runs:opts.Experiments.Report.runs ())
-      | name -> Experiments.Report.run_artifact opts Format.std_formatter name);
+      Report.run { opts with jobs } Format.std_formatter artifacts;
       Format.printf "@."
     end
   in

@@ -4,17 +4,13 @@ module Runner = Acfc_workload.Runner
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
-let mean_of results f =
-  Summary.mean (Summary.of_list (List.map (fun r -> float_of_int (f r)) results))
+let mean_fl runs f = Summary.mean (Summary.of_list (List.map f runs))
 
-let mean_fl results f = Summary.mean (Summary.of_list (List.map f results))
+let mean_int runs f = int_of_float (mean_fl runs (fun r -> float_of_int (f r)))
 
-(* Every ablation uses the same two-phase shape as the main artifacts:
-   schedule all (cell, seed) runs on one pool, then force the rows in
-   grid order so any [jobs] value yields identical tables. *)
-let force_all rows = List.map (fun force -> force ()) rows
+let app i r = List.nth r.Runner.apps i
 
 (* {2 Read-ahead} *)
 
@@ -30,29 +26,21 @@ let readahead_scenario ~ra ~seed name =
     ~alloc_policy:Config.Global_lru
     [ Scenario.workload ~smart:false name ]
 
-let readahead ?jobs ?(runs = 3) ?(apps = [ "din"; "cs1"; "sort" ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun ra ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (readahead_scenario ~ra ~seed name))
-          in
-          fun () ->
-            let results = deferred () in
-            {
-              ra_app = name;
-              readahead = ra;
-              ra_elapsed = mean_fl results (fun r -> (List.hd r.Runner.apps).Runner.elapsed);
-              ra_ios =
-                int_of_float
-                  (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-            })
-        [ true; false ])
-    apps
-  |> force_all
+let readahead ?(apps = [ "din"; "cs1"; "sort" ]) () =
+  Measure.all
+  @@ List.concat_map
+       (fun name ->
+         List.map
+           (fun ra ->
+             let+ runs = Measure.cell (fun seed -> readahead_scenario ~ra ~seed name) in
+             {
+               ra_app = name;
+               readahead = ra;
+               ra_elapsed = mean_fl runs (fun r -> (app 0 r).Runner.elapsed);
+               ra_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+             })
+           [ true; false ])
+       apps
 
 (* {2 Disk scheduling} *)
 
@@ -74,27 +62,21 @@ let sched_scenario ~sched ~seed names =
     (* Force everything onto disk 0 to create contention. *)
     (List.map (fun name -> Scenario.workload ~smart:false ~disk:0 name) names)
 
-let disk_sched ?jobs ?(runs = 3) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun (names, label) ->
-      List.map
-        (fun sched ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (sched_scenario ~sched ~seed names))
-          in
-          fun () ->
-            let results = deferred () in
-            {
-              sched;
-              combo = label;
-              sc_makespan = mean_fl results (fun r -> r.Runner.makespan);
-              sc_ios = int_of_float (mean_of results (fun r -> r.Runner.total_ios));
-            })
-        [ Disk.Fcfs; Disk.Scan ])
-    sched_combos
-  |> force_all
+let disk_sched () =
+  Measure.all
+  @@ List.concat_map
+       (fun (names, label) ->
+         List.map
+           (fun sched ->
+             let+ runs = Measure.cell (fun seed -> sched_scenario ~sched ~seed names) in
+             {
+               sched;
+               combo = label;
+               sc_makespan = mean_fl runs (fun r -> r.Runner.makespan);
+               sc_ios = mean_int runs (fun r -> r.Runner.total_ios);
+             })
+           [ Disk.Fcfs; Disk.Scan ])
+       sched_combos
 
 (* {2 Update-daemon interval} *)
 
@@ -105,26 +87,17 @@ let update_scenario ~interval ~seed =
     ~alloc_policy:Config.Lru_sp
     [ Scenario.workload ~smart:true "sort" ]
 
-let update_interval ?jobs ?(runs = 3) ?(intervals = [ 5.0; 30.0; 120.0; 600.0 ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.map
-    (fun interval ->
-      let deferred =
-        Measure.repeat_async pool ~runs (fun ~seed ->
-            Scenario.run (update_scenario ~interval ~seed))
-      in
-      fun () ->
-        let results = deferred () in
-        {
-          interval;
-          up_ios =
-            int_of_float (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-          up_writes =
-            int_of_float
-              (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.disk_writes));
-        })
-    intervals
-  |> force_all
+let update_interval ?(intervals = [ 5.0; 30.0; 120.0; 600.0 ]) () =
+  Measure.all
+  @@ List.map
+       (fun interval ->
+         let+ runs = Measure.cell (fun seed -> update_scenario ~interval ~seed) in
+         {
+           interval;
+           up_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+           up_writes = mean_int runs (fun r -> (app 0 r).Runner.disk_writes);
+         })
+       intervals
 
 (* {2 File-system layout: packed vs aged/scattered} *)
 
@@ -140,29 +113,21 @@ let layout_scenario ~scattered ~seed name =
     ~alloc_policy:Config.Global_lru
     [ Scenario.workload ~smart:false name ]
 
-let layout ?jobs ?(runs = 3) ?(apps = [ "cs2"; "ldk" ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun scattered ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (layout_scenario ~scattered ~seed name))
-          in
-          fun () ->
-            let results = deferred () in
-            {
-              la_app = name;
-              scattered;
-              la_elapsed = mean_fl results (fun r -> (List.hd r.Runner.apps).Runner.elapsed);
-              la_ios =
-                int_of_float
-                  (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-            })
-        [ false; true ])
-    apps
-  |> force_all
+let layout ?(apps = [ "cs2"; "ldk" ]) () =
+  Measure.all
+  @@ List.concat_map
+       (fun name ->
+         List.map
+           (fun scattered ->
+             let+ runs = Measure.cell (fun seed -> layout_scenario ~scattered ~seed name) in
+             {
+               la_app = name;
+               scattered;
+               la_elapsed = mean_fl runs (fun r -> (app 0 r).Runner.elapsed);
+               la_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+             })
+           [ false; true ])
+       apps
 
 (* {2 Clustered write-back} *)
 
@@ -173,25 +138,17 @@ let cluster_scenario ~size ~seed =
     ~alloc_policy:Config.Lru_sp
     [ Scenario.workload ~smart:true "sort" ]
 
-let write_clustering ?jobs ?(runs = 3) ?(sizes = [ 1; 4; 8 ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.map
-    (fun size ->
-      let deferred =
-        Measure.repeat_async pool ~runs (fun ~seed ->
-            Scenario.run (cluster_scenario ~size ~seed))
-      in
-      fun () ->
-        let results = deferred () in
-        {
-          cl_size = size;
-          cl_elapsed = mean_fl results (fun r -> (List.hd r.Runner.apps).Runner.elapsed);
-          cl_ios =
-            int_of_float
-              (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-        })
-    sizes
-  |> force_all
+let write_clustering ?(sizes = [ 1; 4; 8 ]) () =
+  Measure.all
+  @@ List.map
+       (fun size ->
+         let+ runs = Measure.cell (fun seed -> cluster_scenario ~size ~seed) in
+         {
+           cl_size = size;
+           cl_elapsed = mean_fl runs (fun r -> (app 0 r).Runner.elapsed);
+           cl_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+         })
+       sizes
 
 (* {2 Global allocation order (Sec. 7: LRU vs CLOCK)} *)
 
@@ -214,29 +171,21 @@ let order_scenario ~policy ~smart ~seed name =
   Scenario.make ~seed ~cache_blocks:819 ~alloc_policy:policy
     [ Scenario.workload ~smart name ]
 
-let global_order ?jobs ?(runs = 3) ?(apps = [ "din"; "cs1" ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun (policy, smart) ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (order_scenario ~policy ~smart ~seed name))
-          in
-          fun () ->
-            {
-              or_app = name;
-              or_policy = policy;
-              or_smart = smart;
-              or_ios =
-                int_of_float
-                  (mean_of (deferred ())
-                     (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-            })
-        order_cases)
-    apps
-  |> force_all
+let global_order ?(apps = [ "din"; "cs1" ]) () =
+  Measure.all
+  @@ List.concat_map
+       (fun name ->
+         List.map
+           (fun (policy, smart) ->
+             let+ runs = Measure.cell (fun seed -> order_scenario ~policy ~smart ~seed name) in
+             {
+               or_app = name;
+               or_policy = policy;
+               or_smart = smart;
+               or_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+             })
+           order_cases)
+       apps
 
 (* {2 Revocation thresholds} *)
 
@@ -263,172 +212,103 @@ let revocation_scenario ~threshold ~seed =
       Scenario.workload ~smart:true ~disk:0 "read300!";
     ]
 
-let revocation ?jobs ?(runs = 3) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.map
-    (fun threshold ->
-      let deferred =
-        Measure.repeat_async pool ~runs (fun ~seed ->
-            Scenario.run (revocation_scenario ~threshold ~seed))
-      in
-      fun () ->
-        let results = deferred () in
-        {
-          threshold;
-          victim_ios =
-            int_of_float (mean_of results (fun r -> (List.hd r.Runner.apps).Runner.block_ios));
-          fool_ios =
-            int_of_float
-              (mean_of results (fun r -> (List.nth r.Runner.apps 1).Runner.block_ios));
-          mistakes_caught =
-            int_of_float (mean_of results (fun r -> r.Runner.placeholders_used));
-        })
-    revocation_thresholds
-  |> force_all
+let revocation () =
+  Measure.all
+  @@ List.map
+       (fun threshold ->
+         let+ runs = Measure.cell (fun seed -> revocation_scenario ~threshold ~seed) in
+         {
+           threshold;
+           victim_ios = mean_int runs (fun r -> (app 0 r).Runner.block_ios);
+           fool_ios = mean_int runs (fun r -> (app 1 r).Runner.block_ios);
+           mistakes_caught = mean_int runs (fun r -> r.Runner.placeholders_used);
+         })
+       revocation_thresholds
 
-(* {2 The full grid as data} *)
+(* {2 The sweep, in print order} *)
 
-let scenarios ?(runs = 3) () =
-  let seeds = List.init runs (fun seed -> seed) in
-  let over xs f = List.concat_map f xs in
-  over [ "din"; "cs1"; "sort" ] (fun name ->
-      over [ true; false ] (fun ra ->
-          List.map (fun seed -> readahead_scenario ~ra ~seed name) seeds))
-  @ over sched_combos (fun (names, _) ->
-        over [ Disk.Fcfs; Disk.Scan ] (fun sched ->
-            List.map (fun seed -> sched_scenario ~sched ~seed names) seeds))
-  @ over [ 5.0; 30.0; 120.0; 600.0 ] (fun interval ->
-        List.map (fun seed -> update_scenario ~interval ~seed) seeds)
-  @ over [ "cs2"; "ldk" ] (fun name ->
-        over [ false; true ] (fun scattered ->
-            List.map (fun seed -> layout_scenario ~scattered ~seed name) seeds))
-  @ over [ 1; 4; 8 ] (fun size ->
-        List.map (fun seed -> cluster_scenario ~size ~seed) seeds)
-  @ over [ "din"; "cs1" ] (fun name ->
-        over order_cases (fun (policy, smart) ->
-            List.map (fun seed -> order_scenario ~policy ~smart ~seed name) seeds))
-  @ over revocation_thresholds (fun threshold ->
-        List.map (fun seed -> revocation_scenario ~threshold ~seed) seeds)
+type sections = (Format.formatter -> unit) list
 
-(* {2 Printing} *)
+(* One printed table: its heading, its columns and each row's cells. *)
+let section title columns cells grid =
+  let+ rows = grid in
+  fun ppf ->
+    let t = Table.create ~columns in
+    List.iter (fun r -> Table.add_row t (cells r)) rows;
+    Format.fprintf ppf title;
+    Table.render ppf t
 
-let print_all ?jobs ?(runs = 3) ppf () =
-  Format.fprintf ppf "Ablation: one-block sequential read-ahead@\n";
-  let t =
-    Table.create
-      ~columns:
+let grid () =
+  Measure.all
+    [
+      section "Ablation: one-block sequential read-ahead@\n"
         [ ("app", Table.Left); ("read-ahead", Table.Left); ("elapsed (s)", Table.Right);
           ("block I/Os", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.ra_app; (if r.readahead then "on" else "off"); Measure.f1 r.ra_elapsed;
-          string_of_int r.ra_ios ])
-    (readahead ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf "Ablation: disk scheduling under contention@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r ->
+          [ r.ra_app; (if r.readahead then "on" else "off"); Measure.f1 r.ra_elapsed;
+            string_of_int r.ra_ios ])
+        (readahead ());
+      section "Ablation: disk scheduling under contention@\n"
         [ ("mix", Table.Left); ("sched", Table.Left); ("makespan (s)", Table.Right);
           ("block I/Os", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.combo; (match r.sched with Disk.Fcfs -> "FCFS" | Disk.Scan -> "SCAN");
-          Measure.f1 r.sc_makespan; string_of_int r.sc_ios ])
-    (disk_sched ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf
-    "Ablation: update-daemon interval (smart sort, 32 MB cache; later flushes let@\n\
-     deleted temporaries cancel their writes)@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r ->
+          [ r.combo; (match r.sched with Disk.Fcfs -> "FCFS" | Disk.Scan -> "SCAN");
+            Measure.f1 r.sc_makespan; string_of_int r.sc_ios ])
+        (disk_sched ());
+      section
+        "Ablation: update-daemon interval (smart sort, 32 MB cache; later flushes let@\n\
+         deleted temporaries cancel their writes)@\n"
         [ ("interval (s)", Table.Right); ("block I/Os", Table.Right);
           ("disk writes", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ Printf.sprintf "%g" r.interval; string_of_int r.up_ios;
-          string_of_int r.up_writes ])
-    (update_interval ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf
-    "Ablation: clustered write-back (smart sort, 6.4 MB; same block I/Os,@\n\
-     positioning amortised across each cluster)@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r ->
+          [ Printf.sprintf "%g" r.interval; string_of_int r.up_ios;
+            string_of_int r.up_writes ])
+        (update_interval ());
+      section
+        "Ablation: clustered write-back (smart sort, 6.4 MB; same block I/Os,@\n\
+         positioning amortised across each cluster)@\n"
         [ ("cluster", Table.Right); ("elapsed (s)", Table.Right);
           ("block I/Os", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ string_of_int r.cl_size; Measure.f1 r.cl_elapsed; string_of_int r.cl_ios ])
-    (write_clustering ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf
-    "Ablation: file layout (packed vs aged/scattered; multi-file scans pay@\n\
-     inter-file seeks on an aged file system)@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r -> [ string_of_int r.cl_size; Measure.f1 r.cl_elapsed; string_of_int r.cl_ios ])
+        (write_clustering ());
+      section
+        "Ablation: file layout (packed vs aged/scattered; multi-file scans pay@\n\
+         inter-file seeks on an aged file system)@\n"
         [ ("app", Table.Left); ("layout", Table.Left); ("elapsed (s)", Table.Right);
           ("block I/Os", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.la_app; (if r.scattered then "scattered" else "packed");
-          Measure.f1 r.la_elapsed; string_of_int r.la_ios ])
-    (layout ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf
-    "Ablation: global allocation order (Sec. 7) - application control works@\n\
-     over a VM-style CLOCK list as well as over true LRU@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r ->
+          [ r.la_app; (if r.scattered then "scattered" else "packed");
+            Measure.f1 r.la_elapsed; string_of_int r.la_ios ])
+        (layout ());
+      section
+        "Ablation: global allocation order (Sec. 7) - application control works@\n\
+         over a VM-style CLOCK list as well as over true LRU@\n"
         [ ("app", Table.Left); ("kernel", Table.Left); ("app policy", Table.Left);
           ("block I/Os", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      Table.add_row t
-        [ r.or_app; Config.alloc_policy_to_string r.or_policy;
-          (if r.or_smart then "smart (MRU)" else "oblivious");
-          string_of_int r.or_ios ])
-    (global_order ?jobs ~runs ());
-  Format.fprintf ppf "%a@\n" Table.render t;
-
-  Format.fprintf ppf
-    "Ablation: revoking a foolish manager (oblivious Read490 vs foolish Read300)@\n";
-  let t =
-    Table.create
-      ~columns:
+        (fun r ->
+          [ r.or_app; Config.alloc_policy_to_string r.or_policy;
+            (if r.or_smart then "smart (MRU)" else "oblivious");
+            string_of_int r.or_ios ])
+        (global_order ());
+      section
+        "Ablation: revoking a foolish manager (oblivious Read490 vs foolish Read300)@\n"
         [ ("revocation", Table.Left); ("victim I/Os", Table.Right);
           ("fool I/Os", Table.Right); ("mistakes caught", Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      let label =
-        match r.threshold with
-        | None -> "off"
-        | Some { Config.min_decisions; mistake_ratio } ->
-          Printf.sprintf ">=%d dec., %.0f%%" min_decisions (100.0 *. mistake_ratio)
-      in
-      Table.add_row t
-        [ label; string_of_int r.victim_ios; string_of_int r.fool_ios;
-          string_of_int r.mistakes_caught ])
-    (revocation ?jobs ~runs ());
-  Format.fprintf ppf "%a" Table.render t
+        (fun r ->
+          let label =
+            match r.threshold with
+            | None -> "off"
+            | Some { Config.min_decisions; mistake_ratio } ->
+              Printf.sprintf ">=%d dec., %.0f%%" min_decisions (100.0 *. mistake_ratio)
+          in
+          [ label; string_of_int r.victim_ios; string_of_int r.fool_ios;
+            string_of_int r.mistakes_caught ])
+        (revocation ());
+    ]
+
+let print ppf sections =
+  List.iteri
+    (fun i print ->
+      if i > 0 then Format.fprintf ppf "@\n";
+      print ppf)
+    sections

@@ -2,7 +2,8 @@
     the paper's "future work" interactions (caching vs prefetching,
     write-back and disk scheduling — Sec. 8).
 
-    Each returns printable rows; {!print_all} runs everything. *)
+    Each is a grid of printable rows; {!grid} is all seven, in print
+    order. *)
 
 (** Read-ahead: same block I/Os, very different elapsed times. *)
 type readahead_row = {
@@ -12,7 +13,7 @@ type readahead_row = {
   ra_ios : int;
 }
 
-val readahead : ?jobs:int -> ?runs:int -> ?apps:string list -> unit -> readahead_row list
+val readahead : ?apps:string list -> unit -> readahead_row list Measure.t
 
 (** Disk scheduling: FCFS vs SCAN under a contended disk. *)
 type sched_row = {
@@ -22,14 +23,14 @@ type sched_row = {
   sc_ios : int;
 }
 
-val disk_sched : ?jobs:int -> ?runs:int -> unit -> sched_row list
+val disk_sched : unit -> sched_row list Measure.t
 
 (** Update-daemon interval: how delayed write-back trades write traffic
     against data in flight (sort's deleted temporaries benefit from
     later flushes). *)
 type update_row = { interval : float; up_ios : int; up_writes : int }
 
-val update_interval : ?jobs:int -> ?runs:int -> ?intervals:float list -> unit -> update_row list
+val update_interval : ?intervals:float list -> unit -> update_row list Measure.t
 
 (** File layout: packed (fresh file system) vs scattered (aged), for
     the multi-file scan workloads. *)
@@ -40,13 +41,13 @@ type layout_row = {
   la_ios : int;
 }
 
-val layout : ?jobs:int -> ?runs:int -> ?apps:string list -> unit -> layout_row list
+val layout : ?apps:string list -> unit -> layout_row list Measure.t
 
 (** Clustered write-back: up to N contiguous dirty blocks per disk
     request (block-I/O counts unchanged; positioning amortised). *)
 type cluster_row = { cl_size : int; cl_elapsed : float; cl_ios : int }
 
-val write_clustering : ?jobs:int -> ?runs:int -> ?sizes:int list -> unit -> cluster_row list
+val write_clustering : ?sizes:int list -> unit -> cluster_row list Measure.t
 
 (** Global allocation order: the paper's Sec. 7 claims the scheme works
     on a VM-style CLOCK list as well as on true LRU. *)
@@ -57,7 +58,7 @@ type order_row = {
   or_ios : int;
 }
 
-val global_order : ?jobs:int -> ?runs:int -> ?apps:string list -> unit -> order_row list
+val global_order : ?apps:string list -> unit -> order_row list Measure.t
 
 (** Revocation thresholds: how quickly the kernel defuses a foolish
     manager, and what that does to the foolish process itself and its
@@ -69,13 +70,14 @@ type revocation_row = {
   mistakes_caught : int;
 }
 
-val revocation : ?jobs:int -> ?runs:int -> unit -> revocation_row list
+val revocation : unit -> revocation_row list Measure.t
 
-val scenarios : ?runs:int -> unit -> Acfc_scenario.Scenario.t list
-(** Every scenario the default ablation sweep executes, in print
-    order — the machine descriptions behind {!print_all}. *)
+type sections
+(** The seven tables, ready to print. *)
 
-val print_all : ?jobs:int -> ?runs:int -> Format.formatter -> unit -> unit
-(** Runs every ablation above. In each of these functions [jobs]
-    parallelises the grid over domains with byte-identical rows
-    (default {!Acfc_par.Pool.default_jobs}). *)
+val grid : unit -> sections Measure.t
+(** Every ablation above at its defaults, in print order: read-ahead,
+    disk scheduling, update interval, clustered write-back, layout,
+    global order, revocation. *)
+
+val print : Format.formatter -> sections -> unit

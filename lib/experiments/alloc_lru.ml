@@ -1,7 +1,7 @@
 module Config = Acfc_core.Config
 module Scenario = Acfc_scenario.Scenario
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type row = {
   combo : string;
@@ -14,47 +14,20 @@ let scenario ~mb ~alloc_policy ~seed names =
   Scenario.make ~seed ~cache_blocks:(Scenario.blocks_of_mb mb) ~alloc_policy
     (List.map (fun name -> Scenario.workload ~smart:true name) names)
 
-let scenarios ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb)
-    ?(combos = Registry.fig6_combos) () =
-  List.concat_map
-    (fun names ->
-      List.concat_map
-        (fun mb ->
-          List.concat_map
-            (fun alloc_policy ->
-              List.init runs (fun seed -> scenario ~mb ~alloc_policy ~seed names))
-            [ Config.Lru_sp; Config.Alloc_lru ])
-        sizes)
-    combos
-
-let measure pool ~runs ~mb ~alloc_policy names =
-  let results =
-    Measure.repeat_async pool ~runs (fun ~seed ->
-        Scenario.run (scenario ~mb ~alloc_policy ~seed names))
-  in
-  fun () -> Measure.total_summary (results ())
-
-let run ?jobs ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb)
-    ?(combos = Registry.fig6_combos) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun names ->
-      List.map
-        (fun mb ->
-          let lru_sp = measure pool ~runs ~mb ~alloc_policy:Config.Lru_sp names in
-          let alloc_lru =
-            measure pool ~runs ~mb ~alloc_policy:Config.Alloc_lru names
-          in
-          fun () ->
-            {
-              combo = Registry.combo_name names;
-              mb;
-              lru_sp = lru_sp ();
-              alloc_lru = alloc_lru ();
-            })
-        sizes)
-    combos
-  |> List.map (fun force -> force ())
+let grid ?(sizes = Paper_data.cache_sizes_mb) ?(combos = Paper_data.fig6_combos) () =
+  Measure.all
+  @@ List.concat_map
+       (fun names ->
+         List.map
+           (fun mb ->
+             let measure alloc_policy =
+               let+ runs = Measure.cell (fun seed -> scenario ~mb ~alloc_policy ~seed names) in
+               Measure.total_summary runs
+             in
+             let+ lru_sp = measure Config.Lru_sp and+ alloc_lru = measure Config.Alloc_lru in
+             { combo = Paper_data.combo_name names; mb; lru_sp; alloc_lru })
+           sizes)
+       combos
 
 let print ppf rows =
   let table =

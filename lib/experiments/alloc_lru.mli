@@ -12,31 +12,9 @@ type row = {
   alloc_lru : Measure.m;
 }
 
-val scenario :
-  mb:float ->
-  alloc_policy:Acfc_core.Config.alloc_policy ->
-  seed:int ->
-  string list ->
-  Acfc_scenario.Scenario.t
-(** One grid cell: a smart combination at a cache size under the given
-    allocation policy. *)
-
-val scenarios :
-  ?runs:int ->
-  ?sizes:float list ->
-  ?combos:string list list ->
-  unit ->
-  Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run :
-  ?jobs:int ->
-  ?runs:int ->
-  ?sizes:float list ->
-  ?combos:string list list ->
-  unit ->
-  row list
-(** [jobs] parallelises the grid over domains with byte-identical
-    results (default {!Acfc_par.Pool.default_jobs}). *)
+val grid : ?sizes:float list -> ?combos:string list list -> unit -> row list Measure.t
+(** Each smart combination at each cache size, under LRU-SP then
+    ALLOC-LRU. Defaults: the four cache sizes and the paper's five
+    combinations. *)
 
 val print : Format.formatter -> row list -> unit

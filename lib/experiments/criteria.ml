@@ -1,62 +1,35 @@
 module Config = Acfc_core.Config
-module Runner = Acfc_workload.Runner
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type verdict = { criterion : string; detail : string; measured : string; pass : bool }
 
-let mean_ios results index =
-  Summary.mean
-    (Summary.of_list
-       (List.map (fun r -> float_of_int (List.nth r.Runner.apps index).Runner.block_ios) results))
-
-let mean_elapsed results index =
-  Summary.mean
-    (Summary.of_list
-       (List.map (fun r -> (List.nth r.Runner.apps index).Runner.elapsed) results))
-
-let criterion1_apps = [ "din"; "cs2"; "gli"; "ldk" ]
-
-let criterion2_ns = [ 390; 490 ]
-
-let criterion3_sizes = [ 6.4; 16.0 ]
-
 (* Criterion 1: an oblivious Read300 on its own disk, with each partner
-   oblivious vs smart. Its I/Os must be identical (compulsory only) and
-   its elapsed time must not degrade materially. *)
-let scenario1 ~partner_smart ~seed name =
-  let alloc_policy = if partner_smart then Config.Lru_sp else Config.Global_lru in
-  Scenario.make ~seed ~cache_blocks:819 ~alloc_policy
-    [
-      Scenario.workload ~smart:false ~disk:1 "read300";
-      Scenario.workload ~smart:partner_smart ~disk:0 name;
-    ]
-
-let criterion1 ?jobs ?(runs = 3) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.map
-    (fun name ->
-      let measure ~partner_smart =
-        Measure.repeat_async pool ~runs (fun ~seed ->
-            Scenario.run (scenario1 ~partner_smart ~seed name))
-      in
-      let oblivious = measure ~partner_smart:false in
-      let smart = measure ~partner_smart:true in
-      fun () ->
-        let oblivious = oblivious () and smart = smart () in
-        let ios_o = mean_ios oblivious 0 and ios_s = mean_ios smart 0 in
-        let t_o = mean_elapsed oblivious 0 and t_s = mean_elapsed smart 0 in
-        {
-          criterion = "1: oblivious unharmed";
-          detail = "Read300 w. " ^ name;
-          measured =
-            Printf.sprintf "ios %.0f->%.0f, elapsed %.1fs->%.1fs" ios_o ios_s t_o t_s;
-          pass = ios_s <= 1.01 *. ios_o && t_s <= 1.05 *. t_o;
-        })
-    criterion1_apps
-  |> List.map (fun force -> force ())
+   oblivious vs smart — Table 4's grid. Its I/Os must be identical
+   (compulsory only) and its elapsed time must not degrade materially. *)
+let criterion1 () =
+  let+ rows = Smart_oblivious.grid ~two_disks:true () in
+  let with_smart app =
+    (List.find (fun (r : Smart_oblivious.row) -> r.app = app && r.partner_smart) rows).read300
+  in
+  List.filter_map
+    (fun (r : Smart_oblivious.row) ->
+      if r.partner_smart then None
+      else
+        let o = r.read300 and s = with_smart r.app in
+        let ios_o = Summary.mean o.Measure.ios and ios_s = Summary.mean s.Measure.ios in
+        let t_o = Summary.mean o.Measure.elapsed and t_s = Summary.mean s.Measure.elapsed in
+        Some
+          {
+            criterion = "1: oblivious unharmed";
+            detail = "Read300 w. " ^ r.app;
+            measured =
+              Printf.sprintf "ios %.0f->%.0f, elapsed %.1fs->%.1fs" ios_o ios_s t_o t_s;
+            pass = ios_s <= 1.01 *. ios_o && t_s <= 1.05 *. t_o;
+          })
+    rows
 
 (* Criterion 2: placeholders bound the I/O damage a foolish manager can
    do to an oblivious victim. *)
@@ -68,90 +41,42 @@ let scenario2 ~foolish ~n ~seed =
   Scenario.make ~seed ~cache_blocks:819 ~alloc_policy:Config.Lru_sp
     [ Scenario.workload ~smart:false ~disk:0 (Printf.sprintf "read%d" n); bg ]
 
-let criterion2 ?jobs ?(runs = 3) () =
-  Pool.with_pool ?jobs @@ fun pool ->
+let criterion2 () =
+  Measure.all
+  @@ List.map
+       (fun n ->
+         let victim_ios foolish =
+           let+ runs = Measure.cell (fun seed -> scenario2 ~foolish ~n ~seed) in
+           Summary.mean (Measure.app_summary runs ~index:0).Measure.ios
+         in
+         let+ ios_b = victim_ios false and+ ios_a = victim_ios true in
+         {
+           criterion = "2: foolishness contained";
+           detail = Printf.sprintf "Read%d vs foolish Read300" n;
+           measured = Printf.sprintf "victim ios %.0f->%.0f" ios_b ios_a;
+           pass = ios_a <= 1.05 *. ios_b;
+         })
+       [ 390; 490 ]
+
+(* Criterion 3: smart never worse than oblivious, per app and size — the
+   Single grid at two cache sizes. *)
+let criterion3 ?apps () =
+  let+ rows = Single.grid ~sizes:[ 6.4; 16.0 ] ?apps () in
   List.map
-    (fun n ->
-      let measure ~foolish =
-        Measure.repeat_async pool ~runs (fun ~seed ->
-            Scenario.run (scenario2 ~foolish ~n ~seed))
-      in
-      let baseline = measure ~foolish:false in
-      let attacked = measure ~foolish:true in
-      fun () ->
-        let ios_b = mean_ios (baseline ()) 0 and ios_a = mean_ios (attacked ()) 0 in
-        {
-          criterion = "2: foolishness contained";
-          detail = Printf.sprintf "Read%d vs foolish Read300" n;
-          measured = Printf.sprintf "victim ios %.0f->%.0f" ios_b ios_a;
-          pass = ios_a <= 1.05 *. ios_b;
-        })
-    criterion2_ns
-  |> List.map (fun force -> force ())
+    (fun (r : Single.row) ->
+      let ios_o = Summary.mean r.original.Measure.ios
+      and ios_s = Summary.mean r.controlled.Measure.ios in
+      {
+        criterion = "3: smart never worse";
+        detail = Printf.sprintf "%s @ %gMB" r.app r.mb;
+        measured = Printf.sprintf "ios %.0f->%.0f" ios_o ios_s;
+        pass = ios_s <= 1.03 *. ios_o;
+      })
+    rows
 
-(* Criterion 3: smart never worse than oblivious, per app and size. *)
-let scenario3 ~mb ~smart ~seed name =
-  let alloc_policy = if smart then Config.Lru_sp else Config.Global_lru in
-  Scenario.make ~seed ~cache_blocks:(Scenario.blocks_of_mb mb) ~alloc_policy
-    [ Scenario.workload ~smart name ]
-
-let criterion3 ?jobs ?(runs = 3) ?(apps = List.map (fun (n, _, _) -> n) Registry.apps) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun mb ->
-          let measure ~smart =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (scenario3 ~mb ~smart ~seed name))
-          in
-          let oblivious = measure ~smart:false in
-          let smart = measure ~smart:true in
-          fun () ->
-            let ios_o = mean_ios (oblivious ()) 0 and ios_s = mean_ios (smart ()) 0 in
-            {
-              criterion = "3: smart never worse";
-              detail = Printf.sprintf "%s @ %gMB" name mb;
-              measured = Printf.sprintf "ios %.0f->%.0f" ios_o ios_s;
-              pass = ios_s <= 1.03 *. ios_o;
-            })
-        criterion3_sizes)
-    apps
-  |> List.map (fun force -> force ())
-
-let scenarios ?(runs = 3) () =
-  let c1 =
-    List.concat_map
-      (fun name ->
-        List.concat_map
-          (fun partner_smart ->
-            List.init runs (fun seed -> scenario1 ~partner_smart ~seed name))
-          [ false; true ])
-      criterion1_apps
-  in
-  let c2 =
-    List.concat_map
-      (fun n ->
-        List.concat_map
-          (fun foolish -> List.init runs (fun seed -> scenario2 ~foolish ~n ~seed))
-          [ false; true ])
-      criterion2_ns
-  in
-  let c3 =
-    List.concat_map
-      (fun (name, _, _) ->
-        List.concat_map
-          (fun mb ->
-            List.concat_map
-              (fun smart -> List.init runs (fun seed -> scenario3 ~mb ~smart ~seed name))
-              [ false; true ])
-          criterion3_sizes)
-      Registry.apps
-  in
+let grid () =
+  let+ c1 = criterion1 () and+ c2 = criterion2 () and+ c3 = criterion3 () in
   c1 @ c2 @ c3
-
-let run_all ?jobs ?(runs = 3) () =
-  criterion1 ?jobs ~runs () @ criterion2 ?jobs ~runs () @ criterion3 ?jobs ~runs ()
 
 let print ppf verdicts =
   let table =

@@ -13,38 +13,19 @@
     3. {e Smart processes never perform worse} — every application's
        smart I/Os are bounded by its oblivious I/Os at every cache size.
 
-    Each check returns measured numbers and a verdict, so the bench can
-    print the paper's criteria as a table. *)
+    Criterion 1 runs Table 4's grid ({!Smart_oblivious}) and criterion
+    3 the {!Single} grid at 6.4 and 16 MB. Each check returns measured
+    numbers and a verdict, so the bench can print the paper's criteria
+    as a table. *)
 
 type verdict = { criterion : string; detail : string; measured : string; pass : bool }
 
-val scenario1 : partner_smart:bool -> seed:int -> string -> Acfc_scenario.Scenario.t
-(** Criterion 1 cell: oblivious Read300 on disk 1, the named partner on
-    disk 0, under the matching kernel. *)
+val criterion3 : ?apps:string list -> unit -> verdict list Measure.t
+(** One verdict per (application, cache size); [apps] defaults to all
+    eight. *)
 
-val scenario2 : foolish:bool -> n:int -> seed:int -> Acfc_scenario.Scenario.t
-(** Criterion 2 cell: oblivious ReadN victim beside an oblivious or
-    foolish Read300, both on disk 0, under LRU-SP. *)
-
-val scenario3 : mb:float -> smart:bool -> seed:int -> string -> Acfc_scenario.Scenario.t
-(** Criterion 3 cell: the named application alone at a cache size,
-    oblivious under global LRU or smart under LRU-SP. *)
-
-val scenarios : ?runs:int -> unit -> Acfc_scenario.Scenario.t list
-(** Every scenario {!run_all} would execute, in order. *)
-
-val criterion1 : ?jobs:int -> ?runs:int -> unit -> verdict list
-(** One verdict per partner application (din, cs2, gli, ldk). [jobs]
-    parallelises the underlying runs over domains with byte-identical
-    verdicts (default {!Acfc_par.Pool.default_jobs}); same for the
-    other criteria below. *)
-
-val criterion2 : ?jobs:int -> ?runs:int -> unit -> verdict list
-(** One verdict per foreground ReadN size. *)
-
-val criterion3 : ?jobs:int -> ?runs:int -> ?apps:string list -> unit -> verdict list
-(** One verdict per (application, cache size). *)
-
-val run_all : ?jobs:int -> ?runs:int -> unit -> verdict list
+val grid : unit -> verdict list Measure.t
+(** Criterion 1 (one verdict per partner: din, cs2, gli, ldk), then 2
+    (one per foreground ReadN size), then 3. *)
 
 val print : Format.formatter -> verdict list -> unit

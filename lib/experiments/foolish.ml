@@ -1,7 +1,7 @@
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type row = { app : string; bg_foolish : bool; smart_app : Measure.m }
 
@@ -17,34 +17,16 @@ let scenario ~cache_mb ~bg_foolish ~seed name =
     ~alloc_policy:Acfc_core.Config.Lru_sp
     [ Scenario.workload ~smart:true name; bg ]
 
-let scenarios ?(runs = 3) ?(cache_mb = 6.4) ?(apps = default_apps) () =
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun bg_foolish ->
-          List.init runs (fun seed -> scenario ~cache_mb ~bg_foolish ~seed name))
-        [ false; true ])
-    apps
-
-let run ?jobs ?(runs = 3) ?(cache_mb = 6.4) ?(apps = default_apps) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun bg_foolish ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (scenario ~cache_mb ~bg_foolish ~seed name))
-          in
-          fun () ->
-            {
-              app = name;
-              bg_foolish;
-              smart_app = Measure.app_summary (deferred ()) ~index:0;
-            })
-        [ false; true ])
-    apps
-  |> List.map (fun force -> force ())
+let grid ?(cache_mb = 6.4) ?(apps = default_apps) () =
+  Measure.all
+  @@ List.concat_map
+       (fun app ->
+         List.map
+           (fun bg_foolish ->
+             let+ runs = Measure.cell (fun seed -> scenario ~cache_mb ~bg_foolish ~seed app) in
+             { app; bg_foolish; smart_app = Measure.app_summary runs ~index:0 })
+           [ false; true ])
+       apps
 
 let print ppf rows =
   let apps = List.sort_uniq compare (List.map (fun r -> r.app) rows) in

@@ -12,19 +12,8 @@ type row = {
   smart_app : Measure.m;  (** the measured smart application *)
 }
 
-val scenario :
-  cache_mb:float -> bg_foolish:bool -> seed:int -> string -> Acfc_scenario.Scenario.t
-(** One grid cell: the named smart application on its paper disk beside
-    an oblivious ("read300") or foolish ("read300!") Read300 on disk 0,
-    under LRU-SP. *)
-
-val scenarios :
-  ?runs:int -> ?cache_mb:float -> ?apps:string list -> unit -> Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run :
-  ?jobs:int -> ?runs:int -> ?cache_mb:float -> ?apps:string list -> unit -> row list
-(** [jobs] parallelises the grid over domains with byte-identical
-    results (default {!Acfc_par.Pool.default_jobs}). *)
+val grid : ?cache_mb:float -> ?apps:string list -> unit -> row list Measure.t
+(** Each application beside the oblivious then the foolish Read300.
+    Defaults: the 6.4 MB cache and din, cs2, gli, ldk. *)
 
 val print : Format.formatter -> row list -> unit

@@ -1,23 +1,45 @@
 module Summary = Acfc_stats.Summary
 module Runner = Acfc_workload.Runner
+module Scenario = Acfc_scenario.Scenario
 module Pool = Acfc_par.Pool
 
+(* [read get] builds the rows, where [get i] is the runs of cell [i]. *)
+type 'a t = { cells : (int -> Scenario.t) list; read : (int -> Runner.t list) -> 'a }
+
+let cell scenario = { cells = [ scenario ]; read = (fun get -> get 0) }
+
+let map f g = { g with read = (fun get -> f (g.read get)) }
+
+let both a b =
+  let k = List.length a.cells in
+  { cells = a.cells @ b.cells; read = (fun get -> (a.read get, b.read (fun i -> get (k + i)))) }
+
+let all grids =
+  List.fold_right
+    (fun g rest -> map (fun (x, xs) -> x :: xs) (both g rest))
+    grids
+    { cells = []; read = (fun _ -> []) }
+
+module Syntax = struct
+  let ( let+ ) g f = map f g
+
+  let ( and+ ) = both
+end
+
+let scenarios ~runs g =
+  if runs <= 0 then invalid_arg "Measure: runs must be positive";
+  List.concat_map (fun cell -> List.init runs cell) g.cells
+
+let run ?jobs ~runs g =
+  let scenarios = Array.of_list (scenarios ~runs g) in
+  let results =
+    Pool.with_pool ?jobs @@ fun pool ->
+    Array.map (fun s -> Pool.async pool (fun () -> Scenario.run s)) scenarios
+    |> Array.map (Pool.await pool)
+  in
+  g.read (fun i -> Array.to_list (Array.sub results (i * runs) runs))
+
 type m = { elapsed : Summary.t; ios : Summary.t }
-
-let check_runs runs =
-  if runs <= 0 then invalid_arg "Measure.repeat: runs must be positive"
-
-let repeat_async pool ~runs f =
-  check_runs runs;
-  let futures = List.init runs (fun seed -> Pool.async pool (fun () -> f ~seed)) in
-  fun () -> List.map (Pool.await pool) futures
-
-let repeat ?pool ~runs f =
-  match pool with
-  | None ->
-    check_runs runs;
-    List.init runs (fun seed -> f ~seed)
-  | Some pool -> repeat_async pool ~runs f ()
 
 let app_summary results ~index =
   let apps = List.map (fun r -> List.nth r.Runner.apps index) results in

@@ -1,20 +1,42 @@
-(** Shared measurement helpers: repeated cold-start runs and their
-    summaries, as the paper averages 3–5 runs per data point. *)
+(** Experiment grids, the one runner behind every artifact, and the
+    run summaries the paper reports (it averages 3–5 cold-start runs
+    per data point).
+
+    A grid lists the cells an experiment runs, in print order — each
+    cell a scenario per seed — together with the map from their runs
+    to the rows it prints. {!scenarios} and {!run} read that one list,
+    so what the bench fingerprints is what runs. *)
+
+type 'a t
+(** A grid whose runs build an ['a] (its rows). *)
+
+val cell : (int -> Acfc_scenario.Scenario.t) -> Acfc_workload.Runner.t list t
+(** One cell: the scenario for each seed. It yields its runs in seed
+    order. *)
+
+val all : 'a t list -> 'a list t
+(** The grids' cells, in list order. *)
+
+module Syntax : sig
+  val ( let+ ) : 'a t -> ('a -> 'b) -> 'b t
+  (** Map a grid's rows. *)
+
+  val ( and+ ) : 'a t -> 'b t -> ('a * 'b) t
+  (** Both grids' cells, the first's first. *)
+end
+
+val scenarios : runs:int -> 'a t -> Acfc_scenario.Scenario.t list
+(** Every scenario the grid runs, in run order: cells in grid order,
+    seeds 0 .. [runs] − 1 within each. Raises [Invalid_argument] unless
+    [runs] is positive. *)
+
+val run : ?jobs:int -> runs:int -> 'a t -> 'a
+(** Run {!scenarios} on one pool of [jobs] domains (default
+    {!Acfc_par.Pool.default_jobs}) and build the rows from the results.
+    At [jobs = 1] each scenario runs in place, in order; every [jobs]
+    value builds the same rows. *)
 
 type m = { elapsed : Acfc_stats.Summary.t; ios : Acfc_stats.Summary.t }
-
-val repeat : ?pool:Acfc_par.Pool.t -> runs:int -> (seed:int -> 'a) -> 'a list
-(** Run with seeds 0 .. runs−1. [runs] must be positive. Without a
-    pool (or on a [jobs = 1] pool) the runs execute sequentially in
-    seed order, the historical code path; on a parallel pool they run
-    concurrently and the results are still returned in seed order. *)
-
-val repeat_async :
-  Acfc_par.Pool.t -> runs:int -> (seed:int -> 'a) -> unit -> 'a list
-(** Two-phase {!repeat}: schedule the runs on the pool now, return a
-    thunk that awaits them in seed order. Scheduling a whole experiment
-    grid before forcing any cell is what lets independent
-    (combo, cache-size, seed) cells overlap across domains. *)
 
 val app_summary : Acfc_workload.Runner.t list -> index:int -> m
 (** Elapsed/IO summary of the [index]-th application across runs. *)

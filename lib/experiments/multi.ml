@@ -1,7 +1,7 @@
 module Config = Acfc_core.Config
 module Scenario = Acfc_scenario.Scenario
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type row = {
   combo : string;
@@ -21,47 +21,20 @@ let scenario ~mb ~kernel ~seed names =
   Scenario.make ~seed ~cache_blocks:(Scenario.blocks_of_mb mb) ~alloc_policy
     (List.map (fun name -> Scenario.workload ~smart name) names)
 
-let scenarios ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb)
-    ?(combos = Registry.fig5_combos) () =
-  List.concat_map
-    (fun names ->
-      List.concat_map
-        (fun mb ->
-          List.concat_map
-            (fun kernel -> List.init runs (fun seed -> scenario ~mb ~kernel ~seed names))
-            [ `Original; `Controlled ])
-        sizes)
-    combos
-
-let measure pool ~runs ~mb ~kernel names =
-  let results =
-    Measure.repeat_async pool ~runs (fun ~seed ->
-        Scenario.run (scenario ~mb ~kernel ~seed names))
-  in
-  fun () -> Measure.total_summary (results ())
-
-let run ?jobs ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb)
-    ?(combos = Registry.fig5_combos) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  (* Two phases: schedule every (combo, size, kernel, seed) cell on the
-     pool, then force the rows in grid order. With jobs = 1 scheduling
-     executes in place, which is exactly the sequential path. *)
-  List.concat_map
-    (fun names ->
-      List.map
-        (fun mb ->
-          let original = measure pool ~runs ~mb ~kernel:`Original names in
-          let controlled = measure pool ~runs ~mb ~kernel:`Controlled names in
-          fun () ->
-            {
-              combo = Registry.combo_name names;
-              mb;
-              original = original ();
-              controlled = controlled ();
-            })
-        sizes)
-    combos
-  |> List.map (fun force -> force ())
+let grid ?(sizes = Paper_data.cache_sizes_mb) ?(combos = Paper_data.fig5_combos) () =
+  Measure.all
+  @@ List.concat_map
+       (fun names ->
+         List.map
+           (fun mb ->
+             let measure kernel =
+               let+ runs = Measure.cell (fun seed -> scenario ~mb ~kernel ~seed names) in
+               Measure.total_summary runs
+             in
+             let+ original = measure `Original and+ controlled = measure `Controlled in
+             { combo = Paper_data.combo_name names; mb; original; controlled })
+           sizes)
+       combos
 
 let print ppf rows =
   let table =

@@ -12,34 +12,9 @@ type row = {
   controlled : Measure.m;
 }
 
-val scenario :
-  mb:float ->
-  kernel:[ `Original | `Controlled ] ->
-  seed:int ->
-  string list ->
-  Acfc_scenario.Scenario.t
-(** The machine description for one grid cell: a combination of
-    application names at a cache size, oblivious under the original
-    kernel or smart under LRU-SP. *)
-
-val scenarios :
-  ?runs:int ->
-  ?sizes:float list ->
-  ?combos:string list list ->
-  unit ->
-  Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run :
-  ?jobs:int ->
-  ?runs:int ->
-  ?sizes:float list ->
-  ?combos:string list list ->
-  unit ->
-  row list
-(** Defaults: 3 runs (as the paper), the four cache sizes, the paper's
-    nine combinations. [jobs] (default {!Acfc_par.Pool.default_jobs})
-    runs independent (combo, size, kernel, seed) cells on that many
-    domains; any value produces byte-identical rows. *)
+val grid : ?sizes:float list -> ?combos:string list list -> unit -> row list Measure.t
+(** Each combination at each cache size, under the original kernel
+    then LRU-SP. Defaults: the four cache sizes and the paper's nine
+    combinations. *)
 
 val print : Format.formatter -> row list -> unit

@@ -1,5 +1,29 @@
 let cache_sizes_mb = [ 6.4; 8.0; 12.0; 16.0 ]
 
+let fig5_combos =
+  [
+    [ "cs2"; "gli" ];
+    [ "cs3"; "ldk" ];
+    [ "gli"; "sort" ];
+    [ "din"; "sort" ];
+    [ "sort"; "ldk" ];
+    [ "pjn"; "ldk" ];
+    [ "din"; "cs2"; "ldk" ];
+    [ "cs1"; "gli"; "ldk" ];
+    [ "din"; "cs3"; "gli"; "ldk" ];
+  ]
+
+let fig6_combos =
+  [
+    [ "cs2"; "gli" ];
+    [ "cs3"; "ldk" ];
+    [ "din"; "cs2"; "ldk" ];
+    [ "cs1"; "gli"; "ldk" ];
+    [ "din"; "cs3"; "gli"; "ldk" ];
+  ]
+
+let combo_name names = String.concat "+" names
+
 (* Table 5: elapsed time in seconds, (app, original, LRU-SP). *)
 let table5 =
   [

@@ -1,10 +1,20 @@
-(** Published numbers from the paper, for paper-vs-measured reporting.
+(** Published numbers from the paper, for paper-vs-measured reporting,
+    and the cache sizes and application mixes its grids sweep.
 
     Tables 5 and 6 (the appendix raw data behind Figure 4) are stored in
     full; Tables 1–3 as published. Values are averages as printed. *)
 
 val cache_sizes_mb : float list
 (** The four buffer-cache configurations: 6.4, 8, 12, 16 MB. *)
+
+val fig5_combos : string list list
+(** The nine concurrent combinations of Sec. 5.3. *)
+
+val fig6_combos : string list list
+(** The five combinations re-run under ALLOC-LRU in Sec. 6.1. *)
+
+val combo_name : string list -> string
+(** "cs2+gli" etc. *)
 
 val table5 : (string * float array * float array) list
 (** (app, original elapsed seconds per size, LRU-SP elapsed). *)

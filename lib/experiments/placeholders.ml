@@ -3,7 +3,7 @@ module Runner = Acfc_workload.Runner
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type setting = Oblivious | Unprotected | Protected
 
@@ -39,38 +39,21 @@ let scenario ~cache_mb ~setting ~n ~seed =
       background setting;
     ]
 
-let scenarios ?(runs = 3) ?(cache_mb = 6.4) ?(ns = [ 390; 400; 490; 500 ]) () =
-  List.concat_map
-    (fun setting ->
-      List.concat_map
-        (fun n -> List.init runs (fun seed -> scenario ~cache_mb ~setting ~n ~seed))
-        ns)
-    settings
-
-let run ?jobs ?(runs = 3) ?(cache_mb = 6.4) ?(ns = [ 390; 400; 490; 500 ]) () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun setting ->
-      List.map
-        (fun n ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (scenario ~cache_mb ~setting ~n ~seed))
-          in
-          fun () ->
-            let results = deferred () in
-            let foreground = Measure.app_summary results ~index:0 in
-            let placeholders_used =
-              Summary.mean
-                (Summary.of_list
-                   (List.map
-                      (fun r -> float_of_int r.Runner.placeholders_used)
-                      results))
-            in
-            { setting; n; foreground; placeholders_used })
-        ns)
-    settings
-  |> List.map (fun force -> force ())
+let grid ?(cache_mb = 6.4) ?(ns = [ 390; 400; 490; 500 ]) () =
+  Measure.all
+  @@ List.concat_map
+       (fun setting ->
+         List.map
+           (fun n ->
+             let+ runs = Measure.cell (fun seed -> scenario ~cache_mb ~setting ~n ~seed) in
+             let placeholders_used =
+               Summary.mean
+                 (Summary.of_list
+                    (List.map (fun r -> float_of_int r.Runner.placeholders_used) runs))
+             in
+             { setting; n; foreground = Measure.app_summary runs ~index:0; placeholders_used })
+           ns)
+       settings
 
 let print ppf rows =
   let ns = List.sort_uniq compare (List.map (fun r -> r.n) rows) in

@@ -22,18 +22,9 @@ type row = {
   placeholders_used : float;  (** mean per run *)
 }
 
-val scenario :
-  cache_mb:float -> setting:setting -> n:int -> seed:int -> Acfc_scenario.Scenario.t
-(** One grid cell: oblivious ReadN beside the setting's Read300
-    variant, both on disk 0, under the setting's allocation policy. *)
-
-val scenarios :
-  ?runs:int -> ?cache_mb:float -> ?ns:int list -> unit -> Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run : ?jobs:int -> ?runs:int -> ?cache_mb:float -> ?ns:int list -> unit -> row list
-(** [jobs] parallelises the grid over domains with byte-identical
-    results (default {!Acfc_par.Pool.default_jobs}). *)
+val grid : ?cache_mb:float -> ?ns:int list -> unit -> row list Measure.t
+(** Each setting at each N. Defaults: the 6.4 MB cache and N ∈ {390,
+    400, 490, 500}. *)
 
 val setting_name : setting -> string
 

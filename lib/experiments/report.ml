@@ -1,66 +1,116 @@
+open Measure.Syntax
+
 type options = { runs : int; sizes : float list; jobs : int option }
 
 let default = { runs = 3; sizes = Paper_data.cache_sizes_mb; jobs = None }
 
 let quick = { runs = 1; sizes = [ 6.4; 16.0 ]; jobs = None }
 
-let artifacts =
-  [ "fig4"; "fig5"; "fig6"; "table1"; "table2"; "table3"; "table4"; "table5"; "table6" ]
+type artifact = { name : string; doc : string; paper : bool }
+
+(* One grid and the artifacts printed from its rows. *)
+type experiment =
+  | Experiment : {
+      grid : options -> 'rows Measure.t;
+      printers : (artifact * (Format.formatter -> 'rows -> unit)) list;
+    }
+      -> experiment
+
+let experiment grid printers = Experiment { grid; printers }
+
+let paper name doc print = ({ name; doc; paper = true }, print)
+
+let extra name doc print = ({ name; doc; paper = false }, print)
+
+let table =
+  [
+    experiment
+      (fun o -> Single.grid ~sizes:o.sizes ())
+      [
+        paper "fig4" "per-app elapsed time and block I/Os, LRU-SP vs the original kernel"
+          Single.print_fig4;
+        paper "table5" "elapsed seconds per app and cache size, original kernel vs LRU-SP"
+          Single.print_elapsed;
+        paper "table6" "block I/Os per app and cache size, original kernel vs LRU-SP"
+          Single.print_ios;
+      ];
+    experiment
+      (fun o -> Multi.grid ~sizes:o.sizes ())
+      [
+        paper "fig5" "the nine concurrent mixes under LRU-SP, normalised to the original kernel"
+          Multi.print;
+      ];
+    experiment
+      (fun o -> Alloc_lru.grid ~sizes:o.sizes ())
+      [ paper "fig6" "ALLOC-LRU vs LRU-SP on five mixes: swapping is necessary" Alloc_lru.print ];
+    experiment
+      (fun _ -> Placeholders.grid ())
+      [
+        paper "table1" "placeholder protection of an oblivious ReadN against a foolish Read300"
+          Placeholders.print;
+      ];
+    experiment
+      (fun _ -> Foolish.grid ())
+      [ paper "table2" "smart applications beside an oblivious vs foolish Read300" Foolish.print ];
+    experiment
+      (fun _ -> Smart_oblivious.grid ~two_disks:false ())
+      [
+        paper "table3" "oblivious Read300 beside oblivious vs smart partners, one shared disk"
+          Smart_oblivious.print;
+      ];
+    experiment
+      (fun _ -> Smart_oblivious.grid ~two_disks:true ())
+      [
+        paper "table4" "oblivious Read300 beside oblivious vs smart partners, own RZ26 disk"
+          Smart_oblivious.print;
+      ];
+    experiment
+      (fun _ -> Ablations.grid ())
+      [
+        extra "ablations"
+          "read-ahead, disk scheduling, update interval, layout, clustering, CLOCK order and \
+           revocation sweeps"
+          Ablations.print;
+      ];
+    experiment
+      (fun _ -> Criteria.grid ())
+      [
+        extra "criteria" "the paper's three allocation-policy criteria, checked mechanically"
+          Criteria.print;
+      ];
+  ]
+
+let artifacts = List.concat_map (fun (Experiment e) -> List.map fst e.printers) table
+
+(* The selected artifacts' grids, each once, yielding the artifacts
+   ready to print. *)
+let grid opts names =
+  List.iter
+    (fun name ->
+      if not (List.exists (fun a -> a.name = name) artifacts) then
+        invalid_arg ("Report: unknown artifact " ^ name))
+    names;
+  let+ printed =
+    Measure.all
+      (List.filter_map
+         (fun (Experiment e) ->
+           match List.filter (fun (a, _) -> List.mem a.name names) e.printers with
+           | [] -> None
+           | selected ->
+             Some
+               (let+ rows = e.grid opts in
+                List.map (fun (a, print) -> (a, fun ppf -> print ppf rows)) selected))
+         table)
+  in
+  List.concat printed
+
+let scenarios opts names = Measure.scenarios ~runs:opts.runs (grid opts names)
 
 let hr ppf = Format.fprintf ppf "@\n%s@\n@\n" (String.make 74 '=')
 
-let run_single_family opts ppf which =
-  let rows = Single.run ?jobs:opts.jobs ~runs:opts.runs ~sizes:opts.sizes () in
-  List.iter
-    (fun w ->
-      hr ppf;
-      match w with
-      | `Fig4 -> Single.print_fig4 ppf rows
-      | `Table5 -> Single.print_elapsed ppf rows
-      | `Table6 -> Single.print_ios ppf rows)
-    which
-
-let run_artifact opts ppf = function
-  | "fig4" -> run_single_family opts ppf [ `Fig4 ]
-  | "table5" -> run_single_family opts ppf [ `Table5 ]
-  | "table6" -> run_single_family opts ppf [ `Table6 ]
-  | "fig5" ->
-    hr ppf;
-    Multi.print ppf (Multi.run ?jobs:opts.jobs ~runs:opts.runs ~sizes:opts.sizes ())
-  | "fig6" ->
-    hr ppf;
-    Alloc_lru.print ppf (Alloc_lru.run ?jobs:opts.jobs ~runs:opts.runs ~sizes:opts.sizes ())
-  | "table1" ->
-    hr ppf;
-    Placeholders.print ppf (Placeholders.run ?jobs:opts.jobs ~runs:opts.runs ())
-  | "table2" ->
-    hr ppf;
-    Foolish.print ppf (Foolish.run ?jobs:opts.jobs ~runs:opts.runs ())
-  | "table3" ->
-    hr ppf;
-    Smart_oblivious.print ppf
-      (Smart_oblivious.run ?jobs:opts.jobs ~runs:opts.runs ~two_disks:false ())
-  | "table4" ->
-    hr ppf;
-    Smart_oblivious.print ppf
-      (Smart_oblivious.run ?jobs:opts.jobs ~runs:opts.runs ~two_disks:true ())
-  | name -> invalid_arg ("Report.run_artifact: unknown artifact " ^ name)
-
-let artifact_scenarios opts = function
-  | "fig4" | "table5" | "table6" ->
-    Single.scenarios ~runs:opts.runs ~sizes:opts.sizes ()
-  | "fig5" -> Multi.scenarios ~runs:opts.runs ~sizes:opts.sizes ()
-  | "fig6" -> Alloc_lru.scenarios ~runs:opts.runs ~sizes:opts.sizes ()
-  | "table1" -> Placeholders.scenarios ~runs:opts.runs ()
-  | "table2" -> Foolish.scenarios ~runs:opts.runs ()
-  | "table3" -> Smart_oblivious.scenarios ~runs:opts.runs ~two_disks:false ()
-  | "table4" -> Smart_oblivious.scenarios ~runs:opts.runs ~two_disks:true ()
-  | "ablations" -> Ablations.scenarios ~runs:opts.runs ()
-  | "criteria" -> Criteria.scenarios ~runs:opts.runs ()
-  | _ -> []
-
-let run_all opts ppf =
-  run_single_family opts ppf [ `Fig4; `Table5; `Table6 ];
-  List.iter
-    (fun a -> run_artifact opts ppf a)
-    [ "fig5"; "fig6"; "table1"; "table2"; "table3"; "table4" ]
+let run opts ppf names =
+  List.iteri
+    (fun i (a, print) ->
+      if a.paper || i > 0 then hr ppf;
+      print ppf)
+    (Measure.run ?jobs:opts.jobs ~runs:opts.runs (grid opts names))

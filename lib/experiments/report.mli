@@ -1,5 +1,9 @@
-(** Top-level experiment driver: regenerate any or all of the paper's
-    tables and figures and print them paper-vs-measured. *)
+(** The experiment table: every artifact [acfc-run report] and the
+    bench harness regenerate, with the grid it runs and how it prints.
+
+    [report --list], [report NAME|all], the bench's main loop and its
+    [scenario_hash] all read this one table, so an artifact's
+    fingerprint is the hash of the list its run executes. *)
 
 type options = {
   runs : int;  (** cold-start runs averaged per data point *)
@@ -17,21 +21,26 @@ val default : options
 val quick : options
 (** 1 run, sizes 6.4 and 16 MB only — for smoke tests. [jobs = None]. *)
 
-val artifacts : string list
-(** ["fig4"; "fig5"; "fig6"; "table1"; "table2"; "table3"; "table4";
-    "table5"; "table6"] *)
+type artifact = {
+  name : string;
+  doc : string;  (** one line, for [report --list] *)
+  paper : bool;
+      (** one of the paper's nine tables and figures, which
+          [acfc-run report all] runs; the ablations and criteria are
+          not *)
+}
 
-val artifact_scenarios : options -> string -> Acfc_scenario.Scenario.t list
-(** The full scenario grid an artifact (including "ablations" and
-    "criteria") runs under these options, in execution order — what
-    the bench harness fingerprints ({!Acfc_scenario.Scenario.hash_list})
-    to make every reported number traceable to exact machine
-    descriptions. Unknown names yield [[]]. *)
+val artifacts : artifact list
+(** Every artifact, in table order: fig4, table5 and table6 (which
+    share one grid), fig5, fig6, table1–table4, ablations, criteria. *)
 
-val run_artifact : options -> Format.formatter -> string -> unit
-(** Regenerate one artifact by name and print it. Raises
-    [Invalid_argument] for unknown names. Note fig4/table5/table6 share
-    the same runs; requesting them separately repeats the simulations. *)
+val scenarios : options -> string list -> Acfc_scenario.Scenario.t list
+(** What {!run} executes for these artifacts, in run order: each grid
+    once, in table order. Raises [Invalid_argument] on an unknown
+    name. *)
 
-val run_all : options -> Format.formatter -> unit
-(** Everything, sharing simulations between fig4 and tables 5–6. *)
+val run : options -> Format.formatter -> string list -> unit
+(** Run the named artifacts' grids on one pool and print the artifacts
+    in table order. Each paper artifact, and every artifact after the
+    first, opens with a rule. Raises [Invalid_argument] on an unknown
+    name. *)

@@ -2,7 +2,7 @@ module Config = Acfc_core.Config
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type row = {
   app : string;
@@ -20,50 +20,20 @@ let scenario ~mb ~kernel ~seed name =
   Scenario.make ~seed ~cache_blocks:(Scenario.blocks_of_mb mb) ~alloc_policy
     [ Scenario.workload ~smart name ]
 
-let scenarios ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb) ?apps () =
-  let names =
-    match apps with
-    | None -> List.map (fun (name, _, _) -> name) Registry.apps
-    | Some names -> names
-  in
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun mb ->
-          List.concat_map
-            (fun kernel -> List.init runs (fun seed -> scenario ~mb ~kernel ~seed name))
-            [ `Original; `Controlled ])
-        sizes)
-    names
-
-let measure pool ~runs ~mb ~kernel name =
-  let results =
-    Measure.repeat_async pool ~runs (fun ~seed ->
-        Scenario.run (scenario ~mb ~kernel ~seed name))
-  in
-  fun () -> Measure.app_summary (results ()) ~index:0
-
-let run ?jobs ?(runs = 3) ?(sizes = Paper_data.cache_sizes_mb) ?apps () =
-  let names =
-    match apps with
-    | None -> List.map (fun (name, _, _) -> name) Registry.apps
-    | Some names ->
-      (* Validate up front so a typo fails before any cell runs. *)
-      List.iter (fun name -> ignore (Registry.find name)) names;
-      names
-  in
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun mb ->
-          let original = measure pool ~runs ~mb ~kernel:`Original name in
-          let controlled = measure pool ~runs ~mb ~kernel:`Controlled name in
-          fun () ->
-            { app = name; mb; original = original (); controlled = controlled () })
-        sizes)
-    names
-  |> List.map (fun force -> force ())
+let grid ?(sizes = Paper_data.cache_sizes_mb) ?(apps = Acfc_scenario.Catalog.app_names) () =
+  Measure.all
+  @@ List.concat_map
+       (fun app ->
+         List.map
+           (fun mb ->
+             let measure kernel =
+               let+ runs = Measure.cell (fun seed -> scenario ~mb ~kernel ~seed app) in
+               Measure.app_summary runs ~index:0
+             in
+             let+ original = measure `Original and+ controlled = measure `Controlled in
+             { app; mb; original; controlled })
+           sizes)
+       apps
 
 let by_app rows =
   List.fold_left

@@ -12,30 +12,10 @@ type row = {
   controlled : Measure.m;
 }
 
-val scenario :
-  mb:float ->
-  kernel:[ `Original | `Controlled ] ->
-  seed:int ->
-  string ->
-  Acfc_scenario.Scenario.t
-(** The machine description for one grid cell: one application alone at
-    a cache size, oblivious under the original kernel or smart under
-    LRU-SP. *)
-
-val scenarios :
-  ?runs:int ->
-  ?sizes:float list ->
-  ?apps:string list ->
-  unit ->
-  Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run :
-  ?jobs:int -> ?runs:int -> ?sizes:float list -> ?apps:string list -> unit -> row list
-(** Defaults: 3 runs (the paper uses 5), the paper's four cache sizes,
-    all eight applications. [jobs] (default
-    {!Acfc_par.Pool.default_jobs}) parallelises the grid over domains
-    with byte-identical results. *)
+val grid : ?sizes:float list -> ?apps:string list -> unit -> row list Measure.t
+(** Each application at each cache size, under the original kernel
+    then LRU-SP. Defaults: the paper's four cache sizes and all eight
+    applications. *)
 
 val print_elapsed : Format.formatter -> row list -> unit
 (** Table 5 reproduction: measured elapsed seconds with ratios, paper

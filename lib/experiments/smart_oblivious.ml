@@ -2,7 +2,7 @@ module Config = Acfc_core.Config
 module Scenario = Acfc_scenario.Scenario
 module Summary = Acfc_stats.Summary
 module Table = Acfc_stats.Table
-module Pool = Acfc_par.Pool
+open Measure.Syntax
 
 type row = {
   app : string;
@@ -26,36 +26,19 @@ let scenario ~cache_mb ~two_disks ~partner_smart ~seed name =
       Scenario.workload ~smart:partner_smart ~disk:0 name;
     ]
 
-let scenarios ?(runs = 3) ?(cache_mb = 6.4) ?(apps = default_apps) ~two_disks () =
-  List.concat_map
-    (fun name ->
-      List.concat_map
-        (fun partner_smart ->
-          List.init runs (fun seed ->
-              scenario ~cache_mb ~two_disks ~partner_smart ~seed name))
-        [ false; true ])
-    apps
-
-let run ?jobs ?(runs = 3) ?(cache_mb = 6.4) ?(apps = default_apps) ~two_disks () =
-  Pool.with_pool ?jobs @@ fun pool ->
-  List.concat_map
-    (fun name ->
-      List.map
-        (fun partner_smart ->
-          let deferred =
-            Measure.repeat_async pool ~runs (fun ~seed ->
-                Scenario.run (scenario ~cache_mb ~two_disks ~partner_smart ~seed name))
-          in
-          fun () ->
-            {
-              app = name;
-              partner_smart;
-              two_disks;
-              read300 = Measure.app_summary (deferred ()) ~index:0;
-            })
-        [ false; true ])
-    apps
-  |> List.map (fun force -> force ())
+let grid ?(cache_mb = 6.4) ?(apps = default_apps) ~two_disks () =
+  Measure.all
+  @@ List.concat_map
+       (fun app ->
+         List.map
+           (fun partner_smart ->
+             let+ runs =
+               Measure.cell (fun seed ->
+                   scenario ~cache_mb ~two_disks ~partner_smart ~seed app)
+             in
+             { app; partner_smart; two_disks; read300 = Measure.app_summary runs ~index:0 })
+           [ false; true ])
+       apps
 
 let print ppf rows =
   List.iter

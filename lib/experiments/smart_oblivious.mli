@@ -14,36 +14,11 @@ type row = {
   read300 : Measure.m;
 }
 
-val scenario :
-  cache_mb:float ->
-  two_disks:bool ->
-  partner_smart:bool ->
-  seed:int ->
-  string ->
-  Acfc_scenario.Scenario.t
-(** One grid cell: an oblivious Read300 (disk 1 when [two_disks])
-    beside the named partner on disk 0, under LRU-SP when the partner
-    is smart and global LRU otherwise. *)
-
-val scenarios :
-  ?runs:int ->
-  ?cache_mb:float ->
-  ?apps:string list ->
-  two_disks:bool ->
-  unit ->
-  Acfc_scenario.Scenario.t list
-(** Every scenario {!run} would execute, in grid order. *)
-
-val run :
-  ?jobs:int ->
-  ?runs:int ->
-  ?cache_mb:float ->
-  ?apps:string list ->
-  two_disks:bool ->
-  unit ->
-  row list
-(** [jobs] parallelises the grid over domains with byte-identical
-    results (default {!Acfc_par.Pool.default_jobs}). *)
+val grid :
+  ?cache_mb:float -> ?apps:string list -> two_disks:bool -> unit -> row list Measure.t
+(** An oblivious Read300 (on disk 1 when [two_disks]) beside each
+    partner on disk 0, oblivious under global LRU then smart under
+    LRU-SP. Defaults: the 6.4 MB cache and din, cs2, gli, ldk. *)
 
 val print : Format.formatter -> row list -> unit
 (** Pass rows from one or both configurations; they are grouped. *)

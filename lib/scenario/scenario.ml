@@ -7,7 +7,7 @@ module Bus = Acfc_disk.Bus
 module Disk = Acfc_disk.Disk
 module Params = Acfc_disk.Params
 module App = Acfc_workload.App
-module Env = Acfc_workload.Env
+module Env = Acfc_wir.Env
 module Runner = Acfc_workload.Runner
 module Spec = Runner.Spec
 module Codec = Acfc_obs.Codec

@@ -2,7 +2,7 @@ module Wir = Acfc_wir.Wir
 
 type body =
   | Program of Wir.t
-  | Closure of (Env.t -> disk:Acfc_disk.Disk.t -> unit)
+  | Closure of (Acfc_wir.Env.t -> disk:Acfc_disk.Disk.t -> unit)
 
 type t = { name : string; category : string; body : body }
 

@@ -12,7 +12,7 @@
 
 type body =
   | Program of Acfc_wir.Wir.t  (** a workload IR program, run by {!Acfc_wir.Wir.exec} *)
-  | Closure of (Env.t -> disk:Acfc_disk.Disk.t -> unit)
+  | Closure of (Acfc_wir.Env.t -> disk:Acfc_disk.Disk.t -> unit)
       (** arbitrary OCaml, for what the IR cannot express *)
 
 type t = {
@@ -23,7 +23,8 @@ type t = {
   body : body;
 }
 
-val make : name:string -> category:string -> (Env.t -> disk:Acfc_disk.Disk.t -> unit) -> t
+val make :
+  name:string -> category:string -> (Acfc_wir.Env.t -> disk:Acfc_disk.Disk.t -> unit) -> t
 (** A closure application. *)
 
 val of_program : Acfc_wir.Wir.t -> t
@@ -32,4 +33,4 @@ val of_program : Acfc_wir.Wir.t -> t
 val program : t -> Acfc_wir.Wir.t option
 (** The program, for applications that are data ([None] for closures). *)
 
-val run : t -> Env.t -> disk:Acfc_disk.Disk.t -> unit
+val run : t -> Acfc_wir.Env.t -> disk:Acfc_disk.Disk.t -> unit

@@ -9,14 +9,15 @@ module Runner = Acfc_workload.Runner
 
 let fig5 ~jobs () =
   Format.asprintf "%a" Multi.print
-    (Multi.run ~jobs ~runs:2 ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ())
+    (Measure.run ~jobs ~runs:2 (Multi.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ()))
 
 let fig6 ~jobs () =
   Format.asprintf "%a" Alloc_lru.print
-    (Alloc_lru.run ~jobs ~runs:2 ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ] ())
+    (Measure.run ~jobs ~runs:2 (Alloc_lru.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ] ()))
 
 let criteria ~jobs () =
-  Format.asprintf "%a" Criteria.print (Criteria.criterion3 ~jobs ~runs:1 ~apps:[ "din" ] ())
+  Format.asprintf "%a" Criteria.print
+    (Measure.run ~jobs ~runs:1 (Criteria.criterion3 ~apps:[ "din" ] ()))
 
 let metrics () =
   let sink = Obs.Sink.create ~backend:Obs.Sink.Null () in

@@ -1,24 +1,27 @@
 open Acfc_experiments
+module Catalog = Acfc_scenario.Catalog
+module Scenario = Acfc_scenario.Scenario
+module Runner = Acfc_workload.Runner
 module Summary = Acfc_stats.Summary
 open Tutil
 
-let registry_finds_all () =
+let catalog_finds_all () =
   List.iter
     (fun (name, _, disk) ->
-      let _, d = Registry.find name in
+      let _, d = Catalog.find name in
       chk_int (name ^ " disk") disk d)
-    Registry.apps;
-  chk_int "eight applications" 8 (List.length Registry.apps);
+    Catalog.apps;
+  chk_int "eight applications" 8 (List.length Catalog.apps);
   Alcotest.check_raises "unknown app" Not_found (fun () ->
-      ignore (Registry.find "emacs"))
+      ignore (Catalog.find "emacs"))
 
 let combos_resolve () =
   List.iter
-    (fun combo -> List.iter (fun name -> ignore (Registry.find name)) combo)
-    (Registry.fig5_combos @ Registry.fig6_combos);
-  chk_int "nine fig5 combos" 9 (List.length Registry.fig5_combos);
-  chk_int "five fig6 combos" 5 (List.length Registry.fig6_combos);
-  chk_bool "combo naming" true (Registry.combo_name [ "a"; "b" ] = "a+b")
+    (fun combo -> List.iter (fun name -> ignore (Catalog.find name)) combo)
+    (Paper_data.fig5_combos @ Paper_data.fig6_combos);
+  chk_int "nine fig5 combos" 9 (List.length Paper_data.fig5_combos);
+  chk_int "five fig6 combos" 5 (List.length Paper_data.fig6_combos);
+  chk_bool "combo naming" true (Paper_data.combo_name [ "a"; "b" ] = "a+b")
 
 let paper_data_lookup () =
   chk_bool "din elapsed at 6.4" true
@@ -35,14 +38,34 @@ let paper_data_lookup () =
     Paper_data.table6
 
 let measure_helpers () =
-  Alcotest.check_raises "no runs" (Invalid_argument "Measure.repeat: runs must be positive")
-    (fun () ->
-      ignore (Measure.repeat ~runs:0 (fun ~seed:_ -> assert false)));
+  let cell n =
+    Measure.cell (fun seed ->
+        Scenario.make ~seed ~cache_blocks:64 [ Scenario.workload (Printf.sprintf "read%d" n) ])
+  in
+  let grid = Measure.all [ cell 50; cell 90 ] in
+  List.iter
+    (fun runs ->
+      Alcotest.check_raises "runs must be positive"
+        (Invalid_argument "Measure: runs must be positive") (fun () ->
+          ignore (Measure.run ~runs grid)))
+    [ 0; -1 ];
+  (* The runner returns each cell's runs in grid order, seeds in order:
+     exactly the scenarios [Measure.scenarios] lists, run one by one. *)
+  let report r = Format.asprintf "%a" Runner.pp r in
+  let direct = List.map (fun s -> report (Scenario.run s)) (Measure.scenarios ~runs:2 grid) in
+  List.iter
+    (fun jobs ->
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "grid order at jobs %d" jobs)
+        direct
+        (List.map report (List.concat (Measure.run ~jobs ~runs:2 grid))))
+    [ 1; 2 ];
   chk_bool "formatting" true
     (Measure.f1 1.25 = "1.2" && Measure.f2 0.333 = "0.33" && Measure.i0 9.6 = "10")
 
 let single_din_improves () =
-  let rows = Single.run ~runs:1 ~sizes:[ 6.4 ] ~apps:[ "din" ] () in
+  let rows = Measure.run ~runs:1 (Single.grid ~sizes:[ 6.4 ] ~apps:[ "din" ] ()) in
   match rows with
   | [ row ] ->
     let _, ios_ratio = Measure.mean_ratio row.Single.controlled row.Single.original in
@@ -53,7 +76,7 @@ let single_din_improves () =
   | _ -> Alcotest.fail "expected one row"
 
 let single_printers_render () =
-  let rows = Single.run ~runs:1 ~sizes:[ 6.4 ] ~apps:[ "din"; "cs1" ] () in
+  let rows = Measure.run ~runs:1 (Single.grid ~sizes:[ 6.4 ] ~apps:[ "din"; "cs1" ] ()) in
   List.iter
     (fun print ->
       let s = Format.asprintf "%a" print rows in
@@ -63,7 +86,7 @@ let single_printers_render () =
     [ Single.print_fig4; Single.print_elapsed; Single.print_ios ]
 
 let multi_combo_improves () =
-  let rows = Multi.run ~runs:1 ~sizes:[ 16.0 ] ~combos:[ [ "din"; "cs1" ] ] () in
+  let rows = Measure.run ~runs:1 (Multi.grid ~sizes:[ 16.0 ] ~combos:[ [ "din"; "cs1" ] ] ()) in
   match rows with
   | [ row ] ->
     let _, ios_ratio = Measure.mean_ratio row.Multi.controlled row.Multi.original in
@@ -73,7 +96,7 @@ let multi_combo_improves () =
   | _ -> Alcotest.fail "expected one row"
 
 let alloc_lru_not_better () =
-  let rows = Alloc_lru.run ~runs:1 ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ] () in
+  let rows = Measure.run ~runs:1 (Alloc_lru.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs2"; "gli" ] ] ()) in
   match rows with
   | [ row ] ->
     let _, ios_ratio = Measure.mean_ratio row.Alloc_lru.alloc_lru row.Alloc_lru.lru_sp in
@@ -83,7 +106,7 @@ let alloc_lru_not_better () =
   | _ -> Alcotest.fail "expected one row"
 
 let placeholders_protect () =
-  let rows = Placeholders.run ~runs:1 ~ns:[ 500 ] () in
+  let rows = Measure.run ~runs:1 (Placeholders.grid ~ns:[ 500 ] ()) in
   let find setting =
     List.find (fun r -> r.Placeholders.setting = setting) rows
   in
@@ -102,12 +125,12 @@ let placeholders_protect () =
     (String.length (Format.asprintf "%a" Placeholders.print rows) > 0)
 
 let foolish_renders () =
-  let rows = Foolish.run ~runs:1 ~apps:[ "din" ] () in
+  let rows = Measure.run ~runs:1 (Foolish.grid ~apps:[ "din" ] ()) in
   chk_int "two rows" 2 (List.length rows);
   chk_bool "renders" true (String.length (Format.asprintf "%a" Foolish.print rows) > 0)
 
 let smart_oblivious_two_disks () =
-  let rows = Smart_oblivious.run ~runs:1 ~apps:[ "din" ] ~two_disks:true () in
+  let rows = Measure.run ~runs:1 (Smart_oblivious.grid ~apps:[ "din" ] ~two_disks:true ()) in
   (* On separate disks a smart partner must not hurt Read300. *)
   let elapsed smart =
     let r = List.find (fun r -> r.Smart_oblivious.partner_smart = smart) rows in
@@ -120,14 +143,14 @@ let smart_oblivious_two_disks () =
 
 let ablations_sane () =
   (* Read-ahead: identical I/O counts, faster elapsed. *)
-  let rows = Ablations.readahead ~runs:1 ~apps:[ "din" ] () in
+  let rows = Measure.run ~runs:1 (Ablations.readahead ~apps:[ "din" ] ()) in
   (match rows with
   | [ on; off ] ->
     chk_int "same I/Os" off.Ablations.ra_ios on.Ablations.ra_ios;
     chk_bool "read-ahead faster" true (on.Ablations.ra_elapsed < off.Ablations.ra_elapsed)
   | _ -> Alcotest.fail "expected two rows");
   (* Global order: the smart win is the same under LRU and CLOCK kernels. *)
-  let rows = Ablations.global_order ~runs:1 ~apps:[ "din" ] () in
+  let rows = Measure.run ~runs:1 (Ablations.global_order ~apps:[ "din" ] ()) in
   let ios policy smart =
     (List.find
        (fun r -> r.Ablations.or_policy = policy && r.Ablations.or_smart = smart)
@@ -141,7 +164,7 @@ let ablations_sane () =
     (ios Acfc_core.Config.Lru_sp true)
     (ios Acfc_core.Config.Clock_sp true);
   (* Revocation: tighter thresholds reduce the fool's own I/Os. *)
-  let rows = Ablations.revocation ~runs:1 () in
+  let rows = Measure.run ~runs:1 (Ablations.revocation ()) in
   (match (List.hd rows).Ablations.threshold with
   | None -> ()
   | Some _ -> Alcotest.fail "first row should be revocation-off");
@@ -151,7 +174,7 @@ let ablations_sane () =
     (tightest.Ablations.fool_ios < off_fool)
 
 let criteria_pass () =
-  let verdicts = Criteria.criterion3 ~runs:1 ~apps:[ "din" ] () in
+  let verdicts = Measure.run ~runs:1 (Criteria.criterion3 ~apps:[ "din" ] ()) in
   chk_int "two sizes" 2 (List.length verdicts);
   List.iter
     (fun v -> chk_bool (v.Criteria.detail ^ " passes") true v.Criteria.pass)
@@ -160,16 +183,20 @@ let criteria_pass () =
     (String.length (Format.asprintf "%a" Criteria.print verdicts) > 0)
 
 let report_artifacts () =
-  chk_int "nine artifacts" 9 (List.length Report.artifacts);
-  Alcotest.check_raises "unknown artifact"
-    (Invalid_argument "Report.run_artifact: unknown artifact fig9") (fun () ->
-      Report.run_artifact Report.quick Format.str_formatter "fig9")
+  chk_int "eleven artifacts" 11 (List.length Report.artifacts);
+  chk_int "nine from the paper" 9
+    (List.length (List.filter (fun a -> a.Report.paper) Report.artifacts));
+  let unknown = Invalid_argument "Report: unknown artifact fig9" in
+  Alcotest.check_raises "unknown artifact run" unknown (fun () ->
+      Report.run Report.quick Format.str_formatter [ "fig4"; "fig9" ]);
+  Alcotest.check_raises "unknown artifact grid" unknown (fun () ->
+      ignore (Report.scenarios Report.quick [ "fig9" ]))
 
 let suites =
   [
     ( "experiments",
       [
-        case "registry" registry_finds_all;
+        case "catalog" catalog_finds_all;
         case "combos resolve" combos_resolve;
         case "paper data" paper_data_lookup;
         case "measure helpers" measure_helpers;

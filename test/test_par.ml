@@ -135,7 +135,7 @@ let test_team_nesting_rejected () =
 
 let render_fig5 jobs =
   Format.asprintf "%a" Multi.print
-    (Multi.run ~jobs ~runs:2 ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ())
+    (Measure.run ~jobs ~runs:2 (Multi.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ()))
 
 let test_multi_determinism () =
   chk_bool "fig5 tables byte-identical at jobs 1 vs 4" true

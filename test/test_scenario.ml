@@ -45,24 +45,47 @@ let roundtrip_json () =
         [ Scenario.workload "cs3" ];
     ]
 
+(* The experiment table: each name once, the names [report --list]
+   prints; every artifact's quick grid survives save/load; and bench's
+   [all] fingerprint hashes each grid once, in table order, though
+   fig4, table5 and table6 share one. *)
 let roundtrip_experiment_grids () =
-  (* Every scenario an experiment generates must survive save/load. *)
-  let grids =
-    [
-      Acfc_experiments.Multi.scenarios ~runs:1 ~sizes:[ 6.4 ] ();
-      Acfc_experiments.Criteria.scenarios ~runs:1 ();
-      Acfc_experiments.Ablations.scenarios ~runs:1 ();
-    ]
-  in
+  let module Report = Acfc_experiments.Report in
+  let names = List.map (fun a -> a.Report.name) Report.artifacts in
+  chk_int "names unique" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  check Alcotest.(list string) "the report --list names" Test_listings.experiment_names
+    (List.sort String.compare names);
+  let grid name = Report.scenarios Report.quick [ name ] in
   List.iter
-    (List.iter (fun s ->
-         let s' = ok (Scenario.of_string (Scenario.to_string s)) in
-         chk_str "grid scenario round-trips" (Scenario.to_string s)
-           (Scenario.to_string s')))
-    grids
+    (fun name ->
+      List.iter
+        (fun s ->
+          let s' = ok (Scenario.of_string (Scenario.to_string s)) in
+          chk_str (name ^ " scenario round-trips") (Scenario.to_string s)
+            (Scenario.to_string s'))
+        (grid name))
+    names;
+  let distinct =
+    List.fold_left
+      (fun seen name ->
+        let h = Scenario.hash_list (grid name) in
+        if List.mem_assoc h seen then seen else seen @ [ (h, grid name) ])
+      [] names
+  in
+  chk_int "nine grids" 9 (List.length distinct);
+  chk_str "all hashes each grid once"
+    (Scenario.hash_list (List.concat_map snd distinct))
+    (Scenario.hash_list (Report.scenarios Report.quick names))
 
 let save_load_run () =
-  let s = Acfc_experiments.Multi.scenario ~mb:6.4 ~kernel:`Controlled ~seed:3 [ "cs3"; "ldk" ] in
+  (* The grid's last scenario at 4 runs: cs3+ldk under LRU-SP, seed 3. *)
+  let s =
+    List.hd
+      (List.rev
+         (Acfc_experiments.Measure.scenarios ~runs:4
+            (Acfc_experiments.Multi.grid ~sizes:[ 6.4 ] ~combos:[ [ "cs3"; "ldk" ] ] ())))
+  in
   let file = Filename.temp_file "acfc_scenario" ".json" in
   Fun.protect
     ~finally:(fun () -> Sys.remove file)

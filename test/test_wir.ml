@@ -20,7 +20,7 @@ module Wir = Acfc_wir.Wir
 module Wirgen = Acfc_wirgen.Wirgen
 module Block = Acfc_core.Block
 module App = Acfc_workload.App
-module Env = Acfc_workload.Env
+module Env = Acfc_wir.Env
 module Runner = Acfc_workload.Runner
 module Recorder = Acfc_replacement.Recorder
 module Refstream = Acfc_replacement.Refstream
