@@ -416,7 +416,7 @@ let bench_disk_queue (label, discipline) =
       done;
       let pos = ref depth and head = ref 0 in
       let step () =
-        (match Sq.pick q ~head:!head with Some a -> head := a | None -> ());
+        head := Sq.pick q ~head:!head;
         let addr = disk_queue_addrs.(!pos land (n - 1)) in
         Sq.add q ~addr addr;
         incr pos
@@ -578,6 +578,48 @@ let bench_engine_batch () =
             tick ()
           done))
 
+(* One op = one contended [Resource.use]: 3 (and 48) fibers on one
+   resource, each booking a second of service in turn, so every use
+   books its slot behind the others' and sleeps straight to its finish,
+   one heap sleep and nothing else. 200,000 uses in all, run to
+   completion on a fresh engine. *)
+let bench_resource_contended () =
+  measure_perf ~grow:true ~name:"resource/contended" 3 (fun fibers ->
+      let e = Engine.create () in
+      let r = Acfc_sim.Resource.create e () in
+      let uses = 200_000 / fibers in
+      for _ = 1 to fibers do
+        Engine.spawn e (fun () ->
+            for _ = 1 to uses do
+              Acfc_sim.Resource.use r ~service:1.0
+            done)
+      done;
+      loop (uses * fibers) (fun () -> Engine.run e))
+
+(* One op = one queued [Disk.io]: 4 (and 64) fibers reading from one
+   FCFS RZ56 drive on a bus, over the fixed pseudo-random addresses of
+   the disk-queue rows. The drive has no rng, so the loop draws nothing:
+   each request parks under its fiber's key, is handed the drive,
+   positions and books the bus. 200,000 requests in all, run to
+   completion on a fresh engine. *)
+let bench_disk_io_queued () =
+  let params = Acfc_disk.Params.rz56 in
+  let addrs =
+    Array.map (fun a -> a mod params.Acfc_disk.Params.capacity_blocks) disk_queue_addrs
+  in
+  measure_perf ~grow:true ~name:"disk-io/queued" 4 (fun fibers ->
+      let e = Engine.create () in
+      let bus = Acfc_disk.Bus.create e () in
+      let d = Acfc_disk.Disk.create e ~bus params in
+      let ios = 200_000 / fibers in
+      for f = 0 to fibers - 1 do
+        Engine.spawn e (fun () ->
+            for i = 0 to ios - 1 do
+              Acfc_disk.Disk.io d Acfc_disk.Disk.Read ~addr:addrs.(((i * fibers) + f) land 4095)
+            done)
+      done;
+      loop (ios * fibers) (fun () -> Engine.run e))
+
 (* One op = one miss-plus-eviction through the full BUF/ACM cache of
    1,024 (and 16,384) blocks. With [managed], pid 0 is a manager that
    runs MRU at priority 0, so every miss also takes the managed path:
@@ -730,7 +772,13 @@ let run_perf () =
   Format.printf "@.%s@." (String.make 74 '=');
   Format.printf "Hot-path microbenchmarks: ops/sec, minor words per op, growth t(16n)/t(n)@.";
   let rows =
-    [ bench_engine_events (); bench_engine_steady (); bench_engine_batch () ]
+    [
+      bench_engine_events ();
+      bench_engine_steady ();
+      bench_engine_batch ();
+      bench_resource_contended ();
+      bench_disk_io_queued ();
+    ]
     @ List.map bench_disk_queue [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
     @ bench_policy_miss ()
     @ [
@@ -784,7 +832,8 @@ let check_disk_queues () =
         for step = 1 to 400 do
           if Acfc_sim.Rng.bool rng && !next > 0 then begin
             let head = Acfc_sim.Rng.int rng 128 in
-            let a = Sq.pick indexed ~head and b = Sq.Naive.pick naive ~head in
+            let a = if Sq.is_empty indexed then None else Some (Sq.pick indexed ~head) in
+            let b = Sq.Naive.pick naive ~head in
             if a <> b then
               failwith
                 (Printf.sprintf

@@ -2,13 +2,9 @@ open Acfc_sim
 
 type t = Resource.t
 
-let create engine ?(name = "scsi-bus") () = Resource.create engine ~name ~servers:1 ()
+let create engine ?(name = "scsi-bus") () = Resource.create engine ~name ()
 
 let transfer t ~duration = Resource.use t ~service:duration
-
-let busy_time = Resource.busy_time
-
-let contended_wait = Resource.total_wait
 
 let set_obs t obs =
   match obs with

@@ -10,14 +10,11 @@ type t
 val create : Acfc_sim.Engine.t -> ?name:string -> unit -> t
 
 val transfer : t -> duration:float -> unit
-(** Hold the bus for [duration] seconds (blocking fiber call). *)
-
-val busy_time : t -> float
-(** Total bus-seconds of transfer so far. *)
-
-val contended_wait : t -> float
-(** Total time requests spent waiting for the bus. *)
+(** Hold the bus for [duration] seconds, from when it frees (blocking
+    fiber call). The slot is booked when the call is made: a drive
+    calls it when its positioning ends. *)
 
 val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** Register the bus statistics (busy time, contended wait, transfers
-    served, queue depth) as gauges on the sink's metrics registry. *)
+    started, transfers booked but not started) as gauges on the sink's
+    metrics registry. *)

@@ -5,8 +5,6 @@ type kind = Read | Write
 
 type sched = Fcfs | Scan
 
-type waiter = { enqueued_at : float; resume : unit -> unit }
-
 type obs_state = {
   sink : Obs.Sink.t;
   h_service : Obs.Metrics.histogram;  (* seconds per request, in service *)
@@ -21,14 +19,22 @@ type t = {
   sched : sched;
   mutable obs : obs_state option;
   mutable busy : bool;
-  queue : waiter Sched_queue.t;  (* indexed by discipline; see Sched_queue *)
+  (* Fibers waiting for the drive, by key. A waiter sets [arriving] to
+     its request's address and parks; the engine hands its key to
+     [enqueue], which files it in [queue] under that address; and
+     [handoff] wakes the key the discipline picks. [enqueue] is built
+     once per drive, so a wait allocates nothing. *)
+  queue : Sched_queue.t;
+  arriving : int ref;
+  enqueue : int -> unit;
   mutable head : int;  (* block address after the last transfer *)
   mutable reads : int;
   mutable writes : int;
   mutable sequential_hits : int;
   mutable blocks_transferred : int;
-  (* Busy time and queueing delay, in one unboxed column: a mutable
-     float field in this mixed record would box on every update. *)
+  (* Busy time, queueing delay and the request in service's own wait,
+     in one unboxed column: a mutable float field in this mixed record
+     would box on every update. *)
   acct : float array;
 }
 
@@ -36,7 +42,13 @@ let busy_i = 0
 
 let wait_i = 1
 
+let waited_i = 2
+
 let create engine ?bus ?rng ?(sched = Fcfs) params =
+  let queue =
+    Sched_queue.create (match sched with Fcfs -> Sched_queue.Fcfs | Scan -> Sched_queue.Scan)
+  in
+  let arriving = ref 0 in
   {
     engine;
     params;
@@ -45,15 +57,15 @@ let create engine ?bus ?rng ?(sched = Fcfs) params =
     sched;
     obs = None;
     busy = false;
-    queue =
-      Sched_queue.create
-        (match sched with Fcfs -> Sched_queue.Fcfs | Scan -> Sched_queue.Scan);
+    queue;
+    arriving;
+    enqueue = (fun key -> Sched_queue.add queue ~addr:!arriving key);
     head = 0;
     reads = 0;
     writes = 0;
     sequential_hits = 0;
     blocks_transferred = 0;
-    acct = [| 0.0; 0.0 |];
+    acct = [| 0.0; 0.0; 0.0 |];
   }
 
 let params t = t.params
@@ -102,12 +114,8 @@ let service_time t ~addr =
   +. (if sequential then t.params.Params.seq_rot_factor *. avg_rot else avg_rot)
   +. Params.transfer_time_s t.params
 
-(* Choose which waiter the freed drive serves next: an O(1)/O(log n)
-   lookup in the indexed queue (arrival order for FCFS, elevator order
-   from the current head position for SCAN). *)
-let pick_next t = Sched_queue.pick t.queue ~head:t.head
-
-let serve t kind ~addr ~blocks ~waited =
+(* The request in service waited [t.acct.(waited_i)] for the drive. *)
+let serve t kind ~addr ~blocks =
   let started = Engine.now t.engine in
   let sequential = addr = t.head in
   if sequential then t.sequential_hits <- t.sequential_hits + 1;
@@ -119,7 +127,9 @@ let serve t kind ~addr ~blocks ~waited =
   let rot = rotational_latency t ~sequential in
   Engine.delay t.engine (seek +. rot);
   (* A clustered request streams its blocks in one rotation-aligned
-     burst: one positioning, [blocks] transfers. *)
+     burst: one positioning, [blocks] transfers. The bus slot is booked
+     only now: another drive may have taken the bus while this one
+     positioned. *)
   let transfer = float_of_int blocks *. Params.transfer_time_s t.params in
   (match t.bus with
   | Some bus -> Bus.transfer bus ~duration:transfer
@@ -134,6 +144,7 @@ let serve t kind ~addr ~blocks ~waited =
   match t.obs with
   | None -> ()
   | Some { sink; h_service; h_wait } ->
+    let waited = t.acct.(waited_i) in
     Obs.Metrics.observe h_service service;
     Obs.Metrics.observe h_wait waited;
     Obs.Sink.emit sink
@@ -149,33 +160,31 @@ let serve t kind ~addr ~blocks ~waited =
            wait = waited;
          })
 
-(* Pass the drive to the next waiter, which wakes holding it: [busy]
-   stays true across the handoff. *)
+(* Pass the drive to the waiter the discipline picks (arrival order for
+   FCFS, elevator order from the current head for SCAN), which wakes
+   holding it: [busy] stays true across the handoff. *)
 let handoff t =
-  match pick_next t with
-  | Some w -> Engine.schedule t.engine ~at:(Engine.now t.engine) w.resume
-  | None -> t.busy <- false
+  if Sched_queue.is_empty t.queue then t.busy <- false
+  else Engine.wake_key t.engine (Sched_queue.pick t.queue ~head:t.head)
 
 let io ?(blocks = 1) t kind ~addr =
   check_addr t addr;
   if blocks < 1 || addr + blocks > t.params.Params.capacity_blocks then
     invalid_arg "Disk.io: bad block count";
-  let waited =
-    if t.busy then begin
-      let enqueued_at = Engine.now t.engine in
-      Engine.suspend t.engine (fun resume ->
-          Sched_queue.add t.queue ~addr { enqueued_at; resume });
-      (* Woken holding the drive: [busy] stayed true across the handoff. *)
-      let waited = Engine.now t.engine -. enqueued_at in
-      t.acct.(wait_i) <- t.acct.(wait_i) +. waited;
-      waited
-    end
-    else begin
-      t.busy <- true;
-      0.0
-    end
-  in
-  match serve t kind ~addr ~blocks ~waited with
+  if t.busy then begin
+    let enqueued_at = Engine.now t.engine in
+    t.arriving := addr;
+    Engine.park_keyed t.engine t.enqueue;
+    (* Woken holding the drive: [busy] stayed true across the handoff. *)
+    let waited = Engine.now t.engine -. enqueued_at in
+    t.acct.(wait_i) <- t.acct.(wait_i) +. waited;
+    t.acct.(waited_i) <- waited
+  end
+  else begin
+    t.busy <- true;
+    t.acct.(waited_i) <- 0.0
+  end;
+  match serve t kind ~addr ~blocks with
   | () -> handoff t
   | exception e ->
     handoff t;

@@ -6,8 +6,9 @@
    cost is constant or logarithmic while reproducing the old picker's
    choices exactly:
 
-   - FCFS: a plain FIFO. Sequence numbers are assigned in [add] order,
-     so popping the front is exactly "minimum sequence number".
+   - FCFS: a plain FIFO, an int ring. Sequence numbers are assigned in
+     [add] order, so popping the front is exactly "minimum sequence
+     number".
    - SCAN: the classic two-heap elevator. The [up] heap orders waiters
      by (addr, seq) ascending — "nearest request at or above the head,
      oldest first on address ties" is its top; the [down] heap orders by
@@ -22,10 +23,12 @@
      address is strictly on that side, so minimum distance is the
      nearest address there, ties to the oldest arrival.
 
-   The elevator heaps are hand-specialised on parallel int arrays
-   rather than built on {!Acfc_sim.Heap}: the dispatch loop then does
-   no allocation at all (the generic heap would box each (addr, seq,
-   payload) element and make an indirect [leq] call per sift step).
+   Waiters are int keys (the disk parks each request's fiber under its
+   id), so both sides are int arrays: the ring and the elevator heaps,
+   hand-specialised on parallel int columns rather than built on
+   {!Acfc_sim.Heap}. The dispatch loop then does no allocation at all
+   (the generic heap would box each (addr, seq, key) element and make
+   an indirect [leq] call per sift step).
 
    [Naive] is a straight port of the original list-based picker, kept as
    the reference implementation for the equivalence tests and the bench
@@ -33,20 +36,20 @@
 
 type discipline = Fcfs | Scan
 
-(* A binary heap over (addr, seq, payload) triples kept in parallel
+(* A binary heap over (addr, seq, key) triples kept in parallel int
    arrays. [asc = true] orders by (addr, seq) ascending; [asc = false]
    by addr descending then seq ascending. Seqs are unique, so the order
    is total either way. *)
 module Eheap = struct
-  type 'a t = {
+  type t = {
     asc : bool;
     mutable addrs : int array;
     mutable seqs : int array;
-    mutable payloads : 'a array;
+    mutable keys : int array;
     mutable size : int;
   }
 
-  let create asc = { asc; addrs = [||]; seqs = [||]; payloads = [||]; size = 0 }
+  let create asc = { asc; addrs = [||]; seqs = [||]; keys = [||]; size = 0 }
 
   let length t = t.size
 
@@ -64,9 +67,9 @@ module Eheap = struct
     let s = t.seqs.(i) in
     t.seqs.(i) <- t.seqs.(j);
     t.seqs.(j) <- s;
-    let p = t.payloads.(i) in
-    t.payloads.(i) <- t.payloads.(j);
-    t.payloads.(j) <- p
+    let k = t.keys.(i) in
+    t.keys.(i) <- t.keys.(j);
+    t.keys.(j) <- k
 
   let rec sift_up t i =
     if i > 0 then begin
@@ -87,71 +90,75 @@ module Eheap = struct
       sift_down t !first
     end
 
-  let grow t payload =
+  let grow t =
     let cap = Array.length t.addrs in
     if t.size = cap then begin
       let ncap = if cap = 0 then 16 else cap * 2 in
       let naddrs = Array.make ncap 0 and nseqs = Array.make ncap 0 in
-      let npayloads = Array.make ncap payload in
+      let nkeys = Array.make ncap 0 in
       Array.blit t.addrs 0 naddrs 0 t.size;
       Array.blit t.seqs 0 nseqs 0 t.size;
-      Array.blit t.payloads 0 npayloads 0 t.size;
+      Array.blit t.keys 0 nkeys 0 t.size;
       t.addrs <- naddrs;
       t.seqs <- nseqs;
-      t.payloads <- npayloads
+      t.keys <- nkeys
     end
 
-  let push t ~addr ~seq payload =
-    grow t payload;
+  let push t ~addr ~seq key =
+    grow t;
     let i = t.size in
     t.addrs.(i) <- addr;
     t.seqs.(i) <- seq;
-    t.payloads.(i) <- payload;
+    t.keys.(i) <- key;
     t.size <- i + 1;
     sift_up t i
 
-  (* Precondition: non-empty (callers check [length]). *)
+  (* Precondition for the rest: non-empty (callers check [length]). *)
   let top_addr t = t.addrs.(0)
 
-  let pop t =
-    let addr = t.addrs.(0) and seq = t.seqs.(0) and payload = t.payloads.(0) in
+  let drop_top t =
     let last = t.size - 1 in
     t.size <- last;
     t.addrs.(0) <- t.addrs.(last);
     t.seqs.(0) <- t.seqs.(last);
-    t.payloads.(0) <- t.payloads.(last);
-    (* Drop the stale slot so the GC can reclaim the payload. *)
-    t.payloads.(last) <- t.payloads.(0);
-    if last > 0 then sift_down t 0;
-    (addr, seq, payload)
+    t.keys.(0) <- t.keys.(last);
+    if last > 0 then sift_down t 0
+
+  let pop t =
+    let key = t.keys.(0) in
+    drop_top t;
+    key
 
   let move ~from ~into =
-    let addr, seq, payload = pop from in
-    push into ~addr ~seq payload
+    push into ~addr:from.addrs.(0) ~seq:from.seqs.(0) from.keys.(0);
+    drop_top from
 end
 
-type 'a scan_state = {
-  up : 'a Eheap.t;  (* candidates at or above the head *)
-  down : 'a Eheap.t;  (* candidates at or below the head *)
+type scan_state = {
+  up : Eheap.t;  (* candidates at or above the head *)
+  down : Eheap.t;  (* candidates at or below the head *)
   mutable last_head : int;  (* partition point for new arrivals *)
 }
 
-type 'a impl =
-  | Fifo of 'a Queue.t
-  | Elevator of 'a scan_state
+(* FIFO of keys: a power-of-two ring, empty until the first [add]. *)
+type ring = { mutable buf : int array; mutable first : int }
 
-type 'a t = {
+type impl =
+  | Fifo of ring
+  | Elevator of scan_state
+
+type t = {
   discipline : discipline;
   mutable len : int;
   mutable next_seq : int;
   mutable sweep_up : bool;
-  impl : 'a impl;
+  impl : impl;
 }
 
 let create discipline =
   let impl =
     match discipline with
-    | Fcfs -> Fifo (Queue.create ())
+    | Fcfs -> Fifo { buf = [||]; first = 0 }
     | Scan ->
       Elevator { up = Eheap.create true; down = Eheap.create false; last_head = 0 }
   in
@@ -165,16 +172,29 @@ let is_empty t = t.len = 0
 
 let sweep_up t = t.sweep_up
 
-let add t ~addr payload =
+(* Append to a ring holding [len] keys, doubling it when full. *)
+let ring_push r ~len key =
+  let cap = Array.length r.buf in
+  if len = cap then begin
+    let buf = Array.make (Stdlib.max 16 (2 * cap)) 0 in
+    for i = 0 to len - 1 do
+      buf.(i) <- r.buf.((r.first + i) land (cap - 1))
+    done;
+    r.buf <- buf;
+    r.first <- 0
+  end;
+  r.buf.((r.first + len) land (Array.length r.buf - 1)) <- key
+
+let add t ~addr key =
   (match t.impl with
-  | Fifo q -> Queue.push payload q
+  | Fifo r -> ring_push r ~len:t.len key
   | Elevator s ->
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
     (* Best-effort placement against the last known head; [pick]
        migrates anything the head has since passed. *)
     let goes_up = if t.sweep_up then addr >= s.last_head else addr > s.last_head in
-    Eheap.push (if goes_up then s.up else s.down) ~addr ~seq payload);
+    Eheap.push (if goes_up then s.up else s.down) ~addr ~seq key);
   t.len <- t.len + 1
 
 (* Repartition both heaps against the current head. Ordered tops make
@@ -198,35 +218,34 @@ let repartition_down_sweep s head =
     Eheap.move ~from:s.down ~into:s.up
   done
 
-let third (_, _, p) = p
-
 let pick t ~head =
-  if t.len = 0 then None
-  else begin
-    t.len <- t.len - 1;
-    match t.impl with
-    | Fifo q -> Some (Queue.pop q)
-    | Elevator s ->
-      s.last_head <- head;
-      if t.sweep_up then begin
-        repartition_up_sweep s head;
-        if Eheap.length s.up > 0 then Some (third (Eheap.pop s.up))
-        else begin
-          (* Nothing ahead: reverse the sweep. Every waiter is below
-             [head], so the nearest is the down heap's top. *)
-          t.sweep_up <- false;
-          Some (third (Eheap.pop s.down))
-        end
-      end
+  if t.len = 0 then invalid_arg "Sched_queue.pick: empty queue";
+  t.len <- t.len - 1;
+  match t.impl with
+  | Fifo r ->
+    let key = r.buf.(r.first) in
+    r.first <- (r.first + 1) land (Array.length r.buf - 1);
+    key
+  | Elevator s ->
+    s.last_head <- head;
+    if t.sweep_up then begin
+      repartition_up_sweep s head;
+      if Eheap.length s.up > 0 then Eheap.pop s.up
       else begin
-        repartition_down_sweep s head;
-        if Eheap.length s.down > 0 then Some (third (Eheap.pop s.down))
-        else begin
-          t.sweep_up <- true;
-          Some (third (Eheap.pop s.up))
-        end
+        (* Nothing ahead: reverse the sweep. Every waiter is below
+           [head], so the nearest is the down heap's top. *)
+        t.sweep_up <- false;
+        Eheap.pop s.down
       end
-  end
+    end
+    else begin
+      repartition_down_sweep s head;
+      if Eheap.length s.down > 0 then Eheap.pop s.down
+      else begin
+        t.sweep_up <- true;
+        Eheap.pop s.up
+      end
+    end
 
 (* The original unsorted-list implementation (one fold per pick for
    FCFS; a filter plus a fold for SCAN), verbatim semantics. O(n) per

@@ -10,32 +10,36 @@
 
 type discipline = Fcfs | Scan
 
-type 'a t
+type t
+(** A queue of int keys, each waiting for a block address. *)
 
-val create : discipline -> 'a t
+val create : discipline -> t
 
-val discipline : 'a t -> discipline
+val discipline : t -> discipline
 
-val length : 'a t -> int
-(** Waiters currently queued. O(1). *)
+val length : t -> int
+(** Keys currently queued. O(1). *)
 
-val is_empty : 'a t -> bool
+val is_empty : t -> bool
 
-val sweep_up : 'a t -> bool
+val sweep_up : t -> bool
 (** Current SCAN sweep direction (true for FCFS queues, where it is
     never consulted). *)
 
-val add : 'a t -> addr:int -> 'a -> unit
-(** Enqueue a waiter for block address [addr]. Arrival order is the
-    [add] order. O(1) for FCFS, O(log n) for SCAN. *)
+val add : t -> addr:int -> int -> unit
+(** [add t ~addr key] enqueues [key] for block address [addr]. Arrival
+    order is the [add] order. O(1) amortised for FCFS, O(log n) for
+    SCAN; no allocation once the queue has grown to its depth. *)
 
-val pick : 'a t -> head:int -> 'a option
-(** Remove and return the waiter the drive serves next, given the head
-    parked at block [head]; [None] iff the queue is empty. May reverse
-    the sweep direction (SCAN). O(1) for FCFS, O(log n) for SCAN. *)
+val pick : t -> head:int -> int
+(** Remove and return the key the drive serves next, given the head
+    parked at block [head]. May reverse the sweep direction (SCAN).
+    O(1) for FCFS, O(log n) for SCAN, allocation-free. Raises
+    [Invalid_argument] if the queue is empty. *)
 
-(** The original unsorted-list picker, kept verbatim as the reference
-    for equivalence tests and the bench [check] replay. O(n) per pick. *)
+(** The original unsorted-list picker, kept verbatim (over any payload)
+    as the reference for equivalence tests and the bench [check]
+    replay. O(n) per pick. *)
 module Naive : sig
   type 'a t
 

@@ -1,6 +1,5 @@
 open Acfc_sim
 module Block = Acfc_core.Block
-module Btbl = Acfc_core.Btbl
 module Cache = Acfc_core.Cache
 module Itbl = Acfc_core.Itbl
 module Pid = Acfc_core.Pid
@@ -27,10 +26,14 @@ type t = {
   mutable next_id : int;
   mutable disk_cursors : (Disk.t * int ref) list;
   (* Blocks whose disk read is outstanding, keyed by [Block.pack]: 0
-     while nobody waits for the read, 1 once a reader parks on its ivar
-     in [landing] — the only place an ivar is ever created. *)
+     while nobody waits for the read, and [1 + i] once readers park on
+     the wait queue [landing.(i)]. The queues are reused: [spare] is a
+     stack of the free indices, so a waited read allocates nothing once
+     the pool has grown to the most reads waited on at once. *)
   in_flight : Itbl.t;
-  landing : unit Ivar.t Btbl.t;
+  mutable landing : Engine.waitq array;
+  mutable spare : int array;
+  mutable nspare : int;
   (* Touched only when [track_data] is set. *)
   frames : (Block.t, Bytes.t) Hashtbl.t;  (* resident data *)
   images : (File.id, Bytes.t) Hashtbl.t;  (* on-disk data *)
@@ -94,14 +97,15 @@ let file_of_block t key =
 
 (* The backend: what BUF calls when it needs the device. *)
 
-(* The read has landed (or failed): wake whoever waits for it. *)
+(* The read has landed (or failed): wake whoever waits for it, in
+   arrival order, and return their queue to the pool. *)
 let landed t p =
-  let waited = Itbl.find t.in_flight p > 0 in
+  let slot = Itbl.find t.in_flight p - 1 in
   Itbl.remove t.in_flight p;
-  if waited then begin
-    let iv = Btbl.find t.landing p in
-    Btbl.remove t.landing p;
-    Ivar.fill iv ()
+  if slot >= 0 then begin
+    Engine.wake_all t.engine t.landing.(slot);
+    t.spare.(t.nspare) <- slot;
+    t.nspare <- t.nspare + 1
   end
 
 let backend_read t key =
@@ -179,7 +183,9 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
       next_id = 0;
       disk_cursors = [];
       in_flight = Itbl.create 8;
-      landing = Btbl.create 8;
+      landing = [||];
+      spare = [||];
+      nspare = 0;
       frames = Hashtbl.create 1024;
       images = Hashtbl.create 8;
       pid_reads = Array.make 8 0;
@@ -282,18 +288,30 @@ let cpu_charge t cost =
     | Some r -> Resource.use r ~service:cost
     | None -> Engine.delay t.engine cost
 
+(* A free index of [landing], growing the pool when none is left. *)
+let take_landing t =
+  if t.nspare = 0 then begin
+    let old = Array.length t.landing in
+    let cap = Stdlib.max 4 (2 * old) in
+    t.landing <- Array.init cap (fun i -> if i < old then t.landing.(i) else Engine.waitq ());
+    (* Every old index is taken: the free ones are the new ones. *)
+    t.spare <- Array.init cap (fun i -> cap - 1 - i);
+    t.nspare <- cap - old
+  end;
+  t.nspare <- t.nspare - 1;
+  t.spare.(t.nspare)
+
 (* A hit on a block whose read is still in flight waits for it to
-   land, on an ivar made by the first such waiter. *)
+   land, on a pooled wait queue taken by the first such waiter. *)
 let wait_ready t key =
   let p = Block.pack key in
   match Itbl.find t.in_flight p with
   | -1 -> ()
   | 0 ->
-    let iv = Ivar.create t.engine in
-    Btbl.replace t.landing p iv;
-    Itbl.set t.in_flight p 1;
-    Ivar.read iv
-  | _ -> Ivar.read (Btbl.find t.landing p)
+    let slot = take_landing t in
+    Itbl.set t.in_flight p (slot + 1);
+    Engine.park t.engine t.landing.(slot)
+  | v -> Engine.park t.engine t.landing.(v - 1)
 
 let check_range ~what ~off ~len =
   if off < 0 || len < 0 then invalid_arg (what ^ ": negative offset or length")

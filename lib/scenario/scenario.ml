@@ -463,7 +463,7 @@ let assemble ?tracer ?obs ~seed ~disks ~update_interval:_ ~hit_cost ~io_cpu_cost
       if spec.Spec.disk < 0 || spec.Spec.disk >= Array.length disk_array then
         invalid_arg "Scenario.run: disk index out of range")
     specs;
-  let cpu = Resource.create engine ~name:"cpu" ~servers:1 () in
+  let cpu = Resource.create engine ~name:"cpu" () in
   let layout = if scattered_layout then `Scattered (Rng.split rng) else `Packed in
   let fs =
     Acfc_fs.Fs.create engine ~config ~cpu ?hit_cost ?io_cpu_cost ?write_cluster

@@ -176,49 +176,54 @@ type t = {
   mutable live : int; (* fibers spawned and not finished *)
   mutable waiting : int; (* fibers currently suspended (sleepers included) *)
   (* The fiber registry: a fiber is an id, issued at spawn from a stack
-     of free ids and returned when it finishes, with a name and a state
-     cell. A state is [2 * serial + blocked]: the serial counts the
-     blockings of the id so far and is never reset, so a [suspend]
-     resume holding its own state is stale once the id blocks again,
-     under any owner; the blocked bit is set while the fiber waits in a
-     {!waitq} or in [suspend] (never while it sleeps: its wake event is
-     queued, so it cannot deadlock). Parking and waking only store ints,
-     with no write barrier; the registry is scanned for blocked fibers
+     of free ids and returned when it finishes, with a name, a blocked
+     flag and a keyed-park slot. The flag is set while the fiber waits
+     in a {!waitq} or under its key (never while it sleeps: its wake
+     event is queued, so it cannot deadlock). [fjobs] holds the [Cont]
+     job of a fiber parked under its key, [Nop] otherwise. Parking and
+     waking store only ints and that one job; the flags are scanned
      only when {!Deadlock} is raised. Empty until the first spawn. *)
   mutable fnames : string array;
-  mutable fstate : int array;
+  mutable fblocked : int array;
+  mutable fjobs : Equeue.job array;
   mutable free_ids : int array;
   mutable nfree : int;
-  (* True only while the running code is a fiber entered straight from
-     the run loop (its start or a [Cont] job), so that when it blocks,
+  (* True only while a fiber runs. Every fiber is entered straight from
+     the run loop (its start or a [Cont] job), so when it blocks,
      control returns to the loop with nothing else left to run in this
-     job — the precondition for [delay]'s in-place resumption. *)
+     job: the precondition for an in-place delay. A [schedule] callback
+     runs with the flag clear, so a delay made there (or outside any
+     run) still raises [Effect.Unhandled] instead of moving the clock. *)
   mutable direct : bool;
   (* Latest time the current [run]/[run_until] may reach, unboxed. *)
   horizon : float array;
   mutable processed : int;
   mutable obs : Obs.Sink.t option;
-  sleep_dt : float array; (* argument slot for the Sleep effect *)
+  sleep_at : float array; (* argument slot for the Sleep effect: the wake time *)
   mutable sleep_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  (* Argument slots for the Park effect: the queue, and the id of the
-     parking fiber as named by its own handler. *)
+  (* Argument slots for the Park effects: the queue or the key's
+     registrar, and the id of the parking fiber as named by its own
+     handler. *)
   mutable park_q : waitq;
+  mutable park_register : int -> unit;
   mutable parker : int;
   mutable park_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable park_keyed_some : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 exception Deadlock of string
 
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-
-(* Fast-path sleep: [delay] passes its duration through [sleep_dt]
-   (an unboxed float slot) and performs the argument-less [Sleep], so
-   suspending for a duration allocates no effect payload, no resume
+(* Fast-path sleep: [delay] and [delay_until] pass the wake time through
+   [sleep_at] (an unboxed float slot) and perform the argument-less
+   [Sleep], so suspending allocates no effect payload, no resume
    closure and no heap record — just the captured continuation. *)
 type _ Effect.t += Sleep : unit Effect.t
 
 (* Park on a wait queue, with the same argument-slot discipline. *)
 type _ Effect.t += Park : unit Effect.t
+
+(* Park under the fiber's own id (see {!park_keyed}). *)
+type _ Effect.t += Park_keyed : unit Effect.t
 
 (* Enter a new fiber into the registry under a free id, growing the
    columns when none is left. *)
@@ -232,7 +237,8 @@ let register_fiber t name =
       b
     in
     t.fnames <- grow t.fnames "";
-    t.fstate <- grow t.fstate 0;
+    t.fblocked <- grow t.fblocked 0;
+    t.fjobs <- grow t.fjobs Equeue.Nop;
     (* Every old id is in use: the free ids are the new ones. *)
     t.free_ids <- Array.make cap 0;
     for i = 0 to cap - old - 1 do
@@ -245,23 +251,18 @@ let register_fiber t name =
   t.fnames.(id) <- name;
   id
 
-(* A finished fiber is never blocked, so its bit is already clear. *)
+(* A finished fiber is never blocked, so its flag is already clear. *)
 let release_fiber t id =
   t.free_ids.(t.nfree) <- id;
   t.nfree <- t.nfree + 1
 
-(* Mark a running fiber blocked under a new serial; the state it
-   returns stays current until the fiber is woken. *)
-let[@inline] block t id =
-  let st = t.fstate.(id) + 3 in
-  t.fstate.(id) <- st;
-  st
+let[@inline] block t id = t.fblocked.(id) <- 1
 
-let[@inline] unblock t id = t.fstate.(id) <- t.fstate.(id) - 1
+let[@inline] unblock t id = t.fblocked.(id) <- 0
 
 let blocked_names t =
   let names = ref [] in
-  Array.iteri (fun id st -> if st land 1 = 1 then names := t.fnames.(id) :: !names) t.fstate;
+  Array.iteri (fun id b -> if b = 1 then names := t.fnames.(id) :: !names) t.fblocked;
   List.sort compare !names
 
 let ring_length t = t.rtail - t.rhead
@@ -288,10 +289,10 @@ let ring_pop t =
   job
 
 (* Queue a sleeping fiber's continuation at its wake time, with the
-   same ring-vs-heap routing as [schedule_job] below. [dt > 0] implies
-   the wake time is never in the past, so no check is needed. *)
+   same ring-vs-heap routing as [schedule_job] below. The wake time is
+   never in the past, so no check is needed. *)
 let sleep_push t k =
-  let at = t.clock.(0) +. t.sleep_dt.(0) in
+  let at = t.sleep_at.(0) in
   (* [Equeue] fields are read directly here and below: [top_time] is an
      arm's-length call whose float return would box on the hot path. *)
   if at = t.clock.(0) && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
@@ -337,18 +338,21 @@ let create () =
       live = 0;
       waiting = 0;
       fnames = [||];
-      fstate = [||];
+      fblocked = [||];
+      fjobs = [||];
       free_ids = [||];
       nfree = 0;
       direct = false;
       horizon = Array.make 1 Float.infinity;
       processed = 0;
       obs = None;
-      sleep_dt = Array.make 1 0.0;
+      sleep_at = Array.make 1 0.0;
       sleep_some = None;
       park_q = waitq ();
+      park_register = ignore;
       parker = -1;
       park_some = None;
+      park_keyed_some = None;
     }
   in
   (* One handler closure per engine, shared by every fiber: performing
@@ -368,8 +372,18 @@ let create () =
       (fun (k : (unit, unit) Effect.Deep.continuation) ->
         let id = t.parker in
         t.waiting <- t.waiting + 1;
-        ignore (block t id);
+        block t id;
         waitq_push t.park_q (Equeue.Cont k) id);
+  (* And for Park_keyed: the job waits in the fiber's own slot, and
+     the owner of the wait learns the key before any other job runs. *)
+  t.park_keyed_some <-
+    Some
+      (fun (k : (unit, unit) Effect.Deep.continuation) ->
+        let id = t.parker in
+        t.waiting <- t.waiting + 1;
+        block t id;
+        t.fjobs.(id) <- Equeue.Cont k;
+        t.park_register id);
   t
 
 let now t = t.clock.(0)
@@ -422,22 +436,6 @@ let schedule_now t job =
     Equeue.push_staged t.events ~seq:t.seq job
   end
 
-(* The generic suspension: a one-shot resume closure checked against
-   the fiber's blocking serial, so a second call, or a stale one after
-   the fiber blocked again, is rejected. The resumed fiber runs inside
-   whatever job calls [resume], so it is not [direct]. *)
-let suspend_fiber t id register k =
-  t.waiting <- t.waiting + 1;
-  let st = block t id in
-  register (fun () ->
-      if t.fstate.(id) <> st then invalid_arg "Engine: fiber resumed twice";
-      t.waiting <- t.waiting - 1;
-      unblock t id;
-      let direct = t.direct in
-      t.direct <- false;
-      Effect.Deep.continue k ();
-      t.direct <- direct)
-
 (* Fiber-local knowledge of "who am I" is threaded through the effect
    handler: each fiber runs under its own handler that knows its id, so
    blocking bookkeeping can name the stuck fiber. The three handler
@@ -464,7 +462,9 @@ let start_fiber t ~name f =
     | Park ->
       t.parker <- id;
       t.park_some
-    | Suspend register -> Some (fun k -> suspend_fiber t id register k)
+    | Park_keyed ->
+      t.parker <- id;
+      t.park_keyed_some
     | _ -> None
   in
   t.direct <- true;
@@ -474,39 +474,57 @@ let start_fiber t ~name f =
 let spawn t ?(name = "fiber") f =
   schedule_now t (Equeue.Thunk (fun () -> start_fiber t ~name f))
 
-let suspend _t register = Effect.perform (Suspend register)
+(* In place: when the caller is a fiber ([direct]), nothing is in the
+   ready ring, the heap's earliest event is strictly later than the
+   wake time and the wake time is within the horizon, the sleeper's
+   continuation would be the very next job the run loop pops. So
+   advance the clock and count the event exactly as that pop would (a
+   heap push would also have taken a seq), and keep running — no
+   effect, no continuation, no queue traffic. Otherwise sleep through
+   the queue. Inlined into both callers, so [at] stays unboxed. *)
+let[@inline] sleep_until t ~now at =
+  if
+    t.direct && t.rtail = t.rhead
+    && at <= t.horizon.(0)
+    && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
+  then begin
+    if at <> now then t.seq <- t.seq + 1;
+    t.clock.(0) <- at;
+    t.processed <- t.processed + 1
+  end
+  else begin
+    t.sleep_at.(0) <- at;
+    Effect.perform Sleep
+  end
 
-(* In place: when the caller is [direct], nothing is in the ready ring,
-   the heap's earliest event is strictly later than the wake time and
-   the wake time is within the horizon, the sleeper's continuation would
-   be the very next job the run loop pops. So advance the clock and
-   count the event exactly as that pop would (a heap push would also
-   have taken a seq), and keep running — no effect, no continuation, no
-   queue traffic. *)
 let delay t dt =
   if dt < 0.0 then invalid_arg "Engine.delay: negative delay";
   if dt = 0.0 then ()
   else begin
     let now = t.clock.(0) in
-    let at = now +. dt in
-    if
-      t.direct && t.rtail = t.rhead
-      && at <= t.horizon.(0)
-      && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
-    then begin
-      if at <> now then t.seq <- t.seq + 1;
-      t.clock.(0) <- at;
-      t.processed <- t.processed + 1
-    end
-    else begin
-      t.sleep_dt.(0) <- dt;
-      Effect.perform Sleep
-    end
+    sleep_until t ~now (now +. dt)
   end
+
+let[@inline] delay_until t at =
+  let now = t.clock.(0) in
+  if not (at >= now) then invalid_arg "Engine.delay_until: time in the past";
+  if at > now then sleep_until t ~now at
 
 let park t q =
   t.park_q <- q;
   Effect.perform Park
+
+let park_keyed t register =
+  t.park_register <- register;
+  Effect.perform Park_keyed
+
+let wake_key t key =
+  if key < 0 || key >= Array.length t.fjobs || t.fjobs.(key) == Equeue.Nop then
+    invalid_arg "Engine.wake_key: no fiber is parked under this key";
+  let job = t.fjobs.(key) in
+  t.fjobs.(key) <- Equeue.Nop;
+  unblock t key;
+  schedule_now t job
 
 (* Take the longest-parked fiber's wake-up job off a non-empty queue,
    clearing its blocked flag. *)

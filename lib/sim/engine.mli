@@ -1,9 +1,9 @@
 (** Discrete-event simulation engine with lightweight processes.
 
     Simulated processes ("fibers") are plain OCaml functions that may call
-    the blocking operations of this module ({!delay}, {!suspend}) and of
-    the synchronisation primitives built on top of them ({!Ivar},
-    {!Resource}). Blocking is implemented with OCaml 5 effect handlers:
+    the blocking operations of this module ({!delay}, {!delay_until},
+    {!park}, {!park_keyed}) and of the primitives built on top of them
+    ({!Ivar}, {!Resource}). Blocking is implemented with OCaml 5 effect handlers:
     the fiber's continuation is captured and resumed by a later event, so
     simulated code reads like straight-line systems code.
 
@@ -86,29 +86,42 @@ val delay : t -> float -> unit
     executes, the fiber resumes in place: the clock advances to the wake
     time and the event is counted, with no continuation captured and
     nothing queued. That holds when the ready ring is empty, every
-    queued event is strictly later than the wake time, the wake time is
-    within the current {!run}/{!run_until} horizon, and the fiber was
-    entered straight from the run loop (its start, or a wake-up the
-    engine queued) rather than from inside a callback such as a
-    {!suspend} resume. Order, clock and {!events_processed} are exactly
-    those of the queued path. *)
+    queued event is strictly later than the wake time and the wake time
+    is within the current {!run}/{!run_until} horizon. Order, clock and
+    {!events_processed} are exactly those of the queued path. *)
 
-val suspend : t -> ((unit -> unit) -> unit) -> unit
-(** [suspend t register] blocks the calling fiber and hands a one-shot
-    [resume] thunk to [register]. Invoking [resume] (typically from a
-    scheduled event or another fiber) continues the fiber at the
-    then-current virtual time, inside the caller's job; a second call
-    raises [Invalid_argument]. For a FIFO of waiters prefer a {!waitq},
-    which allocates no closure per wait: {!wake_one} resumes a waiter
-    now, {!wake_at} at a given time. *)
+val delay_until : t -> float -> unit
+(** [delay_until t at] blocks the calling fiber until virtual time [at],
+    exactly as [delay t (at -. now t)] would if that difference were
+    exact: one event, in place when {!delay}'s conditions hold. [at =
+    now t] returns at once with no event; an earlier [at] (or a NaN)
+    raises [Invalid_argument]. Inlined, so a wake time computed by the
+    caller is never boxed. *)
+
+val park_keyed : t -> (int -> unit) -> unit
+(** [park_keyed t register] blocks the calling fiber under a key, its
+    fiber id: a small non-negative int, unique among live fibers (a
+    finished fiber's id is reused). [register key] runs at once, before
+    any other job, so the owner of the wait can record the key: a disk
+    queue stores it beside the request's address. Pass a [register]
+    built once per owner, and the wait costs no closure and no record.
+    The fiber is flagged blocked, so {!Deadlock} names it until a
+    {!wake_key} names its key. Must be called from a fiber. *)
+
+val wake_key : t -> int -> unit
+(** Schedule the fiber parked under [key] to resume at the current
+    instant, routed like {!wake_one}: one event, in FIFO order with
+    other events due now. Raises [Invalid_argument] if no fiber is
+    parked under [key]; nothing is queued then. *)
 
 (** {2 Wait queues}
 
     A FIFO of blocked fibers owned by the engine: the primitive under
-    {!Ivar} and {!Resource}. A parked fiber's continuation sits in the
-    queue as is; waking it moves it to the run queue at the current
-    instant (the ready ring when nothing queued is due sooner), where
-    the run loop resumes it directly. A parked fiber is flagged blocked
+    {!Ivar}, the file system's in-flight reads and the fleet's remote
+    requests. A parked fiber's continuation sits in the queue as is;
+    waking it moves it to the run queue at the current instant (the
+    ready ring when nothing queued is due sooner), where the run loop
+    resumes it directly. A parked fiber is flagged blocked
     in the engine's fiber registry, so {!Deadlock} names it. *)
 
 type waitq

@@ -1,83 +1,122 @@
-(* Float statistics live in one unboxed column; a mutable float field
-   in this mixed record would box on every update. *)
-let total_wait_i = 0
+(* Float state lives in one unboxed column; a mutable float field in
+   this mixed record would box on every update. *)
+let wait_i = 0 (* total wait of the started reservations *)
 
-let busy_integral_i = 1
+let busy_i = 1 (* busy integral up to [mark_i] *)
 
-let last_change_i = 2
+let mark_i = 2 (* where the integral stops: an open period's start, or a read *)
+
+let free_i = 3 (* end of the last reservation *)
 
 type t = {
   engine : Engine.t;
   name : string;
-  servers : int;
-  mutable held : int;
-  waiters : Engine.waitq;
-  mutable served : int;
-  acct : float array; (* total wait, busy-time integral, its last update *)
+  mutable started : int;
+  (* Reservations not yet started, in start order: their starts and
+     waits, in a power-of-two ring over two columns. A reservation is
+     counted as served, and its wait added, once the clock reaches its
+     start, so the statistics read what a queue of parked fibers would
+     have read. *)
+  mutable starts : float array;
+  mutable waits : float array;
+  mutable head : int;
+  mutable pending : int;
+  acct : float array;
 }
 
-let create engine ?(name = "resource") ~servers () =
-  if servers <= 0 then invalid_arg "Resource.create: servers must be positive";
+let create engine ?(name = "resource") () =
+  let now = Engine.now engine in
   {
     engine;
     name;
-    servers;
-    held = 0;
-    waiters = Engine.waitq ();
-    served = 0;
-    acct = [| 0.0; 0.0; Engine.now engine |];
+    started = 0;
+    starts = [||];
+    waits = [||];
+    head = 0;
+    pending = 0;
+    acct = [| 0.0; 0.0; now; now |];
   }
 
 let name t = t.name
 
-let advance_integral t =
+(* Count as started every pending reservation whose start has come, in
+   start order, so the waits are summed in the order a FIFO handoff
+   would have added them. *)
+let retire t =
   let now = Engine.now t.engine in
-  let a = t.acct in
-  a.(busy_integral_i) <-
-    a.(busy_integral_i) +. (float_of_int t.held *. (now -. a.(last_change_i)));
-  a.(last_change_i) <- now
+  let mask = Array.length t.starts - 1 in
+  while t.pending > 0 && t.starts.(t.head) <= now do
+    t.acct.(wait_i) <- t.acct.(wait_i) +. t.waits.(t.head);
+    t.started <- t.started + 1;
+    t.head <- (t.head + 1) land mask;
+    t.pending <- t.pending - 1
+  done
 
-let acquire t =
-  if t.held < t.servers && Engine.waiters t.waiters = 0 then begin
-    advance_integral t;
-    t.held <- t.held + 1;
-    t.served <- t.served + 1
-  end
-  else begin
-    let enqueued_at = Engine.now t.engine in
-    Engine.park t.engine t.waiters;
-    (* Woken by [release]: the server was handed to us directly. *)
-    t.acct.(total_wait_i) <-
-      t.acct.(total_wait_i) +. (Engine.now t.engine -. enqueued_at);
-    t.served <- t.served + 1
-  end
+let grow t =
+  let cap = Array.length t.starts in
+  let ncap = Stdlib.max 4 (2 * cap) in
+  let starts = Array.make ncap 0.0 and waits = Array.make ncap 0.0 in
+  for i = 0 to t.pending - 1 do
+    let j = (t.head + i) land (cap - 1) in
+    starts.(i) <- t.starts.(j);
+    waits.(i) <- t.waits.(j)
+  done;
+  t.starts <- starts;
+  t.waits <- waits;
+  t.head <- 0
 
-let release t =
-  if t.held <= 0 then invalid_arg "Resource.release: not held";
-  (* Hand over without decrementing [held]: the server stays busy. The
-     waiter wakes at the current instant, so FIFO order is preserved. *)
-  if not (Engine.wake_one t.engine t.waiters) then begin
-    advance_integral t;
-    t.held <- t.held - 1
-  end
+(* Book a reservation that starts when the server frees. Both times are
+   read from their slots, so no float crosses this call. *)
+let defer t =
+  if t.pending = Array.length t.starts then grow t;
+  let i = (t.head + t.pending) land (Array.length t.starts - 1) in
+  let free = t.acct.(free_i) in
+  t.starts.(i) <- free;
+  t.waits.(i) <- free -. Engine.now t.engine;
+  t.pending <- t.pending + 1
 
 let use t ~service =
-  acquire t;
-  (match Engine.delay t.engine service with
-  | () -> ()
-  | exception e ->
-    release t;
-    raise e);
-  release t
+  if not (service >= 0.0 && service < Float.infinity) then
+    invalid_arg "Resource.use: service must be finite and non-negative";
+  if t.pending > 0 then retire t;
+  let a = t.acct in
+  let now = Engine.now t.engine in
+  let free = a.(free_i) in
+  if now >= free then begin
+    (* Idle: the last busy period ended at [free] (a read may already
+       have closed it), and a new one opens now. *)
+    a.(busy_i) <- a.(busy_i) +. (free -. a.(mark_i));
+    a.(mark_i) <- now;
+    t.started <- t.started + 1;
+    let finish = now +. service in
+    a.(free_i) <- finish;
+    Engine.delay_until t.engine finish
+  end
+  else begin
+    defer t;
+    let finish = free +. service in
+    a.(free_i) <- finish;
+    Engine.delay_until t.engine finish
+  end
 
-let in_use t = t.held
+let queue_length t =
+  retire t;
+  t.pending
 
-let queue_length t = Engine.waiters t.waiters
+let served t =
+  retire t;
+  t.started
 
-let served t = t.served
-
+(* Close the integral at now, or at the end of the last busy period if
+   the server has since gone idle. *)
 let busy_time t =
-  advance_integral t;
-  t.acct.(busy_integral_i)
+  let a = t.acct in
+  let now = Engine.now t.engine in
+  let upto = if now >= a.(free_i) then a.(free_i) else now in
+  a.(busy_i) <- a.(busy_i) +. (upto -. a.(mark_i));
+  a.(mark_i) <- upto;
+  a.(busy_i)
 
-let total_wait t = t.acct.(total_wait_i)
+let total_wait t =
+  retire t;
+  t.acct.(wait_i)

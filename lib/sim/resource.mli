@@ -1,42 +1,39 @@
-(** FCFS multi-server resource with queueing statistics.
+(** One-server FCFS resource as a reservation calendar, with queueing
+    statistics.
 
-    Models a contended device or the CPU: at most [servers] fibers hold
-    the resource at once; the rest wait in FIFO order. Utilisation and
-    waiting-time statistics are integrated over virtual time, which the
-    experiment harness uses to report device load. *)
+    Models the CPU and the SCSI bus. Every {!use} knows its service time
+    when it arrives, so under first-come first-served its start, the
+    later of now and the moment the server frees, and its finish are
+    known then too. A use therefore books its slot on arrival and sleeps
+    straight to its finish: one event, with no park and no handoff.
+    Utilisation and waiting-time statistics are integrated over virtual
+    time, which the experiment harness uses to report device load. *)
 
 type t
 
-val create : Engine.t -> ?name:string -> servers:int -> unit -> t
-(** [servers] must be positive. *)
+val create : Engine.t -> ?name:string -> unit -> t
 
 val name : t -> string
 
-val acquire : t -> unit
-(** Block until a server is free, then take it. FIFO among waiters. *)
-
-val release : t -> unit
-(** Give the server back, waking the longest-waiting fiber if any.
-    Raises [Invalid_argument] if nothing is held. *)
-
 val use : t -> service:float -> unit
-(** [use t ~service] = acquire; delay [service]; release — with
-    exception safety. *)
-
-val in_use : t -> int
-(** Servers currently held. *)
+(** [use t ~service] reserves the server for [service] seconds from the
+    later of now and the end of the last reservation, and blocks the
+    calling fiber until that reservation ends. Raises
+    [Invalid_argument], reserving nothing, if [service] is negative or
+    not finite. Must be called from a fiber. *)
 
 val queue_length : t -> int
-(** Fibers currently waiting. *)
+(** Reservations made but not yet started. *)
 
 (** {2 Statistics} *)
 
 val served : t -> int
-(** Completed {!acquire}s. *)
+(** Reservations started so far. *)
 
 val busy_time : t -> float
-(** Integral of [in_use] over time, i.e. total server-seconds of work.
-    Divide by elapsed time (and servers) for utilisation. *)
+(** Server-seconds of work up to now: one [end - start] term per busy
+    period, the open period split where this is read. Divide by
+    elapsed time for utilisation. *)
 
 val total_wait : t -> float
-(** Sum over completed acquires of time spent queued. *)
+(** Sum over started reservations of the time from arrival to start. *)

@@ -75,33 +75,52 @@ let spawn_from_fiber () =
   chk_bool "interleaving" true
     (List.rev !log = [ ("parent", 1.5); ("child", 2.0) ])
 
-let suspend_resume () =
+let keyed_park_resume () =
   let e = Engine.create () in
-  let resume_cell = ref None in
-  let finished = ref false in
+  let key = ref (-1) in
+  let finished = ref 0.0 in
   Engine.spawn e (fun () ->
-      Engine.suspend e (fun resume -> resume_cell := Some resume);
-      finished := true);
-  Engine.schedule e ~at:7.0 (fun () ->
-      match !resume_cell with Some r -> r () | None -> Alcotest.fail "no resume");
+      Engine.park_keyed e (fun k -> key := k);
+      finished := Engine.now e);
+  Engine.schedule e ~at:7.0 (fun () -> Engine.wake_key e !key);
   Engine.run e;
-  chk_bool "resumed" true !finished
+  chk_float "resumed at the wake" 7.0 !finished;
+  (* spawn + callback + wake-up *)
+  chk_int "one event per wake-up" 3 (Engine.events_processed e)
 
-let double_resume_rejected () =
+(* Waking a key nobody is parked under raises and queues nothing: not
+   while its fiber sleeps, not a second time for the same park, not for
+   an id never issued. *)
+let empty_key_wake_rejected () =
   let e = Engine.create () in
-  let resume_cell = ref None in
-  Engine.spawn e (fun () -> Engine.suspend e (fun r -> resume_cell := Some r));
+  let key = ref (-1) in
+  let rejected k =
+    match Engine.wake_key e k with
+    | () -> Alcotest.failf "woke empty key %d" k
+    | exception Invalid_argument msg ->
+      check Alcotest.string "message" "Engine.wake_key: no fiber is parked under this key" msg
+  in
+  rejected 0;
+  Engine.spawn e (fun () ->
+      Engine.park_keyed e (fun k -> key := k);
+      Engine.delay e 0.5;
+      Engine.park_keyed e ignore);
+  Engine.schedule e ~at:0.25 (fun () -> Engine.wake_key e !key);
+  Engine.schedule e ~at:0.5 (fun () -> rejected !key);
   Engine.schedule e ~at:1.0 (fun () ->
-      let r = Option.get !resume_cell in
-      r ();
-      match r () with
-      | () -> Alcotest.fail "double resume allowed"
-      | exception Invalid_argument _ -> ());
-  Engine.run e
+      Engine.wake_key e !key;
+      rejected !key;
+      rejected (-1);
+      rejected 1_000);
+  Engine.run e;
+  (* spawn + three callbacks + sleep + two wake-ups: no event for a
+     refusal *)
+  chk_int "events" 7 (Engine.events_processed e);
+  chk_int "finished" 0 (Engine.fiber_count e)
 
 let deadlock_detected () =
   let e = Engine.create () in
-  Engine.spawn e ~name:"stuck-fiber" (fun () -> Engine.suspend e (fun _ -> ()));
+  Engine.spawn e ~name:"stuck-fiber" (fun () -> Engine.park_keyed e ignore);
   (match Engine.run e with
   | () -> Alcotest.fail "no deadlock raised"
   | exception Engine.Deadlock names ->
@@ -152,20 +171,26 @@ let many_fibers () =
   Engine.run e;
   chk_int "all finished" 1000 !done_count
 
-let stale_resume_rejected () =
+(* Keys are fiber ids: distinct among live fibers, and an id comes back
+   into use once its fiber has finished. *)
+let keys_are_fiber_ids () =
   let e = Engine.create () in
-  let cells = ref [] in
-  Engine.spawn e (fun () ->
-      Engine.suspend e (fun r -> cells := r :: !cells);
-      Engine.suspend e (fun r -> cells := r :: !cells));
+  let keys = ref [] in
+  let parker () = Engine.park_keyed e (fun k -> keys := k :: !keys) in
+  for _ = 1 to 3 do
+    Engine.spawn e parker
+  done;
   Engine.schedule e ~at:1.0 (fun () ->
-      let first = List.hd !cells in
-      first ();
-      (* The fiber is suspended again; the first thunk is spent. *)
-      match first () with
-      | () -> Alcotest.fail "stale resume allowed"
-      | exception Invalid_argument _ -> List.hd !cells ());
+      let live = List.sort_uniq compare !keys in
+      chk_int "distinct while live" 3 (List.length live);
+      List.iter (Engine.wake_key e) live);
+  let reused = ref (-1) in
+  Engine.schedule e ~at:2.0 (fun () -> Engine.spawn e parker);
+  Engine.schedule e ~at:3.0 (fun () ->
+      reused := List.hd !keys;
+      Engine.wake_key e !reused);
   Engine.run e;
+  chk_bool "an id is reused" true (List.mem !reused (List.tl !keys));
   chk_int "finished" 0 (Engine.fiber_count e)
 
 (* {2 In-place delays} *)
@@ -226,21 +251,23 @@ let delay_outside_fiber_fails () =
 
 let deadlock_names_parked_fibers () =
   let e = Engine.create () in
-  let r = Resource.create e ~servers:1 () in
+  let q = Engine.waitq () in
   let iv = Ivar.create e in
+  let r = Resource.create e () in
   Engine.spawn e ~name:"holder" (fun () ->
-      Resource.acquire r;
+      Resource.use r ~service:1.0;
       Ivar.read iv);
-  Engine.spawn e ~name:"b-queued" (fun () -> Resource.acquire r);
+  Engine.spawn e ~name:"b-queued" (fun () -> Engine.park e q);
   Engine.spawn e ~name:"sleeper" (fun () -> Engine.delay e 5.0);
-  Engine.spawn e ~name:"a-queued" (fun () -> Resource.acquire r);
+  Engine.spawn e ~name:"a-queued" (fun () -> Engine.park e q);
   Engine.spawn e ~name:"c-reader" (fun () -> Ivar.read iv);
-  Engine.spawn e ~name:"d-suspended" (fun () -> Engine.suspend e ignore);
+  Engine.spawn e ~name:"d-keyed" (fun () -> Engine.park_keyed e ignore);
+  Engine.spawn e ~name:"user" (fun () -> Resource.use r ~service:1.0);
   match Engine.run e with
   | () -> Alcotest.fail "no deadlock raised"
   | exception Engine.Deadlock names ->
     check Alcotest.string "sorted names of every blocked fiber"
-      "a-queued, b-queued, c-reader, d-suspended, holder" names
+      "a-queued, b-queued, c-reader, d-keyed, holder" names
 
 (* {2 Timed wake-ups and the next event time} *)
 
@@ -312,25 +339,25 @@ let next_event_time_reads () =
 
 (* {2 Blocked-fiber bookkeeping}
 
-   Fibers start at random times, park on several wait queues, suspend
-   and sleep; a controller wakes every live queue and resumes every
-   pending suspension once per round. A random subset ends parked on a
-   queue nobody wakes, or suspended with its resume dropped: the
-   {!Engine.Deadlock} payload must be exactly their sorted names. Ids
-   are reused as early fibers finish, and every resume thunk used once
-   must afterwards be rejected as stale. *)
+   Fibers start at random times, park on several wait queues, park
+   under their keys and sleep; a controller wakes every live queue and
+   every key registered for a wake once per round. A random subset ends
+   parked on a queue nobody wakes, or under a key nobody registered:
+   the {!Engine.Deadlock} payload must be exactly their sorted names.
+   Ids are reused as early fibers finish, and a key woken once must
+   refuse a second wake before its fiber parks again. *)
 
-type block_step = Park_on of int | Suspend_once | Nap
+type block_step = Park_on of int | Keyed_once | Nap
 
-type ending = Finishes | Stuck_parked of int | Stuck_suspended
+type ending = Finishes | Stuck_parked of int | Stuck_keyed
 
 let blocking_gen =
   let open QCheck2.Gen in
   let step =
-    oneof [ map (fun q -> Park_on q) (int_range 0 2); pure Suspend_once; pure Nap ]
+    oneof [ map (fun q -> Park_on q) (int_range 0 2); pure Keyed_once; pure Nap ]
   in
   let ending =
-    oneof [ pure Finishes; map (fun q -> Stuck_parked q) (int_range 0 1); pure Stuck_suspended ]
+    oneof [ pure Finishes; map (fun q -> Stuck_parked q) (int_range 0 1); pure Stuck_keyed ]
   in
   list_size (int_range 1 12) (triple (int_range 0 3) (list_size (int_range 0 4) step) ending)
 
@@ -340,7 +367,7 @@ let deadlock_names_match_model =
       let e = Engine.create () in
       let live = Array.init 3 (fun _ -> Engine.waitq ()) in
       let never = Array.init 2 (fun _ -> Engine.waitq ()) in
-      let pending = ref [] and spent = ref [] in
+      let pending = ref [] and refusals_ok = ref true in
       let name i = Printf.sprintf "f%02d" i in
       List.iteri
         (fun i (start, steps, ending) ->
@@ -349,23 +376,25 @@ let deadlock_names_match_model =
                   List.iter
                     (function
                       | Park_on q -> Engine.park e live.(q)
-                      | Suspend_once -> Engine.suspend e (fun r -> pending := r :: !pending)
+                      | Keyed_once -> Engine.park_keyed e (fun k -> pending := k :: !pending)
                       | Nap -> Engine.delay e 0.5)
                     steps;
                   match ending with
                   | Finishes -> ()
                   | Stuck_parked q -> Engine.park e never.(q)
-                  | Stuck_suspended -> Engine.suspend e ignore)))
+                  | Stuck_keyed -> Engine.park_keyed e ignore)))
         specs;
       for round = 0 to 12 do
         Engine.schedule e ~at:(float_of_int round +. 0.75) (fun () ->
             Array.iter (Engine.wake_all e) live;
             let due = List.rev !pending in
             pending := [];
+            List.iter (Engine.wake_key e) due;
             List.iter
-              (fun r ->
-                r ();
-                spent := r :: !spent)
+              (fun key ->
+                match Engine.wake_key e key with
+                | () -> refusals_ok := false
+                | exception Invalid_argument _ -> ())
               due)
       done;
       let expected =
@@ -377,20 +406,16 @@ let deadlock_names_match_model =
         | () -> []
         | exception Engine.Deadlock names -> String.split_on_char ',' names |> List.map String.trim
       in
-      let stale_rejected r =
-        match r () with
-        | () -> false
-        | exception Invalid_argument msg -> msg = "Engine: fiber resumed twice"
-      in
-      reported = List.sort compare expected && List.for_all stale_rejected !spent)
+      reported = List.sort compare expected && !refusals_ok)
 
 (* {2 Against a list-based reference scheduler}
 
    The same semantics with none of the engine's machinery: one sorted
-   list of (time, seq, callback), every wake-up queued, resources,
-   ivars and wait queues as plain FIFOs of resume closures. A timed
-   wake-up ([wake_at]) schedules the oldest resume closure at its
-   time. *)
+   list of (time, seq, callback), every wake-up queued, ivars and wait
+   queues as plain FIFOs of resume closures, and a resource as a
+   one-server calendar: a use starts at the later of now and the end of
+   the last booking and sleeps to its finish. A timed wake-up
+   ([wake_at]) schedules the oldest resume closure at its time. *)
 
 module Ref_sched = struct
   type t = {
@@ -443,15 +468,13 @@ module Ref_sched = struct
       f ();
       run t
 
-  type res = { servers : int; mutable held : int; waiters : (unit -> unit) Queue.t }
+  type res = { mutable free : float }
 
   let use t r service =
-    if r.held < r.servers && Queue.is_empty r.waiters then r.held <- r.held + 1
-    else block (fun resume -> Queue.push resume r.waiters);
-    delay t service;
-    match Queue.take_opt r.waiters with
-    | Some w -> schedule t t.now w
-    | None -> r.held <- r.held - 1
+    let start = if t.now >= r.free then t.now else r.free in
+    r.free <- start +. service;
+    let finish = r.free in
+    if finish > t.now then block (fun resume -> schedule t finish resume)
 
   type ivar = { mutable filled : bool; mutable readers : (unit -> unit) list }
 
@@ -493,17 +516,15 @@ let script_gen =
         map2 (fun q k -> Wake_at (q, k)) (int_range 0 1) (int_range 0 4);
       ]
   in
-  pair
-    (pair (int_range 1 2) (int_range 1 2))
-    (list_size (int_range 1 5) (list_size (int_range 0 8) op))
+  list_size (int_range 1 5) (list_size (int_range 0 8) op)
 
 (* A closing fiber fills any ivar nobody filled and wakes every parked
    fiber, after which parking is a no-op, so every run ends. *)
 let closing_time = 50.0
 
-let run_engine ~stepped ((s0, s1), scripts) =
+let run_engine ~stepped scripts =
   let e = Engine.create () in
-  let res = [| Resource.create e ~servers:s0 (); Resource.create e ~servers:s1 () |] in
+  let res = [| Resource.create e (); Resource.create e () |] in
   let ivs = [| Ivar.create e; Ivar.create e |] in
   let qs = [| Engine.waitq (); Engine.waitq () |] in
   let closed = ref false in
@@ -542,15 +563,10 @@ let run_engine ~stepped ((s0, s1), scripts) =
   else Engine.run e;
   (List.rev !log, Engine.events_processed e)
 
-let run_reference ((s0, s1), scripts) =
+let run_reference scripts =
   let module R = Ref_sched in
   let t = R.create () in
-  let res =
-    [|
-      { R.servers = s0; held = 0; waiters = Queue.create () };
-      { R.servers = s1; held = 0; waiters = Queue.create () };
-    |]
-  in
+  let res = [| { R.free = 0.0 }; { R.free = 0.0 } |] in
   let ivs = [| { R.filled = false; readers = [] }; { R.filled = false; readers = [] } |] in
   let qs = [| Queue.create (); Queue.create () |] in
   let closed = ref false in
@@ -597,15 +613,15 @@ let suites =
         case "FIFO ties" fifo_for_simultaneous_events;
         case "no scheduling in the past" past_scheduling_rejected;
         case "spawn from fiber" spawn_from_fiber;
-        case "suspend/resume" suspend_resume;
-        case "double resume rejected" double_resume_rejected;
+        case "keyed park/wake" keyed_park_resume;
+        case "empty key wake rejected" empty_key_wake_rejected;
         case "deadlock detection" deadlock_detected;
         case "clean termination" no_deadlock_when_all_finish;
         case "run_until" run_until_stops;
         case "exception propagation" exceptions_propagate;
         case "event counting" events_counted;
         case "1000 fibers" many_fibers;
-        case "stale resume rejected" stale_resume_rejected;
+        case "keys are fiber ids" keys_are_fiber_ids;
         case "in-place delay keeps FIFO ties" in_place_keeps_fifo_ties;
         case "run_until holds back late wake-ups" run_until_holds_back_late_wakeups;
         case "delay outside a fiber fails" delay_outside_fiber_fails;

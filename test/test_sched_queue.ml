@@ -16,6 +16,10 @@ let steps_gen =
     (bind (int_range 0 40) (fun v ->
          map (fun add -> if add then Add v else Pick v) bool))
 
+(* [Sq.pick] raises on an empty queue where the reference returns
+   [None]. *)
+let pick_opt q ~head = if Sq.is_empty q then None else Some (Sq.pick q ~head)
+
 let agree discipline steps =
   let indexed = Sq.create discipline in
   let naive = Sq.Naive.create discipline in
@@ -30,7 +34,7 @@ let agree discipline steps =
         Sq.Naive.add naive ~addr id;
         Sq.length indexed = Sq.Naive.length naive
       | Pick head ->
-        let a = Sq.pick indexed ~head and b = Sq.Naive.pick naive ~head in
+        let a = pick_opt indexed ~head and b = Sq.Naive.pick naive ~head in
         a = b
         && Sq.length indexed = Sq.Naive.length naive
         && Sq.sweep_up indexed = Sq.Naive.sweep_up naive)
@@ -63,7 +67,7 @@ let drain_identical () =
         in
         go [] 20
       in
-      let a = drain (fun ~head -> Sq.pick indexed ~head) in
+      let a = drain (pick_opt indexed) in
       let b = drain (fun ~head -> Sq.Naive.pick naive ~head) in
       check
         Alcotest.(list int)
@@ -75,7 +79,7 @@ let scan_elevator () =
   (* Head at 50 sweeping up: serves 60, 70, then reverses for 40, 10. *)
   let q = Sq.create Sq.Scan in
   List.iteri (fun id addr -> Sq.add q ~addr id) [ 40; 60; 10; 70 ];
-  let picks = List.init 4 (fun _ -> Option.get (Sq.pick q ~head:50)) in
+  let picks = List.init 4 (fun _ -> Sq.pick q ~head:50) in
   check Alcotest.(list int) "elevator order" [ 1; 3; 0; 2 ] picks;
   chk_bool "swept down" false (Sq.sweep_up q);
   chk_bool "drained" true (Sq.is_empty q)
@@ -88,17 +92,45 @@ let fcfs_ties () =
       for id = 0 to 9 do
         Sq.add q ~addr:7 id
       done;
-      let picks = List.init 10 (fun _ -> Option.get (Sq.pick q ~head:3)) in
+      let picks = List.init 10 (fun _ -> Sq.pick q ~head:3) in
       check Alcotest.(list int) "arrival order on ties" (List.init 10 Fun.id) picks)
     [ Sq.Fcfs; Sq.Scan ]
 
 let empty_pick () =
-  let q = Sq.create Sq.Scan in
-  chk_bool "empty pick is None" true (Sq.pick q ~head:0 = None);
-  Sq.add q ~addr:3 0;
-  chk_int "length" 1 (Sq.length q);
-  ignore (Sq.pick q ~head:0);
-  chk_bool "empty again" true (Sq.pick q ~head:0 = None)
+  List.iter
+    (fun discipline ->
+      let q = Sq.create discipline in
+      let refused () =
+        Alcotest.check_raises "empty pick raises"
+          (Invalid_argument "Sched_queue.pick: empty queue") (fun () ->
+            ignore (Sq.pick q ~head:0))
+      in
+      refused ();
+      Sq.add q ~addr:3 0;
+      chk_int "length" 1 (Sq.length q);
+      chk_int "the one key" 0 (Sq.pick q ~head:0);
+      refused ();
+      chk_int "a refused pick leaves the queue empty" 0 (Sq.length q))
+    [ Sq.Fcfs; Sq.Scan ]
+
+(* The FCFS ring across its growth and wrap-around: keys come out in
+   arrival order whatever the interleaving of adds and picks. *)
+let fcfs_ring_wraps () =
+  let q = Sq.create Sq.Fcfs in
+  let next_in = ref 0 and next_out = ref 0 in
+  for round = 1 to 40 do
+    for _ = 1 to round mod 7 + 3 do
+      Sq.add q ~addr:(!next_in * 31 mod 97) !next_in;
+      incr next_in
+    done;
+    for _ = 1 to round mod 5 + 1 do
+      if not (Sq.is_empty q) then begin
+        chk_int "arrival order" !next_out (Sq.pick q ~head:0);
+        incr next_out
+      end
+    done
+  done;
+  chk_int "length" (!next_in - !next_out) (Sq.length q)
 
 let suites =
   [
@@ -110,5 +142,6 @@ let suites =
         case "SCAN elevator order" scan_elevator;
         case "arrival order on equal addresses" fcfs_ties;
         case "empty queue" empty_pick;
+        case "FCFS ring wraps and grows" fcfs_ring_wraps;
       ] );
   ]
