@@ -11,14 +11,22 @@
    ascending [sorted_levels]; a file's long-term level is an {!Itbl}
    lookup from the file id to the level's index in [levels].
 
-   [mgr.blocks] iterates in an order that is observable:
-   [set_priority] relinks resident blocks in fold order, and the upcall
-   chooser receives the fold as the resident set. That order must stay
-   the one of the predecessor's [(Block.t, int) Hashtbl.t], so the
-   table stays a stdlib hash table — stdlib bucket order depends only
-   on the keys and the insert/remove sequence, both unchanged — keyed
-   by [Block.pack] through {!Btbl}, whose hash is [Hashtbl.hash] of the
-   record the key packs. No record is built to link or unlink a block. *)
+   A manager's block set is no table of its own. Membership is the
+   [Ctab.managed] column, a lookup by key goes through BUF's block
+   table (shared by {!Cache.create}), and linking or unlinking a block
+   touches only int columns. The set's iteration order is observable,
+   though: [set_priority] relinks resident blocks in it, and the upcall
+   chooser receives it as the resident set. It must stay the fold order
+   of the predecessor's [(Block.t, int) Hashtbl.t], which depends only
+   on the keys and the insert/remove sequence. A stdlib [Hashtbl] folds
+   its buckets in ascending index ([Hashtbl.hash key land (buckets -
+   1)], see {!Btbl.hash}), each bucket from its newest insert to its
+   oldest; a resize doubles the buckets when an insert takes the size
+   past twice their number and keeps each bucket's relative order; a
+   remove or a replace of a present key moves nothing. So each member
+   slot carries the stamp of its insert, each manager counts its
+   members and emulates the bucket count, and [fold_order] sorts by
+   (bucket, newest stamp first) when a cold path asks. *)
 
 type level = { prio : int; idx : int; mutable policy : Policy.t; list : Ilist.t }
 
@@ -42,7 +50,8 @@ type manager = {
   mutable sorted_levels : level list;  (* ascending priority *)
   mutable n_levels : int;  (* levels created = |sorted_levels|; never removed *)
   file_level : Itbl.t;  (* file -> [idx] of a non-zero long-term priority *)
-  blocks : int Btbl.t;  (* Block.pack -> every slot this manager holds *)
+  mutable members : int;  (* slots whose [Ctab.managed] is [pid] *)
+  mutable buckets : int;  (* the predecessor table's bucket count *)
   mutable chooser : chooser option;  (* upcall replacement handler *)
   mutable plugin : plugin option;  (* event-driven decision plug-in *)
   mutable decisions : int;
@@ -56,14 +65,28 @@ module Obs = Acfc_obs
 type t = {
   config : Config.t;
   tab : Ctab.t;
+  table : Itbl.t;  (* BUF's block table: packed id -> resident slot *)
+  mutable stamp : int array;
+      (* slot -> insert stamp while managed; empty until the first [register] *)
+  mutable clock : int;  (* the last stamp given *)
   mutable managers : manager option array;  (* index = pid *)
   mutable n_managers : int;
   mutable tracer : (Event.t -> unit) option;
   mutable obs : Obs.Sink.t option;
 }
 
-let create config ~tab =
-  { config; tab; managers = Array.make 16 None; n_managers = 0; tracer = None; obs = None }
+let create config ~tab ~table =
+  {
+    config;
+    tab;
+    table;
+    stamp = [||];
+    clock = 0;
+    managers = Array.make 16 None;
+    n_managers = 0;
+    tracer = None;
+    obs = None;
+  }
 
 let set_tracer t tracer = t.tracer <- tracer
 
@@ -129,14 +152,33 @@ let long_term_level mgr file =
 
 let long_term_prio mgr file = (long_term_level mgr file).prio
 
+(* Enter slot [s] into [mgr]'s set: what the predecessor's
+   [Hashtbl.replace] did. A slot already in the set keeps its stamp, as
+   a replace of a present key keeps its place; a new one takes the next
+   stamp and may double the buckets, by stdlib's resize rule. *)
+let join t mgr s =
+  let tab = t.tab in
+  let p = Pid.to_int mgr.pid in
+  if tab.Ctab.managed.(s) <> p then begin
+    tab.Ctab.managed.(s) <- p;
+    if s >= Array.length t.stamp then begin
+      let grown = Array.make (Ctab.capacity tab) 0 in
+      Array.blit t.stamp 0 grown 0 (Array.length t.stamp);
+      t.stamp <- grown
+    end;
+    t.clock <- t.clock + 1;
+    t.stamp.(s) <- t.clock;
+    mgr.members <- mgr.members + 1;
+    if mgr.members > 2 * mgr.buckets then mgr.buckets <- 2 * mgr.buckets
+  end
+
 (* Link slot [s] into [lvl] at the MRU (recency) end: used for blocks
    that enter because they were just loaded or referenced. *)
 let link_recent t mgr lvl s =
   let tab = t.tab in
   Ilist.push_front tab.Ctab.lvl lvl.list s;
   tab.Ctab.level.(s) <- lvl.prio;
-  tab.Ctab.managed.(s) <- Pid.to_int mgr.pid;
-  Btbl.replace mgr.blocks tab.Ctab.key.(s) s
+  join t mgr s
 
 (* Link [s] into [lvl] at the end that causes it to be replaced later
    (paper Sec. 4): the MRU end under LRU, the LRU end under MRU. Used
@@ -147,15 +189,69 @@ let link_replaced_later t mgr lvl s =
   | Policy.Lru -> Ilist.push_front tab.Ctab.lvl lvl.list s
   | Policy.Mru -> Ilist.push_back tab.Ctab.lvl lvl.list s);
   tab.Ctab.level.(s) <- lvl.prio;
-  tab.Ctab.managed.(s) <- Pid.to_int mgr.pid;
-  Btbl.replace mgr.blocks tab.Ctab.key.(s) s
+  join t mgr s
 
 let unlink t mgr s =
   let tab = t.tab in
-  if tab.Ctab.managed.(s) >= 0 then Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
+  if tab.Ctab.managed.(s) >= 0 then begin
+    Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
+    mgr.members <- mgr.members - 1
+  end;
   tab.Ctab.managed.(s) <- -1;
-  tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit;
-  Btbl.remove mgr.blocks tab.Ctab.key.(s)
+  tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
+
+(* The slot of packed key [key] in [mgr]'s set, or [-1]. *)
+let member_slot t mgr key =
+  let s = if key < 0 then -1 else Itbl.find t.table key in
+  if s >= 0 && t.tab.Ctab.managed.(s) = Pid.to_int mgr.pid then s else -1
+
+(* [mgr]'s members that satisfy [keep], in the order a fold of the
+   predecessor's table visits them: by bucket, each bucket newest
+   first. A counting sort on the bucket, with an insertion sort on the
+   stamp within each bucket, which holds about two members. Cold paths
+   only: it walks the whole set. *)
+let fold_order t mgr ~keep =
+  let tab = t.tab and stamp = t.stamp in
+  let mask = mgr.buckets - 1 in
+  let slots = Array.make mgr.members 0 and bucket = Array.make mgr.members 0 in
+  let n = ref 0 in
+  (* [first.(b + 1)] counts bucket [b], then sums to its end. *)
+  let first = Array.make (mgr.buckets + 1) 0 in
+  List.iter
+    (fun lvl ->
+      Ilist.iter
+        (fun s ->
+          if keep s then begin
+            let b = Btbl.hash tab.Ctab.key.(s) land mask in
+            slots.(!n) <- s;
+            bucket.(!n) <- b;
+            incr n;
+            first.(b + 1) <- first.(b + 1) + 1
+          end)
+        tab.Ctab.lvl lvl.list)
+    mgr.sorted_levels;
+  for b = 1 to mgr.buckets do
+    first.(b) <- first.(b) + first.(b - 1)
+  done;
+  let order = Array.make !n 0 and fill = Array.sub first 0 mgr.buckets in
+  for i = 0 to !n - 1 do
+    let s = slots.(i) and b = bucket.(i) in
+    let j = ref fill.(b) in
+    while !j > first.(b) && stamp.(order.(!j - 1)) < stamp.(s) do
+      order.(!j) <- order.(!j - 1);
+      decr j
+    done;
+    order.(!j) <- s;
+    fill.(b) <- fill.(b) + 1
+  done;
+  order
+
+(* The resident set an upcall chooser receives. Consed in fold order,
+   so it runs backwards, as the predecessor's [Hashtbl.fold] built it. *)
+let resident_blocks t mgr =
+  Array.fold_left
+    (fun acc s -> Ctab.block t.tab s :: acc)
+    [] (fold_order t mgr ~keep:(fun _ -> true))
 
 let register t pid =
   let i = Pid.to_int pid in
@@ -168,6 +264,7 @@ let register t pid =
   else if t.n_managers >= t.config.Config.max_managers then
     Error Error.Too_many_managers
   else begin
+    if Array.length t.stamp = 0 then t.stamp <- Array.make (Ctab.capacity t.tab) 0;
     let mgr =
       {
         pid;
@@ -175,7 +272,9 @@ let register t pid =
         sorted_levels = [];
         n_levels = 0;
         file_level = Itbl.create 8;
-        blocks = Btbl.create 256;
+        members = 0;
+        (* [Btbl.create 256] was the predecessor's table. *)
+        buckets = 256;
         chooser = None;
         plugin = None;
         decisions = 0;
@@ -196,7 +295,11 @@ let unregister t pid =
   match find_manager t pid with
   | None -> ()
   | Some mgr ->
-    let slots = Btbl.fold (fun _ s acc -> s :: acc) mgr.blocks [] in
+    (* Every member is unlinked and reset alike, so their order is
+       unobservable. *)
+    let slots =
+      List.concat_map (fun lvl -> Ilist.to_list t.tab.Ctab.lvl lvl.list) mgr.sorted_levels
+    in
     List.iter
       (fun s ->
         unlink t mgr s;
@@ -340,17 +443,15 @@ let slot_manager t s =
 (* The unpinned slot of a manager's answer [b], or [-1] when [b] is not
    one of its residents or is pinned. *)
 let resident_slot t mgr b =
-  match Btbl.find_opt mgr.blocks (Block.pack_ids ~file:b.Block.file ~index:b.Block.index) with
-  | Some s when t.tab.Ctab.pinned.(s) = 0 -> s
-  | Some _ | None -> -1
+  let s = member_slot t mgr (Block.pack_ids ~file:b.Block.file ~index:b.Block.index) in
+  if s >= 0 && t.tab.Ctab.pinned.(s) = 0 then s else -1
 
 (* Consult an upcall handler: materialise the manager's resident set
    (this is the generality-vs-overhead trade the paper discusses), call
    the handler, and validate its answer — an unknown or pinned block
    falls back to the kernel's candidate, like an uncooperative manager. *)
 let upcall_choice t mgr chooser ~candidate =
-  let resident = Btbl.fold (fun key _ acc -> Block.unpack key :: acc) mgr.blocks [] in
-  match chooser ~candidate:(Ctab.block t.tab candidate) ~resident with
+  match chooser ~candidate:(Ctab.block t.tab candidate) ~resident:(resident_blocks t mgr) with
   | None -> -1
   | Some b -> resident_slot t mgr b
 
@@ -433,18 +534,17 @@ let set_priority t pid ~file ~prio =
             else Itbl.set mgr.file_level file lvl.idx;
             if old <> prio then begin
               let tab = t.tab in
-              (* Move cached, non-temporary blocks of this file now. *)
-              Btbl.iter
-                (fun key s ->
-                  if
-                    key lsr 32 = file
-                    && tab.Ctab.flags.(s) land Ctab.temp_bit = 0
-                    && tab.Ctab.level.(s) <> prio
-                  then begin
-                    Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
-                    link_replaced_later t mgr lvl s
-                  end)
-                mgr.blocks
+              (* Move cached, non-temporary blocks of this file now, in
+                 fold order. A relink moves no other block's level or
+                 flags, so choosing them first chooses the same set. *)
+              Array.iter
+                (fun s ->
+                  Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
+                  link_replaced_later t mgr lvl s)
+                (fold_order t mgr ~keep:(fun s ->
+                     tab.Ctab.file.(s) = file
+                     && tab.Ctab.flags.(s) land Ctab.temp_bit = 0
+                     && tab.Ctab.level.(s) <> prio))
             end;
             Ok ()
       end)
@@ -481,9 +581,9 @@ let set_temppri t pid ~file ~first ~last ~prio =
           let tab = t.tab in
           let lt = long_term_prio mgr file in
           for index = first to last do
-            match Btbl.find mgr.blocks (Block.pack_ids ~file ~index) with
-            | exception Not_found -> ()  (* only blocks presently in the cache are affected *)
-            | s ->
+            let s = member_slot t mgr (Block.pack_ids ~file ~index) in
+            (* Only blocks presently in the cache are affected. *)
+            if s >= 0 then begin
               if tab.Ctab.level.(s) <> prio then begin
                 Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
                 link_replaced_later t mgr lvl s
@@ -491,6 +591,7 @@ let set_temppri t pid ~file ~first ~last ~prio =
               if prio <> lt then
                 tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
               else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
+            end
           done;
           Ok ())
 
@@ -543,6 +644,8 @@ let mistakes t pid = stat t pid (fun m -> m.mistakes)
 
 let revoked t pid = match find_manager t pid with Some m -> m.revoked | None -> false
 
+let members t pid = stat t pid (fun m -> m.members)
+
 (* {2 Testing support} *)
 
 let check_invariants t =
@@ -582,13 +685,16 @@ let check_invariants t =
                   failwith "Acm: entry level mismatch";
                 if tab.Ctab.managed.(s) <> i then
                   failwith "Acm: entry managed_by mismatch";
-                match Btbl.find_opt mgr.blocks tab.Ctab.key.(s) with
-                | Some s' when s' = s -> ()
-                | Some _ | None -> failwith "Acm: entry missing from manager index")
+                if Itbl.find t.table tab.Ctab.key.(s) <> s then
+                  failwith "Acm: entry missing from the block table";
+                if t.stamp.(s) <= 0 || t.stamp.(s) > t.clock then
+                  failwith "Acm: entry stamp out of range")
               tab.Ctab.lvl lvl.list)
           mgr.sorted_levels;
-        if !counted <> Btbl.length mgr.blocks then
-          failwith "Acm: manager index size mismatch")
+        if !counted <> mgr.members then failwith "Acm: member count mismatch";
+        if mgr.buckets < 256 || mgr.buckets land (mgr.buckets - 1) <> 0 then
+          failwith "Acm: bucket count not a power of two from 256";
+        if mgr.members > 2 * mgr.buckets then failwith "Acm: missed a bucket doubling")
     t.managers
 
 let level_blocks t pid ~prio =
@@ -597,3 +703,6 @@ let level_blocks t pid ~prio =
   | Some mgr ->
     List.map (fun s -> Ctab.block t.tab s)
       (Ilist.to_list t.tab.Ctab.lvl (find_level mgr prio).list)
+
+let resident t pid =
+  match find_manager t pid with None -> [] | Some mgr -> resident_blocks t mgr

@@ -40,9 +40,10 @@ type plugin = {
     library. Installed per manager via {!set_plugin}; consulted by
     {!replace_block} before the upcall chooser. *)
 
-val create : Config.t -> tab:Ctab.t -> t
-(** [tab] is the columnar entry table shared with {!Buf} (built by
-    {!Cache.create}). *)
+val create : Config.t -> tab:Ctab.t -> table:Itbl.t -> t
+(** [tab] is the columnar entry table and [table] BUF's block table
+    (packed block id -> resident slot), both shared with {!Buf} (built
+    by {!Cache.create}). ACM only reads [table]. *)
 
 val set_tracer : t -> (Event.t -> unit) option -> unit
 (** Install a callback receiving {!Event.Manager_revoked} events. *)
@@ -165,6 +166,9 @@ val mistakes : t -> Pid.t -> int
 
 val revoked : t -> Pid.t -> bool
 
+val members : t -> Pid.t -> int
+(** Blocks in the manager's set; 0 when [pid] has no manager. *)
+
 (** {2 Testing support} *)
 
 val check_invariants : t -> unit
@@ -172,3 +176,9 @@ val check_invariants : t -> unit
 
 val level_blocks : t -> Pid.t -> prio:int -> Block.t list
 (** Blocks of one level, MRU end first. Empty for absent levels. *)
+
+val resident : t -> Pid.t -> Block.t list
+(** The manager's block set as its upcall chooser receives it: the
+    reverse of the order in which a fold of the predecessor's
+    [(Block.t, _) Hashtbl.t] visits it, the order [set_priority]
+    relinks in. Empty for a pid with no manager. O(n log n). *)

@@ -1,10 +1,8 @@
-(* A stdlib [Hashtbl.Make] over packed block ids whose hash is the one
-   the polymorphic [Hashtbl.hash] computes for the [Block.t] record the
-   id packs. The functor and the polymorphic table share one bucket
-   index ([hash land (size - 1)]), one insert rule (new bindings at the
-   bucket head) and one resize rule, so for the same sequence of
-   replace/remove calls the two hold the same buckets and fold in the
-   same order.
+(* The hash the polymorphic [Hashtbl.hash] computes for the [Block.t]
+   record a packed block id names, recomputed from the id. The ACM
+   orders a manager's block set by it: a stdlib [(Block.t, _) Hashtbl]
+   puts a key in bucket [hash land (buckets - 1)], so the predecessor's
+   fold order is reproducible from packed ids alone.
 
    [hash] is the runtime's [caml_hash] (MurmurHash3 rounds, seed 0)
    specialised to a two-field, tag-0 block: the header with its colour
@@ -41,11 +39,3 @@ let hash p =
   let h = h * 0xc2b2ae35 land m32 in
   let h = h lxor (h lsr 16) in
   h land 0x3FFF_FFFF
-
-include Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash = hash
-end)

@@ -22,8 +22,10 @@ type t = {
   global : Ilist.t; (* front = MRU, back = LRU *)
   (* Placeholder store: parallel arrays, free-listed through [ph_next].
      [ph_idx] maps packed replaced-block id -> placeholder slot;
-     [ph_fifo] keeps creation order (possibly stale keys) for recycling
-     over the limit, as the record implementation did. *)
+     [ph_ring] keeps creation order (possibly stale keys) for recycling
+     over the limit, as the record implementation's [Queue] did: an int
+     ring of [ph_queued] keys from [ph_first], empty until the first
+     placeholder. *)
   mutable ph_key : int array;
   mutable ph_target : int array;
   mutable ph_chooser : int array;
@@ -31,7 +33,9 @@ type t = {
   mutable ph_next : int array;
   mutable ph_free : int;
   ph_idx : Itbl.t;
-  ph_fifo : int Queue.t;
+  mutable ph_ring : int array; (* power-of-two length, or empty *)
+  mutable ph_first : int;
+  mutable ph_queued : int;
   mutable pid_hits_a : int array;
   mutable pid_misses_a : int array;
   mutable tracer : (Event.t -> unit) option;
@@ -47,14 +51,14 @@ type t = {
 
 exception Cache_busy
 
-let create config ~acm ~tab ~backend =
+let create config ~acm ~tab ~table ~backend =
   let ph_cap = max 8 (min 64 config.Config.max_placeholders) in
   {
     config;
     acm;
     tab;
     backend;
-    table = Itbl.create (2 * config.Config.capacity_blocks);
+    table;
     global = Ilist.create ();
     ph_key = Array.make ph_cap 0;
     ph_target = Array.make ph_cap 0;
@@ -63,7 +67,9 @@ let create config ~acm ~tab ~backend =
     ph_next = Array.init ph_cap (fun i -> if i + 1 < ph_cap then i + 1 else -1);
     ph_free = 0;
     ph_idx = Itbl.create 64;
-    ph_fifo = Queue.create ();
+    ph_ring = [||];
+    ph_first = 0;
+    ph_queued = 0;
     pid_hits_a = Array.make 8 0;
     pid_misses_a = Array.make 8 0;
     tracer = None;
@@ -191,17 +197,38 @@ let drop_placeholders_at t s =
   done;
   t.tab.Ctab.ph_head.(s) <- -1
 
+let ring_push t key =
+  let cap = Array.length t.ph_ring in
+  if t.ph_queued = cap then begin
+    let ring = Array.make (max 16 (2 * cap)) 0 in
+    for i = 0 to t.ph_queued - 1 do
+      ring.(i) <- t.ph_ring.((t.ph_first + i) land (cap - 1))
+    done;
+    t.ph_ring <- ring;
+    t.ph_first <- 0
+  end;
+  t.ph_ring.((t.ph_first + t.ph_queued) land (Array.length t.ph_ring - 1)) <- key;
+  t.ph_queued <- t.ph_queued + 1
+
+(* The oldest key; the ring must not be empty. *)
+let ring_take t =
+  let key = t.ph_ring.(t.ph_first) in
+  t.ph_first <- (t.ph_first + 1) land (Array.length t.ph_ring - 1);
+  t.ph_queued <- t.ph_queued - 1;
+  key
+
+(* A placeholder for the block in slot [replaced], which is about to be
+   evicted, pointing at slot [target]. *)
 let add_placeholder t ~replaced ~target ~chooser =
   if t.config.Config.max_placeholders > 0 then begin
-    let pkey = Block.pack replaced in
+    let pkey = t.tab.Ctab.key.(replaced) in
     (* Replace any stale record for the same block. *)
     discard_placeholder t pkey;
-    (* Recycle the oldest placeholders over the limit; the FIFO may hold
-       keys of records already removed, which we just skip. *)
+    (* Recycle the oldest placeholders over the limit; the ring may hold
+       keys of records already removed, which we just skip. A non-empty
+       index implies a non-empty ring. *)
     while Itbl.length t.ph_idx >= t.config.Config.max_placeholders do
-      match Queue.take_opt t.ph_fifo with
-      | None -> assert false (* table non-empty implies FIFO non-empty *)
-      | Some k -> discard_placeholder t k
+      discard_placeholder t (ring_take t)
     done;
     let p = ph_alloc t in
     t.ph_key.(p) <- pkey;
@@ -213,13 +240,13 @@ let add_placeholder t ~replaced ~target ~chooser =
     if head >= 0 then t.ph_prev.(head) <- p;
     t.tab.Ctab.ph_head.(target) <- p;
     Itbl.set t.ph_idx pkey p;
-    Queue.push pkey t.ph_fifo;
+    ring_push t pkey;
     t.placeholders_created <- t.placeholders_created + 1;
     (match t.tracer with
     | Some f ->
       f
         (Event.Placeholder_created
-           { replaced; target = Ctab.block t.tab target; chooser })
+           { replaced = Ctab.block t.tab replaced; target = Ctab.block t.tab target; chooser })
     | None -> ());
     match t.obs with
     | None -> ()
@@ -227,7 +254,7 @@ let add_placeholder t ~replaced ~target ~chooser =
       Obs.Sink.emit sink
         (Obs.Trace.Placeholder_created
            {
-             replaced = oblk replaced;
+             replaced = oblk (Ctab.block t.tab replaced);
              target = oblk (Ctab.block t.tab target);
              chooser = Pid.to_int chooser;
            })
@@ -363,8 +390,7 @@ let evict_one t ~ph ~missing =
         if m >= 0 then Pid.make m
         else assert false (* only managers overrule *)
       in
-      add_placeholder t ~replaced:(Ctab.block tab chosen) ~target:candidate
-        ~chooser
+      add_placeholder t ~replaced:chosen ~target:candidate ~chooser
     | Config.Global_lru | Config.Alloc_lru | Config.Lru_s -> ()
   end;
   (match t.tracer with
@@ -668,18 +694,22 @@ let check_invariants t =
     failwith "Buf: over capacity";
   if Ilist.length t.global <> Itbl.length t.table then
     failwith "Buf: global list / table size mismatch";
+  let on_list = ref 0 in
   Ilist.iter
     (fun s ->
+      incr on_list;
       if Ctab.is_free tab s then failwith "Buf: free slot on global list";
       if Itbl.find t.table tab.Ctab.key.(s) <> s then
         failwith "Buf: global-list entry not in table")
     tab.Ctab.global t.global;
+  (* The walk visited distinct slots, each the table's entry for its
+     own key: as many as the table holds means every entry is on the
+     list. *)
+  if !on_list <> Itbl.length t.table then failwith "Buf: table entry not on global list";
   Itbl.iter
     (fun pkey s ->
       if Ctab.is_free tab s then failwith "Buf: table maps to free slot";
-      if tab.Ctab.key.(s) <> pkey then failwith "Buf: table key/slot mismatch";
-      if not (Ilist.mem tab.Ctab.global t.global s) then
-        failwith "Buf: table entry not on global list")
+      if tab.Ctab.key.(s) <> pkey then failwith "Buf: table key/slot mismatch")
     t.table;
   Itbl.iter
     (fun pkey p ->

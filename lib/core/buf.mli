@@ -35,9 +35,10 @@ exception Cache_busy
     victim can be chosen. Callers inside a simulation should back off
     and retry; it cannot happen unless concurrent I/Os ≥ cache size. *)
 
-val create : Config.t -> acm:Acm.t -> tab:Ctab.t -> backend:Backend.t -> t
-(** [tab] is the columnar entry table shared with [acm] (see
-    {!Cache.create}). *)
+val create : Config.t -> acm:Acm.t -> tab:Ctab.t -> table:Itbl.t -> backend:Backend.t -> t
+(** [tab] is the columnar entry table and [table] the block table
+    (packed block id -> slot), both shared with [acm] (see
+    {!Cache.create}). BUF alone writes [table]. *)
 
 val set_tracer : t -> (Event.t -> unit) option -> unit
 (** Also installs the tracer on the underlying {!Acm}. *)

@@ -8,8 +8,11 @@ let create ?(backend = Backend.null) config =
      capacity — evictions precede inserts, so steady state never
      grows it. *)
   let tab = Ctab.create ~initial:(max 16 config.Config.capacity_blocks) () in
-  let acm = Acm.create config ~tab in
-  let buf = Buf.create config ~acm ~tab ~backend in
+  (* BUF's block table, which ACM reads to find a manager's block by
+     key. *)
+  let table = Itbl.create (2 * config.Config.capacity_blocks) in
+  let acm = Acm.create config ~tab ~table in
+  let buf = Buf.create config ~acm ~tab ~table ~backend in
   { acm; buf }
 
 let config t = Buf.config t.buf
@@ -71,10 +74,13 @@ let manager_decisions t pid = Acm.decisions t.acm pid
 let manager_overrules t pid = Acm.overrules t.acm pid
 let manager_mistakes t pid = Acm.mistakes t.acm pid
 let manager_revoked t pid = Acm.revoked t.acm pid
+let manager_members t pid = Acm.members t.acm pid
 let reset_stats t = Buf.reset_stats t.buf
 
 let lru_keys t = Buf.lru_keys t.buf
 
 let level_blocks t pid ~prio = Acm.level_blocks t.acm pid ~prio
+
+let manager_resident t pid = Acm.resident t.acm pid
 
 let check_invariants t = Buf.check_invariants t.buf

@@ -96,6 +96,7 @@ val manager_decisions : t -> Pid.t -> int
 val manager_overrules : t -> Pid.t -> int
 val manager_mistakes : t -> Pid.t -> int
 val manager_revoked : t -> Pid.t -> bool
+val manager_members : t -> Pid.t -> int
 val reset_stats : t -> unit
 
 (** {2 Testing support} *)
@@ -103,5 +104,8 @@ val reset_stats : t -> unit
 val lru_keys : t -> Block.t list
 
 val level_blocks : t -> Pid.t -> prio:int -> Block.t list
+
+val manager_resident : t -> Pid.t -> Block.t list
+(** {!Acm.resident}: the manager's set as its upcall chooser sees it. *)
 
 val check_invariants : t -> unit

@@ -3,36 +3,32 @@
 
    Keys are non-negative ints (packed block ids from [Block.pack]);
    values are non-negative ints (table slots). Linear probing over a
-   power-of-two array with tombstones; [find] allocates nothing and
-   returns [-1] for absence so the hit path never touches the GC. The
-   property tests in [test/test_ctab.ml] replay random op sequences
-   against a stdlib [Hashtbl] model. *)
+   power-of-two array with backward-shift deletion: a remove pulls the
+   rest of its probe run back over the hole, so the table never holds
+   a tombstone, [find] stops at the first empty slot, and a table whose
+   live count stays put never rehashes however much it churns. [find]
+   allocates nothing and returns [-1] for absence so the hit path never
+   touches the GC. The property tests in [test/test_ctab.ml] replay
+   random op sequences against a stdlib [Hashtbl] model. *)
 
 let empty_key = -1
-
-let tomb_key = -2
 
 type t = {
   mutable keys : int array;
   mutable vals : int array;
   mutable mask : int; (* Array.length keys - 1 *)
   mutable size : int; (* live bindings *)
-  mutable used : int; (* live bindings + tombstones *)
 }
 
 let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
 
 let create n =
   let cap = pow2 (max 8 (n * 2)) 8 in
-  {
-    keys = Array.make cap empty_key;
-    vals = Array.make cap 0;
-    mask = cap - 1;
-    size = 0;
-    used = 0;
-  }
+  { keys = Array.make cap empty_key; vals = Array.make cap 0; mask = cap - 1; size = 0 }
 
 let length t = t.size
+
+let capacity t = t.mask + 1
 
 (* Fibonacci multiplicative hash, masked to the table. A packed block
    id keeps its file id above bit 32, and the low bits of a product
@@ -73,7 +69,6 @@ let rehash t cap =
   t.keys <- Array.make cap empty_key;
   t.vals <- Array.make cap 0;
   t.mask <- cap - 1;
-  t.used <- t.size;
   let mask = t.mask in
   Array.iteri
     (fun i k ->
@@ -91,69 +86,57 @@ let set t key v =
   let mask = t.mask in
   let keys = t.keys in
   let i = ref (hash t key) in
-  let slot = ref (-1) in
   let stop = ref false in
   while not !stop do
     let k = keys.(!i) in
     if k = key then begin
       t.vals.(!i) <- v;
-      stop := true;
-      slot := -1
-    end
-    else if k = empty_key then begin
-      (* insert at the first tombstone seen, else here *)
-      let j = if !slot >= 0 then !slot else !i in
-      if !slot < 0 then t.used <- t.used + 1;
-      t.keys.(j) <- key;
-      t.vals.(j) <- v;
-      t.size <- t.size + 1;
-      stop := true;
-      (* Load factor (incl. tombstones) capped at 3/4. Rehash to 4x the
-         live count: a steady-state table (fixed live set, constant
-         remove/insert churn) then has live-count*3 of tombstone
-         headroom per rehash instead of thrashing at 2x. *)
-      if t.used * 4 > (mask + 1) * 3 then
-        rehash t (pow2 (max 8 (t.size * 4)) 8);
-      slot := -1
-    end
-    else begin
-      if k = tomb_key && !slot < 0 then slot := !i;
-      i := (!i + 1) land mask
-    end
-  done
-
-let remove t key =
-  let mask = t.mask in
-  let keys = t.keys in
-  let i = ref (hash t key) in
-  let stop = ref false in
-  while not !stop do
-    let k = keys.(!i) in
-    if k = key then begin
-      keys.(!i) <- tomb_key;
-      t.size <- t.size - 1;
-      (* If the next probe slot is empty, no chain continues through
-         this slot: convert it — and the tombstone run ending here —
-         back to empty. Steady-state churn (remove/insert at a fixed
-         live count) then accretes no tombstones and never rehashes. *)
-      if keys.((!i + 1) land mask) = empty_key then begin
-        let j = ref !i in
-        while keys.(!j) = tomb_key do
-          keys.(!j) <- empty_key;
-          t.used <- t.used - 1;
-          j := (!j - 1) land mask
-        done
-      end;
       stop := true
     end
-    else if k = empty_key then stop := true
+    else if k = empty_key then begin
+      keys.(!i) <- key;
+      t.vals.(!i) <- v;
+      t.size <- t.size + 1;
+      stop := true;
+      (* Load factor capped at 3/4. Rehash to 4x the live count, which
+         leaves the grown table at most 1/4 full. *)
+      if t.size * 4 > (mask + 1) * 3 then rehash t (pow2 (max 8 (t.size * 4)) 8)
+    end
     else i := (!i + 1) land mask
   done
 
+(* Backward-shift deletion. The slot after the hole holds a key whose
+   probe run may pass through the hole; each later key of the run moves
+   back into the hole exactly when its home slot is at or before the
+   hole (cyclically), i.e. when its distance from home reaches back over
+   the hole. The run ends at the first empty slot, which the last hole
+   becomes. *)
+let remove t key =
+  let mask = t.mask in
+  let keys = t.keys and vals = t.vals in
+  let i = ref (hash t key) in
+  while keys.(!i) <> key && keys.(!i) <> empty_key do
+    i := (!i + 1) land mask
+  done;
+  if keys.(!i) = key then begin
+    t.size <- t.size - 1;
+    let hole = ref !i in
+    let j = ref ((!i + 1) land mask) in
+    while keys.(!j) <> empty_key do
+      let k = keys.(!j) in
+      if (!j - hash t k) land mask >= (!j - !hole) land mask then begin
+        keys.(!hole) <- k;
+        vals.(!hole) <- vals.(!j);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    keys.(!hole) <- empty_key
+  end
+
 let clear t =
   Array.fill t.keys 0 (Array.length t.keys) empty_key;
-  t.size <- 0;
-  t.used <- 0
+  t.size <- 0
 
 (* Order is probe-layout order — callers must not depend on it. *)
 let iter f t =

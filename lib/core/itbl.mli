@@ -2,8 +2,10 @@
 
     Replaces [(Block.t, Entry.t) Hashtbl] on the columnar core: keys
     are non-negative ints (packed block ids, see {!Block.pack}), values
-    are non-negative ints (table slots). Linear probing with
-    tombstones over a power-of-two array; {!find} is allocation-free.
+    are non-negative ints (table slots). Linear probing over a
+    power-of-two array with backward-shift deletion, so the table holds
+    no tombstones and a steady live count never rehashes; {!find} is
+    allocation-free.
 
     Iteration order is probe-layout order and carries no meaning —
     anything order-sensitive must keep an explicit list. *)
@@ -14,6 +16,10 @@ val create : int -> t
 (** [create n] sizes the table for about [n] expected bindings. *)
 
 val length : t -> int
+
+val capacity : t -> int
+(** Slots in the probe array. It only grows, and only when an insert
+    takes the live count past 3/4 of it. *)
 
 val find : t -> int -> int
 (** [find t key] is the bound value, or [-1] if absent. Allocation-free.

@@ -142,6 +142,18 @@ let check_written body i file s ~first ~count =
    the next file's keys. *)
 let max_file_blocks = Block.max_packed_index + 1
 
+(* The most simulated CPU seconds a program may charge, loops
+   multiplied out and a choice counted at its costlier branch: about 12
+   simulated days, thousands of times what any catalog app, committed
+   scenario or generated corpus charges. A run lasts at least that
+   long, and the 30 s update daemon wakes until the last workload ends,
+   so a [compute] of 1e12 s would wake it about 3·10^10 times. *)
+let max_cpu_s = 1e6
+
+(* The CPU seconds a check has added up. A record of floats only holds
+   its field unboxed, so adding to it allocates nothing. *)
+type spent = { mutable cpu_s : float }
+
 let check t =
   let slots : slot array ref = ref [||] in
   let n_slots = ref 0 in
@@ -166,6 +178,15 @@ let check t =
   let finite_nonneg body i what v =
     if Float.is_nan v || v < 0.0 || v = Float.infinity then
       err body i (Printf.sprintf "%s must be a finite non-negative number" what)
+  in
+  let spent = { cpu_s = 0.0 } in
+  let over_budget body i =
+    if spent.cpu_s > max_cpu_s then
+      err body i
+        (Printf.sprintf
+           "CPU time adds up to %g s by this op (loops multiplied out), past the %g s a \
+            program may charge"
+           spent.cpu_s max_cpu_s)
   in
   let check_range body i verb file ~first ~count =
     let s = slot body i file in
@@ -195,10 +216,12 @@ let check t =
     | Read { file; first; count; cpu; _ } ->
       check_range body i "read" file ~first ~count;
       check_written body i file !slots.(file) ~first ~count;
-      finite_nonneg body i "cpu" cpu
+      finite_nonneg body i "cpu" cpu;
+      spent.cpu_s <- spent.cpu_s +. (float_of_int count *. cpu)
     | Write { file; first; count; cpu; _ } ->
       check_range body i "write" file ~first ~count;
       finite_nonneg body i "cpu" cpu;
+      spent.cpu_s <- spent.cpu_s +. (float_of_int count *. cpu);
       let s = !slots.(file) in
       if place <> Maybe && first + count > s.written then s.written <- first + count
     | Rand_read { file; base; range; cpu } ->
@@ -210,8 +233,11 @@ let check t =
           (Printf.sprintf "read of blocks [%d, %d) exceeds file %d's %d-block extent" base
              (base + range) file s.reserve);
       check_written body i file s ~first:base ~count:range;
-      finite_nonneg body i "cpu" cpu
-    | Compute seconds -> finite_nonneg body i "seconds" seconds
+      finite_nonneg body i "cpu" cpu;
+      spent.cpu_s <- spent.cpu_s +. cpu
+    | Compute seconds ->
+      finite_nonneg body i "seconds" seconds;
+      spent.cpu_s <- spent.cpu_s +. seconds
     | Advise (Priority { file; _ }) -> ignore (slot body i file)
     | Advise (Policy _) -> ()
     | Advise (Temppri { file; first; last; _ }) ->
@@ -232,18 +258,33 @@ let check t =
     | Seq ops -> check_body place (Nested (body, i, "body")) ops
     | Loop { times; body = ops } ->
       if times < 0 then err body i "times must be non-negative"
-      else
+      else begin
+        let before = spent.cpu_s in
         check_body
           (if times = 0 || place = Maybe then Maybe else Repeated)
-          (Nested (body, i, "body")) ops
+          (Nested (body, i, "body")) ops;
+        (* The body was charged once; it runs [times] times. *)
+        spent.cpu_s <- before +. (float_of_int times *. (spent.cpu_s -. before))
+      end
     | Choice { prob; if_true; if_false } ->
       if Float.is_nan prob || prob < 0.0 || prob > 1.0 then
         err body i "prob must be between 0 and 1"
       else begin
+        let before = spent.cpu_s in
         check_body Maybe (Nested (body, i, "then")) if_true;
-        check_body Maybe (Nested (body, i, "else")) if_false
+        let then_s = spent.cpu_s -. before in
+        spent.cpu_s <- before;
+        check_body Maybe (Nested (body, i, "else")) if_false;
+        if then_s > spent.cpu_s -. before then spent.cpu_s <- before +. then_s
       end
-  and check_body place body ops = List.iteri (check_op place body) ops in
+  and check_body place body ops = check_from place body 0 ops
+  and check_from place body i = function
+    | [] -> ()
+    | op :: rest ->
+      check_op place body i op;
+      over_budget body i;
+      check_from place body (i + 1) rest
+  in
   if t.name = "" then Error (".name", "program name must be non-empty")
   else
     match check_body Top Ops t.ops with

@@ -1,6 +1,7 @@
 (* Property tests for the columnar substrates: {!Ilist} against {!Dll},
-   {!Itbl} against a stdlib [Hashtbl] model, {!Btbl} against the
-   [(Block.t, int) Hashtbl.t] whose order it keeps, {!Ctab} slot lifecycle
+   {!Itbl} against a stdlib [Hashtbl] model, the ACM's derived set
+   order against the [(Block.t, int) Hashtbl.t] whose order it keeps,
+   {!Btbl.hash} against [Hashtbl.hash], {!Ctab} slot lifecycle
    (free-list reuse, growth), {!Engine.Equeue} ordering against the
    generic {!Heap}, and the full-cache {!Lockstep} random-op property.
    All randomness comes from seeded {!Rng}, so failures replay. *)
@@ -121,23 +122,65 @@ let itbl_model_test ~seed ~ops ~keyspace () =
     t;
   chk_int "iter count" (Hashtbl.length model) !seen
 
-(* Steady-state churn must not degrade: a fixed live set with constant
-   remove/insert cycles keeps the table at its original capacity (the
-   backward-shift on remove prevents tombstone accretion — before it,
-   this pattern forced a rehash every few thousand ops). *)
-let itbl_churn_no_tombstone_growth () =
+(* A steady live count never rehashes: backward-shift deletion leaves
+   no tombstone behind, so remove/insert cycles at a fixed live set keep
+   the table at its original capacity however long they run. *)
+let itbl_steady_count_never_rehashes () =
   let t = Itbl.create 1024 in
   for i = 0 to 1023 do
     Itbl.set t i i
   done;
+  let cap = Itbl.capacity t in
   for i = 1024 to 40_000 do
     Itbl.remove t (i - 1024);
     Itbl.set t i i;
     chk_int "live count" 1024 (Itbl.length t)
   done;
+  chk_int "capacity" cap (Itbl.capacity t);
   for i = 39_000 to 40_000 do
     chk_int "recent keys live" i (Itbl.find t i)
   done
+
+(* Random set/remove churn with the live count up to 3/4 of the slots,
+   the most an insert leaves before it rehashes. Keys [a + j * cap]
+   share one home slot (the hash's low bits come from the key's), so
+   probe runs collide, merge and wrap around the array's end; keys with
+   a file id in the high bits ride along. After every op, each model
+   binding must be found: [find] walks from the key's home slot and
+   stops at the first empty one, so a removal that left a key behind an
+   empty slot fails here. The capacity must never change. *)
+let itbl_churn_keeps_keys_reachable =
+  let gen =
+    let open QCheck2.Gen in
+    let* bits = int_range 3 7 in
+    let cap = 1 lsl bits in
+    let key =
+      oneof
+        [
+          map2 (fun a j -> a + (j * cap)) (int_bound (cap - 1)) (int_bound 7);
+          map2 (fun f i -> (f lsl 32) lor i) (int_range 1 3) (int_bound (cap - 1));
+        ]
+    in
+    pair (pure cap) (list_size (int_range 50 600) (pair (int_bound 9) key))
+  in
+  qcheck "itbl churn up to 3/4 load keeps every key reachable" ~count:300 gen
+    (fun (cap, ops) ->
+      let t = Itbl.create (cap / 2) and model = Hashtbl.create 16 in
+      Itbl.capacity t = cap
+      && List.for_all
+           (fun (r, key) ->
+             (if r < 6 && Itbl.length t < cap * 3 / 4 then begin
+                Itbl.set t key r;
+                Hashtbl.replace model key r
+              end
+              else begin
+                Itbl.remove t key;
+                Hashtbl.remove model key
+              end);
+             Itbl.capacity t = cap
+             && Itbl.length t = Hashtbl.length model
+             && Hashtbl.fold (fun k v ok -> ok && Itbl.find t k = v) model true)
+           ops)
 
 (* The hash must see the file id of a packed block: with the index
    alone, block i of every file shares one home slot and 64 files probe
@@ -276,88 +319,191 @@ let lockstep_random ~seed ~alloc_policy () =
   | Ok n -> chk_int "all ops replayed" (Array.length ops) n
   | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d)
 
-(* {2 Btbl vs (Block.t, int) Hashtbl: same bindings, same fold order}
+(* {2 The ACM's derived fold order vs (Block.t, int) Hashtbl}
 
-   The ACM's resident sets iterate observably, so {!Btbl} over packed
-   keys must hold the buckets of a polymorphic table over the records.
-   Keys span several files, with file ids and indices up to the packable
-   limits. Each case first inserts 100 distinct keys into tables created
-   at 16 buckets, which forces the resizes at 32 and 64 bindings, then
-   replays random replace/remove/find calls, comparing folds after every
-   call. The model is the runtime's own [Hashtbl.hash], so a change to
-   it in a new compiler fails here. *)
-
-type btbl_op = Replace of int * int | Remove of int | Find of int
+   A manager's block set is no table: the ACM derives the order in
+   which a fold of its predecessor's [(Block.t, int) Hashtbl.t] visits
+   the set from insert stamps and an emulated bucket count. This
+   property drives a whole LRU-SP cache of 2,048 blocks with managed
+   reads, evictions, ownership transfers and [set_priority] relinks,
+   mirrors each step's membership changes into one stdlib table per
+   manager (removals first, as an eviction precedes its load), and
+   after every step compares:
+   - [Cache.manager_resident] with the model's fold;
+   - after a [set_priority], the level it relinked into, whose front
+     must hold the moved blocks in the model's fold order;
+   - at every upcall, the resident list the chooser receives.
+   Keys span several files, with file ids and indices up to the
+   packable limits. Each case runs until a manager's set has passed
+   1,024 members, so its buckets have doubled from 256 to 512 and then
+   to 1,024, and on through 400 more evictions. It fails unless some [set_priority]
+   relinked two or more blocks and some chooser received a resident
+   list. The model is the runtime's own [Hashtbl], so a change to it in
+   a new compiler fails here. *)
 
 (* The largest file id and block index {!Block.pack} accepts. *)
 let max_file = (1 lsl 30) - 1
 
 let max_index = (1 lsl 32) - 1
 
-let btbl_gen =
+type reach = {
+  mutable max_members : int;
+  mutable max_relinked : int;  (* the most blocks one set_priority moved *)
+  mutable chooser_lists : int;  (* upcalls handed a non-empty resident set *)
+}
+
+(* Runs one case; [Error] names the first disagreement. Membership
+   follows the traced events: an evicted block leaves its manager's
+   set, a miss joins the reader's, and a hit by another pid moves the
+   block to the reader's (the default [Transfer] discipline). *)
+let fold_order_storm ~files ~bases ~seed =
+  let rng = Acfc_sim.Rng.create seed in
+  let ri = Acfc_sim.Rng.int rng in
+  let nfiles = Array.length files in
+  (* Key [i] keeps [i] in its index's low 12 bits, so keys are distinct
+     whatever the ids. *)
+  let pool =
+    Array.init 2_400 (fun i ->
+        Block.make ~file:files.(i mod nfiles)
+          ~index:(bases.(i mod Array.length bases) land lnot 4095 lor i))
+  in
+  let cache = Cache.create (config ~alloc_policy:Config.Lru_sp 1_280) in
+  let events = ref [] in
+  Cache.set_tracer cache (Some (fun e -> events := e :: !events));
+  (* Managers are pids 1 and 2, models 0 and 1; pid 3 has none. *)
+  let models = [| Hashtbl.create 256; Hashtbl.create 256 |] in
+  let model_of p = match Pid.to_int p with 1 -> 0 | 2 -> 1 | _ -> -1 in
+  let holder = Hashtbl.create 2_048 (* block -> model *) in
+  for i = 0 to 1 do
+    ok_exn (Cache.register_manager cache (pid (i + 1)))
+  done;
+  let model_fold m = Hashtbl.fold (fun b _ acc -> b :: acc) m [] in
+  let reach = { max_members = 0; max_relinked = 0; chooser_lists = 0 } in
+  let failure = ref None in
+  let step = ref 0 in
+  let fail fmt =
+    Format.kasprintf (fun m -> if !failure = None then failure := Some m) fmt
+  in
+  (* Picks by position, so a wrong order picks a wrong victim. *)
+  let chooser m ~candidate ~resident =
+    if resident <> [] then reach.chooser_lists <- reach.chooser_lists + 1;
+    if resident <> model_fold m then fail "step %d: chooser's resident list" !step;
+    match resident with
+    | [] -> None
+    | l -> Some (List.nth l (Block.index candidate mod List.length l))
+  in
+  ok_exn (Cache.set_chooser cache (pid 2) (Some (chooser models.(1))));
+  let leave b =
+    match Hashtbl.find_opt holder b with
+    | Some i ->
+      Hashtbl.remove models.(i) b;
+      Hashtbl.remove holder b
+    | None -> ()
+  in
+  let join p b =
+    let i = model_of p in
+    if i >= 0 then begin
+      Hashtbl.replace models.(i) b 0;
+      Hashtbl.replace holder b i
+    end
+  in
+  let apply_events () =
+    let evs = List.rev !events in
+    events := [];
+    List.iter
+      (function
+        | Event.Evict { victim; _ } -> leave victim
+        | Event.Hit { pid = p; block } ->
+          if Hashtbl.find_opt holder block <> Some (model_of p) then leave block
+        | _ -> ())
+      evs;
+    List.iter
+      (function
+        | Event.Miss { pid = p; block; _ } -> join p block
+        | Event.Hit { pid = p; block } ->
+          if Hashtbl.find_opt holder block <> Some (model_of p) then join p block
+        | _ -> ())
+      evs
+  in
+  let compare_order i =
+    let p = pid (i + 1) and m = models.(i) in
+    let n = Cache.manager_members cache p in
+    if n <> Hashtbl.length m then
+      fail "step %d: %d members, model %d" !step n (Hashtbl.length m);
+    reach.max_members <- max reach.max_members n;
+    if Cache.manager_resident cache p <> model_fold m then
+      fail "step %d: pid %d's fold order (%d members)" !step (i + 1) n
+  in
+  let set_priority i =
+    let p = pid (i + 1) and file = files.(ri nfiles) and prio = ri 3 in
+    let old = ok_exn (Cache.get_priority cache p ~file) in
+    let before = Cache.level_blocks cache p ~prio in
+    let moving = Hashtbl.create 64 in
+    List.iter
+      (fun prio' ->
+        if prio' <> prio then
+          List.iter
+            (fun b -> if Block.file b = file then Hashtbl.replace moving b ())
+            (Cache.level_blocks cache p ~prio:prio'))
+      [ 0; 1; 2 ];
+    ok_exn (Cache.set_priority cache p ~file ~prio);
+    if old <> prio then begin
+      reach.max_relinked <- max reach.max_relinked (Hashtbl.length moving);
+      (* Each relinked block was pushed to the front in fold order. *)
+      let moved b acc = if Hashtbl.mem moving b then b :: acc else acc in
+      let want = Hashtbl.fold (fun b _ acc -> moved b acc) models.(i) [] @ before in
+      if Cache.level_blocks cache p ~prio <> want then
+        fail "step %d: set_priority relinked out of fold order" !step
+    end
+  in
+  (* Past 1,024 members, run on until 400 more evictions. *)
+  let crossed_at = ref (-1) in
+  while
+    !failure = None
+    && (!crossed_at < 0 || Cache.evictions cache < !crossed_at + 400)
+    && !step < 10_000
+  do
+    let r = ri 100 in
+    if r < 95 then begin
+      let p = if r < 80 then pid 1 else if r < 90 then pid 2 else pid 3 in
+      ignore (Cache.read ~prefetch:(ri 8 = 0) cache ~pid:p pool.(ri (Array.length pool)))
+    end
+    else set_priority (ri 2);
+    apply_events ();
+    compare_order 0;
+    compare_order 1;
+    if !crossed_at < 0 && reach.max_members > 1_024 then begin
+      crossed_at := Cache.evictions cache;
+      (* The big set now consults an upcall too. *)
+      ok_exn (Cache.set_chooser cache (pid 1) (Some (chooser models.(0))))
+    end;
+    incr step
+  done;
+  match !failure with
+  | Some m -> Error m
+  | None ->
+    if !crossed_at < 0 then
+      Error (Printf.sprintf "no set passed 1,024 members in %d steps" !step)
+    else if Cache.evictions cache < !crossed_at + 400 then
+      Error "too few evictions past 1,024 members"
+    else if reach.max_relinked < 2 then Error "no set_priority relinked two blocks"
+    else if reach.chooser_lists = 0 then Error "no chooser received a resident list"
+    else Ok ()
+
+let fold_order_gen =
   let open QCheck2.Gen in
   let id bound = oneof [ int_range 0 40; int_range 0 bound ] in
-  (* Key [i] keeps [i] in its index's low byte, so keys are distinct
-     however the ids shrink. *)
-  let* pool =
-    let* files = list_size (int_range 2 6) (id max_file) in
-    let files = Array.of_list files in
-    let* n = int_range 100 160 in
-    flatten_l
-      (List.init n (fun i ->
-           map2
-             (fun f index ->
-               Block.make ~file:files.(f mod Array.length files)
-                 ~index:(index land lnot 255 lor i))
-             (int_range 0 5) (id max_index)))
-  in
-  let n = List.length pool in
-  let op =
-    frequency
-      [
-        (5, map2 (fun k v -> Replace (k, v)) (int_range 0 (n - 1)) (int_range 0 1000));
-        (3, map (fun k -> Remove k) (int_range 0 (n - 1)));
-        (2, map (fun k -> Find k) (int_range 0 (n - 1)));
-      ]
-  in
-  pair (pure pool) (list_size (int_range 50 300) op)
+  triple
+    (array_size (int_range 2 6) (id max_file))
+    (array_size (int_range 1 4) (id max_index))
+    (int_range 0 1_000_000)
 
-let btbl_matches_hashtbl =
-  qcheck "btbl folds like (Block.t, int) Hashtbl" ~count:200 btbl_gen (fun (pool, ops) ->
-      let keys = Array.of_list pool in
-      let t = Btbl.create 16 and model = Hashtbl.create 16 in
-      let same () =
-        Btbl.length t = Hashtbl.length model
-        && Btbl.fold (fun k v acc -> (k, v) :: acc) t []
-           = Hashtbl.fold (fun b v acc -> (Block.pack b, v) :: acc) model []
-      in
-      let apply = function
-        | Replace (k, v) ->
-          Btbl.replace t (Block.pack keys.(k)) v;
-          Hashtbl.replace model keys.(k) v
-        | Remove k ->
-          Btbl.remove t (Block.pack keys.(k));
-          Hashtbl.remove model keys.(k)
-        | Find _ -> ()
-      in
-      let found = function
-        | Find k -> Btbl.find_opt t (Block.pack keys.(k)) = Hashtbl.find_opt model keys.(k)
-        | Replace _ | Remove _ -> true
-      in
-      let filled =
-        List.for_all
-          (fun i ->
-            apply (Replace (i, i));
-            same ())
-          (List.init 100 Fun.id)
-      in
-      filled
-      && (Btbl.stats t).Hashtbl.num_buckets >= 4 * 16
-      && List.for_all
-           (fun op ->
-             apply op;
-             found op && same ())
-           ops)
+let acm_folds_like_hashtbl =
+  qcheck "acm set folds like (Block.t, int) Hashtbl past 1,024 members" ~count:4
+    fold_order_gen (fun (files, bases, seed) ->
+      match fold_order_storm ~files ~bases ~seed with
+      | Ok () -> true
+      | Error m -> QCheck2.Test.fail_report m)
 
 let btbl_hash_is_hashtbl_hash () =
   List.iter
@@ -384,10 +530,11 @@ let suites =
           (itbl_model_test ~seed:3 ~ops:6_000 ~keyspace:64);
         case "itbl vs hashtbl, sparse keys"
           (itbl_model_test ~seed:4 ~ops:6_000 ~keyspace:100_000);
-        case "itbl churn stays tombstone-free" itbl_churn_no_tombstone_growth;
+        case "itbl steady live count never rehashes" itbl_steady_count_never_rehashes;
+        itbl_churn_keeps_keys_reachable;
         case "itbl spreads packed multi-file keys" itbl_multi_file_spread;
         case "btbl hash is Hashtbl.hash of the record" btbl_hash_is_hashtbl_hash;
-        btbl_matches_hashtbl;
+        acm_folds_like_hashtbl;
         case "ctab slot lifecycle and free-list reuse" ctab_lifecycle;
         case "ctab growth preserves columns" ctab_growth;
         case "equeue vs heap, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);

@@ -212,6 +212,20 @@ let errors () =
       ( big_fleet,
         "scenario: extent of 8589934592 blocks exceeds the 2^32 blocks a file can hold \
          at $.workloads[0].program.ops[0]" );
+      (* A run lasts at least its CPU time, and the update daemon wakes
+         every 30 simulated seconds of it. *)
+      ( replace ~sub:{|{"app":"din"}|}
+          ~by:
+            {|{"program":{"schema":"acfc-wir/1","name":"t","ops":[{"op":"compute","seconds":1e12}]}}|}
+          minimal,
+        "scenario: CPU time adds up to 1e+12 s by this op (loops multiplied out), past \
+         the 1e+06 s a program may charge at $.workloads[0].program.ops[0]" );
+      ( replace ~sub:{|{"app":"din"}|}
+          ~by:
+            {|{"program":{"schema":"acfc-wir/1","name":"t","ops":[{"op":"compute","seconds":1},{"op":"loop","times":2000,"body":[{"op":"loop","times":1000000,"body":[{"op":"compute","seconds":0.001}]}]}]}}|}
+          minimal,
+        "scenario: CPU time adds up to 2e+06 s by this op (loops multiplied out), past \
+         the 1e+06 s a program may charge at $.workloads[0].program.ops[1]" );
       (* Caches pre-size their tables: none may outgrow its drives. *)
       ( replace ~sub:{|"capacity_blocks":819|} ~by:{|"capacity_blocks":2147483648|} minimal,
         "scenario: capacity_blocks 2147483648 exceeds the 219520 blocks of the \
