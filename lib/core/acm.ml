@@ -457,9 +457,12 @@ let upcall_choice t mgr chooser ~candidate =
 
 (* Consult the event-driven plug-in. Cheaper than the upcall path — no
    resident list is materialised — and validated the same way: an
-   unknown or pinned answer falls back to the next decision source. *)
+   unknown or pinned answer falls back to the next decision source. The
+   packed key [missing] becomes a record only here. *)
 let plugin_choice t mgr plugin ~missing =
-  match plugin.choose ~missing with None -> -1 | Some b -> resident_slot t mgr b
+  match plugin.choose ~missing:(Block.unpack missing) with
+  | None -> -1
+  | Some b -> resident_slot t mgr b
 
 let replace_block t ~candidate ~missing =
   match slot_manager t candidate with
@@ -567,6 +570,38 @@ let get_policy t pid ~prio =
   with_manager t pid (fun mgr ->
       Ok (find_level mgr prio).policy)
 
+(* Give member slot [s] the temporary priority [lvl] ([prio]; [lt] is
+   its file's long-term priority). *)
+let set_temp t mgr lvl ~prio ~lt s =
+  let tab = t.tab in
+  if tab.Ctab.level.(s) <> prio then begin
+    Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
+    link_replaced_later t mgr lvl s
+  end;
+  if prio <> lt then tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
+  else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
+
+(* [mgr]'s members of [file] with an index in [first, last], in
+   ascending index order. A relink keeps a block in the set, so the
+   members found before any relink are the ones an index walk meets. *)
+let members_in_range t mgr ~file ~first ~last =
+  let tab = t.tab in
+  let found = Array.make mgr.members 0 and n = ref 0 in
+  List.iter
+    (fun lvl ->
+      Ilist.iter
+        (fun s ->
+          let i = tab.Ctab.index.(s) in
+          if tab.Ctab.file.(s) = file && first <= i && i <= last then begin
+            found.(!n) <- s;
+            incr n
+          end)
+        tab.Ctab.lvl lvl.list)
+    mgr.sorted_levels;
+  let found = Array.sub found 0 !n in
+  Array.sort (fun a b -> Int.compare tab.Ctab.index.(a) tab.Ctab.index.(b)) found;
+  found
+
 let set_temppri t pid ~file ~first ~last ~prio =
   obs_call t pid "set_temppri" (fun () ->
       Printf.sprintf "file=%d first=%d last=%d prio=%d" file first last prio);
@@ -578,21 +613,22 @@ let set_temppri t pid ~file ~first ~last ~prio =
         match ensure_level t mgr prio with
         | Error _ as e -> e
         | Ok lvl ->
-          let tab = t.tab in
           let lt = long_term_prio mgr file in
-          for index = first to last do
-            let s = member_slot t mgr (Block.pack_ids ~file ~index) in
-            (* Only blocks presently in the cache are affected. *)
-            if s >= 0 then begin
-              if tab.Ctab.level.(s) <> prio then begin
-                Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
-                link_replaced_later t mgr lvl s
-              end;
-              if prio <> lt then
-                tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
-              else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
-            end
-          done;
+          (* Only blocks presently in the cache are affected, in
+             ascending index order. A range of at most as many indices
+             as the manager has members is walked index by index, which
+             allocates nothing ([done_with] sends one block at a time);
+             a wider one, up to 2^32 blocks, visits the members inside
+             it instead. *)
+          if last - first < mgr.members then
+            for index = first to last do
+              let s = member_slot t mgr (Block.pack_ids ~file ~index) in
+              if s >= 0 then set_temp t mgr lvl ~prio ~lt s
+            done
+          else if mgr.members > 0 then
+            Array.iter
+              (fun s -> set_temp t mgr lvl ~prio ~lt s)
+              (members_in_range t mgr ~file ~first ~last);
           Ok ())
 
 let set_chooser t pid chooser =

@@ -93,13 +93,15 @@ val block_accessed : t -> pid:Pid.t -> int -> unit
     [pid]'s manager if ownership moved between processes, and record the
     reference by moving the block to the MRU end of its level list. *)
 
-val replace_block : t -> candidate:int -> missing:Block.t -> int
+val replace_block : t -> candidate:int -> missing:int -> int
 (** Ask the manager of [candidate]'s owner which block to give up,
-    offering [candidate] as the kernel's suggestion. Returns the chosen
-    resident, unpinned slot — [candidate] itself when the owner has no
-    (consulted) manager or agrees with the kernel. The manager picks
-    from its lowest-priority non-empty level, at the end its policy
-    replaces first. *)
+    offering [candidate] as the kernel's suggestion; [missing] is the
+    packed key ({!Block.pack}) of the block being loaded, unpacked only
+    for a plug-in's [choose]. Returns the chosen resident, unpinned
+    slot — [candidate] itself when the owner has no (consulted) manager
+    or agrees with the kernel. The manager picks from its
+    lowest-priority non-empty level, at the end its policy replaces
+    first. *)
 
 val placeholder_used : t -> chooser:Pid.t -> unit
 (** A placeholder fired: an earlier overrule by [chooser] was a
@@ -126,8 +128,10 @@ val set_temppri :
   (unit, Error.t) result
 (** Temporarily move the cached blocks [first..last] of [file] to level
     [prio]; each block reverts to its long-term priority at its next
-    reference or replacement. Raises [Invalid_argument] on a negative
-    file id. *)
+    reference or replacement. Blocks move in ascending index order. The
+    work is bounded by the smaller of the range and the manager's set,
+    so a range of 2{^32} blocks costs no more than one over the set.
+    Raises [Invalid_argument] on a negative file id. *)
 
 val set_chooser :
   t ->

@@ -1,7 +1,7 @@
 type t = {
-  read_block : Block.t -> unit;
-  write_block : Block.t -> unit;
-  evicted : Block.t -> unit;
+  read_block : int -> unit;
+  write_block : int -> unit;
+  evicted : int -> unit;
 }
 
 let null = { read_block = ignore; write_block = ignore; evicted = ignore }

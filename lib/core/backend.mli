@@ -6,12 +6,16 @@
     its own structures consistent {e before} every call, because other
     simulated processes may re-enter the cache while a call blocks —
     the same "called with no lock held" discipline the paper requires
-    of the BUF/ACM interface. *)
+    of the BUF/ACM interface.
+
+    Every call names its block by its packed key ({!Block.pack}), so a
+    miss, a write-back or an eviction builds no {!Block.t} on the way
+    down; a backend that needs the record calls {!Block.unpack}. *)
 
 type t = {
-  read_block : Block.t -> unit;  (** fetch a block from the device *)
-  write_block : Block.t -> unit;  (** write back a dirty block *)
-  evicted : Block.t -> unit;
+  read_block : int -> unit;  (** fetch a block from the device *)
+  write_block : int -> unit;  (** write back a dirty block *)
+  evicted : int -> unit;
       (** the frame was released (after any write-back); the data layer
           can drop its copy *)
 }

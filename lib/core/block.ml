@@ -42,4 +42,6 @@ let unpack p = { file = p lsr 32; index = p land max_packed_index }
 
 let packed_file p = p lsr 32
 
+let packed_index p = p land max_packed_index
+
 let pp ppf t = Format.fprintf ppf "f%d[%d]" t.file t.index

@@ -45,6 +45,9 @@ val unpack : int -> t
 val packed_file : int -> file
 (** [file (unpack p)] without building the record. *)
 
+val packed_index : int -> int
+(** [index (unpack p)] without building the record. *)
+
 val max_packed_index : int
 (** The largest block index {!pack} accepts, 2{^32} - 1. *)
 

@@ -2,9 +2,10 @@
    packed block ids to {!Ctab} slots, the global LRU list is an
    intrusive {!Ilist} over the shared columns, and placeholders live in
    a struct-of-arrays side table chained through the [ph_head] column.
-   The steady-state hit and miss paths allocate nothing beyond the one
-   [Block.t] handed to the backend on eviction; trace events are only
-   constructed when a tracer or obs sink is installed.
+   Blocks travel as packed keys ({!Block.pack}) from [read_packed] to
+   the backend, so the steady-state hit and miss paths allocate
+   nothing; a [Block.t] is built only for a trace event (when a tracer
+   or obs sink is installed) or a plug-in's [choose ~missing].
 
    The record-based predecessor survives verbatim as {!Buf_ref}; the
    lockstep replay in {!Lockstep} / `bench check` proves the two emit
@@ -327,9 +328,9 @@ let pick_candidate t =
   | Config.Global_lru | Config.Alloc_lru | Config.Lru_s | Config.Lru_sp ->
     lru_candidate t
 
-(* Evict exactly one block to make room for [missing]. [ph] is the
-   consumed (already detached, not yet released) placeholder slot for
-   [missing], or [-1]. *)
+(* Evict exactly one block to make room for packed key [missing]. [ph]
+   is the consumed (already detached, not yet released) placeholder
+   slot for [missing], or [-1]. *)
 let evict_one t ~ph ~missing =
   let tab = t.tab in
   let candidate =
@@ -341,7 +342,7 @@ let evict_one t ~ph ~missing =
       | Some f ->
         f
           (Event.Placeholder_used
-             { missing; target = Ctab.block tab target; chooser })
+             { missing = Block.unpack missing; target = Ctab.block tab target; chooser })
       | None -> ());
       (match t.obs with
       | None -> ()
@@ -349,7 +350,7 @@ let evict_one t ~ph ~missing =
         Obs.Sink.emit sink
           (Obs.Trace.Placeholder_hit
              {
-               missing = oblk missing;
+               missing = oblk (Block.unpack missing);
                target = oblk (Ctab.block tab target);
                chooser = Pid.to_int chooser;
              }));
@@ -416,45 +417,33 @@ let evict_one t ~ph ~missing =
            policy = policy_name t;
            reason = "capacity";
          }));
+  let victim = tab.Ctab.key.(chosen) in
   let dirty = tab.Ctab.flags.(chosen) land Ctab.dirty_bit <> 0 in
-  if (not dirty) && t.backend == Backend.null then begin
-    (* Null-backend fast path: a clean victim with no-op backend calls
-       needs no [Block.t] materialised — skipping it removes the last
-       steady-state allocation on the miss path. Observationally
-       identical: the Evict trace/obs events above build their own
-       copies, and [Backend.null] ignores its argument. *)
-    detach t chosen;
-    t.evictions <- t.evictions + 1;
-    Ctab.release tab chosen
-  end
-  else begin
-    let victim = Ctab.block tab chosen in
-    detach t chosen;
-    t.evictions <- t.evictions + 1;
-    if dirty then begin
-      t.writebacks <- t.writebacks + 1;
-      (match t.tracer with Some f -> f (Event.Writeback victim) | None -> ());
-      (match t.obs with
-      | None -> ()
-      | Some sink -> Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk victim }));
-      t.backend.Backend.write_block victim
-    end;
-    t.backend.Backend.evicted victim;
-    Ctab.release tab chosen
-  end
+  detach t chosen;
+  t.evictions <- t.evictions + 1;
+  if dirty then begin
+    t.writebacks <- t.writebacks + 1;
+    (match t.tracer with Some f -> f (Event.Writeback (Block.unpack victim)) | None -> ());
+    (match t.obs with
+    | None -> ()
+    | Some sink -> Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk (Block.unpack victim) }));
+    t.backend.Backend.write_block victim
+  end;
+  t.backend.Backend.evicted victim;
+  Ctab.release tab chosen
 
-(* Install [key] in the cache, evicting if needed, and optionally fetch
-   its contents. The slot is pinned during the fetch so re-entrant
-   replacement cannot steal the frame. *)
-let load t ~pid key pkey ~dirty ~fetch ~prefetched =
+(* Install packed key [pkey] in the cache, evicting if needed, and
+   optionally fetch its contents. The slot is pinned during the fetch so
+   re-entrant replacement cannot steal the frame. *)
+let load t ~pid pkey ~dirty ~fetch ~prefetched =
   let ph = remove_placeholder t pkey in
   if Itbl.length t.table >= t.config.Config.capacity_blocks then
-    evict_one t ~ph ~missing:key;
+    evict_one t ~ph ~missing:pkey;
   if ph >= 0 then ph_release t ph;
   let tab = t.tab in
   let s =
-    Ctab.alloc tab ~file:(Block.file key) ~index:(Block.index key) ~key:pkey
-      ~owner:(Pid.to_int pid)
+    Ctab.alloc tab ~file:(Block.packed_file pkey) ~index:(Block.packed_index pkey)
+      ~key:pkey ~owner:(Pid.to_int pid)
   in
   tab.Ctab.flags.(s) <-
     (if prefetched then 0 else Ctab.referenced_bit)
@@ -464,7 +453,7 @@ let load t ~pid key pkey ~dirty ~fetch ~prefetched =
   Acm.new_block t.acm ~pid ~prefetched s;
   if fetch then begin
     tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) + 1;
-    (try t.backend.Backend.read_block key
+    (try t.backend.Backend.read_block pkey
      with e ->
        tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1;
        raise e);
@@ -483,30 +472,32 @@ let touch t ~pid s =
     Ilist.move_front tab.Ctab.global t.global s);
   Acm.block_accessed t.acm ~pid s
 
-let obs_hit t ~pid key =
+let obs_hit t ~pid pkey =
   match t.obs with
   | None -> ()
   | Some sink ->
     Obs.Sink.emit sink
-      (Obs.Trace.Cache_hit { pid = Pid.to_int pid; block = oblk key })
+      (Obs.Trace.Cache_hit { pid = Pid.to_int pid; block = oblk (Block.unpack pkey) })
 
-let obs_miss t ~pid key ~prefetch =
+let obs_miss t ~pid pkey ~prefetch =
   match t.obs with
   | None -> ()
   | Some sink ->
     Obs.Sink.emit sink
-      (Obs.Trace.Cache_miss { pid = Pid.to_int pid; block = oblk key; prefetch })
+      (Obs.Trace.Cache_miss
+         { pid = Pid.to_int pid; block = oblk (Block.unpack pkey); prefetch })
 
-let read ?(prefetch = false) t ~pid key =
-  let pkey = Block.pack key in
+(* The one read path. The key's record is built only for a tracer or
+   an obs sink. *)
+let read_packed ?(prefetch = false) t ~pid pkey =
   let s = Itbl.find t.table pkey in
   if s >= 0 then begin
     t.hits <- t.hits + 1;
     bump_hit t pid;
     (match t.tracer with
-    | Some f -> f (Event.Hit { pid; block = key })
+    | Some f -> f (Event.Hit { pid; block = Block.unpack pkey })
     | None -> ());
-    obs_hit t ~pid key;
+    obs_hit t ~pid pkey;
     touch t ~pid s;
     `Hit
   end
@@ -514,10 +505,10 @@ let read ?(prefetch = false) t ~pid key =
     t.misses <- t.misses + 1;
     bump_miss t pid;
     (match t.tracer with
-    | Some f -> f (Event.Miss { pid; block = key; prefetch })
+    | Some f -> f (Event.Miss { pid; block = Block.unpack pkey; prefetch })
     | None -> ());
-    obs_miss t ~pid key ~prefetch;
-    load t ~pid key pkey ~dirty:false ~fetch:true ~prefetched:prefetch;
+    obs_miss t ~pid pkey ~prefetch;
+    load t ~pid pkey ~dirty:false ~fetch:true ~prefetched:prefetch;
     `Miss
   end
 
@@ -530,7 +521,7 @@ let write t ~pid key ~fetch =
     (match t.tracer with
     | Some f -> f (Event.Hit { pid; block = key })
     | None -> ());
-    obs_hit t ~pid key;
+    obs_hit t ~pid pkey;
     t.tab.Ctab.flags.(s) <- t.tab.Ctab.flags.(s) lor Ctab.dirty_bit;
     touch t ~pid s;
     `Hit
@@ -541,8 +532,8 @@ let write t ~pid key ~fetch =
     (match t.tracer with
     | Some f -> f (Event.Miss { pid; block = key; prefetch = false })
     | None -> ());
-    obs_miss t ~pid key ~prefetch:false;
-    load t ~pid key pkey ~dirty:true ~fetch ~prefetched:false;
+    obs_miss t ~pid pkey ~prefetch:false;
+    load t ~pid pkey ~dirty:true ~fetch ~prefetched:false;
     `Miss
   end
 
@@ -568,16 +559,16 @@ let sync t ?file () =
          been recycled for a fresh copy of the same block. *)
       let s = Itbl.find t.table pkey in
       if s >= 0 && tab.Ctab.flags.(s) land Ctab.dirty_bit <> 0 then begin
-        let key = Block.unpack pkey in
         tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) + 1;
         tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.dirty_bit;
         t.writebacks <- t.writebacks + 1;
         incr written;
-        (match t.tracer with Some f -> f (Event.Writeback key) | None -> ());
+        (match t.tracer with Some f -> f (Event.Writeback (Block.unpack pkey)) | None -> ());
         (match t.obs with
         | None -> ()
-        | Some sink -> Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk key }));
-        (try t.backend.Backend.write_block key
+        | Some sink ->
+          Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk (Block.unpack pkey) }));
+        (try t.backend.Backend.write_block pkey
          with e ->
            tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1;
            raise e);
@@ -626,10 +617,10 @@ let invalidate_file t ~file =
   List.iter
     (fun (pkey, s) ->
       if Itbl.find t.table pkey = s && tab.Ctab.pinned.(s) = 0 then begin
-        let key = Block.unpack pkey in
         (match t.obs with
         | None -> ()
         | Some sink ->
+          let key = Block.unpack pkey in
           Obs.Sink.emit sink
             (Obs.Trace.Evict
                {
@@ -641,7 +632,7 @@ let invalidate_file t ~file =
                }));
         detach ~invalidated:true t s;
         incr dropped;
-        t.backend.Backend.evicted key;
+        t.backend.Backend.evicted pkey;
         Ctab.release tab s
       end)
     slots;

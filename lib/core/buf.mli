@@ -23,8 +23,9 @@
     This is the columnar implementation: the block table is an
     int-keyed {!Itbl} over packed block ids, the global list an
     intrusive {!Ilist} over the shared {!Ctab} columns, and the
-    steady-state hit/miss paths are allocation-free (trace events are
-    built only when a tracer or obs sink is installed). The record
+    steady-state hit/miss paths are allocation-free: blocks stay packed
+    keys down to the {!Backend}, and trace events are built only when a
+    tracer or obs sink is installed. The record
     predecessor is retained as {!Buf_ref} and held trace-identical by
     lockstep replay. *)
 
@@ -55,11 +56,14 @@ val config : t -> Config.t
 
 (** {2 Data path} *)
 
-val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
-(** Reference a block for reading; on a miss, makes room (replacement),
-    inserts the block and fetches it through the backend. [prefetch]
-    (default false) marks a read-ahead: the block is installed without
-    recency (see {!Acm.new_block}). *)
+val read_packed : ?prefetch:bool -> t -> pid:Pid.t -> int -> [ `Hit | `Miss ]
+(** Reference a block, named by its packed key ({!Block.pack}), for
+    reading; on a miss, makes room (replacement), inserts the block and
+    fetches it through the backend. [prefetch] (default false) marks a
+    read-ahead: the block is installed without recency (see
+    {!Acm.new_block}). The one read path: {!Cache.read} packs its key
+    and calls it. A hit or a miss builds no [Block.t] unless a tracer or
+    obs sink is installed. *)
 
 val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
 (** Reference a block for writing, marking it dirty. On a miss the

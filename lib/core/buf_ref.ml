@@ -299,9 +299,9 @@ let evict_one t ~ph ~missing =
     | None -> ()
     | Some sink ->
       Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk chosen.Entry.key }));
-    t.backend.Backend.write_block chosen.Entry.key
+    t.backend.Backend.write_block (Block.pack chosen.Entry.key)
   end;
-  t.backend.Backend.evicted chosen.Entry.key
+  t.backend.Backend.evicted (Block.pack chosen.Entry.key)
 
 (* Install [key] in the cache, evicting if needed, and optionally fetch
    its contents. The entry is pinned during the fetch so re-entrant
@@ -320,7 +320,7 @@ let load t ~pid key ~dirty ~fetch ~prefetched =
     Entry.pin e;
     Fun.protect
       ~finally:(fun () -> Entry.unpin e)
-      (fun () -> t.backend.Backend.read_block key)
+      (fun () -> t.backend.Backend.read_block (Block.pack key))
   end
 
 let touch t ~pid (e : Entry.t) =
@@ -413,7 +413,7 @@ let sync t ?file () =
           Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk e.Entry.key }));
         Fun.protect
           ~finally:(fun () -> Entry.unpin e)
-          (fun () -> t.backend.Backend.write_block e.Entry.key)
+          (fun () -> t.backend.Backend.write_block (Block.pack e.Entry.key))
       | Some _ | None -> ())
     dirty;
   !written
@@ -475,7 +475,7 @@ let invalidate_file t ~file =
                }));
         detach t e;
         incr dropped;
-        t.backend.Backend.evicted e.Entry.key
+        t.backend.Backend.evicted (Block.pack e.Entry.key)
       end)
     entries;
   !dropped

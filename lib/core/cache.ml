@@ -21,7 +21,9 @@ let set_tracer t tracer = Buf.set_tracer t.buf tracer
 
 let set_obs t obs = Buf.set_obs t.buf obs
 
-let read ?prefetch t ~pid key = Buf.read ?prefetch t.buf ~pid key
+let read_packed ?prefetch t ~pid pkey = Buf.read_packed ?prefetch t.buf ~pid pkey
+
+let read ?prefetch t ~pid key = Buf.read_packed ?prefetch t.buf ~pid (Block.pack key)
 
 let write t ~pid key ~fetch = Buf.write t.buf ~pid key ~fetch
 

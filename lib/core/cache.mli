@@ -32,6 +32,11 @@ val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** {2 Data path} *)
 
 val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
+(** [read_packed] of [Block.pack key]; raises [Invalid_argument] where
+    {!Block.pack} does. *)
+
+val read_packed : ?prefetch:bool -> t -> pid:Pid.t -> int -> [ `Hit | `Miss ]
+(** {!read} by packed key: see {!Buf.read_packed}. *)
 
 val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
 

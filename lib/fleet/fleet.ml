@@ -37,12 +37,24 @@ type client = {
   hit_cost : float;
   shared_files : int;
   outbox : Batch.t; (* the owning domain's SPSC buffer *)
-  waits : Engine.waitq array; (* per workload: its fiber, parked on a remote request *)
+  mutable workloads : workload array;
   mutable seq : int;
   mutable remote_requests : int;
   mutable local_disk_reads : int;
   mutable finished : int; (* workloads that ran to completion *)
   mutable finished_at : float;
+}
+
+(* A workload replays its stream of packed keys as one callback, built
+   once, that the engine runs at the workload's start and at each of
+   its wake times (see [replay]). *)
+and workload = {
+  cl : client;
+  w : int;
+  pid : Pid.t;
+  stream : int array;
+  mutable pos : int; (* the next reference *)
+  mutable job : Engine.job; (* runs [replay] on this workload *)
 }
 
 type server = {
@@ -97,41 +109,53 @@ let disk_service_s (p : Params.t) =
   ((p.Params.overhead_ms +. p.Params.avg_seek_ms +. p.Params.avg_rot_ms) /. 1000.0)
   +. Params.transfer_time_s p
 
-(* A workload replays its stream of packed keys. A block record is
-   built only for [Cache.read] and dies young; a remote miss parks the
-   fiber on the workload's wait queue until [serve] hands it the
-   response time. A workload has at most one request in flight, so its
-   queue holds at most one fiber and FIFO order is trivially exact. *)
-let spawn_workload cl w stream =
+(* [Engine.delay]'s rules: [true] when the replay goes on at once. *)
+let[@inline] wait wl dt =
+  if dt < 0.0 then invalid_arg "Fleet: negative delay";
+  if dt = 0.0 then true
+  else begin
+    let eng = wl.cl.engine in
+    Engine.schedule_job eng ~at:(Engine.now eng +. dt) wl.job;
+    false
+  end
+
+(* Replay references until the workload must wait, then schedule its
+   job at its wake time exactly as [Engine.delay dt] wakes a fiber: at
+   [now +. dt], with no event for a zero delay and a negative delay
+   refused, so the events and their order are a delaying fiber's
+   (DESIGN §11). On a remote miss, push the request and return:
+   [serve] schedules the job at the response time. A workload has at
+   most one wait pending, so one job each. *)
+let rec replay wl =
+  let cl = wl.cl in
   let eng = cl.engine in
-  let pid = Pid.make w in
-  let wait = cl.waits.(w) in
-  Engine.spawn eng ~name:(Printf.sprintf "client%d.workload%d" cl.id w) (fun () ->
-      let n = Array.length stream in
-      for i = 0 to n - 1 do
-        let p = stream.(i) in
-        match Cache.read cl.cache ~pid (Block.unpack p) with
-        | `Hit -> Engine.delay eng cl.hit_cost
-        | `Miss ->
-          if Block.packed_file p < cl.shared_files then begin
-            let seq = cl.seq in
-            cl.seq <- seq + 1;
-            cl.remote_requests <- cl.remote_requests + 1;
-            Batch.push cl.outbox ~ts:(Engine.now eng) ~client:cl.id ~seq ~wld:w ~blk:p;
-            Engine.park eng wait
-          end
-          else begin
-            cl.local_disk_reads <- cl.local_disk_reads + 1;
-            let d = cl.wdisk.(w) in
-            let now = Engine.now eng in
-            let start = if cl.disk_free.(d) > now then cl.disk_free.(d) else now in
-            let fin = start +. cl.disk_svc.(d) in
-            cl.disk_free.(d) <- fin;
-            Engine.delay eng (fin -. now)
-          end
-      done;
-      cl.finished <- cl.finished + 1;
-      if Engine.now eng > cl.finished_at then cl.finished_at <- Engine.now eng)
+  let i = wl.pos in
+  if i = Array.length wl.stream then begin
+    cl.finished <- cl.finished + 1;
+    if Engine.now eng > cl.finished_at then cl.finished_at <- Engine.now eng
+  end
+  else begin
+    let p = wl.stream.(i) in
+    wl.pos <- i + 1;
+    match Cache.read_packed cl.cache ~pid:wl.pid p with
+    | `Hit -> if wait wl cl.hit_cost then replay wl
+    | `Miss ->
+      if Block.packed_file p < cl.shared_files then begin
+        let seq = cl.seq in
+        cl.seq <- seq + 1;
+        cl.remote_requests <- cl.remote_requests + 1;
+        Batch.push cl.outbox ~ts:(Engine.now eng) ~client:cl.id ~seq ~wld:wl.w ~blk:p
+      end
+      else begin
+        cl.local_disk_reads <- cl.local_disk_reads + 1;
+        let d = cl.wdisk.(wl.w) in
+        let now = Engine.now eng in
+        let start = if cl.disk_free.(d) > now then cl.disk_free.(d) else now in
+        let fin = start +. cl.disk_svc.(d) in
+        cl.disk_free.(d) <- fin;
+        if wait wl (fin -. now) then replay wl
+      end
+  end
 
 let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~offsets
     ~rngs ~outbox id =
@@ -147,7 +171,7 @@ let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~off
       hit_cost;
       shared_files;
       outbox;
-      waits = Array.init nwld (fun _ -> Engine.waitq ());
+      workloads = [||];
       seq = 0;
       remote_requests = 0;
       local_disk_reads = 0;
@@ -155,10 +179,24 @@ let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~off
       finished_at = 0.0;
     }
   in
-  for w = 0 to nwld - 1 do
-    spawn_workload cl w
-      (Wir.packed_references ~rng:rngs.(w) ~file_offset:offsets.(w) programs.(w))
-  done;
+  cl.workloads <-
+    Array.init nwld (fun w ->
+        let wl =
+          {
+            cl;
+            w;
+            pid = Pid.make w;
+            stream =
+              Wir.packed_references ~rng:rngs.(w) ~file_offset:offsets.(w) programs.(w);
+            pos = 0;
+            job = Engine.job ignore;
+          }
+        in
+        wl.job <- Engine.job (fun () -> replay wl);
+        (* Queued now, in workload order, through the ready ring, as
+           [Engine.spawn] queues a fiber's start. *)
+        Engine.schedule_job cl.engine ~at:0.0 wl.job;
+        wl);
   cl
 
 (* {2 Server shard} *)
@@ -268,10 +306,10 @@ let sort_order s n =
    request arrival = send time + link latency; a server miss queues
    FCFS on the server drive; the response lands back at the client
    after another latency plus the block's transmission time. The
-   response wakes the requesting workload's parked fiber at that time
-   ([Engine.wake_at], one event) — safe here because no worker is
-   running between barriers, and always in that client's future (see
-   the lookahead argument above). *)
+   response schedules the requesting workload's job at that time (one
+   event) — safe here because no worker is running between barriers,
+   and always in that client's future (see the lookahead argument
+   above). *)
 let serve s clients lat xfer =
   let n = s.m_len in
   for i = 0 to n - 1 do
@@ -285,7 +323,7 @@ let serve s clients lat xfer =
     let arrival = s.m_ts.(i) +. lat.(c) in
     s.req_by_client.(c) <- s.req_by_client.(c) + 1;
     let done_at =
-      match Cache.read s.s_cache ~pid (Block.unpack s.m_blk.(i)) with
+      match Cache.read_packed s.s_cache ~pid s.m_blk.(i) with
       | `Hit ->
         s.s_hits <- s.s_hits + 1;
         s.hit_by_client.(c) <- s.hit_by_client.(c) + 1;
@@ -300,7 +338,7 @@ let serve s clients lat xfer =
     in
     let back = done_at +. lat.(c) +. xfer.(c) in
     let cl = clients.(c) in
-    Engine.wake_at cl.engine cl.waits.(s.m_wld.(i)) ~at:back
+    Engine.schedule_job cl.engine ~at:back cl.workloads.(s.m_wld.(i)).job
   done;
   s.m_len <- 0
 

@@ -90,12 +90,14 @@ let counted a pid =
 
 let file_of_id t id = if id >= 0 && id < t.next_id then t.files.(id) else None
 
-let file_of_block t key =
-  match file_of_id t (Block.file key) with
+let file_of_block t p =
+  match file_of_id t (Block.packed_file p) with
   | Some f -> f
   | None -> invalid_arg "Fs: block of unknown file"
 
-(* The backend: what BUF calls when it needs the device. *)
+(* The backend: what BUF calls when it needs the device, naming each
+   block by its packed key. A [Block.t] is built only for the data
+   frames of [track_data] and for clustered write-back. *)
 
 (* The read has landed (or failed): wake whoever waits for it, in
    arrival order, and return their queue to the pool. *)
@@ -108,13 +110,13 @@ let landed t p =
     t.nspare <- t.nspare + 1
   end
 
-let backend_read t key =
-  let file = file_of_block t key in
-  let p = Block.pack key in
+let backend_read t p =
+  let file = file_of_block t p in
   Itbl.set t.in_flight p 0;
   charge t t.current_pid 1 ~writes:false;
   (match
-     Disk.io file.File.disk Disk.Read ~addr:(File.disk_addr file ~index:(Block.index key))
+     Disk.io file.File.disk Disk.Read
+       ~addr:(File.disk_addr file ~index:(Block.packed_index p))
    with
   | () -> landed t p
   | exception e ->
@@ -123,8 +125,8 @@ let backend_read t key =
   if t.track_data then begin
     let image = Hashtbl.find t.images (File.id file) in
     let frame = Bytes.make block_bytes '\000' in
-    Bytes.blit image (Block.index key * block_bytes) frame 0 block_bytes;
-    Hashtbl.replace t.frames key frame
+    Bytes.blit image (Block.packed_index p * block_bytes) frame 0 block_bytes;
+    Hashtbl.replace t.frames (Block.unpack p) frame
   end
 
 (* Write-backs are asynchronous, like the BSD/Ultrix [bawrite] used when
@@ -132,18 +134,18 @@ let backend_read t key =
    and the disk write proceeds in its own fiber, so neither the evicting
    process nor the update daemon stalls on it. The write still contends
    for the disk with everyone else. *)
-let backend_write t key =
-  let file = file_of_block t key in
+let backend_write t p =
+  let file = file_of_block t p in
   (* Clustered write-back: also flush the dirty blocks contiguously
-     following [key] in the same request (one positioning). *)
+     following [p] in the same request (one positioning). *)
   let followers =
     if t.write_cluster > 1 && not file.File.unlinked then
-      Cache.take_dirty_followers t.cache key ~max_blocks:t.write_cluster
+      Cache.take_dirty_followers t.cache (Block.unpack p) ~max_blocks:t.write_cluster
     else []
   in
-  let cluster = key :: followers in
+  let blocks = 1 + List.length followers in
   let payer = Option.value file.File.owner ~default:t.current_pid in
-  charge t payer (List.length cluster) ~writes:true;
+  charge t payer blocks ~writes:true;
   if t.track_data then
     List.iter
       (fun k ->
@@ -152,14 +154,13 @@ let backend_write t key =
           let image = Hashtbl.find t.images (File.id file) in
           Bytes.blit frame 0 image (Block.index k * block_bytes) block_bytes
         | None -> ())
-      cluster;
-  let addr = File.disk_addr file ~index:(Block.index key) in
+      (Block.unpack p :: followers);
+  let addr = File.disk_addr file ~index:(Block.packed_index p) in
   let disk = file.File.disk in
-  let blocks = List.length cluster in
   Engine.spawn t.engine ~name:"writeback" (fun () ->
       Disk.io ~blocks disk Disk.Write ~addr)
 
-let backend_evicted t key = if t.track_data then Hashtbl.remove t.frames key
+let backend_evicted t p = if t.track_data then Hashtbl.remove t.frames (Block.unpack p)
 
 let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
     ?(write_cluster = 1) ?(readahead = true) ?(layout = `Packed)

@@ -110,10 +110,20 @@ let with_pool ?jobs f =
 
 (* Run [f ()] with the nesting flag set, as the dynamic extent of a
    task: pool re-entry from inside [f] must raise [Nested] under
-   jobs = 1 exactly as it would on a worker domain. *)
+   jobs = 1 exactly as it would on a worker domain. The flag is
+   restored by a match, not [Fun.protect], which would cost a closure
+   and a handler of its own per call (a fleet epoch at jobs 1 is one
+   call); an exception leaves with its original backtrace. *)
 let as_task f =
   Domain.DLS.set inside_task true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set inside_task false) f
+  match f () with
+  | v ->
+    Domain.DLS.set inside_task false;
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Domain.DLS.set inside_task false;
+    Printexc.raise_with_backtrace e bt
 
 let async t f =
   reject_nesting ();

@@ -288,20 +288,26 @@ let ring_pop t =
   t.rhead <- t.rhead + 1;
   job
 
-(* Queue a sleeping fiber's continuation at its wake time, with the
-   same ring-vs-heap routing as [schedule_job] below. The wake time is
-   never in the past, so no check is needed. *)
-let sleep_push t k =
-  let at = t.sleep_at.(0) in
+(* Queue [job] at [at], which is not in the past. An event due exactly
+   now, with nothing in the heap able to run before it, goes to the
+   ready ring: same firing order as a heap push (any same-time heap
+   event already present would have top_time = at and forces the heap
+   path; later pushes get larger seqs and fire after). Inlined into
+   every caller, so [at] stays unboxed. *)
+let[@inline] route t at job =
   (* [Equeue] fields are read directly here and below: [top_time] is an
      arm's-length call whose float return would box on the hot path. *)
   if at = t.clock.(0) && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
-  then ring_push t (Equeue.Cont k)
+  then ring_push t job
   else begin
     t.seq <- t.seq + 1;
     Equeue.stage t.events at;
-    Equeue.push_staged t.events ~seq:t.seq (Equeue.Cont k)
+    Equeue.push_staged t.events ~seq:t.seq job
   end
+
+(* Queue a sleeping fiber's continuation at its wake time. The wake
+   time is never in the past, so no check is needed. *)
+let sleep_push t k = route t t.sleep_at.(0) (Equeue.Cont k)
 
 let waitq () = { wjobs = [||]; wids = [||]; whead = 0; wlen = 0 }
 
@@ -403,38 +409,24 @@ let set_obs t obs =
     Obs.Metrics.gauge m "sim.pending_events" (fun () ->
         float_of_int (Equeue.length t.events + ring_length t))
 
-(* An event due exactly now, with nothing in the heap able to run
-   before it, goes to the ready ring: same firing order as a heap push
-   (any same-time heap event already present would have top_time = at
-   and forces the heap path; later pushes get larger seqs and fire
-   after). *)
-let schedule_job t ~at job =
-  if at < t.clock.(0) then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: time %g is in the past (now %g)" at
-         t.clock.(0));
-  if
-    at = t.clock.(0)
-    && (Equeue.is_empty t.events || t.events.Equeue.ts.(0) > at)
-  then ring_push t job
-  else begin
-    t.seq <- t.seq + 1;
-    Equeue.stage t.events at;
-    Equeue.push_staged t.events ~seq:t.seq job
-  end
+type job = Equeue.job
+
+let job f = Equeue.Thunk f
+
+(* Out of line, so the inlined entry below stays small; only a refused
+   call boxes its times. *)
+let past at now =
+  invalid_arg (Printf.sprintf "Engine.schedule: time %g is in the past (now %g)" at now)
+
+let[@inline] schedule_job t ~at job =
+  let now = t.clock.(0) in
+  if at < now then past at now;
+  route t at job
 
 let schedule t ~at thunk = schedule_job t ~at (Equeue.Thunk thunk)
 
-(* [schedule_job] at the current instant, without boxing a float [at]
-   argument. *)
-let schedule_now t job =
-  if Equeue.is_empty t.events || t.events.Equeue.ts.(0) > t.clock.(0) then
-    ring_push t job
-  else begin
-    t.seq <- t.seq + 1;
-    Equeue.stage t.events t.clock.(0);
-    Equeue.push_staged t.events ~seq:t.seq job
-  end
+(* [route] at the current instant. *)
+let schedule_now t job = route t t.clock.(0) job
 
 (* Fiber-local knowledge of "who am I" is threaded through the effect
    handler: each fiber runs under its own handler that knows its id, so
@@ -543,13 +535,6 @@ let wake_one t q =
     schedule_now t (take t q);
     true
   end
-
-let wake_at t q ~at =
-  if q.wlen = 0 then invalid_arg "Engine.wake_at: no fiber is parked";
-  if at < t.clock.(0) then
-    invalid_arg
-      (Printf.sprintf "Engine.wake_at: time %g is in the past (now %g)" at t.clock.(0));
-  schedule_job t ~at (take t q)
 
 let wake_all t q =
   while wake_one t q do

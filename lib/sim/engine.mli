@@ -72,6 +72,27 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
     not be in the past. Callbacks must not block; use {!spawn} for code
     that does. *)
 
+type job
+(** A callback built once, to be scheduled again and again. *)
+
+val job : (unit -> unit) -> job
+(** [job f] wraps callback [f] for {!schedule_job}. Like a {!schedule}
+    callback, [f] must not block. *)
+
+val schedule_job : t -> at:float -> job -> unit
+(** [schedule_job t ~at j] runs [j]'s callback at virtual time [at],
+    exactly as [schedule t ~at f] would: one event, after every event
+    already scheduled for [at]. [at] may not be in the past. Inlined,
+    and the job is built beforehand, so a call allocates nothing: no
+    boxed time, no closure.
+
+    A callback that reschedules its own job at [now t +. dt] is a
+    process whose [delay dt] costs no fiber: its next run fires where
+    the fiber's {!delay} would have resumed, at the same event count
+    (see {!delay}'s in-place rule, which only skips the queue). The
+    fleet's client workloads run this way, and a coordinator outside
+    the engine's run can schedule such a job at a response time. *)
+
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] starts a new fiber running [f] at the current virtual
     time. [name] is used in {!Deadlock} diagnostics. *)
@@ -117,11 +138,10 @@ val wake_key : t -> int -> unit
 (** {2 Wait queues}
 
     A FIFO of blocked fibers owned by the engine: the primitive under
-    {!Ivar}, the file system's in-flight reads and the fleet's remote
-    requests. A parked fiber's continuation sits in the queue as is;
-    waking it moves it to the run queue at the current instant (the
-    ready ring when nothing queued is due sooner), where the run loop
-    resumes it directly. A parked fiber is flagged blocked
+    {!Ivar} and the file system's in-flight reads. A parked fiber's
+    continuation sits in the queue as is; waking it moves it to the run
+    queue at the current instant (the ready ring when nothing queued is
+    due sooner), where the run loop resumes it directly. A parked fiber is flagged blocked
     in the engine's fiber registry, so {!Deadlock} names it. *)
 
 type waitq
@@ -140,14 +160,6 @@ val wake_one : t -> waitq -> bool
 
 val wake_all : t -> waitq -> unit
 (** {!wake_one} until the queue is empty, in FIFO order. *)
-
-val wake_at : t -> waitq -> at:float -> unit
-(** Schedule the longest-parked fiber to resume at virtual time [at],
-    routed like {!schedule}: one event, after every event already
-    scheduled for [at]. Lets a coordinator hand a parked fiber its
-    response time from outside the engine's run, with no closure per
-    wait. Raises [Invalid_argument] if no fiber is parked or [at] is in
-    the past. *)
 
 val waiters : waitq -> int
 (** Fibers currently parked on the queue. *)

@@ -1,10 +1,11 @@
 open Acfc_core
 open Tutil
 
-(* A backend that records its calls, for observing device traffic. *)
+(* A backend that records its calls, for observing device traffic. It
+   receives packed keys and logs their records. *)
 let recording_backend () =
   let log = ref [] in
-  let push tag key = log := (tag, key) :: !log in
+  let push tag key = log := (tag, Block.unpack key) :: !log in
   ( {
       Backend.read_block = (fun k -> push `Read k);
       write_block = (fun k -> push `Write k);

@@ -319,6 +319,92 @@ let lockstep_random ~seed ~alloc_policy () =
   | Ok n -> chk_int "all ops replayed" (Array.length ops) n
   | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d)
 
+(* {2 Temporary priorities over ranges around the member count}
+
+   [Acm.set_temppri] walks a range index by index while it holds at
+   most as many indices as the manager has members, and visits the
+   file's members inside it otherwise. Random ranges of 1 to 120 blocks
+   over a 48-block cache with three managers fall on both sides of the
+   member count; {!Lockstep} holds every step against {!Acm_ref}, whose
+   index loop is the oracle, comparing level orders after each step. A
+   replay of the same ops on a plain cache counts the calls on each
+   side: both must be reached. *)
+
+let temppri_ops ~seed =
+  let rng = Acfc_sim.Rng.create seed in
+  let ri = Acfc_sim.Rng.int rng in
+  let registers = Array.init 3 (fun i -> Lockstep.Register_manager (pid (1 + i))) in
+  Array.append registers
+    (Array.init 3_000 (fun _ ->
+         let p = pid (1 + ri 3) in
+         let r = ri 100 in
+         if r < 70 then
+           Lockstep.Read { pid = p; block = blk ~file:(ri 3) (ri 64); prefetch = ri 8 = 0 }
+         else if r < 76 then Lockstep.Set_priority { pid = p; file = ri 3; prio = ri 3 }
+         else if r < 80 then
+           Lockstep.Set_policy
+             { pid = p; prio = ri 3; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
+         else begin
+           let first = ri 64 in
+           Lockstep.Set_temppri
+             { pid = p; file = ri 3; first; last = first + ri 120; prio = ri 3 }
+         end))
+
+let lockstep_temppri_ranges ~seed () =
+  let config = config 48 in
+  let ops = temppri_ops ~seed in
+  (match Lockstep.run ~deep_every:1 config ops with
+  | Ok n -> chk_int "all ops replayed" (Array.length ops) n
+  | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d));
+  let c = Cache.create config in
+  let index_loop = ref 0 and member_walk = ref 0 in
+  Array.iter
+    (function
+      | Lockstep.Read { pid; block; prefetch } -> ignore (Cache.read ~prefetch c ~pid block)
+      | Lockstep.Register_manager p -> ignore (Cache.register_manager c p)
+      | Lockstep.Set_priority { pid; file; prio } ->
+        ignore (Cache.set_priority c pid ~file ~prio)
+      | Lockstep.Set_policy { pid; prio; policy } -> ignore (Cache.set_policy c pid ~prio policy)
+      | Lockstep.Set_temppri { pid; file; first; last; prio } ->
+        let members = Cache.manager_members c pid in
+        if last - first < members then incr index_loop
+        else if members > 0 then incr member_walk;
+        ignore (Cache.set_temppri c pid ~file ~first ~last ~prio)
+      | _ -> assert false)
+    ops;
+  chk_bool "some ranges walked index by index" true (!index_loop > 0);
+  chk_bool "some ranges wider than the member set" true (!member_walk > 0)
+
+(* A range of 2^32 blocks moves exactly what one single-block call per
+   index of the resident span moves: each of those takes the index
+   loop, which the range's member walk must reproduce. *)
+let temppri_full_range_matches_index_loop () =
+  let build () =
+    let c = Cache.create (config 48) in
+    let p = pid 1 in
+    ignore (Cache.register_manager c p);
+    ignore (Cache.set_policy c p ~prio:1 Policy.Mru);
+    (* Residents of files 0 and 1, read out of index order. *)
+    List.iter
+      (fun i -> ignore (Cache.read c ~pid:p (blk ~file:(i mod 2) ((i * 7) mod 40))))
+      (List.init 40 Fun.id);
+    (c, p)
+  in
+  let wide, p = build () in
+  chk_bool "whole range accepted" true
+    (Cache.set_temppri wide p ~file:0 ~first:3 ~last:Block.max_packed_index ~prio:1 = Ok ());
+  let single, _ = build () in
+  for index = 3 to 63 do
+    ignore (Cache.set_temppri single p ~file:0 ~first:index ~last:index ~prio:1)
+  done;
+  let order c prio = List.map (Format.asprintf "%a" Block.pp) (Cache.level_blocks c p ~prio) in
+  List.iter
+    (fun prio ->
+      chk_bool (Printf.sprintf "level %d order" prio) true (order wide prio = order single prio))
+    [ 0; 1 ];
+  chk_bool "blocks moved" true (order wide 1 <> []);
+  Cache.check_invariants wide
+
 (* {2 The ACM's derived fold order vs (Block.t, int) Hashtbl}
 
    A manager's block set is no table: the ACM derives the order in
@@ -543,5 +629,11 @@ let suites =
           (lockstep_random ~seed:7 ~alloc_policy:Config.Lru_sp);
         case "lockstep random ops, clock-sp"
           (lockstep_random ~seed:8 ~alloc_policy:Config.Clock_sp);
+        case "lockstep temppri ranges around the member count, seed 9"
+          (lockstep_temppri_ranges ~seed:9);
+        case "lockstep temppri ranges around the member count, seed 10"
+          (lockstep_temppri_ranges ~seed:10);
+        case "a 2^32-block temppri range matches the index loop"
+          temppri_full_range_matches_index_loop;
       ] );
   ]

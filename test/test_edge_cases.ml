@@ -115,7 +115,7 @@ let reentrant_write_during_fetch () =
     {
       Backend.read_block =
         (fun key ->
-          if Block.index key = 0 && not !performed then begin
+          if Block.packed_index key = 0 && not !performed then begin
             performed := true;
             (* While block 0 is pinned in-flight, another process writes
                block 1 and invalidates nothing of substance. *)

@@ -269,53 +269,86 @@ let deadlock_names_parked_fibers () =
     check Alcotest.string "sorted names of every blocked fiber"
       "a-queued, b-queued, c-reader, d-keyed, holder" names
 
-(* {2 Timed wake-ups and the next event time} *)
+(* {2 Prebuilt jobs and the next event time} *)
 
-let wake_at_order () =
+let schedule_job_order () =
   let e = Engine.create () in
-  let q = Engine.waitq () in
   let log = ref [] in
-  Engine.spawn e ~name:"a" (fun () ->
-      Engine.park e q;
-      log_entry e log "a");
-  Engine.spawn e ~name:"b" (fun () ->
-      Engine.park e q;
-      log_entry e log "b");
+  let a = Engine.job (fun () -> log_entry e log "a") in
+  let b = Engine.job (fun () -> log_entry e log "b") in
   Engine.schedule e ~at:2.0 (fun () -> log_entry e log "older");
   Engine.schedule e ~at:1.0 (fun () ->
-      chk_int "both parked" 2 (Engine.waiters q);
-      Engine.wake_at e q ~at:2.0;
-      chk_int "the oldest left the queue" 1 (Engine.waiters q);
+      Engine.schedule_job e ~at:2.0 a;
       Engine.schedule e ~at:2.0 (fun () -> log_entry e log "younger");
-      Engine.wake_at e q ~at:3.0);
+      Engine.schedule_job e ~at:3.0 b;
+      (* One job may be pending more than once. *)
+      Engine.schedule_job e ~at:3.0 a;
+      (* Due now: behind the callback that scheduled it, nothing else. *)
+      Engine.schedule_job e ~at:1.0 b);
   Engine.run e;
-  chk_bool "oldest first, FIFO among same-time events" true
-    (List.rev !log = [ ("older", 2.0); ("a", 2.0); ("younger", 2.0); ("b", 3.0) ]);
-  (* two spawns, three callbacks, two wake-ups *)
-  chk_int "one event per wake-up" 7 (Engine.events_processed e)
+  chk_bool "FIFO among same-time events, in scheduling order" true
+    (List.rev !log
+    = [ ("b", 1.0); ("older", 2.0); ("a", 2.0); ("younger", 2.0); ("b", 3.0); ("a", 3.0) ]);
+  (* three callbacks, four job runs *)
+  chk_int "one event per scheduled job" 7 (Engine.events_processed e)
 
-let wake_at_rejects () =
+let schedule_job_rejects_the_past () =
   let e = Engine.create () in
-  let q = Engine.waitq () in
-  Alcotest.check_raises "empty queue"
-    (Invalid_argument "Engine.wake_at: no fiber is parked") (fun () ->
-      Engine.wake_at e q ~at:1.0);
-  Engine.spawn e ~name:"parked" (fun () -> Engine.park e q);
+  let runs = ref 0 in
+  let j = Engine.job (fun () -> incr runs) in
   Engine.schedule e ~at:5.0 (fun () ->
       Alcotest.check_raises "time in the past"
-        (Invalid_argument "Engine.wake_at: time 1 is in the past (now 5)") (fun () ->
-          Engine.wake_at e q ~at:1.0);
-      chk_int "a refused wake-up leaves the fiber parked" 1 (Engine.waiters q);
-      Engine.wake_at e q ~at:5.0);
+        (Invalid_argument "Engine.schedule: time 1 is in the past (now 5)") (fun () ->
+          Engine.schedule_job e ~at:1.0 j);
+      chk_float "a refused job queues nothing" Float.infinity (Engine.next_event_time e);
+      Engine.schedule_job e ~at:5.0 j);
   Engine.run e;
-  chk_int "woken at the present" 0 (Engine.fiber_count e)
+  chk_int "scheduled at the present, run once" 1 !runs
+
+(* A callback that reschedules its own job at [now +. dt] is the fiber
+   that calls [delay dt]: same clock readings, same event count, in
+   place or not. The fiber's first delay resumes in place; the tiny one
+   cannot move the clock and still costs its event. *)
+let callback_matches_fiber_delays () =
+  let delays = [ 0.5; 0.0; 1e-20; 0.25; 0.5 ] in
+  let run ~as_callback =
+    let e = Engine.create () in
+    let log = ref [] in
+    Engine.schedule e ~at:1.0 (fun () -> log_entry e log "event");
+    (if as_callback then begin
+       let rest = ref delays and self = ref (Engine.job ignore) in
+       let rec go () =
+         log_entry e log "step";
+         match !rest with
+         | [] -> ()
+         | dt :: more ->
+           rest := more;
+           if dt = 0.0 then go () else Engine.schedule_job e ~at:(Engine.now e +. dt) !self
+       in
+       self := Engine.job go;
+       Engine.schedule_job e ~at:0.0 !self
+     end
+     else
+       Engine.spawn e (fun () ->
+           log_entry e log "step";
+           List.iter
+             (fun dt ->
+               Engine.delay e dt;
+               log_entry e log "step")
+             delays));
+    Engine.run e;
+    (List.rev !log, Engine.events_processed e)
+  in
+  let fiber = run ~as_callback:false in
+  chk_bool "same log and events" true (run ~as_callback:true = fiber);
+  chk_int "start, event, four wakes" 6 (snd fiber)
 
 let deadlock_names_unwoken_parker () =
   let e = Engine.create () in
   let q = Engine.waitq () in
   Engine.spawn e ~name:"woken" (fun () -> Engine.park e q);
   Engine.spawn e ~name:"orphan" (fun () -> Engine.park e q);
-  Engine.schedule e ~at:1.0 (fun () -> Engine.wake_at e q ~at:2.0);
+  Engine.schedule e ~at:2.0 (fun () -> ignore (Engine.wake_one e q));
   match Engine.run e with
   | () -> Alcotest.fail "no deadlock raised"
   | exception Engine.Deadlock names ->
@@ -414,8 +447,14 @@ let deadlock_names_match_model =
    list of (time, seq, callback), every wake-up queued, ivars and wait
    queues as plain FIFOs of resume closures, and a resource as a
    one-server calendar: a use starts at the later of now and the end of
-   the last booking and sleeps to its finish. A timed wake-up
-   ([wake_at]) schedules the oldest resume closure at its time. *)
+   the last booking and sleeps to its finish.
+
+   Besides the fibers, callback actors run on the engine as jobs that
+   reschedule themselves ({!Engine.schedule_job}) and are modelled here
+   as fibers that {!delay}: that a rescheduled callback is a delaying
+   fiber, event for event, is the property under test. In the stepped
+   run, an actor's request waits for a coordinator that, between
+   [run_until] steps, schedules the actor's job at a response time. *)
 
 module Ref_sched = struct
   type t = {
@@ -458,15 +497,17 @@ module Ref_sched = struct
 
   let delay t dt = if dt > 0.0 then block (fun resume -> schedule t (t.now +. dt) resume)
 
-  let rec run t =
+  let rec run_until t horizon =
     match t.queue with
-    | [] -> ()
-    | (at, _, f) :: rest ->
+    | (at, _, f) :: rest when at <= horizon ->
       t.queue <- rest;
       t.now <- at;
       t.processed <- t.processed + 1;
       f ();
-      run t
+      run_until t horizon
+    | _ -> if t.now < horizon then t.now <- horizon
+
+  let run t = run_until t Float.infinity
 
   type res = { mutable free : float }
 
@@ -489,7 +530,7 @@ module Ref_sched = struct
 
   let park q = block (fun resume -> Queue.push resume q)
 
-  let wake_at t q at = Option.iter (fun w -> schedule t at w) (Queue.take_opt q)
+  let wake t q = Option.iter (fun w -> schedule t t.now w) (Queue.take_opt q)
 end
 
 type script_op =
@@ -498,10 +539,19 @@ type script_op =
   | Fill of int
   | Read of int
   | Park of int
-  | Wake_at of int * int
+  | Wake of int
+
+(* What an actor waits for after each step: [Tick 0] is a zero delay
+   (no event), [Tiny] a delay too small to move a clock past 0, and
+   [Request k] a response [k] quanta after the coordinator's next
+   step (in the unstepped run, where no coordinator runs, a zero
+   delay). *)
+type actor_op = Tick of int | Tiny | Request of int
 
 (* Quarter-second quanta keep float times exact and ties frequent. *)
 let quanta k = 0.25 *. float_of_int k
+
+let tiny = 1e-20
 
 let script_gen =
   let open QCheck2.Gen in
@@ -513,16 +563,57 @@ let script_gen =
         map (fun i -> Fill i) (int_range 0 1);
         map (fun i -> Read i) (int_range 0 1);
         map (fun q -> Park q) (int_range 0 1);
-        map2 (fun q k -> Wake_at (q, k)) (int_range 0 1) (int_range 0 4);
+        map (fun q -> Wake q) (int_range 0 1);
       ]
   in
-  list_size (int_range 1 5) (list_size (int_range 0 8) op)
+  let actor_op =
+    oneof
+      [
+        map (fun k -> Tick k) (int_range 0 4);
+        pure Tiny;
+        map (fun k -> Request k) (int_range 0 3);
+      ]
+  in
+  pair
+    (list_size (int_range 1 5) (list_size (int_range 0 8) op))
+    (list_size (int_range 0 3) (list_size (int_range 0 8) actor_op))
 
 (* A closing fiber fills any ivar nobody filled and wakes every parked
    fiber, after which parking is a no-op, so every run ends. *)
 let closing_time = 50.0
 
-let run_engine ~stepped scripts =
+(* The stepped runs' horizons: 0.3, 0.6, ... *)
+let step_length = 0.3
+
+(* Actor [a]'s job: it logs each step as [(first_actor + a, j, now)]
+   once the step's wait ends, as a fiber logs its ops. *)
+let actor_job e ~log ~outbox ~serve jobs ~first_actor a ops =
+  let ops = Array.of_list ops in
+  let pos = ref 0 and waiting = ref false in
+  Engine.job (fun () ->
+      if !waiting then begin
+        waiting := false;
+        log := (first_actor + a, !pos - 1, Engine.now e) :: !log
+      end;
+      while (not !waiting) && !pos < Array.length ops do
+        let j = !pos in
+        incr pos;
+        let wait_for dt =
+          Engine.schedule_job e ~at:(Engine.now e +. dt) jobs.(a);
+          waiting := true
+        in
+        (match ops.(j) with
+        | Tick k -> if k > 0 then wait_for (quanta k)
+        | Tiny -> wait_for tiny
+        | Request k ->
+          if serve then begin
+            Queue.push (a, k) outbox;
+            waiting := true
+          end);
+        if not !waiting then log := (first_actor + a, j, Engine.now e) :: !log
+      done)
+
+let run_engine ~stepped (scripts, actors) =
   let e = Engine.create () in
   let res = [| Resource.create e (); Resource.create e () |] in
   let ivs = [| Ivar.create e; Ivar.create e |] in
@@ -541,12 +632,19 @@ let run_engine ~stepped scripts =
               | Fill i -> fill i
               | Read i -> Ivar.read ivs.(i)
               | Park q -> if not !closed then Engine.park e qs.(q)
-              | Wake_at (q, k) ->
-                if Engine.waiters qs.(q) > 0 then
-                  Engine.wake_at e qs.(q) ~at:(Engine.now e +. quanta k));
+              | Wake q -> ignore (Engine.wake_one e qs.(q)));
               log := (f, j, Engine.now e) :: !log)
             script))
     scripts;
+  let outbox = Queue.create () in
+  let jobs = Array.make (List.length actors) (Engine.job ignore) in
+  List.iteri
+    (fun a ops ->
+      jobs.(a) <-
+        actor_job e ~log ~outbox ~serve:stepped jobs ~first_actor:(List.length scripts) a
+          ops)
+    actors;
+  Array.iter (Engine.schedule_job e ~at:0.0) jobs;
   Engine.spawn e (fun () ->
       Engine.delay e closing_time;
       fill 0;
@@ -555,15 +653,18 @@ let run_engine ~stepped scripts =
       Array.iter (Engine.wake_all e) qs);
   if stepped then begin
     let horizon = ref 0.0 in
-    while Engine.next_event_time e < Float.infinity do
-      horizon := !horizon +. 0.3;
-      Engine.run_until e !horizon
+    while Engine.next_event_time e < Float.infinity || not (Queue.is_empty outbox) do
+      horizon := !horizon +. step_length;
+      Engine.run_until e !horizon;
+      (* The coordinator, outside the run. *)
+      Queue.iter (fun (a, k) -> Engine.schedule_job e ~at:(!horizon +. quanta k) jobs.(a)) outbox;
+      Queue.clear outbox
     done
   end
   else Engine.run e;
   (List.rev !log, Engine.events_processed e)
 
-let run_reference scripts =
+let run_reference ~stepped (scripts, actors) =
   let module R = Ref_sched in
   let t = R.create () in
   let res = [| { R.free = 0.0 }; { R.free = 0.0 } |] in
@@ -582,24 +683,47 @@ let run_reference scripts =
               | Fill i -> R.fill t ivs.(i)
               | Read i -> R.read ivs.(i)
               | Park q -> if not !closed then R.park qs.(q)
-              | Wake_at (q, k) -> R.wake_at t qs.(q) (t.R.now +. quanta k));
+              | Wake q -> R.wake t qs.(q));
               log := (f, j, t.R.now) :: !log)
             script))
     scripts;
+  let outbox = Queue.create () in
+  List.iteri
+    (fun a ops ->
+      R.spawn t (fun () ->
+          List.iteri
+            (fun j op ->
+              (match op with
+              | Tick k -> R.delay t (quanta k)
+              | Tiny -> R.delay t tiny
+              | Request k ->
+                if stepped then R.block (fun resume -> Queue.push (resume, k) outbox));
+              log := (List.length scripts + a, j, t.R.now) :: !log)
+            ops))
+    actors;
   R.spawn t (fun () ->
       R.delay t closing_time;
       R.fill t ivs.(0);
       R.fill t ivs.(1);
       closed := true;
       Array.iter (fun q -> Queue.iter (fun w -> R.schedule t t.R.now w) q; Queue.clear q) qs);
-  R.run t;
+  if stepped then begin
+    let horizon = ref 0.0 in
+    while (match t.R.queue with [] -> false | _ :: _ -> true) || not (Queue.is_empty outbox) do
+      horizon := !horizon +. step_length;
+      R.run_until t !horizon;
+      Queue.iter (fun (resume, k) -> R.schedule t (!horizon +. quanta k) resume) outbox;
+      Queue.clear outbox
+    done
+  end
+  else R.run t;
   (List.rev !log, t.R.processed)
 
 let matches_reference =
   qcheck "fibers, resources and ivars match a list-based scheduler" ~count:300
     script_gen (fun case ->
-      let expected = run_reference case in
-      run_engine ~stepped:false case = expected && run_engine ~stepped:true case = expected)
+      run_engine ~stepped:false case = run_reference ~stepped:false case
+      && run_engine ~stepped:true case = run_reference ~stepped:true case)
 
 let suites =
   [
@@ -626,8 +750,9 @@ let suites =
         case "run_until holds back late wake-ups" run_until_holds_back_late_wakeups;
         case "delay outside a fiber fails" delay_outside_fiber_fails;
         case "deadlock names parked fibers" deadlock_names_parked_fibers;
-        case "wake_at: oldest first, after same-time events" wake_at_order;
-        case "wake_at rejects an empty queue and the past" wake_at_rejects;
+        case "schedule_job: FIFO after same-time events" schedule_job_order;
+        case "schedule_job rejects the past" schedule_job_rejects_the_past;
+        case "a rescheduled callback matches a fiber's delays" callback_matches_fiber_delays;
         case "deadlock names a parker nobody wakes" deadlock_names_unwoken_parker;
         case "next_event_time: infinity, ring, heap top" next_event_time_reads;
         deadlock_names_match_model;

@@ -101,7 +101,7 @@ let cache_busy_when_everything_pinned () =
     {
       Acfc_core.Backend.read_block =
         (fun key ->
-          if Acfc_core.Block.index key = 0 then (
+          if Acfc_core.Block.packed_index key = 0 then (
             match Cache.read (Option.get !cache) ~pid:(pid 0) (blk 1) with
             | _ -> inner_result := `Returned
             | exception Cache.Cache_busy -> inner_result := `Busy));
