@@ -51,7 +51,8 @@ let run ~with_upcall =
     let control = ok (Control.attach cache pid) in
     (* User-level LRU-2: track the last two reference times of every
        block we own; evict the one whose second-to-last reference is
-       oldest (blocks seen once are prime victims). *)
+       oldest (blocks seen once are prime victims), and break ties by
+       the older last reference, LRU-K's subsidiary LRU rule. *)
     let clock = ref 0 in
     let history : (Block.t, int * int) Hashtbl.t = Hashtbl.create 256 in
     let tracer = function
@@ -70,14 +71,14 @@ let run ~with_upcall =
             (fun ~candidate:_ ~resident ->
               let score b =
                 match Hashtbl.find_opt history b with
-                | Some (_, penultimate) -> penultimate
-                | None -> -1
+                | Some (last, penultimate) -> (penultimate, last)
+                | None -> (-1, -1)
               in
               let best =
                 List.fold_left
                   (fun acc b ->
                     match acc with
-                    | Some best when score best <= score b -> acc
+                    | Some best when compare (score best) (score b) <= 0 -> acc
                     | _ -> Some b)
                   None resident
               in

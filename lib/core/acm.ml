@@ -14,19 +14,13 @@
    A manager's block set is no table of its own. Membership is the
    [Ctab.managed] column, a lookup by key goes through BUF's block
    table (shared by {!Cache.create}), and linking or unlinking a block
-   touches only int columns. The set's iteration order is observable,
-   though: [set_priority] relinks resident blocks in it, and the upcall
-   chooser receives it as the resident set. It must stay the fold order
-   of the predecessor's [(Block.t, int) Hashtbl.t], which depends only
-   on the keys and the insert/remove sequence. A stdlib [Hashtbl] folds
-   its buckets in ascending index ([Hashtbl.hash key land (buckets -
-   1)], see {!Btbl.hash}), each bucket from its newest insert to its
-   oldest; a resize doubles the buckets when an insert takes the size
-   past twice their number and keeps each bucket's relative order; a
-   remove or a replace of a present key moves nothing. So each member
-   slot carries the stamp of its insert, each manager counts its
-   members and emulates the bucket count, and [fold_order] sorts by
-   (bucket, newest stamp first) when a cold path asks. *)
+   touches only int columns. The set's order is observable, though:
+   [set_priority] relinks resident blocks in it, a wide [set_temppri]
+   range moves them in it, and the upcall chooser receives it as the
+   resident set. The paper orders none of these, so the order is
+   stated: ascending packed key, by file and then by index. It depends
+   on the set alone, and [sorted_members] computes it when a cold path
+   asks. *)
 
 type level = { prio : int; idx : int; mutable policy : Policy.t; list : Ilist.t }
 
@@ -51,7 +45,6 @@ type manager = {
   mutable n_levels : int;  (* levels created = |sorted_levels|; never removed *)
   file_level : Itbl.t;  (* file -> [idx] of a non-zero long-term priority *)
   mutable members : int;  (* slots whose [Ctab.managed] is [pid] *)
-  mutable buckets : int;  (* the predecessor table's bucket count *)
   mutable chooser : chooser option;  (* upcall replacement handler *)
   mutable plugin : plugin option;  (* event-driven decision plug-in *)
   mutable decisions : int;
@@ -66,9 +59,6 @@ type t = {
   config : Config.t;
   tab : Ctab.t;
   table : Itbl.t;  (* BUF's block table: packed id -> resident slot *)
-  mutable stamp : int array;
-      (* slot -> insert stamp while managed; empty until the first [register] *)
-  mutable clock : int;  (* the last stamp given *)
   mutable managers : manager option array;  (* index = pid *)
   mutable n_managers : int;
   mutable tracer : (Event.t -> unit) option;
@@ -80,8 +70,6 @@ let create config ~tab ~table =
     config;
     tab;
     table;
-    stamp = [||];
-    clock = 0;
     managers = Array.make 16 None;
     n_managers = 0;
     tracer = None;
@@ -152,24 +140,13 @@ let long_term_level mgr file =
 
 let long_term_prio mgr file = (long_term_level mgr file).prio
 
-(* Enter slot [s] into [mgr]'s set: what the predecessor's
-   [Hashtbl.replace] did. A slot already in the set keeps its stamp, as
-   a replace of a present key keeps its place; a new one takes the next
-   stamp and may double the buckets, by stdlib's resize rule. *)
+(* Enter slot [s] into [mgr]'s set; a slot already in it stays. *)
 let join t mgr s =
   let tab = t.tab in
   let p = Pid.to_int mgr.pid in
   if tab.Ctab.managed.(s) <> p then begin
     tab.Ctab.managed.(s) <- p;
-    if s >= Array.length t.stamp then begin
-      let grown = Array.make (Ctab.capacity tab) 0 in
-      Array.blit t.stamp 0 grown 0 (Array.length t.stamp);
-      t.stamp <- grown
-    end;
-    t.clock <- t.clock + 1;
-    t.stamp.(s) <- t.clock;
-    mgr.members <- mgr.members + 1;
-    if mgr.members > 2 * mgr.buckets then mgr.buckets <- 2 * mgr.buckets
+    mgr.members <- mgr.members + 1
   end
 
 (* Link slot [s] into [lvl] at the MRU (recency) end: used for blocks
@@ -205,53 +182,31 @@ let member_slot t mgr key =
   let s = if key < 0 then -1 else Itbl.find t.table key in
   if s >= 0 && t.tab.Ctab.managed.(s) = Pid.to_int mgr.pid then s else -1
 
-(* [mgr]'s members that satisfy [keep], in the order a fold of the
-   predecessor's table visits them: by bucket, each bucket newest
-   first. A counting sort on the bucket, with an insertion sort on the
-   stamp within each bucket, which holds about two members. Cold paths
-   only: it walks the whole set. *)
-let fold_order t mgr ~keep =
-  let tab = t.tab and stamp = t.stamp in
-  let mask = mgr.buckets - 1 in
-  let slots = Array.make mgr.members 0 and bucket = Array.make mgr.members 0 in
-  let n = ref 0 in
-  (* [first.(b + 1)] counts bucket [b], then sums to its end. *)
-  let first = Array.make (mgr.buckets + 1) 0 in
+(* [mgr]'s members that satisfy [keep], in ascending packed key order:
+   by file, then by index. Cold paths only: it walks the whole set. *)
+let sorted_members t mgr ~keep =
+  let tab = t.tab in
+  let found = Array.make mgr.members 0 and n = ref 0 in
   List.iter
     (fun lvl ->
       Ilist.iter
         (fun s ->
           if keep s then begin
-            let b = Btbl.hash tab.Ctab.key.(s) land mask in
-            slots.(!n) <- s;
-            bucket.(!n) <- b;
-            incr n;
-            first.(b + 1) <- first.(b + 1) + 1
+            found.(!n) <- s;
+            incr n
           end)
         tab.Ctab.lvl lvl.list)
     mgr.sorted_levels;
-  for b = 1 to mgr.buckets do
-    first.(b) <- first.(b) + first.(b - 1)
-  done;
-  let order = Array.make !n 0 and fill = Array.sub first 0 mgr.buckets in
-  for i = 0 to !n - 1 do
-    let s = slots.(i) and b = bucket.(i) in
-    let j = ref fill.(b) in
-    while !j > first.(b) && stamp.(order.(!j - 1)) < stamp.(s) do
-      order.(!j) <- order.(!j - 1);
-      decr j
-    done;
-    order.(!j) <- s;
-    fill.(b) <- fill.(b) + 1
-  done;
-  order
+  let found = Array.sub found 0 !n in
+  Array.sort (fun a b -> Int.compare tab.Ctab.key.(a) tab.Ctab.key.(b)) found;
+  found
 
-(* The resident set an upcall chooser receives. Consed in fold order,
-   so it runs backwards, as the predecessor's [Hashtbl.fold] built it. *)
+(* The resident set an upcall chooser receives, in ascending order. *)
 let resident_blocks t mgr =
-  Array.fold_left
-    (fun acc s -> Ctab.block t.tab s :: acc)
-    [] (fold_order t mgr ~keep:(fun _ -> true))
+  Array.fold_right
+    (fun s acc -> Ctab.block t.tab s :: acc)
+    (sorted_members t mgr ~keep:(fun _ -> true))
+    []
 
 let register t pid =
   let i = Pid.to_int pid in
@@ -264,7 +219,6 @@ let register t pid =
   else if t.n_managers >= t.config.Config.max_managers then
     Error Error.Too_many_managers
   else begin
-    if Array.length t.stamp = 0 then t.stamp <- Array.make (Ctab.capacity t.tab) 0;
     let mgr =
       {
         pid;
@@ -273,8 +227,6 @@ let register t pid =
         n_levels = 0;
         file_level = Itbl.create 8;
         members = 0;
-        (* [Btbl.create 256] was the predecessor's table. *)
-        buckets = 256;
         chooser = None;
         plugin = None;
         decisions = 0;
@@ -538,13 +490,14 @@ let set_priority t pid ~file ~prio =
             if old <> prio then begin
               let tab = t.tab in
               (* Move cached, non-temporary blocks of this file now, in
-                 fold order. A relink moves no other block's level or
-                 flags, so choosing them first chooses the same set. *)
+                 ascending index order. A relink moves no other block's
+                 level or flags, so choosing them first chooses the same
+                 set. *)
               Array.iter
                 (fun s ->
                   Ilist.remove tab.Ctab.lvl (level_of t mgr s).list s;
                   link_replaced_later t mgr lvl s)
-                (fold_order t mgr ~keep:(fun s ->
+                (sorted_members t mgr ~keep:(fun s ->
                      tab.Ctab.file.(s) = file
                      && tab.Ctab.flags.(s) land Ctab.temp_bit = 0
                      && tab.Ctab.level.(s) <> prio))
@@ -581,27 +534,6 @@ let set_temp t mgr lvl ~prio ~lt s =
   if prio <> lt then tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) lor Ctab.temp_bit
   else tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.temp_bit
 
-(* [mgr]'s members of [file] with an index in [first, last], in
-   ascending index order. A relink keeps a block in the set, so the
-   members found before any relink are the ones an index walk meets. *)
-let members_in_range t mgr ~file ~first ~last =
-  let tab = t.tab in
-  let found = Array.make mgr.members 0 and n = ref 0 in
-  List.iter
-    (fun lvl ->
-      Ilist.iter
-        (fun s ->
-          let i = tab.Ctab.index.(s) in
-          if tab.Ctab.file.(s) = file && first <= i && i <= last then begin
-            found.(!n) <- s;
-            incr n
-          end)
-        tab.Ctab.lvl lvl.list)
-    mgr.sorted_levels;
-  let found = Array.sub found 0 !n in
-  Array.sort (fun a b -> Int.compare tab.Ctab.index.(a) tab.Ctab.index.(b)) found;
-  found
-
 let set_temppri t pid ~file ~first ~last ~prio =
   obs_call t pid "set_temppri" (fun () ->
       Printf.sprintf "file=%d first=%d last=%d prio=%d" file first last prio);
@@ -625,10 +557,16 @@ let set_temppri t pid ~file ~first ~last ~prio =
               let s = member_slot t mgr (Block.pack_ids ~file ~index) in
               if s >= 0 then set_temp t mgr lvl ~prio ~lt s
             done
-          else if mgr.members > 0 then
+          else begin
+            (* A relink keeps a block in the set, so the members found
+               before any relink are the ones an index walk meets. *)
+            let tab = t.tab in
             Array.iter
               (fun s -> set_temp t mgr lvl ~prio ~lt s)
-              (members_in_range t mgr ~file ~first ~last);
+              (sorted_members t mgr ~keep:(fun s ->
+                   let i = tab.Ctab.index.(s) in
+                   tab.Ctab.file.(s) = file && first <= i && i <= last))
+          end;
           Ok ())
 
 let set_chooser t pid chooser =
@@ -722,15 +660,10 @@ let check_invariants t =
                 if tab.Ctab.managed.(s) <> i then
                   failwith "Acm: entry managed_by mismatch";
                 if Itbl.find t.table tab.Ctab.key.(s) <> s then
-                  failwith "Acm: entry missing from the block table";
-                if t.stamp.(s) <= 0 || t.stamp.(s) > t.clock then
-                  failwith "Acm: entry stamp out of range")
+                  failwith "Acm: entry missing from the block table")
               tab.Ctab.lvl lvl.list)
           mgr.sorted_levels;
-        if !counted <> mgr.members then failwith "Acm: member count mismatch";
-        if mgr.buckets < 256 || mgr.buckets land (mgr.buckets - 1) <> 0 then
-          failwith "Acm: bucket count not a power of two from 256";
-        if mgr.members > 2 * mgr.buckets then failwith "Acm: missed a bucket doubling")
+        if !counted <> mgr.members then failwith "Acm: member count mismatch")
     t.managers
 
 let level_blocks t pid ~prio =

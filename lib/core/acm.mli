@@ -112,9 +112,10 @@ val placeholder_used : t -> chooser:Pid.t -> unit
 
 val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
 (** Set the long-term cache priority of a file. Cached, non-temporary
-    blocks of the file move to the new level immediately, entering at
-    the end that causes them to be replaced later. Raises
-    [Invalid_argument] on a negative file id, which no block carries. *)
+    blocks of the file move to the new level immediately, in ascending
+    index order, each entering at the end that causes it to be replaced
+    later. Raises [Invalid_argument] on a negative file id, which no
+    block carries. *)
 
 val get_priority : t -> Pid.t -> file:Block.file -> (int, Error.t) result
 
@@ -141,7 +142,8 @@ val set_chooser :
 (** Install (or clear) an {e upcall} replacement handler for a manager:
     instead of the priority-pool decision, the handler is consulted on
     every replacement with the kernel's candidate and the manager's full
-    resident set, and may name any of its own blocks. Returning [None]
+    resident set (in the order of {!resident}), and may name any of its
+    own blocks. Returning [None]
     or an invalid block falls back to the pool decision. This is the
     "totally general mechanism" of paper Sec. 3 / the upcall design of
     Sec. 4 — flexible, but it pays to materialise the resident set on
@@ -182,7 +184,7 @@ val level_blocks : t -> Pid.t -> prio:int -> Block.t list
 (** Blocks of one level, MRU end first. Empty for absent levels. *)
 
 val resident : t -> Pid.t -> Block.t list
-(** The manager's block set as its upcall chooser receives it: the
-    reverse of the order in which a fold of the predecessor's
-    [(Block.t, _) Hashtbl.t] visits it, the order [set_priority]
-    relinks in. Empty for a pid with no manager. O(n log n). *)
+(** The manager's block set as its upcall chooser receives it:
+    ascending by {!Block.compare}, so by file and then by index, the
+    order [set_priority] relinks in. Empty for a pid with no manager.
+    O(n log n). *)

@@ -256,7 +256,9 @@ let entry_manager t (e : Entry.t) =
    the handler, and validate its answer — an unknown or pinned block
    falls back to the kernel's candidate, like an uncooperative manager. *)
 let upcall_choice mgr chooser ~candidate =
-  let resident = Hashtbl.fold (fun key _ acc -> key :: acc) mgr.blocks [] in
+  let resident =
+    List.sort Block.compare (Hashtbl.fold (fun key _ acc -> key :: acc) mgr.blocks [])
+  in
   match chooser ~candidate:candidate.Entry.key ~resident with
   | None -> None
   | Some key ->
@@ -326,18 +328,25 @@ let set_priority t pid ~file ~prio =
           | Ok lvl ->
             if prio = 0 then Hashtbl.remove mgr.file_prio file
             else Hashtbl.replace mgr.file_prio file prio;
-            if old <> prio then
-              (* Move cached, non-temporary blocks of this file now. *)
-              Hashtbl.iter
-                (fun key (e : Entry.t) ->
-                  if Block.file key = file && not e.Entry.temp && e.Entry.level <> prio
-                  then begin
-                    (match (e.Entry.level_node, Hashtbl.find_opt mgr.levels e.Entry.level) with
-                    | Some node, Some l -> Dll.remove l.list node
-                    | _ -> assert false);
-                    link_replaced_later mgr lvl e
-                  end)
-                mgr.blocks;
+            if old <> prio then begin
+              (* Move cached, non-temporary blocks of this file now, in
+                 ascending index order. *)
+              let moving =
+                Hashtbl.fold
+                  (fun key (e : Entry.t) acc ->
+                    if Block.file key = file && not e.Entry.temp && e.Entry.level <> prio
+                    then e :: acc
+                    else acc)
+                  mgr.blocks []
+              in
+              List.iter
+                (fun (e : Entry.t) ->
+                  (match (e.Entry.level_node, Hashtbl.find_opt mgr.levels e.Entry.level) with
+                  | Some node, Some l -> Dll.remove l.list node
+                  | _ -> assert false);
+                  link_replaced_later mgr lvl e)
+                (List.sort (fun (a : Entry.t) b -> Block.compare a.Entry.key b.Entry.key) moving)
+            end;
             Ok ()
       end)
 

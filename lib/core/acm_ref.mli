@@ -79,8 +79,9 @@ val placeholder_used : t -> chooser:Pid.t -> missing:Block.t -> target:Entry.t -
 
 val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
 (** Set the long-term cache priority of a file. Cached, non-temporary
-    blocks of the file move to the new level immediately, entering at
-    the end that causes them to be replaced later. *)
+    blocks of the file move to the new level immediately, in ascending
+    index order, each entering at the end that causes it to be replaced
+    later. *)
 
 val get_priority : t -> Pid.t -> file:Block.file -> (int, Error.t) result
 
@@ -104,7 +105,8 @@ val set_chooser :
 (** Install (or clear) an {e upcall} replacement handler for a manager:
     instead of the priority-pool decision, the handler is consulted on
     every replacement with the kernel's candidate and the manager's full
-    resident set, and may name any of its own blocks. Returning [None]
+    resident set, ascending by {!Block.compare}, and may name any of its
+    own blocks. Returning [None]
     or an invalid block falls back to the pool decision. This is the
     "totally general mechanism" of paper Sec. 3 / the upcall design of
     Sec. 4 — flexible, but it pays to materialise the resident set on

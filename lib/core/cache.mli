@@ -111,6 +111,7 @@ val lru_keys : t -> Block.t list
 val level_blocks : t -> Pid.t -> prio:int -> Block.t list
 
 val manager_resident : t -> Pid.t -> Block.t list
-(** {!Acm.resident}: the manager's set as its upcall chooser sees it. *)
+(** {!Acm.resident}: the manager's set as its upcall chooser sees it,
+    ascending by {!Block.compare}. *)
 
 val check_invariants : t -> unit

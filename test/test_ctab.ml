@@ -1,10 +1,9 @@
 (* Property tests for the columnar substrates: {!Ilist} against {!Dll},
-   {!Itbl} against a stdlib [Hashtbl] model, the ACM's derived set
-   order against the [(Block.t, int) Hashtbl.t] whose order it keeps,
-   {!Btbl.hash} against [Hashtbl.hash], {!Ctab} slot lifecycle
+   {!Itbl} against a stdlib [Hashtbl] model, {!Ctab} slot lifecycle
    (free-list reuse, growth), {!Engine.Equeue} ordering against the
-   generic {!Heap}, and the full-cache {!Lockstep} random-op property.
-   All randomness comes from seeded {!Rng}, so failures replay. *)
+   generic {!Heap}, the full-cache {!Lockstep} random-op property, and
+   the stated order of a manager's set on both caches. All randomness
+   comes from seeded {!Rng}, so failures replay. *)
 
 open Acfc_core
 open Tutil
@@ -405,206 +404,90 @@ let temppri_full_range_matches_index_loop () =
   chk_bool "blocks moved" true (order wide 1 <> []);
   Cache.check_invariants wide
 
-(* {2 The ACM's derived fold order vs (Block.t, int) Hashtbl}
+(* {2 The stated order of a manager's set}
 
-   A manager's block set is no table: the ACM derives the order in
-   which a fold of its predecessor's [(Block.t, int) Hashtbl.t] visits
-   the set from insert stamps and an emulated bucket count. This
-   property drives a whole LRU-SP cache of 2,048 blocks with managed
-   reads, evictions, ownership transfers and [set_priority] relinks,
-   mirrors each step's membership changes into one stdlib table per
-   manager (removals first, as an eviction precedes its load), and
-   after every step compares:
-   - [Cache.manager_resident] with the model's fold;
-   - after a [set_priority], the level it relinked into, whose front
-     must hold the moved blocks in the model's fold order;
-   - at every upcall, the resident list the chooser receives.
-   Keys span several files, with file ids and indices up to the
-   packable limits. Each case runs until a manager's set has passed
-   1,024 members, so its buckets have doubled from 256 to 512 and then
-   to 1,024, and on through 400 more evictions. It fails unless some [set_priority]
-   relinked two or more blocks and some chooser received a resident
-   list. The model is the runtime's own [Hashtbl], so a change to it in
-   a new compiler fails here. *)
+   Wherever a manager's block set shows its order, it is ascending by
+   {!Block.compare}: by file, then by index. A [set_priority] relinks a
+   file's resident blocks in it, and an upcall chooser receives the set
+   in it. Each case runs on the columnar {!Cache} and on the record
+   twin {!Cache_ref}, with blocks read out of that order, so that a
+   level list's own order differs from it. *)
 
-(* The largest file id and block index {!Block.pack} accepts. *)
-let max_file = (1 lsl 30) - 1
+module type CACHE = sig
+  type t
 
-let max_index = (1 lsl 32) - 1
+  val create : ?backend:Backend.t -> Config.t -> t
+  val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
+  val register_manager : t -> Pid.t -> (unit, Error.t) result
+  val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
+  val set_policy : t -> Pid.t -> prio:int -> Policy.t -> (unit, Error.t) result
 
-type reach = {
-  mutable max_members : int;
-  mutable max_relinked : int;  (* the most blocks one set_priority moved *)
-  mutable chooser_lists : int;  (* upcalls handed a non-empty resident set *)
-}
+  val set_chooser :
+    t ->
+    Pid.t ->
+    (candidate:Block.t -> resident:Block.t list -> Block.t option) option ->
+    (unit, Error.t) result
 
-(* Runs one case; [Error] names the first disagreement. Membership
-   follows the traced events: an evicted block leaves its manager's
-   set, a miss joins the reader's, and a hit by another pid moves the
-   block to the reader's (the default [Transfer] discipline). *)
-let fold_order_storm ~files ~bases ~seed =
-  let rng = Acfc_sim.Rng.create seed in
-  let ri = Acfc_sim.Rng.int rng in
-  let nfiles = Array.length files in
-  (* Key [i] keeps [i] in its index's low 12 bits, so keys are distinct
-     whatever the ids. *)
-  let pool =
-    Array.init 2_400 (fun i ->
-        Block.make ~file:files.(i mod nfiles)
-          ~index:(bases.(i mod Array.length bases) land lnot 4095 lor i))
-  in
-  let cache = Cache.create (config ~alloc_policy:Config.Lru_sp 1_280) in
-  let events = ref [] in
-  Cache.set_tracer cache (Some (fun e -> events := e :: !events));
-  (* Managers are pids 1 and 2, models 0 and 1; pid 3 has none. *)
-  let models = [| Hashtbl.create 256; Hashtbl.create 256 |] in
-  let model_of p = match Pid.to_int p with 1 -> 0 | 2 -> 1 | _ -> -1 in
-  let holder = Hashtbl.create 2_048 (* block -> model *) in
-  for i = 0 to 1 do
-    ok_exn (Cache.register_manager cache (pid (i + 1)))
-  done;
-  let model_fold m = Hashtbl.fold (fun b _ acc -> b :: acc) m [] in
-  let reach = { max_members = 0; max_relinked = 0; chooser_lists = 0 } in
-  let failure = ref None in
-  let step = ref 0 in
-  let fail fmt =
-    Format.kasprintf (fun m -> if !failure = None then failure := Some m) fmt
-  in
-  (* Picks by position, so a wrong order picks a wrong victim. *)
-  let chooser m ~candidate ~resident =
-    if resident <> [] then reach.chooser_lists <- reach.chooser_lists + 1;
-    if resident <> model_fold m then fail "step %d: chooser's resident list" !step;
-    match resident with
-    | [] -> None
-    | l -> Some (List.nth l (Block.index candidate mod List.length l))
-  in
-  ok_exn (Cache.set_chooser cache (pid 2) (Some (chooser models.(1))));
-  let leave b =
-    match Hashtbl.find_opt holder b with
-    | Some i ->
-      Hashtbl.remove models.(i) b;
-      Hashtbl.remove holder b
-    | None -> ()
-  in
-  let join p b =
-    let i = model_of p in
-    if i >= 0 then begin
-      Hashtbl.replace models.(i) b 0;
-      Hashtbl.replace holder b i
-    end
-  in
-  let apply_events () =
-    let evs = List.rev !events in
-    events := [];
-    List.iter
-      (function
-        | Event.Evict { victim; _ } -> leave victim
-        | Event.Hit { pid = p; block } ->
-          if Hashtbl.find_opt holder block <> Some (model_of p) then leave block
-        | _ -> ())
-      evs;
-    List.iter
-      (function
-        | Event.Miss { pid = p; block; _ } -> join p block
-        | Event.Hit { pid = p; block } ->
-          if Hashtbl.find_opt holder block <> Some (model_of p) then join p block
-        | _ -> ())
-      evs
-  in
-  let compare_order i =
-    let p = pid (i + 1) and m = models.(i) in
-    let n = Cache.manager_members cache p in
-    if n <> Hashtbl.length m then
-      fail "step %d: %d members, model %d" !step n (Hashtbl.length m);
-    reach.max_members <- max reach.max_members n;
-    if Cache.manager_resident cache p <> model_fold m then
-      fail "step %d: pid %d's fold order (%d members)" !step (i + 1) n
-  in
-  let set_priority i =
-    let p = pid (i + 1) and file = files.(ri nfiles) and prio = ri 3 in
-    let old = ok_exn (Cache.get_priority cache p ~file) in
-    let before = Cache.level_blocks cache p ~prio in
-    let moving = Hashtbl.create 64 in
-    List.iter
-      (fun prio' ->
-        if prio' <> prio then
-          List.iter
-            (fun b -> if Block.file b = file then Hashtbl.replace moving b ())
-            (Cache.level_blocks cache p ~prio:prio'))
-      [ 0; 1; 2 ];
-    ok_exn (Cache.set_priority cache p ~file ~prio);
-    if old <> prio then begin
-      reach.max_relinked <- max reach.max_relinked (Hashtbl.length moving);
-      (* Each relinked block was pushed to the front in fold order. *)
-      let moved b acc = if Hashtbl.mem moving b then b :: acc else acc in
-      let want = Hashtbl.fold (fun b _ acc -> moved b acc) models.(i) [] @ before in
-      if Cache.level_blocks cache p ~prio <> want then
-        fail "step %d: set_priority relinked out of fold order" !step
-    end
-  in
-  (* Past 1,024 members, run on until 400 more evictions. *)
-  let crossed_at = ref (-1) in
-  while
-    !failure = None
-    && (!crossed_at < 0 || Cache.evictions cache < !crossed_at + 400)
-    && !step < 10_000
-  do
-    let r = ri 100 in
-    if r < 95 then begin
-      let p = if r < 80 then pid 1 else if r < 90 then pid 2 else pid 3 in
-      ignore (Cache.read ~prefetch:(ri 8 = 0) cache ~pid:p pool.(ri (Array.length pool)))
-    end
-    else set_priority (ri 2);
-    apply_events ();
-    compare_order 0;
-    compare_order 1;
-    if !crossed_at < 0 && reach.max_members > 1_024 then begin
-      crossed_at := Cache.evictions cache;
-      (* The big set now consults an upcall too. *)
-      ok_exn (Cache.set_chooser cache (pid 1) (Some (chooser models.(0))))
-    end;
-    incr step
-  done;
-  match !failure with
-  | Some m -> Error m
-  | None ->
-    if !crossed_at < 0 then
-      Error (Printf.sprintf "no set passed 1,024 members in %d steps" !step)
-    else if Cache.evictions cache < !crossed_at + 400 then
-      Error "too few evictions past 1,024 members"
-    else if reach.max_relinked < 2 then Error "no set_priority relinked two blocks"
-    else if reach.chooser_lists = 0 then Error "no chooser received a resident list"
-    else Ok ()
+  val level_blocks : t -> Pid.t -> prio:int -> Block.t list
+  val check_invariants : t -> unit
+end
 
-let fold_order_gen =
-  let open QCheck2.Gen in
-  let id bound = oneof [ int_range 0 40; int_range 0 bound ] in
-  triple
-    (array_size (int_range 2 6) (id max_file))
-    (array_size (int_range 1 4) (id max_index))
-    (int_range 0 1_000_000)
+let chk_blocks msg want got =
+  let show l = String.concat " " (List.map (Format.asprintf "%a" Block.pp) l) in
+  check Alcotest.string msg (show want) (show got)
 
-let acm_folds_like_hashtbl =
-  qcheck "acm set folds like (Block.t, int) Hashtbl past 1,024 members" ~count:4
-    fold_order_gen (fun (files, bases, seed) ->
-      match fold_order_storm ~files ~bases ~seed with
-      | Ok () -> true
-      | Error m -> QCheck2.Test.fail_report m)
+(* File 0's blocks, read in the order 3 0 4 1 2, sit in level 0 as
+   2 1 4 0 3 from the MRU end. Relinked into the LRU level 1, each
+   enters at the MRU end, so the level reads 4 3 2 1 0 ahead of file
+   1's blocks. A hit on block 2 makes level 1's order 2 4 3 1 0;
+   relinked into the MRU level 2, each enters at the LRU end, so the
+   level ends 0 1 2 3 4 behind file 2's blocks. *)
+let relink_in_ascending_order (module C : CACHE) () =
+  let c = C.create (config 16) and p = pid 1 in
+  let f0 = List.map (blk ~file:0) and f1 = blk ~file:1 and f2 = blk ~file:2 in
+  let read b = ignore (C.read c ~pid:p b) in
+  ok_exn (C.register_manager c p);
+  ok_exn (C.set_policy c p ~prio:2 Policy.Mru);
+  ok_exn (C.set_priority c p ~file:1 ~prio:1);
+  ok_exn (C.set_priority c p ~file:2 ~prio:2);
+  List.iter read (f0 [ 3; 0; 4; 1; 2 ] @ [ f1 5; f1 6; f2 5; f2 6 ]);
+  chk_blocks "level 0 before" (f0 [ 2; 1; 4; 0; 3 ]) (C.level_blocks c p ~prio:0);
+  ok_exn (C.set_priority c p ~file:0 ~prio:1);
+  chk_blocks "level 0 emptied" [] (C.level_blocks c p ~prio:0);
+  chk_blocks "LRU level 1" (f0 [ 4; 3; 2; 1; 0 ] @ [ f1 6; f1 5 ]) (C.level_blocks c p ~prio:1);
+  read (blk ~file:0 2);
+  ok_exn (C.set_priority c p ~file:0 ~prio:2);
+  chk_blocks "level 1 keeps file 1" [ f1 6; f1 5 ] (C.level_blocks c p ~prio:1);
+  chk_blocks "MRU level 2" ([ f2 6; f2 5 ] @ f0 [ 0; 1; 2; 3; 4 ]) (C.level_blocks c p ~prio:2);
+  C.check_invariants c
 
-let btbl_hash_is_hashtbl_hash () =
-  List.iter
-    (fun (file, index) ->
-      let b = Block.make ~file ~index in
-      chk_int (Format.asprintf "%a" Block.pp b) (Hashtbl.hash b) (Btbl.hash (Block.pack b)))
-    [
-      (0, 0);
-      (1, 0);
-      (0, 1);
-      (3, 12_345);
-      (max_file, max_index);
-      (7, (1 lsl 31) - 1);
-      (7, 1 lsl 31);
-    ]
+(* Three files in two levels, read out of order, fill the cache; the
+   chooser consulted at the next miss receives the sorted set.
+   [resident], where the cache has it, must return the same list. *)
+let chooser_receives_sorted_set (type c) (module C : CACHE with type t = c)
+    ~(resident : (c -> Pid.t -> Block.t list) option) () =
+  let reads =
+    [ blk ~file:2 1; blk ~file:0 9; blk ~file:1 2; blk ~file:0 3; blk ~file:2 0;
+      blk ~file:1 7; blk ~file:0 5 ]
+  in
+  let c = C.create (config (List.length reads)) and p = pid 1 in
+  ok_exn (C.register_manager c p);
+  ok_exn (C.set_priority c p ~file:1 ~prio:1);
+  let received = ref [] in
+  ok_exn
+    (C.set_chooser c p
+       (Some
+          (fun ~candidate:_ ~resident ->
+            received := resident;
+            None)));
+  List.iter (fun b -> ignore (C.read c ~pid:p b)) reads;
+  let set = List.sort Block.compare (C.level_blocks c p ~prio:0 @ C.level_blocks c p ~prio:1) in
+  chk_blocks "every read resident" (List.sort Block.compare reads) set;
+  let listed = Option.map (fun f -> f c p) resident in
+  ignore (C.read c ~pid:p (blk ~file:0 0));
+  chk_blocks "chooser's resident list" set !received;
+  Option.iter (chk_blocks "manager_resident" set) listed;
+  C.check_invariants c
 
 let suites =
   [
@@ -619,8 +502,6 @@ let suites =
         case "itbl steady live count never rehashes" itbl_steady_count_never_rehashes;
         itbl_churn_keeps_keys_reachable;
         case "itbl spreads packed multi-file keys" itbl_multi_file_spread;
-        case "btbl hash is Hashtbl.hash of the record" btbl_hash_is_hashtbl_hash;
-        acm_folds_like_hashtbl;
         case "ctab slot lifecycle and free-list reuse" ctab_lifecycle;
         case "ctab growth preserves columns" ctab_growth;
         case "equeue vs heap, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);
@@ -635,5 +516,13 @@ let suites =
           (lockstep_temppri_ranges ~seed:10);
         case "a 2^32-block temppri range matches the index loop"
           temppri_full_range_matches_index_loop;
+        case "set_priority relinks in ascending index order, columnar"
+          (relink_in_ascending_order (module Cache));
+        case "set_priority relinks in ascending index order, record twin"
+          (relink_in_ascending_order (module Cache_ref));
+        case "a chooser receives the set in ascending order, columnar"
+          (chooser_receives_sorted_set (module Cache) ~resident:(Some Cache.manager_resident));
+        case "a chooser receives the set in ascending order, record twin"
+          (chooser_receives_sorted_set (module Cache_ref) ~resident:None);
       ] );
   ]
