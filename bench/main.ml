@@ -18,7 +18,7 @@
      main.exe fig4 table1     selected artifacts only
      main.exe micro           micro-benchmarks only
      main.exe perf            hot-path microbench family (engine-events,
-                              disk-queue, policy-miss, cache-churn,
+                              disk-queue, fs-read, policy-miss, cache-churn,
                               fleet-events): ops/sec, minor-heap words per
                               op and in-run growth t(16n)/t(n), into the
                               JSON "perf" section (see docs/PERF.md)
@@ -620,6 +620,39 @@ let bench_disk_io_queued () =
       done;
       loop (ios * fibers) (fun () -> Engine.run e))
 
+(* One op = one block read through [Fs.read], one call per block, by one
+   fiber alternating two files on an RZ56 drive behind a bus, with a
+   1,024-block cache and the CPU as a calendar: the next block of a
+   sequential scan of a 4,096-block file, which the read-ahead job has
+   already submitted (the read waits for its landing), then a
+   pseudo-random block of a 65,536-block file, which misses and blocks
+   on the drive. Each pair runs a read-ahead job, a fetch that
+   completes by callback, a demand request that resumes its fiber
+   inside the completion, an in-flight wait and the CPU bookings, so a
+   read-ahead spawned as a fiber, or a drive that sleeps in its
+   caller's fiber, costs words per op. 100,000 ops in all, run to
+   completion on a fresh engine. *)
+let bench_fs_readahead () =
+  let module Fs = Acfc_fs.Fs in
+  let bb = Acfc_disk.Params.block_bytes in
+  measure_perf ~name:"fs-read/readahead" 4096 (fun blocks ->
+      let e = Engine.create () in
+      let bus = Acfc_disk.Bus.create e () in
+      let disk = Acfc_disk.Disk.create e ~bus Acfc_disk.Params.rz56 in
+      let cpu = Acfc_sim.Resource.create e () in
+      let fs = Fs.create e ~config:(Config.make ~capacity_blocks:1024 ()) ~cpu () in
+      let scan = Fs.create_file fs ~name:"scan" ~disk ~size_bytes:(blocks * bb) () in
+      let random = Fs.create_file fs ~name:"random" ~disk ~size_bytes:(65_536 * bb) () in
+      let pairs = 50_000 in
+      Engine.spawn e (fun () ->
+          for i = 0 to pairs - 1 do
+            Fs.read fs ~pid:pid0 scan ~off:(i mod blocks * bb) ~len:bb;
+            Fs.read fs ~pid:pid0 random
+              ~off:(disk_queue_addrs.(i land 4095) land 65_535 * bb)
+              ~len:bb
+          done);
+      loop (2 * pairs) (fun () -> Engine.run e))
+
 (* One op = one miss-plus-eviction through the full BUF/ACM cache of
    1,024 (and 16,384) blocks. With [managed], pid 0 is a manager that
    runs MRU at priority 0, so every miss also takes the managed path:
@@ -778,6 +811,7 @@ let run_perf () =
       bench_engine_batch ();
       bench_resource_contended ();
       bench_disk_io_queued ();
+      bench_fs_readahead ();
     ]
     @ List.map bench_disk_queue [ ("fcfs", Sq.Fcfs); ("scan", Sq.Scan) ]
     @ bench_policy_miss ()

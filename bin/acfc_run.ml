@@ -142,9 +142,23 @@ let monitor_out =
   in
   Arg.(value & opt (some string) None & info [ "monitor" ] ~docv:"FILE" ~doc)
 
+(* A period below the floor would never let the run finish, so the
+   converter refuses it before anything runs. *)
+let period =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x >= Scenario.min_period_s -> Ok x
+    | Some _ ->
+      Error (`Msg (Printf.sprintf "%s must be finite and >= %g" s Scenario.min_period_s))
+    | None -> Error (`Msg (Printf.sprintf "%s is not a number of seconds" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let monitor_every =
-  let doc = "Seconds of simulated time between monitor snapshots." in
-  Arg.(value & opt float 1.0 & info [ "monitor-every" ] ~docv:"SECONDS" ~doc)
+  let doc =
+    "Seconds of simulated time between monitor snapshots; at least 0.01."
+  in
+  Arg.(value & opt period 1.0 & info [ "monitor-every" ] ~docv:"SECONDS" ~doc)
 
 (* {2 run} *)
 

@@ -1,7 +1,7 @@
 type t = {
-  read_block : int -> unit;
+  read_block : int -> bool;
   write_block : int -> unit;
   evicted : int -> unit;
 }
 
-let null = { read_block = ignore; write_block = ignore; evicted = ignore }
+let null = { read_block = (fun _ -> true); write_block = ignore; evicted = ignore }

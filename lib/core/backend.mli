@@ -2,7 +2,9 @@
 
     BUF calls these as plain (possibly blocking) functions when it needs
     the device: the simulation's file-system layer implements them with
-    fiber-blocking disk I/O, while unit tests pass {!null}. BUF keeps
+    fiber-blocking disk I/O for a demand read and with a read that
+    completes later, by callback, for a read-ahead, while unit tests
+    pass {!null}. BUF keeps
     its own structures consistent {e before} every call, because other
     simulated processes may re-enter the cache while a call blocks —
     the same "called with no lock held" discipline the paper requires
@@ -13,7 +15,12 @@
     down; a backend that needs the record calls {!Block.unpack}. *)
 
 type t = {
-  read_block : int -> unit;  (** fetch a block from the device *)
+  read_block : int -> bool;
+      (** fetch a block from the device: [true] once it has landed,
+          [false] while the read is still in flight. BUF keeps the
+          block's frame pinned until it lands, so a backend that
+          answers [false] must call [Cache.fetched] (or
+          [Cache_ref.fetched]) with the key when the read lands. *)
   write_block : int -> unit;  (** write back a dirty block *)
   evicted : int -> unit;
       (** the frame was released (after any write-back); the data layer
@@ -21,4 +28,5 @@ type t = {
 }
 
 val null : t
-(** No-op backend for algorithm-only use (tests, trace-driven runs). *)
+(** No-op backend for algorithm-only use (tests, trace-driven runs):
+    every fetch lands at once. *)

@@ -434,7 +434,9 @@ let evict_one t ~ph ~missing =
 
 (* Install packed key [pkey] in the cache, evicting if needed, and
    optionally fetch its contents. The slot is pinned during the fetch so
-   re-entrant replacement cannot steal the frame. *)
+   re-entrant replacement cannot steal the frame; a fetch the backend
+   completes later stays pinned until it reports the landing through
+   [fetched]. *)
 let load t ~pid pkey ~dirty ~fetch ~prefetched =
   let ph = remove_placeholder t pkey in
   if Itbl.length t.table >= t.config.Config.capacity_blocks then
@@ -453,12 +455,19 @@ let load t ~pid pkey ~dirty ~fetch ~prefetched =
   Acm.new_block t.acm ~pid ~prefetched s;
   if fetch then begin
     tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) + 1;
-    (try t.backend.Backend.read_block pkey
-     with e ->
-       tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1;
-       raise e);
-    tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1
+    match t.backend.Backend.read_block pkey with
+    | true -> tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1
+    | false -> ()
+    | exception e ->
+      tab.Ctab.pinned.(s) <- tab.Ctab.pinned.(s) - 1;
+      raise e
   end
+
+let fetched t pkey =
+  let s = Itbl.find t.table pkey in
+  if s < 0 || t.tab.Ctab.pinned.(s) = 0 then
+    invalid_arg "Buf.fetched: no fetch of this block is in flight";
+  t.tab.Ctab.pinned.(s) <- t.tab.Ctab.pinned.(s) - 1
 
 let touch t ~pid s =
   let tab = t.tab in
@@ -512,14 +521,13 @@ let read_packed ?(prefetch = false) t ~pid pkey =
     `Miss
   end
 
-let write t ~pid key ~fetch =
-  let pkey = Block.pack key in
+let write_packed t ~pid pkey ~fetch =
   let s = Itbl.find t.table pkey in
   if s >= 0 then begin
     t.hits <- t.hits + 1;
     bump_hit t pid;
     (match t.tracer with
-    | Some f -> f (Event.Hit { pid; block = key })
+    | Some f -> f (Event.Hit { pid; block = Block.unpack pkey })
     | None -> ());
     obs_hit t ~pid pkey;
     t.tab.Ctab.flags.(s) <- t.tab.Ctab.flags.(s) lor Ctab.dirty_bit;
@@ -530,7 +538,7 @@ let write t ~pid key ~fetch =
     t.misses <- t.misses + 1;
     bump_miss t pid;
     (match t.tracer with
-    | Some f -> f (Event.Miss { pid; block = key; prefetch = false })
+    | Some f -> f (Event.Miss { pid; block = Block.unpack pkey; prefetch = false })
     | None -> ());
     obs_miss t ~pid pkey ~prefetch:false;
     load t ~pid pkey ~dirty:true ~fetch ~prefetched:false;
@@ -638,7 +646,7 @@ let invalidate_file t ~file =
     slots;
   !dropped
 
-let contains t key = Itbl.mem t.table (Block.pack key)
+let contains_packed t pkey = Itbl.mem t.table pkey
 
 let is_dirty t key =
   let s = Itbl.find t.table (Block.pack key) in

@@ -59,16 +59,25 @@ val config : t -> Config.t
 val read_packed : ?prefetch:bool -> t -> pid:Pid.t -> int -> [ `Hit | `Miss ]
 (** Reference a block, named by its packed key ({!Block.pack}), for
     reading; on a miss, makes room (replacement), inserts the block and
-    fetches it through the backend. [prefetch] (default false) marks a
+    fetches it through the backend (see {!fetched} for a fetch that
+    lands later). [prefetch] (default false) marks a
     read-ahead: the block is installed without recency (see
     {!Acm.new_block}). The one read path: {!Cache.read} packs its key
     and calls it. A hit or a miss builds no [Block.t] unless a tracer or
     obs sink is installed. *)
 
-val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
-(** Reference a block for writing, marking it dirty. On a miss the
-    block is installed without device traffic unless [fetch] is true
-    (read-modify-write for partial-block writes). *)
+val fetched : t -> int -> unit
+(** [fetched t pkey] reports that the fetch of the block with packed key
+    [pkey], which the backend's [read_block] left in flight (it
+    answered [false]), has landed: the frame, pinned since the miss,
+    becomes evictable again. Raises [Invalid_argument] if the block is
+    absent or not pinned. *)
+
+val write_packed : t -> pid:Pid.t -> int -> fetch:bool -> [ `Hit | `Miss ]
+(** Reference a block, named by its packed key, for writing, marking it
+    dirty. On a miss the block is installed without device traffic
+    unless [fetch] is true (read-modify-write for partial-block
+    writes). *)
 
 val sync : t -> ?file:Block.file -> unit -> int
 (** Write back every dirty block (of [file] if given); returns how many
@@ -87,7 +96,7 @@ val invalidate_file : t -> file:Block.file -> int
     without writing them back. Pinned blocks are skipped. Returns the
     number of blocks dropped. *)
 
-val contains : t -> Block.t -> bool
+val contains_packed : t -> int -> bool
 
 val is_dirty : t -> Block.t -> bool
 (** False when the block is absent. *)

@@ -305,7 +305,8 @@ let evict_one t ~ph ~missing =
 
 (* Install [key] in the cache, evicting if needed, and optionally fetch
    its contents. The entry is pinned during the fetch so re-entrant
-   replacement cannot steal the frame. *)
+   replacement cannot steal the frame; a fetch the backend completes
+   later stays pinned until it reports the landing through [fetched]. *)
 let load t ~pid key ~dirty ~fetch ~prefetched =
   let ph = remove_placeholder t key in
   if Hashtbl.length t.table >= t.config.Config.capacity_blocks then
@@ -318,10 +319,18 @@ let load t ~pid key ~dirty ~fetch ~prefetched =
   Acm_ref.new_block t.acm ~pid ~prefetched e;
   if fetch then begin
     Entry.pin e;
-    Fun.protect
-      ~finally:(fun () -> Entry.unpin e)
-      (fun () -> t.backend.Backend.read_block (Block.pack key))
+    match t.backend.Backend.read_block (Block.pack key) with
+    | true -> Entry.unpin e
+    | false -> ()
+    | exception ex ->
+      Entry.unpin e;
+      raise ex
   end
+
+let fetched t pkey =
+  match Hashtbl.find_opt t.table (Block.unpack pkey) with
+  | Some e when Entry.is_pinned e -> Entry.unpin e
+  | Some _ | None -> invalid_arg "Buf_ref.fetched: no fetch of this block is in flight"
 
 let touch t ~pid (e : Entry.t) =
   e.Entry.referenced <- true;

@@ -50,6 +50,10 @@ val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
     (default false) marks a read-ahead: the block is installed without
     recency (see {!Acm_ref.new_block}). *)
 
+val fetched : t -> int -> unit
+(** {!Buf.fetched}: the fetch of the block with this packed key, which
+    the backend left in flight, has landed; its entry is unpinned. *)
+
 val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
 (** Reference a block for writing, marking it dirty. On a miss the
     block is installed without device traffic unless [fetch] is true

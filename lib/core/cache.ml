@@ -25,7 +25,11 @@ let read_packed ?prefetch t ~pid pkey = Buf.read_packed ?prefetch t.buf ~pid pke
 
 let read ?prefetch t ~pid key = Buf.read_packed ?prefetch t.buf ~pid (Block.pack key)
 
-let write t ~pid key ~fetch = Buf.write t.buf ~pid key ~fetch
+let write_packed t ~pid pkey ~fetch = Buf.write_packed t.buf ~pid pkey ~fetch
+
+let write t ~pid key ~fetch = Buf.write_packed t.buf ~pid (Block.pack key) ~fetch
+
+let fetched t pkey = Buf.fetched t.buf pkey
 
 let sync t ?file () = Buf.sync t.buf ?file ()
 
@@ -33,7 +37,9 @@ let take_dirty_followers t key ~max_blocks = Buf.take_dirty_followers t.buf key 
 
 let invalidate_file t ~file = Buf.invalidate_file t.buf ~file
 
-let contains t key = Buf.contains t.buf key
+let contains_packed t pkey = Buf.contains_packed t.buf pkey
+
+let contains t key = Buf.contains_packed t.buf (Block.pack key)
 
 let is_dirty t key = Buf.is_dirty t.buf key
 

@@ -39,6 +39,13 @@ val read_packed : ?prefetch:bool -> t -> pid:Pid.t -> int -> [ `Hit | `Miss ]
 (** {!read} by packed key: see {!Buf.read_packed}. *)
 
 val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
+(** [write_packed] of [Block.pack key]. *)
+
+val write_packed : t -> pid:Pid.t -> int -> fetch:bool -> [ `Hit | `Miss ]
+(** {!write} by packed key: see {!Buf.write_packed}. *)
+
+val fetched : t -> int -> unit
+(** See {!Buf.fetched}: a fetch the backend left in flight has landed. *)
 
 val sync : t -> ?file:Block.file -> unit -> int
 
@@ -48,6 +55,9 @@ val take_dirty_followers : t -> Block.t -> max_blocks:int -> Block.t list
 val invalidate_file : t -> file:Block.file -> int
 
 val contains : t -> Block.t -> bool
+
+val contains_packed : t -> int -> bool
+(** {!contains} by packed key. *)
 
 val is_dirty : t -> Block.t -> bool
 

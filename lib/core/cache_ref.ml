@@ -17,6 +17,8 @@ let read ?prefetch t ~pid key = Buf_ref.read ?prefetch t.buf ~pid key
 
 let write t ~pid key ~fetch = Buf_ref.write t.buf ~pid key ~fetch
 
+let fetched t pkey = Buf_ref.fetched t.buf pkey
+
 let sync t ?file () = Buf_ref.sync t.buf ?file ()
 
 let take_dirty_followers t key ~max_blocks = Buf_ref.take_dirty_followers t.buf key ~max_blocks

@@ -35,6 +35,9 @@ val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
 
 val write : t -> pid:Pid.t -> Block.t -> fetch:bool -> [ `Hit | `Miss ]
 
+val fetched : t -> int -> unit
+(** See {!Buf_ref.fetched}. *)
+
 val sync : t -> ?file:Block.file -> unit -> int
 
 val take_dirty_followers : t -> Block.t -> max_blocks:int -> Block.t list

@@ -4,7 +4,7 @@ type t = Resource.t
 
 let create engine ?(name = "scsi-bus") () = Resource.create engine ~name ()
 
-let transfer t ~duration = Resource.use t ~service:duration
+let[@inline] reserve t ~duration = Resource.reserve t ~service:duration
 
 let set_obs t obs =
   match obs with

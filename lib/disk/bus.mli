@@ -9,10 +9,11 @@ type t
 
 val create : Acfc_sim.Engine.t -> ?name:string -> unit -> t
 
-val transfer : t -> duration:float -> unit
-(** Hold the bus for [duration] seconds, from when it frees (blocking
-    fiber call). The slot is booked when the call is made: a drive
-    calls it when its positioning ends. *)
+val reserve : t -> duration:float -> float
+(** Book the bus for [duration] seconds, from when it frees, and return
+    when the transfer ends; the caller schedules its completion there.
+    A drive books its slot when its positioning ends. Inlined, so the
+    finish is not boxed. *)
 
 val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** Register the bus statistics (busy time, contended wait, transfers

@@ -16,7 +16,10 @@
     provided for the paper's "interaction with disk scheduling"
     future-work question (see the ablation benchmarks).
 
-    All calls that perform I/O must run inside a simulation fiber. *)
+    A request runs as engine jobs, one per stage: positioning ends, the
+    transfer ends. {!submit} runs a prebuilt callback in the event
+    where the request completes; {!io} is built on it, parking the
+    calling fiber once and resuming it inside that event. *)
 
 type t
 
@@ -49,14 +52,24 @@ val set_obs : t -> Acfc_obs.Sink.t option -> unit
     histograms ([disk.<name>.service_s], [disk.<name>.wait_s_hist]),
     and the drive counters are registered as gauges. *)
 
+val submit : t -> kind -> addr:int -> blocks:int -> tag:int -> (int -> unit) -> unit
+(** [submit t kind ~addr ~blocks ~tag on_done] issues one request at
+    absolute block address [addr] without blocking: [blocks] transfers
+    a contiguous cluster in the same request, one positioning and
+    [blocks] transfers (the disk-block clustering of McVoy & Kleiman
+    that the paper lists as future interaction work). In the event
+    where the request completes, after its accounting and after the
+    drive has passed to the next request, the drive calls [on_done
+    tag]; pass a callback built once, and a request allocates nothing.
+    A request with no positioning or transfer time completes inside
+    this call. Raises [Invalid_argument] if the extent is outside the
+    disk. *)
+
 val io : ?blocks:int -> t -> kind -> addr:int -> unit
-(** [io t kind ~addr] performs one request at absolute block address
-    [addr], blocking the calling fiber for queueing plus service time.
-    [blocks] (default 1) transfers a contiguous cluster in the same
-    request: one positioning, [blocks] transfers — the disk-block
-    clustering of McVoy & Kleiman that the paper lists as future
-    interaction work. Raises [Invalid_argument] if the extent is outside
-    the disk. *)
+(** [io t kind ~addr] is {!submit} for a fiber: it blocks the calling
+    fiber for queueing plus service time, and the fiber goes on inside
+    the completing event. [blocks] defaults to 1. Must be called from a
+    fiber. *)
 
 val service_time : t -> addr:int -> float
 (** Service time (seconds, excluding queueing and bus contention) that

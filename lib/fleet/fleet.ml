@@ -158,7 +158,7 @@ let rec replay wl =
   end
 
 let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~offsets
-    ~rngs ~outbox id =
+    ~fixed ~rngs ~outbox id =
   let nwld = Array.length programs in
   let cl =
     {
@@ -187,7 +187,10 @@ let build_client ~config ~disk_svc ~wdisk ~hit_cost ~shared_files ~programs ~off
             w;
             pid = Pid.make w;
             stream =
-              Wir.packed_references ~rng:rngs.(w) ~file_offset:offsets.(w) programs.(w);
+              (match fixed.(w) with
+              | Some stream -> stream
+              | None ->
+                Wir.packed_references ~rng:rngs.(w) ~file_offset:offsets.(w) programs.(w));
             pos = 0;
             job = Engine.job ignore;
           }
@@ -411,21 +414,31 @@ let run ?jobs ?obs ?monitor scn =
     done;
     rngs.(c) <- per_wld
   done;
+  (* A program that draws nothing from its RNG yields the same stream on
+     every client: walk it once, here, and let every client read that
+     one array. Replay only reads a stream, so domains can share it. *)
+  let fixed =
+    Array.mapi
+      (fun w p ->
+        if Wir.draws_rng p then None
+        else Some (Wir.packed_references ~file_offset:offsets.(w) p))
+      programs
+  in
   let outboxes = Array.init workers (fun _ -> Batch.create ()) in
   let slots = Array.make nclients None in
   Team.with_team ~workers @@ fun team ->
   (* Build clients where they will live: worker [wid] owns clients
      [wid, wid + workers, …] for the whole run, so engines, their
      captured effect continuations and their outbox stay pinned to one
-     domain. Stream extraction is the expensive part, and parallelises
-     for free. *)
+     domain. The streams of programs that draw from their RNG are
+     walked there too, in parallel. *)
   Team.run team (fun wid ->
       let c = ref wid in
       while !c < nclients do
         slots.(!c) <-
           Some
             (build_client ~config:scn.Scenario.config ~disk_svc ~wdisk ~hit_cost
-               ~shared_files:fleet.Scenario.shared_files ~programs ~offsets
+               ~shared_files:fleet.Scenario.shared_files ~programs ~offsets ~fixed
                ~rngs:rngs.(!c) ~outbox:outboxes.(wid) !c);
         c := !c + workers
       done);

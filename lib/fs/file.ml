@@ -25,7 +25,15 @@ let size_blocks t = (t.size_bytes + block_bytes - 1) / block_bytes
 
 let block_of_offset ~byte = byte / block_bytes
 
-let block_key t ~index = Acfc_core.Block.make ~file:t.id ~index
+let out_of_range t index =
+  invalid_arg
+    (Printf.sprintf "File.packed_key: block %d of file %d is out of the packable range" index
+       t.id)
+
+let packed_key t ~index =
+  let p = Acfc_core.Block.pack_ids ~file:t.id ~index in
+  if p < 0 then out_of_range t index;
+  p
 
 let disk_addr t ~index = t.start_block + index
 

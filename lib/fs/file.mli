@@ -37,7 +37,10 @@ val size_blocks : t -> int
 val block_of_offset : byte:int -> int
 (** Block index containing byte offset [byte]. *)
 
-val block_key : t -> index:int -> Acfc_core.Block.t
+val packed_key : t -> index:int -> int
+(** The packed key ({!Acfc_core.Block.pack}) of the file's block
+    [index], built without a [Block.t]. Raises [Invalid_argument] on a
+    negative index or one past [Block.max_packed_index]. *)
 
 val disk_addr : t -> index:int -> int
 (** Absolute disk block address of file block [index]. *)

@@ -9,6 +9,49 @@ module Obs = Acfc_obs
 
 let block_bytes = Params.block_bytes
 
+(* A FIFO of (value, int, int) entries in three columns, for the jobs
+   below. Every push schedules its job at the current instant, and jobs
+   due now run in the order they were scheduled, before the clock can
+   move, so each run takes the oldest entry. *)
+module Fifo = struct
+  type 'a t = {
+    mutable vs : 'a array;
+    mutable xs : int array;
+    mutable ys : int array;
+    mutable first : int;
+    mutable len : int;
+  }
+
+  let create () = { vs = [||]; xs = [||]; ys = [||]; first = 0; len = 0 }
+
+  let push q v x y =
+    let cap = Array.length q.vs in
+    if q.len = cap then begin
+      let ncap = Stdlib.max 8 (2 * cap) in
+      let vs = Array.make ncap v and xs = Array.make ncap 0 and ys = Array.make ncap 0 in
+      for i = 0 to q.len - 1 do
+        let j = (q.first + i) land (cap - 1) in
+        vs.(i) <- q.vs.(j);
+        xs.(i) <- q.xs.(j);
+        ys.(i) <- q.ys.(j)
+      done;
+      q.vs <- vs;
+      q.xs <- xs;
+      q.ys <- ys;
+      q.first <- 0
+    end;
+    let i = (q.first + q.len) land (Array.length q.vs - 1) in
+    q.vs.(i) <- v;
+    q.xs.(i) <- x;
+    q.ys.(i) <- y;
+    q.len <- q.len + 1
+
+  (* Drop the oldest entry, read at index [first] beforehand. *)
+  let pop q =
+    q.first <- (q.first + 1) land (Array.length q.vs - 1);
+    q.len <- q.len - 1
+end
+
 type t = {
   engine : Engine.t;
   mutable cache : Cache.t;  (* set once during create *)
@@ -43,6 +86,20 @@ type t = {
   mutable pid_writes : int array;
   mutable current_pid : Pid.t;
   mutable obs : Obs.Sink.t option;
+  (* Read-ahead and write-back are engine jobs, each built once. A
+     read-ahead queues (file, pid, index) and its start job; the fetch
+     it starts completes by [prefetch_landed], and [cpu_done] is the
+     event at the end of its CPU charge. [prefetching] is set while a
+     read-ahead's miss runs, so [backend_read] submits the fetch instead
+     of waiting for it. A write-back queues (disk, address, blocks) and
+     its submit job. *)
+  readaheads : File.t Fifo.t;
+  mutable readahead_job : Engine.job;
+  mutable prefetch_landed : int -> unit;
+  cpu_done : Engine.job;
+  mutable prefetching : bool;
+  writebacks : Disk.t Fifo.t;
+  mutable writeback_job : Engine.job;
 }
 
 (* The kernel pid used for syscall events with no issuing process (the
@@ -110,30 +167,62 @@ let landed t p =
     t.nspare <- t.nspare + 1
   end
 
+let store_frame t (file : File.t) p =
+  let image = Hashtbl.find t.images (File.id file) in
+  let frame = Bytes.make block_bytes '\000' in
+  Bytes.blit image (Block.packed_index p * block_bytes) frame 0 block_bytes;
+  Hashtbl.replace t.frames (Block.unpack p) frame
+
+(* A demand read blocks its fiber until the block lands. A read-ahead's
+   fetch is submitted and left in flight ([false]): its frame stays
+   pinned until [prefetch_done] reports the landing. *)
 let backend_read t p =
   let file = file_of_block t p in
   Itbl.set t.in_flight p 0;
   charge t t.current_pid 1 ~writes:false;
-  (match
-     Disk.io file.File.disk Disk.Read
-       ~addr:(File.disk_addr file ~index:(Block.packed_index p))
-   with
-  | () -> landed t p
-  | exception e ->
-    landed t p;
-    raise e);
-  if t.track_data then begin
-    let image = Hashtbl.find t.images (File.id file) in
-    let frame = Bytes.make block_bytes '\000' in
-    Bytes.blit image (Block.packed_index p * block_bytes) frame 0 block_bytes;
-    Hashtbl.replace t.frames (Block.unpack p) frame
+  let addr = File.disk_addr file ~index:(Block.packed_index p) in
+  if t.prefetching then begin
+    (match Disk.submit file.File.disk Disk.Read ~addr ~blocks:1 ~tag:p t.prefetch_landed with
+    | () -> ()
+    | exception e ->
+      landed t p;
+      raise e);
+    false
+  end
+  else begin
+    (match Disk.io file.File.disk Disk.Read ~addr with
+    | () -> landed t p
+    | exception e ->
+      landed t p;
+      raise e);
+    if t.track_data then store_frame t file p;
+    true
+  end
+
+(* A read-ahead's fetch has landed, in the drive's completion event: wake
+   the readers waiting for it, fill its frame, unpin it, and charge the
+   issuer's CPU for the I/O, booked on the calendar with one event at
+   its end, where a fiber charging it through [cpu_charge] would wake. *)
+let prefetch_done t p =
+  landed t p;
+  if t.track_data then store_frame t (file_of_block t p) p;
+  Cache.fetched t.cache p;
+  let cost = t.io_cpu_cost in
+  if cost > 0.0 then begin
+    let now = Engine.now t.engine in
+    match t.cpu with
+    | Some r ->
+      let finish = Resource.reserve r ~service:cost in
+      if finish > now then Engine.schedule_job t.engine ~at:finish t.cpu_done
+    | None -> Engine.schedule_job t.engine ~at:(now +. cost) t.cpu_done
   end
 
 (* Write-backs are asynchronous, like the BSD/Ultrix [bawrite] used when
    a delayed-write buffer is reclaimed: the data is captured at issue
-   and the disk write proceeds in its own fiber, so neither the evicting
-   process nor the update daemon stalls on it. The write still contends
-   for the disk with everyone else. *)
+   and the disk write is submitted by a job of its own, so neither the
+   evicting process nor the update daemon stalls on it, and nothing runs
+   when it completes. The write still contends for the disk with
+   everyone else. *)
 let backend_write t p =
   let file = file_of_block t p in
   (* Clustered write-back: also flush the dirty blocks contiguously
@@ -155,10 +244,37 @@ let backend_write t p =
           Bytes.blit frame 0 image (Block.index k * block_bytes) block_bytes
         | None -> ())
       (Block.unpack p :: followers);
-  let addr = File.disk_addr file ~index:(Block.packed_index p) in
-  let disk = file.File.disk in
-  Engine.spawn t.engine ~name:"writeback" (fun () ->
-      Disk.io ~blocks disk Disk.Write ~addr)
+  Fifo.push t.writebacks file.File.disk (File.disk_addr file ~index:(Block.packed_index p)) blocks;
+  Engine.schedule_now t.engine t.writeback_job
+
+let start_writeback t =
+  let q = t.writebacks in
+  let i = q.Fifo.first in
+  let disk = q.Fifo.vs.(i) and addr = q.Fifo.xs.(i) and blocks = q.Fifo.ys.(i) in
+  Fifo.pop q;
+  Disk.submit disk Disk.Write ~addr ~blocks ~tag:0 ignore
+
+(* A read-ahead job runs in its own event at the instant it was queued,
+   the slot a spawned fiber's start would take, and re-checks the
+   block: it may have arrived in between. A miss leaves the fetch in
+   flight. Read-ahead is best-effort: with every frame pinned by
+   in-flight I/O there is nothing to evict, so it just skips. *)
+let start_readahead t =
+  let q = t.readaheads in
+  let i = q.Fifo.first in
+  let file = q.Fifo.vs.(i) and pid = Pid.make q.Fifo.xs.(i) and index = q.Fifo.ys.(i) in
+  Fifo.pop q;
+  let p = File.packed_key file ~index in
+  if (not (Cache.contains_packed t.cache p)) && not (Itbl.mem t.in_flight p) then begin
+    t.current_pid <- pid;
+    t.prefetching <- true;
+    (match Cache.read_packed ~prefetch:true t.cache ~pid p with
+    | `Miss | `Hit | (exception Cache.Cache_busy) -> ()
+    | exception e ->
+      t.prefetching <- false;
+      raise e);
+    t.prefetching <- false
+  end
 
 let backend_evicted t p = if t.track_data then Hashtbl.remove t.frames (Block.unpack p)
 
@@ -193,6 +309,13 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
       pid_writes = Array.make 8 0;
       current_pid = Pid.make 0;
       obs = None;
+      readaheads = Fifo.create ();
+      readahead_job = Engine.job ignore;
+      prefetch_landed = ignore;
+      cpu_done = Engine.job ignore;
+      prefetching = false;
+      writebacks = Fifo.create ();
+      writeback_job = Engine.job ignore;
     }
   in
   let backend =
@@ -203,6 +326,9 @@ let create engine ~config ?cpu ?(hit_cost = 0.0006) ?(io_cpu_cost = 0.002)
     }
   in
   t.cache <- Cache.create ~backend config;
+  t.readahead_job <- Engine.job (fun () -> start_readahead t);
+  t.prefetch_landed <- prefetch_done t;
+  t.writeback_job <- Engine.job (fun () -> start_writeback t);
   t
 
 (* {2 Files} *)
@@ -304,8 +430,7 @@ let take_landing t =
 
 (* A hit on a block whose read is still in flight waits for it to
    land, on a pooled wait queue taken by the first such waiter. *)
-let wait_ready t key =
-  let p = Block.pack key in
+let wait_ready t p =
   match Itbl.find t.in_flight p with
   | -1 -> ()
   | 0 ->
@@ -321,42 +446,31 @@ let check_range ~what ~off ~len =
    when the access pattern is sequential, fetch the next block
    asynchronously so its transfer overlaps the caller's computation.
    The prefetched block is one the scan is about to read, so block-I/O
-   counts are unchanged; only timing is. *)
+   counts are unchanged; only timing is. The read-ahead runs as a job
+   queued at the current instant. *)
 let maybe_readahead t ~pid (file : File.t) ~index ~sequential =
   let next = index + 1 in
   if
     t.readahead && file.File.readahead_enabled && sequential
     && next < File.size_blocks file
     &&
-    let key = File.block_key file ~index:next in
-    (not (Cache.contains t.cache key)) && not (Itbl.mem t.in_flight (Block.pack key))
-  then
-    Engine.spawn t.engine ~name:"readahead" (fun () ->
-        let key = File.block_key file ~index:next in
-        (* Re-check: the block may have arrived while the fiber was
-           waiting to start. *)
-        if
-          (not (Cache.contains t.cache key)) && not (Itbl.mem t.in_flight (Block.pack key))
-        then begin
-          t.current_pid <- pid;
-          (* Read-ahead is best-effort: with every frame pinned by
-             in-flight I/O there is nothing to evict, so just skip. *)
-          match Cache.read ~prefetch:true t.cache ~pid key with
-          | `Miss -> cpu_charge t t.io_cpu_cost
-          | `Hit -> ()
-          | exception Cache.Cache_busy -> ()
-        end)
+    let p = File.packed_key file ~index:next in
+    (not (Cache.contains_packed t.cache p)) && not (Itbl.mem t.in_flight p)
+  then begin
+    Fifo.push t.readaheads file (Pid.to_int pid) next;
+    Engine.schedule_now t.engine t.readahead_job
+  end
 
 (* One block reference of a read, retried while every frame is pinned
    by in-flight I/O (waiting for one to land). *)
-let rec read_block t ~pid key =
+let rec read_block t ~pid p =
   t.current_pid <- pid;
-  match Cache.read t.cache ~pid key with
-  | `Hit -> wait_ready t key
+  match Cache.read_packed t.cache ~pid p with
+  | `Hit -> wait_ready t p
   | `Miss -> cpu_charge t t.io_cpu_cost
   | exception Cache.Cache_busy ->
     Engine.delay t.engine 0.001;
-    read_block t ~pid key
+    read_block t ~pid p
 
 (* [out], when given, receives the bytes of [\[off, off+len)]; each
    block's frame is copied as soon as the block is resident — before any
@@ -368,11 +482,11 @@ let read_internal t ~pid (file : File.t) ~off ~len ~out =
   if len > 0 then begin
     let first = off / block_bytes and last = (off + len - 1) / block_bytes in
     for index = first to last do
-      let key = File.block_key file ~index in
-      read_block t ~pid key;
+      let p = File.packed_key file ~index in
+      read_block t ~pid p;
       (match out with
       | Some buffer ->
-        let frame = Hashtbl.find t.frames key in
+        let frame = Hashtbl.find t.frames (Block.unpack p) in
         let block_start = index * block_bytes in
         let src = Stdlib.max off block_start in
         let stop = Stdlib.min (off + len) (block_start + block_bytes) in
@@ -396,14 +510,14 @@ let read t ~pid file ~off ~len =
   read_internal t ~pid file ~off ~len ~out:None
 
 (* One block reference of a write; see [read_block]. *)
-let rec write_block t ~pid key ~fetch =
+let rec write_block t ~pid p ~fetch =
   t.current_pid <- pid;
-  match Cache.write t.cache ~pid key ~fetch with
-  | `Hit -> wait_ready t key
+  match Cache.write_packed t.cache ~pid p ~fetch with
+  | `Hit -> wait_ready t p
   | `Miss -> ()
   | exception Cache.Cache_busy ->
     Engine.delay t.engine 0.001;
-    write_block t ~pid key ~fetch
+    write_block t ~pid p ~fetch
 
 (* [data], when given, holds the payload for [\[off, off+len)]; it is
    copied into each block's frame immediately after the block becomes
@@ -418,14 +532,15 @@ let write_internal t ~pid (file : File.t) ~off ~len ~data =
     let old_size = file.File.size_bytes in
     let first = off / block_bytes and last = (off + len - 1) / block_bytes in
     for index = first to last do
-      let key = File.block_key file ~index in
+      let p = File.packed_key file ~index in
       let block_start = index * block_bytes in
       let block_stop = block_start + block_bytes in
       let covers_whole = off <= block_start && off + len >= block_stop in
       (* Read-modify-write only if the block holds data we must keep. *)
       let fetch = (not covers_whole) && block_start < old_size in
-      write_block t ~pid key ~fetch;
+      write_block t ~pid p ~fetch;
       if t.track_data then begin
+        let key = Block.unpack p in
         let frame =
           match Hashtbl.find_opt t.frames key with
           | Some frame -> frame
@@ -474,17 +589,26 @@ let fsync t file =
   | Some sink -> syscall sink ~pid:kernel_pid "fsync" (Printf.sprintf "file=%d" (File.id file)));
   Cache.sync t.cache ~file:(File.id file) ()
 
-let spawn_update_daemon t ?(interval = 30.0) () =
-  let stop = ref false in
-  Engine.spawn t.engine ~name:"update-daemon" (fun () ->
-      let rec loop () =
-        Engine.delay t.engine interval;
-        if not !stop then begin
-          ignore (sync t);
-          loop ()
+(* A job that reschedules itself at [now +. interval], where a fiber's
+   [delay interval] would wake. Its first run takes the slot a spawned
+   fiber's start would, and only schedules the first tick. *)
+let start_update_daemon t ?(interval = 30.0) () =
+  if not (interval > 0.0 && interval < Float.infinity) then
+    invalid_arg "Fs.start_update_daemon: interval must be finite and > 0";
+  let stop = ref false and started = ref false in
+  let tick = ref (Engine.job ignore) in
+  let next () = Engine.schedule_job t.engine ~at:(Engine.now t.engine +. interval) !tick in
+  tick :=
+    Engine.job (fun () ->
+        if not !started then begin
+          started := true;
+          next ()
         end
-      in
-      loop ());
+        else if not !stop then begin
+          ignore (sync t);
+          next ()
+        end);
+  Engine.schedule_now t.engine !tick;
   fun () -> stop := true
 
 (* {2 Accounting} *)

@@ -12,7 +12,9 @@
     a per-disk image plus in-memory frames for resident blocks, so tests
     can verify read-after-write and write-back correctness end to end.
 
-    All [read]/[write]/[sync] calls must run inside a simulation fiber. *)
+    All [read]/[write]/[sync] calls must run inside a simulation fiber.
+    The file system's own processes are engine jobs, not fibers: each
+    read-ahead, each write-back and the update daemon. *)
 
 type t
 
@@ -104,10 +106,12 @@ val sync : t -> int
 
 val fsync : t -> File.t -> int
 
-val spawn_update_daemon : t -> ?interval:float -> unit -> (unit -> unit)
-(** Start the periodic flush daemon (Ultrix's 30 s update). Returns a
-    stop function; the daemon exits at its next tick after it is
-    called. *)
+val start_update_daemon : t -> ?interval:float -> unit -> (unit -> unit)
+(** Start the periodic flush daemon (Ultrix's 30 s update), an engine
+    job that syncs and reschedules itself every [interval] seconds.
+    Returns a stop function; the daemon stops at its next tick after it
+    is called. Raises [Invalid_argument] unless [interval] is finite
+    and positive. *)
 
 (** {2 Accounting} *)
 

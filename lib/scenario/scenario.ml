@@ -181,9 +181,20 @@ let drive_check (p : Params.t) =
       ("overhead_ms", p.overhead_ms); ("seq_rot_factor", p.seq_rot_factor);
     ]
 
+(* The shortest period a periodic process may run at, about one disk
+   service time. Each update-daemon tick costs a sync and each monitor
+   tick a snapshot, so a tiny period spends the run at time 0: an
+   update interval of 1e-300 s never finished. *)
+let min_period_s = 0.01
+
+let period_ok x = Float.is_finite x && x >= min_period_s
+
+let period_msg what = Printf.sprintf "%s must be finite and >= %g" what min_period_s
+
 (* The machine knobs outside the cache config, at their document
-   sub-paths. A zero update interval never lets a run finish; the other
-   values would raise mid-run or be silently ignored. *)
+   sub-paths. An update interval below the period floor never lets a
+   run finish; the other values would raise mid-run or be silently
+   ignored. *)
 let machine_check ~update_interval ~hit_cost ~io_cpu_cost ~write_cluster drives =
   let cost name x =
     ensure (".cpu." ^ name)
@@ -198,9 +209,8 @@ let machine_check ~update_interval ~hit_cost ~io_cpu_cost ~write_cluster drives 
       "write_cluster must be >= 1"
   in
   let* () =
-    ensure ".fs.update_interval_s"
-      (Float.is_finite update_interval && update_interval > 0.0)
-      "update_interval_s must be finite and > 0"
+    ensure ".fs.update_interval_s" (period_ok update_interval)
+      (period_msg "update_interval_s")
   in
   all_indexed (fun i p -> within (Printf.sprintf ".disks[%d].drive" i) (drive_check p)) drives
 
@@ -501,7 +511,7 @@ let assemble ?tracer ?obs ~seed ~disks ~update_interval:_ ~hit_cost ~io_cpu_cost
 
 let run_assembled ?monitor machine ~update_interval specs =
   let { engine; disk_array; fs; cache; rng; _ } = machine in
-  let stop_daemon = Acfc_fs.Fs.spawn_update_daemon fs ~interval:update_interval () in
+  let stop_daemon = Acfc_fs.Fs.start_update_daemon fs ~interval:update_interval () in
   let finish_times = Array.make (List.length specs) 0.0 in
   let done_ivars =
     List.mapi
@@ -614,10 +624,13 @@ let run_assembled ?monitor machine ~update_interval specs =
   }
 
 (* Pair a CLI-facing [?monitor:(producer, every)] with the sink's
-   metrics registry; a monitor without a sink has nothing to sample. *)
+   metrics registry; a monitor without a sink has nothing to sample,
+   and one below the period floor would never let the run finish. *)
 let monitor_with_metrics ~who monitor obs =
   match (monitor, obs) with
   | None, _ -> None
+  | Some (_, every), _ when not (period_ok every) ->
+    invalid_arg (Printf.sprintf "%s: %s" who (period_msg "the monitor period"))
   | Some (p, every), Some sink -> Some (p, Acfc_obs.Sink.metrics sink, every)
   | Some _, None ->
     invalid_arg (who ^ ": a monitor needs an observability sink (obs)")

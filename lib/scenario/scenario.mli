@@ -137,6 +137,12 @@ val inline_workloads : t -> t
     programs. Raises [Failure] if a name no longer resolves or names a
     closure application. *)
 
+val min_period_s : float
+(** The shortest period, in simulated seconds, of a periodic process: the
+    update daemon's [update_interval] and a monitor's sampling period.
+    0.01 s, about one disk service time. Each tick costs a sync or a
+    snapshot, so a shorter period spends the run ticking at time 0. *)
+
 val make :
   ?seed:int ->
   ?disks:disk list ->
@@ -166,7 +172,7 @@ val make :
     index, conflicting [config] + cache knobs, an invalid [fleet] (bad
     link index, non-positive latency, lookahead above the bound), or a
     machine number that would hang or break a run: [update_interval]
-    not finite and > 0, [write_cluster] below 1, a negative or
+    not finite or below {!min_period_s}, [write_cluster] below 1, a negative or
     non-finite [hit_cost] / [io_cpu_cost], or drive parameters with a
     capacity below 1 block, a transfer rate not finite and > 0, or a
     negative or non-finite time; or a cache larger than the drives it
@@ -246,7 +252,8 @@ val run :
     [(producer, every)], spawns a sampler fiber that streams a metrics
     snapshot to the producer every [every] simulated seconds while the
     workloads run, then emits a final snapshot and closes the stream;
-    it requires [obs] (raises [Invalid_argument] otherwise) and does
+    it requires [obs] and an [every] that is finite and at least
+    {!min_period_s} (raises [Invalid_argument] otherwise), and does
     not perturb unmonitored runs. Raises [Failure] if a workload name
     no longer resolves. *)
 

@@ -188,12 +188,13 @@ type t = {
   mutable fjobs : Equeue.job array;
   mutable free_ids : int array;
   mutable nfree : int;
-  (* True only while a fiber runs. Every fiber is entered straight from
-     the run loop (its start or a [Cont] job), so when it blocks,
-     control returns to the loop with nothing else left to run in this
-     job: the precondition for an in-place delay. A [schedule] callback
-     runs with the flag clear, so a delay made there (or outside any
-     run) still raises [Effect.Unhandled] instead of moving the clock. *)
+  (* True only while a fiber runs. Every fiber is entered from the run
+     loop (its start or a [Cont] job) or by [resume_key] as a job's
+     last action, so when it blocks, control returns to the loop with
+     nothing else left to run in this job: the precondition for an
+     in-place delay. A [schedule] callback runs with the flag clear, so
+     a delay made there (or outside any run) still raises
+     [Effect.Unhandled] instead of moving the clock. *)
   mutable direct : bool;
   (* Latest time the current [run]/[run_until] may reach, unboxed. *)
   horizon : float array;
@@ -426,7 +427,7 @@ let[@inline] schedule_job t ~at job =
 let schedule t ~at thunk = schedule_job t ~at (Equeue.Thunk thunk)
 
 (* [route] at the current instant. *)
-let schedule_now t job = route t t.clock.(0) job
+let[@inline] schedule_now t job = route t t.clock.(0) job
 
 (* Fiber-local knowledge of "who am I" is threaded through the effect
    handler: each fiber runs under its own handler that knows its id, so
@@ -510,13 +511,24 @@ let park_keyed t register =
   t.park_register <- register;
   Effect.perform Park_keyed
 
-let wake_key t key =
+(* Resume inside the running job: the fiber runs as a [Cont] job
+   popped by the loop would, flagged [direct], so its delays may go in
+   place. That is sound only because the caller does nothing after the
+   resume, and a fiber cannot call it: the flag would be wrong on its
+   return. *)
+let resume_key t key =
+  if t.direct then invalid_arg "Engine.resume_key: called from a fiber";
   if key < 0 || key >= Array.length t.fjobs || t.fjobs.(key) == Equeue.Nop then
-    invalid_arg "Engine.wake_key: no fiber is parked under this key";
-  let job = t.fjobs.(key) in
-  t.fjobs.(key) <- Equeue.Nop;
-  unblock t key;
-  schedule_now t job
+    invalid_arg "Engine.resume_key: no fiber is parked under this key";
+  match t.fjobs.(key) with
+  | Equeue.Cont k ->
+    t.fjobs.(key) <- Equeue.Nop;
+    unblock t key;
+    t.waiting <- t.waiting - 1;
+    t.direct <- true;
+    Effect.Deep.continue k ();
+    t.direct <- false
+  | Equeue.Thunk _ | Equeue.Nop -> assert false
 
 (* Take the longest-parked fiber's wake-up job off a non-empty queue,
    clearing its blocked flag. *)

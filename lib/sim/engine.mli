@@ -7,6 +7,11 @@
     the fiber's continuation is captured and resumed by a later event, so
     simulated code reads like straight-line systems code.
 
+    A process that blocks only between steps runs instead as a prebuilt
+    callback {!job} that reschedules itself ({!schedule_job}), with no
+    stack of its own: the disk drive's stages, read-ahead, write-back,
+    the update daemon and the fleet's client workloads run this way.
+
     Time is virtual, a [float] in seconds. Events scheduled for the same
     instant fire in FIFO order, which makes runs deterministic. *)
 
@@ -90,8 +95,15 @@ val schedule_job : t -> at:float -> job -> unit
     process whose [delay dt] costs no fiber: its next run fires where
     the fiber's {!delay} would have resumed, at the same event count
     (see {!delay}'s in-place rule, which only skips the queue). The
-    fleet's client workloads run this way, and a coordinator outside
-    the engine's run can schedule such a job at a response time. *)
+    fleet's client workloads and the disk drive's stages run this way,
+    and a coordinator outside the engine's run can schedule such a job
+    at a response time. *)
+
+val schedule_now : t -> job -> unit
+(** [schedule_now t j] is [schedule_job t ~at:(now t) j]: one event at
+    the current instant, after every event already due now. A woken
+    fiber, a spawned fiber's start and a disk request handed the drive
+    all take this slot. *)
 
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 (** [spawn t f] starts a new fiber running [f] at the current virtual
@@ -127,13 +139,20 @@ val park_keyed : t -> (int -> unit) -> unit
     queue stores it beside the request's address. Pass a [register]
     built once per owner, and the wait costs no closure and no record.
     The fiber is flagged blocked, so {!Deadlock} names it until a
-    {!wake_key} names its key. Must be called from a fiber. *)
+    {!resume_key} names its key. Must be called from a fiber. *)
 
-val wake_key : t -> int -> unit
-(** Schedule the fiber parked under [key] to resume at the current
-    instant, routed like {!wake_one}: one event, in FIFO order with
-    other events due now. Raises [Invalid_argument] if no fiber is
-    parked under [key]; nothing is queued then. *)
+val resume_key : t -> int -> unit
+(** [resume_key t key] resumes the fiber parked under [key] at once,
+    inside the running job, and returns when that fiber next blocks or
+    finishes. No event is queued or counted: the fiber goes on in the
+    caller's event, as if that event were its own wake-up. A disk
+    completion resumes its caller this way.
+
+    The call must be the running job's last action. The fiber may then
+    take its delays in place ({!delay}), which is sound only when
+    nothing else runs in this job after it blocks. Raises
+    [Invalid_argument] when called from a fiber, or when no fiber is
+    parked under [key]; nothing runs then. *)
 
 (** {2 Wait queues}
 

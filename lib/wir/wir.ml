@@ -92,6 +92,13 @@ let file_count t = fold_opens (fun n _ -> n + 1) 0 t.ops
 
 let reserves t = List.rev (fold_opens (fun l r -> r :: l) [] t.ops)
 
+let rec op_draws = function
+  | Rand_read _ | Choice _ -> true
+  | Seq body | Loop { body; _ } -> List.exists op_draws body
+  | Open _ | Read _ | Write _ | Compute _ | Advise _ | Unlink _ -> false
+
+let draws_rng t = List.exists op_draws t.ops
+
 (* {2 Static checking}
 
    Errors are (sub-path, message) pairs; [validate] and the embedding

@@ -61,9 +61,9 @@ let dontneed_drops_blocks () =
          frames. *)
       Fs.read fs ~pid:(pid 0) file ~off:(5 * bb) ~len:bb;
       chk_bool "dropped advised block" false
-        (Cache.contains cache (File.block_key file ~index:0));
+        (Cache.contains_packed cache (File.packed_key file ~index:0));
       chk_bool "unadvised block survives" true
-        (Cache.contains cache (File.block_key file ~index:2)))
+        (Cache.contains_packed cache (File.packed_key file ~index:2)))
 
 let willneed_keeps_blocks () =
   with_stack ~capacity:4 (fun _ fs file control ->
@@ -74,7 +74,7 @@ let willneed_keeps_blocks () =
          outlives blocks accessed after it. *)
       Fs.read fs ~pid:(pid 0) file ~off:(2 * bb) ~len:(4 * bb);
       chk_bool "advised block survives" true
-        (Cache.contains cache (File.block_key file ~index:0)))
+        (Cache.contains_packed cache (File.packed_key file ~index:0)))
 
 let cyclic_sets_mru () =
   with_stack (fun _ _ file control ->

@@ -7,7 +7,10 @@ let recording_backend () =
   let log = ref [] in
   let push tag key = log := (tag, Block.unpack key) :: !log in
   ( {
-      Backend.read_block = (fun k -> push `Read k);
+      Backend.read_block =
+        (fun k ->
+          push `Read k;
+          true);
       write_block = (fun k -> push `Write k);
       evicted = (fun k -> push `Evict k);
     },

@@ -416,8 +416,12 @@ let temppri_full_range_matches_index_loop () =
 module type CACHE = sig
   type t
 
+  exception Cache_busy
+
   val create : ?backend:Backend.t -> Config.t -> t
   val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
+  val fetched : t -> int -> unit
+  val contains : t -> Block.t -> bool
   val register_manager : t -> Pid.t -> (unit, Error.t) result
   val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
   val set_policy : t -> Pid.t -> prio:int -> Policy.t -> (unit, Error.t) result
@@ -489,6 +493,43 @@ let chooser_receives_sorted_set (type c) (module C : CACHE with type t = c)
   Option.iter (chk_blocks "manager_resident" set) listed;
   C.check_invariants c
 
+(* {2 A fetch that lands later}
+
+   A backend may leave a fetch in flight ([read_block] answers [false])
+   and report its landing later through [fetched], as the file system
+   does for a read-ahead. Until then the frame stays pinned: it is
+   never a victim, and a miss with every frame so pinned raises
+   [Cache_busy]. Once the fetch lands, the frame is evictable again.
+   Here file 0's fetches land later and file 1's at once. *)
+let deferred_fetch_stays_pinned (module C : CACHE) () =
+  let backend =
+    {
+      Backend.read_block = (fun k -> Block.packed_file k <> 0);
+      write_block = ignore;
+      evicted = ignore;
+    }
+  in
+  let c = C.create ~backend (config 3) and p = pid 1 in
+  let read b = ignore (C.read c ~pid:p b) in
+  let f0 = blk ~file:0 and f1 = blk ~file:1 in
+  List.iter read [ f0 0; f1 0; f1 1 ];
+  (* [f0 0] sits at the LRU end through five capacity misses. *)
+  List.iter read [ f1 2; f1 3; f1 4; f1 5; f1 6 ];
+  chk_bool "an in-flight block is never a victim" true (C.contains c (f0 0));
+  chk_bool "its neighbours were" false (C.contains c (f1 2));
+  List.iter read [ f0 1; f0 2 ];
+  Alcotest.check_raises "every frame pinned" C.Cache_busy (fun () -> read (f1 9));
+  C.check_invariants c;
+  C.fetched c (Block.pack (f0 0));
+  read (f1 9);
+  chk_bool "evictable once landed" false (C.contains c (f0 0));
+  chk_bool "the miss took its frame" true (C.contains c (f1 9));
+  chk_bool "the others stay pinned" true (C.contains c (f0 1) && C.contains c (f0 2));
+  (match C.fetched c (Block.pack (f0 0)) with
+  | () -> Alcotest.fail "a landing reported for an absent block"
+  | exception Invalid_argument _ -> ());
+  C.check_invariants c
+
 let suites =
   [
     ( "ctab",
@@ -524,5 +565,9 @@ let suites =
           (chooser_receives_sorted_set (module Cache) ~resident:(Some Cache.manager_resident));
         case "a chooser receives the set in ascending order, record twin"
           (chooser_receives_sorted_set (module Cache_ref) ~resident:None);
+        case "a fetch that lands later stays pinned, columnar"
+          (deferred_fetch_stays_pinned (module Cache));
+        case "a fetch that lands later stays pinned, record twin"
+          (deferred_fetch_stays_pinned (module Cache_ref));
       ] );
   ]

@@ -202,6 +202,91 @@ let scan_same_ios () =
   in
   chk_int "same count" (run Disk.Fcfs) (run Disk.Scan)
 
+(* {2 Two ways to issue a request}
+
+   Random requests on two drives sharing a bus, under FCFS and under
+   SCAN, each issued at its arrival either by a fiber through the
+   blocking [Disk.io] or by a job through [Disk.submit] with a
+   completion callback. Both forms must complete every request at the
+   same instant and in the same order, process the same events, and
+   leave the same drive and bus statistics and the same [Disk_io]
+   trace. A third drive with no positioning time and a near-zero
+   transfer time completes some requests inside their own submission
+   or start event. *)
+
+type request = { drive : int; arrival : int; addr : int; blocks : int; write : bool }
+
+let instant =
+  {
+    Params.rz26 with
+    Params.name = "instant";
+    min_seek_ms = 0.0;
+    avg_seek_ms = 0.0;
+    max_seek_ms = 0.0;
+    avg_rot_ms = 0.0;
+    overhead_ms = 0.0;
+    transfer_mb_per_s = 1e30;
+  }
+
+let requests_gen =
+  let open QCheck2.Gen in
+  let request =
+    map
+      (fun (drive, arrival, addr, (blocks, write)) -> { drive; arrival; addr; blocks; write })
+      (quad (int_range 0 2) (int_range 0 12) (int_range 0 60_000)
+         (pair (int_range 1 4) bool))
+  in
+  pair bool (list_size (int_range 1 25) request)
+
+let run_requests ~by_job (scan, requests) =
+  let e = Engine.create () in
+  let sink = Acfc_obs.Sink.create ~backend:(Acfc_obs.Sink.Ring 1_000) () in
+  Acfc_obs.Sink.set_clock sink (fun () -> Engine.now e);
+  let bus = Bus.create e () in
+  let sched = if scan then Disk.Scan else Disk.Fcfs in
+  let rng = Rng.create 11 in
+  let drives =
+    Array.map
+      (fun p -> Disk.create e ~bus ~rng:(Rng.split rng) ~sched p)
+      [| Params.rz56; Params.rz26; instant |]
+  in
+  Array.iter (fun d -> Disk.set_obs d (Some sink)) drives;
+  Bus.set_obs bus (Some sink);
+  let log = ref [] in
+  let completed i = log := (i, Engine.now e) :: !log in
+  List.iteri
+    (fun i r ->
+      let d = drives.(r.drive) and kind = if r.write then Disk.Write else Disk.Read in
+      let issue () =
+        if by_job then
+          Engine.schedule_now e
+            (Engine.job (fun () ->
+                 Disk.submit d kind ~addr:r.addr ~blocks:r.blocks ~tag:i completed))
+        else
+          Engine.spawn e (fun () ->
+              Disk.io ~blocks:r.blocks d kind ~addr:r.addr;
+              completed i)
+      in
+      Engine.schedule e ~at:(0.002 *. float_of_int r.arrival) issue)
+    requests;
+  Engine.run e;
+  let stats d =
+    ( (Disk.reads d, Disk.writes d, Disk.sequential_hits d, Disk.blocks_transferred d),
+      (Disk.busy_time d, Disk.total_wait d, Disk.queue_length d) )
+  in
+  ( List.rev !log,
+    Engine.events_processed e,
+    Array.map stats drives,
+    Acfc_obs.Json.to_string
+      (Acfc_obs.Metrics.snapshot (Acfc_obs.Sink.metrics sink) ~now:(Engine.now e)),
+    Acfc_obs.Sink.ring_contents sink )
+
+let job_form_matches_fiber_form =
+  qcheck "a request issued by a job completes where a fiber's io does" ~count:300
+    requests_gen (fun case ->
+      let (log, _, _, _, _) as fiber = run_requests ~by_job:false case in
+      List.length log = List.length (snd case) && run_requests ~by_job:true case = fiber)
+
 let suites =
   [
     ( "disk",
@@ -211,5 +296,6 @@ let suites =
           case "SCAN positional order" scan_order;
           case "SCAN reverses at the end" scan_reverses_at_end;
           case "scheduling preserves I/O counts" scan_same_ios;
+          job_form_matches_fiber_form;
         ] );
   ]

@@ -123,7 +123,8 @@ let reentrant_write_during_fetch () =
             ignore (Cache.write c ~pid:p1 (blk 1) ~fetch:false);
             chk_int "pinned block skipped by invalidate" 0
               (Cache.invalidate_file c ~file:0 |> fun n -> n land 0)
-          end);
+          end;
+          true);
       write_block = ignore;
       evicted = ignore;
     }

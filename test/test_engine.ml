@@ -82,41 +82,69 @@ let keyed_park_resume () =
   Engine.spawn e (fun () ->
       Engine.park_keyed e (fun k -> key := k);
       finished := Engine.now e);
-  Engine.schedule e ~at:7.0 (fun () -> Engine.wake_key e !key);
+  Engine.schedule e ~at:7.0 (fun () -> Engine.resume_key e !key);
   Engine.run e;
-  chk_float "resumed at the wake" 7.0 !finished;
-  (* spawn + callback + wake-up *)
-  chk_int "one event per wake-up" 3 (Engine.events_processed e)
+  chk_float "resumed at the callback" 7.0 !finished;
+  (* spawn + callback: the fiber goes on inside the callback's event *)
+  chk_int "no event of its own" 2 (Engine.events_processed e)
 
-(* Waking a key nobody is parked under raises and queues nothing: not
+(* Resuming a key nobody is parked under raises and runs nothing: not
    while its fiber sleeps, not a second time for the same park, not for
-   an id never issued. *)
-let empty_key_wake_rejected () =
+   an id never issued. Nor may a fiber resume one. *)
+let empty_key_resume_rejected () =
   let e = Engine.create () in
   let key = ref (-1) in
-  let rejected k =
-    match Engine.wake_key e k with
-    | () -> Alcotest.failf "woke empty key %d" k
-    | exception Invalid_argument msg ->
-      check Alcotest.string "message" "Engine.wake_key: no fiber is parked under this key" msg
+  let rejected ?(msg = "Engine.resume_key: no fiber is parked under this key") k =
+    match Engine.resume_key e k with
+    | () -> Alcotest.failf "resumed empty key %d" k
+    | exception Invalid_argument m -> check Alcotest.string "message" msg m
   in
   rejected 0;
   Engine.spawn e (fun () ->
       Engine.park_keyed e (fun k -> key := k);
       Engine.delay e 0.5;
       Engine.park_keyed e ignore);
-  Engine.schedule e ~at:0.25 (fun () -> Engine.wake_key e !key);
+  Engine.spawn e (fun () -> rejected ~msg:"Engine.resume_key: called from a fiber" !key);
+  Engine.schedule e ~at:0.25 (fun () -> Engine.resume_key e !key);
   Engine.schedule e ~at:0.5 (fun () -> rejected !key);
   Engine.schedule e ~at:1.0 (fun () ->
-      Engine.wake_key e !key;
-      rejected !key;
       rejected (-1);
-      rejected 1_000);
+      rejected 1_000;
+      Engine.resume_key e !key);
+  Engine.schedule e ~at:1.0 (fun () -> rejected !key);
   Engine.run e;
-  (* spawn + three callbacks + sleep + two wake-ups: no event for a
-     refusal *)
+  (* two spawns + four callbacks + the sleep: no event for a refusal or
+     a resume *)
   chk_int "events" 7 (Engine.events_processed e);
   chk_int "finished" 0 (Engine.fiber_count e)
+
+(* A fiber resumed inside a job may take its next delay in place when
+   nothing else is due first, and queues it when something is. Both
+   wake where a queued wake-up would. *)
+let resumed_fiber_delays () =
+  let run ~rival =
+    let e = Engine.create () in
+    let key = ref (-1) and log = ref [] in
+    Engine.spawn e (fun () ->
+        Engine.park_keyed e (fun k -> key := k);
+        log := ("resumed", Engine.now e) :: !log;
+        Engine.delay e 1.0;
+        log := ("woke", Engine.now e) :: !log;
+        Engine.delay e 1.0;
+        log := ("done", Engine.now e) :: !log);
+    if rival then
+      Engine.schedule e ~at:3.0 (fun () -> log := ("rival", Engine.now e) :: !log);
+    Engine.schedule e ~at:2.0 (fun () -> Engine.resume_key e !key);
+    Engine.run e;
+    (List.rev !log, Engine.events_processed e)
+  in
+  let log, events = run ~rival:false in
+  chk_bool "in place" true (log = [ ("resumed", 2.0); ("woke", 3.0); ("done", 4.0) ]);
+  chk_int "spawn + callback + two wake-ups" 4 events;
+  let log, events = run ~rival:true in
+  chk_bool "queued behind the older event" true
+    (log = [ ("resumed", 2.0); ("rival", 3.0); ("woke", 3.0); ("done", 4.0) ]);
+  chk_int "one more event" 5 events
 
 let deadlock_detected () =
   let e = Engine.create () in
@@ -177,18 +205,19 @@ let keys_are_fiber_ids () =
   let e = Engine.create () in
   let keys = ref [] in
   let parker () = Engine.park_keyed e (fun k -> keys := k :: !keys) in
+  let resume_at at k = Engine.schedule e ~at (fun () -> Engine.resume_key e k) in
   for _ = 1 to 3 do
     Engine.spawn e parker
   done;
   Engine.schedule e ~at:1.0 (fun () ->
       let live = List.sort_uniq compare !keys in
       chk_int "distinct while live" 3 (List.length live);
-      List.iter (Engine.wake_key e) live);
+      List.iter (resume_at 1.0) live);
   let reused = ref (-1) in
   Engine.schedule e ~at:2.0 (fun () -> Engine.spawn e parker);
   Engine.schedule e ~at:3.0 (fun () ->
       reused := List.hd !keys;
-      Engine.wake_key e !reused);
+      Engine.resume_key e !reused);
   Engine.run e;
   chk_bool "an id is reused" true (List.mem !reused (List.tl !keys));
   chk_int "finished" 0 (Engine.fiber_count e)
@@ -377,8 +406,10 @@ let next_event_time_reads () =
    every key registered for a wake once per round. A random subset ends
    parked on a queue nobody wakes, or under a key nobody registered:
    the {!Engine.Deadlock} payload must be exactly their sorted names.
-   Ids are reused as early fibers finish, and a key woken once must
-   refuse a second wake before its fiber parks again. *)
+   Each key is resumed inside a callback of its own, queued at the
+   round's instant, where a scheduled wake-up would have run. Ids are
+   reused as early fibers finish, and a key resumed once must refuse a
+   second resume until a fiber parks under it again. *)
 
 type block_step = Park_on of int | Keyed_once | Nap
 
@@ -400,7 +431,7 @@ let deadlock_names_match_model =
       let e = Engine.create () in
       let live = Array.init 3 (fun _ -> Engine.waitq ()) in
       let never = Array.init 2 (fun _ -> Engine.waitq ()) in
-      let pending = ref [] and refusals_ok = ref true in
+      let pending = ref [] and stuck = ref [] and refusals_ok = ref true in
       let name i = Printf.sprintf "f%02d" i in
       List.iteri
         (fun i (start, steps, ending) ->
@@ -415,20 +446,25 @@ let deadlock_names_match_model =
                   match ending with
                   | Finishes -> ()
                   | Stuck_parked q -> Engine.park e never.(q)
-                  | Stuck_keyed -> Engine.park_keyed e ignore)))
+                  | Stuck_keyed -> Engine.park_keyed e (fun k -> stuck := k :: !stuck))))
         specs;
       for round = 0 to 12 do
         Engine.schedule e ~at:(float_of_int round +. 0.75) (fun () ->
             Array.iter (Engine.wake_all e) live;
             let due = List.rev !pending in
             pending := [];
-            List.iter (Engine.wake_key e) due;
+            let now = Engine.now e in
             List.iter
-              (fun key ->
-                match Engine.wake_key e key with
-                | () -> refusals_ok := false
-                | exception Invalid_argument _ -> ())
-              due)
+              (fun key -> Engine.schedule e ~at:now (fun () -> Engine.resume_key e key))
+              due;
+            Engine.schedule e ~at:now (fun () ->
+                List.iter
+                  (fun key ->
+                    if not (List.mem key !pending || List.mem key !stuck) then
+                      match Engine.resume_key e key with
+                      | () -> refusals_ok := false
+                      | exception Invalid_argument _ -> ())
+                  due))
       done;
       let expected =
         List.concat
@@ -533,6 +569,11 @@ module Ref_sched = struct
   let wake t q = Option.iter (fun w -> schedule t t.now w) (Queue.take_opt q)
 end
 
+(* [Keyed k] parks under the fiber's key, and its registrar schedules a
+   callback [k] quanta later that resumes the key inside its own event:
+   the reference blocks with a resume scheduled there, as a delay does
+   (but even for [k = 0]). What the resumed fiber does next may go in
+   place or not. *)
 type script_op =
   | Sleep of int
   | Use of int * int
@@ -540,6 +581,7 @@ type script_op =
   | Read of int
   | Park of int
   | Wake of int
+  | Keyed of int
 
 (* What an actor waits for after each step: [Tick 0] is a zero delay
    (no event), [Tiny] a delay too small to move a clock past 0, and
@@ -564,6 +606,7 @@ let script_gen =
         map (fun i -> Read i) (int_range 0 1);
         map (fun q -> Park q) (int_range 0 1);
         map (fun q -> Wake q) (int_range 0 1);
+        map (fun k -> Keyed k) (int_range 0 3);
       ]
   in
   let actor_op =
@@ -632,7 +675,11 @@ let run_engine ~stepped (scripts, actors) =
               | Fill i -> fill i
               | Read i -> Ivar.read ivs.(i)
               | Park q -> if not !closed then Engine.park e qs.(q)
-              | Wake q -> ignore (Engine.wake_one e qs.(q)));
+              | Wake q -> ignore (Engine.wake_one e qs.(q))
+              | Keyed k ->
+                Engine.park_keyed e (fun key ->
+                    Engine.schedule e ~at:(Engine.now e +. quanta k) (fun () ->
+                        Engine.resume_key e key)));
               log := (f, j, Engine.now e) :: !log)
             script))
     scripts;
@@ -683,7 +730,8 @@ let run_reference ~stepped (scripts, actors) =
               | Fill i -> R.fill t ivs.(i)
               | Read i -> R.read ivs.(i)
               | Park q -> if not !closed then R.park qs.(q)
-              | Wake q -> R.wake t qs.(q));
+              | Wake q -> R.wake t qs.(q)
+              | Keyed k -> R.block (fun resume -> R.schedule t (t.R.now +. quanta k) resume));
               log := (f, j, t.R.now) :: !log)
             script))
     scripts;
@@ -720,7 +768,7 @@ let run_reference ~stepped (scripts, actors) =
   (List.rev !log, t.R.processed)
 
 let matches_reference =
-  qcheck "fibers, resources and ivars match a list-based scheduler" ~count:300
+  qcheck "fibers, keyed resumes, resources and ivars match a list-based scheduler" ~count:300
     script_gen (fun case ->
       run_engine ~stepped:false case = run_reference ~stepped:false case
       && run_engine ~stepped:true case = run_reference ~stepped:true case)
@@ -737,8 +785,9 @@ let suites =
         case "FIFO ties" fifo_for_simultaneous_events;
         case "no scheduling in the past" past_scheduling_rejected;
         case "spawn from fiber" spawn_from_fiber;
-        case "keyed park/wake" keyed_park_resume;
-        case "empty key wake rejected" empty_key_wake_rejected;
+        case "keyed park/resume" keyed_park_resume;
+        case "empty key resume rejected" empty_key_resume_rejected;
+        case "a resumed fiber delays in place or queued" resumed_fiber_delays;
         case "deadlock detection" deadlock_detected;
         case "clean termination" no_deadlock_when_all_finish;
         case "run_until" run_until_stops;

@@ -182,12 +182,12 @@ let update_daemon_flushes () =
       let disk = Disk.create engine Params.rz56 in
       let fs = Fs.create engine ~config:(config 64) () in
       let f = Fs.create_file fs ~name:"a" ~disk ~size_bytes:0 ~reserve_bytes:(4 * bb) () in
-      let stop = Fs.spawn_update_daemon fs ~interval:30.0 () in
+      let stop = Fs.start_update_daemon fs ~interval:30.0 () in
       Fs.write fs ~pid:p0 f ~off:0 ~len:(2 * bb);
-      chk_bool "dirty now" true (Cache.is_dirty (Fs.cache fs) (File.block_key f ~index:0));
+      let block0 = blk ~file:(File.id f) 0 in
+      chk_bool "dirty now" true (Cache.is_dirty (Fs.cache fs) block0);
       Engine.delay engine 35.0;
-      chk_bool "flushed by daemon" false
-        (Cache.is_dirty (Fs.cache fs) (File.block_key f ~index:0));
+      chk_bool "flushed by daemon" false (Cache.is_dirty (Fs.cache fs) block0);
       chk_int "writes counted" 2 (Fs.pid_disk_writes fs p0);
       stop ())
 

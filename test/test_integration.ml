@@ -104,7 +104,8 @@ let cache_busy_when_everything_pinned () =
           if Acfc_core.Block.packed_index key = 0 then (
             match Cache.read (Option.get !cache) ~pid:(pid 0) (blk 1) with
             | _ -> inner_result := `Returned
-            | exception Cache.Cache_busy -> inner_result := `Busy));
+            | exception Cache.Cache_busy -> inner_result := `Busy);
+          true);
       write_block = ignore;
       evicted = ignore;
     }

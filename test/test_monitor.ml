@@ -172,6 +172,20 @@ let test_monitor_requires_obs () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "Scenario.run must reject monitor without obs")
 
+(* A monitor period below the floor would never let the run finish: a
+   period of 0 wrote 47,050 snapshots at time 0 and went on. It is
+   refused before anything runs. *)
+let test_monitor_period_floor () =
+  with_stream (fun path ->
+      let scn = Scenario.make ~seed:0 ~cache_blocks:64 [ Scenario.workload "read60" ] in
+      let p = Monitor.producer ~path () in
+      List.iter
+        (fun every ->
+          Alcotest.check_raises (Printf.sprintf "period %g" every)
+            (Invalid_argument "Scenario.run: the monitor period must be finite and >= 0.01")
+            (fun () -> ignore (Scenario.run ~obs:(null_sink ()) ~monitor:(p, every) scn)))
+        [ 0.0; 0.001; Float.nan; Float.infinity ])
+
 (* A monitored single-machine run streams snapshots from inside the
    engine and ends at the run's final clock. *)
 let test_scenario_monitor_stream () =
@@ -209,6 +223,7 @@ let suites =
         case "callback can stop the stream" test_follow_stop_early;
         case "scenario run streams snapshots" test_scenario_monitor_stream;
         case "monitor without obs is rejected" test_monitor_requires_obs;
+        case "a monitor period below the floor is refused" test_monitor_period_floor;
         case "tails a live fleet run end-to-end" test_tail_live_fleet_run;
       ] );
   ]

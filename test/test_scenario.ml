@@ -260,9 +260,14 @@ let errors () =
       ( replace ~sub:{|"cache"|} ~by:{|"seed":4611686018427387904,"cache"|} minimal,
         "scenario: expected an integer at $.seed" );
       ( with_member {|"fs":{"update_interval_s":0}|},
-        "scenario: update_interval_s must be finite and > 0 at $.fs.update_interval_s" );
+        "scenario: update_interval_s must be finite and >= 0.01 at $.fs.update_interval_s" );
       ( with_member {|"fs":{"update_interval_s":-5}|},
-        "scenario: update_interval_s must be finite and > 0 at $.fs.update_interval_s" );
+        "scenario: update_interval_s must be finite and >= 0.01 at $.fs.update_interval_s" );
+      (* One sync per tick: at 1e-300 s the run never finished. *)
+      ( with_member {|"fs":{"update_interval_s":1e-300}|},
+        "scenario: update_interval_s must be finite and >= 0.01 at $.fs.update_interval_s" );
+      ( with_member {|"fs":{"update_interval_s":0.001}|},
+        "scenario: update_interval_s must be finite and >= 0.01 at $.fs.update_interval_s" );
       ( with_member {|"fs":{"write_cluster":0}|},
         "scenario: write_cluster must be >= 1 at $.fs.write_cluster" );
       ( with_member {|"cpu":{"hit_cost":-1}|},
@@ -304,7 +309,7 @@ let errors () =
 let constructor_ranges () =
   Alcotest.check_raises "make refuses a zero update interval"
     (Invalid_argument
-       "Scenario.make: update_interval_s must be finite and > 0 at $.fs.update_interval_s")
+       "Scenario.make: update_interval_s must be finite and >= 0.01 at $.fs.update_interval_s")
     (fun () ->
       ignore
         (Scenario.make ~update_interval:0.0 ~cache_blocks:64 [ Scenario.workload "read60" ]));
