@@ -342,7 +342,6 @@ module Cores = Acfc_policy.Cores
 module Core = Acfc_policy.Policy_core
 module Registry = Acfc_policy.Registry
 module Engine = Acfc_sim.Engine
-module Itbl = Acfc_core.Itbl
 
 type perf_row = {
   p_name : string;
@@ -358,6 +357,14 @@ type loop = { ops : int; run : unit -> unit; stop : unit -> unit }
 
 let loop ops run = { ops; run; stop = ignore }
 
+(* Words this domain has allocated: on the minor heap, plus the blocks
+   too large for it that went straight to the major heap (a core's
+   per-pass tables), so an alloc row counts both. *)
+let allocated_words () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. (major -. promoted)
+
 (* Best seconds per op of [prepare size]'s loop over three passes, each
    on fresh state, with the sizes interleaved pass by pass so that host
    drift hits them alike. Scheduler and frequency jitter only ever slow
@@ -370,12 +377,12 @@ let time_sizes sizes prepare =
     Array.iteri
       (fun i size ->
         let l = prepare size in
-        let w0 = Gc.minor_words () in
+        let w0 = allocated_words () in
         let t0 = Unix.gettimeofday () in
         l.run ();
         let wall = Unix.gettimeofday () -. t0 in
         if pass = 1 && i = 0 then begin
-          words := (Gc.minor_words () -. w0) /. float_of_int l.ops;
+          words := (allocated_words () -. w0) /. float_of_int l.ops;
           ops := l.ops
         end;
         l.stop ();
@@ -431,7 +438,8 @@ let bench_disk_queue (label, discipline) =
 
 (* One op = one trace reference through Policy_sim.run against a full
    cache of 4,096 resident blocks: the fill, then 6,000 random
-   references over 8,192 blocks. *)
+   references over 8,192 blocks. The row's words include the core's
+   tables, made once per pass. *)
 let policy_miss_trace =
   let rng = Acfc_sim.Rng.create 9 in
   let fill = Array.init 4096 (fun i -> Block.make ~file:0 ~index:i) in
@@ -448,20 +456,23 @@ let policy_tail (module P : Core.CORE) capacity =
       (Array.init capacity (fun i -> Block.make ~file:0 ~index:i))
       (Rt.random ~rng ~file:0 ~blocks:(2 * capacity) ~length:100_000)
   in
+  let keys = Array.map Block.pack trace in
   let st = P.create ~capacity ~future:trace in
-  let resident = Itbl.create capacity in
+  (* Resident flags by id; no core holds more than 3 x capacity ids. *)
+  let resident = Bytes.make ((3 * capacity) + 16) '\000' in
+  let held = ref 0 in
   let step pos =
-    let block = trace.(pos) in
-    let key = Block.pack block in
-    if Itbl.mem resident key then P.on_event st (Core.Reference { pos; block })
+    let key = keys.(pos) in
+    let id = P.find st key in
+    if id >= 0 && Bytes.get resident id <> '\000' then P.reference st ~pos id
     else begin
-      if Itbl.length resident >= capacity then begin
-        let victim = P.victim st ~pos ~missing:block in
-        Itbl.remove resident (Block.pack victim);
-        P.on_event st (Core.Evict { block = victim })
-      end;
-      Itbl.set resident key 0;
-      P.on_event st (Core.Admit { pos; block })
+      if !held >= capacity then begin
+        let victim = P.victim st ~pos ~missing:id in
+        Bytes.set resident victim '\000';
+        P.evict st victim
+      end
+      else incr held;
+      Bytes.set resident (P.admit st ~pos key) '\001'
     end
   in
   for pos = 0 to capacity - 1 do
@@ -483,8 +494,10 @@ let bench_policy_miss () =
       { row with growth = (measure_perf ~grow:true ~name 1024 (policy_tail core)).growth })
     [
       ("policy-miss/lru2", (module Cores.Lru_2 : Core.CORE));
+      ("policy-miss/2q", (module Cores.Two_q));
       ("policy-miss/opt", (module Cores.Opt));
       ("policy-miss/rand", (module Cores.Rand));
+      ("policy-miss/arc", (module Cores.Arc));
       ("policy-miss/awrp", (module Cores.Awrp));
       ("policy-miss/perceptron", (module Cores.Perceptron));
     ]
@@ -764,12 +777,12 @@ let bench_fleet () =
       let name = Printf.sprintf "fleet-events/jobs%d" jobs in
       let best = ref Float.infinity and words = ref 0.0 and events = ref 0 in
       for pass = 1 to 3 do
-        let w0 = Gc.minor_words () in
+        let w0 = allocated_words () in
         let t0 = Unix.gettimeofday () in
         let r = Fleet.run ~jobs scn in
         let wall = Unix.gettimeofday () -. t0 in
         if pass = 1 then begin
-          words := Gc.minor_words () -. w0;
+          words := allocated_words () -. w0;
           events := r.Fleet.events;
           outputs := (name, Fleet.to_string r) :: !outputs
         end;

@@ -65,9 +65,19 @@ let jobs =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* An integer of at least [min]: a count the command cannot run with is
+   a usage error, refused before anything runs. *)
+let count ~min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < min -> Error (`Msg (Printf.sprintf "%d must be at least %d" n min))
+    | r -> r
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let capacity =
   let doc = "Cache capacity in blocks." in
-  Arg.(value & opt int 819 & info [ "capacity" ] ~docv:"N" ~doc)
+  Arg.(value & opt (count ~min:1) 819 & info [ "capacity" ] ~docv:"N" ~doc)
 
 let dump_scenario =
   let doc =
@@ -841,11 +851,20 @@ let record_cmd =
 
 let pattern =
   let doc = "Synthetic trace: cyclic, sequential, random, hot-cold or zipf." in
-  Arg.(value & opt string "cyclic" & info [ "t"; "trace" ] ~docv:"PATTERN" ~doc)
+  let patterns =
+    [
+      ("cyclic", `Cyclic);
+      ("sequential", `Sequential);
+      ("random", `Random);
+      ("hot-cold", `Hot_cold);
+      ("zipf", `Zipf);
+    ]
+  in
+  Arg.(value & opt (enum patterns) `Cyclic & info [ "t"; "trace" ] ~docv:"PATTERN" ~doc)
 
 let blocks =
   let doc = "Working-set size in blocks." in
-  Arg.(value & opt int 1200 & info [ "blocks" ] ~docv:"N" ~doc)
+  Arg.(value & opt (count ~min:0) 1200 & info [ "blocks" ] ~docv:"N" ~doc)
 
 let trace_file =
   let doc = "Replay a recorded trace file instead of a synthetic pattern." in
@@ -904,14 +923,14 @@ let policies_cmd =
             Acfc_replacement.Refstream.(demand (load ic)))
       | None ->
       match pattern with
-      | "cyclic" -> Trace.cyclic ~file:0 ~blocks ~passes:5
-      | "sequential" -> Trace.sequential ~file:0 ~blocks
-      | "random" -> Trace.random ~rng ~file:0 ~blocks ~length:(5 * blocks)
-      | "hot-cold" ->
-        Trace.hot_cold ~rng ~hot_file:0 ~hot_blocks:(blocks / 10) ~cold_file:1
+      | `Cyclic -> Trace.cyclic ~file:0 ~blocks ~passes:5
+      | `Sequential -> Trace.sequential ~file:0 ~blocks
+      | `Random -> Trace.random ~rng ~file:0 ~blocks ~length:(5 * blocks)
+      | `Hot_cold ->
+        (* A tenth of the blocks are hot, and at least one. *)
+        Trace.hot_cold ~rng ~hot_file:0 ~hot_blocks:(Stdlib.max 1 (blocks / 10)) ~cold_file:1
           ~cold_blocks:blocks ~hot_fraction:0.9 ~length:(5 * blocks)
-      | "zipf" -> Trace.zipf ~rng ~file:0 ~blocks ~skew:1.0 ~length:(5 * blocks)
-      | p -> failwith ("unknown trace pattern: " ^ p)
+      | `Zipf -> Trace.zipf ~rng ~file:0 ~blocks ~skew:1.0 ~length:(5 * blocks)
     in
     Format.printf "trace: %a@." Trace.pp_summary trace;
     (* Each policy simulates the (immutable) trace independently; run

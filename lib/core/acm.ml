@@ -32,10 +32,10 @@ type chooser = candidate:Block.t -> resident:Block.t list -> Block.t option
    membership change of the manager's block set to the plug-in and asks
    it for victims before the priority-pool decision. *)
 type plugin = {
-  on_admit : Block.t -> unit;
-  on_reference : Block.t -> unit;
-  on_remove : Block.t -> invalidated:bool -> unit;
-  choose : missing:Block.t -> Block.t option;
+  on_admit : int -> unit;
+  on_reference : int -> unit;
+  on_remove : int -> invalidated:bool -> unit;
+  choose : missing:int -> int;
 }
 
 type manager = {
@@ -268,21 +268,20 @@ let consults t pid =
 
 let manager_count t = t.n_managers
 
-(* Plug-in notifications. Materialising the [Block.t] costs an
-   allocation, so every call is guarded by the plug-in's presence. *)
+(* Plug-in notifications, by packed key. *)
 let notify_admit t mgr s =
   match mgr.plugin with
-  | Some p -> p.on_admit (Ctab.block t.tab s)
+  | Some p -> p.on_admit t.tab.Ctab.key.(s)
   | None -> ()
 
 let notify_reference t mgr s =
   match mgr.plugin with
-  | Some p -> p.on_reference (Ctab.block t.tab s)
+  | Some p -> p.on_reference t.tab.Ctab.key.(s)
   | None -> ()
 
 let notify_remove t mgr s ~invalidated =
   match mgr.plugin with
-  | Some p -> p.on_remove (Ctab.block t.tab s) ~invalidated
+  | Some p -> p.on_remove t.tab.Ctab.key.(s) ~invalidated
   | None -> ()
 
 let new_block t ~pid ~prefetched s =
@@ -392,10 +391,10 @@ let slot_manager t s =
   let m = t.tab.Ctab.managed.(s) in
   if m < 0 then None else find_manager t (Pid.make m)
 
-(* The unpinned slot of a manager's answer [b], or [-1] when [b] is not
-   one of its residents or is pinned. *)
-let resident_slot t mgr b =
-  let s = member_slot t mgr (Block.pack_ids ~file:b.Block.file ~index:b.Block.index) in
+(* The unpinned slot of a manager's answer, the packed key [key], or
+   [-1] when that block is not one of its residents or is pinned. *)
+let resident_slot t mgr key =
+  let s = member_slot t mgr key in
   if s >= 0 && t.tab.Ctab.pinned.(s) = 0 then s else -1
 
 (* Consult an upcall handler: materialise the manager's resident set
@@ -405,16 +404,13 @@ let resident_slot t mgr b =
 let upcall_choice t mgr chooser ~candidate =
   match chooser ~candidate:(Ctab.block t.tab candidate) ~resident:(resident_blocks t mgr) with
   | None -> -1
-  | Some b -> resident_slot t mgr b
+  | Some b -> resident_slot t mgr (Block.pack_ids ~file:b.Block.file ~index:b.Block.index)
 
 (* Consult the event-driven plug-in. Cheaper than the upcall path — no
-   resident list is materialised — and validated the same way: an
-   unknown or pinned answer falls back to the next decision source. The
-   packed key [missing] becomes a record only here. *)
-let plugin_choice t mgr plugin ~missing =
-  match plugin.choose ~missing:(Block.unpack missing) with
-  | None -> -1
-  | Some b -> resident_slot t mgr b
+   resident list is materialised and no record is built — and validated
+   the same way: an unknown or pinned answer falls back to the next
+   decision source. *)
+let plugin_choice t mgr plugin ~missing = resident_slot t mgr (plugin.choose ~missing)
 
 let replace_block t ~candidate ~missing =
   match slot_manager t candidate with
@@ -597,7 +593,7 @@ let set_plugin t pid plugin =
             (fun lvl ->
               let rec admit s =
                 if s <> Ilist.nil then begin
-                  p.on_admit (Ctab.block t.tab s);
+                  p.on_admit t.tab.Ctab.key.(s);
                   admit (Ilist.next_toward_front lvl_links s)
                 end
               in

@@ -21,24 +21,25 @@
 type t
 
 type plugin = {
-  on_admit : Block.t -> unit;
+  on_admit : int -> unit;
       (** The block entered (or transferred into) the manager's set. *)
-  on_reference : Block.t -> unit;
+  on_reference : int -> unit;
       (** The block, already in the set, was referenced. *)
-  on_remove : Block.t -> invalidated:bool -> unit;
+  on_remove : int -> invalidated:bool -> unit;
       (** The block left the set. [invalidated] marks departures that
           were not replacement decisions (file invalidation, ownership
           transfer): an adaptive plug-in must not learn from those. *)
-  choose : missing:Block.t -> Block.t option;
-      (** Name a victim so [missing] can come in; [None] or an invalid
+  choose : missing:int -> int;
+      (** Name a victim so [missing] can come in; [-1] or an invalid
           (non-resident, pinned) answer falls back to the upcall
           chooser / priority-pool decision. *)
 }
 (** An event-driven replacement plug-in (how a unified policy core
     runs live, built by {!Acfc_policy.Live.plugin}). Expressed as plain
     callbacks so the core library carries no dependency on the policy
-    library. Installed per manager via {!set_plugin}; consulted by
-    {!replace_block} before the upcall chooser. *)
+    library. Every block is named by its packed key ({!Block.pack}), so
+    no call builds a record. Installed per manager via {!set_plugin};
+    consulted by {!replace_block} before the upcall chooser. *)
 
 val create : Config.t -> tab:Ctab.t -> table:Itbl.t -> t
 (** [tab] is the columnar entry table and [table] BUF's block table

@@ -5,7 +5,7 @@
    Blocks travel as packed keys ({!Block.pack}) from [read_packed] to
    the backend, so the steady-state hit and miss paths allocate
    nothing; a [Block.t] is built only for a trace event (when a tracer
-   or obs sink is installed) or a plug-in's [choose ~missing].
+   or obs sink is installed) or an upcall chooser.
 
    The record-based predecessor survives verbatim as {!Buf_ref}; the
    lockstep replay in {!Lockstep} / `bench check` proves the two emit

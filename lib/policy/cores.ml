@@ -1,21 +1,18 @@
 (* The eleven replacement cores, each a {!Policy_core.CORE} state
-   machine. The eight stock policies keep the exact victim behaviour of
-   the offline lab's earlier per-policy modules (pinned by the
-   record-twin lockstep in `bench check` and the behaviour suites),
-   re-expressed over events. The queue-based cores (FIFO, CLOCK, 2Q)
-   formerly popped their victim inside the choice; here the choice is a
-   peek and the removal happens at the {!Policy_core.Evict} event, with
-   stamped queue entries skipped lazily — for the offline replay this is
-   the identical sequence of operations, and it additionally tolerates a
-   live kernel evicting a block other than the one named (overrule,
-   invalidation). *)
+   machine over the ids of one block table ({!Table}). The eight stock
+   policies keep the exact victim behaviour of the offline lab's
+   earlier per-policy modules (pinned by the record-twin lockstep in
+   `bench check` and the behaviour suites). A victim query only peeks:
+   the block leaves at {!Policy_core.CORE.evict}, so a live kernel may
+   evict a block other than the one named (overrule, invalidation).
+
+   No victim depends on how ids are numbered: every choice is made by
+   list order, by the RNG over admission order, or by a total order on
+   positions and packed keys. *)
 
 module Block = Acfc_core.Block
 module Ilist = Acfc_core.Ilist
 module Itbl = Acfc_core.Itbl
-open Policy_core
-
-let dummy = Block.make ~file:0 ~index:0
 
 (* [a] grown to at least [cap] cells, the new ones set to [fill]. *)
 let grow_column a cap fill =
@@ -27,161 +24,67 @@ let grow_column a cap fill =
     b
   end
 
-(* Free-listed slots for a set of blocks: an {!Itbl} index keyed by
-   {!Block.pack} plus slot -> block and slot -> packed-key columns.
-   Cores keep their own per-slot columns beside these, grown to
-   {!capacity} after each {!add}. Allocation-free at steady state. *)
-module Slots = struct
+(* A core's one block table: packed key -> dense id through an {!Itbl},
+   id -> packed key through a column, and a free list threaded through
+   that column (a released id's cell holds the next free id). It holds
+   every block the core remembers, resident or ghost. Cores index their
+   per-block columns by the id and grow them to {!capacity} after an
+   {!add}. Allocation-free at steady state. *)
+module Table = struct
   type t = {
-    tbl : Itbl.t; (* Block.pack -> slot *)
-    mutable blocks : Block.t array;
-    mutable keys : int array; (* Block.pack, ordered like Block.compare *)
-    mutable free : int array; (* stack of free slots *)
-    mutable nfree : int;
+    index : Itbl.t;
+    mutable keys : int array;
+    mutable free : int;  (* the head of the free list, or -1 *)
+    mutable fresh : int;  (* ids from here on were never handed out *)
   }
 
   let create n =
     let n = Stdlib.max 16 n in
-    {
-      tbl = Itbl.create n;
-      blocks = Array.make n dummy;
-      keys = Array.make n 0;
-      free = Array.init n (fun i -> n - 1 - i);
-      nfree = n;
-    }
+    { index = Itbl.create n; keys = Array.make n 0; free = -1; fresh = 0 }
 
-  let capacity t = Array.length t.blocks
+  let capacity t = Array.length t.keys
 
-  let length t = Itbl.length t.tbl
+  let length t = Itbl.length t.index
 
-  (* The slot of [block], or [-1]. *)
-  let find t block = Itbl.find t.tbl (Block.pack block)
+  let find t key = Itbl.find t.index key
 
-  let grow t =
-    let old = capacity t in
-    let cap = 2 * old in
-    t.blocks <- grow_column t.blocks cap dummy;
-    t.keys <- grow_column t.keys cap 0;
-    let free = Array.make cap 0 in
-    Array.blit t.free 0 free 0 t.nfree;
-    for i = 0 to old - 1 do
-      free.(t.nfree + i) <- old + i
-    done;
-    t.free <- free;
-    t.nfree <- t.nfree + old
+  let key t id = t.keys.(id)
 
-  (* Bind [block], which must not be a member, to a free slot. *)
-  let add t block =
-    if t.nfree = 0 then grow t;
-    let s = t.free.(t.nfree - 1) in
-    t.nfree <- t.nfree - 1;
-    let key = Block.pack block in
-    t.blocks.(s) <- block;
-    t.keys.(s) <- key;
-    Itbl.set t.tbl key s;
-    s
+  (* Bind [key], which must not be remembered, to an id. *)
+  let add t key =
+    let id =
+      if t.free >= 0 then begin
+        let id = t.free in
+        t.free <- t.keys.(id);
+        id
+      end
+      else begin
+        let id = t.fresh in
+        if id = Array.length t.keys then t.keys <- grow_column t.keys (id + 1) 0;
+        t.fresh <- id + 1;
+        id
+      end
+    in
+    t.keys.(id) <- key;
+    Itbl.set t.index key id;
+    id
 
-  let release t s =
-    Itbl.remove t.tbl t.keys.(s);
-    t.free.(t.nfree) <- s;
-    t.nfree <- t.nfree + 1
+  let release t id =
+    Itbl.remove t.index t.keys.(id);
+    t.keys.(id) <- t.free;
+    t.free <- id
 end
 
-(* One recency list of blocks: {!Slots} linked through an {!Ilist}
-   store. Every operation is O(1) and allocation-free at steady
-   state. *)
-module Islab = struct
-  type t = { slots : Slots.t; store : Ilist.store; list : Ilist.t }
-
-  let create n =
-    let slots = Slots.create n in
-    { slots; store = Ilist.make_store (Slots.capacity slots); list = Ilist.create () }
-
-  let capacity t = Slots.capacity t.slots
-
-  let find t block = Slots.find t.slots block
-
-  let mem t block = find t block >= 0
-
-  let slot t block =
-    let s = find t block in
-    if s < 0 then failwith "Islab: block not resident";
-    s
-
-  let push_front t block =
-    let s = Slots.add t.slots block in
-    Ilist.grow_store t.store (Slots.capacity t.slots);
-    Ilist.push_front t.store t.list s
-
-  let move_front t block = Ilist.move_front t.store t.list (slot t block)
-
-  let remove t block =
-    let s = find t block in
-    if s >= 0 then begin
-      Ilist.remove t.store t.list s;
-      Slots.release t.slots s
-    end
-
-  let is_empty t = Ilist.is_empty t.list
-
-  let length t = Ilist.length t.list
-
-  let front t = t.slots.Slots.blocks.(Ilist.front t.list)
-
-  let back t = t.slots.Slots.blocks.(Ilist.back t.list)
-end
-
-(* A dense set of blocks: the members fill indices [0, n) of a block
-   column and a packed-key column, with an {!Itbl} index keyed by
-   {!Block.pack}; removal moves the last member into the hole. *)
-module Dense = struct
-  type t = {
-    index : Itbl.t; (* Block.pack -> index *)
-    mutable blocks : Block.t array;
-    mutable keys : int array;
-    mutable n : int;
-  }
-
-  let create () = { index = Itbl.create 1024; blocks = [||]; keys = [||]; n = 0 }
-
-  let add t block =
-    if t.n = Array.length t.blocks then begin
-      let cap = Stdlib.max 16 (2 * t.n) in
-      t.blocks <- grow_column t.blocks cap block;
-      t.keys <- grow_column t.keys cap 0
-    end;
-    let i = t.n in
-    let key = Block.pack block in
-    t.blocks.(i) <- block;
-    t.keys.(i) <- key;
-    Itbl.set t.index key i;
-    t.n <- i + 1
-
-  (* No-op if [block] is absent. *)
-  let remove t block =
-    let key = Block.pack block in
-    let i = Itbl.find t.index key in
-    if i >= 0 then begin
-      let last = t.n - 1 in
-      t.blocks.(i) <- t.blocks.(last);
-      t.keys.(i) <- t.keys.(last);
-      Itbl.set t.index t.keys.(i) i;
-      Itbl.remove t.index key;
-      t.n <- last
-    end
-end
-
-(* An indexed binary min-heap of slots, ordered by two int keys per
-   slot compared lexicographically. [hpos] maps a slot to its heap
-   index, so re-keying or removing a slot is O(log n) and allocates
-   nothing. Slots are small non-negative ints; the columns grow to the
-   largest slot seen. *)
+(* An indexed binary min-heap of ids, ordered by two int keys per id
+   compared lexicographically. [hpos] maps an id to its heap index, so
+   re-keying or removing an id is O(log n) and allocates nothing. The
+   columns grow to the largest id seen. *)
 module Iheap = struct
   type t = {
-    mutable k1 : int array; (* slot -> primary key *)
-    mutable k2 : int array; (* slot -> secondary key *)
-    mutable hpos : int array; (* slot -> heap index, -1 when absent *)
-    mutable heap : int array; (* heap index -> slot *)
+    mutable k1 : int array; (* id -> primary key *)
+    mutable k2 : int array; (* id -> secondary key *)
+    mutable hpos : int array; (* id -> heap index, -1 when absent *)
+    mutable heap : int array; (* heap index -> id *)
     mutable size : int;
   }
 
@@ -201,7 +104,7 @@ module Iheap = struct
 
   let key2 t s = t.k2.(s)
 
-  (* The minimum slot, or [-1] when empty. *)
+  (* The minimum id, or [-1] when empty. *)
   let top t = if t.size = 0 then -1 else t.heap.(0)
 
   let[@inline always] less t a b =
@@ -268,31 +171,31 @@ module Iheap = struct
     end
 end
 
-(* Min-heaps of the slots of one {!Slots}, one heap per class, each
+(* Min-heaps of the ids of one {!Table}, one heap per class, each
    ordered by packed key (distinct, so the order is total): the
-   smallest slot of a non-empty class [c] is [heaps.(c).(0)]. A slot
-   sits in at most one heap and [hpos] maps it to its index there, so
-   adding and removing a slot are O(log n); [live] lists the non-empty
-   classes densely. Classes are small non-negative ints; the columns
-   grow to the largest class and slot seen, so nothing is allocated at
-   steady state. *)
+   smallest id of a non-empty class [c] is [heaps.(c).(0)]. An id sits
+   in at most one heap and [hpos] maps it to its index there, so adding
+   and removing an id are O(log n); [live] lists the non-empty classes
+   densely. Classes are small non-negative ints; the columns grow to
+   the largest class and id seen, so nothing is allocated at steady
+   state. *)
 module Class_heaps = struct
   type t = {
-    slots : Slots.t;
-    mutable heaps : int array array;  (* class -> heap index -> slot *)
+    table : Table.t;
+    mutable heaps : int array array;  (* class -> heap index -> id *)
     mutable sizes : int array;  (* class -> members *)
-    mutable hpos : int array;  (* slot -> index in its class's heap *)
+    mutable hpos : int array;  (* id -> index in its class's heap *)
     mutable live : int array;  (* the non-empty classes, at [0, nlive) *)
     mutable live_at : int array;  (* non-empty class -> index in [live] *)
     mutable nlive : int;
   }
 
-  let create slots =
+  let create table =
     {
-      slots;
+      table;
       heaps = [||];
       sizes = [||];
-      hpos = Array.make (Slots.capacity slots) 0;
+      hpos = Array.make (Table.capacity table) 0;
       live = [||];
       live_at = [||];
       nlive = 0;
@@ -325,7 +228,7 @@ module Class_heaps = struct
       end
       else place heap hpos i s
 
-  (* Add slot [s], in no heap, to class [c]. *)
+  (* Add id [s], in no heap, to class [c]. *)
   let add t c s =
     if c >= Array.length t.sizes then begin
       t.heaps <- grow_column t.heaps (c + 1) [||];
@@ -333,8 +236,7 @@ module Class_heaps = struct
       t.live <- grow_column t.live (c + 1) 0;
       t.live_at <- grow_column t.live_at (c + 1) 0
     end;
-    if s >= Array.length t.hpos then
-      t.hpos <- grow_column t.hpos (Slots.capacity t.slots) 0;
+    if s >= Array.length t.hpos then t.hpos <- grow_column t.hpos (s + 1) 0;
     let n = t.sizes.(c) in
     if n = 0 then begin
       t.live.(t.nlive) <- c;
@@ -344,11 +246,11 @@ module Class_heaps = struct
     if n = Array.length t.heaps.(c) then
       t.heaps.(c) <- grow_column t.heaps.(c) (Stdlib.max 8 (n + 1)) 0;
     t.sizes.(c) <- n + 1;
-    sift_up t.slots.Slots.keys t.heaps.(c) t.hpos n s
+    sift_up t.table.Table.keys t.heaps.(c) t.hpos n s
 
-  (* Remove slot [s] from class [c], which holds it. *)
+  (* Remove id [s] from class [c], which holds it. *)
   let remove t c s =
-    let keys = t.slots.Slots.keys and heap = t.heaps.(c) and hpos = t.hpos in
+    let keys = t.table.Table.keys and heap = t.heaps.(c) and hpos = t.hpos in
     let i = hpos.(s) and last = t.sizes.(c) - 1 in
     t.sizes.(c) <- last;
     if i < last then begin
@@ -364,123 +266,41 @@ module Class_heaps = struct
     end
 end
 
-(* FIFO ring of (stamp, packed block) entries in two parallel int
-   columns, over a power-of-two array. *)
-module Ring = struct
-  type t = {
-    mutable stamps : int array;
-    mutable keys : int array;
-    mutable head : int;
-    mutable len : int;
-  }
+let ids table = ("ids", float_of_int (Table.length table))
 
-  let create () = { stamps = Array.make 16 0; keys = Array.make 16 0; head = 0; len = 0 }
-
-  let length t = t.len
-
-  let push t stamp key =
-    let cap = Array.length t.keys in
-    if t.len = cap then begin
-      let stamps = Array.make (2 * cap) 0 and keys = Array.make (2 * cap) 0 in
-      for i = 0 to t.len - 1 do
-        let j = (t.head + i) land (cap - 1) in
-        stamps.(i) <- t.stamps.(j);
-        keys.(i) <- t.keys.(j)
-      done;
-      t.stamps <- stamps;
-      t.keys <- keys;
-      t.head <- 0
-    end;
-    let i = (t.head + t.len) land (Array.length t.keys - 1) in
-    t.stamps.(i) <- stamp;
-    t.keys.(i) <- key;
-    t.len <- t.len + 1
-
-  (* The front entry; the ring must not be empty. *)
-  let front_stamp t = t.stamps.(t.head)
-
-  let front_key t = t.keys.(t.head)
-
-  let pop t =
-    t.head <- (t.head + 1) land (Array.length t.keys - 1);
-    t.len <- t.len - 1
-end
-
-(* FIFO-ordered queue of blocks that survives out-of-order removals: a
-   {!Ring} of stamped entries plus a packed block -> live-stamp {!Itbl}.
-   Removal just drops the table entry; stale ring entries are skipped
-   when the front is inspected. The old destructive pop-at-choice
-   behaviour is recovered by [drop] at eviction time. Blocks are packed
-   keys throughout; only a victim is unpacked. *)
-module Squeue = struct
-  type t = { ring : Ring.t; live : Itbl.t; mutable stamp : int }
-
-  let create () = { ring = Ring.create (); live = Itbl.create 1024; stamp = 0 }
-
-  let length t = Itbl.length t.live
-
-  let push t key =
-    t.stamp <- t.stamp + 1;
-    Itbl.set t.live key t.stamp;
-    Ring.push t.ring t.stamp key
-
-  (* Discard stale entries so the physical front is a live member.
-     Stamps start at 1, so an absent key ([-1]) never matches. *)
-  let rec settle t =
-    let r = t.ring in
-    if Ring.length r > 0 && Itbl.find t.live (Ring.front_key r) <> Ring.front_stamp r then begin
-      Ring.pop r;
-      settle t
-    end
-
-  let front_key t =
-    settle t;
-    if Ring.length t.ring = 0 then failwith "Squeue: empty";
-    Ring.front_key t.ring
-
-  let front t = Block.unpack (front_key t)
-
-  (* Remove [key]; additionally pop it when it is the physical front,
-     matching the destructive choice of the pre-core queue policies. *)
-  let drop t key =
-    settle t;
-    let r = t.ring in
-    if
-      Ring.length r > 0
-      && Ring.front_key r = key
-      && Itbl.find t.live key = Ring.front_stamp r
-    then Ring.pop r;
-    Itbl.remove t.live key
-
-  (* Rotate the live front entry to the tail (CLOCK second chance). *)
-  let rotate t =
-    let key = front_key t in
-    let stamp = Ring.front_stamp t.ring in
-    Ring.pop t.ring;
-    Ring.push t.ring stamp key
-end
-
-(* Shared recency-list state for LRU and MRU. *)
+(* One list of the resident ids in admission or recency order, newest
+   at the front: LRU and MRU move a referenced block to the front,
+   FIFO and CLOCK do not. *)
 module Recency = struct
-  type t = Islab.t
+  type t = { table : Table.t; store : Ilist.store; list : Ilist.t }
 
   let adaptive = false
 
   let needs_future = false
 
-  let create ~capacity ~future:_ = Islab.create capacity
+  let create ~capacity ~future:_ =
+    let table = Table.create capacity in
+    { table; store = Ilist.make_store (Table.capacity table); list = Ilist.create () }
 
-  let on_event t = function
-    | Reference { block; _ } -> Islab.move_front t block
-    | Admit { block; _ } -> Islab.push_front t block
-    | Evict { block } | Invalidate { block } -> Islab.remove t block
+  let find t key = Table.find t.table key
 
-  let end_victim t ~front =
-    if Islab.is_empty t then failwith "Recency: empty list"
-    else if front then Islab.front t
-    else Islab.back t
+  let key t id = Table.key t.table id
 
-  let stats t = [ ("resident", float_of_int (Islab.length t)) ]
+  let reference t ~pos:_ id = Ilist.move_front t.store t.list id
+
+  let admit t ~pos:_ key =
+    let id = Table.add t.table key in
+    Ilist.grow_store t.store (id + 1);
+    Ilist.push_front t.store t.list id;
+    id
+
+  let evict t id =
+    Ilist.remove t.store t.list id;
+    Table.release t.table id
+
+  let invalidate = evict
+
+  let stats t = [ ("resident", float_of_int (Ilist.length t.list)); ids t.table ]
 end
 
 module Lru = struct
@@ -490,7 +310,7 @@ module Lru = struct
 
   let summary = "evict the least recently used block"
 
-  let victim t ~pos:_ ~missing:_ = end_victim t ~front:false
+  let victim t ~pos:_ ~missing:_ = Ilist.back t.list
 end
 
 module Mru = struct
@@ -500,34 +320,25 @@ module Mru = struct
 
   let summary = "evict the most recently used block (sequential scans)"
 
-  let victim t ~pos:_ ~missing:_ = end_victim t ~front:true
+  let victim t ~pos:_ ~missing:_ = Ilist.front t.list
 end
 
 module Fifo = struct
-  type t = Squeue.t
+  include Recency
 
   let name = "FIFO"
 
   let summary = "evict in admission order; references do not rejuvenate"
 
-  let adaptive = false
+  let reference _ ~pos:_ _ = ()
 
-  let needs_future = false
-
-  let create ~capacity:_ ~future:_ = Squeue.create ()
-
-  let on_event t = function
-    | Reference _ -> ()
-    | Admit { block; _ } -> Squeue.push t (Block.pack block)
-    | Evict { block } | Invalidate { block } -> Squeue.drop t (Block.pack block)
-
-  let victim t ~pos:_ ~missing:_ = Squeue.front t
-
-  let stats t = [ ("resident", float_of_int (Squeue.length t)) ]
+  let victim t ~pos:_ ~missing:_ = Ilist.back t.list
 end
 
 module Clock = struct
-  type t = { ring : Squeue.t; referenced : Itbl.t (* packed block -> 0 *) }
+  (* The ring is the admission list with the hand at its back; a
+     second chance moves the back block to the front. *)
+  type t = { ring : Recency.t; mutable referenced : int array (* id -> 1 when set *) }
 
   let name = "CLOCK"
 
@@ -537,38 +348,49 @@ module Clock = struct
 
   let needs_future = false
 
-  let create ~capacity:_ ~future:_ =
-    { ring = Squeue.create (); referenced = Itbl.create 1024 }
+  let create ~capacity ~future =
+    let ring = Recency.create ~capacity ~future in
+    { ring; referenced = Array.make (Table.capacity ring.Recency.table) 0 }
 
-  let on_event t = function
-    | Reference { block; _ } -> Itbl.set t.referenced (Block.pack block) 0
-    | Admit { block; _ } -> Squeue.push t.ring (Block.pack block)
-    | Evict { block } | Invalidate { block } ->
-      let key = Block.pack block in
-      Squeue.drop t.ring key;
-      Itbl.remove t.referenced key
+  let find t key = Recency.find t.ring key
+
+  let key t id = Recency.key t.ring id
+
+  let reference t ~pos:_ id = t.referenced.(id) <- 1
+
+  let admit t ~pos key =
+    let id = Recency.admit t.ring ~pos key in
+    if id >= Array.length t.referenced then
+      t.referenced <- grow_column t.referenced (id + 1) 0;
+    t.referenced.(id) <- 0;
+    id
+
+  let evict t id = Recency.evict t.ring id
+
+  let invalidate = evict
 
   let rec victim t ~pos ~missing =
-    let key = Squeue.front_key t.ring in
-    if Itbl.mem t.referenced key then begin
+    let r = t.ring in
+    let id = Ilist.back r.Recency.list in
+    if id >= 0 && t.referenced.(id) = 1 then begin
       (* Second chance: clear the bit and move the hand on. *)
-      Itbl.remove t.referenced key;
-      Squeue.rotate t.ring;
+      t.referenced.(id) <- 0;
+      Ilist.move_front r.Recency.store r.Recency.list id;
       victim t ~pos ~missing
     end
-    else Block.unpack key
+    else id
 
-  let stats t = [ ("resident", float_of_int (Squeue.length t.ring)) ]
+  let stats t = Recency.stats t.ring
 end
 
 module Lru_2 = struct
-  (* Resident blocks in slots, indexed by a heap keyed (penultimate,
-     last) reference position, so the eviction choice — oldest
-     penultimate reference, ties broken by the older last reference —
-     is the heap top instead of a full-table scan per miss. The key is
-     a total order: each stream position references one block, so last
-     positions are unique across resident blocks. *)
-  type t = { slots : Slots.t; heap : Iheap.t }
+  (* Resident ids in a heap keyed (penultimate, last) reference
+     position, so the eviction choice — oldest penultimate reference,
+     ties broken by the older last reference — is the heap top instead
+     of a full-table scan per miss. The key is a total order: each
+     stream position references one block, so last positions are unique
+     across resident blocks. *)
+  type t = { table : Table.t; heap : Iheap.t }
 
   let name = "LRU-2"
 
@@ -581,38 +403,43 @@ module Lru_2 = struct
   let never = -1
 
   let create ~capacity ~future:_ =
-    { slots = Slots.create capacity; heap = Iheap.create capacity }
+    let table = Table.create capacity in
+    { table; heap = Iheap.create (Table.capacity table) }
 
-  let record t ~pos block =
-    let s = Slots.find t.slots block in
-    if s >= 0 then Iheap.set t.heap s (Iheap.key2 t.heap s) pos
-    else Iheap.set t.heap (Slots.add t.slots block) never pos
+  let find t key = Table.find t.table key
 
-  let forget t block =
-    let s = Slots.find t.slots block in
-    if s >= 0 then begin
-      Iheap.remove t.heap s;
-      Slots.release t.slots s
-    end
+  let key t id = Table.key t.table id
 
-  let on_event t = function
-    | Reference { pos; block } | Admit { pos; block } -> record t ~pos block
-    | Evict { block } | Invalidate { block } -> forget t block
+  let reference t ~pos id = Iheap.set t.heap id (Iheap.key2 t.heap id) pos
 
-  let victim t ~pos:_ ~missing:_ =
-    let s = Iheap.top t.heap in
-    if s < 0 then failwith "LRU-2: empty";
-    t.slots.Slots.blocks.(s)
+  let admit t ~pos key =
+    let id = Table.add t.table key in
+    Iheap.set t.heap id never pos;
+    id
 
-  let stats t = [ ("resident", float_of_int (Slots.length t.slots)) ]
+  let evict t id =
+    Iheap.remove t.heap id;
+    Table.release t.table id
+
+  let invalidate = evict
+
+  let victim t ~pos:_ ~missing:_ = Iheap.top t.heap
+
+  let stats t = [ ("resident", float_of_int (Iheap.length t.heap)); ids t.table ]
 end
 
 module Rand = struct
-  (* Swap-with-last dense set: uniform choice and eviction are both
-     O(1). The RNG is seeded from the capacity, so the draw sequence —
-     and therefore the victim sequence — is a pure function of
-     (capacity, demand stream). *)
-  type t = { rng : Acfc_sim.Rng.t; set : Dense.t }
+  (* Swap-with-last dense set of ids: uniform choice and eviction are
+     both O(1). The RNG is seeded from the capacity, so the draw
+     sequence — and therefore the victim sequence — is a pure function
+     of (capacity, demand stream). *)
+  type t = {
+    rng : Acfc_sim.Rng.t;
+    table : Table.t;
+    mutable members : int array;  (* [0, n) -> id, in admission order up to swaps *)
+    mutable at : int array;  (* id -> its index in [members] *)
+    mutable n : int;
+  }
 
   let name = "RAND"
 
@@ -623,33 +450,61 @@ module Rand = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
-    { rng = Acfc_sim.Rng.create (capacity + 7); set = Dense.create () }
+    let table = Table.create capacity in
+    let n = Table.capacity table in
+    {
+      rng = Acfc_sim.Rng.create (capacity + 7);
+      table;
+      members = Array.make n 0;
+      at = Array.make n 0;
+      n = 0;
+    }
 
-  let on_event t = function
-    | Reference _ -> ()
-    | Admit { block; _ } -> Dense.add t.set block
-    | Evict { block } | Invalidate { block } -> Dense.remove t.set block
+  let find t key = Table.find t.table key
+
+  let key t id = Table.key t.table id
+
+  let reference _ ~pos:_ _ = ()
+
+  let admit t ~pos:_ key =
+    let id = Table.add t.table key in
+    if id >= Array.length t.at then begin
+      t.members <- grow_column t.members (id + 1) 0;
+      t.at <- grow_column t.at (id + 1) 0
+    end;
+    t.members.(t.n) <- id;
+    t.at.(id) <- t.n;
+    t.n <- t.n + 1;
+    id
+
+  (* The last member fills the hole. *)
+  let evict t id =
+    let i = t.at.(id) and last = t.members.(t.n - 1) in
+    t.members.(i) <- last;
+    t.at.(last) <- i;
+    t.n <- t.n - 1;
+    Table.release t.table id
+
+  let invalidate = evict
 
   let victim t ~pos:_ ~missing:_ =
-    if t.set.Dense.n = 0 then failwith "RAND: empty";
-    t.set.Dense.blocks.(Acfc_sim.Rng.int t.rng t.set.Dense.n)
+    if t.n = 0 then -1 else t.members.(Acfc_sim.Rng.int t.rng t.n)
 
-  let stats t = [ ("resident", float_of_int t.set.Dense.n) ]
+  let stats t = [ ("resident", float_of_int t.n); ids t.table ]
 end
 
 module Opt = struct
-  (* Every distinct block of the stream gets a dense id. The stream's
-     reference positions of each block are chained through [next], and
-     [cursor] points at the block's first unconsumed one, which is its
-     next use. Resident ids sit in a heap keyed (-next use, -packed
-     block), so the farthest-future victim is the heap top. Next uses
-     are unique positions except for never-used-again blocks (max_int);
-     the packed key breaks that tie deterministically — by the largest
-     [Block.compare] — and any choice among them yields the same miss
-     count, since none is referenced again. *)
+  (* Every distinct block of the stream gets an id up front, and keeps
+     it. The stream's reference positions of each block are chained
+     through [next], and [cursor] points at the block's first unconsumed
+     one, which is its next use. Resident ids sit in a heap keyed (-next
+     use, -packed key), so the farthest-future victim is the heap top.
+     Next uses are unique positions except for never-used-again blocks
+     (max_int); the packed key breaks that tie deterministically — by
+     the largest [Block.compare] — and any choice among them yields the
+     same miss count, since none is referenced again. *)
   type t = {
-    ids : Itbl.t;  (* Block.pack -> id *)
-    blocks : Block.t array;  (* id -> block *)
+    table : Table.t;
     next : int array;  (* position -> next position of its block, or max_int *)
     cursor : int array;  (* id -> next unconsumed position, or max_int *)
     heap : Iheap.t;  (* resident ids *)
@@ -665,74 +520,81 @@ module Opt = struct
 
   let create ~capacity:_ ~future:trace =
     let n = Array.length trace in
-    let ids = Itbl.create 1024 in
-    let blocks = Array.make n dummy and cursor = Array.make n max_int in
+    let table = Table.create (Stdlib.min n 1024) in
+    let cursor = ref (Array.make (Table.capacity table) max_int) in
     let next = Array.make n max_int in
-    let distinct = ref 0 in
     for pos = n - 1 downto 0 do
-      let block = trace.(pos) in
-      let key = Block.pack block in
+      let key = Block.pack trace.(pos) in
       let id =
-        match Itbl.find ids key with
+        match Table.find table key with
         | -1 ->
-          let id = !distinct in
-          incr distinct;
-          Itbl.set ids key id;
-          blocks.(id) <- block;
+          let id = Table.add table key in
+          cursor := grow_column !cursor (id + 1) max_int;
           id
         | id -> id
       in
-      next.(pos) <- cursor.(id);
-      cursor.(id) <- pos
+      next.(pos) <- !cursor.(id);
+      !cursor.(id) <- pos
     done;
-    { ids; blocks; next; cursor; heap = Iheap.create !distinct }
+    { table; next; cursor = !cursor; heap = Iheap.create (Table.length table) }
 
-  (* Consume [pos] as [block]'s next reference and re-key the block at
-     its following use; the block becomes (or stays) resident. *)
-  let consume t ~pos block =
-    let id = Itbl.find t.ids (Block.pack block) in
-    if id < 0 || pos >= Array.length t.next || t.cursor.(id) <> pos then
+  let find t key = Table.find t.table key
+
+  let key t id = Table.key t.table id
+
+  (* Consume [pos] as block [id]'s next reference and re-key it at its
+     following use; the block becomes (or stays) resident. *)
+  let consume t ~pos id =
+    if pos >= Array.length t.next || t.cursor.(id) <> pos then
       failwith "OPT: stream position mismatch";
     let use = t.next.(pos) in
     t.cursor.(id) <- use;
-    Iheap.set t.heap id (-use) (-Block.pack block)
+    Iheap.set t.heap id (-use) (-Table.key t.table id)
 
-  let on_event t = function
-    | Reference { pos; block } ->
-      if not (Iheap.mem t.heap (Itbl.find t.ids (Block.pack block))) then
-        failwith "OPT: hit on non-resident block";
-      consume t ~pos block
-    | Admit { pos; block } -> consume t ~pos block
-    | Evict { block } | Invalidate { block } ->
-      let id = Itbl.find t.ids (Block.pack block) in
-      if id >= 0 then Iheap.remove t.heap id
+  let reference t ~pos id =
+    if not (Iheap.mem t.heap id) then failwith "OPT: hit on non-resident block";
+    consume t ~pos id
 
-  let victim t ~pos:_ ~missing:_ =
-    let id = Iheap.top t.heap in
-    if id < 0 then failwith "OPT: empty";
-    t.blocks.(id)
+  let admit t ~pos key =
+    let id = Table.find t.table key in
+    if id < 0 then failwith "OPT: stream position mismatch";
+    consume t ~pos id;
+    id
 
-  let stats t = [ ("resident", float_of_int (Iheap.length t.heap)) ]
+  let evict t id = Iheap.remove t.heap id
+
+  let invalidate = evict
+
+  let victim t ~pos:_ ~missing:_ = Iheap.top t.heap
+
+  let stats t = [ ("resident", float_of_int (Iheap.length t.heap)); ids t.table ]
 end
 
 module Two_q = struct
   (* Simplified full 2Q (Johnson & Shasha, VLDB '94 — contemporaneous
      with the paper): new pages enter the FIFO probation queue A1in;
      pages re-referenced after leaving it (tracked by the ghost queue
-     A1out) are promoted to the protected LRU queue Am. *)
-  (* The queue a resident page is in, as [where] stores it. *)
-  let in_a1in = 0
+     A1out) are promoted to the protected LRU queue Am. A promoted page
+     keeps its ghost entry until it ages out of A1out, so an id is
+     released only once its block is neither resident nor a ghost. *)
+  let nowhere = 0
 
-  let in_am = 1
+  let in_a1in = 1
+
+  let in_am = 2
 
   type t = {
     kin : int;  (* A1in capacity *)
     kout : int;  (* A1out ghost capacity *)
-    a1in : Squeue.t;
-    am : Islab.t;
-    where : Itbl.t;  (* resident pages only: packed block -> [in_a1in] or [in_am] *)
-    a1out : Ring.t;  (* ghosts: packed identities only, stamps unused *)
-    ghost : Itbl.t;  (* packed block -> 0 *)
+    table : Table.t;
+    store : Ilist.store;
+    a1in : Ilist.t;  (* newest at front *)
+    am : Ilist.t;  (* MRU at front *)
+    mutable where : int array;  (* id -> [nowhere], [in_a1in] or [in_am] *)
+    mutable ghost : int array;  (* id -> 1 while in A1out *)
+    a1out : int array;  (* ring of ghost ids, oldest at [head] *)
+    mutable head : int;
+    mutable ghosts : int;
   }
 
   let name = "2Q"
@@ -744,69 +606,103 @@ module Two_q = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
+    let kout = Stdlib.max 1 (capacity / 2) in
+    let table = Table.create (capacity + kout) in
+    let n = Table.capacity table in
     {
       kin = Stdlib.max 1 (capacity / 4);
-      kout = Stdlib.max 1 (capacity / 2);
-      a1in = Squeue.create ();
-      am = Islab.create capacity;
-      where = Itbl.create 1024;
-      a1out = Ring.create ();
-      ghost = Itbl.create 1024;
+      kout;
+      table;
+      store = Ilist.make_store n;
+      a1in = Ilist.create ();
+      am = Ilist.create ();
+      where = Array.make n nowhere;
+      ghost = Array.make n 0;
+      a1out = Array.make (kout + 1) 0;
+      head = 0;
+      ghosts = 0;
     }
 
-  let remember_ghost t key =
-    Ring.push t.a1out 0 key;
-    Itbl.set t.ghost key 0;
-    while Ring.length t.a1out > t.kout do
-      Itbl.remove t.ghost (Ring.front_key t.a1out);
-      Ring.pop t.a1out
-    done
+  let find t key = Table.find t.table key
 
-  let on_event t = function
-    | Reference { block; _ } ->
-      let q = Itbl.find t.where (Block.pack block) in
-      if q = in_am then Islab.move_front t.am block
-      else if q = in_a1in then ()  (* classic 2Q: probation hits do not promote *)
-      else assert false
-    | Admit { block; _ } ->
-      let key = Block.pack block in
-      if Itbl.mem t.ghost key then begin
-        (* Seen recently: promote straight to the protected queue. *)
-        Itbl.set t.where key in_am;
-        Islab.push_front t.am block
-      end
-      else begin
-        Itbl.set t.where key in_a1in;
-        Squeue.push t.a1in key
-      end
-    | Evict { block } ->
-      let key = Block.pack block in
-      let q = Itbl.find t.where key in
-      if q = in_am then Islab.remove t.am block
-      else if q = in_a1in then begin
-        (* A replaced probation page is remembered so a prompt
-           re-reference proves it deserves the protected queue. *)
-        Squeue.drop t.a1in key;
-        remember_ghost t key
+  let key t id = Table.key t.table id
+
+  let forget_if_gone t id =
+    if t.where.(id) = nowhere && t.ghost.(id) = 0 then Table.release t.table id
+
+  (* Append [id] to A1out, expiring its oldest ghost past [kout]. *)
+  let remember_ghost t id =
+    let len = Array.length t.a1out in
+    t.ghost.(id) <- 1;
+    t.a1out.((t.head + t.ghosts) mod len) <- id;
+    t.ghosts <- t.ghosts + 1;
+    if t.ghosts > t.kout then begin
+      let g = t.a1out.(t.head) in
+      t.head <- (t.head + 1) mod len;
+      t.ghosts <- t.ghosts - 1;
+      t.ghost.(g) <- 0;
+      forget_if_gone t g
+    end
+
+  let reference t ~pos:_ id =
+    let q = t.where.(id) in
+    if q = in_am then Ilist.move_front t.store t.am id
+    else assert (q = in_a1in) (* classic 2Q: probation hits do not promote *)
+
+  let admit t ~pos:_ key =
+    let id = Table.find t.table key in
+    if id >= 0 then begin
+      (* A ghost, seen recently: promote straight to the protected
+         queue. *)
+      t.where.(id) <- in_am;
+      Ilist.push_front t.store t.am id;
+      id
+    end
+    else begin
+      let id = Table.add t.table key in
+      if id >= Array.length t.where then begin
+        Ilist.grow_store t.store (id + 1);
+        t.where <- grow_column t.where (id + 1) nowhere;
+        t.ghost <- grow_column t.ghost (id + 1) 0
       end;
-      Itbl.remove t.where key
-    | Invalidate { block } ->
-      (* Invalidation is not a replacement decision: no ghost entry. *)
-      let key = Block.pack block in
-      let q = Itbl.find t.where key in
-      if q = in_am then Islab.remove t.am block
-      else if q = in_a1in then Squeue.drop t.a1in key;
-      Itbl.remove t.where key
+      t.where.(id) <- in_a1in;
+      Ilist.push_front t.store t.a1in id;
+      id
+    end
+
+  let evict t id =
+    let q = t.where.(id) in
+    t.where.(id) <- nowhere;
+    if q = in_am then begin
+      Ilist.remove t.store t.am id;
+      forget_if_gone t id
+    end
+    else if q = in_a1in then begin
+      (* A replaced probation page is remembered so a prompt
+         re-reference proves it deserves the protected queue. *)
+      Ilist.remove t.store t.a1in id;
+      remember_ghost t id
+    end
+
+  (* Invalidation is not a replacement decision: no ghost entry. *)
+  let invalidate t id =
+    let q = t.where.(id) in
+    if q <> nowhere then begin
+      Ilist.remove t.store (if q = in_am then t.am else t.a1in) id;
+      t.where.(id) <- nowhere;
+      forget_if_gone t id
+    end
 
   let victim t ~pos:_ ~missing:_ =
-    if Squeue.length t.a1in > t.kin || Islab.is_empty t.am then Squeue.front t.a1in
-    else Islab.back t.am
+    if Ilist.length t.a1in > t.kin || Ilist.is_empty t.am then Ilist.back t.a1in
+    else Ilist.back t.am
 
   let stats t =
     [
-      ("a1in", float_of_int (Squeue.length t.a1in));
-      ("am", float_of_int (Islab.length t.am));
-      ("ghost", float_of_int (Itbl.length t.ghost));
+      ("a1in", float_of_int (Ilist.length t.a1in));
+      ("am", float_of_int (Ilist.length t.am));
+      ("ghost", float_of_int t.ghosts);
+      ids t.table;
     ]
 end
 
@@ -817,19 +713,29 @@ module Arc = struct
      list T1 and frequency list T2 share the capacity; ghost lists B1/B2
      remember recent evictions from each, and a hit in a ghost list
      moves the adaptation target [p] (the size T1 "deserves") toward
-     that list's side. Ghost lists are bounded by the cache capacity —
-     the qcheck suite drives random streams and asserts the bound after
-     every event. *)
+     that list's side. The four lists link the table's ids through one
+     store, and [where] names the list that holds each id; an evicted
+     block keeps its id as a ghost. Ghost lists are bounded by the cache
+     capacity — the qcheck suite drives random streams and asserts the
+     bound after every call. *)
+  let in_t1 = 0
+
+  let in_t2 = 1
+
+  let in_b1 = 2
+
+  let in_b2 = 3
+
   type t = {
     cap : int;
-    t1 : Islab.t;  (* seen once recently, MRU at front *)
-    t2 : Islab.t;  (* seen at least twice, MRU at front *)
-    b1 : Islab.t;  (* ghosts of T1 evictions *)
-    b2 : Islab.t;  (* ghosts of T2 evictions *)
+    table : Table.t;
+    store : Ilist.store;
+    lists : Ilist.t array;  (* T1, T2, B1, B2, by [in_*]; MRU at front *)
+    mutable where : int array;  (* id -> the list that holds it *)
     mutable p : int;  (* target size of T1, 0..cap *)
-    mutable adapted_for : Block.t option;
-        (* missing block [victim] already adapted [p] for, so the
-           paired [Admit] does not adapt twice *)
+    mutable adapted_for : int;
+        (* packed key of the missing block [victim] already adapted [p]
+           for, so the admit that follows does not adapt twice; or -1 *)
   }
 
   let name = "ARC"
@@ -841,93 +747,111 @@ module Arc = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
+    let cap = Stdlib.max 1 capacity in
+    let table = Table.create (3 * cap) in
+    let n = Table.capacity table in
     {
-      cap = Stdlib.max 1 capacity;
-      t1 = Islab.create capacity;
-      t2 = Islab.create capacity;
-      b1 = Islab.create capacity;
-      b2 = Islab.create capacity;
+      cap;
+      table;
+      store = Ilist.make_store n;
+      lists = Array.init 4 (fun _ -> Ilist.create ());
+      where = Array.make n in_t1;
       p = 0;
-      adapted_for = None;
+      adapted_for = -1;
     }
 
-  let trim ghost cap =
-    while Islab.length ghost > cap do
-      Islab.remove ghost (Islab.back ghost)
+  let find t key = Table.find t.table key
+
+  let key t id = Table.key t.table id
+
+  let length t l = Ilist.length t.lists.(l)
+
+  (* Move [id] to the front of list [l]. *)
+  let relink t id l =
+    Ilist.remove t.store t.lists.(t.where.(id)) id;
+    t.where.(id) <- l;
+    Ilist.push_front t.store t.lists.(l) id
+
+  let trim t l =
+    let ghosts = t.lists.(l) in
+    while Ilist.length ghosts > t.cap do
+      let g = Ilist.back ghosts in
+      Ilist.remove t.store ghosts g;
+      Table.release t.table g
     done
 
-  (* Move [p] toward the ghost list [block] hit, by the classic ratio
-     step (at least 1). No-op for blocks in neither ghost list. *)
-  let adapt t block =
-    if Islab.mem t.b1 block then begin
-      let d =
-        Stdlib.max 1
-          (if Islab.length t.b1 = 0 then 1 else Islab.length t.b2 / Islab.length t.b1)
-      in
-      t.p <- Stdlib.min t.cap (t.p + d)
-    end
-    else if Islab.mem t.b2 block then begin
-      let d =
-        Stdlib.max 1
-          (if Islab.length t.b2 = 0 then 1 else Islab.length t.b1 / Islab.length t.b2)
-      in
-      t.p <- Stdlib.max 0 (t.p - d)
+  (* Move [p] toward the ghost list that holds [id], by the classic
+     ratio step (at least 1). No-op for [-1] and resident ids. *)
+  let adapt t id =
+    if id >= 0 then begin
+      let l = t.where.(id) and b1 = length t in_b1 and b2 = length t in_b2 in
+      if l = in_b1 then t.p <- Stdlib.min t.cap (t.p + Stdlib.max 1 (if b1 = 0 then 1 else b2 / b1))
+      else if l = in_b2 then
+        t.p <- Stdlib.max 0 (t.p - Stdlib.max 1 (if b2 = 0 then 1 else b1 / b2))
     end
 
-  let on_event t = function
-    | Reference { block; _ } ->
-      if Islab.mem t.t1 block then begin
-        (* Second reference: promote to the frequency side. *)
-        Islab.remove t.t1 block;
-        Islab.push_front t.t2 block
-      end
-      else Islab.move_front t.t2 block
-    | Admit { block; _ } ->
-      (match t.adapted_for with
-      | Some b when Block.equal b block -> ()  (* [victim] already adapted *)
-      | Some _ | None -> adapt t block);
-      t.adapted_for <- None;
-      if Islab.mem t.b1 block || Islab.mem t.b2 block then begin
-        (* A ghost hit re-enters directly on the frequency side. *)
-        Islab.remove t.b1 block;
-        Islab.remove t.b2 block;
-        Islab.push_front t.t2 block
-      end
-      else Islab.push_front t.t1 block
-    | Evict { block } ->
-      if Islab.mem t.t1 block then begin
-        Islab.remove t.t1 block;
-        Islab.push_front t.b1 block;
-        trim t.b1 t.cap
-      end
-      else if Islab.mem t.t2 block then begin
-        Islab.remove t.t2 block;
-        Islab.push_front t.b2 block;
-        trim t.b2 t.cap
-      end
-    | Invalidate { block } ->
-      (* Dead contents teach nothing: drop without a ghost entry. *)
-      Islab.remove t.t1 block;
-      Islab.remove t.t2 block
+  let reference t ~pos:_ id =
+    if t.where.(id) = in_t1 then relink t id in_t2 (* second reference: promote *)
+    else Ilist.move_front t.store t.lists.(in_t2) id
+
+  let admit t ~pos:_ key =
+    let id = Table.find t.table key in
+    if key <> t.adapted_for then adapt t id;
+    t.adapted_for <- -1;
+    if id >= 0 then begin
+      (* A ghost hit re-enters directly on the frequency side. *)
+      relink t id in_t2;
+      id
+    end
+    else begin
+      let id = Table.add t.table key in
+      if id >= Array.length t.where then begin
+        Ilist.grow_store t.store (id + 1);
+        t.where <- grow_column t.where (id + 1) in_t1
+      end;
+      t.where.(id) <- in_t1;
+      Ilist.push_front t.store t.lists.(in_t1) id;
+      id
+    end
+
+  let evict t id =
+    let l = t.where.(id) in
+    if l = in_t1 then begin
+      relink t id in_b1;
+      trim t in_b1
+    end
+    else if l = in_t2 then begin
+      relink t id in_b2;
+      trim t in_b2
+    end
+
+  (* Dead contents teach nothing: forget the block without a ghost. *)
+  let invalidate t id =
+    let l = t.where.(id) in
+    if l = in_t1 || l = in_t2 then begin
+      Ilist.remove t.store t.lists.(l) id;
+      Table.release t.table id
+    end
 
   (* Classic REPLACE: shrink T1 when it exceeds its target (or exactly
      meets it and the missing block is a B2 ghost, about to grow T2). *)
   let victim t ~pos:_ ~missing =
     adapt t missing;
-    t.adapted_for <- Some missing;
-    let l1 = Islab.length t.t1 in
-    if l1 > 0 && (l1 > t.p || (Islab.mem t.b2 missing && l1 = t.p)) then
-      Islab.back t.t1
-    else if not (Islab.is_empty t.t2) then Islab.back t.t2
-    else Islab.back t.t1
+    t.adapted_for <- (if missing >= 0 then Table.key t.table missing else -1);
+    let l1 = length t in_t1 in
+    if l1 > 0 && (l1 > t.p || (missing >= 0 && t.where.(missing) = in_b2 && l1 = t.p)) then
+      Ilist.back t.lists.(in_t1)
+    else if length t in_t2 > 0 then Ilist.back t.lists.(in_t2)
+    else Ilist.back t.lists.(in_t1)
 
   let stats t =
     [
       ("p", float_of_int t.p);
-      ("t1", float_of_int (Islab.length t.t1));
-      ("t2", float_of_int (Islab.length t.t2));
-      ("b1", float_of_int (Islab.length t.b1));
-      ("b2", float_of_int (Islab.length t.b2));
+      ("t1", float_of_int (length t in_t1));
+      ("t2", float_of_int (length t in_t2));
+      ("b1", float_of_int (length t in_b1));
+      ("b2", float_of_int (length t in_b2));
+      ids t.table;
     ]
 end
 
@@ -945,17 +869,18 @@ module Awrp = struct
      Resident blocks sit in one recency list per frequency class
      ([min cnt 16]): within a class the frequency term is constant and
      the rank is non-decreasing in the last-reference position (see
-     [victim]), so a class's minimum is at its LRU end. *)
+     [victim]), so a class's minimum is at its LRU end. An evicted
+     block keeps its id, and its count, as a ghost. *)
   let classes = 16
 
   type t = {
-    slots : Slots.t;  (* resident blocks *)
+    table : Table.t;  (* resident blocks and ghosts *)
     store : Ilist.store;
     lists : Ilist.t array;  (* class c = min cnt 16 - 1, MRU at front *)
-    mutable cnt : int array;  (* slot -> references since admission *)
-    mutable last : int array;  (* slot -> position of the last one *)
-    ghost : Islab.t;  (* recent evictions, MRU at front, <= cap *)
-    ghost_cnt : Itbl.t;  (* Block.pack -> count at eviction *)
+    ghost : Ilist.t;  (* recent evictions, MRU at front, <= cap *)
+    mutable ghosted : int array;  (* id -> 1 for a ghost *)
+    mutable cnt : int array;  (* id -> references since admission, kept by a ghost *)
+    mutable last : int array;  (* id -> position of the last one *)
     cap : int;
     mutable w : float;  (* frequency weight, 0.05 .. 0.95 *)
     mutable nudges : int;
@@ -976,20 +901,25 @@ module Awrp = struct
   let w_max = 0.95
 
   let create ~capacity ~future:_ =
-    let slots = Slots.create capacity in
-    let n = Slots.capacity slots in
+    let cap = Stdlib.max 1 capacity in
+    let table = Table.create (2 * cap) in
+    let n = Table.capacity table in
     {
-      slots;
+      table;
       store = Ilist.make_store n;
       lists = Array.init classes (fun _ -> Ilist.create ());
+      ghost = Ilist.create ();
+      ghosted = Array.make n 0;
       cnt = Array.make n 0;
       last = Array.make n 0;
-      ghost = Islab.create capacity;
-      ghost_cnt = Itbl.create capacity;
-      cap = Stdlib.max 1 capacity;
+      cap;
       w = 0.5;
       nudges = 0;
     }
+
+  let find t key = Table.find t.table key
+
+  let key t id = Table.key t.table id
 
   let[@inline always] class_of cnt = (if cnt < classes then cnt else classes) - 1
 
@@ -1000,73 +930,70 @@ module Awrp = struct
     let recency = 1.0 /. float_of_int (1 + pos - last) in
     (w *. freq) +. ((1.0 -. w) *. recency)
 
-  let forget_ghost t block =
-    Islab.remove t.ghost block;
-    Itbl.remove t.ghost_cnt (Block.pack block)
+  let unlink t id = Ilist.remove t.store t.lists.(class_of t.cnt.(id)) id
 
-  let drop t s =
-    Ilist.remove t.store t.lists.(class_of t.cnt.(s)) s;
-    Slots.release t.slots s
+  let reference t ~pos id =
+    let from = class_of t.cnt.(id) in
+    t.cnt.(id) <- t.cnt.(id) + 1;
+    t.last.(id) <- pos;
+    let into = class_of t.cnt.(id) in
+    if from = into then Ilist.move_front t.store t.lists.(into) id
+    else begin
+      Ilist.remove t.store t.lists.(from) id;
+      Ilist.push_front t.store t.lists.(into) id
+    end
 
-  let admit t ~pos block =
-    let s = Slots.find t.slots block in
-    let s =
-      if s >= 0 then begin
-        Ilist.remove t.store t.lists.(class_of t.cnt.(s)) s;
-        s
-      end
-      else begin
-        let s = Slots.add t.slots block in
-        let n = Slots.capacity t.slots in
-        if Array.length t.cnt < n then begin
-          Ilist.grow_store t.store n;
-          t.cnt <- grow_column t.cnt n 0;
-          t.last <- grow_column t.last n 0
+  let admit t ~pos key =
+    let id = Table.find t.table key in
+    let id =
+      if id < 0 then begin
+        let id = Table.add t.table key in
+        if id >= Array.length t.cnt then begin
+          Ilist.grow_store t.store (id + 1);
+          t.ghosted <- grow_column t.ghosted (id + 1) 0;
+          t.cnt <- grow_column t.cnt (id + 1) 0;
+          t.last <- grow_column t.last (id + 1) 0
         end;
-        s
+        id
       end
-    in
-    t.cnt.(s) <- 1;
-    t.last.(s) <- pos;
-    Ilist.push_front t.store t.lists.(0) s
-
-  let on_event t = function
-    | Reference { pos; block } ->
-      let s = Slots.find t.slots block in
-      if s < 0 then failwith "AWRP: reference to non-resident block";
-      let from = class_of t.cnt.(s) in
-      t.cnt.(s) <- t.cnt.(s) + 1;
-      t.last.(s) <- pos;
-      let into = class_of t.cnt.(s) in
-      if from = into then Ilist.move_front t.store t.lists.(into) s
-      else begin
-        Ilist.remove t.store t.lists.(from) s;
-        Ilist.push_front t.store t.lists.(into) s
-      end
-    | Admit { pos; block } ->
-      let cnt = Itbl.find t.ghost_cnt (Block.pack block) in
-      if cnt >= 0 then begin
+      else if t.ghosted.(id) = 1 then begin
         (* The stream disagreed with an eviction: favour the term that
            would have retained this block. *)
-        if cnt >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
+        if t.cnt.(id) >= 2 then t.w <- Stdlib.min w_max (t.w +. step)
         else t.w <- Stdlib.max w_min (t.w -. step);
         t.nudges <- t.nudges + 1;
-        forget_ghost t block
-      end;
-      admit t ~pos block
-    | Evict { block } ->
-      let s = Slots.find t.slots block in
-      if s >= 0 then begin
-        Islab.push_front t.ghost block;
-        Itbl.set t.ghost_cnt (Block.pack block) t.cnt.(s);
-        while Islab.length t.ghost > t.cap do
-          forget_ghost t (Islab.back t.ghost)
-        done;
-        drop t s
+        Ilist.remove t.store t.ghost id;
+        t.ghosted.(id) <- 0;
+        id
       end
-    | Invalidate { block } ->
-      let s = Slots.find t.slots block in
-      if s >= 0 then drop t s
+      else begin
+        unlink t id;
+        id
+      end
+    in
+    t.cnt.(id) <- 1;
+    t.last.(id) <- pos;
+    Ilist.push_front t.store t.lists.(0) id;
+    id
+
+  let evict t id =
+    if t.ghosted.(id) = 0 then begin
+      unlink t id;
+      t.ghosted.(id) <- 1;
+      Ilist.push_front t.store t.ghost id;
+      while Ilist.length t.ghost > t.cap do
+        let g = Ilist.back t.ghost in
+        Ilist.remove t.store t.ghost g;
+        t.ghosted.(g) <- 0;
+        Table.release t.table g
+      done
+    end
+
+  let invalidate t id =
+    if t.ghosted.(id) = 0 then begin
+      unlink t id;
+      Table.release t.table id
+    end
 
   (* The minimum of (rank, Block.compare) over all resident blocks.
      Within a class the count term is one constant [A = w * freq] and
@@ -1082,7 +1009,7 @@ module Awrp = struct
      No closure, tuple, option or boxed float is built. *)
   let victim t ~pos ~missing:_ =
     let w = t.w and store = t.store and cnt = t.cnt and last = t.last in
-    let keys = t.slots.Slots.keys in
+    let keys = t.table.Table.keys in
     let best = ref (-1) and best_rank = ref 0.0 and best_key = ref 0 in
     for c = 0 to classes - 1 do
       let s = ref (Ilist.back t.lists.(c)) in
@@ -1101,15 +1028,16 @@ module Awrp = struct
         done
       end
     done;
-    if !best < 0 then failwith "AWRP: empty";
-    t.slots.Slots.blocks.(!best)
+    !best
 
   let stats t =
+    let ghosts = Ilist.length t.ghost in
     [
       ("w", t.w);
       ("nudges", float_of_int t.nudges);
-      ("ghost", float_of_int (Islab.length t.ghost));
-      ("resident", float_of_int (Slots.length t.slots));
+      ("ghost", float_of_int ghosts);
+      ("resident", float_of_int (Table.length t.table - ghosts));
+      ids t.table;
     ]
 end
 
@@ -1128,11 +1056,12 @@ module Perceptron = struct
      file-hash byte. All blocks of a class share one score, bit for
      bit, so the victim is the least (class score, smallest packed key)
      over the non-empty classes, kept in {!Class_heaps}. Classes are
-     made on first use and kept, so a ghost names its block's class,
-     and each class knows the class one reference further on.
+     made on first use and kept, so a ghost, which keeps its id, names
+     its block's class in [cls], and each class knows the class one
+     reference further on.
 
      LearnedCache's age and level features are left out. A ghost's
-     age, taken at its own last reference, is always 0.0 and no event
+     age, taken at its own last reference, is always 0.0 and no call
      carries a level, so their weights would stay +0.0 and their terms
      would add nothing to any score (docs/PERF.md has the argument; the
      five-feature fold in test/policy_oracles.ml checks it). *)
@@ -1144,17 +1073,18 @@ module Perceptron = struct
 
   type t = {
     cap : int;
-    slots : Slots.t;  (* resident blocks *)
-    mutable cls : int array;  (* slot -> class *)
-    members : Class_heaps.t;  (* class -> its resident slots *)
+    table : Table.t;  (* resident blocks and ghosts *)
+    mutable cls : int array;  (* id -> class; a ghost's class at eviction *)
+    members : Class_heaps.t;  (* class -> its resident ids *)
     first : int array;  (* file-hash byte -> class of count 1, or -1 *)
     mutable cnt : int array;  (* class -> reference count, <= [max_cnt] *)
     mutable next : int array;  (* class -> class of count + 1, or -1 *)
     mutable freq : float array;  (* class -> frequency feature *)
     mutable file_hash : float array;  (* class -> file-hash feature *)
     mutable classes : int;
-    ghost : Islab.t;
-    mutable ghost_cls : int array;  (* ghost slot -> class at eviction *)
+    store : Ilist.store;  (* links of the ghost list *)
+    ghost : Ilist.t;  (* recent evictions, MRU at front, <= cap *)
+    mutable ghosted : int array;  (* id -> 1 for a ghost *)
     w : float array;  (* bias, frequency and file-hash weights *)
     mutable updates : int;
   }
@@ -1168,29 +1098,36 @@ module Perceptron = struct
   let needs_future = false
 
   let create ~capacity ~future:_ =
-    let slots = Slots.create capacity and ghost = Islab.create capacity in
+    let cap = Stdlib.max 1 capacity in
+    let table = Table.create (2 * cap) in
+    let n = Table.capacity table in
     {
-      cap = Stdlib.max 1 capacity;
-      slots;
-      cls = Array.make (Slots.capacity slots) 0;
-      members = Class_heaps.create slots;
+      cap;
+      table;
+      cls = Array.make n 0;
+      members = Class_heaps.create table;
       first = Array.make 256 (-1);
       cnt = [||];
       next = [||];
       freq = [||];
       file_hash = [||];
       classes = 0;
-      ghost;
-      ghost_cls = Array.make (Islab.capacity ghost) 0;
+      store = Ilist.make_store n;
+      ghost = Ilist.create ();
+      ghosted = Array.make n 0;
       w = Array.make 3 0.0;
       updates = 0;
     }
+
+  let find t key = Table.find t.table key
+
+  let key t id = Table.key t.table id
 
   let[@inline always] freq_x cnt =
     let f = log (1.0 +. float_of_int cnt) /. log 256.0 in
     if 1.0 <= f then 1.0 else f
 
-  let[@inline always] file_byte block = Block.file block * 2654435761 land 255
+  let[@inline always] file_byte key = Block.packed_file key * 2654435761 land 255
 
   let[@inline always] file_hash_x byte = float_of_int byte /. 255.0
 
@@ -1229,70 +1166,69 @@ module Perceptron = struct
     end;
     t.next.(c)
 
-  let admit t block =
-    let s = Slots.find t.slots block in
-    let s =
-      if s >= 0 then begin
-        Class_heaps.remove t.members t.cls.(s) s;
-        s
+  let reference t ~pos:_ id =
+    let c = t.cls.(id) in
+    let c' = succ t c in
+    if c' <> c then begin
+      Class_heaps.remove t.members c id;
+      t.cls.(id) <- c';
+      Class_heaps.add t.members c' id
+    end
+
+  let admit t ~pos:_ key =
+    let id = Table.find t.table key in
+    let id =
+      if id < 0 then begin
+        let id = Table.add t.table key in
+        if id >= Array.length t.cls then begin
+          Ilist.grow_store t.store (id + 1);
+          t.cls <- grow_column t.cls (id + 1) 0;
+          t.ghosted <- grow_column t.ghosted (id + 1) 0
+        end;
+        id
+      end
+      else if t.ghosted.(id) = 1 then begin
+        (* Mistake: the stream wanted this block back. Blocks that look
+           like it should score higher (be kept). *)
+        learn t t.cls.(id) ~sign:1.0;
+        Ilist.remove t.store t.ghost id;
+        t.ghosted.(id) <- 0;
+        id
       end
       else begin
-        let s = Slots.add t.slots block in
-        t.cls <- grow_column t.cls (Slots.capacity t.slots) 0;
-        s
+        Class_heaps.remove t.members t.cls.(id) id;
+        id
       end
     in
-    let byte = file_byte block in
+    let byte = file_byte key in
     if t.first.(byte) < 0 then begin
       let c = new_class t 1 (file_hash_x byte) in
       t.first.(byte) <- c
     end;
-    t.cls.(s) <- t.first.(byte);
-    Class_heaps.add t.members t.cls.(s) s
+    t.cls.(id) <- t.first.(byte);
+    Class_heaps.add t.members t.cls.(id) id;
+    id
 
-  let remove t s =
-    Class_heaps.remove t.members t.cls.(s) s;
-    Slots.release t.slots s
+  let evict t id =
+    if t.ghosted.(id) = 0 then begin
+      Class_heaps.remove t.members t.cls.(id) id;
+      t.ghosted.(id) <- 1;
+      Ilist.push_front t.store t.ghost id;
+      while Ilist.length t.ghost > t.cap do
+        let g = Ilist.back t.ghost in
+        (* Expired un-referenced: the eviction was right. *)
+        learn t t.cls.(g) ~sign:(-1.0);
+        Ilist.remove t.store t.ghost g;
+        t.ghosted.(g) <- 0;
+        Table.release t.table g
+      done
+    end
 
-  let on_event t = function
-    | Reference { block; _ } ->
-      let s = Slots.find t.slots block in
-      if s < 0 then failwith "PERCEPTRON: reference to non-resident block";
-      let c = t.cls.(s) in
-      let c' = succ t c in
-      if c' <> c then begin
-        Class_heaps.remove t.members c s;
-        t.cls.(s) <- c';
-        Class_heaps.add t.members c' s
-      end
-    | Admit { block; _ } ->
-      let g = Islab.find t.ghost block in
-      if g >= 0 then begin
-        (* Mistake: the stream wanted this block back. Blocks that look
-           like it should score higher (be kept). *)
-        learn t t.ghost_cls.(g) ~sign:1.0;
-        Islab.remove t.ghost block
-      end;
-      admit t block
-    | Evict { block } ->
-      let s = Slots.find t.slots block in
-      if s >= 0 then begin
-        (* Remember the evicted block's class, whose features never
-           change. *)
-        Islab.push_front t.ghost block;
-        t.ghost_cls <- grow_column t.ghost_cls (Islab.capacity t.ghost) 0;
-        t.ghost_cls.(Islab.slot t.ghost block) <- t.cls.(s);
-        while Islab.length t.ghost > t.cap do
-          let b = Islab.back t.ghost in
-          (* Expired un-referenced: the eviction was right. *)
-          learn t t.ghost_cls.(Islab.slot t.ghost b) ~sign:(-1.0);
-          Islab.remove t.ghost b
-        done;
-        remove t s
-      end
-    | Invalidate { block } ->
-      let s = Slots.find t.slots block in
-      if s >= 0 then remove t s
+  let invalidate t id =
+    if t.ghosted.(id) = 0 then begin
+      Class_heaps.remove t.members t.cls.(id) id;
+      Table.release t.table id
+    end
 
   (* Lowest score loses; ties go to the smaller packed key (Block.pack
      orders like Block.compare), the smallest of its class. The score
@@ -1302,11 +1238,10 @@ module Perceptron = struct
      is built per class. *)
   let victim t ~pos:_ ~missing:_ =
     let m = t.members in
-    if m.Class_heaps.nlive = 0 then failwith "PERCEPTRON: empty";
     let bias = 0.0 +. (t.w.(0) *. 1.0) and wf = t.w.(1) and wh = t.w.(2) in
     let freq = t.freq and file_hash = t.file_hash and heaps = m.Class_heaps.heaps in
-    let keys = t.slots.Slots.keys and live = m.Class_heaps.live in
-    let best = ref 0 and best_score = ref 0.0 and best_key = ref 0 in
+    let keys = t.table.Table.keys and live = m.Class_heaps.live in
+    let best = ref (-1) and best_score = ref 0.0 and best_key = ref 0 in
     for j = 0 to m.Class_heaps.nlive - 1 do
       let c = live.(j) in
       let score = bias +. (wf *. freq.(c)) +. (wh *. file_hash.(c)) in
@@ -1318,18 +1253,20 @@ module Perceptron = struct
         best_key := k
       end
     done;
-    t.slots.Slots.blocks.(!best)
+    !best
 
   (* The weights keep the numbers of the five-feature vector (bias,
      age, frequency, level, file hash) the oracle in
      test/policy_oracles.ml still folds. *)
   let stats t =
+    let ghosts = Ilist.length t.ghost in
     [
       ("w0", t.w.(0));
       ("w2", t.w.(1));
       ("w4", t.w.(2));
       ("updates", float_of_int t.updates);
-      ("ghost", float_of_int (Islab.length t.ghost));
-      ("resident", float_of_int (Slots.length t.slots));
+      ("ghost", float_of_int ghosts);
+      ("resident", float_of_int (Table.length t.table - ghosts));
+      ids t.table;
     ]
 end

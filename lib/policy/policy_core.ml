@@ -1,11 +1,5 @@
 module Block = Acfc_core.Block
 
-type event =
-  | Reference of { pos : int; block : Block.t }
-  | Admit of { pos : int; block : Block.t }
-  | Evict of { block : Block.t }
-  | Invalidate of { block : Block.t }
-
 module type CORE = sig
   type t
 
@@ -14,7 +8,12 @@ module type CORE = sig
   val adaptive : bool
   val needs_future : bool
   val create : capacity:int -> future:Block.t array -> t
-  val on_event : t -> event -> unit
-  val victim : t -> pos:int -> missing:Block.t -> Block.t
+  val find : t -> int -> int
+  val key : t -> int -> int
+  val reference : t -> pos:int -> int -> unit
+  val admit : t -> pos:int -> int -> int
+  val evict : t -> int -> unit
+  val invalidate : t -> int -> unit
+  val victim : t -> pos:int -> missing:int -> int
   val stats : t -> (string * float) list
 end

@@ -18,11 +18,13 @@ type result = {
 }
 
 val run : (module Acfc_policy.Policy_core.CORE) -> capacity:int -> Trace.t -> result
-(** Simulate the core over the trace with [capacity] frames: a hit is a
-    [Reference] event; a miss in a full cache asks for a victim
-    and reports it as [Evict], then every miss is an [Admit]. Positions
-    are trace indices. Raises [Invalid_argument] if [capacity] is not
-    positive, or [Failure] if the core names a non-resident victim. *)
+(** Simulate the core over the trace with [capacity] frames. Each
+    reference is looked up once, in the core's own table; the resident
+    flags are a column over the core's ids. A hit calls [reference]; a
+    miss in a full cache asks [victim] and calls [evict] on it, then
+    every miss calls [admit]. Positions are trace indices. Raises
+    [Invalid_argument] if [capacity] is not positive, or [Failure] if
+    the core names a non-resident victim. *)
 
 val miss_ratio : result -> float
 

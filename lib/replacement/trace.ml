@@ -82,10 +82,16 @@ let interleave ~rng traces =
   done;
   out
 
+(* Distinct packed keys in an {!Itbl}; the rare block [Block.pack]
+   refuses is counted in a [Hashtbl] of records instead. *)
 let working_set_size trace =
-  let seen = Hashtbl.create 1024 in
-  Array.iter (fun b -> Hashtbl.replace seen b ()) trace;
-  Hashtbl.length seen
+  let seen = Acfc_core.Itbl.create 1024 and wide = Hashtbl.create 1 in
+  Array.iter
+    (fun (b : Block.t) ->
+      let key = Block.pack_ids ~file:b.file ~index:b.index in
+      if key >= 0 then Acfc_core.Itbl.set seen key 0 else Hashtbl.replace wide b ())
+    trace;
+  Acfc_core.Itbl.length seen + Hashtbl.length wide
 
 let pp_summary ppf trace =
   Format.fprintf ppf "%d references over %d blocks" (Array.length trace)

@@ -10,11 +10,12 @@
    perceptron fold still scores all five features of the original
    vector (bias, age, frequency, level, file hash); the core dropped
    age and level, whose weights must never leave 0.0. Ghost lists are
-   plain block lists, most recent first. O(n) per miss; test use
-   only. *)
+   plain block lists, most recent first. Both are written over packed
+   keys and get their ids from {!Acfc_replacement.Reference.Of_keys}.
+   O(n) per miss; test use only. *)
 
 module Block = Acfc_core.Block
-open Acfc_policy.Policy_core
+module Of_keys = Acfc_replacement.Reference.Of_keys
 
 let ghost_forget ghost block = List.filter (fun b -> not (Block.equal b block)) ghost
 
@@ -25,7 +26,7 @@ let ghost_push ghost block ~cap ~expire =
   List.iter expire (List.rev (List.filteri (fun i _ -> i >= cap) ghost));
   List.filteri (fun i _ -> i < cap) ghost
 
-module Awrp = struct
+module Awrp = Of_keys (struct
   type info = { mutable cnt : int; mutable last : int }
 
   type t = {
@@ -55,34 +56,35 @@ module Awrp = struct
       nudges = 0;
     }
 
-  let on_event t = function
-    | Reference { pos; block } -> (
-      match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        i.cnt <- i.cnt + 1;
-        i.last <- pos
-      | None -> failwith "AWRP-FOLD: reference to non-resident block")
-    | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_cnt block with
-      | Some cnt ->
-        if cnt >= 2 then t.w <- Stdlib.min 0.95 (t.w +. 0.05)
-        else t.w <- Stdlib.max 0.05 (t.w -. 0.05);
-        t.nudges <- t.nudges + 1;
-        t.ghost <- ghost_forget t.ghost block;
-        Hashtbl.remove t.ghost_cnt block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos }
-    | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        Hashtbl.replace t.ghost_cnt block i.cnt;
-        t.ghost <-
-          ghost_push t.ghost block ~cap:t.cap ~expire:(Hashtbl.remove t.ghost_cnt)
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+  let reference t ~pos key =
+    match Hashtbl.find_opt t.resident (Block.unpack key) with
+    | Some i ->
+      i.cnt <- i.cnt + 1;
+      i.last <- pos
+    | None -> failwith "AWRP-FOLD: reference to non-resident block"
 
-  let victim t ~pos ~missing:_ =
+  let admit t ~pos key =
+    let block = Block.unpack key in
+    (match Hashtbl.find_opt t.ghost_cnt block with
+    | Some cnt ->
+      if cnt >= 2 then t.w <- Stdlib.min 0.95 (t.w +. 0.05)
+      else t.w <- Stdlib.max 0.05 (t.w -. 0.05);
+      t.nudges <- t.nudges + 1;
+      t.ghost <- ghost_forget t.ghost block;
+      Hashtbl.remove t.ghost_cnt block
+    | None -> ());
+    Hashtbl.replace t.resident block { cnt = 1; last = pos }
+
+  let remove t key ~invalidated =
+    let block = Block.unpack key in
+    (match Hashtbl.find_opt t.resident block with
+    | Some i when not invalidated ->
+      Hashtbl.replace t.ghost_cnt block i.cnt;
+      t.ghost <- ghost_push t.ghost block ~cap:t.cap ~expire:(Hashtbl.remove t.ghost_cnt)
+    | Some _ | None -> ());
+    Hashtbl.remove t.resident block
+
+  let victim t ~pos =
     let best = ref None in
     Hashtbl.iter
       (fun block i ->
@@ -95,7 +97,9 @@ module Awrp = struct
           if value < bv || (value = bv && Block.compare block bb < 0) then
             best := Some (value, block))
       t.resident;
-    match !best with Some (_, block) -> block | None -> failwith "AWRP-FOLD: empty"
+    match !best with
+    | Some (_, block) -> Block.pack block
+    | None -> failwith "AWRP-FOLD: empty"
 
   let stats t =
     [
@@ -104,9 +108,9 @@ module Awrp = struct
       ("ghost", float_of_int (List.length t.ghost));
       ("resident", float_of_int (Hashtbl.length t.resident));
     ]
-end
+end)
 
-module Perceptron = struct
+module Perceptron = Of_keys (struct
   let n_features = 5
 
   type info = { mutable cnt : int; mutable last : int; mutable level : int }
@@ -160,34 +164,36 @@ module Perceptron = struct
     done;
     t.updates <- t.updates + 1
 
-  let on_event t = function
-    | Reference { pos; block } -> (
-      match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        i.cnt <- i.cnt + 1;
-        i.last <- pos
-      | None -> failwith "PERCEPTRON-FOLD: reference to non-resident block")
-    | Admit { pos; block } ->
-      (match Hashtbl.find_opt t.ghost_x block with
-      | Some x ->
-        learn t x ~sign:1.0;
-        t.ghost <- ghost_forget t.ghost block;
-        Hashtbl.remove t.ghost_x block
-      | None -> ());
-      Hashtbl.replace t.resident block { cnt = 1; last = pos; level = 0 }
-    | Evict { block } ->
-      (match Hashtbl.find_opt t.resident block with
-      | Some i ->
-        Hashtbl.replace t.ghost_x block (features t ~pos:i.last block i);
-        t.ghost <-
-          ghost_push t.ghost block ~cap:t.cap ~expire:(fun b ->
-              learn t (Hashtbl.find t.ghost_x b) ~sign:(-1.0);
-              Hashtbl.remove t.ghost_x b)
-      | None -> ());
-      Hashtbl.remove t.resident block
-    | Invalidate { block } -> Hashtbl.remove t.resident block
+  let reference t ~pos key =
+    match Hashtbl.find_opt t.resident (Block.unpack key) with
+    | Some i ->
+      i.cnt <- i.cnt + 1;
+      i.last <- pos
+    | None -> failwith "PERCEPTRON-FOLD: reference to non-resident block"
 
-  let victim t ~pos ~missing:_ =
+  let admit t ~pos key =
+    let block = Block.unpack key in
+    (match Hashtbl.find_opt t.ghost_x block with
+    | Some x ->
+      learn t x ~sign:1.0;
+      t.ghost <- ghost_forget t.ghost block;
+      Hashtbl.remove t.ghost_x block
+    | None -> ());
+    Hashtbl.replace t.resident block { cnt = 1; last = pos; level = 0 }
+
+  let remove t key ~invalidated =
+    let block = Block.unpack key in
+    (match Hashtbl.find_opt t.resident block with
+    | Some i when not invalidated ->
+      Hashtbl.replace t.ghost_x block (features t ~pos:i.last block i);
+      t.ghost <-
+        ghost_push t.ghost block ~cap:t.cap ~expire:(fun b ->
+            learn t (Hashtbl.find t.ghost_x b) ~sign:(-1.0);
+            Hashtbl.remove t.ghost_x b)
+    | Some _ | None -> ());
+    Hashtbl.remove t.resident block
+
+  let victim t ~pos =
     let best = ref None in
     Hashtbl.iter
       (fun block i ->
@@ -199,7 +205,7 @@ module Perceptron = struct
             best := Some (value, block))
       t.resident;
     match !best with
-    | Some (_, block) -> block
+    | Some (_, block) -> Block.pack block
     | None -> failwith "PERCEPTRON-FOLD: empty"
 
   let stats t =
@@ -209,4 +215,4 @@ module Perceptron = struct
         ("ghost", float_of_int (List.length t.ghost));
         ("resident", float_of_int (Hashtbl.length t.resident));
       ]
-end
+end)

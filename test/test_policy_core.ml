@@ -43,9 +43,9 @@ let replay (module C : Pc.CORE) ~capacity trace =
   let module Recorded = struct
     include C
 
-    let on_event t event =
-      (match event with Pc.Evict { block } -> victims := block :: !victims | _ -> ());
-      C.on_event t event
+    let evict t id =
+      victims := Core.Block.unpack (C.key t id) :: !victims;
+      C.evict t id
   end in
   let r = Policy_sim.run (module Recorded) ~capacity trace in
   { hits = r.Policy_sim.hits; misses = r.Policy_sim.misses; victims = List.rev !victims }
@@ -133,16 +133,24 @@ let registry_errors () =
 (* {2 Adaptive-core properties} *)
 
 (* Replay a core through [Policy_sim.run], calling [check] on its stats
-   after each reference's last event (its [Reference] or [Admit]). *)
-let drive (module C : Pc.CORE) ~capacity trace ~check:check_stats =
+   after each reference's last call (its [reference] or [admit]), and,
+   with [~evicts:true], after each [evict] too. *)
+let drive ?(evicts = false) (module C : Pc.CORE) ~capacity trace ~check:check_stats =
   let module Checked = struct
     include C
 
-    let on_event t event =
-      C.on_event t event;
-      match event with
-      | Pc.Reference _ | Pc.Admit _ -> check_stats (C.stats t)
-      | Pc.Evict _ | Pc.Invalidate _ -> ()
+    let reference t ~pos id =
+      C.reference t ~pos id;
+      check_stats (C.stats t)
+
+    let admit t ~pos key =
+      let id = C.admit t ~pos key in
+      check_stats (C.stats t);
+      id
+
+    let evict t id =
+      C.evict t id;
+      if evicts then check_stats (C.stats t)
   end in
   ignore (Policy_sim.run (module Checked) ~capacity trace)
 
@@ -289,28 +297,29 @@ type port = {
 let live_port (module C : Pc.CORE) ~capacity =
   let core = C.create ~capacity ~future:[||] in
   let p = P.Live.plugin (module C) core in
+  let pack = Core.Block.pack in
   {
-    reference = (fun ~pos:_ b -> p.Core.Acm.on_reference b);
-    admit = (fun ~pos:_ b -> p.Core.Acm.on_admit b);
-    remove = (fun b ~invalidated -> p.Core.Acm.on_remove b ~invalidated);
+    reference = (fun ~pos:_ b -> p.Core.Acm.on_reference (pack b));
+    admit = (fun ~pos:_ b -> p.Core.Acm.on_admit (pack b));
+    remove = (fun b ~invalidated -> p.Core.Acm.on_remove (pack b) ~invalidated);
     choose =
       (fun ~pos:_ ~missing ->
-        match p.Core.Acm.choose ~missing with
-        | Some v -> v
-        | None -> Alcotest.fail "the plug-in named no victim");
+        match p.Core.Acm.choose ~missing:(pack missing) with
+        | -1 -> Alcotest.fail "the plug-in named no victim"
+        | v -> Core.Block.unpack v);
     stats = (fun () -> C.stats core);
   }
 
 (* Straight into the core, at the positions the model picks. *)
 let core_port (module C : Pc.CORE) ~capacity =
   let t = C.create ~capacity ~future:[||] in
+  let id b = C.find t (Core.Block.pack b) in
   {
-    reference = (fun ~pos block -> C.on_event t (Pc.Reference { pos; block }));
-    admit = (fun ~pos block -> C.on_event t (Pc.Admit { pos; block }));
-    remove =
-      (fun block ~invalidated ->
-        C.on_event t (if invalidated then Pc.Invalidate { block } else Pc.Evict { block }));
-    choose = (fun ~pos ~missing -> C.victim t ~pos ~missing);
+    reference = (fun ~pos b -> C.reference t ~pos (id b));
+    admit = (fun ~pos b -> ignore (C.admit t ~pos (Core.Block.pack b)));
+    remove = (fun b ~invalidated -> (if invalidated then C.invalidate else C.evict) t (id b));
+    choose =
+      (fun ~pos ~missing -> Core.Block.unpack (C.key t (C.victim t ~pos ~missing:(id missing))));
     stats = (fun () -> C.stats t);
   }
 
@@ -368,13 +377,14 @@ let kernel_gen =
 
 (* The oracle perceptron still learns weights for the age (w1) and
    level (w3) features the core dropped. They must stay 0.0; the
-   other statistics must match the core's. *)
+   other statistics must match the core's, except the ids a table
+   holds: the oracles give ids to resident blocks only. *)
 let without_dropped_weights stats =
   List.filter
     (fun (k, v) ->
       let dropped = k = "w1" || k = "w3" in
       if dropped && v <> 0.0 then QCheck2.Test.fail_reportf "oracle weight %s is %h" k v;
-      not dropped)
+      not dropped && k <> "ids")
     stats
 
 let kernel_property name ~port ~gaps =
@@ -412,6 +422,85 @@ let awrp_equal_rank_run () =
       let v = port.choose ~pos:1_000_000_000 ~missing:(blk 5) in
       check Alcotest.string "smaller key wins the tie" "f0[3]" (Fmt.str "%a" Core.Block.pp v))
     [ (module Policy_oracles.Awrp : Pc.CORE); (module P.Cores.Awrp) ]
+
+(* {2 The id design's memory bound}
+
+   A core's table holds every block it remembers, resident or ghost,
+   and releases an id when it forgets the block. So over a stream of
+   fresh blocks the ids held stay within the core's bound, offline and
+   through the live plug-in under overrules and invalidations; a core
+   that keeps an expired ghost's id grows past it. *)
+
+let id_bound name ~capacity ~distinct =
+  match name with
+  | "2Q" -> capacity + Stdlib.max 1 (capacity / 2)
+  | "ARC" -> 3 * capacity
+  | "AWRP" | "PERCEPTRON" -> 2 * capacity
+  | "OPT" -> distinct
+  | _ -> capacity + 1
+
+(* Long streams of mostly fresh blocks over three files; the rest
+   return to one of the last [4 * capacity] distinct blocks, so ghosts
+   are hit as well as expired. Returns the trace and its distinct
+   blocks. *)
+let fresh_trace ~capacity refs =
+  let hist = Array.make (List.length refs) (blk 0) and n = ref 0 in
+  let trace =
+    List.map
+      (fun (r, x) ->
+        if r < 60 || !n = 0 then begin
+          let b = blk ~file:(!n mod 3) !n in
+          hist.(!n) <- b;
+          incr n;
+          b
+        end
+        else hist.(!n - 1 - (x mod Stdlib.min !n (4 * capacity))))
+      refs
+  in
+  (Array.of_list trace, !n)
+
+let fresh_gen =
+  QCheck2.Gen.(
+    triple (int_range 1 12) (int_range 0 1_000_000)
+      (list_size (int_range 200 1500) (pair (int_range 0 99) (int_range 0 1023))))
+
+(* [port] with [check] run on its stats after every call that changes
+   the core. *)
+let checked port ~check =
+  {
+    port with
+    reference =
+      (fun ~pos b ->
+        port.reference ~pos b;
+        check (port.stats ()));
+    admit =
+      (fun ~pos b ->
+        port.admit ~pos b;
+        check (port.stats ()));
+    remove =
+      (fun b ~invalidated ->
+        port.remove b ~invalidated;
+        check (port.stats ()));
+  }
+
+let ids_within_bound entry =
+  let name = P.Registry.name entry in
+  qcheck ~count:60 ("ids held within bound: " ^ name) fresh_gen (fun (capacity, seed, refs) ->
+      let trace, distinct = fresh_trace ~capacity refs in
+      let bound = id_bound name ~capacity ~distinct in
+      let check stats =
+        let held = List.assoc "ids" stats in
+        if held > float_of_int bound then
+          QCheck2.Test.fail_reportf "%s holds %.0f ids at capacity %d, bound %d" name held
+            capacity bound
+      in
+      drive ~evicts:true entry ~capacity trace ~check;
+      if not (P.Registry.needs_future entry) then
+        ignore
+          (kernel_model
+             (checked (live_port entry ~capacity) ~check)
+             ~capacity ~seed ~gaps:false trace);
+      true)
 
 (* {2 Installing on a manager that already owns blocks} *)
 
@@ -459,5 +548,6 @@ let suites =
         oracle_live;
         oracle_gaps;
         case "AWRP equal-rank run breaks ties by block" awrp_equal_rank_run;
-      ] );
+      ]
+      @ List.map ids_within_bound P.Registry.all );
   ]

@@ -240,6 +240,27 @@ let rand_uniform_and_resident =
       let ws = Trace.working_set_size t in
       r.Policy_sim.misses >= ws && r.Policy_sim.misses <= Array.length t)
 
+(* Distinct blocks counted on packed keys, with blocks [Block.pack]
+   refuses (file ids from 2^30, indices past 2^32 - 1) counted apart,
+   against a polymorphic [Hashtbl] over the records. *)
+let working_set_matches_hashtbl =
+  qcheck "working set counts distinct blocks, packable or not" ~count:200
+    QCheck2.Gen.(
+      list_size (int_range 0 400) (triple (int_range 0 5) (int_range 0 40) (int_range 0 9)))
+    (fun refs ->
+      let t =
+        Array.of_list
+          (List.map
+             (fun (f, i, wide) ->
+               let file = if wide = 0 then (1 lsl 30) + f else f in
+               let index = if wide = 1 then Block.max_packed_index + 1 + i else i in
+               Block.make ~file ~index)
+             refs)
+      in
+      let seen = Hashtbl.create 64 in
+      Array.iter (fun b -> Hashtbl.replace seen b ()) t;
+      Trace.working_set_size t = Hashtbl.length seen)
+
 let framework_validation () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Policy_sim.run: capacity must be positive") (fun () ->
@@ -258,9 +279,19 @@ let framework_validation () =
 
     let create ~capacity:_ ~future:_ = ()
 
-    let on_event () _ = ()
+    let find () _ = -1
 
-    let victim () ~pos:_ ~missing:_ = blk 999
+    let key () id = id
+
+    let reference () ~pos:_ _ = ()
+
+    let admit () ~pos _ = pos
+
+    let evict () _ = ()
+
+    let invalidate () _ = ()
+
+    let victim () ~pos:_ ~missing:_ = 999
 
     let stats () = []
   end in
@@ -301,6 +332,7 @@ let suites =
         case "hot/cold mix" hot_cold_mix;
         case "zipf skew" zipf_skew;
         interleave_preserves_order;
+        working_set_matches_hashtbl;
       ] );
     ( "replacement: policies",
       [
