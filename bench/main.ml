@@ -25,7 +25,9 @@
      main.exe check           equivalence replay: recorded + synthetic
                               reference traces through the naive and the
                               indexed disk-queue pickers and replacement
-                              policies; exits non-zero on any divergence
+                              policies, and the columnar cache against
+                              its executable spec; exits non-zero on any
+                              divergence
      main.exe tournament      policy tournament: every registered policy
                               (stock + adaptive) over every wirgen corpus
                               family, scored as miss-count regret vs OPT;
@@ -215,16 +217,6 @@ let ilist_test =
      Ilist.remove store l 0;
      Ilist.push_front store l 0)
 
-let heap_test =
-  let h = Acfc_sim.Heap.create ~leq:(fun (a : float) b -> a <= b) () in
-  for i = 0 to 255 do
-    Acfc_sim.Heap.push h (float_of_int i)
-  done;
-  Bechamel.Test.make ~name:"heap/push+pop"
-    (Bechamel.Staged.stage @@ fun () ->
-     Acfc_sim.Heap.push h 128.0;
-     ignore (Acfc_sim.Heap.pop h))
-
 let engine_event_test =
   Bechamel.Test.make ~name:"engine/delay-roundtrip"
     (Bechamel.Staged.stage @@ fun () ->
@@ -270,7 +262,6 @@ let micro_tests =
     cache_miss_upcall_test;
     set_temppri_test;
     ilist_test;
-    heap_test;
     engine_event_test;
     policy_sim_test ~name:"policy-sim/lru-cyclic" (module Acfc_policy.Cores.Lru);
     policy_sim_test ~name:"policy-sim/opt-cyclic" (module Acfc_policy.Cores.Opt);
@@ -337,7 +328,8 @@ let run_micro () =
 module Sq = Acfc_disk.Sched_queue
 module Rt = Acfc_replacement.Trace
 module Policy_sim = Acfc_replacement.Policy_sim
-module Reference = Acfc_replacement.Reference
+module Reference = Acfc_oracle.Reference
+module Naive = Acfc_oracle.Sched_queue_naive
 module Cores = Acfc_policy.Cores
 module Core = Acfc_policy.Policy_core
 module Registry = Acfc_policy.Registry
@@ -874,13 +866,13 @@ let check_disk_queues () =
     (fun (label, discipline) ->
       for round = 1 to 50 do
         let indexed = Sq.create discipline in
-        let naive = Sq.Naive.create discipline in
+        let naive = Naive.create discipline in
         let next = ref 0 in
         for step = 1 to 400 do
           if Acfc_sim.Rng.bool rng && !next > 0 then begin
             let head = Acfc_sim.Rng.int rng 128 in
             let a = if Sq.is_empty indexed then None else Some (Sq.pick indexed ~head) in
-            let b = Sq.Naive.pick naive ~head in
+            let b = Naive.pick naive ~head in
             if a <> b then
               failwith
                 (Printf.sprintf
@@ -890,7 +882,7 @@ let check_disk_queues () =
           else begin
             let addr = Acfc_sim.Rng.int rng 128 in
             Sq.add indexed ~addr !next;
-            Sq.Naive.add naive ~addr !next;
+            Naive.add naive ~addr !next;
             incr next
           end
         done
@@ -946,9 +938,9 @@ let check_policies () =
       ("synthetic/cyclic", Rt.cyclic ~file:0 ~blocks:300 ~passes:10);
     ]
   in
-  (* Every stock core against its retained record twin, the two run as
-     one pair through Policy_sim.run: the core extraction must not move
-     a single victim. *)
+  (* Every stock core against its naive twin (Acfc_oracle.Reference),
+     the two run as one pair through Policy_sim.run: the core
+     extraction must not move a single victim. *)
   let pairs =
     [
       ("lru", (module Cores.Lru : Acfc_policy.Policy_core.CORE),
@@ -981,65 +973,56 @@ let check_policies () =
         (Array.length trace))
     traces
 
-(* {2 Columnar-vs-record lockstep replay}
+(* {2 Refinement replay: the columnar cache against its spec}
 
-   The tentpole equivalence proof: the columnar cache (Ctab/Ilist/Itbl
-   under Buf/Acm) and the retained record twin (Cache_ref) replay the
-   identical op sequence while {!Acfc_core.Lockstep} diffs results,
-   event streams, stats, LRU and level orders, and invariants. Three
-   sources: a trace recorded from a live workload run (real pids and
-   prefetch flags), a wirgen-generated corpus, and a seeded storm that
-   also exercises the whole control path (managers, priorities,
-   policies, temppri, choosers, sync, invalidation) under every
-   allocation policy. *)
+   The columnar cache (Ctab/Ilist/Itbl under Buf/Acm) and the
+   executable spec {!Acfc_oracle.Cache_spec} replay the identical op
+   sequence while {!Acfc_oracle.Refine} compares results, event
+   streams, stats, the global order, level orders, manager counters,
+   the cache's invariants and the spec's [valid]. Three sources: a
+   trace recorded from a live workload run (real pids and prefetch
+   flags), a wirgen-generated corpus, and seeded storms that also
+   exercise the whole control path (managers, priorities, policies,
+   temppri, choosers, sync, invalidation) under every allocation
+   policy, once with the default config and once with revocation, a
+   placeholder budget far below the live count and [Sticky] shared
+   files. *)
 
-module Lockstep = Acfc_core.Lockstep
+module Refine = Acfc_oracle.Refine
 
-let lockstep_report what = function
-  | Ok n ->
-    Format.printf "  check lockstep/%-22s %6d ops, columnar == record twin@."
-      what n
+let refine_report what = function
+  | Ok n -> Format.printf "  check refine/%-23s %6d ops, columnar refines the spec@." what n
   | Error d ->
     failwith
-      (Format.asprintf "@[<v>check: lockstep/%s diverged:@,%a@]" what
-         Lockstep.pp_divergence d)
+      (Format.asprintf "@[<v>check: refine/%s diverged:@,%a@]" what Refine.pp_divergence d)
 
-let lockstep_recorded () =
+let refine_recorded () =
   let ops =
     Array.map
       (fun e ->
-        Lockstep.Read
-          {
-            pid = e.Acfc_replacement.Refstream.pid;
-            block = e.block;
-            prefetch = e.prefetch;
-          })
+        Refine.Read
+          { pid = e.Acfc_replacement.Refstream.pid; block = e.block; prefetch = e.prefetch })
       (recorded_stream ())
   in
-  lockstep_report "recorded/readn-400"
-    (Lockstep.run (Config.make ~capacity_blocks:256 ()) ops)
+  refine_report "recorded/readn-400" (Refine.run (Config.make ~capacity_blocks:256 ()) ops)
 
-let lockstep_wirgen () =
+let refine_wirgen () =
   let corpus = stored_corpus Wirgen.default ~seed:3 ~count:16 in
   let trace = combined_trace corpus (List.map (fun p -> Wir.references p) corpus) in
   (* Capacity far below the corpus working set, so the replay churns
      through real evictions, not just cold misses. *)
-  lockstep_report "wirgen-corpus"
-    (Lockstep.run
-       (Config.make ~capacity_blocks:64 ())
-       (Lockstep.of_references trace))
+  refine_report "wirgen-corpus"
+    (Refine.run (Config.make ~capacity_blocks:64 ()) (Refine.of_references trace))
 
-(* A deterministic chooser both caches share: the smallest resident
-   block, so upcall decisions (including bad ones the revocation logic
-   may punish) are reproducible. *)
-let lockstep_chooser ~candidate ~resident =
+(* A deterministic chooser: the smallest resident block, so upcall
+   decisions (including bad ones the revocation logic may punish) are
+   reproducible. *)
+let smallest_chooser ~candidate ~resident =
   match resident with
   | [] -> None
   | l ->
     Some
-      (List.fold_left
-         (fun acc b -> if Block.compare b acc < 0 then b else acc)
-         candidate l)
+      (List.fold_left (fun acc b -> if Block.compare b acc < 0 then b else acc) candidate l)
 
 (* The resident set's order decides this chooser's answer: the block
    at a position the candidate picks. A resident list in another order
@@ -1049,55 +1032,69 @@ let order_chooser ~candidate ~resident =
   | [] -> None
   | l -> Some (List.nth l (Block.index candidate mod List.length l))
 
-let lockstep_storm ~seed ~alloc_policy ~ops:n =
+let storm_ops ~seed ~ops:n =
   let rng = Acfc_sim.Rng.create seed in
   let ri = Acfc_sim.Rng.int rng in
-  let ops =
-    Array.init n (fun _ ->
-        let r = ri 100 in
-        let pid = Acfc_core.Pid.make (1 + ri 4) in
-        let file = ri 6 in
-        let block = Block.make ~file ~index:(ri 128) in
-        if r < 55 then Lockstep.Read { pid; block; prefetch = ri 8 = 0 }
-        else if r < 72 then Lockstep.Write { pid; block; fetch = ri 2 = 0 }
-        else if r < 78 then Lockstep.Register_manager pid
-        else if r < 83 then Lockstep.Set_priority { pid; file; prio = ri 4 }
-        else if r < 86 then
-          Lockstep.Set_policy
-            { pid; prio = ri 4; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
-        else if r < 89 then begin
-          let first = ri 120 in
-          (* [last] occasionally below [first]: the Invalid_range error
-             path must agree too. *)
-          Lockstep.Set_temppri { pid; file; first; last = first + ri 40 - 4; prio = ri 4 }
-        end
-        else if r < 91 then
-          Lockstep.Set_chooser
-            {
-              pid;
-              chooser =
-                (match ri 3 with 0 -> None | 1 -> Some lockstep_chooser | _ -> Some order_chooser);
-            }
-        else if r < 95 then Lockstep.Sync (if ri 2 = 0 then None else Some file)
-        else if r < 98 then Lockstep.Invalidate_file file
-        else Lockstep.Unregister_manager pid)
-  in
-  let config = Config.make ~capacity_blocks:128 ~alloc_policy () in
-  lockstep_report
-    (Printf.sprintf "storm/%s" (Config.alloc_policy_to_string alloc_policy))
-    (Lockstep.run config ops)
+  Array.init n (fun _ ->
+      let r = ri 100 in
+      let pid = Acfc_core.Pid.make (1 + ri 4) in
+      let file = ri 6 in
+      let block = Block.make ~file ~index:(ri 128) in
+      if r < 55 then Refine.Read { pid; block; prefetch = ri 8 = 0 }
+      else if r < 72 then Refine.Write { pid; block; fetch = ri 2 = 0 }
+      else if r < 78 then Refine.Register_manager pid
+      else if r < 83 then Refine.Set_priority { pid; file; prio = ri 4 }
+      else if r < 86 then
+        Refine.Set_policy
+          { pid; prio = ri 4; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
+      else if r < 89 then begin
+        let first = ri 120 in
+        (* [last] occasionally below [first]: the Invalid_range error
+           path must agree too. *)
+        Refine.Set_temppri { pid; file; first; last = first + ri 40 - 4; prio = ri 4 }
+      end
+      else if r < 91 then
+        Refine.Set_chooser
+          {
+            pid;
+            chooser =
+              (match ri 3 with 0 -> None | 1 -> Some smallest_chooser | _ -> Some order_chooser);
+          }
+      else if r < 95 then Refine.Sync (if ri 2 = 0 then None else Some file)
+      else if r < 98 then Refine.Invalidate_file file
+      else Refine.Unregister_manager pid)
 
-let check_lockstep () =
-  lockstep_recorded ();
-  lockstep_wirgen ();
+let alloc_policies =
+  [ Config.Global_lru; Config.Alloc_lru; Config.Lru_s; Config.Lru_sp; Config.Clock_sp ]
+
+let check_refine () =
+  refine_recorded ();
+  refine_wirgen ();
   List.iteri
-    (fun i alloc_policy -> lockstep_storm ~seed:(41 + i) ~alloc_policy ~ops:20_000)
-    [ Config.Global_lru; Config.Alloc_lru; Config.Lru_s; Config.Lru_sp;
-      Config.Clock_sp ]
+    (fun i alloc_policy ->
+      refine_report
+        (Printf.sprintf "storm/%s" (Config.alloc_policy_to_string alloc_policy))
+        (Refine.run
+           (Config.make ~capacity_blocks:128 ~alloc_policy ())
+           (storm_ops ~seed:(41 + i) ~ops:20_000)))
+    alloc_policies;
+  (* No manager is revoked, no placeholder recycled and no block kept
+     by its first manager in the storms above; these reach all three. *)
+  List.iteri
+    (fun i alloc_policy ->
+      refine_report
+        (Printf.sprintf "storm-revoke/%s" (Config.alloc_policy_to_string alloc_policy))
+        (Refine.run
+           (Config.make ~capacity_blocks:128 ~alloc_policy ~max_placeholders:8
+              ~shared_files:Config.Sticky
+              ~revocation:{ Config.min_decisions = 4; mistake_ratio = 0.05 }
+              ())
+           (storm_ops ~seed:(46 + i) ~ops:20_000)))
+    alloc_policies
 
 (* {2 Fleet determinism replay}
 
-   The fleet engine's Lockstep-style proof: one fleet run to
+   The fleet engine's replay proof: one fleet run to
    completion at jobs 1, 2, 3 and 4, all four rendered reports
    byte-identical — then the same fleet with the lookahead halved
    (twice the barriers, different epoch partition of simulated time),
@@ -1136,7 +1133,7 @@ let run_check () =
   Format.printf "Equivalence replay: naive reference vs indexed hot paths@.";
   check_disk_queues ();
   check_policies ();
-  check_lockstep ();
+  check_refine ();
   check_fleet ();
   Format.printf "  check: all implementations agree@."
 

@@ -917,10 +917,19 @@ let policies_cmd =
     let module Trace = Acfc_replacement.Trace in
     let trace =
       match trace_file with
-      | Some path ->
-        let ic = open_in path in
-        Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-            Acfc_replacement.Refstream.(demand (load ic)))
+      | Some path -> (
+        (* A bad trace file is bad input: one line naming it, exit 1. *)
+        match In_channel.with_open_bin path Acfc_replacement.Refstream.load with
+        | stream -> Acfc_replacement.Refstream.demand stream
+        | exception (Failure reason | Sys_error reason) ->
+          let prefix = path ^ ": " in
+          let reason =
+            if String.starts_with ~prefix reason then
+              String.sub reason (String.length prefix) (String.length reason - String.length prefix)
+            else reason
+          in
+          prerr_endline (Printf.sprintf "acfc-run: %s: %s" path reason);
+          exit 1)
       | None ->
       match pattern with
       | `Cyclic -> Trace.cyclic ~file:0 ~blocks ~passes:5

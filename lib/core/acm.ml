@@ -2,9 +2,9 @@
    {!Ctab} columns, managers live in a pid-indexed array, and the
    per-access notifications ([new_block] / [block_accessed] /
    [block_gone]) touch only int columns on the steady-state path. The
-   record-based predecessor survives verbatim as {!Acm_ref} and the
-   lockstep replay in [Lockstep] / `bench check` proves the two
-   trace-identical.
+   test-only executable spec (test/oracle/cache_spec.ml) states the
+   same rules over plain lists, and refinement replays in `bench check`
+   and the tests hold this module to it.
 
    No per-access lookup hashes polymorphically or allocates. A manager
    has few levels, so a level is found by priority with a scan of its

@@ -10,9 +10,9 @@
     Blocks are named by their {!Ctab} slot: the level lists are
     intrusive {!Ilist}s over the shared table's link columns and the
     per-access notifications below are int-only on the steady-state
-    path. The record-based predecessor is retained as {!Acm_ref} and
-    proven trace-identical by lockstep replay ({!Lockstep},
-    `bench check`).
+    path. A test-only executable spec states the same rules over plain
+    lists, and refinement replays ([test/oracle], `bench check`) hold
+    this module to it.
 
     BUF notifies ACM through {!new_block}, {!block_gone},
     {!block_accessed} and {!placeholder_used}, and asks it for decisions

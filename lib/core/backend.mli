@@ -19,8 +19,8 @@ type t = {
       (** fetch a block from the device: [true] once it has landed,
           [false] while the read is still in flight. BUF keeps the
           block's frame pinned until it lands, so a backend that
-          answers [false] must call [Cache.fetched] (or
-          [Cache_ref.fetched]) with the key when the read lands. *)
+          answers [false] must call [Cache.fetched] with the key
+          when the read lands. *)
   write_block : int -> unit;  (** write back a dirty block *)
   evicted : int -> unit;
       (** the frame was released (after any write-back); the data layer

@@ -7,10 +7,11 @@
    nothing; a [Block.t] is built only for a trace event (when a tracer
    or obs sink is installed) or an upcall chooser.
 
-   The record-based predecessor survives verbatim as {!Buf_ref}; the
-   lockstep replay in {!Lockstep} / `bench check` proves the two emit
-   identical event streams, stats and list orders on recorded traces
-   and generated corpora. *)
+   The test-only executable spec (test/oracle/cache_spec.ml) states
+   the same rules over plain lists; `bench check` and the refinement
+   tests hold this module, with {!Acm}, to it: identical results,
+   event streams, stats and list orders on recorded traces, generated
+   corpora and control-path storms. *)
 
 module Obs = Acfc_obs
 
@@ -24,7 +25,7 @@ type t = {
   (* Placeholder store: parallel arrays, free-listed through [ph_next].
      [ph_idx] maps packed replaced-block id -> placeholder slot;
      [ph_ring] keeps creation order (possibly stale keys) for recycling
-     over the limit, as the record implementation's [Queue] did: an int
+     over the limit, the rule the spec states with a [Queue]: an int
      ring of [ph_queued] keys from [ph_first], empty until the first
      placeholder. *)
   mutable ph_key : int array;

@@ -25,9 +25,9 @@
     intrusive {!Ilist} over the shared {!Ctab} columns, and the
     steady-state hit/miss paths are allocation-free: blocks stay packed
     keys down to the {!Backend}, and trace events are built only when a
-    tracer or obs sink is installed. The record
-    predecessor is retained as {!Buf_ref} and held trace-identical by
-    lockstep replay. *)
+    tracer or obs sink is installed. A test-only executable spec states
+    the same rules over plain lists, and refinement replays hold this
+    module to it ([test/oracle]). *)
 
 type t
 

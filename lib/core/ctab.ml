@@ -1,5 +1,5 @@
-(* Columnar block/entry table: the flat-array replacement for
-   heap-allocated {!Entry.t} records on the steady-state cache path.
+(* Columnar block/entry table: flat int arrays instead of one
+   heap-allocated record per block on the steady-state cache path.
 
    Every resident (or placeholder-targeted) block is a slot — an index
    into parallel int columns holding identity, state bits, pin count,

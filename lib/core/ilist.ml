@@ -1,15 +1,16 @@
 (* Intrusive doubly-linked lists over shared int-array link columns.
 
-   This is the columnar replacement for {!Dll}: instead of one heap
-   node per element, every element is an integer slot in a {!Ctab}-style
-   table and the prev/next pointers live in two parallel int columns (a
-   {!store}). A list handle is three ints (front, back, size); linking
-   and unlinking write four array cells and allocate nothing.
+   Instead of one heap node per element, every element is an integer
+   slot in a {!Ctab}-style table and the prev/next pointers live in two
+   parallel int columns (a {!store}). A list handle is three ints
+   (front, back, size); linking and unlinking write four array cells
+   and allocate nothing.
 
    A slot may belong to at most one list per store. Membership is not
    tracked here (that would cost a third column); callers keep a flag or
-   an index, and the property tests in [test/test_ctab.ml] drive random
-   op sequences against {!Dll} to prove order-for-order equivalence. *)
+   an index, and the property tests in [test/test_ilist.ml] and
+   [test/test_ctab.ml] drive random op sequences against a plain list
+   model to prove order-for-order equivalence. *)
 
 let nil = -1
 
@@ -79,9 +80,8 @@ let next_toward_front s i = s.prev.(i)
 let next_toward_back s i = s.next.(i)
 
 (* Exchange the list positions of slots [a] and [b] (the LRU-SP swap
-   step). Mirrors [Dll.swap_values] — there the two nodes exchanged
-   values; here the two slots exchange places — with explicit handling
-   of the adjacent cases. *)
+   step): the two slots exchange places, with explicit handling of the
+   adjacent cases. *)
 let swap s t a b =
   if a <> b then begin
     let pa = s.prev.(a) and na = s.next.(a) in

@@ -1,9 +1,9 @@
 (** Intrusive doubly-linked lists over shared int-array link columns.
 
-    The columnar counterpart of {!Dll}: elements are integer slots, the
-    prev/next pointers live in a shared {!store} (two parallel int
-    columns, typically owned by a {!Ctab}), and a list handle is three
-    ints. Linking, unlinking and moving are O(1) and allocation-free.
+    Elements are integer slots, the prev/next pointers live in a shared
+    {!store} (two parallel int columns, typically owned by a {!Ctab}),
+    and a list handle is three ints. Linking, unlinking and moving are
+    O(1) and allocation-free.
 
     By the cache's convention the {e front} of a list is the
     most-recently-used end and the {e back} the least-recently-used end.
@@ -11,8 +11,9 @@
     A slot may belong to at most one list per store at a time; callers
     track membership themselves (e.g. with a flag column). Operations on
     slots that are not in the given list silently corrupt it — the
-    random-op property tests against {!Dll} in [test/test_ctab.ml] and
-    the structure walks in [check_invariants] are the safety net. *)
+    random-op property tests against a list model in
+    [test/test_ilist.ml] and [test/test_ctab.ml] and the structure
+    walks in [check_invariants] are the safety net. *)
 
 val nil : int
 (** The null slot, [-1]. *)

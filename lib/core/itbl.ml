@@ -1,5 +1,5 @@
-(* Open-addressing int -> int hash table, the columnar replacement for
-   [(Block.t, Entry.t) Hashtbl] on the cache hot path.
+(* Open-addressing int -> int hash table: the cache's block table
+   (packed block id -> slot) on the hot path.
 
    Keys are non-negative ints (packed block ids from [Block.pack]);
    values are non-negative ints (table slots). Linear probing over a

@@ -1,8 +1,7 @@
 (** Open-addressing int -> int hash table for the cache hot path.
 
-    Replaces [(Block.t, Entry.t) Hashtbl] on the columnar core: keys
-    are non-negative ints (packed block ids, see {!Block.pack}), values
-    are non-negative ints (table slots). Linear probing over a
+    Keys are non-negative ints (packed block ids, see {!Block.pack}),
+    values are non-negative ints (table slots). Linear probing over a
     power-of-two array with backward-shift deletion, so the table holds
     no tombstones and a steady live count never rehashes; {!find} is
     allocation-free.

@@ -26,13 +26,13 @@
    Waiters are int keys (the disk parks each request's fiber under its
    id), so both sides are int arrays: the ring and the elevator heaps,
    hand-specialised on parallel int columns rather than built on
-   {!Acfc_sim.Heap}. The dispatch loop then does no allocation at all
-   (the generic heap would box each (addr, seq, key) element and make
-   an indirect [leq] call per sift step).
+   a generic closure-based heap. The dispatch loop then does no
+   allocation at all (a generic heap would box each (addr, seq, key)
+   element and make an indirect [leq] call per sift step).
 
-   [Naive] is a straight port of the original list-based picker, kept as
-   the reference implementation for the equivalence tests and the bench
-   [check] replay. *)
+   The original list-based picker survives as the reference for the
+   equivalence tests and the bench [check] replay, in the test-only
+   oracle library ([test/oracle/sched_queue_naive.ml]). *)
 
 type discipline = Fcfs | Scan
 
@@ -246,67 +246,3 @@ let pick t ~head =
         Eheap.pop s.up
       end
     end
-
-(* The original unsorted-list implementation (one fold per pick for
-   FCFS; a filter plus a fold for SCAN), verbatim semantics. O(n) per
-   pick — reference only. *)
-module Naive = struct
-  type 'a waiter = { w_addr : int; w_seq : int; payload : 'a }
-
-  type 'a t = {
-    discipline : discipline;
-    mutable queue : 'a waiter list;
-    mutable next_seq : int;
-    mutable sweep_up : bool;
-  }
-
-  let create discipline = { discipline; queue = []; next_seq = 0; sweep_up = true }
-
-  let length t = List.length t.queue
-
-  let sweep_up t = t.sweep_up
-
-  let add t ~addr payload =
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    t.queue <- { w_addr = addr; w_seq = seq; payload } :: t.queue
-
-  let pick t ~head =
-    match t.queue with
-    | [] -> None
-    | queue ->
-      let best =
-        match t.discipline with
-        | Fcfs ->
-          List.fold_left
-            (fun best w ->
-              match best with Some b when b.w_seq < w.w_seq -> best | _ -> Some w)
-            None queue
-        | Scan ->
-          let ahead =
-            List.filter
-              (fun w -> if t.sweep_up then w.w_addr >= head else w.w_addr <= head)
-              queue
-          in
-          let candidates =
-            match ahead with
-            | [] ->
-              t.sweep_up <- not t.sweep_up;
-              queue
-            | _ -> ahead
-          in
-          List.fold_left
-            (fun best w ->
-              match best with
-              | None -> Some w
-              | Some b ->
-                let bd = abs (b.w_addr - head) and wd = abs (w.w_addr - head) in
-                if wd < bd || (wd = bd && w.w_seq < b.w_seq) then Some w else best)
-            None candidates
-      in
-      (match best with
-      | Some w ->
-        t.queue <- List.filter (fun x -> x != w) t.queue;
-        Some w.payload
-      | None -> None)
-end

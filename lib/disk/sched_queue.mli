@@ -36,20 +36,3 @@ val pick : t -> head:int -> int
     parked at block [head]. May reverse the sweep direction (SCAN).
     O(1) for FCFS, O(log n) for SCAN, allocation-free. Raises
     [Invalid_argument] if the queue is empty. *)
-
-(** The original unsorted-list picker, kept verbatim (over any payload)
-    as the reference for equivalence tests and the bench [check]
-    replay. O(n) per pick. *)
-module Naive : sig
-  type 'a t
-
-  val create : discipline -> 'a t
-
-  val length : 'a t -> int
-
-  val sweep_up : 'a t -> bool
-
-  val add : 'a t -> addr:int -> 'a -> unit
-
-  val pick : 'a t -> head:int -> 'a option
-end

@@ -5,9 +5,9 @@
     policy core ({!Acfc_policy.Policy_core.CORE}) observes accesses and
     chooses victims. Cores may inspect the whole trace (OPT does);
     online cores ignore it. {!run} is the one loop that drives a core
-    over a trace: the CLI, the bench tournament, the record-twin
-    lockstep ({!Reference.lockstep}) and the offline-vs-live identity
-    test all replay through it. *)
+    over a trace: the CLI, the bench tournament, the naive twins'
+    lockstep in the test-only oracle library ([Reference.lockstep]) and
+    the offline-vs-live identity test all replay through it. *)
 
 type result = {
   policy : string;

@@ -36,54 +36,40 @@ let render t =
 
 let save t oc = output_string oc (render t)
 
-let parse_entry line =
-  match String.split_on_char ' ' line with
+(* One reference line, the file's line [line]. Every malformed field is
+   one [Failure] naming the line, and so is a block [Block.make] or
+   [Block.pack] refuses, or a negative pid. *)
+let parse_entry ~line text =
+  let fail reason = failwith (Printf.sprintf "line %d: %s" line reason) in
+  match String.split_on_char ' ' text with
   | [ pid; file; index; hm; dp ] ->
     let int_of s =
-      match int_of_string_opt s with
-      | Some n -> n
-      | None -> failwith "Refstream.load: bad integer"
+      match int_of_string_opt s with Some n -> n | None -> fail (Printf.sprintf "bad integer %S" s)
     in
-    let hit =
-      match hm with
-      | "h" -> true
-      | "m" -> false
-      | _ -> failwith "Refstream.load: bad hit flag"
+    let flag s ~yes ~no what =
+      if s = yes then true else if s = no then false else fail (Printf.sprintf "bad %s flag %S" what s)
     in
-    let prefetch =
-      match dp with
-      | "p" -> true
-      | "d" -> false
-      | _ -> failwith "Refstream.load: bad prefetch flag"
-    in
-    {
-      pid = Pid.make (int_of pid);
-      block = Block.make ~file:(int_of file) ~index:(int_of index);
-      hit;
-      prefetch;
-    }
-  | _ -> failwith "Refstream.load: bad line"
+    let hit = flag hm ~yes:"h" ~no:"m" "hit" in
+    let prefetch = flag dp ~yes:"p" ~no:"d" "prefetch" in
+    let pid = int_of pid in
+    let file = int_of file in
+    let index = int_of index in
+    (try
+       let block = Block.make ~file ~index in
+       ignore (Block.pack block);
+       { pid = Pid.make pid; block; hit; prefetch }
+     with Invalid_argument reason -> fail reason)
+  | _ -> fail "expected \"<pid> <file> <index> <h|m> <d|p>\""
 
 let parse s =
   match String.split_on_char '\n' s with
-  | header :: rest when header = magic ->
+  | [] | [ "" ] -> failwith "empty file"
+  | header :: rest ->
+    if header <> magic then failwith (Printf.sprintf "line 1: bad trace header (expected %s)" magic);
     rest
-    |> List.filter (fun line -> line <> "")
-    |> List.map parse_entry
+    |> List.mapi (fun i text -> (i + 2, text))
+    |> List.filter (fun (_, text) -> text <> "")
+    |> List.map (fun (line, text) -> parse_entry ~line text)
     |> Array.of_list
-  | _ :: _ -> failwith "Refstream.load: bad trace header"
-  | [] -> failwith "Refstream.load: empty file"
 
-let load ic =
-  let entries = ref [] in
-  (match input_line ic with
-  | header when header = magic -> ()
-  | _ -> failwith "Refstream.load: bad trace header"
-  | exception End_of_file -> failwith "Refstream.load: empty file");
-  (try
-     while true do
-       let line = input_line ic in
-       if line <> "" then entries := parse_entry line :: !entries
-     done
-   with End_of_file -> ());
-  Array.of_list (List.rev !entries)
+let load ic = parse (In_channel.input_all ic)

@@ -46,9 +46,13 @@ val render : t -> string
     writes, and the canonical content the artifact store digests. *)
 
 val parse : string -> t
-(** Inverse of {!render}. Raises [Failure] on a malformed trace. *)
+(** Inverse of {!render}. Raises one [Failure] on a malformed trace:
+    ["empty file"], or a reason that names the first bad line
+    (["line 3: bad integer \"x\""]), including a line whose pid or
+    block {!Acfc_core.Pid.make}, {!Acfc_core.Block.make} or
+    {!Acfc_core.Block.pack} refuses. *)
 
 val save : t -> out_channel -> unit
 
 val load : in_channel -> t
-(** Raises [Failure] on a malformed trace file. *)
+(** {!parse} of the channel's remaining contents. *)

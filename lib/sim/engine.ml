@@ -10,7 +10,7 @@ module Obs = Acfc_obs
    deterministic.
 
    Exposed in the interface for the property tests, which replay random
-   (time, seq) sequences against the generic closure-based {!Heap}. *)
+   (time, seq) sequences against a sorted list. *)
 module Equeue = struct
   type job =
     | Nop

@@ -18,8 +18,8 @@
 (** The engine's specialised event queue: a binary min-heap on
     (time, seq) as parallel arrays — unboxed float times, int seqs and a
     payload column — so pushes and pops allocate nothing. Exposed for
-    the property tests, which replay random sequences against the
-    generic {!Heap}. *)
+    the property tests, which replay random sequences against a sorted
+    list. *)
 module Equeue : sig
   type job =
     | Nop

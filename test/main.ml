@@ -10,8 +10,8 @@ let () =
     (List.concat
        [
          Test_rng.suites;
-         Test_heap.suites;
-         Test_dll.suites;
+         Test_equeue.suites;
+         Test_ilist.suites;
          Test_ctab.suites;
          Test_engine.suites;
          Test_resource.suites;

@@ -1,81 +1,75 @@
-(* Property tests for the columnar substrates: {!Ilist} against {!Dll},
-   {!Itbl} against a stdlib [Hashtbl] model, {!Ctab} slot lifecycle
-   (free-list reuse, growth), {!Engine.Equeue} ordering against the
-   generic {!Heap}, the full-cache {!Lockstep} random-op property, and
-   the stated order of a manager's set on both caches. All randomness
-   comes from seeded {!Rng}, so failures replay. *)
+(* Property tests for the columnar substrates: {!Ilist} against a list
+   model, {!Itbl} against a stdlib [Hashtbl] model, {!Ctab} slot
+   lifecycle (free-list reuse, growth), {!Engine.Equeue} ordering
+   against a sorted list, the whole cache refining its executable spec
+   ({!Acfc_oracle.Refine}) on random ops, and the stated order of a
+   manager's set. All randomness comes from seeded {!Rng}, so failures
+   replay. *)
 
 open Acfc_core
 open Tutil
+module Refine = Acfc_oracle.Refine
 
-(* {2 Ilist vs Dll: random op sequences over one shared store} *)
+(* {2 Ilist vs a list model: random op sequences over one shared store} *)
 
-(* The model pairs each live slot with its Dll node. Ops are chosen
-   among push_front/push_back/remove/move_front/move_back/swap on a
-   random member, interleaved with membership churn, and after every op
-   the front-to-back orders must agree. *)
+(* The model is the list's slots, front first. Ops are chosen among
+   push_front/push_back/remove/move_front/move_back/swap on a random
+   member, interleaved with membership churn, and after every op the
+   front-to-back orders must agree. *)
 let ilist_model_test ~seed ~ops () =
   let rng = Acfc_sim.Rng.create seed in
   let store = Ilist.make_store 4 in
   let il = Ilist.create () in
-  let dll = Dll.create () in
-  let nodes = Hashtbl.create 16 (* slot -> int Dll.node *) in
-  let members () = Hashtbl.fold (fun s _ acc -> s :: acc) nodes [] in
+  let model = ref [] in
+  let without s = List.filter (( <> ) s) !model in
   let pick_member () =
-    let ms = List.sort compare (members ()) in
+    let ms = List.sort compare !model in
     List.nth ms (Acfc_sim.Rng.int rng (List.length ms))
   in
   let next_slot = ref 0 in
   for step = 1 to ops do
-    let have = Hashtbl.length nodes in
     let r = Acfc_sim.Rng.int rng 100 in
-    if have = 0 || r < 30 then begin
+    if !model = [] || r < 30 then begin
       let s = !next_slot in
       incr next_slot;
       Ilist.grow_store store (s + 1);
       if Acfc_sim.Rng.int rng 2 = 0 then begin
         Ilist.push_front store il s;
-        Hashtbl.replace nodes s (Dll.push_front dll s)
+        model := s :: !model
       end
       else begin
         Ilist.push_back store il s;
-        Hashtbl.replace nodes s (Dll.push_back dll s)
+        model := !model @ [ s ]
       end
     end
     else if r < 45 then begin
       let s = pick_member () in
       Ilist.remove store il s;
-      Dll.remove dll (Hashtbl.find nodes s);
-      Hashtbl.remove nodes s
+      model := without s
     end
     else if r < 65 then begin
       let s = pick_member () in
       Ilist.move_front store il s;
-      Dll.move_front dll (Hashtbl.find nodes s)
+      model := s :: without s
     end
     else if r < 85 then begin
       let s = pick_member () in
       Ilist.move_back store il s;
-      Dll.move_back dll (Hashtbl.find nodes s)
+      model := without s @ [ s ]
     end
     else begin
       let a = pick_member () and b = pick_member () in
       if a <> b then begin
         Ilist.swap store il a b;
-        (* [swap_values] exchanges values between the two nodes, so the
-           slot -> node map must be repaired through [on_move]. *)
-        Dll.swap_values
-          ~on_move:(fun v n -> Hashtbl.replace nodes v n)
-          dll (Hashtbl.find nodes a) (Hashtbl.find nodes b)
+        model := List.map (fun s -> if s = a then b else if s = b then a else s) !model
       end
     end;
     let got = Ilist.to_list store il in
-    let want = Dll.to_list dll in
-    if got <> want then
-      Alcotest.failf "step %d: ilist %s, dll %s" step
+    if got <> !model then
+      Alcotest.failf "step %d: ilist %s, model %s" step
         (String.concat "," (List.map string_of_int got))
-        (String.concat "," (List.map string_of_int want));
-    chk_int "length agrees" (Dll.length dll) (Ilist.length il)
+        (String.concat "," (List.map string_of_int !model));
+    chk_int "length agrees" (List.length !model) (Ilist.length il)
   done;
   (* Walks agree with the order in both directions. *)
   let order = Ilist.to_list store il in
@@ -246,77 +240,124 @@ let ctab_growth () =
   let again = Ctab.alloc tab ~file:0 ~index:7 ~key:(Block.pack (blk 7)) ~owner:0 in
   chk_bool "re-alloc after drain" true (again >= 0 && not (Ctab.is_free tab again))
 
-(* {2 Equeue vs Heap: random (time, seq) streams pop identically} *)
+(* {2 Equeue vs a sorted list: random (time, seq) streams pop identically} *)
 
 let equeue_model_test ~seed ~ops () =
   let rng = Acfc_sim.Rng.create seed in
   let module E = Acfc_sim.Engine.Equeue in
-  let leq (ta, sa) (tb, sb) = ta < tb || (ta = tb && sa <= sb) in
   let eq = E.create () in
-  let heap = Acfc_sim.Heap.create ~leq () in
+  (* The model: every pending (time, seq), least first. *)
+  let model = ref [] in
   let popped = ref [] in
+  let pop_both what =
+    match !model with
+    | [] -> Alcotest.fail "model empty"
+    | (tm, sq) :: rest ->
+      model := rest;
+      chk_float (what ^ " top_time") tm (E.top_time eq);
+      (match E.pop eq with E.Thunk f -> f () | _ -> Alcotest.fail "unexpected job kind");
+      (match !popped with
+      | (tm', sq') :: _ ->
+        chk_float (what ^ " time") tm tm';
+        chk_int (what ^ " seq") sq sq'
+      | [] -> Alcotest.fail "pop recorded nothing")
+  in
   let seq = ref 0 in
   for _ = 1 to ops do
-    if (not (E.is_empty eq)) && Acfc_sim.Rng.int rng 3 = 0 then begin
-      let tm, sq = Acfc_sim.Heap.pop_exn heap in
-      chk_float "top_time" tm (E.top_time eq);
-      (match E.pop eq with
-      | E.Thunk f -> f ()
-      | _ -> Alcotest.fail "unexpected job kind");
-      match !popped with
-      | (tm', sq') :: _ ->
-        chk_float "pop time" tm tm';
-        chk_int "pop seq" sq sq'
-      | [] -> Alcotest.fail "pop recorded nothing"
-    end
+    if (not (E.is_empty eq)) && Acfc_sim.Rng.int rng 3 = 0 then pop_both "pop"
     else begin
       incr seq;
       let s = !seq in
       (* Coarse times force plenty of same-instant ties. *)
       let time = float_of_int (Acfc_sim.Rng.int rng 50) in
       E.push eq ~time ~seq:s (E.Thunk (fun () -> popped := (time, s) :: !popped));
-      Acfc_sim.Heap.push heap (time, s)
+      model := List.merge compare !model [ (time, s) ]
     end
   done;
-  chk_int "lengths agree" (Acfc_sim.Heap.length heap) (E.length eq);
+  chk_int "lengths agree" (List.length !model) (E.length eq);
   (* Drain: the full remaining order must agree. *)
   while not (E.is_empty eq) do
-    let tm, sq = Acfc_sim.Heap.pop_exn heap in
-    (match E.pop eq with E.Thunk f -> f () | _ -> Alcotest.fail "bad job");
-    match !popped with
-    | (tm', sq') :: _ ->
-      chk_float "drain time" tm tm';
-      chk_int "drain seq" sq sq'
-    | [] -> Alcotest.fail "drain recorded nothing"
+    pop_both "drain"
   done;
-  chk_bool "heap drained too" true (Acfc_sim.Heap.is_empty heap)
+  chk_bool "model drained too" true (!model = [])
 
-(* {2 Lockstep random-op property: whole columnar cache vs record twin} *)
+(* {2 Random ops: the whole columnar cache refines its spec} *)
 
-let lockstep_random ~seed ~alloc_policy () =
+let random_ops ~seed =
   let rng = Acfc_sim.Rng.create seed in
   let ri = Acfc_sim.Rng.int rng in
-  let ops =
-    Array.init 4_000 (fun _ ->
-        let p = pid (1 + ri 3) in
-        let block = blk ~file:(ri 4) (ri 64) in
-        let r = ri 100 in
-        if r < 50 then Lockstep.Read { pid = p; block; prefetch = ri 8 = 0 }
-        else if r < 70 then Lockstep.Write { pid = p; block; fetch = ri 2 = 0 }
-        else if r < 76 then Lockstep.Register_manager p
-        else if r < 82 then
-          Lockstep.Set_priority { pid = p; file = ri 4; prio = ri 3 }
-        else if r < 86 then
-          Lockstep.Set_policy
-            { pid = p; prio = ri 3; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
-        else if r < 90 then Lockstep.Sync (if ri 2 = 0 then None else Some (ri 4))
-        else if r < 95 then Lockstep.Invalidate_file (ri 4)
-        else Lockstep.Unregister_manager p)
-  in
-  let config = config ~alloc_policy 48 in
-  match Lockstep.run ~deep_every:200 config ops with
+  Array.init 4_000 (fun _ ->
+      let p = pid (1 + ri 3) in
+      let block = blk ~file:(ri 4) (ri 64) in
+      let r = ri 100 in
+      if r < 50 then Refine.Read { pid = p; block; prefetch = ri 8 = 0 }
+      else if r < 70 then Refine.Write { pid = p; block; fetch = ri 2 = 0 }
+      else if r < 76 then Refine.Register_manager p
+      else if r < 82 then Refine.Set_priority { pid = p; file = ri 4; prio = ri 3 }
+      else if r < 86 then
+        Refine.Set_policy
+          { pid = p; prio = ri 3; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
+      else if r < 90 then Refine.Sync (if ri 2 = 0 then None else Some (ri 4))
+      else if r < 95 then Refine.Invalidate_file (ri 4)
+      else Refine.Unregister_manager p)
+
+let refines ~deep_every config ops =
+  match Refine.run ~deep_every config ops with
   | Ok n -> chk_int "all ops replayed" (Array.length ops) n
-  | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d)
+  | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Refine.pp_divergence d)
+
+let refine_random ~seed ~alloc_policy () =
+  refines ~deep_every:200 (config ~alloc_policy 48) (random_ops ~seed)
+
+(* Three processes, three priorities and four files against limits of
+   two each: registrations, levels and file records run out, and the
+   control calls' errors must agree. A replay on a plain cache shows
+   each limit refuses a call. *)
+let refine_at_limits () =
+  let config = config ~max_managers:2 ~max_levels:2 ~max_file_records:2 48 in
+  let ops = random_ops ~seed:12 in
+  refines ~deep_every:1 config ops;
+  let c = Cache.create config in
+  let results = Array.map (Refine.apply (module Cache) c) ops in
+  List.iter
+    (fun e ->
+      let refused = "error " ^ Error.to_string e in
+      chk_bool refused true (Array.mem refused results))
+    [ Error.Too_many_managers; Error.Too_many_levels; Error.Too_many_file_records ]
+
+(* Revocation, a placeholder budget far below the live count, and
+   [Sticky] shared files, with the spec checked after every op. A
+   replay on a plain cache shows the run reaches all three: a manager
+   is revoked, the budget fills, and a manager references a block
+   another manager holds. *)
+let refine_revoke_recycle_sticky () =
+  let config =
+    Config.make ~capacity_blocks:48 ~max_placeholders:4 ~shared_files:Config.Sticky
+      ~revocation:{ Config.min_decisions = 4; mistake_ratio = 0.05 }
+      ()
+  in
+  let ops = random_ops ~seed:11 in
+  refines ~deep_every:1 config ops;
+  let c = Cache.create config in
+  let revoked = ref false and full = ref false and shared = ref false in
+  Cache.set_tracer c (Some (function Event.Manager_revoked _ -> revoked := true | _ -> ()));
+  let held_by_another p block =
+    List.exists
+      (fun other -> other <> p && List.exists (Block.equal block) (Cache.manager_resident c other))
+      [ pid 1; pid 2; pid 3 ]
+  in
+  Array.iter
+    (fun op ->
+      (match op with
+      | Refine.Read { pid = p; block; _ } | Refine.Write { pid = p; block; _ } ->
+        if Cache.is_manager c p && held_by_another p block then shared := true
+      | _ -> ());
+      ignore (Refine.apply (module Cache) c op);
+      if Cache.placeholder_count c = 4 then full := true)
+    ops;
+  chk_bool "a manager was revoked" true !revoked;
+  chk_bool "the placeholder budget filled" true !full;
+  chk_bool "a manager referenced another's block" true !shared
 
 (* {2 Temporary priorities over ranges around the member count}
 
@@ -324,47 +365,45 @@ let lockstep_random ~seed ~alloc_policy () =
    most as many indices as the manager has members, and visits the
    file's members inside it otherwise. Random ranges of 1 to 120 blocks
    over a 48-block cache with three managers fall on both sides of the
-   member count; {!Lockstep} holds every step against {!Acm_ref}, whose
-   index loop is the oracle, comparing level orders after each step. A
-   replay of the same ops on a plain cache counts the calls on each
-   side: both must be reached. *)
+   member count; {!Refine} holds every step against the spec, which
+   moves the set's members inside the range, comparing level orders
+   after each step. A replay of the same ops on a plain cache counts
+   the calls on each side: both must be reached. *)
 
 let temppri_ops ~seed =
   let rng = Acfc_sim.Rng.create seed in
   let ri = Acfc_sim.Rng.int rng in
-  let registers = Array.init 3 (fun i -> Lockstep.Register_manager (pid (1 + i))) in
+  let registers = Array.init 3 (fun i -> Refine.Register_manager (pid (1 + i))) in
   Array.append registers
     (Array.init 3_000 (fun _ ->
          let p = pid (1 + ri 3) in
          let r = ri 100 in
          if r < 70 then
-           Lockstep.Read { pid = p; block = blk ~file:(ri 3) (ri 64); prefetch = ri 8 = 0 }
-         else if r < 76 then Lockstep.Set_priority { pid = p; file = ri 3; prio = ri 3 }
+           Refine.Read { pid = p; block = blk ~file:(ri 3) (ri 64); prefetch = ri 8 = 0 }
+         else if r < 76 then Refine.Set_priority { pid = p; file = ri 3; prio = ri 3 }
          else if r < 80 then
-           Lockstep.Set_policy
+           Refine.Set_policy
              { pid = p; prio = ri 3; policy = (if ri 2 = 0 then Policy.Lru else Policy.Mru) }
          else begin
            let first = ri 64 in
-           Lockstep.Set_temppri
+           Refine.Set_temppri
              { pid = p; file = ri 3; first; last = first + ri 120; prio = ri 3 }
          end))
 
-let lockstep_temppri_ranges ~seed () =
+let refine_temppri_ranges ~seed () =
   let config = config 48 in
   let ops = temppri_ops ~seed in
-  (match Lockstep.run ~deep_every:1 config ops with
-  | Ok n -> chk_int "all ops replayed" (Array.length ops) n
-  | Error d -> Alcotest.failf "%s" (Format.asprintf "%a" Lockstep.pp_divergence d));
+  refines ~deep_every:1 config ops;
   let c = Cache.create config in
   let index_loop = ref 0 and member_walk = ref 0 in
   Array.iter
     (function
-      | Lockstep.Read { pid; block; prefetch } -> ignore (Cache.read ~prefetch c ~pid block)
-      | Lockstep.Register_manager p -> ignore (Cache.register_manager c p)
-      | Lockstep.Set_priority { pid; file; prio } ->
+      | Refine.Read { pid; block; prefetch } -> ignore (Cache.read ~prefetch c ~pid block)
+      | Refine.Register_manager p -> ignore (Cache.register_manager c p)
+      | Refine.Set_priority { pid; file; prio } ->
         ignore (Cache.set_priority c pid ~file ~prio)
-      | Lockstep.Set_policy { pid; prio; policy } -> ignore (Cache.set_policy c pid ~prio policy)
-      | Lockstep.Set_temppri { pid; file; first; last; prio } ->
+      | Refine.Set_policy { pid; prio; policy } -> ignore (Cache.set_policy c pid ~prio policy)
+      | Refine.Set_temppri { pid; file; first; last; prio } ->
         let members = Cache.manager_members c pid in
         if last - first < members then incr index_loop
         else if members > 0 then incr member_walk;
@@ -409,19 +448,16 @@ let temppri_full_range_matches_index_loop () =
    Wherever a manager's block set shows its order, it is ascending by
    {!Block.compare}: by file, then by index. A [set_priority] relinks a
    file's resident blocks in it, and an upcall chooser receives the set
-   in it. Each case runs on the columnar {!Cache} and on the record
-   twin {!Cache_ref}, with blocks read out of that order, so that a
-   level list's own order differs from it. *)
+   in it. Each case reads blocks out of that order, so that a level
+   list's own order differs from it, and runs on the columnar {!Cache}
+   and on its spec, which states the order in one [List.sort]; the
+   storms of `bench check` hold the two to each other on longer runs. *)
 
-module type CACHE = sig
+module type ORDERED = sig
   type t
 
-  exception Cache_busy
-
-  val create : ?backend:Backend.t -> Config.t -> t
+  val create : Config.t -> t
   val read : ?prefetch:bool -> t -> pid:Pid.t -> Block.t -> [ `Hit | `Miss ]
-  val fetched : t -> int -> unit
-  val contains : t -> Block.t -> bool
   val register_manager : t -> Pid.t -> (unit, Error.t) result
   val set_priority : t -> Pid.t -> file:Block.file -> prio:int -> (unit, Error.t) result
   val set_policy : t -> Pid.t -> prio:int -> Policy.t -> (unit, Error.t) result
@@ -436,6 +472,18 @@ module type CACHE = sig
   val check_invariants : t -> unit
 end
 
+module Columnar = struct
+  include Cache
+
+  let create config = Cache.create config
+end
+
+module Spec = struct
+  include Acfc_oracle.Cache_spec
+
+  let check_invariants c = chk_bool "spec valid" true (valid c)
+end
+
 let chk_blocks msg want got =
   let show l = String.concat " " (List.map (Format.asprintf "%a" Block.pp) l) in
   check Alcotest.string msg (show want) (show got)
@@ -446,7 +494,7 @@ let chk_blocks msg want got =
    1's blocks. A hit on block 2 makes level 1's order 2 4 3 1 0;
    relinked into the MRU level 2, each enters at the LRU end, so the
    level ends 0 1 2 3 4 behind file 2's blocks. *)
-let relink_in_ascending_order (module C : CACHE) () =
+let relink_in_ascending_order (module C : ORDERED) () =
   let c = C.create (config 16) and p = pid 1 in
   let f0 = List.map (blk ~file:0) and f1 = blk ~file:1 and f2 = blk ~file:2 in
   let read b = ignore (C.read c ~pid:p b) in
@@ -468,7 +516,7 @@ let relink_in_ascending_order (module C : CACHE) () =
 (* Three files in two levels, read out of order, fill the cache; the
    chooser consulted at the next miss receives the sorted set.
    [resident], where the cache has it, must return the same list. *)
-let chooser_receives_sorted_set (type c) (module C : CACHE with type t = c)
+let chooser_receives_sorted_set (type c) (module C : ORDERED with type t = c)
     ~(resident : (c -> Pid.t -> Block.t list) option) () =
   let reads =
     [ blk ~file:2 1; blk ~file:0 9; blk ~file:1 2; blk ~file:0 3; blk ~file:2 0;
@@ -501,7 +549,8 @@ let chooser_receives_sorted_set (type c) (module C : CACHE with type t = c)
    never a victim, and a miss with every frame so pinned raises
    [Cache_busy]. Once the fetch lands, the frame is evictable again.
    Here file 0's fetches land later and file 1's at once. *)
-let deferred_fetch_stays_pinned (module C : CACHE) () =
+let deferred_fetch_stays_pinned () =
+  let module C = Cache in
   let backend =
     {
       Backend.read_block = (fun k -> Block.packed_file k <> 0);
@@ -534,8 +583,8 @@ let suites =
   [
     ( "ctab",
       [
-        case "ilist vs dll, seed 1" (ilist_model_test ~seed:1 ~ops:2_000);
-        case "ilist vs dll, seed 2" (ilist_model_test ~seed:2 ~ops:2_000);
+        case "ilist vs a list model, seed 1" (ilist_model_test ~seed:1 ~ops:2_000);
+        case "ilist vs a list model, seed 2" (ilist_model_test ~seed:2 ~ops:2_000);
         case "itbl vs hashtbl, dense keys"
           (itbl_model_test ~seed:3 ~ops:6_000 ~keyspace:64);
         case "itbl vs hashtbl, sparse keys"
@@ -545,29 +594,29 @@ let suites =
         case "itbl spreads packed multi-file keys" itbl_multi_file_spread;
         case "ctab slot lifecycle and free-list reuse" ctab_lifecycle;
         case "ctab growth preserves columns" ctab_growth;
-        case "equeue vs heap, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);
-        case "equeue vs heap, seed 6" (equeue_model_test ~seed:6 ~ops:3_000);
-        case "lockstep random ops, lru-sp"
-          (lockstep_random ~seed:7 ~alloc_policy:Config.Lru_sp);
-        case "lockstep random ops, clock-sp"
-          (lockstep_random ~seed:8 ~alloc_policy:Config.Clock_sp);
-        case "lockstep temppri ranges around the member count, seed 9"
-          (lockstep_temppri_ranges ~seed:9);
-        case "lockstep temppri ranges around the member count, seed 10"
-          (lockstep_temppri_ranges ~seed:10);
+        case "equeue vs a sorted list, seed 5" (equeue_model_test ~seed:5 ~ops:3_000);
+        case "equeue vs a sorted list, seed 6" (equeue_model_test ~seed:6 ~ops:3_000);
+        case "refines the spec on random ops, lru-sp"
+          (refine_random ~seed:7 ~alloc_policy:Config.Lru_sp);
+        case "refines the spec on random ops, clock-sp"
+          (refine_random ~seed:8 ~alloc_policy:Config.Clock_sp);
+        case "refines the spec with revocation, a placeholder budget and sticky files"
+          refine_revoke_recycle_sticky;
+        case "refines the spec at the manager, level and file-record limits" refine_at_limits;
+        case "refines the spec on temppri ranges around the member count, seed 9"
+          (refine_temppri_ranges ~seed:9);
+        case "refines the spec on temppri ranges around the member count, seed 10"
+          (refine_temppri_ranges ~seed:10);
         case "a 2^32-block temppri range matches the index loop"
           temppri_full_range_matches_index_loop;
         case "set_priority relinks in ascending index order, columnar"
-          (relink_in_ascending_order (module Cache));
-        case "set_priority relinks in ascending index order, record twin"
-          (relink_in_ascending_order (module Cache_ref));
+          (relink_in_ascending_order (module Columnar));
+        case "set_priority relinks in ascending index order, spec"
+          (relink_in_ascending_order (module Spec));
         case "a chooser receives the set in ascending order, columnar"
-          (chooser_receives_sorted_set (module Cache) ~resident:(Some Cache.manager_resident));
-        case "a chooser receives the set in ascending order, record twin"
-          (chooser_receives_sorted_set (module Cache_ref) ~resident:None);
-        case "a fetch that lands later stays pinned, columnar"
-          (deferred_fetch_stays_pinned (module Cache));
-        case "a fetch that lands later stays pinned, record twin"
-          (deferred_fetch_stays_pinned (module Cache_ref));
+          (chooser_receives_sorted_set (module Columnar) ~resident:(Some Cache.manager_resident));
+        case "a chooser receives the set in ascending order, spec"
+          (chooser_receives_sorted_set (module Spec) ~resident:None);
+        case "a fetch that lands later stays pinned, columnar" deferred_fetch_stays_pinned;
       ] );
   ]

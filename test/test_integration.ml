@@ -139,8 +139,6 @@ let pp_smoke () =
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "%a %a %a %a" Acfc_core.Block.pp (blk 3) Acfc_core.Pid.pp (pid 1)
     Acfc_core.Policy.pp Acfc_core.Policy.Mru Params.pp Params.rz56;
-  let e = Acfc_core.Entry.make ~key:(blk 1) ~owner:(pid 0) in
-  Format.fprintf ppf "%a" Acfc_core.Entry.pp e;
   List.iter
     (fun ev -> Format.fprintf ppf "%a" Acfc_core.Event.pp ev)
     [

@@ -215,14 +215,14 @@ let perceptron_finite_and_deterministic =
 
    The AWRP and PERCEPTRON cores keep indexes (frequency classes,
    score classes) so a victim query need not rank every resident
-   block. [Policy_oracles] holds the plain full folds; these
+   block. [Acfc_oracle.Policy_oracles] holds the plain full folds; these
    properties require both to name the same victims, score the same
    hits and learn the same weights. *)
 
 let oracle_pairs : ((module Pc.CORE) * (module Pc.CORE)) list =
   [
-    ((module Policy_oracles.Awrp), (module P.Cores.Awrp));
-    ((module Policy_oracles.Perceptron), (module P.Cores.Perceptron));
+    ((module Acfc_oracle.Policy_oracles.Awrp), (module P.Cores.Awrp));
+    ((module Acfc_oracle.Policy_oracles.Perceptron), (module P.Cores.Perceptron));
   ]
 
 (* The streams the oracle properties replay. [Hot]: multi-file streams
@@ -421,7 +421,7 @@ let awrp_equal_rank_run () =
       port.admit ~pos:1 (blk 3);
       let v = port.choose ~pos:1_000_000_000 ~missing:(blk 5) in
       check Alcotest.string "smaller key wins the tie" "f0[3]" (Fmt.str "%a" Core.Block.pp v))
-    [ (module Policy_oracles.Awrp : Pc.CORE); (module P.Cores.Awrp) ]
+    [ (module Acfc_oracle.Policy_oracles.Awrp : Pc.CORE); (module P.Cores.Awrp) ]
 
 (* {2 The id design's memory bound}
 

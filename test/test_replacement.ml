@@ -4,6 +4,7 @@ open Tutil
 module Policy_core = Acfc_policy.Policy_core
 module Cores = Acfc_policy.Cores
 module Registry = Acfc_policy.Registry
+module Reference = Acfc_oracle.Reference
 
 (* {2 Trace generators} *)
 

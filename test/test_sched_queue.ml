@@ -4,6 +4,7 @@
 
 open Tutil
 module Sq = Acfc_disk.Sched_queue
+module Naive = Acfc_oracle.Sched_queue_naive
 
 (* A step either enqueues a waiter for an address or frees the drive at
    a head position and dispatches. Addresses are drawn from a small
@@ -22,7 +23,7 @@ let pick_opt q ~head = if Sq.is_empty q then None else Some (Sq.pick q ~head)
 
 let agree discipline steps =
   let indexed = Sq.create discipline in
-  let naive = Sq.Naive.create discipline in
+  let naive = Naive.create discipline in
   let next_id = ref 0 in
   List.for_all
     (fun step ->
@@ -31,13 +32,13 @@ let agree discipline steps =
         let id = !next_id in
         incr next_id;
         Sq.add indexed ~addr id;
-        Sq.Naive.add naive ~addr id;
-        Sq.length indexed = Sq.Naive.length naive
+        Naive.add naive ~addr id;
+        Sq.length indexed = Naive.length naive
       | Pick head ->
-        let a = pick_opt indexed ~head and b = Sq.Naive.pick naive ~head in
+        let a = pick_opt indexed ~head and b = Naive.pick naive ~head in
         a = b
-        && Sq.length indexed = Sq.Naive.length naive
-        && Sq.sweep_up indexed = Sq.Naive.sweep_up naive)
+        && Sq.length indexed = Naive.length naive
+        && Sq.sweep_up indexed = Naive.sweep_up naive)
     steps
 
 let fcfs_agrees =
@@ -52,12 +53,12 @@ let drain_identical () =
   List.iter
     (fun discipline ->
       let indexed = Sq.create discipline in
-      let naive = Sq.Naive.create discipline in
+      let naive = Naive.create discipline in
       let addrs = [ 30; 5; 30; 17; 99; 0; 42; 30; 5; 64 ] in
       List.iteri
         (fun id addr ->
           Sq.add indexed ~addr id;
-          Sq.Naive.add naive ~addr id)
+          Naive.add naive ~addr id)
         addrs;
       let drain pick =
         let rec go acc head =
@@ -68,7 +69,7 @@ let drain_identical () =
         go [] 20
       in
       let a = drain (pick_opt indexed) in
-      let b = drain (fun ~head -> Sq.Naive.pick naive ~head) in
+      let b = drain (fun ~head -> Naive.pick naive ~head) in
       check
         Alcotest.(list int)
         "drain order identical" b a;
