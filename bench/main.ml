@@ -913,11 +913,8 @@ let recorded_stream () =
     | Error e -> failwith ("bench: " ^ e))
   | None ->
     let recorder = Acfc_replacement.Recorder.create () in
-    let sink = Acfc_obs.Sink.create ~backend:Acfc_obs.Sink.Null () in
     ignore
-      (Acfc_scenario.Scenario.run ~obs:sink
-         ~tracer:(Acfc_replacement.Recorder.tracer recorder)
-         scenario);
+      (Acfc_scenario.Scenario.run ~obs:(Acfc_replacement.Recorder.sink recorder) scenario);
     let stream = Acfc_replacement.Recorder.stream recorder in
     (match
        Store.add st ~kind:Kind.Refstream ~label (Acfc_replacement.Refstream.render stream)

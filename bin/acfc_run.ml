@@ -818,9 +818,7 @@ let record_cmd =
     in
     maybe_dump scenario dump;
     let oc = open_output out in
-    let result =
-      Scenario.run ~tracer:(Acfc_replacement.Recorder.tracer recorder) scenario
-    in
+    let result = Scenario.run ~obs:(Acfc_replacement.Recorder.sink recorder) scenario in
     let stream = Acfc_replacement.Recorder.stream recorder in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
         Acfc_replacement.Refstream.save stream oc);

@@ -23,8 +23,7 @@ let () =
   (* Record din's reference stream from a live LRU-SP run. *)
   let recorder = Recorder.create () in
   let result =
-    Scenario.run
-      ~tracer:(Recorder.tracer recorder)
+    Scenario.run ~obs:(Recorder.sink recorder)
       (Scenario.make ~cache_blocks:819 ~alloc_policy:Config.Lru_sp
          [ Scenario.workload ~smart:true "din" ])
   in

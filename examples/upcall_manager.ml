@@ -19,6 +19,8 @@ module Cache = Acfc_core.Cache
 module Control = Acfc_core.Control
 module Block = Acfc_core.Block
 module Pid = Acfc_core.Pid
+module Sink = Acfc_obs.Sink
+module Trace = Acfc_obs.Trace
 
 let capacity = 64
 
@@ -55,16 +57,18 @@ let run ~with_upcall =
        the older last reference, LRU-K's subsidiary LRU rule. *)
     let clock = ref 0 in
     let history : (Block.t, int * int) Hashtbl.t = Hashtbl.create 256 in
-    let tracer = function
-      | Acfc_core.Event.Hit { block; _ } | Acfc_core.Event.Miss { block; _ } ->
+    let observe (r : Trace.record) =
+      match r.ev with
+      | Trace.Cache_hit { block; _ } | Trace.Cache_miss { block; _ } ->
         incr clock;
+        let block = Block.make ~file:block.file ~index:block.index in
         let last, _ =
           Option.value (Hashtbl.find_opt history block) ~default:(-1, -1)
         in
         Hashtbl.replace history block (!clock, last)
       | _ -> ()
     in
-    Cache.set_tracer cache (Some tracer);
+    Cache.set_obs cache (Some (Sink.create ~backend:(Sink.Custom observe) ()));
     ok
       (Control.set_chooser control
          (Some

@@ -61,7 +61,6 @@ type t = {
   table : Itbl.t;  (* BUF's block table: packed id -> resident slot *)
   mutable managers : manager option array;  (* index = pid *)
   mutable n_managers : int;
-  mutable tracer : (Event.t -> unit) option;
   mutable obs : Obs.Sink.t option;
 }
 
@@ -72,11 +71,8 @@ let create config ~tab ~table =
     table;
     managers = Array.make 16 None;
     n_managers = 0;
-    tracer = None;
     obs = None;
   }
-
-let set_tracer t tracer = t.tracer <- tracer
 
 let set_obs t obs = t.obs <- obs
 
@@ -452,9 +448,6 @@ let placeholder_used t ~chooser =
         && float_of_int mgr.mistakes >= mistake_ratio *. float_of_int mgr.overrules
       then begin
         mgr.revoked <- true;
-        (match t.tracer with
-        | Some f -> f (Event.Manager_revoked chooser)
-        | None -> ());
         match t.obs with
         | None -> ()
         | Some sink ->

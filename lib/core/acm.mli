@@ -46,13 +46,12 @@ val create : Config.t -> tab:Ctab.t -> table:Itbl.t -> t
     (packed block id -> resident slot), both shared with {!Buf} (built
     by {!Cache.create}). ACM only reads [table]. *)
 
-val set_tracer : t -> (Event.t -> unit) option -> unit
-(** Install a callback receiving {!Event.Manager_revoked} events. *)
-
 val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** Install the observability sink. Every [fbehavior] control call is
     emitted as a {!Acfc_obs.Trace.Syscall} event, and revocations as
-    {!Acfc_obs.Trace.Manager_revoked}. *)
+    {!Acfc_obs.Trace.Manager_revoked}. {!register} emits only on
+    success and {!unregister} only for a registered pid; the setters
+    emit before their checks, so a refused call is traced too. *)
 
 (** {2 Manager lifecycle} *)
 

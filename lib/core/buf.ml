@@ -4,14 +4,14 @@
    a struct-of-arrays side table chained through the [ph_head] column.
    Blocks travel as packed keys ({!Block.pack}) from [read_packed] to
    the backend, so the steady-state hit and miss paths allocate
-   nothing; a [Block.t] is built only for a trace event (when a tracer
-   or obs sink is installed) or an upcall chooser.
+   nothing; a [Block.t] is built only for a trace event (when an obs
+   sink is installed) or an upcall chooser.
 
    The test-only executable spec (test/oracle/cache_spec.ml) states
    the same rules over plain lists; `bench check` and the refinement
    tests hold this module, with {!Acm}, to it: identical results,
-   event streams, stats and list orders on recorded traces, generated
-   corpora and control-path storms. *)
+   obs trace streams, stats and list orders on recorded traces,
+   generated corpora and control-path storms. *)
 
 module Obs = Acfc_obs
 
@@ -40,7 +40,6 @@ type t = {
   mutable ph_queued : int;
   mutable pid_hits_a : int array;
   mutable pid_misses_a : int array;
-  mutable tracer : (Event.t -> unit) option;
   mutable obs : Obs.Sink.t option;
   mutable hits : int;
   mutable misses : int;
@@ -74,7 +73,6 @@ let create config ~acm ~tab ~table ~backend =
     ph_queued = 0;
     pid_hits_a = Array.make 8 0;
     pid_misses_a = Array.make 8 0;
-    tracer = None;
     obs = None;
     hits = 0;
     misses = 0;
@@ -84,10 +82,6 @@ let create config ~acm ~tab ~table ~backend =
     placeholders_created = 0;
     placeholders_used = 0;
   }
-
-let set_tracer t tracer =
-  t.tracer <- tracer;
-  Acm.set_tracer t.acm tracer
 
 (* Conversion to the dependency-free observability types. *)
 let oblk key = { Obs.Trace.file = Block.file key; index = Block.index key }
@@ -224,8 +218,7 @@ let ring_take t =
 let add_placeholder t ~replaced ~target ~chooser =
   if t.config.Config.max_placeholders > 0 then begin
     let pkey = t.tab.Ctab.key.(replaced) in
-    (* Replace any stale record for the same block. *)
-    discard_placeholder t pkey;
+    (* A resident block has no placeholder: [load] took it before the block entered. *)
     (* Recycle the oldest placeholders over the limit; the ring may hold
        keys of records already removed, which we just skip. A non-empty
        index implies a non-empty ring. *)
@@ -244,12 +237,6 @@ let add_placeholder t ~replaced ~target ~chooser =
     Itbl.set t.ph_idx pkey p;
     ring_push t pkey;
     t.placeholders_created <- t.placeholders_created + 1;
-    (match t.tracer with
-    | Some f ->
-      f
-        (Event.Placeholder_created
-           { replaced = Ctab.block t.tab replaced; target = Ctab.block t.tab target; chooser })
-    | None -> ());
     match t.obs with
     | None -> ()
     | Some sink ->
@@ -339,12 +326,6 @@ let evict_one t ~ph ~missing =
       let target = t.ph_target.(ph) in
       let chooser = Pid.make t.ph_chooser.(ph) in
       t.placeholders_used <- t.placeholders_used + 1;
-      (match t.tracer with
-      | Some f ->
-        f
-          (Event.Placeholder_used
-             { missing = Block.unpack missing; target = Ctab.block tab target; chooser })
-      | None -> ());
       (match t.obs with
       | None -> ()
       | Some sink ->
@@ -366,8 +347,7 @@ let evict_one t ~ph ~missing =
     | Config.Alloc_lru | Config.Lru_s | Config.Lru_sp | Config.Clock_sp ->
       Acm.replace_block t.acm ~candidate ~missing
   in
-  let overruled = chosen <> candidate in
-  if overruled then begin
+  if chosen <> candidate then begin
     t.overrule_count <- t.overrule_count + 1;
     (match t.config.Config.alloc_policy with
     | Config.Lru_s | Config.Lru_sp | Config.Clock_sp ->
@@ -395,17 +375,6 @@ let evict_one t ~ph ~missing =
       add_placeholder t ~replaced:chosen ~target:candidate ~chooser
     | Config.Global_lru | Config.Alloc_lru | Config.Lru_s -> ()
   end;
-  (match t.tracer with
-  | Some f ->
-    f
-      (Event.Evict
-         {
-           victim = Ctab.block tab chosen;
-           owner = Pid.make tab.Ctab.owner.(chosen);
-           candidate = Ctab.block tab candidate;
-           overruled;
-         })
-  | None -> ());
   (match t.obs with
   | None -> ()
   | Some sink ->
@@ -424,7 +393,6 @@ let evict_one t ~ph ~missing =
   t.evictions <- t.evictions + 1;
   if dirty then begin
     t.writebacks <- t.writebacks + 1;
-    (match t.tracer with Some f -> f (Event.Writeback (Block.unpack victim)) | None -> ());
     (match t.obs with
     | None -> ()
     | Some sink -> Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk (Block.unpack victim) }));
@@ -497,16 +465,13 @@ let obs_miss t ~pid pkey ~prefetch =
       (Obs.Trace.Cache_miss
          { pid = Pid.to_int pid; block = oblk (Block.unpack pkey); prefetch })
 
-(* The one read path. The key's record is built only for a tracer or
-   an obs sink. *)
+(* The one read path. The key's record is built only for an obs
+   sink. *)
 let read_packed ?(prefetch = false) t ~pid pkey =
   let s = Itbl.find t.table pkey in
   if s >= 0 then begin
     t.hits <- t.hits + 1;
     bump_hit t pid;
-    (match t.tracer with
-    | Some f -> f (Event.Hit { pid; block = Block.unpack pkey })
-    | None -> ());
     obs_hit t ~pid pkey;
     touch t ~pid s;
     `Hit
@@ -514,9 +479,6 @@ let read_packed ?(prefetch = false) t ~pid pkey =
   else begin
     t.misses <- t.misses + 1;
     bump_miss t pid;
-    (match t.tracer with
-    | Some f -> f (Event.Miss { pid; block = Block.unpack pkey; prefetch })
-    | None -> ());
     obs_miss t ~pid pkey ~prefetch;
     load t ~pid pkey ~dirty:false ~fetch:true ~prefetched:prefetch;
     `Miss
@@ -527,9 +489,6 @@ let write_packed t ~pid pkey ~fetch =
   if s >= 0 then begin
     t.hits <- t.hits + 1;
     bump_hit t pid;
-    (match t.tracer with
-    | Some f -> f (Event.Hit { pid; block = Block.unpack pkey })
-    | None -> ());
     obs_hit t ~pid pkey;
     t.tab.Ctab.flags.(s) <- t.tab.Ctab.flags.(s) lor Ctab.dirty_bit;
     touch t ~pid s;
@@ -538,9 +497,6 @@ let write_packed t ~pid pkey ~fetch =
   else begin
     t.misses <- t.misses + 1;
     bump_miss t pid;
-    (match t.tracer with
-    | Some f -> f (Event.Miss { pid; block = Block.unpack pkey; prefetch = false })
-    | None -> ());
     obs_miss t ~pid pkey ~prefetch:false;
     load t ~pid pkey ~dirty:true ~fetch ~prefetched:false;
     `Miss
@@ -572,7 +528,6 @@ let sync t ?file () =
         tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.dirty_bit;
         t.writebacks <- t.writebacks + 1;
         incr written;
-        (match t.tracer with Some f -> f (Event.Writeback (Block.unpack pkey)) | None -> ());
         (match t.obs with
         | None -> ()
         | Some sink ->
@@ -606,7 +561,6 @@ let take_dirty_followers t key ~max_blocks =
       then begin
         tab.Ctab.flags.(s) <- tab.Ctab.flags.(s) land lnot Ctab.dirty_bit;
         t.writebacks <- t.writebacks + 1;
-        (match t.tracer with Some f -> f (Event.Writeback next) | None -> ());
         (match t.obs with
         | None -> ()
         | Some sink -> Obs.Sink.emit sink (Obs.Trace.Writeback { block = oblk next }));
@@ -714,6 +668,7 @@ let check_invariants t =
   Itbl.iter
     (fun pkey p ->
       if t.ph_key.(p) <> pkey then failwith "Buf: placeholder key mismatch";
+      if Itbl.mem t.table pkey then failwith "Buf: placeholder for a resident block";
       let target = t.ph_target.(p) in
       if Ctab.is_free tab target then failwith "Buf: placeholder target freed";
       if Itbl.find t.table tab.Ctab.key.(target) <> target then

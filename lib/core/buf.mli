@@ -24,10 +24,10 @@
     int-keyed {!Itbl} over packed block ids, the global list an
     intrusive {!Ilist} over the shared {!Ctab} columns, and the
     steady-state hit/miss paths are allocation-free: blocks stay packed
-    keys down to the {!Backend}, and trace events are built only when a
-    tracer or obs sink is installed. A test-only executable spec states
-    the same rules over plain lists, and refinement replays hold this
-    module to it ([test/oracle]). *)
+    keys down to the {!Backend}, and trace events are built only when an
+    obs sink is installed. A test-only executable spec states the same
+    rules, and the same trace, over plain lists, and refinement replays
+    hold this module to it ([test/oracle]). *)
 
 type t
 
@@ -40,9 +40,6 @@ val create : Config.t -> acm:Acm.t -> tab:Ctab.t -> table:Itbl.t -> backend:Back
 (** [tab] is the columnar entry table and [table] the block table
     (packed block id -> slot), both shared with [acm] (see
     {!Cache.create}). BUF alone writes [table]. *)
-
-val set_tracer : t -> (Event.t -> unit) option -> unit
-(** Also installs the tracer on the underlying {!Acm}. *)
 
 val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** Install (or remove) the observability sink, also on the underlying
@@ -63,8 +60,8 @@ val read_packed : ?prefetch:bool -> t -> pid:Pid.t -> int -> [ `Hit | `Miss ]
     lands later). [prefetch] (default false) marks a
     read-ahead: the block is installed without recency (see
     {!Acm.new_block}). The one read path: {!Cache.read} packs its key
-    and calls it. A hit or a miss builds no [Block.t] unless a tracer or
-    obs sink is installed. *)
+    and calls it. A hit or a miss builds no [Block.t] unless an obs sink
+    is installed. *)
 
 val fetched : t -> int -> unit
 (** [fetched t pkey] reports that the fetch of the block with packed key

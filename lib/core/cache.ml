@@ -17,8 +17,6 @@ let create ?(backend = Backend.null) config =
 
 let config t = Buf.config t.buf
 
-let set_tracer t tracer = Buf.set_tracer t.buf tracer
-
 let set_obs t obs = Buf.set_obs t.buf obs
 
 let read_packed ?prefetch t ~pid pkey = Buf.read_packed ?prefetch t.buf ~pid pkey

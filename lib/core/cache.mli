@@ -20,14 +20,14 @@ val create : ?backend:Backend.t -> Config.t -> t
 
 val config : t -> Config.t
 
-val set_tracer : t -> (Event.t -> unit) option -> unit
-
 val set_obs : t -> Acfc_obs.Sink.t option -> unit
 (** Install the observability sink on both kernel halves ({!Buf} and
     {!Acm}): typed trace events for every cache transition and
     [fbehavior] call, plus counter gauges on the sink's metrics
     registry. [None] (the default) disables instrumentation; the
-    hot-path cost is then a single branch. *)
+    hot-path cost is then a single branch. This is the cache's one
+    event channel: the trace recorder, the tests and the executable
+    spec's refinement check all read it. *)
 
 (** {2 Data path} *)
 

@@ -1,39 +1,23 @@
 type backend =
   | Null
-  | Ring of int
   | Jsonl of out_channel
   | Csv of out_channel
   | Custom of (Trace.record -> unit)
 
-type store =
-  | S_null
-  | S_ring of { buf : Trace.record option array; mutable next : int }
-  | S_jsonl of out_channel
-  | S_csv of out_channel
-  | S_custom of (Trace.record -> unit)
-
 type t = {
   mutable clock : unit -> float;
-  store : store;
+  backend : backend;
   metrics : Metrics.t;
   mutable emitted : int;
 }
 
 let create ?(clock = fun () -> 0.0) ?(backend = Null) () =
-  let store =
-    match backend with
-    | Null -> S_null
-    | Ring n ->
-      if n <= 0 then invalid_arg "Sink.create: ring capacity must be positive";
-      S_ring { buf = Array.make n None; next = 0 }
-    | Jsonl oc -> S_jsonl oc
-    | Csv oc ->
-      output_string oc Trace.csv_header;
-      output_char oc '\n';
-      S_csv oc
-    | Custom f -> S_custom f
-  in
-  { clock; store; metrics = Metrics.create (); emitted = 0 }
+  (match backend with
+  | Csv oc ->
+    output_string oc Trace.csv_header;
+    output_char oc '\n'
+  | Null | Jsonl _ | Custom _ -> ());
+  { clock; backend; metrics = Metrics.create (); emitted = 0 }
 
 let set_clock t clock = t.clock <- clock
 
@@ -43,31 +27,19 @@ let metrics t = t.metrics
 
 let emit t ev =
   t.emitted <- t.emitted + 1;
-  match t.store with
-  | S_null -> ()
-  | S_ring r ->
-    r.buf.(r.next) <- Some { Trace.time = t.clock (); ev };
-    r.next <- (r.next + 1) mod Array.length r.buf
-  | S_jsonl oc ->
+  match t.backend with
+  | Null -> ()
+  | Jsonl oc ->
     output_string oc (Json.to_string (Trace.to_json { Trace.time = t.clock (); ev }));
     output_char oc '\n'
-  | S_csv oc ->
+  | Csv oc ->
     output_string oc (Trace.to_csv { Trace.time = t.clock (); ev });
     output_char oc '\n'
-  | S_custom f -> f { Trace.time = t.clock (); ev }
-
-let ring_contents t =
-  match t.store with
-  | S_ring r ->
-    let n = Array.length r.buf in
-    List.filter_map
-      (fun i -> r.buf.((r.next + i) mod n))
-      (List.init n Fun.id)
-  | S_null | S_jsonl _ | S_csv _ | S_custom _ -> []
+  | Custom f -> f { Trace.time = t.clock (); ev }
 
 let emitted t = t.emitted
 
 let flush t =
-  match t.store with
-  | S_jsonl oc | S_csv oc -> Stdlib.flush oc
-  | S_null | S_ring _ | S_custom _ -> ()
+  match t.backend with
+  | Jsonl oc | Csv oc -> Stdlib.flush oc
+  | Null | Custom _ -> ()

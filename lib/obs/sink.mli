@@ -11,7 +11,6 @@ type t
 
 type backend =
   | Null  (** count events, keep nothing *)
-  | Ring of int  (** keep the last [n] records in memory *)
   | Jsonl of out_channel  (** one JSON object per line *)
   | Csv of out_channel  (** header written immediately *)
   | Custom of (Trace.record -> unit)
@@ -32,9 +31,6 @@ val emit : t -> Trace.t -> unit
 
 val emitted : t -> int
 (** Events emitted since creation, whatever the backend. *)
-
-val ring_contents : t -> Trace.record list
-(** Oldest first; empty unless the backend is [Ring]. *)
 
 val flush : t -> unit
 (** Flush an output-channel backend; a no-op otherwise. The caller

@@ -1,11 +1,10 @@
 (** Structured trace events for the whole simulator.
 
     Every layer (cache, allocation manager, file system, disks, bus,
-    engine) can emit these through a {!Sink.t}. Unlike
-    {!Acfc_core.Event.t} — the in-process callback used by tests and
-    the replacement recorder — these events carry the simulated
-    timestamp and are designed for machine-readable export (JSONL,
-    CSV) and offline validation.
+    engine) emits these through a {!Sink.t}, the one way to observe a
+    run: JSONL and CSV export, the replacement recorder, the tests and
+    the executable cache spec all read the same records, each carrying
+    its simulated timestamp.
 
     Pids, files and blocks are carried as plain integers so the
     library stays dependency-free and usable from every layer. *)

@@ -1,21 +1,24 @@
-module Event = Acfc_core.Event
+module Trace = Acfc_obs.Trace
 
 type t = { mutable entries : Refstream.entry list (* reversed *); mutable length : int }
 
 let create () = { entries = []; length = 0 }
 
-let record t e =
-  t.entries <- e :: t.entries;
+let record t pid (b : Trace.block) ~hit ~prefetch =
+  let block = Acfc_core.Block.make ~file:b.file ~index:b.index in
+  t.entries <- { Refstream.pid = Acfc_core.Pid.make pid; block; hit; prefetch } :: t.entries;
   t.length <- t.length + 1
 
-let tracer t = function
-  | Event.Hit { pid; block } ->
-    record t { Refstream.pid; block; hit = true; prefetch = false }
-  | Event.Miss { pid; block; prefetch } ->
-    record t { Refstream.pid; block; hit = false; prefetch }
-  | Event.Evict _ | Event.Writeback _ | Event.Placeholder_created _
-  | Event.Placeholder_used _ | Event.Manager_revoked _ ->
+let observe t (r : Trace.record) =
+  match r.ev with
+  | Trace.Cache_hit { pid; block } -> record t pid block ~hit:true ~prefetch:false
+  | Trace.Cache_miss { pid; block; prefetch } -> record t pid block ~hit:false ~prefetch
+  | Trace.Evict _ | Trace.Writeback _ | Trace.Swap _ | Trace.Placeholder_created _
+  | Trace.Placeholder_hit _ | Trace.Manager_revoked _ | Trace.Disk_io _ | Trace.Syscall _
+  | Trace.Fiber _ ->
     ()
+
+let sink t = Acfc_obs.Sink.create ~backend:(Acfc_obs.Sink.Custom (observe t)) ()
 
 let length t = t.length
 

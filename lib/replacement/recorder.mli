@@ -1,9 +1,11 @@
 (** Reference-trace recording.
 
     The companion paper's methodology is trace-driven simulation; this
-    module closes the loop with the live system: install {!tracer} on a
-    running cache (or pass it to the workload runner), collect the
-    reference stream, and take it as a {!Refstream.t} with {!stream}.
+    module closes the loop with the live system: pass {!sink} as a
+    run's observability sink (or install it on one cache with
+    [Cache.set_obs]), collect the reference stream from the cache's
+    hit and miss records, and take it as a {!Refstream.t} with
+    {!stream}.
     {!Refstream} does the rest: {!Refstream.demand} projects the trace
     to replay through {!Policy_sim} (read-ahead misses are recorded but
     flagged, and left out by default), and {!Refstream.save} /
@@ -13,9 +15,12 @@ type t
 
 val create : unit -> t
 
-val tracer : t -> Acfc_core.Event.t -> unit
-(** The callback to install with [Cache.set_tracer] (or compose with
-    another tracer). Only hit/miss events are recorded. *)
+val observe : t -> Acfc_obs.Trace.record -> unit
+(** Record a [Cache_hit] or [Cache_miss]; every other record is
+    ignored. Compose it with other consumers in one [Custom] sink. *)
+
+val sink : t -> Acfc_obs.Sink.t
+(** A fresh sink whose [Custom] backend is {!observe}. *)
 
 val length : t -> int
 

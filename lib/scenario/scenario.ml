@@ -456,7 +456,7 @@ type machine = {
   rng : Rng.t;
 }
 
-let assemble ?tracer ?obs ~seed ~disks ~update_interval:_ ~hit_cost ~io_cpu_cost
+let assemble ?obs ~seed ~disks ~update_interval:_ ~hit_cost ~io_cpu_cost
     ~write_cluster ~readahead ~scattered_layout ~config specs =
   if specs = [] then invalid_arg "Scenario.run: no applications";
   let engine = Engine.create () in
@@ -480,7 +480,6 @@ let assemble ?tracer ?obs ~seed ~disks ~update_interval:_ ~hit_cost ~io_cpu_cost
       ?readahead ~layout ()
   in
   let cache = Acfc_fs.Fs.cache fs in
-  (match tracer with Some f -> Cache.set_tracer cache (Some f) | None -> ());
   (* Thread the observability sink through every layer of the machine.
      The engine goes first: it points the sink's clock at virtual time,
      so all later events carry simulated timestamps. *)
@@ -637,7 +636,7 @@ let monitor_with_metrics ~who monitor obs =
 
 let run_specs ?(seed = 0) ?disks ?disk_sched ?(update_interval = 30.0) ?hit_cost
     ?io_cpu_cost ?write_cluster ?readahead ?(scattered_layout = false) ?revocation
-    ?shared_files ?tracer ?obs ?monitor ~cache_blocks ~alloc_policy specs =
+    ?shared_files ?obs ?monitor ~cache_blocks ~alloc_policy specs =
   let disks =
     match disks with
     | None -> default_disks
@@ -658,7 +657,7 @@ let run_specs ?(seed = 0) ?disks ?disk_sched ?(update_interval = 30.0) ?hit_cost
     Config.make ~alloc_policy ?revocation ?shared_files ~capacity_blocks:cache_blocks ()
   in
   let machine =
-    assemble ?tracer ?obs ~seed ~disks ~update_interval ~hit_cost ~io_cpu_cost
+    assemble ?obs ~seed ~disks ~update_interval ~hit_cost ~io_cpu_cost
       ~write_cluster ~readahead ~scattered_layout ~config specs
   in
   run_assembled
@@ -702,16 +701,16 @@ let workload_rngs t =
   if t.scattered_layout then ignore (Rng.split rng);
   List.map (fun _ -> Rng.split rng) t.workloads
 
-let build ?tracer ?obs t =
+let build ?obs t =
   let specs = List.map spec_of_workload t.workloads in
-  assemble ?tracer ?obs ~seed:t.seed ~disks:t.disks ~update_interval:t.update_interval
+  assemble ?obs ~seed:t.seed ~disks:t.disks ~update_interval:t.update_interval
     ~hit_cost:t.hit_cost ~io_cpu_cost:t.io_cpu_cost ~write_cluster:t.write_cluster
     ~readahead:t.readahead ~scattered_layout:t.scattered_layout ~config:t.config specs
 
-let run ?tracer ?obs ?monitor t =
+let run ?obs ?monitor t =
   let specs = List.map spec_of_workload t.workloads in
   let machine =
-    assemble ?tracer ?obs ~seed:t.seed ~disks:t.disks
+    assemble ?obs ~seed:t.seed ~disks:t.disks
       ~update_interval:t.update_interval ~hit_cost:t.hit_cost
       ~io_cpu_cost:t.io_cpu_cost ~write_cluster:t.write_cluster
       ~readahead:t.readahead ~scattered_layout:t.scattered_layout ~config:t.config

@@ -221,14 +221,10 @@ type machine = {
   rng : Acfc_sim.Rng.t;  (** post-assembly state: split per workload *)
 }
 
-val build :
-  ?tracer:(Acfc_core.Event.t -> unit) ->
-  ?obs:Acfc_obs.Sink.t ->
-  t ->
-  machine
+val build : ?obs:Acfc_obs.Sink.t -> t -> machine
 (** Assemble engine, bus, disks, CPU, file system and cache for the
     scenario — everything except the workload fibers — and wire the
-    optional tracer and observability sink through every layer. *)
+    optional observability sink through every layer. *)
 
 val workload_rngs : t -> Acfc_sim.Rng.t list
 (** The private RNG stream each workload fiber would receive from
@@ -238,7 +234,6 @@ val workload_rngs : t -> Acfc_sim.Rng.t list
     demand stream of a live run of this scenario. *)
 
 val run :
-  ?tracer:(Acfc_core.Event.t -> unit) ->
   ?obs:Acfc_obs.Sink.t ->
   ?monitor:Acfc_obs.Monitor.producer * float ->
   t ->
@@ -269,7 +264,6 @@ val run_specs :
   ?scattered_layout:bool ->
   ?revocation:Acfc_core.Config.revocation ->
   ?shared_files:Acfc_core.Config.shared_files ->
-  ?tracer:(Acfc_core.Event.t -> unit) ->
   ?obs:Acfc_obs.Sink.t ->
   ?monitor:Acfc_obs.Monitor.producer * float ->
   cache_blocks:int ->

@@ -56,9 +56,7 @@ let check_exec_and_references p ~seed =
   let sc = scenario_of p ~seed in
   match
     let recorder = Recorder.create () in
-    let (_ : Acfc_workload.Runner.t) =
-      Scenario.run ~tracer:(Recorder.tracer recorder) sc
-    in
+    let (_ : Acfc_workload.Runner.t) = Scenario.run ~obs:(Recorder.sink recorder) sc in
     Acfc_replacement.Refstream.demand (Recorder.stream recorder)
   with
   | exception e -> Error ("valid-exec", "exec raised: " ^ Printexc.to_string e)

@@ -2,15 +2,18 @@
    paper (Sec. 3-4) and DESIGN.md §4 state them, over plain lists and
    one lookup table, for {!Refine} to hold the columnar
    {!Acfc_core.Cache} to. It has the facade's operations and
-   observations, under the same names.
+   observations, under the same names, and emits the
+   {!Acfc_obs.Trace.t} records the columnar cache sends its obs sink,
+   in the same order: the trace users read is part of what it states.
 
    Nothing here is fast: every rule walks, copies or sorts a list where
    that is the plainest statement. The spec leaves out what no check
    compares: the device (every fetch lands at once, so nothing is ever
-   pinned and [Cache_busy] cannot arise), obs events, gauges and
-   per-pid counters. *)
+   pinned and [Cache_busy] cannot arise), gauges and per-pid
+   counters. *)
 
 open Acfc_core
+module Trace = Acfc_obs.Trace
 
 type chooser = candidate:Block.t -> resident:Block.t list -> Block.t option
 
@@ -49,7 +52,7 @@ type t = {
   mutable placeholders : (Block.t * Block.t * Pid.t) list;
       (* (replaced, target, chooser), at most one per replaced block *)
   queued : Block.t Queue.t;  (* replaced blocks in creation order *)
-  mutable tracer : (Event.t -> unit) option;
+  mutable observer : (Trace.t -> unit) option;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -67,7 +70,7 @@ let create config =
     managers = [];
     placeholders = [];
     queued = Queue.create ();
-    tracer = None;
+    observer = None;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -77,9 +80,17 @@ let create config =
     used = 0;
   }
 
-let set_tracer t tracer = t.tracer <- tracer
+let set_observer t observer = t.observer <- observer
 
-let emit t ev = Option.iter (fun f -> f ev) t.tracer
+let emit t ev = Option.iter (fun f -> f ev) t.observer
+
+(* A block and a pid as trace records carry them. *)
+let tb k = { Trace.file = k.Block.file; index = k.Block.index }
+
+let tp = Pid.to_int
+
+(* An [fbehavior] call, traced with the columnar ACM's detail string. *)
+let call t pid op detail = emit t (Trace.Syscall { pid = tp pid; op; detail })
 
 let without key = List.filter (fun k -> not (Block.equal k key))
 
@@ -142,7 +153,9 @@ let add_placeholder t ~replaced ~target ~chooser =
     t.placeholders <- (replaced, target, chooser) :: t.placeholders;
     Queue.push replaced t.queued;
     t.created <- t.created + 1;
-    emit t (Event.Placeholder_created { replaced; target; chooser })
+    emit t
+      (Trace.Placeholder_created
+         { replaced = tb replaced; target = tb target; chooser = tp chooser })
   end
 
 (* A placeholder fired: [pid]'s overrule was a mistake. Past
@@ -160,7 +173,7 @@ let mistake t pid =
              && float_of_int m.mistakes >= r.Config.mistake_ratio *. float_of_int m.overrules
         ->
         m.revoked <- true;
-        emit t (Event.Manager_revoked pid)
+        emit t (Trace.Manager_revoked { pid = tp pid })
       | Some _ | None -> ())
     (manager t pid)
 
@@ -245,23 +258,26 @@ let drop t key =
    placeholder, if any, makes its target the candidate and charges its
    chooser a mistake. Only [Global_lru] never consults; an overrule
    swaps the two blocks' global positions under LRU-S, LRU-SP and
-   CLOCK-SP, and leaves a placeholder under LRU-SP and CLOCK-SP. *)
+   CLOCK-SP (traced as a swap that keeps the candidate), and leaves a
+   placeholder under LRU-SP and CLOCK-SP. The eviction is traced with
+   the allocation policy's name and the reason "capacity". *)
 let evict t ~missing placeholder =
   let candidate =
     match placeholder with
     | Some (_, target, chooser) ->
       t.used <- t.used + 1;
-      emit t (Event.Placeholder_used { missing; target; chooser });
+      emit t
+        (Trace.Placeholder_hit
+           { missing = tb missing; target = tb target; chooser = tp chooser });
       mistake t chooser;
       target
     | None -> kernel_candidate t
   in
   let policy = t.config.Config.alloc_policy in
   let chosen = if policy = Config.Global_lru then candidate else consult t candidate in
-  let overruled = not (Block.equal chosen candidate) in
-  if overruled then begin
+  if not (Block.equal chosen candidate) then begin
     t.overrule_count <- t.overrule_count + 1;
-    if policy <> Config.Alloc_lru then
+    if policy <> Config.Alloc_lru then begin
       t.order <-
         List.map
           (fun k ->
@@ -269,17 +285,27 @@ let evict t ~missing placeholder =
             else if Block.equal k chosen then candidate
             else k)
           t.order;
+      emit t (Trace.Swap { kept = tb candidate; victim = tb chosen })
+    end;
     if policy = Config.Lru_sp || policy = Config.Clock_sp then
       add_placeholder t ~replaced:chosen ~target:candidate
         ~chooser:(Option.get (frame t chosen).holder)
   end;
   let f = frame t chosen in
-  emit t (Event.Evict { victim = chosen; owner = f.owner; candidate; overruled });
+  emit t
+    (Trace.Evict
+       {
+         victim = tb chosen;
+         owner = tp f.owner;
+         candidate = tb candidate;
+         policy = Config.alloc_policy_to_string policy;
+         reason = "capacity";
+       });
   drop t chosen;
   t.evictions <- t.evictions + 1;
   if f.dirty then begin
     t.writebacks <- t.writebacks + 1;
-    emit t (Event.Writeback chosen)
+    emit t (Trace.Writeback { block = tb chosen })
   end
 
 (* A miss installs the block at the MRU end of the global order and, if
@@ -341,13 +367,13 @@ let access t ~pid key ~dirty ~prefetch =
   match Hashtbl.find_opt t.frames key with
   | Some f ->
     t.hits <- t.hits + 1;
-    emit t (Event.Hit { pid; block = key });
+    emit t (Trace.Cache_hit { pid = tp pid; block = tb key });
     if dirty then f.dirty <- true;
     reference t ~pid key f;
     `Hit
   | None ->
     t.misses <- t.misses + 1;
-    emit t (Event.Miss { pid; block = key; prefetch });
+    emit t (Trace.Cache_miss { pid = tp pid; block = tb key; prefetch });
     load t ~pid key ~dirty ~prefetch;
     `Miss
 
@@ -363,18 +389,35 @@ let sync t ?file () =
     (fun k ->
       (frame t k).dirty <- false;
       t.writebacks <- t.writebacks + 1;
-      emit t (Event.Writeback k))
+      emit t (Trace.Writeback { block = tb k }))
     (List.sort Block.compare dirty);
   List.length dirty
 
-(* Drop every block of a deleted file, dirty ones unwritten. No event
-   is traced. *)
+(* Drop every block of a deleted file, dirty ones unwritten, in
+   ascending key order. Each is traced as an eviction that is its own
+   candidate, for the reason "invalidate". *)
 let invalidate_file t ~file =
-  let gone = List.filter (fun k -> k.Block.file = file) t.order in
-  List.iter (drop t) gone;
+  let gone = List.sort Block.compare (List.filter (fun k -> k.Block.file = file) t.order) in
+  List.iter
+    (fun k ->
+      emit t
+        (Trace.Evict
+           {
+             victim = tb k;
+             owner = tp (frame t k).owner;
+             candidate = tb k;
+             policy = Config.alloc_policy_to_string t.config.Config.alloc_policy;
+             reason = "invalidate";
+           });
+      drop t k)
+    gone;
   List.length gone
 
-(* {2 Control path} *)
+(* {2 Control path}
+
+   Each call is traced as a syscall: [register_manager] only when it
+   succeeds, [unregister_manager] only for a registered pid, and the
+   setters before any check, so a refused call is traced too. *)
 
 let register_manager t pid =
   if Option.is_some (manager t pid) then Error Error.Already_registered
@@ -393,6 +436,7 @@ let register_manager t pid =
         revoked = false;
       }
       :: t.managers;
+    call t pid "register" "";
     Ok ()
   end
 
@@ -401,7 +445,8 @@ let unregister_manager t pid =
   Option.iter
     (fun m ->
       List.iter (fun k -> leave t k (frame t k)) (members m);
-      t.managers <- List.filter (fun m' -> m' != m) t.managers)
+      t.managers <- List.filter (fun m' -> m' != m) t.managers;
+      call t pid "unregister" "")
     (manager t pid)
 
 (* A control call: by a registered manager, not revoked. *)
@@ -425,6 +470,7 @@ let ensure_level t m prio =
 (* The file's resident blocks at no temporary priority move to the new
    level now, in the set's order, each to the end replaced later. *)
 let set_priority t pid ~file ~prio =
+  call t pid "set_priority" (Printf.sprintf "file=%d prio=%d" file prio);
   control t pid (fun m ->
       if
         prio <> 0
@@ -445,12 +491,15 @@ let set_priority t pid ~file ~prio =
           (ensure_level t m prio))
 
 let set_policy t pid ~prio policy =
+  call t pid "set_policy" (Printf.sprintf "prio=%d policy=%s" prio (Policy.to_string policy));
   control t pid (fun m -> Result.map (fun l -> l.policy <- policy) (ensure_level t m prio))
 
 (* The resident blocks of [file] in [first..last] move to level [prio]
    in the set's order, each to the end replaced later, and stay there
    until their next reference or replacement. *)
 let set_temppri t pid ~file ~first ~last ~prio =
+  call t pid "set_temppri"
+    (Printf.sprintf "file=%d first=%d last=%d prio=%d" file first last prio);
   control t pid (fun m ->
       if first < 0 || last < first then Error Error.Invalid_range
       else
@@ -469,6 +518,7 @@ let set_temppri t pid ~file ~first ~last ~prio =
           (ensure_level t m prio))
 
 let set_chooser t pid chooser =
+  call t pid "set_chooser" (if Option.is_some chooser then "install" else "remove");
   control t pid (fun m ->
       m.upcall <- chooser;
       Ok ())

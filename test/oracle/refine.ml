@@ -2,7 +2,9 @@
    executable spec {!Cache_spec}.
 
    Both run the same op sequence. After every op, the op's result and
-   the events it traced must agree. At every [deep_every]-th op and at
+   the {!Acfc_obs.Trace.t} records it emitted must agree: the columnar
+   cache's through a [Custom] obs sink, the spec's through its
+   observer. At every [deep_every]-th op and at
    the end, the abstraction of both states must agree too: the stats,
    the global order, each level an op touched and the counters of each
    manager ever registered. There the columnar cache's
@@ -15,6 +17,8 @@
    deep comparison after every op. *)
 
 open Acfc_core
+module Trace = Acfc_obs.Trace
+module Sink = Acfc_obs.Sink
 
 (* One cache operation. Control-path ops mirror the [fbehavior]
    interface; [Set_chooser] installs the same (deterministic) closure
@@ -167,15 +171,18 @@ let abstraction (type c) (module C : CACHE with type t = c) (c : c) ~levels ~pid
             (C.manager_mistakes c pid) (C.manager_revoked c pid) ))
       pids
 
-let events evs =
-  Format.asprintf "@[<v>%a@]" (Format.pp_print_list ~pp_sep:Format.pp_print_cut Event.pp)
+let records evs =
+  let pp ppf ev = Trace.pp ppf { Trace.time = 0.0; ev } in
+  Format.asprintf "@[<v>%a@]"
+    (Format.pp_print_list ~pp_sep:Format.pp_print_cut pp)
     (List.rev evs)
 
 let run ?(deep_every = 512) config ops =
   let a = Cache.create config and b = Cache_spec.create config in
   let ea = ref [] and eb = ref [] in
-  Cache.set_tracer a (Some (fun e -> ea := e :: !ea));
-  Cache_spec.set_tracer b (Some (fun e -> eb := e :: !eb));
+  let columnar r = ea := r.Trace.ev :: !ea in
+  Cache.set_obs a (Some (Sink.create ~backend:(Sink.Custom columnar) ()));
+  Cache_spec.set_observer b (Some (fun e -> eb := e :: !eb));
   (* The levels worth comparing: every (pid, prio) a control op named,
      and level 0 of every manager registered. *)
   let levels = ref [] and pids = ref [] in
@@ -213,7 +220,7 @@ let run ?(deep_every = 512) config ops =
         | Read _ | Write _ | Sync _ | Invalidate_file _ | Unregister_manager _ | Set_chooser _ ->
           ());
         agree step "result" ra rb;
-        if !ea <> !eb then agree step "event stream" (events !ea) (events !eb);
+        if !ea <> !eb then agree step "trace records" (records !ea) (records !eb);
         if (step + 1) mod deep_every = 0 || step = last then deep step)
       ops
   with

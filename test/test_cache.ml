@@ -1,5 +1,6 @@
 open Acfc_core
 open Tutil
+module Trace = Acfc_obs.Trace
 
 (* A backend that records its calls, for observing device traffic. It
    receives packed keys and logs their records. *)
@@ -378,8 +379,7 @@ let revocation_fires () =
   let revocation = { Config.min_decisions = 3; mistake_ratio = 0.5 } in
   let c = Cache.create (config ~revocation 3) in
   let revoked_event = ref false in
-  Cache.set_tracer c
-    (Some (function Event.Manager_revoked _ -> revoked_event := true | _ -> ()));
+  watch c (function Trace.Manager_revoked _ -> revoked_event := true | _ -> ());
   ok_exn (Cache.register_manager c p0);
   ok_exn (Cache.set_policy c p0 ~prio:0 Policy.Mru);
   List.iter (fun i -> ignore (Cache.read c ~pid:p0 (blk i))) [ 0; 1; 2 ];
@@ -538,6 +538,40 @@ let upcall_mru_equals_pool_mru () =
   in
   chk_bool "upcall MRU == pool MRU" true (run_pool () = run_upcall ())
 
+(* The [syscall] records of the control calls, stated directly:
+   [register] traces only on success and [unregister] only for a
+   registered pid, while the setters trace before their checks, so a
+   refused call still shows in the trace. *)
+let control_calls_trace () =
+  let seen = ref [] in
+  let c = Cache.create (config ~max_managers:1 8) in
+  watch c (function
+    | Trace.Syscall { pid; op; detail } ->
+      seen := String.trim (Printf.sprintf "%d %s %s" pid op detail) :: !seen
+    | _ -> ());
+  Cache.unregister_manager c p0;
+  chk_bool "set_priority refused" true
+    (Cache.set_priority c p0 ~file:0 ~prio:1 = Error Error.Not_registered);
+  ok_exn (Cache.register_manager c p0);
+  chk_bool "duplicate" true (Cache.register_manager c p0 = Error Error.Already_registered);
+  chk_bool "limit" true (Cache.register_manager c p1 = Error Error.Too_many_managers);
+  chk_bool "invalid range" true
+    (Cache.set_temppri c p0 ~file:0 ~first:3 ~last:2 ~prio:1 = Error Error.Invalid_range);
+  ok_exn (Cache.set_chooser c p0 None);
+  Cache.unregister_manager c p0;
+  Cache.unregister_manager c p0;
+  check
+    Alcotest.(list string)
+    "sequence"
+    [
+      "0 set_priority file=0 prio=1";
+      "0 register";
+      "0 set_temppri file=0 first=3 last=2 prio=1";
+      "0 set_chooser remove";
+      "0 unregister";
+    ]
+    (List.rev !seen)
+
 let upcall_requires_registration () =
   let c = Cache.create (config 3) in
   chk_bool "not registered" true
@@ -546,27 +580,57 @@ let upcall_requires_registration () =
 
 (* {2 Events} *)
 
-let tracer_sees_lifecycle () =
-  let events = ref [] in
+(* The records an LRU-SP cache traces, stated directly: a plain
+   eviction, then an MRU manager overruling the kernel (a swap that
+   keeps the candidate, a placeholder for the victim pointing at it),
+   then a deleted file's blocks dropped in ascending order. *)
+let trace_lifecycle () =
+  let seen = ref [] in
   let c = Cache.create (config 2) in
-  Cache.set_tracer c (Some (fun e -> events := e :: !events));
+  let show = function
+    | Trace.Cache_hit { block; _ } -> Printf.sprintf "hit %d" block.index
+    | Trace.Cache_miss { block; _ } -> Printf.sprintf "miss %d" block.index
+    | Trace.Evict { victim; candidate; reason; _ } ->
+      Printf.sprintf "evict %d (candidate %d, %s)" victim.index candidate.index reason
+    | Trace.Swap { kept; victim } ->
+      Printf.sprintf "swap keeps %d, evicts %d" kept.index victim.index
+    | Trace.Placeholder_created { replaced; target; _ } ->
+      Printf.sprintf "placeholder %d -> %d" replaced.index target.index
+    | Trace.Syscall { op; detail; _ } -> String.trim (op ^ " " ^ detail)
+    | ev -> Trace.kind ev
+  in
+  watch c (fun ev -> seen := show ev :: !seen);
   ignore (Cache.read c ~pid:p0 (blk 0));
   ignore (Cache.read c ~pid:p0 (blk 0));
   ignore (Cache.write c ~pid:p0 (blk 1) ~fetch:false);
   ignore (Cache.read c ~pid:p0 (blk 2));
-  let kinds =
-    List.rev_map
-      (function
-        | Event.Hit _ -> "hit"
-        | Event.Miss _ -> "miss"
-        | Event.Evict _ -> "evict"
-        | Event.Writeback _ -> "writeback"
-        | Event.Placeholder_created _ -> "ph+"
-        | Event.Placeholder_used _ -> "ph!"
-        | Event.Manager_revoked _ -> "revoked")
-      !events
-  in
-  chk_bool "sequence" true (kinds = [ "miss"; "hit"; "miss"; "miss"; "evict" ])
+  ok_exn (Cache.register_manager c p0);
+  ok_exn (Cache.set_policy c p0 ~prio:0 Policy.Mru);
+  ignore (Cache.read c ~pid:p0 (blk 1));
+  ignore (Cache.read c ~pid:p0 (blk 2));
+  ignore (Cache.read c ~pid:p0 (blk 3));
+  chk_int "dropped" 2 (Cache.invalidate_file c ~file:0);
+  check
+    Alcotest.(list string)
+    "sequence"
+    [
+      "miss 0";
+      "hit 0";
+      "miss 1";
+      "miss 2";
+      "evict 0 (candidate 0, capacity)";
+      "register";
+      "set_policy prio=0 policy=MRU";
+      "hit 1";
+      "hit 2";
+      "miss 3";
+      "swap keeps 1, evicts 2";
+      "placeholder 2 -> 1";
+      "evict 2 (candidate 1, capacity)";
+      "evict 1 (candidate 1, invalidate)";
+      "evict 3 (candidate 3, invalidate)";
+    ]
+    (List.rev !seen)
 
 let suites =
   [
@@ -579,12 +643,13 @@ let suites =
         case "write fetch semantics" write_fetch_semantics;
         case "sync order and scope" sync_flushes_in_order;
         case "invalidate drops dirty" invalidate_drops_dirty;
-        case "tracer lifecycle" tracer_sees_lifecycle;
+        case "trace lifecycle" trace_lifecycle;
       ] );
     ( "cache: control interface",
       [
         case "registration and limits" registration;
         case "control requires registration" control_requires_registration;
+        case "control calls trace" control_calls_trace;
         case "priorities steer eviction" priority_levels_and_eviction;
         case "get_priority values" get_priority_value;
         case "MRU policy" mru_policy_picks_most_recent;

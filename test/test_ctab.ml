@@ -340,7 +340,7 @@ let refine_revoke_recycle_sticky () =
   refines ~deep_every:1 config ops;
   let c = Cache.create config in
   let revoked = ref false and full = ref false and shared = ref false in
-  Cache.set_tracer c (Some (function Event.Manager_revoked _ -> revoked := true | _ -> ()));
+  watch c (function Acfc_obs.Trace.Manager_revoked _ -> revoked := true | _ -> ());
   let held_by_another p block =
     List.exists
       (fun other -> other <> p && List.exists (Block.equal block) (Cache.manager_resident c other))

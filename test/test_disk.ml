@@ -240,7 +240,10 @@ let requests_gen =
 
 let run_requests ~by_job (scan, requests) =
   let e = Engine.create () in
-  let sink = Acfc_obs.Sink.create ~backend:(Acfc_obs.Sink.Ring 1_000) () in
+  let records = ref [] in
+  let sink =
+    Acfc_obs.Sink.create ~backend:(Acfc_obs.Sink.Custom (fun r -> records := r :: !records)) ()
+  in
   Acfc_obs.Sink.set_clock sink (fun () -> Engine.now e);
   let bus = Bus.create e () in
   let sched = if scan then Disk.Scan else Disk.Fcfs in
@@ -279,7 +282,7 @@ let run_requests ~by_job (scan, requests) =
     Array.map stats drives,
     Acfc_obs.Json.to_string
       (Acfc_obs.Metrics.snapshot (Acfc_obs.Sink.metrics sink) ~now:(Engine.now e)),
-    Acfc_obs.Sink.ring_contents sink )
+    List.rev !records )
 
 let job_form_matches_fiber_form =
   qcheck "a request issued by a job completes where a fiber's io does" ~count:300

@@ -116,11 +116,11 @@ let cache_busy_when_everything_pinned () =
   chk_bool "inner miss hit Cache_busy" true (!inner_result = `Busy)
 
 let mix_with_recorder () =
-  (* Tracers compose with full concurrent runs. *)
+  (* A recorder's sink observes full concurrent runs. *)
   let recorder = Acfc_replacement.Recorder.create () in
   let r =
     Acfc_scenario.Scenario.run_specs ~seed:0 ~cache_blocks:819 ~alloc_policy:Config.Lru_sp
-      ~tracer:(Acfc_replacement.Recorder.tracer recorder)
+      ~obs:(Acfc_replacement.Recorder.sink recorder)
       [
         Runner.Spec.make ~smart:true ~disk:0 Dinero.din;
         Runner.Spec.make ~smart:false ~disk:0 (Readn.app ~n:300 ~mode:`Oblivious ());
@@ -139,13 +139,14 @@ let pp_smoke () =
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "%a %a %a %a" Acfc_core.Block.pp (blk 3) Acfc_core.Pid.pp (pid 1)
     Acfc_core.Policy.pp Acfc_core.Policy.Mru Params.pp Params.rz56;
+  let block = { Acfc_obs.Trace.file = 0; index = 0 } in
   List.iter
-    (fun ev -> Format.fprintf ppf "%a" Acfc_core.Event.pp ev)
+    (fun ev -> Format.fprintf ppf "%a" Acfc_obs.Trace.pp { Acfc_obs.Trace.time = 0.0; ev })
     [
-      Acfc_core.Event.Hit { pid = pid 0; block = blk 0 };
-      Acfc_core.Event.Miss { pid = pid 0; block = blk 0; prefetch = true };
-      Acfc_core.Event.Writeback (blk 2);
-      Acfc_core.Event.Manager_revoked (pid 3);
+      Acfc_obs.Trace.Cache_hit { pid = 0; block };
+      Acfc_obs.Trace.Cache_miss { pid = 0; block; prefetch = true };
+      Acfc_obs.Trace.Writeback { block };
+      Acfc_obs.Trace.Manager_revoked { pid = 3 };
     ];
   Format.pp_print_flush ppf ();
   chk_bool "printers produce text" true (Buffer.length buf > 0)

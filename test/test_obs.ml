@@ -206,20 +206,6 @@ let csv_backend_writes_header () =
   chk_str "header" Trace.csv_header header;
   chk_int "rows" (List.length all_events) !rows
 
-let ring_keeps_last_n () =
-  let sink = Sink.create ~backend:(Sink.Ring 4) () in
-  for i = 0 to 9 do
-    Sink.emit sink (Trace.Fiber { name = string_of_int i; op = "spawn" })
-  done;
-  chk_int "emitted counts all" 10 (Sink.emitted sink);
-  let names =
-    List.map
-      (fun r ->
-        match r.Trace.ev with Trace.Fiber { name; _ } -> name | _ -> "?")
-      (Sink.ring_contents sink)
-  in
-  chk_bool "last four, oldest first" true (names = [ "6"; "7"; "8"; "9" ])
-
 (* {2 Metrics} *)
 
 let metrics_counters_and_gauges () =
@@ -337,7 +323,6 @@ let suites =
         case "csv column counts" trace_csv_columns;
         case "jsonl backend" jsonl_backend_round_trip;
         case "csv backend" csv_backend_writes_header;
-        case "ring keeps last n" ring_keeps_last_n;
       ] );
     ( "obs/metrics",
       [

@@ -52,7 +52,7 @@ let replay (module C : Pc.CORE) ~capacity trace =
 
 (* Run a core as a live [fbehavior] manager: a real cache, one attached
    manager, the plug-in installed through [Control], victims recorded
-   from [Evict] tracer events. *)
+   from its [Evict] trace records. *)
 let live_replay (module C : Pc.CORE) ~capacity trace =
   let cache = Core.Cache.create (config capacity) in
   let p0 = pid 0 in
@@ -60,11 +60,9 @@ let live_replay (module C : Pc.CORE) ~capacity trace =
   let core = C.create ~capacity ~future:trace in
   ok_exn (Core.Control.set_plugin control (Some (P.Live.plugin (module C) core)));
   let victims = ref [] in
-  Core.Cache.set_tracer cache
-    (Some
-       (function
-       | Core.Event.Evict e -> victims := e.victim :: !victims
-       | _ -> ()));
+  watch cache (function
+    | Acfc_obs.Trace.Evict { victim; _ } -> victims := of_trace victim :: !victims
+    | _ -> ());
   let hits = ref 0 and misses = ref 0 in
   Array.iter
     (fun b ->
@@ -516,8 +514,9 @@ let install_after_reads (module C : Pc.CORE) reads =
   let core = C.create ~capacity:2 ~future:[||] in
   ok_exn (Core.Control.set_plugin control (Some (P.Live.plugin (module C) core)));
   let victims = ref [] in
-  Core.Cache.set_tracer cache
-    (Some (function Core.Event.Evict e -> victims := e.victim :: !victims | _ -> ()));
+  watch cache (function
+    | Acfc_obs.Trace.Evict { victim; _ } -> victims := of_trace victim :: !victims
+    | _ -> ());
   List.iter (fun i -> ignore (Core.Cache.read cache ~pid:p0 (blk i))) reads;
   render_victims (List.rev !victims)
 

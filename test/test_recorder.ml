@@ -9,7 +9,7 @@ let p1 = pid 1
 let record_run () =
   let recorder = Recorder.create () in
   let c = Cache.create (config 4) in
-  Cache.set_tracer c (Some (Recorder.tracer recorder));
+  Cache.set_obs c (Some (Recorder.sink recorder));
   ignore (Cache.read c ~pid:p0 (blk 0));
   ignore (Cache.read c ~pid:p0 (blk 0));
   ignore (Cache.read c ~pid:p1 (blk 1));
@@ -23,6 +23,51 @@ let records_hits_and_misses () =
     ((not e.(0).Refstream.hit) && e.(1).Refstream.hit && not e.(2).Refstream.hit);
   chk_bool "pids recorded" true
     (Pid.equal e.(0).Refstream.pid p0 && Pid.equal e.(2).Refstream.pid p1)
+
+(* [observe] keeps the hit and miss records, with their prefetch flag,
+   and ignores every other record of the machine's trace. *)
+let observe_keeps_only_references () =
+  let open Acfc_obs in
+  let r = Recorder.create () in
+  let b index = { Trace.file = 2; index } in
+  List.iter
+    (fun ev -> Recorder.observe r { Trace.time = 0.; ev })
+    [
+      Trace.Syscall { pid = 1; op = "read"; detail = "file=2 off=0 len=8192" };
+      Trace.Cache_miss { pid = 1; block = b 0; prefetch = false };
+      Trace.Evict
+        { victim = b 5; owner = 1; candidate = b 5; policy = "LRU-SP"; reason = "capacity" };
+      Trace.Swap { kept = b 1; victim = b 2 };
+      Trace.Placeholder_created { replaced = b 2; target = b 1; chooser = 1 };
+      Trace.Placeholder_hit { missing = b 2; target = b 1; chooser = 1 };
+      Trace.Manager_revoked { pid = 1 };
+      Trace.Writeback { block = b 3 };
+      Trace.Disk_io
+        {
+          disk = "rz56";
+          kind = "read";
+          addr = 0;
+          blocks = 1;
+          seek = 0.;
+          rot = 0.;
+          xfer = 0.;
+          wait = 0.;
+        };
+      Trace.Fiber { name = "app"; op = "spawn" };
+      Trace.Cache_miss { pid = 0; block = b 1; prefetch = true };
+      Trace.Cache_hit { pid = 1; block = b 0 };
+    ];
+  chk_int "hits and misses only" 3 (Recorder.length r);
+  let entry pid index ~hit ~prefetch =
+    { Refstream.pid; block = blk ~file:2 index; hit; prefetch }
+  in
+  chk_bool "entries in order" true
+    (Recorder.stream r
+    = [|
+        entry p1 0 ~hit:false ~prefetch:false;
+        entry p0 1 ~hit:false ~prefetch:true;
+        entry p1 0 ~hit:true ~prefetch:false;
+      |])
 
 let demand_filters () =
   let s = Recorder.stream (record_run ()) in
@@ -67,7 +112,7 @@ let load_rejects_garbage () =
 let live_mru_equals_opt_on_own_trace () =
   let recorder = Recorder.create () in
   let c = Cache.create (config 50) in
-  Cache.set_tracer c (Some (Recorder.tracer recorder));
+  Cache.set_obs c (Some (Recorder.sink recorder));
   ok_exn (Cache.register_manager c p0);
   ok_exn (Cache.set_policy c p0 ~prio:0 Policy.Mru);
   for _pass = 1 to 5 do
@@ -87,7 +132,7 @@ let prefetch_excluded_by_default () =
       let disk = Acfc_disk.Disk.create engine Acfc_disk.Params.rz56 in
       let fs = Acfc_fs.Fs.create engine ~config:(config 64) () in
       let recorder = Recorder.create () in
-      Cache.set_tracer (Acfc_fs.Fs.cache fs) (Some (Recorder.tracer recorder));
+      Cache.set_obs (Acfc_fs.Fs.cache fs) (Some (Recorder.sink recorder));
       let file =
         Acfc_fs.Fs.create_file fs ~name:"f" ~disk ~size_bytes:(16 * 8192) ()
       in
@@ -103,6 +148,7 @@ let suites =
     ( "trace recorder",
       [
         case "records hits and misses" records_hits_and_misses;
+        case "observe keeps only references" observe_keeps_only_references;
         case "demand trace filters by pid" demand_filters;
         case "save/load round-trip" save_load_roundtrip;
         case "rejects garbage" load_rejects_garbage;

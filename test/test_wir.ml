@@ -402,16 +402,21 @@ let seed_readn ?(file_blocks = 1200) ~n ~mode () =
 (* One application on one machine, capturing everything observable:
    the runner report, the recorded hit/miss reference stream, and the
    full observability event sequence (engine, syscalls including the
-   strategy calls, cache, bus, disks). *)
+   strategy calls, cache, bus, disks), both from one sink. *)
 let run_capture ?(seed = 11) ~smart app =
   let recorder = Recorder.create () in
   let events = ref [] in
   let sink =
-    Obs.Sink.create ~backend:(Obs.Sink.Custom (fun r -> events := r :: !events)) ()
+    Obs.Sink.create
+      ~backend:
+        (Obs.Sink.Custom
+           (fun r ->
+             Recorder.observe recorder r;
+             events := r :: !events))
+      ()
   in
   let result =
-    Scenario.run_specs ~seed ~tracer:(Recorder.tracer recorder) ~obs:sink
-      ~cache_blocks:819 ~alloc_policy:Config.Lru_sp
+    Scenario.run_specs ~seed ~obs:sink ~cache_blocks:819 ~alloc_policy:Config.Lru_sp
       [ Runner.Spec.make ~smart ~disk:0 app ]
   in
   (report result, Recorder.stream recorder, List.rev !events)
@@ -469,7 +474,7 @@ let references_match_live () =
      on a single-workload machine). *)
   let recorder = Recorder.create () in
   ignore
-    (Scenario.run_specs ~seed:3 ~tracer:(Recorder.tracer recorder) ~cache_blocks:819
+    (Scenario.run_specs ~seed:3 ~obs:(Recorder.sink recorder) ~cache_blocks:819
        ~alloc_policy:Config.Lru_sp
        [ Runner.Spec.make ~smart:true ~disk:0 (ok (Catalog.resolve "din")).Catalog.app ]);
   let live = Refstream.demand (Recorder.stream recorder) in

@@ -29,6 +29,16 @@ let blk ?(file = 0) index = Acfc_core.Block.make ~file ~index
 
 let pid n = Acfc_core.Pid.make n
 
+(* Watch one cache: [f] receives the event of every record the cache
+   sends a [Custom] obs sink installed on it. *)
+let watch cache f =
+  let open Acfc_obs in
+  Acfc_core.Cache.set_obs cache
+    (Some (Sink.create ~backend:(Sink.Custom (fun r -> f r.Trace.ev)) ()))
+
+(* A trace record's block as a cache block. *)
+let of_trace (b : Acfc_obs.Trace.block) = Acfc_core.Block.make ~file:b.file ~index:b.index
+
 let ok_exn = function
   | Ok v -> v
   | Error e -> Alcotest.fail ("unexpected error: " ^ Acfc_core.Error.to_string e)
